@@ -58,3 +58,20 @@ bench:
 perf:
     cargo bench -p mgrid-bench --bench engine
     cargo run --release -p mgrid-bench --bin perf -- --out BENCH_core.json
+
+# The repo benchmark (BENCHMARK.json, benchmark/README.md): every
+# end-to-end metric on all six workloads, about 11 minutes. Performance
+# claims name one of its metrics on one of its workloads.
+benchmark:
+    bash benchmark/run.sh
+
+# One traced run per workload: the per-layer table and
+# benchmark/out/trace-<workload>.json.
+benchmark-trace:
+    bash benchmark/run.sh trace
+
+# The same suite at class S and 64 hosts, one short repetition: a dozen
+# seconds, not comparable; checks that every workload still runs, verifies
+# and reproduces its blessed counters.
+benchmark-smoke:
+    bash benchmark/run.sh suite --smoke --reps 1 --seconds 1

@@ -8,6 +8,7 @@
 //! MicroGrid reads at startup (§2.4.2, Fig 3).
 
 use mgrid_desim::time::SimDuration;
+use mgrid_desim::FxHashSet;
 use mgrid_faults::FaultPlan;
 use mgrid_hostsim::{PhysicalHostSpec, VirtualHostSpec};
 use serde::{Deserialize, Serialize};
@@ -141,23 +142,23 @@ impl GridConfig {
     /// positive) and, when a fault plan is present, that every fault has
     /// sound parameters and targets a name the grid defines.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let mut seen = mgrid_desim::FxHashSet::default();
+        // Every name lives in exactly one of these two sets, so a name is
+        // a duplicate when either already holds it.
+        let mut physical = FxHashSet::default();
         for p in &self.physical_hosts {
-            if !seen.insert(p.name.clone()) {
+            if !physical.insert(p.name.as_str()) {
                 return Err(ConfigError::DuplicateName(p.name.clone()));
             }
             if p.speed_mops.is_nan() || p.speed_mops <= 0.0 {
                 return Err(ConfigError::NonPositiveSpeed(p.name.clone()));
             }
         }
-        let mut nodes = mgrid_desim::FxHashSet::default();
-        let mut vhosts = mgrid_desim::FxHashSet::default();
+        let mut nodes = FxHashSet::default();
         for v in &self.virtual_hosts {
-            if !seen.insert(v.spec.name.clone()) || !nodes.insert(v.spec.name.clone()) {
+            if physical.contains(v.spec.name.as_str()) || !nodes.insert(v.spec.name.as_str()) {
                 return Err(ConfigError::DuplicateName(v.spec.name.clone()));
             }
-            vhosts.insert(v.spec.name.clone());
-            if !self.physical_hosts.iter().any(|p| p.name == v.mapped_to) {
+            if !physical.contains(v.mapped_to.as_str()) {
                 return Err(ConfigError::UnknownPhysicalHost(v.mapped_to.clone()));
             }
             if v.spec.speed_mops.is_nan() || v.spec.speed_mops <= 0.0 {
@@ -165,19 +166,24 @@ impl GridConfig {
             }
         }
         for r in &self.network.routers {
-            if !seen.insert(r.clone()) || !nodes.insert(r.clone()) {
+            if physical.contains(r.as_str()) || !nodes.insert(r.as_str()) {
                 return Err(ConfigError::DuplicateName(r.clone()));
             }
         }
         for l in &self.network.links {
             for end in [&l.a, &l.b] {
-                if !nodes.contains(end) {
+                if !nodes.contains(end.as_str()) {
                     return Err(ConfigError::UnknownNode(end.clone()));
                 }
             }
         }
         if let Some(plan) = &self.faults {
             plan.check_params().map_err(ConfigError::InvalidFault)?;
+            let vhosts: FxHashSet<&str> = self
+                .virtual_hosts
+                .iter()
+                .map(|v| v.spec.name.as_str())
+                .collect();
             for ev in &plan.events {
                 for name in ev.kind.node_refs() {
                     let known = if ev.kind.is_host_fault() {

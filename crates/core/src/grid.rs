@@ -88,12 +88,12 @@ impl VirtualGrid {
 
         // Virtual network: hosts in config order, then routers.
         let mut b = TopologyBuilder::new();
-        let mut node_of: FxHashMap<String, NodeId> = FxHashMap::default();
+        let mut node_of: FxHashMap<&str, NodeId> = FxHashMap::default();
         for v in &config.virtual_hosts {
-            node_of.insert(v.spec.name.clone(), b.host(&v.spec.name));
+            node_of.insert(&v.spec.name, b.host(&v.spec.name));
         }
         for r in &config.network.routers {
-            node_of.insert(r.clone(), b.router(r));
+            node_of.insert(r, b.router(r));
         }
         for l in &config.network.links {
             let spec = LinkSpec {
@@ -101,7 +101,7 @@ impl VirtualGrid {
                 delay: l.delay,
                 queue_bytes: l.queue_bytes.unwrap_or(512 * 1024),
             };
-            b.link(node_of[&l.a], node_of[&l.b], spec);
+            b.link(node_of[l.a.as_str()], node_of[l.b.as_str()], spec);
         }
         let network = Network::new(b.build(), clock.clone(), NetParams::default());
 
@@ -124,7 +124,11 @@ impl VirtualGrid {
                 let ph =
                     PhysicalHost::new(spec, OsParams::default(), sched_params.clone(), rng.fork());
                 physical.insert(v.spec.name.clone(), ph.clone());
-                table.register(&v.spec.name, node_of[&v.spec.name], ph.as_direct_virtual());
+                table.register(
+                    &v.spec.name,
+                    node_of[v.spec.name.as_str()],
+                    ph.as_direct_virtual(),
+                );
             }
         } else {
             for p in &config.physical_hosts {
@@ -139,7 +143,7 @@ impl VirtualGrid {
             for v in &config.virtual_hosts {
                 let ph = &physical[&v.mapped_to];
                 let vh = ph.map_virtual(v.spec.clone(), rate);
-                table.register(&v.spec.name, node_of[&v.spec.name], vh);
+                table.register(&v.spec.name, node_of[v.spec.name.as_str()], vh);
             }
         }
 

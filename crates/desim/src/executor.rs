@@ -88,10 +88,17 @@ unsafe impl Send for ReadyQueue {}
 // concurrent access for Sync to make unsound.
 unsafe impl Sync for ReadyQueue {}
 
+thread_local! {
+    /// This thread's id, read once per thread: `std::thread::current()`
+    /// clones and drops the thread handle's `Arc` on every call, and the
+    /// queue asks on every push, pop and emptiness check.
+    static THIS_THREAD: std::thread::ThreadId = std::thread::current().id();
+}
+
 impl ReadyQueue {
     fn new() -> Arc<Self> {
         Arc::new(ReadyQueue {
-            owner: std::thread::current().id(),
+            owner: THIS_THREAD.with(|id| *id),
             queue: UnsafeCell::new(VecDeque::with_capacity(64)),
         })
     }
@@ -99,7 +106,7 @@ impl ReadyQueue {
     #[inline]
     fn with<R>(&self, f: impl FnOnce(&mut VecDeque<TaskId>) -> R) -> R {
         assert_eq!(
-            std::thread::current().id(),
+            THIS_THREAD.with(|id| *id),
             self.owner,
             "simulation waker used off the simulation's own thread"
         );
@@ -1106,6 +1113,28 @@ mod tests {
         // lower-bound all-reduce relies on this being a live deadline.
         assert_eq!(sim.next_event_time(), Some(SimTime::from_nanos(9_000_000)));
         assert_eq!(sim.run().as_millis(), 9);
+    }
+
+    #[test]
+    fn waker_woken_from_another_thread_panics() {
+        let mut sim = Simulation::new(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            tx.send(cx.waker().clone()).expect("receiver is alive");
+            Poll::Ready(())
+        }));
+        sim.run();
+        let waker = rx.recv().expect("the task ran");
+        let panic = std::thread::spawn(move || waker.wake())
+            .join()
+            .expect_err("waking off the owner thread must panic");
+        let message = panic.downcast_ref::<String>().expect("assert message");
+        assert!(
+            message.contains("simulation waker used off the simulation's own thread"),
+            "{message}"
+        );
+        // The queue was never touched: the simulation is still usable.
+        assert_eq!(sim.run(), SimTime::ZERO);
     }
 
     #[test]

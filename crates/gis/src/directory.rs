@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::dn::Dn;
+use crate::dn::{Dn, SEPARATOR};
 use crate::filter::Filter;
 use crate::record::Record;
 
@@ -68,38 +68,44 @@ impl Directory {
 
     /// Insert a record at its DN.
     ///
-    /// Missing ancestors are *not* created (matching LDAP, which requires
-    /// parents to exist); for convenience we only require this when the
-    /// parent is non-root.
+    /// Missing ancestors are created as empty entries: the paper's
+    /// workflow drops records into existing GIS servers without bespoke
+    /// server setup, so we mirror that permissiveness while keeping the
+    /// tree well-formed.
     pub fn add(&mut self, record: Record) -> Result<(), DirError> {
         let key = record.dn.to_string();
         if self.entries.contains_key(&key) {
             return Err(DirError::AlreadyExists(key));
         }
-        if let Some(parent) = record.dn.parent() {
-            if !parent.is_root() && !self.entries.contains_key(&parent.to_string()) {
-                // Auto-create intermediate organizational entries: the
-                // paper's workflow drops records into existing GIS servers
-                // without bespoke server setup, so we mirror that
-                // permissiveness while keeping the tree well-formed.
-                self.add(Record::new(parent))?;
-            }
-        }
-        self.entries.insert(key, record);
+        self.insert_new(key, record);
         Ok(())
     }
 
     /// Replace the record at a DN (or insert it, creating ancestors).
-    // The entry API can't be used here: the miss arm calls `add`, which
-    // needs `&mut self` while an `Entry` would still borrow `entries`.
-    #[allow(clippy::map_entry)]
     pub fn upsert(&mut self, record: Record) {
         let key = record.dn.to_string();
-        if self.entries.contains_key(&key) {
-            self.entries.insert(key, record);
-        } else {
-            self.add(record).expect("upsert cannot collide");
+        match self.entries.get_mut(&key) {
+            Some(entry) => *entry = record,
+            None => self.insert_new(key, record),
         }
+    }
+
+    /// Insert `record` under `key`, its DN as text, which must be vacant;
+    /// then walk up the tree creating ancestors until one exists.
+    fn insert_new(&mut self, key: String, record: Record) {
+        // An ancestor's key is a suffix of `key`, so each existence check
+        // borrows it; only a missing ancestor costs an allocation.
+        let rdns = record.dn.rdns();
+        let mut ancestor = key.as_str();
+        for depth in 1..rdns.len() {
+            ancestor = &ancestor[rdns[depth - 1].text_len() + SEPARATOR.len()..];
+            if self.entries.contains_key(ancestor) {
+                break;
+            }
+            let dn = Dn::from_rdns(rdns[depth..].to_vec());
+            self.entries.insert(ancestor.to_string(), Record::new(dn));
+        }
+        self.entries.insert(key, record);
     }
 
     /// Fetch the record at a DN.
@@ -214,6 +220,26 @@ mod tests {
         assert!(d.get(&dn("ou=a, ou=b, o=Grid")).is_some());
         assert!(d.get(&dn("ou=b, o=Grid")).is_some());
         assert_eq!(d.len(), 4);
+    }
+
+    #[test]
+    fn ancestors_of_values_that_contain_the_separator() {
+        use crate::dn::Rdn;
+        // `Dn::parse` cannot produce such a value, `Rdn::new` can; the
+        // ancestor keys must still be the ancestors' own text.
+        let leaf = Dn::from_rdns(vec![
+            Rdn::new("hn", "a, b=c"),
+            Rdn::new("ou", "x, y"),
+            Rdn::new("o", "Grid"),
+        ]);
+        let mut d = Directory::new();
+        d.upsert(Record::new(leaf.clone()).with("hn", "first"));
+        d.upsert(Record::new(leaf.clone()).with("hn", "second"));
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.get(&leaf).unwrap().get("hn"), Some("second"));
+        let parent = leaf.parent().unwrap();
+        assert_eq!(d.get(&parent).unwrap().dn, parent);
+        assert!(d.get(&parent.parent().unwrap()).is_some());
     }
 
     #[test]

@@ -27,7 +27,15 @@ impl Rdn {
             value: value.into(),
         }
     }
+
+    /// Length in bytes of this component as [`fmt::Display`] writes it.
+    pub(crate) fn text_len(&self) -> usize {
+        self.attr.len() + "=".len() + self.value.len()
+    }
 }
+
+/// What [`Dn`]'s text form puts between components.
+pub(crate) const SEPARATOR: &str = ", ";
 
 impl fmt::Display for Rdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -140,8 +148,13 @@ impl Dn {
 
 impl fmt::Display for Dn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.rdns.iter().map(|r| r.to_string()).collect();
-        write!(f, "{}", parts.join(", "))
+        for (i, rdn) in self.rdns.iter().enumerate() {
+            if i > 0 {
+                f.write_str(SEPARATOR)?;
+            }
+            write!(f, "{rdn}")?;
+        }
+        Ok(())
     }
 }
 
@@ -163,6 +176,9 @@ mod tests {
         assert_eq!(dn.leaf().unwrap().attr, "hn");
         assert_eq!(dn.leaf().unwrap().value, "vm.ucsd.edu");
         assert_eq!(dn.to_string(), "hn=vm.ucsd.edu, ou=CSAG, o=Grid");
+        for rdn in dn.rdns() {
+            assert_eq!(rdn.text_len(), rdn.to_string().len());
+        }
     }
 
     #[test]

@@ -287,24 +287,21 @@ impl Network {
     /// through `clock` (use [`VirtualClock::identity`] for a physical-time
     /// network).
     pub fn new(topo: Topology, clock: VirtualClock, params: NetParams) -> Self {
-        // Size each queue for a full window of MTU-sized segments so the
-        // steady state never reallocates.
-        let wire_mtu = (params.mtu + params.header_bytes).max(1);
+        // Link buffers start empty and grow with the traffic a link
+        // actually carries: most links of a wide grid see a handful of
+        // packets, and a busy one reaches its steady size within a window.
         let links = topo
             .links
             .iter()
-            .map(|l| {
-                let slots = (l.spec.queue_bytes / wire_mtu + 1).min(4096) as usize;
-                LinkState {
-                    queue: RefCell::new(VecDeque::with_capacity(slots)),
-                    queued_bytes: Cell::new(0),
-                    notify: Notify::new(),
-                    inflight: RefCell::new(VecDeque::with_capacity(slots)),
-                    arrived: Notify::new(),
-                    stats: RefCell::new(LinkStats::default()),
-                    fault: RefCell::new(LinkFault::default()),
-                    serializing: Cell::new(false),
-                }
+            .map(|_| LinkState {
+                queue: RefCell::new(VecDeque::new()),
+                queued_bytes: Cell::new(0),
+                notify: Notify::new(),
+                inflight: RefCell::new(VecDeque::new()),
+                arrived: Notify::new(),
+                stats: RefCell::new(LinkStats::default()),
+                fault: RefCell::new(LinkFault::default()),
+                serializing: Cell::new(false),
             })
             .collect();
         let node_count = topo.node_count();

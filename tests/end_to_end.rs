@@ -26,6 +26,15 @@ fn config_json_roundtrips_and_builds() {
 }
 
 #[test]
+fn wide_config_json_is_a_fixed_point() {
+    // 768 hosts, 324 KB of text: what the reader is sized for.
+    let json = presets::alpha_cluster_n(768).to_json();
+    let parsed = GridConfig::from_json(&json).expect("parse");
+    assert_eq!(parsed.validate(), Ok(()));
+    assert_eq!(parsed.to_json(), json);
+}
+
+#[test]
 fn gis_records_point_to_real_mappings() {
     let mut sim = Simulation::new(2);
     sim.block_on(async {

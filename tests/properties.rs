@@ -42,6 +42,31 @@ proptest! {
 }
 
 proptest! {
+    /// JSON text round trip for arbitrary strings: quotes and backslashes,
+    /// control characters (written as escapes), multi-byte and non-BMP
+    /// characters, in any adjacency.
+    #[test]
+    fn json_string_roundtrip(
+        codes in prop::collection::vec(
+            prop_oneof![
+                0u32..0x20,
+                0x20u32..0x80,
+                0x80u32..0x1_0000,
+                0x1_0000u32..0x11_0000,
+                0x22u32..0x23,
+                0x5cu32..0x5d,
+            ],
+            0..24,
+        ),
+    ) {
+        // Surrogate code points are not `char`s and drop out.
+        let s: String = codes.into_iter().filter_map(char::from_u32).collect();
+        let json = serde_json::to_string(&s).expect("strings serialize");
+        prop_assert_eq!(serde_json::from_str::<String>(&json).expect("round trip"), s);
+    }
+}
+
+proptest! {
     /// The virtual clock is monotone for any positive rate schedule.
     #[test]
     fn vclock_monotone(
