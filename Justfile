@@ -28,12 +28,6 @@ lint:
 lint-fix:
     cargo run -p mgrid-lint --bin mgrid-lint -- --fix --write
 
-# Dynamic memory-model check of the lock-free exchange cells under
-# Miri (nightly). Scoped to the desim exchange/slot protocol tests —
-# whole-workspace Miri would take hours.
-miri:
-    cargo +nightly miri test -p mgrid-desim --lib exchange::
-
 fmt:
     cargo fmt --all
 
@@ -41,12 +35,17 @@ fmt:
 figures:
     MGRID_FAST=1 cargo run --release -p mgrid-bench --bin repro -- all
 
+# Regenerate every figure at full scale and diff it byte-for-byte against
+# results/<id>.json (`repro --bless figN` re-anchors after intended
+# changes). About a minute.
+check-figures:
+    cargo run --release -p mgrid-bench --bin repro -- --check all
+
 # Chaos scenarios: replay the tracked fault-injection experiments, verify
 # same-seed double runs are byte-identical, and diff against
 # results/chaos.json (`chaos --bless` re-anchors after intended changes).
 chaos:
     cargo run --release -p mgrid-bench --bin chaos -- --check
-    MGRID_SHARDS=4 cargo run --release -p mgrid-bench --bin chaos -- --check
 
 # Criterion microbenches: engine throughput + per-figure regenerations.
 bench:

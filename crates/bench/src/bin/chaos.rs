@@ -14,8 +14,8 @@
 //! report is virtual-time; nothing depends on the host).
 
 use mgrid_bench::experiments::chaos;
-use mgrid_bench::runner::{run_scenarios, shard_count, Scenario as Job};
-use microgrid::Report;
+use mgrid_bench::runner::{repro_threads, run_scenarios, set_scenario_workers, Scenario as Job};
+use microgrid::{outln, Report};
 
 const TRACKED: &str = "results/chaos.json";
 
@@ -46,7 +46,7 @@ fn main() {
             "--check" => check = true,
             "--bless" => bless = true,
             "--help" | "-h" => {
-                println!("usage: chaos [--check | --bless]");
+                outln!("usage: chaos [--check | --bless]");
                 return;
             }
             other => {
@@ -56,14 +56,10 @@ fn main() {
         }
     }
 
-    // Each scenario runs twice; under MGRID_SHARDS the four runs fan out
-    // on the sharded engine's job pool. Scenarios are self-contained
-    // simulations, so the tracked output stays byte-identical at any
-    // shard count — exactly what `--check` verifies in the sharded CI
-    // rerun.
-    if shard_count() > 1 {
-        eprintln!("(MGRID_SHARDS={}: sharded scenario runs)", shard_count());
-    }
+    // Each scenario runs twice; the four runs share the whole
+    // MGRID_REPRO_THREADS budget on the pool. Scenarios are self-contained
+    // simulations, so the tracked output is byte-identical at any count.
+    set_scenario_workers(repro_threads());
     let mut jobs: Vec<Job<Report>> = Vec::new();
     for s in scenarios() {
         for pass in 1..=2 {
@@ -82,8 +78,8 @@ fn main() {
             eprintln!("FAIL: scenario {} diverged between same-seed runs", s.id);
             std::process::exit(1);
         }
-        println!("{}", first.to_table());
-        println!("determinism: double run byte-identical ({} bytes)", a.len());
+        outln!("{}", first.to_table());
+        outln!("determinism: double run byte-identical ({} bytes)", a.len());
         reports.push(first);
     }
 
@@ -102,6 +98,6 @@ fn main() {
             eprintln!("FAIL: {TRACKED} does not match this run; inspect and re-bless if intended");
             std::process::exit(1);
         }
-        println!("check: output matches {TRACKED}");
+        outln!("check: output matches {TRACKED}");
     }
 }

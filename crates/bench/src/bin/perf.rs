@@ -26,15 +26,15 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 
-use mgrid_bench::experiments::{apps, micro, network, npb, route, scale};
-use mgrid_bench::runner::fast_mode;
+use mgrid_bench::experiments::route;
+use mgrid_bench::runner::{fast_mode, figures};
 use microgrid::apps::npb::{run as npb_run, NpbBenchmark, NpbClass, NpbResult};
 use microgrid::desim::time::SimDuration;
 use microgrid::desim::vclock::VirtualClock;
 use microgrid::desim::{sleep, spawn, Simulation};
 use microgrid::mpi::MpiParams;
 use microgrid::netsim::{LinkSpec, NetParams, Network, Payload, TopologyBuilder};
-use microgrid::{Report, VirtualGrid};
+use microgrid::VirtualGrid;
 use serde::{Deserialize, Serialize};
 
 #[derive(Serialize, Deserialize, Clone, Default)]
@@ -51,38 +51,6 @@ struct Measurements {
     figures_ms: BTreeMap<String, f64>,
     /// Total wall milliseconds of the figure sweep.
     repro_total_ms: f64,
-}
-
-/// The sharded-engine section: the parallel-capable figures re-run with
-/// `MGRID_SHARDS` scenario sharding (see `docs/PARALLEL.md`).
-#[derive(Serialize, Deserialize, Clone, Default)]
-struct ParMeasurements {
-    /// Shard count the parallel sweep ran with.
-    par_shards: usize,
-    /// `available_parallelism()` on the recording machine; the speedups
-    /// below are bounded by it (a 1-core runner records ~1.0x).
-    machine_parallelism: usize,
-    /// `Some(true)` when the recording machine had no parallelism to
-    /// offer (`machine_parallelism == 1`): the speedups below say
-    /// nothing about the engine and are exempt from `--check` gating.
-    /// (`Option` so files written before this field existed still
-    /// parse — the vendored serde decodes missing fields as `None`.)
-    advisory: Option<bool>,
-    /// Barrier rounds per wall second of the event-driven epoch engine
-    /// (2-shard ping-pong microbench: every round carries one hop, so
-    /// this is the all-reduce + exchange round-trip rate).
-    epochs_per_sec: Option<f64>,
-    /// Mean wall nanoseconds per barrier round of the same microbench —
-    /// the fixed synchronization cost an epoch must amortize.
-    epoch_overhead_ns: Option<f64>,
-    /// Independent scenarios each sharded figure fanned out
-    /// (`run_scenarios` submissions): the available within-figure
-    /// parallelism behind each `par_speedup` entry.
-    par_scenarios: Option<BTreeMap<String, usize>>,
-    /// Wall milliseconds per sharded figure at `par_shards`.
-    par_figures_ms: BTreeMap<String, f64>,
-    /// Per-figure serial ms / sharded ms.
-    par_speedup: BTreeMap<String, f64>,
 }
 
 /// The demand-driven route cache against the eager all-pairs baseline,
@@ -110,8 +78,7 @@ struct RouteMeasurements {
     /// `eager_bytes_resident / bytes_resident` (> 1 means less memory).
     memory_ratio: f64,
     /// FNV-1a digest of every routed path (hex) — byte-identical across
-    /// runs and shard counts; anchors the `--route-smoke` determinism
-    /// check.
+    /// runs.
     digest: String,
 }
 
@@ -151,9 +118,6 @@ struct BenchFile {
     baseline: Measurements,
     current: Measurements,
     speedup: Speedup,
-    /// Sharded-run results; `None` in files written before the sharded
-    /// engine existed (older JSON parses with the field absent).
-    par: Option<ParMeasurements>,
     /// Large-grid route-cache results; `None` in files written before
     /// the demand-driven cache existed.
     route: Option<RouteMeasurements>,
@@ -229,69 +193,6 @@ fn bench_packets() -> (f64, f64) {
     (packets as f64 / secs, wire_bytes as f64 / secs)
 }
 
-struct Figure {
-    id: &'static str,
-    run: fn() -> Report,
-}
-
-/// The same experiments the `repro` binary regenerates, timed serially.
-fn figures() -> Vec<Figure> {
-    vec![
-        Figure {
-            id: "fig5",
-            run: micro::fig5_memory,
-        },
-        Figure {
-            id: "fig6",
-            run: || micro::fig6_cpu(SimDuration::from_secs(if fast_mode() { 3 } else { 10 })),
-        },
-        Figure {
-            id: "fig7",
-            run: || micro::fig7_quanta(if fast_mode() { 1000 } else { 9000 }),
-        },
-        Figure {
-            id: "fig8",
-            run: || network::fig8_network(if fast_mode() { 4 } else { 20 }),
-        },
-        Figure {
-            id: "fig9",
-            run: npb::fig9_configs,
-        },
-        Figure {
-            id: "fig10",
-            run: npb::fig10_npb,
-        },
-        Figure {
-            id: "fig11",
-            run: npb::fig11_quanta_sweep,
-        },
-        Figure {
-            id: "fig12",
-            run: npb::fig12_cpu_scaling,
-        },
-        Figure {
-            id: "fig14",
-            run: npb::fig14_vbns,
-        },
-        Figure {
-            id: "fig15",
-            run: npb::fig15_emulation_rates,
-        },
-        Figure {
-            id: "fig16",
-            run: apps::fig16_cactus,
-        },
-        Figure {
-            id: "fig17",
-            run: apps::fig17_autopilot,
-        },
-        Figure {
-            id: "scale",
-            run: scale::scale_study,
-        },
-    ]
-}
-
 fn measure() -> Measurements {
     let mut m = Measurements::default();
     eprintln!("executor: timer events ...");
@@ -311,112 +212,6 @@ fn measure() -> Measurements {
         m.repro_total_ms += ms;
     }
     m
-}
-
-/// Figures with enough independent scenarios to profit from sharding —
-/// the ones `run_scenarios` fans out under `MGRID_SHARDS`.
-const PAR_FIGS: [&str; 3] = ["fig10", "fig12", "fig17"];
-
-/// Time the event-driven epoch engine itself: a 2-shard ping-pong where
-/// every barrier round carries exactly one cross-shard hop, so wall time
-/// divided by rounds is the per-epoch synchronization cost (publish +
-/// barrier + verdict + exchange), and its inverse is epochs/sec.
-fn bench_epochs() -> (f64, f64) {
-    use microgrid::desim::shard::{run_sharded_stats, Import, ShardHandle, ShardPlan, ShardRun};
-    use microgrid::desim::{now, sleep_until};
-    use std::cell::Cell;
-    use std::rc::Rc;
-
-    const HOPS: u64 = 400;
-    let la = SimDuration::from_micros(10);
-    let plan = ShardPlan::connected(2, la);
-    let t0 = std::time::Instant::now();
-    let factories: Vec<_> = (0..2)
-        .map(|s| {
-            Box::new(move |h: ShardHandle<u64>| {
-                let sim = Simulation::new(11);
-                let done = Rc::new(Cell::new(false));
-                let root = sim.spawn({
-                    let h = h.clone();
-                    async move {
-                        if s == 0 {
-                            h.export(1, now() + la, 0);
-                        }
-                    }
-                });
-                let done2 = done.clone();
-                ShardRun {
-                    sim,
-                    deliver: Box::new(move |sim, imp: Import<u64>| {
-                        let h = h.clone();
-                        let done = done2.clone();
-                        sim.spawn(async move {
-                            sleep_until(imp.time).await;
-                            if imp.msg + 1 < HOPS {
-                                h.export(1 - h.shard_id(), now() + la, imp.msg + 1);
-                            } else {
-                                done.set(true);
-                            }
-                        });
-                    }),
-                    root_done: Box::new(move || root.is_finished() && done.get()),
-                    advise: None,
-                    finish: Box::new(|_| ()),
-                }
-            }) as Box<dyn FnOnce(ShardHandle<u64>) -> ShardRun<u64, ()> + Send>
-        })
-        .collect();
-    let (_, stats) = run_sharded_stats(plan, factories);
-    let secs = t0.elapsed().as_secs_f64();
-    let epochs = stats.epochs.max(1) as f64;
-    (epochs / secs, secs * 1e9 / epochs)
-}
-
-/// Re-run the parallel-capable figures with scenario sharding enabled
-/// and record wall time against the serial sweep just measured. Results
-/// stay byte-identical (`run_scenarios` merges in submission order);
-/// only the wall clock moves.
-fn measure_par(serial: &Measurements) -> ParMeasurements {
-    let prior = std::env::var("MGRID_SHARDS").ok();
-    let shards = prior
-        .as_deref()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4);
-    let machine = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    eprintln!("epoch engine microbench ...");
-    let (epochs_per_sec, epoch_overhead_ns) = bench_epochs();
-    let mut par = ParMeasurements {
-        par_shards: shards,
-        machine_parallelism: machine,
-        advisory: Some(machine == 1),
-        epochs_per_sec: Some(epochs_per_sec),
-        epoch_overhead_ns: Some(epoch_overhead_ns),
-        par_scenarios: Some(BTreeMap::new()),
-        ..ParMeasurements::default()
-    };
-    std::env::set_var("MGRID_SHARDS", shards.to_string());
-    for f in figures().into_iter().filter(|f| PAR_FIGS.contains(&f.id)) {
-        eprintln!("figure {} (MGRID_SHARDS={shards}) ...", f.id);
-        let _ = mgrid_bench::runner::take_scenario_count();
-        let t0 = std::time::Instant::now();
-        let _ = (f.run)();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let serial_ms = serial.figures_ms.get(f.id).copied().unwrap_or(0.0);
-        par.par_speedup
-            .insert(f.id.to_string(), ratio(serial_ms, ms));
-        par.par_figures_ms.insert(f.id.to_string(), ms);
-        par.par_scenarios
-            .get_or_insert_with(BTreeMap::new)
-            .insert(f.id.to_string(), mgrid_bench::runner::take_scenario_count());
-    }
-    match prior {
-        Some(v) => std::env::set_var("MGRID_SHARDS", v),
-        None => std::env::remove_var("MGRID_SHARDS"),
-    }
-    par
 }
 
 /// Measure the demand-driven route cache on the large-grid stress
@@ -506,10 +301,6 @@ fn ratio(num: f64, den: f64) -> f64 {
 /// * `repro_total` speedup below 0.9 — the figure sweep regressed more
 ///   than 10% against the committed baseline (skipped under fast mode,
 ///   whose shrunken sweep is not comparable).
-/// * Any `par_speedup` entry below 1.0 while `machine_parallelism > 1` —
-///   sharding made a figure *slower* on a machine that had cores to use.
-///   On a 1-core machine the `par` section is advisory and exempt: the
-///   speedups are bounded by the hardware, not the engine.
 /// * A `route` section whose stress grid neither built ≥10x faster nor
 ///   held ≥10x less routing memory than the eager all-pairs baseline —
 ///   the demand-driven cache's reason to exist. (Wall time is noisy on
@@ -524,18 +315,6 @@ fn validate(file: &BenchFile) -> Vec<String> {
             "repro_total speedup {:.3} is a >10% regression vs the baseline",
             file.speedup.repro_total
         ));
-    }
-    if let Some(par) = &file.par {
-        if par.machine_parallelism > 1 {
-            for (id, s) in &par.par_speedup {
-                if *s < 1.0 {
-                    errs.push(format!(
-                        "par_speedup[{id}] = {s:.3} < 1.0 with machine_parallelism = {}",
-                        par.machine_parallelism
-                    ));
-                }
-            }
-        }
     }
     if let Some(r) = &file.route {
         if r.build_speedup < 10.0 && r.memory_ratio < 10.0 {
@@ -591,13 +370,12 @@ fn main() {
             "--check" => check = true,
             "--route-smoke" => {
                 // The CI large-grid smoke: the stress workload must
-                // digest byte-identically on the sequential engine and
-                // with MGRID_SHARDS=2.
-                match route::shard_smoke() {
+                // digest byte-identically on one and on two pool workers.
+                match route::pool_smoke() {
                     Ok(digests) => {
                         println!(
                             "route smoke: {} hosts, digests {:016x} {:016x}, \
-                             sequential == 2-shard",
+                             1 worker == 2 workers",
                             route::STRESS_HOSTS,
                             digests[0],
                             digests[1]
@@ -640,7 +418,6 @@ fn main() {
     }
 
     let current = measure();
-    let par = measure_par(&current);
     let route = measure_route();
     let obs = measure_obs();
 
@@ -664,7 +441,6 @@ fn main() {
         },
         baseline,
         current,
-        par: Some(par),
         route: Some(route),
         obs: Some(obs),
     };
@@ -691,35 +467,6 @@ fn main() {
         "total    {:>12.1} ms  ({:.2}x baseline)",
         file.current.repro_total_ms, file.speedup.repro_total
     );
-    if let Some(par) = &file.par {
-        println!(
-            "-- sharded figures (MGRID_SHARDS={}, {} cores{}) --",
-            par.par_shards,
-            par.machine_parallelism,
-            if par.advisory.unwrap_or(false) {
-                ", ADVISORY: single-core machine, speedups bounded by hardware"
-            } else {
-                ""
-            }
-        );
-        println!(
-            "epochs/sec {:>12.0}   epoch overhead {:>8.0} ns",
-            par.epochs_per_sec.unwrap_or(0.0),
-            par.epoch_overhead_ns.unwrap_or(0.0)
-        );
-        for (id, ms) in &par.par_figures_ms {
-            println!(
-                "{id:<8} {ms:>12.1} ms  ({:.2}x vs serial, {} scenarios)",
-                par.par_speedup.get(id).copied().unwrap_or(0.0),
-                par.par_scenarios
-                    .as_ref()
-                    .and_then(|m| m.get(id))
-                    .copied()
-                    .unwrap_or(0)
-            );
-        }
-    }
-
     if let Some(r) = &file.route {
         println!(
             "-- route cache ({} hosts, {} nodes) --",

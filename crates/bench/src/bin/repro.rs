@@ -4,106 +4,166 @@
 //! repro all                 # every figure (slow: full class A runs)
 //! repro fig5 fig6 fig11     # selected figures
 //! repro --json out/ fig10   # also write JSON reports into out/
+//! repro --check all         # regenerate and diff against results/<id>.json
+//! repro --bless fig12       # rewrite results/<id>.json from this run
 //! MGRID_FAST=1 repro all    # shrunken runs (class S, fewer points)
 //! MGRID_REPRO_THREADS=1 repro all   # force serial regeneration
 //! ```
 //!
-//! Figures regenerate on a scoped thread pool — every simulation is
-//! single-threaded and self-contained, so whole figures parallelize
-//! freely. Output stays byte-identical to a serial run: workers hand
-//! finished figures to the main thread, which prints them in canonical
-//! figure order through a reorder buffer (per-figure wall times vary
-//! with load, nothing else does).
+//! Every simulation is single-threaded and self-contained, so whole
+//! figures — and the independent scenarios inside one — run in parallel
+//! on the worker pool ([`run_jobs_each`]). The `MGRID_REPRO_THREADS`
+//! budget (default: available parallelism) is split as
+//! `F = min(threads, figures selected)` figure workers, each with
+//! `threads / F` scenario workers. Output stays byte-identical
+//! to a serial run: the pool hands finished figures to the main thread
+//! in canonical figure order (per-figure wall times vary with load,
+//! nothing else does).
 
-use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mgrid_bench::experiments::{apps, micro, network, npb, scale};
-use mgrid_bench::runner::{fast_mode, repro_threads, take_metrics};
-use microgrid::desim::time::SimDuration;
+use mgrid_bench::runner::{
+    fast_mode, figures, repro_threads, run_jobs_each, set_scenario_workers, take_metrics, Figure,
+};
 use microgrid::desim::MetricsSnapshot;
-use microgrid::Report;
+use microgrid::{outln, ComparisonRow, Report, Series};
+use serde::Serialize;
 
-struct Figure {
-    id: &'static str,
-    what: &'static str,
-    run: fn() -> Report,
+/// Directory of the tracked figure outputs `--check`/`--bless` use.
+const TRACKED_DIR: &str = "results";
+
+/// Never gated: `scale` records the simulator's wall-clock seconds.
+const UNGATED: &str = "scale";
+
+/// What to do with each regenerated figure.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// Print the table (and write JSON under `--json`).
+    Print,
+    /// Compare against `results/<id>.json`.
+    Check,
+    /// Rewrite `results/<id>.json`.
+    Bless,
 }
 
-fn figures() -> Vec<Figure> {
-    vec![
-        Figure {
-            id: "fig5",
-            what: "memory capacity microbenchmark",
-            run: micro::fig5_memory,
-        },
-        Figure {
-            id: "fig6",
-            what: "CPU fraction fidelity under competition",
-            run: || micro::fig6_cpu(SimDuration::from_secs(if fast_mode() { 3 } else { 10 })),
-        },
-        Figure {
-            id: "fig7",
-            what: "quanta-size distribution",
-            run: || micro::fig7_quanta(if fast_mode() { 1000 } else { 9000 }),
-        },
-        Figure {
-            id: "fig8",
-            what: "network latency/bandwidth vs message size",
-            run: || network::fig8_network(if fast_mode() { 4 } else { 20 }),
-        },
-        Figure {
-            id: "fig9",
-            what: "virtual Grid configurations table",
-            run: npb::fig9_configs,
-        },
-        Figure {
-            id: "fig10",
-            what: "NPB totals, physical vs MicroGrid",
-            run: npb::fig10_npb,
-        },
-        Figure {
-            id: "fig11",
-            what: "scheduling-quantum sweep",
-            run: npb::fig11_quanta_sweep,
-        },
-        Figure {
-            id: "fig12",
-            what: "CPU scaling at fixed slow network",
-            run: npb::fig12_cpu_scaling,
-        },
-        Figure {
-            id: "fig14",
-            what: "vBNS WAN bottleneck sweep",
-            run: npb::fig14_vbns,
-        },
-        Figure {
-            id: "fig15",
-            what: "emulation-rate invariance",
-            run: npb::fig15_emulation_rates,
-        },
-        Figure {
-            id: "fig16",
-            what: "CACTUS WaveToy",
-            run: apps::fig16_cactus,
-        },
-        Figure {
-            id: "fig17",
-            what: "Autopilot internal validation",
-            run: apps::fig17_autopilot,
-        },
-        Figure {
-            id: "scale",
-            what: "simulator scalability study (extension)",
-            run: scale::scale_study,
-        },
-    ]
+/// The part of a [`Report`] that `results/<id>.json` tracks: everything
+/// but the metrics snapshot.
+#[derive(Serialize)]
+struct Tracked {
+    id: String,
+    title: String,
+    rows: Vec<ComparisonRow>,
+    series: Vec<Series>,
+    notes: Vec<String>,
 }
+
+fn tracked_json(r: &Report) -> String {
+    let tracked = Tracked {
+        id: r.id.clone(),
+        title: r.title.clone(),
+        rows: r.rows.clone(),
+        series: r.series.clone(),
+        notes: r.notes.clone(),
+    };
+    serde_json::to_string_pretty(&tracked).expect("report serializes")
+}
+
+/// One line per row, series point, title or note that differs.
+fn row_diff(tracked: &Report, fresh: &Report) -> Vec<String> {
+    let mut out = Vec::new();
+    if tracked.title != fresh.title {
+        out.push(format!(
+            "title: tracked {:?}, regenerated {:?}",
+            tracked.title, fresh.title
+        ));
+    }
+    if tracked.rows.len() != fresh.rows.len() {
+        out.push(format!(
+            "rows: tracked {}, regenerated {}",
+            tracked.rows.len(),
+            fresh.rows.len()
+        ));
+    }
+    for (t, f) in tracked.rows.iter().zip(&fresh.rows) {
+        let (tv, fv) = (
+            (&t.label, t.physical_seconds, t.microgrid_seconds),
+            (&f.label, f.physical_seconds, f.microgrid_seconds),
+        );
+        if tv != fv {
+            out.push(format!("row: tracked {tv:?}, regenerated {fv:?}"));
+        }
+    }
+    if tracked.series.len() != fresh.series.len() {
+        out.push(format!(
+            "series: tracked {}, regenerated {}",
+            tracked.series.len(),
+            fresh.series.len()
+        ));
+    }
+    for (t, f) in tracked.series.iter().zip(&fresh.series) {
+        if t.label != f.label || t.points.len() != f.points.len() {
+            out.push(format!(
+                "series {:?} ({} points): regenerated {:?} ({} points)",
+                t.label,
+                t.points.len(),
+                f.label,
+                f.points.len()
+            ));
+            continue;
+        }
+        for (tp, fp) in t.points.iter().zip(&f.points) {
+            if tp != fp {
+                out.push(format!(
+                    "series {:?}: tracked {tp:?}, regenerated {fp:?}",
+                    t.label
+                ));
+            }
+        }
+    }
+    if tracked.notes != fresh.notes {
+        out.push("notes differ".into());
+    }
+    out
+}
+
+/// Compare one regenerated figure with its tracked file; prints the
+/// verdict (and a row-level diff) and returns whether they match.
+fn check_figure(report: &Report) -> bool {
+    let id = &report.id;
+    let path = format!("{TRACKED_DIR}/{id}.json");
+    let expected = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) => {
+            outln!("{id}: FAIL cannot read {path}: {e} (run `repro --bless {id}`)");
+            return false;
+        }
+    };
+    if expected == tracked_json(report) {
+        outln!("{id}: matches {path}");
+        return true;
+    }
+    outln!("{id}: FAIL differs from {path}");
+    match serde_json::from_str::<Report>(&expected) {
+        Ok(tracked) => {
+            let diff = row_diff(&tracked, report);
+            if diff.is_empty() {
+                outln!("  bytes differ, rows do not (formatting only)");
+            }
+            for line in diff {
+                outln!("  {line}");
+            }
+        }
+        Err(e) => outln!("  tracked file does not parse: {e}"),
+    }
+    false
+}
+
+const USAGE: &str = "usage: repro [--json DIR | --check | --bless] (all | figN ...)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_dir: Option<String> = None;
+    let mut mode = Mode::Print;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -114,11 +174,13 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
+            "--check" => mode = Mode::Check,
+            "--bless" => mode = Mode::Bless,
             "--help" | "-h" => {
-                println!("usage: repro [--json DIR] (all | figN ...)");
-                println!("figures:");
+                outln!("{USAGE}");
+                outln!("figures:");
                 for f in figures() {
-                    println!("  {:<6} {}", f.id, f.what);
+                    outln!("  {:<6} {}", f.id, f.what);
                 }
                 return;
             }
@@ -126,7 +188,7 @@ fn main() {
         }
     }
     if wanted.is_empty() {
-        eprintln!("usage: repro [--json DIR] (all | figN ...); --help for the list");
+        eprintln!("{USAGE}; --help for the list");
         std::process::exit(2);
     }
     let all = wanted.iter().any(|w| w == "all");
@@ -138,97 +200,96 @@ fn main() {
             std::process::exit(2);
         }
     }
+    if mode != Mode::Print && fast_mode() {
+        eprintln!(
+            "--check/--bless need full-scale runs: {TRACKED_DIR}/ holds those (unset MGRID_FAST)"
+        );
+        std::process::exit(2);
+    }
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
     }
     if fast_mode() {
-        println!("(MGRID_FAST=1: shrunken experiment parameters)\n");
+        outln!("(MGRID_FAST=1: shrunken experiment parameters)\n");
     }
-    let selected: Vec<Figure> = figs
+    let mut selected: Vec<Figure> = figs
         .into_iter()
         .filter(|f| all || wanted.iter().any(|w| w == f.id))
         .collect();
-    let workers = repro_threads().min(selected.len().max(1));
-    if workers > 1 {
-        println!(
-            "(regenerating {} figures on {workers} threads)\n",
+    if mode != Mode::Print && selected.iter().any(|f| f.id == UNGATED) {
+        outln!("({UNGATED}: not gated, it records wall-clock seconds)");
+        selected.retain(|f| f.id != UNGATED);
+    }
+    // Split the thread budget: figures first, the rest to the scenarios
+    // inside each figure.
+    let threads = repro_threads();
+    let figure_workers = threads.min(selected.len()).max(1);
+    let scenario_workers = threads / figure_workers;
+    if mode == Mode::Print && figure_workers > 1 {
+        outln!(
+            "(regenerating {} figures on {figure_workers} threads)\n",
             selected.len()
         );
     }
 
     struct Done {
-        id: &'static str,
         report: Report,
         metrics: MetricsSnapshot,
         secs: f64,
     }
 
-    // One figure per worker at a time; each simulation stays on its
-    // thread, so the runner's thread-local metrics accumulator captures
-    // exactly that figure's runs.
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Done)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let selected = &selected;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= selected.len() {
-                    break;
-                }
-                let f = &selected[i];
+    // A figure's simulations stay on its worker (or on that worker's own
+    // scenario workers, which hand their metrics back), so the runner's
+    // thread-local accumulator holds exactly that figure's runs.
+    let jobs: Vec<_> = selected
+        .iter()
+        .map(|f| {
+            move || {
+                set_scenario_workers(scenario_workers);
                 let t0 = std::time::Instant::now();
-                let mut report = (f.run)();
+                let report = (f.run)();
                 let secs = t0.elapsed().as_secs_f64();
-                // All runner-driven simulations since this worker's
-                // previous figure fold into this figure's snapshot.
-                let metrics = take_metrics();
-                report.attach_metrics(metrics.clone());
-                let done = Done {
-                    id: f.id,
+                Done {
                     report,
-                    metrics,
+                    metrics: take_metrics(),
                     secs,
-                };
-                if tx.send((i, done)).is_err() {
-                    break;
                 }
-            });
-        }
-        drop(tx);
-
-        // Reorder buffer: print in canonical figure order as results land.
-        let mut pending: BTreeMap<usize, Done> = BTreeMap::new();
-        let mut next_print = 0usize;
-        for (i, done) in rx {
-            pending.insert(i, done);
-            while let Some(done) = pending.remove(&next_print) {
-                emit_figure(&done.report, &done.metrics, done.id, done.secs, &json_dir);
-                next_print += 1;
             }
+        })
+        .collect();
+    let mut mismatches = 0usize;
+    run_jobs_each(figure_workers, jobs, |mut done: Done| match mode {
+        Mode::Print => {
+            done.report.attach_metrics(done.metrics.clone());
+            emit_figure(&done.report, &done.metrics, done.secs, &json_dir);
         }
-        assert!(pending.is_empty(), "figure results lost");
+        Mode::Check => mismatches += usize::from(!check_figure(&done.report)),
+        Mode::Bless => {
+            let path = format!("{TRACKED_DIR}/{}.json", done.report.id);
+            std::fs::write(&path, tracked_json(&done.report)).expect("write tracked file");
+            outln!("blessed {path}");
+        }
     });
+    if mismatches > 0 {
+        eprintln!(
+            "check FAILED: {mismatches} figure(s) differ from {TRACKED_DIR}/; \
+             inspect, then `repro --bless` if intended"
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Print one regenerated figure and, if requested, write its JSON files.
-fn emit_figure(
-    report: &Report,
-    metrics: &MetricsSnapshot,
-    id: &str,
-    secs: f64,
-    json_dir: &Option<String>,
-) {
-    println!("{}", report.to_table());
-    println!("({id} regenerated in {secs:.1}s wall)\n");
+fn emit_figure(report: &Report, metrics: &MetricsSnapshot, secs: f64, json_dir: &Option<String>) {
+    let id = &report.id;
+    outln!("{}", report.to_table());
+    outln!("({id} regenerated in {secs:.1}s wall)\n");
     if let Some(dir) = json_dir {
         let path = format!("{dir}/{id}.json");
         let mut file = std::fs::File::create(&path).expect("create report file");
         file.write_all(report.to_json().as_bytes())
             .expect("write report");
-        println!("wrote {path}");
+        outln!("wrote {path}");
         if !metrics.is_empty() {
             let mpath = format!("{dir}/{id}.metrics.json");
             let mut mfile = std::fs::File::create(&mpath).expect("create metrics file");
@@ -239,7 +300,34 @@ fn emit_figure(
                         .as_bytes(),
                 )
                 .expect("write metrics");
-            println!("wrote {mpath}");
+            outln!("wrote {mpath}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn row_diff_names_the_series_point_that_moved() {
+        let mut tracked = Report::new("figX", "t");
+        tracked.series.push(Series {
+            label: "MG".into(),
+            points: vec![("1x CPU".into(), 1.0), ("2x CPU".into(), 0.5)],
+        });
+        let mut fresh = tracked.clone();
+        assert!(row_diff(&tracked, &fresh).is_empty());
+        fresh.series[0].points[1].1 = 0.75;
+        let diff = row_diff(&tracked, &fresh);
+        assert_eq!(diff.len(), 1, "{diff:?}");
+        assert!(
+            diff[0].contains("\"MG\"") && diff[0].contains("2x CPU"),
+            "{diff:?}"
+        );
+        assert!(
+            diff[0].contains("0.5") && diff[0].contains("0.75"),
+            "{diff:?}"
+        );
     }
 }

@@ -52,7 +52,7 @@ pub fn fig17_autopilot() -> Report {
     // Long enough to cover any class A run at 1 sample per virtual second.
     let horizon = SimDuration::from_secs(600);
     // Each benchmark's physical/MicroGrid pair is an independent
-    // scenario, sharded under MGRID_SHARDS with byte-identical series.
+    // scenario for the pool, with byte-identical series.
     let jobs: Vec<Scenario<Series>> = [NpbBenchmark::EP, NpbBenchmark::BT, NpbBenchmark::MG]
         .into_iter()
         .map(|bench| {

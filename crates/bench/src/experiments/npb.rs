@@ -49,8 +49,8 @@ pub fn fig10_npb() -> Report {
         format!("NPB class {} totals: physical vs MicroGrid", class.name()),
     );
     // One scenario per (configuration, benchmark) pair: each is an
-    // independent pair of simulations, so the figure shards freely
-    // under MGRID_SHARDS with byte-identical rows.
+    // independent pair of simulations, so the pool may run them on any
+    // number of workers with byte-identical rows.
     let mut jobs: Vec<Scenario<ComparisonRow>> = Vec::new();
     for config in [presets::alpha_cluster(), presets::hpvm_cluster()] {
         for bench in benches(true) {
@@ -118,7 +118,7 @@ pub fn fig12_cpu_scaling() -> Report {
         ),
     );
     // One scenario per (benchmark, multiplier) run; normalization to the
-    // 1x run happens after the sharded sweep, in submission order.
+    // 1x run happens after the pooled sweep, in submission order.
     let mults = [1.0, 2.0, 4.0, 8.0];
     let mut jobs: Vec<Scenario<f64>> = Vec::new();
     for bench in benches(false) {

@@ -7,15 +7,15 @@
 //! scale. This workload builds a 2,560-host grid (64 backbone routers in
 //! a ring, 40 hosts each), routes a realistic communication pattern (a
 //! bounded set of source hosts talking across the backbone), and digests
-//! the chosen routes so sequential and sharded runs can be compared
-//! byte-for-byte. `perf --route-smoke` runs it both ways; the `route`
+//! the chosen routes so runs can be compared byte-for-byte.
+//! `perf --route-smoke` runs it on one and on two pool workers; the `route`
 //! section of `BENCH_core.json` records build time, resident cache bytes,
 //! and queries/sec against the eager all-pairs baseline.
 
 use microgrid::desim::time::SimDuration;
 use microgrid::netsim::{LinkSpec, NodeId, Topology, TopologyBuilder};
 
-use crate::runner::{run_scenarios, Scenario};
+use crate::runner::run_jobs;
 
 /// Backbone routers, joined in a ring.
 pub const STRESS_ROUTERS: usize = 64;
@@ -67,7 +67,7 @@ fn lcg(x: u64) -> u64 {
 /// `STRESS_SOURCES` hosts, destinations from all of them) and fold every
 /// chosen link and its delay into an FNV-1a digest. The digest is a pure
 /// function of the topology and `seed` — byte-identical across runs,
-/// query batches, and shard counts.
+/// and query batches.
 pub fn query_workload(topo: &Topology, hosts: &[NodeId], seed: u64) -> u64 {
     let mut x = seed | 1;
     let mut digest = 0xcbf29ce484222325u64;
@@ -98,40 +98,32 @@ pub fn query_workload(topo: &Topology, hosts: &[NodeId], seed: u64) -> u64 {
 }
 
 /// The stress workload as two independent scenarios (different seeds)
-/// through the figure pipeline's job pool — honours `MGRID_SHARDS`, so
-/// the same call covers the sequential engine and the sharded one.
-/// Returns the per-scenario digests in submission order.
-pub fn stress_scenarios() -> Vec<u64> {
-    let jobs: Vec<Scenario<u64>> = (0..2u64)
+/// on `workers` pool workers. Returns the per-scenario digests in
+/// submission order.
+fn stress_scenarios(workers: usize) -> Vec<u64> {
+    let jobs: Vec<_> = (0..2u64)
         .map(|k| {
-            Box::new(move || {
+            move || {
                 let (topo, hosts) = stress_topology();
                 query_workload(&topo, &hosts, STRESS_SEED ^ (k + 1))
-            }) as Scenario<u64>
+            }
         })
         .collect();
-    run_scenarios(jobs)
+    run_jobs(workers, jobs)
 }
 
-/// Run [`stress_scenarios`] sequentially and with `MGRID_SHARDS=2`, and
-/// fail unless the digests are byte-identical. Returns the digests on
+/// Run [`stress_scenarios`] on one and on two pool workers, and fail
+/// unless the digests are byte-identical. Returns the digests on
 /// success; the CI perf lane runs this as the large-grid smoke.
-pub fn shard_smoke() -> Result<Vec<u64>, String> {
-    let prior = std::env::var("MGRID_SHARDS").ok();
-    std::env::remove_var("MGRID_SHARDS");
-    let seq = stress_scenarios();
-    std::env::set_var("MGRID_SHARDS", "2");
-    let par = stress_scenarios();
-    match prior {
-        Some(v) => std::env::set_var("MGRID_SHARDS", v),
-        None => std::env::remove_var("MGRID_SHARDS"),
-    }
-    if seq != par {
+pub fn pool_smoke() -> Result<Vec<u64>, String> {
+    let one = stress_scenarios(1);
+    let two = stress_scenarios(2);
+    if one != two {
         return Err(format!(
-            "large-grid route digests diverged: sequential {seq:x?} vs 2-shard {par:x?}"
+            "large-grid route digests diverged: 1 worker {one:x?} vs 2 workers {two:x?}"
         ));
     }
-    Ok(seq)
+    Ok(one)
 }
 
 #[cfg(test)]
@@ -161,8 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_sharded_digests_agree() {
-        let digests = shard_smoke().expect("smoke must pass");
+    fn one_and_two_worker_digests_agree() {
+        let digests = pool_smoke().expect("smoke must pass");
         assert_eq!(digests.len(), 2);
         assert_ne!(digests[0], digests[1], "distinct seeds must digest apart");
     }

@@ -1,25 +1,110 @@
-//! Shared drivers for the figure regenerators.
+//! Shared drivers for the figure regenerators: the figure registry, the
+//! one worker pool, and the per-scenario simulation runners.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::{mpsc, Mutex};
 
 use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult, NpbSensors};
 use microgrid::apps::{Autopilot, WaveToyConfig, WaveToyResult};
 use microgrid::desim::time::SimDuration;
 use microgrid::desim::{MetricsSnapshot, Simulation};
 use microgrid::mpi::MpiParams;
-use microgrid::{GridConfig, VirtualGrid};
+use microgrid::{GridConfig, Report, VirtualGrid};
+
+use crate::experiments::{apps as fig_apps, micro, network, npb as fig_npb, scale};
 
 thread_local! {
     /// Metrics accumulated across every simulation this thread has driven
     /// since the last [`take_metrics`] call.
     static ACCUM: RefCell<MetricsSnapshot> = RefCell::new(MetricsSnapshot::default());
-    /// Scenarios submitted through [`run_scenarios`] since the last
-    /// [`take_scenario_count`] call — the perf harness records this per
-    /// figure so `BENCH_core.json` shows how much within-figure
-    /// parallelism each `par` entry actually had to work with.
-    static SCENARIOS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Pool workers [`run_scenarios`] uses on this thread: 1 (serial)
+    /// until the binary driving the thread hands it a share of the
+    /// thread budget through [`set_scenario_workers`].
+    static SCENARIO_WORKERS: Cell<usize> = const { Cell::new(1) };
+}
+
+/// One regenerable figure of the paper's evaluation.
+pub struct Figure {
+    /// Short id (`fig10`), also the stem of `results/<id>.json`.
+    pub id: &'static str,
+    /// One-line description for `repro --help`.
+    pub what: &'static str,
+    /// Regenerate the figure.
+    pub run: fn() -> Report,
+}
+
+/// Every figure `repro` regenerates and `perf` times, in canonical order.
+pub fn figures() -> Vec<Figure> {
+    vec![
+        Figure {
+            id: "fig5",
+            what: "memory capacity microbenchmark",
+            run: micro::fig5_memory,
+        },
+        Figure {
+            id: "fig6",
+            what: "CPU fraction fidelity under competition",
+            run: || micro::fig6_cpu(SimDuration::from_secs(if fast_mode() { 3 } else { 10 })),
+        },
+        Figure {
+            id: "fig7",
+            what: "quanta-size distribution",
+            run: || micro::fig7_quanta(if fast_mode() { 1000 } else { 9000 }),
+        },
+        Figure {
+            id: "fig8",
+            what: "network latency/bandwidth vs message size",
+            run: || network::fig8_network(if fast_mode() { 4 } else { 20 }),
+        },
+        Figure {
+            id: "fig9",
+            what: "virtual Grid configurations table",
+            run: fig_npb::fig9_configs,
+        },
+        Figure {
+            id: "fig10",
+            what: "NPB totals, physical vs MicroGrid",
+            run: fig_npb::fig10_npb,
+        },
+        Figure {
+            id: "fig11",
+            what: "scheduling-quantum sweep",
+            run: fig_npb::fig11_quanta_sweep,
+        },
+        Figure {
+            id: "fig12",
+            what: "CPU scaling at fixed slow network",
+            run: fig_npb::fig12_cpu_scaling,
+        },
+        Figure {
+            id: "fig14",
+            what: "vBNS WAN bottleneck sweep",
+            run: fig_npb::fig14_vbns,
+        },
+        Figure {
+            id: "fig15",
+            what: "emulation-rate invariance",
+            run: fig_npb::fig15_emulation_rates,
+        },
+        Figure {
+            id: "fig16",
+            what: "CACTUS WaveToy",
+            run: fig_apps::fig16_cactus,
+        },
+        Figure {
+            id: "fig17",
+            what: "Autopilot internal validation",
+            run: fig_apps::fig17_autopilot,
+        },
+        Figure {
+            id: "scale",
+            what: "simulator scalability study (extension)",
+            run: scale::scale_study,
+        },
+    ]
 }
 
 /// Fold one finished simulation's metrics into the thread accumulator.
@@ -176,61 +261,107 @@ pub fn repro_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Scenario-shard count for within-figure parallelism: `MGRID_SHARDS`
-/// if set (minimum 1), otherwise 1 — the sequential engine. See
-/// `docs/PARALLEL.md` for tuning guidance.
-pub fn shard_count() -> usize {
-    std::env::var("MGRID_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+/// The one worker pool: run independent `jobs` on `workers` scoped
+/// threads and hand each result to `each` on the calling thread, in
+/// submission order, as soon as it and all its predecessors are done.
+///
+/// `workers` is taken as given — not clamped to the machine's
+/// parallelism, so a 1-core box still exercises the threaded path;
+/// callers pass [`repro_threads`]-derived values. Jobs are claimed from
+/// a shared queue for load balance; they are mutually independent and
+/// individually deterministic, so placement cannot affect any result.
+/// With one worker (or one job) everything runs inline on the calling
+/// thread. A panicking job's panic resumes on the caller once the
+/// remaining workers have drained the queue.
+pub fn run_jobs_each<R, F>(workers: usize, jobs: Vec<F>, mut each: impl FnMut(R))
+where
+    R: Send,
+    F: FnOnce() -> R + Send,
+{
+    let workers = workers.min(jobs.len());
+    if workers <= 1 {
+        jobs.into_iter().for_each(|job| each(job()));
+        return;
+    }
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (tx, queue) = (tx.clone(), &queue);
+                scope.spawn(move || loop {
+                    // The guard is a temporary of this statement: the
+                    // lock covers the claim, never the job.
+                    let claimed = queue.lock().expect("no job runs under the lock").next();
+                    let Some((i, job)) = claimed else { break };
+                    if tx.send((i, job())).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        // Reorder buffer: results land in completion order.
+        let mut pending = BTreeMap::new();
+        let mut next = 0usize;
+        for (i, result) in rx {
+            pending.insert(i, result);
+            while let Some(result) = pending.remove(&next) {
+                each(result);
+                next += 1;
+            }
+        }
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// [`run_jobs_each`], collecting the results in submission order.
+pub fn run_jobs<R, F>(workers: usize, jobs: Vec<F>) -> Vec<R>
+where
+    R: Send,
+    F: FnOnce() -> R + Send,
+{
+    let mut out = Vec::with_capacity(jobs.len());
+    run_jobs_each(workers, jobs, |r| out.push(r));
+    out
+}
+
+/// Give this thread's later [`run_scenarios`] calls `workers` pool
+/// workers. `repro` passes each figure worker its share of the
+/// `MGRID_REPRO_THREADS` budget and `chaos` the whole budget; `perf`,
+/// benches and tests leave the default of 1, a serial sweep.
+pub fn set_scenario_workers(workers: usize) {
+    SCENARIO_WORKERS.with(|w| w.set(workers));
 }
 
 /// A type-erased independent scenario of one figure.
 pub type Scenario<R> = Box<dyn FnOnce() -> R + Send>;
 
-/// Run one figure's independent scenarios on the sharded engine's job
-/// pool ([`mgrid_desim::shard::run_jobs`] via the `microgrid` re-export),
-/// honouring [`shard_count`].
+/// Run one figure's independent scenarios on the pool ([`run_jobs`])
+/// with this thread's [`set_scenario_workers`] share.
 ///
 /// Results come back in submission order and each scenario is a
 /// self-contained deterministic simulation, so the figure is
-/// byte-identical at every shard count. Per-scenario metrics are captured
-/// on the worker that ran the scenario and folded into this thread's
+/// byte-identical at every worker count. Each scenario's metrics are
+/// taken on the thread that ran it and folded into this thread's
 /// accumulator; [`MetricsSnapshot::merge`] is commutative and
-/// associative, so the merged figure snapshot is also shard-invariant.
-pub fn run_scenarios<R: Send + 'static>(jobs: Vec<Scenario<R>>) -> Vec<R> {
-    SCENARIOS.with(|c| c.set(c.get() + jobs.len()));
-    let shards = shard_count();
-    if shards <= 1 || jobs.len() <= 1 {
-        // Sequential path: exactly the historical loop, metrics flow
-        // straight into this thread's accumulator via `note_run`.
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    let wrapped: Vec<_> = jobs
+/// associative, so the merged figure snapshot is count-invariant too.
+pub fn run_scenarios<R: Send>(jobs: Vec<Scenario<R>>) -> Vec<R> {
+    let jobs = jobs
         .into_iter()
-        .map(|j| {
-            Box::new(move || {
-                let r = j();
-                (r, take_metrics())
-            }) as Box<dyn FnOnce() -> (R, MetricsSnapshot) + Send>
-        })
+        .map(|job| move || (job(), take_metrics()))
         .collect();
-    let mut out = Vec::with_capacity(wrapped.len());
-    for (r, snap) in microgrid::desim::shard::run_jobs(shards, wrapped) {
-        if !snap.is_empty() {
+    run_jobs(SCENARIO_WORKERS.with(Cell::get), jobs)
+        .into_iter()
+        .map(|(result, snap)| {
             ACCUM.with(|a| a.borrow_mut().merge(&snap));
-        }
-        out.push(r);
-    }
-    out
-}
-
-/// Take (and reset) the number of scenarios submitted through
-/// [`run_scenarios`] on this thread since the last call.
-pub fn take_scenario_count() -> usize {
-    SCENARIOS.with(|c| c.replace(0))
+            result
+        })
+        .collect()
 }
 
 /// Class A normally, class S in fast mode.
@@ -262,6 +393,72 @@ mod tests {
         assert!((m - 2.5).abs() < 1e-12);
         assert!((s - (1.25f64).sqrt()).abs() < 1e-12);
         assert_eq!(mean_stddev(&[]), (0.0, 0.0));
+    }
+
+    /// The property every figure relies on: the same scenarios run
+    /// inline, and through the pool on 1, 2 and 4 workers (not clamped
+    /// to the machine, so this is real on a 1-core box), give the same
+    /// results in submission order and the same merged metrics.
+    #[test]
+    fn job_pool_is_byte_identical_to_sequential() {
+        const CASES: [(u64, NpbBenchmark); 6] = [
+            (7, NpbBenchmark::IS),
+            (7, NpbBenchmark::EP),
+            (11, NpbBenchmark::MG),
+            (13, NpbBenchmark::IS),
+            (17, NpbBenchmark::EP),
+            (19, NpbBenchmark::MG),
+        ];
+        fn scenario(seed: u64, bench: NpbBenchmark) -> String {
+            let mut config = microgrid::presets::alpha_cluster();
+            config.seed = seed;
+            format!("{:?}", run_npb(config, Mode::MicroGrid, bench, NpbClass::S))
+        }
+        fn digest(results: Vec<String>) -> (Vec<String>, String) {
+            let merged = take_metrics();
+            assert!(!merged.is_empty(), "scenarios recorded no metrics");
+            let merged = serde_json::to_string(&merged).expect("snapshot serializes");
+            (results, merged)
+        }
+
+        let _ = take_metrics();
+        let inline = digest(CASES.iter().map(|&(s, b)| scenario(s, b)).collect());
+        for workers in [1, 2, 4] {
+            set_scenario_workers(workers);
+            let jobs = CASES
+                .iter()
+                .map(|&(s, b)| Box::new(move || scenario(s, b)) as Scenario<String>)
+                .collect();
+            assert_eq!(
+                inline,
+                digest(run_scenarios(jobs)),
+                "{workers}-worker pool diverged from inline"
+            );
+        }
+        set_scenario_workers(1);
+
+        // Sensitivity: every scenario digest is distinct, so the
+        // equalities above compare real per-scenario output.
+        let distinct: std::collections::BTreeSet<&String> = inline.0.iter().collect();
+        assert_eq!(distinct.len(), CASES.len(), "scenario digests collide");
+    }
+
+    #[test]
+    fn panicking_job_reaches_the_caller_after_earlier_results() {
+        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
+            Box::new(|| 0),
+            Box::new(|| panic!("job 1 failed")),
+            Box::new(|| 2),
+            Box::new(|| 3),
+        ];
+        let mut delivered = Vec::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_jobs_each(2, jobs, |r| delivered.push(r));
+        }));
+        let panic = caught.expect_err("the job's panic must propagate");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"job 1 failed"));
+        // In-order delivery stops at the gap the failed job left.
+        assert_eq!(delivered, vec![0]);
     }
 
     #[test]

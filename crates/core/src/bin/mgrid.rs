@@ -24,11 +24,6 @@
 //! run, prints the virtual-time profiler attribution table and the
 //! critical-path report, then writes a Chrome trace-event JSON file
 //! loadable at <https://ui.perfetto.dev> (see `docs/OBSERVABILITY.md`).
-//!
-//! `MGRID_SHARDS=<n>` routes the run through the deterministic sharded
-//! engine (the workload shard plus idle companions); all tables and the
-//! trace stream are byte-identical to the sequential run, and the
-//! Perfetto export additionally gains per-shard epoch lanes.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -37,12 +32,10 @@ use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
 use microgrid::apps::wavetoy::{self, WaveToyConfig, WaveToyResult};
 use microgrid::desim::metrics::MetricsSnapshot;
 use microgrid::desim::obs::Obs;
-use microgrid::desim::shard::{run_sharded_stats, EpochStats, ShardHandle, ShardPlan, ShardRun};
-use microgrid::desim::time::SimDuration;
 use microgrid::desim::trace::TraceEvent;
 use microgrid::desim::{perfetto, profile, Simulation, SpanSnapshot};
 use microgrid::mpi::MpiParams;
-use microgrid::{plan_rate, presets, GridConfig, VirtualGrid};
+use microgrid::{out, outln, plan_rate, presets, GridConfig, VirtualGrid};
 
 fn preset_by_name(name: &str) -> Option<GridConfig> {
     match name {
@@ -142,9 +135,7 @@ fn parse_obs_opts(args: &[String]) -> (Vec<String>, ObsOpts) {
 }
 
 /// Everything the observability layer recorded, snapshotted at the
-/// instant the root workload completed (and the [`Obs`] was sealed), so
-/// the report is byte-identical whether or not the sharded engine
-/// overran the root by part of an epoch window.
+/// instant the root workload completed (and the [`Obs`] was sealed).
 struct ObsCapture {
     metrics: MetricsSnapshot,
     spans: SpanSnapshot,
@@ -157,8 +148,8 @@ struct ObsCapture {
 /// Seal the observability layer and snapshot it. Called as the root
 /// workload's final act, while still inside the simulation: sealing
 /// first stops the tracer (flushing the stream sink) and the span store,
-/// so nothing recorded after this instant — by daemons the sharded
-/// engine may still run until its epoch horizon — can reach the capture.
+/// so nothing recorded after this instant — by tasks still ready in the
+/// root's final event batch — can reach the capture.
 fn capture_obs(obs: &Obs, opts: &ObsOpts) -> ObsCapture {
     obs.seal();
     let tracer = obs.tracer();
@@ -186,123 +177,70 @@ fn capture_obs(obs: &Obs, opts: &ObsOpts) -> ObsCapture {
     }
 }
 
-/// Shard count for `mgrid run`: `MGRID_SHARDS` (default 1, clamped to
-/// at least 1). Values above 1 add idle companion shards alongside the
-/// workload shard, exercising the sharded engine's epoch machinery.
-fn shard_count() -> usize {
-    std::env::var("MGRID_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-type Factory<R> =
-    Box<dyn FnOnce(ShardHandle<()>) -> ShardRun<(), Option<(Vec<R>, ObsCapture)>> + Send>;
-
-/// Boxed entry point handed to [`execute`]: builds the root future once
-/// the simulation context is live.
-type Work<R> = Box<dyn FnOnce() -> Pin<Box<dyn Future<Output = Vec<R>>>> + Send>;
-
-/// Run `work` to completion under the observability options, either
-/// inline (`MGRID_SHARDS` unset or 1 — byte-identical to
-/// [`Simulation::block_on`]) or on the sharded engine with idle
-/// companion shards. Returns the workload results, the sealed
-/// observability capture, and the engine's epoch stats (empty records
-/// for the inline path).
-fn execute<R: Send + 'static>(
+/// Run `work` to completion under the observability options. Returns the
+/// workload results and the sealed observability capture.
+fn execute<R: 'static>(
     seed: u64,
     opts: &ObsOpts,
-    work: Work<R>,
-) -> (Vec<R>, ObsCapture, EpochStats) {
-    let sink_file = opts.trace_out.as_ref().map(|path| {
-        std::fs::File::create(path).unwrap_or_else(|e| {
+    work: impl Future<Output = Vec<R>> + 'static,
+) -> (Vec<R>, ObsCapture) {
+    let mut sim = Simulation::new(seed);
+    let obs = sim.obs().clone();
+    if let Some(path) = &opts.trace_out {
+        let file = std::fs::File::create(path).unwrap_or_else(|e| {
             eprintln!("cannot create trace file {path}: {e}");
             std::process::exit(2);
-        })
-    });
-    let shards = shard_count();
-    let opts2 = opts.clone();
-    let workload: Factory<R> = Box::new(move |_h| {
-        let sim = Simulation::new(seed);
-        let obs = sim.obs().clone();
-        if opts2.trace_out.is_some() {
-            obs.enable_tracing(opts2.trace_cap);
-            if let Some(f) = sink_file {
-                obs.tracer().set_sink(Box::new(std::io::BufWriter::new(f)));
-            }
-        }
-        if opts2.profile_out.is_some() {
-            obs.enable_spans();
-        }
-        let out = std::rc::Rc::new(std::cell::RefCell::new(None));
-        let out2 = out.clone();
-        let root = sim.spawn(async move {
-            let results = work().await;
-            let capture = capture_obs(&obs, &opts2);
-            *out2.borrow_mut() = Some((results, capture));
         });
-        ShardRun {
-            sim,
-            deliver: Box::new(|_, _| {}),
-            root_done: Box::new(move || root.is_finished()),
-            advise: None,
-            finish: Box::new(move |_sim| out.borrow_mut().take()),
-        }
-    });
-    let mut factories = vec![workload];
-    for _ in 1..shards {
-        factories.push(Box::new(move |_h: ShardHandle<()>| ShardRun {
-            sim: Simulation::new(0),
-            deliver: Box::new(|_, _| {}),
-            root_done: Box::new(|| true),
-            advise: None,
-            finish: Box::new(|_sim| None),
-        }) as Factory<R>);
+        obs.enable_tracing(opts.trace_cap);
+        obs.tracer()
+            .set_sink(Box::new(std::io::BufWriter::new(file)));
     }
-    let plan = ShardPlan::connected(shards, SimDuration::from_secs(1)).with_epoch_log();
-    let (mut outs, stats) = run_sharded_stats(plan, factories);
-    let (results, capture) = outs
-        .swap_remove(0)
-        .expect("workload shard finished without producing a result");
-    (results, capture, stats)
+    if opts.profile_out.is_some() {
+        obs.enable_spans();
+    }
+    let opts = opts.clone();
+    sim.block_on(async move {
+        let results = work.await;
+        (results, capture_obs(&obs, &opts))
+    })
 }
 
 /// After a run: report the trace stream, print the profiler attribution
 /// and critical-path tables plus write the Perfetto export (when
 /// profiling), and print the metrics summary.
-fn report_run(capture: &ObsCapture, stats: &EpochStats, opts: &ObsOpts) {
+fn report_run(capture: &ObsCapture, opts: &ObsOpts) {
     if let Some(path) = &opts.trace_out {
         if let Some(e) = &capture.sink_error {
             eprintln!("trace stream to {path} failed: {e}");
             std::process::exit(1);
         }
-        println!(
+        outln!(
             "trace: {} events streamed to {path} ({} dropped from ring)",
-            capture.streamed, capture.dropped
+            capture.streamed,
+            capture.dropped
         );
     }
     if let Some(path) = &opts.profile_out {
         let prof = profile::Profile::from_snapshot(&capture.spans);
-        println!("-- profile --");
-        print!("{}", prof.to_table());
+        outln!("-- profile --");
+        out!("{}", prof.to_table());
         let cp = profile::critical_path(&capture.spans);
-        println!("-- critical path --");
-        print!("{}", cp.to_table());
-        let json = perfetto::export(&capture.spans, &capture.events, &stats.records);
+        outln!("-- critical path --");
+        out!("{}", cp.to_table());
+        let json = perfetto::export(&capture.spans, &capture.events, &[]);
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write profile to {path}: {e}");
             std::process::exit(1);
         }
-        println!(
+        outln!(
             "profile: {} spans, {} flows written to {path}",
             capture.spans.spans.len(),
             capture.spans.flows.len()
         );
     }
     if !capture.metrics.is_empty() {
-        println!("-- metrics --");
-        print!("{}", capture.metrics.to_table());
+        outln!("-- metrics --");
+        out!("{}", capture.metrics.to_table());
     }
 }
 
@@ -311,7 +249,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("presets") => {
             for p in PRESETS {
-                println!("{p}");
+                outln!("{p}");
             }
         }
         Some("dump") => {
@@ -320,12 +258,12 @@ fn main() {
                 eprintln!("unknown preset {name:?} (try `mgrid presets`)");
                 std::process::exit(2);
             };
-            println!("{}", c.to_json());
+            outln!("{}", c.to_json());
         }
         Some("validate") => {
             let config = load_config(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
             match config.validate() {
-                Ok(()) => println!(
+                Ok(()) => outln!(
                     "ok: {} ({} virtual hosts)",
                     config.name,
                     config.virtual_hosts.len()
@@ -340,10 +278,10 @@ fn main() {
             let config = load_config(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
             match plan_rate(&config) {
                 Ok(plan) => {
-                    println!("feasible rate bound: {:.4}", plan.feasible);
-                    println!("chosen rate:         {:.4}", plan.chosen);
+                    outln!("feasible rate bound: {:.4}", plan.feasible);
+                    outln!("chosen rate:         {:.4}", plan.chosen);
                     for (host, bound) in &plan.cpu_bounds {
-                        println!("  {host}: <= {bound:.4}");
+                        outln!("  {host}: <= {bound:.4}");
                     }
                 }
                 Err(e) => {
@@ -371,7 +309,7 @@ fn run_cmd(args: &[String]) {
     } else {
         "MicroGrid"
     };
-    println!("running {app} on '{}' ({mode})", config.name);
+    outln!("running {app} on '{}' ({mode})", config.name);
 
     if app == "WAVETOY" {
         let edge: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(50);
@@ -379,26 +317,23 @@ fn run_cmd(args: &[String]) {
             grid_edge: edge,
             steps: 100,
         };
-        let (results, capture, stats) = execute(
-            seed,
-            &obs_opts,
-            Box::new(move || {
-                Box::pin(async move {
-                    let grid = build(config, baseline);
-                    grid.mpirun_all(MpiParams::default(), move |comm| {
-                        Box::pin(wavetoy::run(comm, wt, None))
-                            as Pin<Box<dyn Future<Output = WaveToyResult>>>
-                    })
-                    .await
-                })
-            }),
-        );
+        let (results, capture) = execute(seed, &obs_opts, async move {
+            let grid = build(config, baseline);
+            grid.mpirun_all(MpiParams::default(), move |comm| {
+                Box::pin(wavetoy::run(comm, wt, None))
+                    as Pin<Box<dyn Future<Output = WaveToyResult>>>
+            })
+            .await
+        });
         let r = &results[0];
-        println!(
+        outln!(
             "wavetoy {}^3: {:.3} virtual s, energy drift {:.4}, verified {}",
-            r.grid_edge, r.virtual_seconds, r.energy_drift, r.verified
+            r.grid_edge,
+            r.virtual_seconds,
+            r.energy_drift,
+            r.verified
         );
-        report_run(&capture, &stats, &obs_opts);
+        report_run(&capture, &obs_opts);
         return;
     }
 
@@ -420,22 +355,15 @@ fn run_cmd(args: &[String]) {
         Some("A") | Some("a") => NpbClass::A,
         _ => NpbClass::S,
     };
-    let (results, capture, stats) = execute(
-        seed,
-        &obs_opts,
-        Box::new(move || {
-            Box::pin(async move {
-                let grid = build(config, baseline);
-                grid.mpirun_all(MpiParams::default(), move |comm| {
-                    Box::pin(npb::run(bench, comm, class, None))
-                        as Pin<Box<dyn Future<Output = NpbResult>>>
-                })
-                .await
-            })
-        }),
-    );
+    let (results, capture) = execute(seed, &obs_opts, async move {
+        let grid = build(config, baseline);
+        grid.mpirun_all(MpiParams::default(), move |comm| {
+            Box::pin(npb::run(bench, comm, class, None)) as Pin<Box<dyn Future<Output = NpbResult>>>
+        })
+        .await
+    });
     let r = &results[0];
-    println!(
+    outln!(
         "{} class {}: {:.3} virtual s on {} ranks, verified {}",
         r.benchmark,
         r.class.name(),
@@ -443,7 +371,7 @@ fn run_cmd(args: &[String]) {
         r.ranks,
         r.verified
     );
-    report_run(&capture, &stats, &obs_opts);
+    report_run(&capture, &obs_opts);
 }
 
 fn build(config: GridConfig, baseline: bool) -> VirtualGrid {

@@ -85,10 +85,10 @@ pub struct GridConfig {
     /// faults). Ignored on baseline grids: the physical-grid condition has
     /// no fault injector to compare against.
     pub faults: Option<FaultPlan>,
-    /// Number of logical shards for parallel execution (`None` or `1` =
-    /// the sequential engine). The partitioner ([`crate::partition`])
-    /// groups virtual hosts by physical host and cuts the highest-latency
-    /// links; older configs without this field parse as `None`.
+    /// Inert, pinned by the benchmark: parsed and serialized, never read.
+    /// `core.config_bytes` in `benchmark/expected/seed0.json` counts the
+    /// `"shards": null` this serializes to, and PRs may not edit
+    /// `benchmark/`.
     pub shards: Option<usize>,
 }
 
@@ -201,20 +201,6 @@ impl GridConfig {
             }
         }
         Ok(())
-    }
-
-    /// Effective shard count: `shards`, clamped to at least 1.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let mut c = microgrid::presets::alpha_cluster();
-    /// assert_eq!(c.shard_count(), 1); // presets default to sequential
-    /// c.shards = Some(4);
-    /// assert_eq!(c.shard_count(), 4);
-    /// ```
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1).max(1)
     }
 
     /// Names of all virtual hosts, in configuration order.

@@ -1,7 +1,35 @@
 //! Experiment reporting: paper-style comparison rows and JSON dumps.
 
+use std::io::Write;
+
 use mgrid_desim::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
+
+/// Write to stdout for the CLIs ([`out!`](crate::out), [`outln!`](crate::outln)).
+///
+/// A closed pipe (`mgrid run … | head -1`) ends the process quietly with
+/// status 0 instead of the `println!` panic; any other write error still
+/// panics as `println!` would.
+pub fn emit(text: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`report::emit`](crate::report::emit).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::report::emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`report::emit`](crate::report::emit).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => { $crate::report::emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// One physical-vs-MicroGrid comparison row (the unit of Figs 10, 11, 16).
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -4,15 +4,13 @@
 //! encode to valid JSON lines. The causal span layer gets the same
 //! treatment: spans and flows from every instrumented subsystem, plus
 //! byte-identical profiler and critical-path reports across same-seed
-//! runs and across the sequential vs sharded engines.
+//! runs.
 
 use std::future::Future;
 use std::pin::Pin;
 
 use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-use microgrid::desim::shard::{run_sharded_stats, ShardHandle, ShardPlan, ShardRun};
-use microgrid::desim::time::SimDuration;
-use microgrid::desim::{profile, Category, Simulation, SpanSnapshot};
+use microgrid::desim::{profile, Category, Simulation};
 use microgrid::mpi::MpiParams;
 use microgrid::{presets, VirtualGrid};
 
@@ -144,68 +142,4 @@ fn span_layer_records_flows_and_renders_deterministic_tables() {
     );
     assert!(prof.contains("vsock_send"), "{prof}");
     assert!(!cp.hops.is_empty(), "critical path should have hops");
-}
-
-#[test]
-fn sharded_engine_records_identical_spans_to_the_sequential_engine() {
-    let sequential = {
-        let mut sim = Simulation::new(11);
-        sim.obs().enable_spans();
-        run_small_grid(&mut sim);
-        sim.obs().seal();
-        sim.obs().spans().snapshot()
-    };
-
-    // The same workload on the two-shard engine (workload shard plus an
-    // idle companion), with the capture sealed at root completion — the
-    // same pattern `mgrid run` uses under MGRID_SHARDS.
-    type Factory = Box<dyn FnOnce(ShardHandle<()>) -> ShardRun<(), Option<SpanSnapshot>> + Send>;
-    let workload: Factory = Box::new(|_h| {
-        let sim = Simulation::new(11);
-        sim.obs().enable_spans();
-        let obs = sim.obs().clone();
-        let out = std::rc::Rc::new(std::cell::RefCell::new(None));
-        let out2 = out.clone();
-        let config = presets::alpha_cluster();
-        let root = sim.spawn(async move {
-            let grid = VirtualGrid::build(config).expect("valid preset");
-            let results = grid
-                .mpirun_all(MpiParams::default(), move |comm| {
-                    Box::pin(npb::run(NpbBenchmark::IS, comm, NpbClass::S, None))
-                        as Pin<Box<dyn Future<Output = NpbResult>>>
-                })
-                .await;
-            assert!(results.iter().all(|r| r.verified));
-            obs.seal();
-            *out2.borrow_mut() = Some(obs.spans().snapshot());
-        });
-        ShardRun {
-            sim,
-            deliver: Box::new(|_, _| {}),
-            root_done: Box::new(move || root.is_finished()),
-            advise: None,
-            finish: Box::new(move |_sim| out.borrow_mut().take()),
-        }
-    });
-    let idle: Factory = Box::new(|_h| ShardRun {
-        sim: Simulation::new(0),
-        deliver: Box::new(|_, _| {}),
-        root_done: Box::new(|| true),
-        advise: None,
-        finish: Box::new(|_sim| None),
-    });
-    let plan = ShardPlan::connected(2, SimDuration::from_secs(1));
-    let (mut outs, _stats) = run_sharded_stats(plan, vec![workload, idle]);
-    let sharded = outs
-        .swap_remove(0)
-        .expect("workload shard finished without a capture");
-
-    assert_eq!(
-        sequential, sharded,
-        "sharded engine must record byte-identical spans and flows"
-    );
-    assert_eq!(
-        profile::critical_path(&sequential).to_table(),
-        profile::critical_path(&sharded).to_table()
-    );
 }

@@ -91,7 +91,7 @@ unsafe impl Sync for ReadyQueue {}
 thread_local! {
     /// This thread's id, read once per thread: `std::thread::current()`
     /// clones and drops the thread handle's `Arc` on every call, and the
-    /// queue asks on every push, pop and emptiness check.
+    /// queue asks on every push and pop.
     static THIS_THREAD: std::thread::ThreadId = std::thread::current().id();
 }
 
@@ -124,11 +124,6 @@ impl ReadyQueue {
     #[inline]
     fn pop(&self) -> Option<TaskId> {
         self.with(|q| q.pop_front())
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.with(|q| q.is_empty())
     }
 }
 
@@ -343,30 +338,9 @@ impl Simulation {
         self.run_core(deadline, || false)
     }
 
-    /// Like [`Simulation::run_until`], but also stop as soon as `stop()`
-    /// returns true (checked between event batches). The sharded engine
-    /// ([`crate::shard`]) uses this to end a logical process's final epoch
-    /// the moment every shard's root future has completed.
-    pub fn run_until_or(&mut self, deadline: SimTime, stop: impl Fn() -> bool) -> SimTime {
-        self.run_core(deadline, stop)
-    }
-
-    /// The virtual time of the next pending event: `now` when a task is
-    /// already runnable, otherwise the earliest timer deadline, otherwise
-    /// `None` (the simulation is quiescent until an external wakeup).
-    ///
-    /// Conservative parallel runs use this as a shard's contribution to
-    /// the global lower-bound-on-timestamp computation.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        if !self.inner.ready.is_empty() {
-            Some(self.inner.now.get())
-        } else {
-            self.inner.peek_timer()
-        }
-    }
-
     /// The core loop: run until quiescence, the deadline, or `stop()`
-    /// returning true (checked between event batches).
+    /// returning true (checked between event batches; `block_on`'s
+    /// root-completed test).
     fn run_core(&mut self, deadline: SimTime, stop: impl Fn() -> bool) -> SimTime {
         let _guard = ContextGuard::enter(self.inner.clone());
         loop {
@@ -533,9 +507,7 @@ impl SimInner {
 
     fn peek_timer(&self) -> Option<SimTime> {
         // Pop cancelled entries off the top so the reported time is a
-        // *live* deadline: the sharded engine feeds this into the global
-        // lower-bound computation, where a stale minimum would shrink
-        // every shard's window for nothing.
+        // *live* deadline.
         let mut timers = self.timers.borrow_mut();
         let slots = self.timer_slots.borrow();
         while let Some(Reverse(e)) = timers.peek() {
@@ -1109,9 +1081,8 @@ mod tests {
             sleep(SimDuration::from_millis(9)).await;
         });
         sim.run_until(SimTime::ZERO);
-        // The stale 1 ms entry must be invisible: the sharded engine's
-        // lower-bound all-reduce relies on this being a live deadline.
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_nanos(9_000_000)));
+        // The stale 1 ms entry must be invisible.
+        assert_eq!(sim.inner.peek_timer(), Some(SimTime::from_nanos(9_000_000)));
         assert_eq!(sim.run().as_millis(), 9);
     }
 

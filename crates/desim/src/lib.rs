@@ -36,7 +36,6 @@
 
 pub mod channel;
 pub mod event;
-mod exchange;
 pub mod executor;
 pub mod fasthash;
 pub mod metrics;
@@ -44,7 +43,6 @@ pub mod obs;
 pub mod perfetto;
 pub mod profile;
 pub mod rng;
-pub mod shard;
 pub mod span;
 pub mod sync;
 pub mod time;

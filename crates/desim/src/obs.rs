@@ -69,10 +69,8 @@ impl Obs {
 
     /// Freeze the tracer and span store in place.
     ///
-    /// Called at the instant a run's root workload completes, so any
-    /// trailing daemon activity (the sharded engine may run a shard a
-    /// little past root completion, to its epoch horizon) records
-    /// nothing and sequential vs sharded output stays byte-identical.
+    /// Called at the instant a run's root workload completes, so tasks
+    /// still ready in the same event batch record nothing further.
     pub fn seal(&self) {
         self.tracer.set_enabled(false);
         self.tracer.flush_sink();

@@ -11,9 +11,9 @@
 //!   producing span to the consuming span;
 //! - flat [`TraceEvent`]s become `"i"` instant ticks on one lane per
 //!   [`Category`], under a dedicated `events` process;
-//! - [`EpochRecord`]s from the sharded engine become run/idle slices on
-//!   one lane per shard under a `shard-engine` process, making barrier
-//!   behaviour visually debuggable next to the causal spans.
+//! - [`EpochRecord`]s become run/idle slices on one lane per shard under
+//!   a `shard-engine` process (no producer is left in this workspace; see
+//!   [`export`]).
 //!
 //! The output is hand-rolled (no serde), mirroring
 //! [`crate::event::Event::to_json_line`]: identical inputs produce byte-identical
@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::Category;
-use crate::shard::EpochRecord;
 use crate::span::SpanSnapshot;
 use crate::trace::TraceEvent;
 
@@ -52,11 +51,27 @@ fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
+/// One barrier round of a sharded run: per-shard horizons and whether
+/// each shard had events to execute before its horizon.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EpochRecord {
+    /// Per-shard exclusive horizon in nanoseconds (`u64::MAX` when a
+    /// shard was unbounded this round).
+    pub horizons: Vec<u64>,
+    /// Per-shard: true when the shard had activity before its horizon
+    /// (the window executed rather than idle-parked).
+    pub ran: Vec<bool>,
+}
+
 /// Build the complete Chrome trace-event JSON document.
 ///
-/// `events` adds instant ticks (pass `&[]` to skip), `epochs` adds the
-/// shard-engine lanes (pass `&[]` for a sequential run). The result is
-/// a pure function of its inputs: same snapshot, same bytes.
+/// `events` adds instant ticks (pass `&[]` to skip). The result is a
+/// pure function of its inputs: same snapshot, same bytes.
+///
+/// `epochs` (always `&[]` in this workspace) and its lane renderer are
+/// kept only because the third parameter is pinned by `benchmark/`,
+/// which this repo's PRs may not edit: `benchmark/src/scenario.rs` calls
+/// `export(snap, events, &[])`.
 pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]) -> String {
     // Deterministic pid/tid assignment: tracks sorted by name, lanes
     // sorted within each track, both 1-based.

@@ -39,7 +39,7 @@ use crate::time::SimTime;
 /// `Arc<str>` rather than `String` so hot instrumentation sites can
 /// precompute their attributes once and hand out reference bumps per
 /// span instead of fresh heap allocations, and so snapshots stay `Send`
-/// for the sharded engine.
+/// (the scenario pool returns them across threads).
 pub type SpanStr = Arc<str>;
 
 /// Identifier of one recorded span, unique within a simulation.

@@ -11,7 +11,7 @@
 //! crate, and the exporter hand-rolls its output, so the test must not
 //! trust the code under test to validate itself.
 
-use mgrid_desim::shard::EpochRecord;
+use mgrid_desim::perfetto::EpochRecord;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::{obs, perfetto, sleep, spawn, Category, Event, Simulation};
 

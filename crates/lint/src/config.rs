@@ -14,15 +14,7 @@
 //!
 //! [lint.crates.gis]
 //! deny = ["MG001"]
-//!
-//! [lint.files."crates/desim/src/shard.rs"]
-//! allow = ["MG005"]
 //! ```
-//!
-//! File sections are keyed by workspace-relative path and take precedence
-//! over crate sections: they exist for single vetted modules (like the
-//! sharded engine, whose whole point is real threads) where a crate-wide
-//! allowance would be far too broad.
 
 use std::collections::BTreeMap;
 
@@ -45,9 +37,6 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// Per-crate allow/deny overrides, keyed by crate directory name.
     pub crates: BTreeMap<String, CrateRules>,
-    /// Per-file overrides, keyed by workspace-relative path. Matched
-    /// before crate rules; see [`Config::code_enabled_at`].
-    pub files: BTreeMap<String, CrateRules>,
     /// Default baseline file (workspace-relative), applied unless the
     /// CLI overrides it with `--baseline`/`--no-baseline`.
     pub baseline: Option<String>,
@@ -65,7 +54,6 @@ impl Default for Config {
                 .map(|s| s.to_string())
                 .collect(),
             crates: BTreeMap::new(),
-            files: BTreeMap::new(),
             baseline: None,
         }
     }
@@ -105,21 +93,6 @@ impl Config {
                     message: format!("unclosed section header {line:?}"),
                 })?;
                 section = name.trim().to_string();
-                if let Some(quoted) = section.strip_prefix("lint.files.") {
-                    // File sections quote the path: [lint.files."a/b.rs"].
-                    let path = quoted
-                        .strip_prefix('"')
-                        .and_then(|s| s.strip_suffix('"'))
-                        .filter(|s| !s.is_empty())
-                        .ok_or_else(|| ConfigError {
-                            line: lineno,
-                            message: format!(
-                                "file section must quote a non-empty path, got [{section}]"
-                            ),
-                        })?;
-                    section = format!("lint.files.{path}");
-                    continue;
-                }
                 let ok = section == "lint"
                     || (section.starts_with("lint.crates.")
                         && section.len() > "lint.crates.".len());
@@ -153,16 +126,6 @@ impl Config {
                     validate_codes(&values, lineno)?;
                     cfg.crates.entry(name).or_default().deny = values;
                 }
-                (s, "allow") if s.starts_with("lint.files.") => {
-                    let name = s.trim_start_matches("lint.files.").to_string();
-                    validate_codes(&values, lineno)?;
-                    cfg.files.entry(name).or_default().allow = values;
-                }
-                (s, "deny") if s.starts_with("lint.files.") => {
-                    let name = s.trim_start_matches("lint.files.").to_string();
-                    validate_codes(&values, lineno)?;
-                    cfg.files.entry(name).or_default().deny = values;
-                }
                 _ => {
                     return Err(ConfigError {
                         line: lineno,
@@ -181,30 +144,6 @@ impl Config {
             Ok(text) => Config::parse(&text),
             Err(_) => Ok(Config::default()),
         }
-    }
-
-    /// Whether `code` applies to the file at workspace-relative `path`
-    /// inside `crate_name`.
-    ///
-    /// Per-file rules are consulted first (most specific wins): a file
-    /// section matches when the scanned path equals the configured path
-    /// or ends with `/<configured path>`, so a scan rooted in a
-    /// subdirectory still honours the allowance. With no file match the
-    /// decision falls through to [`Config::code_enabled`].
-    pub fn code_enabled_at(&self, crate_name: &str, path: &str, code: &str) -> bool {
-        for (file, rules) in &self.files {
-            let matches = path == file || path.ends_with(&format!("/{file}"));
-            if !matches {
-                continue;
-            }
-            if rules.allow.iter().any(|c| c == code) {
-                return false;
-            }
-            if rules.deny.iter().any(|c| c == code) {
-                return true;
-            }
-        }
-        self.code_enabled(crate_name, code)
     }
 
     /// Whether `code` applies to `crate_name` under this config.
@@ -345,35 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn file_sections_override_crate_rules() {
-        let c = Config::parse(
-            "[lint.files.\"crates/desim/src/shard.rs\"]\n\
-             allow = [\"MG005\"]\n\
-             [lint.files.\"crates/bench/src/special.rs\"]\n\
-             deny = [\"MG001\"]\n",
-        )
-        .unwrap();
-        // File allowance beats sim-crate membership...
-        assert!(!c.code_enabled_at("desim", "crates/desim/src/shard.rs", "MG005"));
-        // ...only for the listed code and the listed file.
-        assert!(c.code_enabled_at("desim", "crates/desim/src/shard.rs", "MG001"));
-        assert!(c.code_enabled_at("desim", "crates/desim/src/executor.rs", "MG005"));
-        // File deny turns a rule on in an otherwise-exempt crate.
-        assert!(c.code_enabled_at("bench", "crates/bench/src/special.rs", "MG001"));
-        assert!(!c.code_enabled_at("bench", "crates/bench/src/other.rs", "MG001"));
-        // Suffix match: a scan rooted below the workspace still applies.
-        assert!(!c.code_enabled_at("desim", "sub/crates/desim/src/shard.rs", "MG005"));
-    }
-
-    #[test]
-    fn malformed_file_sections_are_errors() {
-        assert!(Config::parse("[lint.files.unquoted/path.rs]\nallow = [\"MG005\"]\n").is_err());
-        assert!(Config::parse("[lint.files.\"\"]\nallow = [\"MG005\"]\n").is_err());
-        assert!(Config::parse("[lint.files.\"x.rs\"]\nbogus = [\"MG005\"]\n").is_err());
-        assert!(Config::parse("[lint.files.\"x.rs\"]\nallow = [\"MG999\"]\n").is_err());
-    }
-
-    #[test]
     fn baseline_key_parses() {
         let c = Config::parse("[lint]\nbaseline = \"mgrid-lint.baseline\"\n").unwrap();
         assert_eq!(c.baseline.as_deref(), Some("mgrid-lint.baseline"));
@@ -386,5 +296,6 @@ mod tests {
         assert!(Config::parse("[lint]\nbogus = []\n").is_err());
         assert!(Config::parse("[lint.crates.x]\nallow = [\"MG999\"]\n").is_err());
         assert!(Config::parse("[surprise]\n").is_err());
+        assert!(Config::parse("[lint.files.\"x.rs\"]\nallow = [\"MG005\"]\n").is_err());
     }
 }

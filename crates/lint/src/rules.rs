@@ -18,8 +18,8 @@
 //! table first, so `use std::collections::HashMap as Map; Map::new()` is
 //! just as visible as the spelled-out form, and MG006/MG007 consult a
 //! [`CrateContext`] built from *every* file of the crate, so a store in
-//! `exchange.rs` can pair with a load in `shard.rs` and a map declared
-//! in one module is recognized when iterated in another.
+//! one module can pair with a load in another and a map declared in one
+//! module is recognized when iterated in another.
 //!
 //! Code inside `#[cfg(test)]` items is exempt from every rule: tests may
 //! time themselves and allocate scratch maps freely. A finding on line
@@ -255,7 +255,7 @@ fn lint_file(fa: &FileAnalysis, ctx: &CrateContext, config: &Config) -> Vec<Find
         }
     }
 
-    let enabled = |code: &str| config.code_enabled_at(&fa.crate_name, path, code);
+    let enabled = |code: &str| config.code_enabled(&fa.crate_name, code);
     let toks = &fa.lexed.tokens;
     let tree = &fa.tree;
 

@@ -72,38 +72,6 @@ fn thread_fixture_exact_codes_and_lines() {
 }
 
 #[test]
-fn shard_pool_fixture_flagged_without_file_allowance() {
-    expect(
-        "bad_shard_pool.rs",
-        &[("MG005", 3), ("MG005", 6), ("MG005", 7)],
-    );
-}
-
-#[test]
-fn file_allowance_silences_the_vetted_module_only() {
-    let config = Config::parse(
-        "[lint.files.\"good_shard_pool.rs\"]\n\
-         allow = [\"MG005\"]\n",
-    )
-    .unwrap();
-    let good = lint_source(
-        "good_shard_pool.rs",
-        "desim",
-        &fixture("good_shard_pool.rs"),
-        &config,
-    );
-    assert!(good.is_empty(), "allowed file must be clean: {good:?}");
-    // The unlisted twin still gets every MG005.
-    let bad = lint_source(
-        "bad_shard_pool.rs",
-        "desim",
-        &fixture("bad_shard_pool.rs"),
-        &config,
-    );
-    assert_eq!(bad.len(), 3, "unlisted file keeps its findings: {bad:?}");
-}
-
-#[test]
 fn alias_fixture_flags_import_and_every_use() {
     // The v1 scanner matched the literal token `HashMap`, so
     // `use std::collections::HashMap as AliasMap` hid the container from
@@ -186,11 +154,10 @@ fn workspace_scan_aggregates_fixtures_deterministically() {
     let a = lint_workspace(&root, &config).unwrap();
     let b = lint_workspace(&root, &config).unwrap();
     assert_eq!(a.findings, b.findings, "scan must be deterministic");
-    assert_eq!(a.files_scanned, 20);
+    assert_eq!(a.files_scanned, 18);
     // 4 wall-clock + 5 hash + 3 rand + 2 unsafe + 3 thread + 3 hygiene
-    // + 3 per shard-pool twin (no file allowance in this config)
     // + 3 alias + 3 atomics + 2 hash-iter + 4 float-time + 1 growth.
-    assert_eq!(a.findings.len(), 39);
+    assert_eq!(a.findings.len(), 33);
     // Ordered by path: stable report output.
     let paths: Vec<&str> = a.findings.iter().map(|f| f.path.as_str()).collect();
     let mut sorted = paths.clone();
@@ -322,12 +289,7 @@ fn baseline_round_trip_suppresses_old_findings_only() {
 fn binary_exits_nonzero_on_bad_fixtures_and_zero_when_clean() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let cfg = std::env::temp_dir().join("mgrid-lint-test-config.toml");
-    std::fs::write(
-        &cfg,
-        "[lint]\nsim-crates = [\"workspace\"]\nexclude = []\n\
-         [lint.files.\"good_shard_pool.rs\"]\nallow = [\"MG005\"]\n",
-    )
-    .unwrap();
+    std::fs::write(&cfg, "[lint]\nsim-crates = [\"workspace\"]\nexclude = []\n").unwrap();
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_mgrid-lint"))
         .args(["--root"])
@@ -343,15 +305,13 @@ fn binary_exits_nonzero_on_bad_fixtures_and_zero_when_clean() {
         stdout.contains("\"code\":\"MG001\""),
         "json output: {stdout}"
     );
-    // 39 default findings minus good_shard_pool.rs's 3 (file allowance).
-    assert!(stdout.contains("\"total\":36"), "json output: {stdout}");
+    assert!(stdout.contains("\"total\":33"), "json output: {stdout}");
 
-    // A scan restricted to the known-good fixtures exits 0 — including
-    // the threaded module the config's file section vouches for.
+    // A scan restricted to the known-good fixtures exits 0.
     let clean_dir = std::env::temp_dir().join("mgrid-lint-test-clean");
     let _ = std::fs::remove_dir_all(&clean_dir);
     std::fs::create_dir_all(&clean_dir).unwrap();
-    for good in ["good_clean.rs", "good_suppressed.rs", "good_shard_pool.rs"] {
+    for good in ["good_clean.rs", "good_suppressed.rs"] {
         std::fs::copy(fixtures.join(good), clean_dir.join(good)).unwrap();
     }
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_mgrid-lint"))
@@ -364,5 +324,5 @@ fn binary_exits_nonzero_on_bad_fixtures_and_zero_when_clean() {
         .expect("run mgrid-lint");
     assert_eq!(out.status.code(), Some(0), "clean tree must exit 0");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("0 findings in 3 files scanned"), "{stdout}");
+    assert!(stdout.contains("0 findings in 2 files scanned"), "{stdout}");
 }

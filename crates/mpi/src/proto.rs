@@ -31,9 +31,7 @@ impl MpiData {
         }
     }
 
-    /// A typed message; `bytes` is the logical size of `value`. The
-    /// payload must be `Send + Sync` so messages can cross shard
-    /// boundaries in sharded runs.
+    /// A typed message; `bytes` is the logical size of `value`.
     pub fn typed<T: Send + Sync + 'static>(bytes: u64, value: T) -> Self {
         MpiData {
             bytes,

@@ -212,10 +212,6 @@ struct LinkState {
     arrived: Notify,
     stats: RefCell<LinkStats>,
     fault: RefCell<LinkFault>,
-    /// True while the pump is mid-serialization of one packet. Together
-    /// with a non-empty `queue` this tells the adaptive-lookahead probe
-    /// that a downed link is still draining traffic it already accepted.
-    serializing: Cell<bool>,
 }
 
 /// Pre-resolved metric handles: the engine touches these once per packet,
@@ -243,22 +239,11 @@ struct RxTransfer {
     payload: Option<Payload>,
 }
 
-/// Hooks installed by a sharded run (`mgrid_desim::shard`): the set of
-/// nodes this replica owns and the callback that carries a packet across
-/// the shard boundary at its precomputed arrival time.
-struct ShardHooks {
-    owned: FxHashSet<NodeId>,
-    export: Box<dyn Fn(NodeId, SimTime, Packet)>,
-}
-
 pub(crate) struct NetInner {
     pub(crate) topo: Topology,
     pub(crate) params: NetParams,
     clock: VirtualClock,
     links: Vec<LinkState>,
-    /// `Some` only in sharded runs; `None` keeps the sequential engine
-    /// on its exact historical code path.
-    shard: RefCell<Option<ShardHooks>>,
     /// Port bindings per node (indexed by `NodeId`). Ports per host are
     /// few, so a linear scan beats hashing a `(NodeId, u16)` key on every
     /// delivered packet.
@@ -301,7 +286,6 @@ impl Network {
                 arrived: Notify::new(),
                 stats: RefCell::new(LinkStats::default()),
                 fault: RefCell::new(LinkFault::default()),
-                serializing: Cell::new(false),
             })
             .collect();
         let node_count = topo.node_count();
@@ -311,7 +295,6 @@ impl Network {
                 params,
                 clock,
                 links,
-                shard: RefCell::new(None),
                 inboxes: RefCell::new((0..node_count).map(|_| Vec::new()).collect()),
                 rx_transfers: RefCell::new(FxHashMap::default()),
                 completed: RefCell::new(FxHashSet::default()),
@@ -350,88 +333,6 @@ impl Network {
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.inner.topo
-    }
-
-    /// Install sharded-run hooks: this replica simulates traffic only on
-    /// links whose receiving end is in `owned`; a packet finishing
-    /// serialization toward a non-owned node is handed to `export`
-    /// together with its arrival deadline instead of propagating locally.
-    ///
-    /// The conservative-lookahead contract (see `mgrid_desim::shard`)
-    /// holds because the arrival deadline is at least the cut link's
-    /// propagation delay in the future, and the run's lookahead is the
-    /// minimum such delay ([`Topology::min_cut_latency`]).
-    ///
-    /// Unsharded runs never call this and execute the exact historical
-    /// sequential code path.
-    pub fn set_shard_ownership(
-        &self,
-        owned: FxHashSet<NodeId>,
-        export: Box<dyn Fn(NodeId, SimTime, Packet)>,
-    ) {
-        *self.inner.shard.borrow_mut() = Some(ShardHooks { owned, export });
-    }
-
-    /// A lower bound (in engine/physical time) on how far in the future
-    /// this replica's next cross-shard export can arrive, given the
-    /// *current* fault state of the outgoing cut links — the adaptive
-    /// widening of the static [`Topology::min_cut_latency`] bound.
-    ///
-    /// A cut link contributes its propagation delay while it can still
-    /// emit packets: it is up, or it is down but still draining traffic
-    /// it accepted before going down (bytes queued, or a packet mid
-    /// serialization — a downed link drops at the queue, never in
-    /// flight). Links that cannot emit are excluded, so when fault
-    /// events down the fast links on the cut the bound grows to the
-    /// slowest survivor; `None` means *no* outgoing cut link can emit at
-    /// all (the replica cannot export until a link comes back up).
-    ///
-    /// This is safe to feed to `mgrid_desim::shard::LookaheadAdvice`
-    /// **only together with a `valid_until` floor at the next fault
-    /// event that can re-enable a faster link** (see
-    /// `FaultPlan::link_change_times` in `mgrid-faults`): the bound
-    /// reflects this instant's link state and widens again on its own
-    /// once the probe is re-sampled.
-    ///
-    /// `group` assigns every node to a shard and `own` is this replica's
-    /// shard; only links leaving `own` are considered.
-    pub fn outgoing_cut_lookahead(
-        &self,
-        group: impl Fn(NodeId) -> usize,
-        own: usize,
-    ) -> Option<SimDuration> {
-        let topo = &self.inner.topo;
-        (0..topo.link_count())
-            .filter_map(|i| {
-                let (from, to) = topo.link_ends(LinkId(i));
-                if group(from) != own || group(to) == own {
-                    return None;
-                }
-                let link = &self.inner.links[i];
-                let draining = link.queued_bytes.get() > 0 || link.serializing.get();
-                if link.fault.borrow().down && !draining {
-                    return None;
-                }
-                Some(self.inner.clock.to_physical(topo.links[i].spec.delay))
-            })
-            .min()
-    }
-
-    /// Namespace this replica's reliable-transfer ids by `shard` (see
-    /// [`TransferId::SHARD_BITS`]). Shard 0 keeps the plain sequential
-    /// ids, so a 1-shard run is bit-identical to an unsharded one.
-    pub fn set_transfer_namespace(&self, shard: u64) {
-        self.inner
-            .next_transfer
-            .set(TransferId::namespace_base(shard));
-    }
-
-    /// Deliver a packet exported by a peer shard. Must be called at the
-    /// packet's arrival deadline (the sharded engine's mailbox machinery
-    /// guarantees this); the packet is received locally or forwarded,
-    /// exactly as if it had finished propagation here.
-    pub fn inject_arrival(&self, node: NodeId, pkt: Packet) {
-        self.deliver(node, pkt);
     }
 
     /// The network's virtual clock.
@@ -650,7 +551,6 @@ impl Network {
     /// link's delivery daemon with its propagation deadline.
     async fn pump(self, lid: LinkId) {
         let spec = self.inner.topo.links[lid.0].spec.clone();
-        let to_node = self.inner.topo.links[lid.0].to;
         loop {
             let pkt = {
                 let link = &self.inner.links[lid.0];
@@ -668,10 +568,8 @@ impl Network {
                 }
             };
             let tx = spec.tx_time(pkt.wire_bytes);
-            self.inner.links[lid.0].serializing.set(true);
             mgrid_desim::sleep(self.inner.clock.to_physical(tx)).await;
             let link = &self.inner.links[lid.0];
-            link.serializing.set(false);
             {
                 let mut st = link.stats.borrow_mut();
                 st.tx_packets += 1;
@@ -687,36 +585,6 @@ impl Network {
             // at serialization time (same instant the per-packet task used
             // to compute it).
             let prop = self.inner.clock.to_physical(spec.delay);
-            if let Some(sh) = self.inner.shard.borrow().as_ref() {
-                if !sh.owned.contains(&to_node) {
-                    // Cut link: the receiving end lives on a peer shard, so
-                    // this replica's delivery daemon never sees the packet.
-                    // The corruption roll moves to the sender side (loss and
-                    // link-down were already rolled at enqueue); reorder
-                    // swaps are skipped because mailbox merge order is fixed
-                    // by `(time, shard, seq)`. Arrival is `prop` in the
-                    // future, ≥ the run's lookahead by construction
-                    // (lookahead = min cut-link latency), which keeps the
-                    // conservative epoch window sound.
-                    let corrupted = {
-                        let mut f = link.fault.borrow_mut();
-                        let c = f.corrupt_per_mille;
-                        f.roll(c)
-                    };
-                    if corrupted {
-                        link.stats.borrow_mut().drops += 1;
-                        self.inner.stats.borrow_mut().packet_drops += 1;
-                        self.inner.m.drops.add(1);
-                        obs::emit(|| Event::PacketDrop {
-                            link: lid.0,
-                            bytes: pkt.wire_bytes,
-                        });
-                    } else {
-                        (sh.export)(to_node, now() + prop, pkt);
-                    }
-                    continue;
-                }
-            }
             let reorder = {
                 let mut f = link.fault.borrow_mut();
                 let r = f.reorder_per_mille;

@@ -6,36 +6,13 @@ use std::sync::Arc;
 use crate::topology::NodeId;
 
 /// Unique identifier of a reliable transfer (one message in flight).
-///
-/// The top [`TransferId::SHARD_BITS`] bits namespace the id by the shard
-/// that initiated the transfer, so concurrent shards of one sharded run
-/// can never collide at a shared receiver. Shard 0 — and therefore every
-/// unsharded run — uses the plain sequential ids it always did.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct TransferId(pub u64);
-
-impl TransferId {
-    /// Number of high bits reserved for the originating shard.
-    pub const SHARD_BITS: u32 = 16;
-
-    /// The first id of shard `shard`'s namespace.
-    pub fn namespace_base(shard: u64) -> u64 {
-        assert!(
-            shard < (1 << Self::SHARD_BITS),
-            "shard id {shard} exceeds the {} -bit transfer namespace",
-            Self::SHARD_BITS
-        );
-        shard << (64 - Self::SHARD_BITS)
-    }
-}
 
 /// Opaque application payload carried by the final data packet of a
 /// transfer (zero-copy: the simulator moves a reference, not bytes).
 ///
-/// Payloads are `Arc`-backed and `Send + Sync` so a packet can cross a
-/// shard boundary through the sharded engine's mailboxes
-/// (`mgrid_desim::shard`); within one simulation the clone is still just
-/// a refcount bump.
+/// Payloads are `Arc`-backed, so a clone is just a refcount bump.
 #[derive(Clone)]
 pub struct Payload(pub Arc<dyn Any + Send + Sync>);
 
@@ -119,9 +96,6 @@ pub enum PacketKind {
 }
 
 /// A packet traversing the simulated network.
-///
-/// `Packet` is `Send` (its payload is `Arc`-backed): the sharded engine
-/// moves whole packets between logical processes at epoch barriers.
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// Originating host.
@@ -170,17 +144,5 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Packet>();
         assert_send::<Payload>();
-    }
-
-    #[test]
-    fn transfer_namespaces_do_not_overlap() {
-        let base1 = TransferId::namespace_base(1);
-        let base2 = TransferId::namespace_base(2);
-        assert_eq!(TransferId::namespace_base(0), 0);
-        assert!(base1 > (u64::MAX / 2) >> TransferId::SHARD_BITS);
-        assert_ne!(base1, base2);
-        // A full shard-0 sequence can never reach shard 1's namespace in
-        // any plausible run.
-        assert!(base1 > 1 << 40);
     }
 }

@@ -18,8 +18,8 @@
 //! Determinism: equal-cost paths are broken lexicographically by
 //! `(delay, hops, link id)` — among optimal predecessors of a node the
 //! minimal incoming link id wins — so the cached tables are a pure
-//! function of the topology, independent of query order, shard count, or
-//! hash-map iteration order.
+//! function of the topology, independent of query order or hash-map
+//! iteration order.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -427,62 +427,6 @@ impl Topology {
             .iter()
             .map(|l| self.links[l.0].spec.bandwidth_bps)
             .min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// Minimum propagation delay over links whose endpoints fall in
-    /// different groups of `group` — the conservative lookahead of a
-    /// sharded run cut along those links (`None` if no link is cut).
-    ///
-    /// Any cross-shard packet spends at least this long in flight, so a
-    /// shard that has processed everything up to time `t` cannot receive
-    /// an import earlier than `t + lookahead`.
-    ///
-    /// Works directly off the link list (not the route cache), so it
-    /// never triggers route computation.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mgrid_netsim::topology::{LinkSpec, TopologyBuilder};
-    /// use mgrid_desim::time::SimDuration;
-    ///
-    /// let mut b = TopologyBuilder::new();
-    /// let a = b.host("a");
-    /// let c = b.host("c");
-    /// let d = b.host("d");
-    /// b.link(a, c, LinkSpec::new(1e8, SimDuration::from_micros(50)));
-    /// b.link(c, d, LinkSpec::new(1e7, SimDuration::from_millis(20)));
-    /// let t = b.build();
-    ///
-    /// // Cut between {a, c} and {d}: only the WAN link crosses.
-    /// let la = t.min_cut_latency(|n| usize::from(n == d));
-    /// assert_eq!(la, Some(SimDuration::from_millis(20)));
-    /// // Everything in one group: nothing is cut.
-    /// assert_eq!(t.min_cut_latency(|_| 0), None);
-    /// ```
-    pub fn min_cut_latency(&self, group: impl Fn(NodeId) -> usize) -> Option<SimDuration> {
-        self.links
-            .iter()
-            .filter(|l| group(l.from) != group(l.to))
-            .map(|l| l.spec.delay)
-            .min()
-    }
-
-    /// The directed links crossing the cut induced by `group` — every
-    /// link whose endpoints fall in different groups, in link-id order.
-    /// These are exactly the links whose latency bounds a sharded run's
-    /// lookahead ([`Topology::min_cut_latency`] is their minimum delay)
-    /// and whose fault state drives adaptive lookahead
-    /// (`Network::outgoing_cut_lookahead`). Works off the link list, not
-    /// the route cache.
-    pub fn cut_links(&self, group: impl Fn(NodeId) -> usize) -> Vec<LinkId> {
-        (0..self.links.len())
-            .filter(|&i| {
-                let l = &self.links[i];
-                group(l.from) != group(l.to)
-            })
-            .map(LinkId)
-            .collect()
     }
 }
 

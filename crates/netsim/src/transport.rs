@@ -529,6 +529,66 @@ mod tests {
     }
 
     #[test]
+    fn routed_wan_outage_delays_a_message_stream_but_keeps_its_order() {
+        // Two sites joined by a 20 ms long-haul hop that is down (both
+        // directions) during [60 ms, 200 ms). Three 40 KB reliable
+        // transfers cross it: data one way, cumulative acks the other.
+        // All arrive, in order, none before the WAN propagation delay,
+        // and at least one only after the hop is back.
+        const WAN_DELAY: SimDuration = SimDuration::from_millis(20);
+        const DOWN_NS: u64 = 60_000_000;
+        const UP_NS: u64 = 200_000_000;
+        let mut sim = Simulation::new(42);
+        let log = sim.block_on(async {
+            let mut b = TopologyBuilder::new();
+            let a = b.host("a");
+            let ra = b.router("ra");
+            let rb = b.router("rb");
+            let bb = b.host("b");
+            b.link(a, ra, LinkSpec::new(100e6, SimDuration::from_micros(50)));
+            b.link(ra, rb, LinkSpec::new(45e6, WAN_DELAY));
+            b.link(rb, bb, LinkSpec::new(100e6, SimDuration::from_micros(50)));
+            let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
+            spawn({
+                let net = net.clone();
+                async move {
+                    let wan = net.topology().links_between(ra, rb);
+                    mgrid_desim::sleep_until(SimTime::from_nanos(DOWN_NS)).await;
+                    for l in &wan {
+                        net.set_link_down(*l, true);
+                    }
+                    mgrid_desim::sleep_until(SimTime::from_nanos(UP_NS)).await;
+                    for l in &wan {
+                        net.set_link_down(*l, false);
+                    }
+                }
+            });
+            let rx = net.endpoint(bb).bind(7);
+            let tx = net.endpoint(a);
+            spawn(async move {
+                for i in 0..3u32 {
+                    tx.send(bb, 7, 1, 40_000, Payload::new(i)).await.unwrap();
+                }
+            });
+            let mut log = Vec::new();
+            for _ in 0..3 {
+                let m = rx.recv().await.unwrap();
+                let value = *m.payload.downcast_ref::<u32>().unwrap();
+                log.push((now().as_nanos(), value, m.size_bytes));
+            }
+            log
+        });
+        assert!(log[0].0 > WAN_DELAY.as_nanos(), "{log:?}");
+        for (i, entry) in log.iter().enumerate() {
+            assert_eq!((entry.1, entry.2), (i as u32, 40_000), "{log:?}");
+        }
+        assert!(
+            log.iter().any(|e| e.0 > UP_NS),
+            "the outage must actually delay traffic: {log:?}"
+        );
+    }
+
+    #[test]
     fn ack_loss_exhausts_retry_budget() {
         // Every ack (reverse path) is dropped while all data arrives. The
         // receiver completes the message; the sender, never seeing an

@@ -32,6 +32,38 @@ fn wide_config_json_is_a_fixed_point() {
     let parsed = GridConfig::from_json(&json).expect("parse");
     assert_eq!(parsed.validate(), Ok(()));
     assert_eq!(parsed.to_json(), json);
+
+    // `shards` is inert: whatever it holds — or if the key is absent —
+    // the config loads, validates, plans the same rate and runs IS S to
+    // the same virtual seconds. Its `null` stays in the wire format,
+    // which the benchmark's `core.config_bytes` pins.
+    let json = presets::alpha_cluster().to_json();
+    let tail = ",\n  \"faults\": null,\n  \"shards\": null\n}";
+    let body = json
+        .strip_suffix(tail)
+        .expect("preset JSON ends faults, shards");
+    let outcomes: Vec<(String, f64)> = ["\"shards\": 4", "\"shards\": null", ""]
+        .into_iter()
+        .map(|shards| {
+            let sep = if shards.is_empty() { "" } else { ",\n  " };
+            let text = format!("{body},\n  \"faults\": null{sep}{shards}\n}}");
+            let config = GridConfig::from_json(&text).expect("parse");
+            assert_eq!(config.validate(), Ok(()), "{shards:?}");
+            let plan = format!("{:?}", microgrid::plan_rate(&config).expect("feasible"));
+            let mut sim = Simulation::new(config.seed);
+            let results = sim.block_on(async move {
+                let grid = VirtualGrid::build(config).expect("build");
+                grid.mpirun_all(MpiParams::default(), move |comm| {
+                    Box::pin(npb::run(NpbBenchmark::IS, comm, NpbClass::S, None))
+                        as Pin<Box<dyn Future<Output = NpbResult>>>
+                })
+                .await
+            });
+            (plan, results[0].virtual_seconds)
+        })
+        .collect();
+    assert_eq!(outcomes[0], outcomes[1]);
+    assert_eq!(outcomes[0], outcomes[2]);
 }
 
 #[test]

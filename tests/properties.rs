@@ -5,16 +5,11 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use microgrid::desim::shard::{
-    run_sharded, Import, LookaheadAdvice, ShardHandle, ShardPlan, ShardRun,
-};
 use microgrid::desim::time::{SimDuration, SimTime};
 use microgrid::desim::vclock::VirtualClock;
-use microgrid::desim::{now, sleep, sleep_until, spawn, FxHashSet, Simulation};
+use microgrid::desim::{now, sleep, sleep_until, spawn, Simulation};
 use microgrid::gis::{Dn, Filter, Record};
-use microgrid::netsim::{
-    LinkSpec, NetParams, Network, NodeId, Packet, Payload, Topology, TopologyBuilder,
-};
+use microgrid::netsim::{LinkSpec, NetParams, Network, NodeId, Payload, Topology, TopologyBuilder};
 
 proptest! {
     /// SimTime/SimDuration arithmetic: (t + d) - t == d for all in-range
@@ -312,102 +307,20 @@ fn same_seed_runs_are_byte_identical() {
     assert_ne!(first, other, "seed does not reach the metrics");
 }
 
-/// Sharded-engine backstop for the figure pipeline: the same set of
-/// independent scenarios run (a) inline on this thread, (b) through the
-/// job pool with one worker, and (c) through the job pool with four
-/// workers must produce byte-identical serialized results and metrics,
-/// in submission order. This is the property `MGRID_SHARDS` relies on
-/// (docs/PARALLEL.md): shard count moves only the wall clock, never a
-/// byte of output.
-#[test]
-fn sharded_job_pool_is_byte_identical_to_sequential() {
-    use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-    use microgrid::desim::shard::run_jobs;
-    use microgrid::mpi::MpiParams;
-    use microgrid::{presets, VirtualGrid};
-    use std::future::Future;
-    use std::pin::Pin;
-
-    fn scenario(seed: u64, bench: NpbBenchmark) -> String {
-        let mut sim = Simulation::new(seed);
-        let results = sim.block_on(async move {
-            let mut config = presets::alpha_cluster();
-            config.seed = seed;
-            let grid = VirtualGrid::build(config).expect("build");
-            grid.mpirun_all(MpiParams::default(), move |comm| {
-                Box::pin(npb::run(bench, comm, NpbClass::S, None))
-                    as Pin<Box<dyn Future<Output = NpbResult>>>
-            })
-            .await
-        });
-        let snapshot = sim.obs().metrics().snapshot();
-        assert!(!snapshot.is_empty(), "scenario recorded no metrics");
-        format!(
-            "{results:?}|{}",
-            serde_json::to_string(&snapshot).expect("snapshot serializes")
-        )
-    }
-
-    const CASES: [(u64, NpbBenchmark); 6] = [
-        (7, NpbBenchmark::IS),
-        (7, NpbBenchmark::EP),
-        (11, NpbBenchmark::MG),
-        (13, NpbBenchmark::IS),
-        (17, NpbBenchmark::EP),
-        (19, NpbBenchmark::MG),
-    ];
-
-    let jobs = || -> Vec<Box<dyn FnOnce() -> String + Send>> {
-        CASES
-            .iter()
-            .map(|&(seed, bench)| {
-                Box::new(move || scenario(seed, bench)) as Box<dyn FnOnce() -> String + Send>
-            })
-            .collect()
-    };
-
-    let inline: Vec<String> = CASES.iter().map(|&(s, b)| scenario(s, b)).collect();
-    let one_worker = run_jobs(1, jobs());
-    let four_workers = run_jobs(4, jobs());
-
-    assert_eq!(inline, one_worker, "one-worker pool diverged from inline");
-    assert_eq!(
-        inline, four_workers,
-        "four-worker pool diverged from inline"
-    );
-
-    // Sensitivity check: every scenario digest is distinct, so the
-    // equalities above compare real per-scenario output, not a shared
-    // constant.
-    let distinct: std::collections::BTreeSet<&String> = inline.iter().collect();
-    assert_eq!(distinct.len(), CASES.len(), "scenario digests collide");
-}
-
-// --- Sharded-engine property: random chain grids match sequential -----
-//
-// Random chain-of-sites topologies, split one site per shard, must
-// deliver exactly what the sequential engine delivers — with and without
-// a scripted WAN outage, and with live adaptive-lookahead advice wired
-// through `Network::outgoing_cut_lookahead`. This is the event-driven
-// engine's core contract (docs/PARALLEL.md): shard count and lookahead
-// advice move only the wall clock, never a byte of output.
+// --- Chain grids: every message arrives, outage or not ----------------
 
 /// One delivery at a receiving host: (arrival ns, receiver site, value).
 type ChainLog = Vec<(u64, u32, u32)>;
 
-/// A shard-crossing message: the packet plus the node it arrives at.
-type ChainCross = (NodeId, Packet);
-
 const CHAIN_MSGS: u32 = 2;
 const CHAIN_BYTES: u64 = 20_000;
-/// Scripted outage window on the first WAN hop (virtual ns) — instants
-/// every replica knows, so the fault is applied identically everywhere.
+/// Scripted outage window on the first WAN hop (virtual ns).
 const CHAIN_DOWN_NS: u64 = 50_000_000;
 const CHAIN_UP_NS: u64 = 180_000_000;
 
 /// `sites` LAN islands (host `h{i}` behind router `r{i}`) joined in a
 /// chain by WAN hops `r{i}`–`r{i+1}` with per-hop delays `wan_ms`.
-fn build_chain(sites: usize, wan_ms: &[u64]) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
+fn build_chain(sites: usize, wan_ms: &[u64]) -> (Topology, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
     let hosts: Vec<NodeId> = (0..sites).map(|i| b.host(format!("h{i}"))).collect();
     let routers: Vec<NodeId> = (0..sites).map(|i| b.router(format!("r{i}"))).collect();
@@ -425,7 +338,7 @@ fn build_chain(sites: usize, wan_ms: &[u64]) -> (Topology, Vec<NodeId>, Vec<Node
             LinkSpec::new(45e6, SimDuration::from_millis(wan_ms[i])),
         );
     }
-    (b.build(), hosts, routers)
+    (b.build(), hosts)
 }
 
 /// Spawn the scripted outage into the current simulation: both
@@ -451,54 +364,22 @@ fn spawn_chain_outage(net: &Network) {
     });
 }
 
-/// One replica of the chain grid. With `split` it simulates only site
-/// `s` (exporting cut-crossing packets and publishing adaptive lookahead
-/// from its live fault state); without, it runs every site inline — the
-/// sequential reference.
-fn chain_shard_factory(
-    s: usize,
-    sites: usize,
-    wan_ms: Vec<u64>,
-    seed: u64,
-    faults: bool,
-    split: bool,
-    h: ShardHandle<ChainCross>,
-) -> ShardRun<ChainCross, ChainLog> {
-    let sim = Simulation::new(seed);
-    let log: Rc<RefCell<ChainLog>> = Rc::new(RefCell::new(Vec::new()));
-    let net_slot: Rc<RefCell<Option<Network>>> = Rc::new(RefCell::new(None));
-    let log2 = log.clone();
-    let net_slot2 = net_slot.clone();
-    let net_slot3 = net_slot.clone();
-    let root = sim.spawn(async move {
-        let (topo, hosts, routers) = build_chain(sites, &wan_ms);
+/// Every site sends `CHAIN_MSGS` reliable messages to the next site
+/// round the chain; returns the delivery log in canonical order.
+fn run_chain(sites: usize, wan_ms: &[u64], seed: u64, faults: bool) -> ChainLog {
+    let wan_ms = wan_ms.to_vec();
+    let mut sim = Simulation::new(seed);
+    let mut log = sim.block_on(async move {
+        let (topo, hosts) = build_chain(sites, &wan_ms);
         let net = Network::new(topo, VirtualClock::identity(), NetParams::default());
-        net.set_transfer_namespace(s as u64);
         if faults {
             spawn_chain_outage(&net);
         }
-        if split {
-            let owned: FxHashSet<NodeId> = [hosts[s], routers[s]].into_iter().collect();
-            let hs = hosts.clone();
-            let rs = routers.clone();
-            net.set_shard_ownership(
-                owned,
-                Box::new(move |node, at, pkt| {
-                    let to = hs
-                        .iter()
-                        .position(|&x| x == node)
-                        .or_else(|| rs.iter().position(|&x| x == node))
-                        .expect("cross-shard packets land on grid nodes");
-                    h.export(to, at, (node, pkt));
-                }),
-            );
-        }
-        *net_slot2.borrow_mut() = Some(net.clone());
-        let owned_sites: Vec<usize> = if split { vec![s] } else { (0..sites).collect() };
+        let log: Rc<RefCell<ChainLog>> = Rc::new(RefCell::new(Vec::new()));
         let mut waits = Vec::new();
-        for site in owned_sites {
+        for site in 0..sites {
             let rx = net.endpoint(hosts[site]).bind(7);
-            let log = log2.clone();
+            let log = log.clone();
             waits.push(spawn(async move {
                 for _ in 0..CHAIN_MSGS {
                     let m = rx.recv().await.unwrap();
@@ -513,125 +394,39 @@ fn chain_shard_factory(
             let dest = hosts[(site + 1) % sites];
             waits.push(spawn(async move {
                 for k in 0..CHAIN_MSGS {
-                    tx.send(
-                        dest,
-                        7,
-                        1,
-                        CHAIN_BYTES,
-                        Payload::new((site as u32) * 16 + k),
-                    )
-                    .await
-                    .unwrap();
+                    let value = (site as u32) * 16 + k;
+                    tx.send(dest, 7, 1, CHAIN_BYTES, Payload::new(value))
+                        .await
+                        .unwrap();
                 }
             }));
         }
         for w in waits {
             w.await;
         }
+        let out = log.borrow().clone();
+        out
     });
-    ShardRun {
-        sim,
-        deliver: Box::new(move |sim, imp: Import<ChainCross>| {
-            let net = net_slot
-                .borrow()
-                .clone()
-                .expect("replica built in the first epoch");
-            sim.spawn(async move {
-                sleep_until(imp.time).await;
-                let (node, pkt) = imp.msg;
-                net.inject_arrival(node, pkt);
-            });
-        }),
-        root_done: Box::new(move || root.is_finished()),
-        advise: if split {
-            Some(Box::new(move |at| {
-                let Some(net) = net_slot3.borrow().clone() else {
-                    // Replica not built yet: claim nothing beyond the plan.
-                    return LookaheadAdvice::default();
-                };
-                // Node names are `h{site}` / `r{site}`, so the site index
-                // is the name's suffix.
-                let group = |n: NodeId| {
-                    let topo = net.topology();
-                    topo.node_name(n)[1..].parse::<usize>().unwrap()
-                };
-                let out = net
-                    .outgoing_cut_lookahead(group, s)
-                    // No usable outgoing cut link: cannot export at all.
-                    .unwrap_or(SimDuration::MAX);
-                let valid_until = if faults {
-                    [CHAIN_DOWN_NS, CHAIN_UP_NS]
-                        .into_iter()
-                        .find(|&t| t > at.as_nanos())
-                        .map(SimTime::from_nanos)
-                } else {
-                    None
-                };
-                LookaheadAdvice {
-                    out_lookahead: Some(out),
-                    valid_until,
-                }
-            }))
-        } else {
-            None
-        },
-        finish: Box::new(move |_| log.borrow().clone()),
-    }
-}
-
-/// Run the chain grid either sequentially (one shard, every site) or
-/// split one-site-per-shard with the per-pair lookahead matrix of the
-/// chain's WAN hops, and return the merged delivery log in canonical
-/// order.
-fn run_chain(split: bool, sites: usize, wan_ms: &[u64], seed: u64, faults: bool) -> ChainLog {
-    let min_wan = SimDuration::from_millis(*wan_ms.iter().min().unwrap());
-    let shards = if split { sites } else { 1 };
-    let mut plan = ShardPlan::connected(shards, min_wan);
-    if split {
-        // Adjacent sites see their own hop's delay; non-adjacent pairs
-        // have no direct link, so the engine treats them as unreachable
-        // in one hop (`None`).
-        let mut matrix = vec![vec![None; sites]; sites];
-        for (i, &ms) in wan_ms.iter().enumerate() {
-            let d = Some(SimDuration::from_millis(ms));
-            matrix[i][i + 1] = d;
-            matrix[i + 1][i] = d;
-        }
-        plan = plan.with_lookahead_matrix(matrix);
-    }
-    let factories: Vec<_> = (0..shards)
-        .map(|s| {
-            let wans = wan_ms.to_vec();
-            Box::new(move |h| chain_shard_factory(s, sites, wans, seed, faults, split, h))
-                as Box<dyn FnOnce(ShardHandle<ChainCross>) -> ShardRun<ChainCross, ChainLog> + Send>
-        })
-        .collect();
-    let mut merged: ChainLog = run_sharded(plan, factories).concat();
-    merged.sort_unstable();
-    merged
+    log.sort_unstable();
+    log
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random small chain grids (2–4 sites, random WAN delays, random
-    /// seeds, scripted outage on or off), split one site per shard, are
-    /// byte-identical to the one-shard sequential run.
+    /// seeds, scripted outage on or off) deliver every message, the same
+    /// way on every same-seed run.
     #[test]
-    fn sharded_chain_grid_matches_sequential(
+    fn chain_grid_delivers_everything_with_or_without_an_outage(
         sites in 2usize..5,
         wan_ms in prop::collection::vec(5u64..30, 3..4),
         seed in 1u64..1_000,
         faults in any::<bool>(),
     ) {
         let wans = &wan_ms[..sites - 1];
-        let seq = run_chain(false, sites, wans, seed, faults);
-        prop_assert_eq!(
-            seq.len(),
-            sites * CHAIN_MSGS as usize,
-            "reference must deliver everything"
-        );
-        let par = run_chain(true, sites, wans, seed, faults);
-        prop_assert_eq!(par, seq);
+        let log = run_chain(sites, wans, seed, faults);
+        prop_assert_eq!(log.len(), sites * CHAIN_MSGS as usize, "every message must arrive");
+        prop_assert_eq!(run_chain(sites, wans, seed, faults), log);
     }
 }
