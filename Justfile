@@ -22,12 +22,6 @@ docs:
 lint:
     cargo run -p mgrid-lint --bin mgrid-lint -- --format human
 
-# Apply mgrid-lint's mechanical rewrites (MG002 hasher swaps, MG007
-# collect-and-sort preludes). Run plain `-- --fix` first for a dry-run
-# diff.
-lint-fix:
-    cargo run -p mgrid-lint --bin mgrid-lint -- --fix --write
-
 fmt:
     cargo fmt --all
 
@@ -35,9 +29,9 @@ fmt:
 figures:
     MGRID_FAST=1 cargo run --release -p mgrid-bench --bin repro -- all
 
-# Regenerate every figure at full scale and diff it byte-for-byte against
-# results/<id>.json (`repro --bless figN` re-anchors after intended
-# changes). About a minute.
+# Regenerate every figure (`scale` included) at full scale and diff it
+# byte-for-byte against results/<id>.json (`repro --bless figN`
+# re-anchors after intended changes). About a minute.
 check-figures:
     cargo run --release -p mgrid-bench --bin repro -- --check all
 
@@ -47,20 +41,10 @@ check-figures:
 chaos:
     cargo run --release -p mgrid-bench --bin chaos -- --check
 
-# Criterion microbenches: engine throughput + per-figure regenerations.
-bench:
-    cargo bench --workspace
-
-# The tracked performance baseline: run the criterion engine benches,
-# then measure events/sec, packets/sec, and the serial full-scale figure
-# sweep, updating BENCH_core.json (existing baseline preserved).
-perf:
-    cargo bench -p mgrid-bench --bench engine
-    cargo run --release -p mgrid-bench --bin perf -- --out BENCH_core.json
-
-# The repo benchmark (BENCHMARK.json, benchmark/README.md): every
-# end-to-end metric on all six workloads, about 11 minutes. Performance
-# claims name one of its metrics on one of its workloads.
+# The repo benchmark (BENCHMARK.json, benchmark/README.md), the one place
+# wall time is measured: every end-to-end metric on all six workloads,
+# about 11 minutes. Performance claims name one of its metrics on one of
+# its workloads.
 benchmark:
     bash benchmark/run.sh
 

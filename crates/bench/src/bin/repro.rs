@@ -32,9 +32,6 @@ use serde::Serialize;
 /// Directory of the tracked figure outputs `--check`/`--bless` use.
 const TRACKED_DIR: &str = "results";
 
-/// Never gated: `scale` records the simulator's wall-clock seconds.
-const UNGATED: &str = "scale";
-
 /// What to do with each regenerated figure.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -212,14 +209,10 @@ fn main() {
     if fast_mode() {
         outln!("(MGRID_FAST=1: shrunken experiment parameters)\n");
     }
-    let mut selected: Vec<Figure> = figs
+    let selected: Vec<Figure> = figs
         .into_iter()
         .filter(|f| all || wanted.iter().any(|w| w == f.id))
         .collect();
-    if mode != Mode::Print && selected.iter().any(|f| f.id == UNGATED) {
-        outln!("({UNGATED}: not gated, it records wall-clock seconds)");
-        selected.retain(|f| f.id != UNGATED);
-    }
     // Split the thread budget: figures first, the rest to the scenarios
     // inside each figure.
     let threads = repro_threads();

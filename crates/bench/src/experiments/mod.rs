@@ -6,5 +6,4 @@ pub mod chaos;
 pub mod micro;
 pub mod network;
 pub mod npb;
-pub mod route;
 pub mod scale;

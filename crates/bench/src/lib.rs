@@ -8,9 +8,6 @@
 //! cargo run --release -p mgrid-bench --bin repro -- fig10
 //! MGRID_FAST=1 cargo run -p mgrid-bench --bin repro -- fig11
 //! ```
-//!
-//! Criterion benches under `benches/` time the engine and small versions
-//! of each experiment family.
 
 #![warn(missing_docs)]
 

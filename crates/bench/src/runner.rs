@@ -36,7 +36,7 @@ pub struct Figure {
     pub run: fn() -> Report,
 }
 
-/// Every figure `repro` regenerates and `perf` times, in canonical order.
+/// Every figure `repro` regenerates, in canonical order.
 pub fn figures() -> Vec<Figure> {
     vec![
         Figure {
@@ -159,7 +159,6 @@ pub fn run_npb_on_hosts(
     hosts: Option<Vec<String>>,
 ) -> NpbResult {
     let mut sim = Simulation::new(config.seed ^ 0x5eed);
-    apply_profile(&sim);
     let results = sim.block_on(async move {
         let grid = build(config, mode);
         let hosts = hosts.unwrap_or_else(|| grid.host_names());
@@ -182,7 +181,6 @@ pub fn run_npb_with_sensors(
     trace_horizon: SimDuration,
 ) -> (NpbResult, Vec<(f64, f64)>) {
     let mut sim = Simulation::new(config.seed ^ 0xaa);
-    apply_profile(&sim);
     let out = sim.block_on(async move {
         let grid = build(config, mode);
         let ap = Autopilot::new();
@@ -212,7 +210,6 @@ pub fn run_npb_with_sensors(
 /// Run CACTUS WaveToy; returns rank 0's result.
 pub fn run_wavetoy(config: GridConfig, mode: Mode, wt: WaveToyConfig) -> WaveToyResult {
     let mut sim = Simulation::new(config.seed ^ 0xcac);
-    apply_profile(&sim);
     let results = sim.block_on(async move {
         let grid = build(config, mode);
         let hosts = grid.host_names();
@@ -231,23 +228,6 @@ pub fn fast_mode() -> bool {
     std::env::var("MGRID_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// Profile mode (`MGRID_PROFILE=1`): every simulation driven by this
-/// module records causal spans. The results are unchanged — spans are
-/// pure observation — so the perf harness uses this to measure the
-/// tracing-on vs tracing-off overhead of the span layer.
-pub fn profile_mode() -> bool {
-    std::env::var("MGRID_PROFILE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Apply [`profile_mode`] to a fresh simulation.
-fn apply_profile(sim: &Simulation) {
-    if profile_mode() {
-        sim.obs().enable_spans();
-    }
 }
 
 /// Worker threads for parallel figure regeneration: `MGRID_REPRO_THREADS`
@@ -332,8 +312,8 @@ where
 
 /// Give this thread's later [`run_scenarios`] calls `workers` pool
 /// workers. `repro` passes each figure worker its share of the
-/// `MGRID_REPRO_THREADS` budget and `chaos` the whole budget; `perf`,
-/// benches and tests leave the default of 1, a serial sweep.
+/// `MGRID_REPRO_THREADS` budget and `chaos` the whole budget; tests
+/// leave the default of 1, a serial sweep.
 pub fn set_scenario_workers(workers: usize) {
     SCENARIO_WORKERS.with(|w| w.set(workers));
 }

@@ -33,3 +33,21 @@ fn output_is_byte_identical_at_one_and_three_threads() {
     assert!(serial.contains("-- metrics --"), "fig17 carries metrics");
     assert_eq!(serial, repro_stdout("3"));
 }
+
+/// `scale` holds only virtual seconds and executor polls, so it is gated
+/// like every figure: two runs of one build both match the tracked file.
+#[test]
+fn scale_check_passes_twice_in_a_row() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for run in 1..=2 {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--check", "scale"])
+            .current_dir(root)
+            .env_remove("MGRID_FAST")
+            .output()
+            .expect("run repro");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "run {run}: {stdout}");
+        assert_eq!(stdout, "scale: matches results/scale.json\n", "run {run}");
+    }
+}

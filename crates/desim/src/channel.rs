@@ -2,8 +2,8 @@
 //!
 //! All channels are single-threaded (the whole simulation runs on one
 //! thread) but fully async: receivers park until a message or disconnect
-//! arrives, senders on a bounded channel park until capacity frees up.
-//! Delivery is FIFO per channel.
+//! arrives. Channels are unbounded, so a send never waits. Delivery is
+//! FIFO per channel.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -36,11 +36,9 @@ impl<T> std::fmt::Display for SendError<T> {
 
 struct ChannelState<T> {
     queue: VecDeque<T>,
-    capacity: Option<usize>,
     senders: usize,
     receiver_alive: bool,
     recv_wakers: VecDeque<Waker>,
-    send_wakers: VecDeque<Waker>,
 }
 
 impl<T> ChannelState<T> {
@@ -49,16 +47,8 @@ impl<T> ChannelState<T> {
             w.wake();
         }
     }
-    fn wake_one_sender(&mut self) {
-        if let Some(w) = self.send_wakers.pop_front() {
-            w.wake();
-        }
-    }
     fn wake_all(&mut self) {
         for w in self.recv_wakers.drain(..) {
-            w.wake();
-        }
-        for w in self.send_wakers.drain(..) {
             w.wake();
         }
     }
@@ -66,27 +56,11 @@ impl<T> ChannelState<T> {
 
 /// Create an unbounded FIFO channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    make_channel(None)
-}
-
-/// Create a bounded FIFO channel; `send` parks when `capacity` messages are
-/// queued.
-///
-/// # Panics
-/// Panics if `capacity == 0`.
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(capacity > 0, "bounded channel capacity must be > 0");
-    make_channel(Some(capacity))
-}
-
-fn make_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let state = Rc::new(RefCell::new(ChannelState {
         queue: VecDeque::new(),
-        capacity,
         senders: 1,
         receiver_alive: true,
         recv_wakers: VecDeque::new(),
-        send_wakers: VecDeque::new(),
     }));
     (
         Sender {
@@ -121,8 +95,7 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Send without waiting. On a full bounded channel this enqueues anyway
-    /// (use [`Sender::send`] to respect backpressure).
+    /// Send without waiting. Errors when the receiver has been dropped.
     pub fn send_now(&self, value: T) -> Result<(), SendError<T>> {
         let mut s = self.state.borrow_mut();
         if !s.receiver_alive {
@@ -133,13 +106,10 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Send, parking until the channel has capacity.
+    /// [`Sender::send_now`] for `.await` call sites: ready at once, it
+    /// never yields to the executor.
     pub async fn send(&self, value: T) -> Result<(), SendError<T>> {
-        SendFuture {
-            state: &self.state,
-            value: Some(value),
-        }
-        .await
+        self.send_now(value)
     }
 
     /// True if the receiving half has been dropped.
@@ -155,34 +125,6 @@ impl<T> Sender<T> {
     /// True if no messages are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-struct SendFuture<'a, T> {
-    state: &'a Rc<RefCell<ChannelState<T>>>,
-    value: Option<T>,
-}
-
-impl<T> Unpin for SendFuture<'_, T> {}
-
-impl<T> Future for SendFuture<'_, T> {
-    type Output = Result<(), SendError<T>>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut s = self.state.borrow_mut();
-        if !s.receiver_alive {
-            let v = self.value.take().expect("polled after completion");
-            return Poll::Ready(Err(SendError(v)));
-        }
-        let full = s.capacity.is_some_and(|c| s.queue.len() >= c);
-        if full {
-            s.send_wakers.push_back(cx.waker().clone());
-            Poll::Pending
-        } else {
-            let v = self.value.take().expect("polled after completion");
-            s.queue.push_back(v);
-            s.wake_one_receiver();
-            Poll::Ready(Ok(()))
-        }
     }
 }
 
@@ -209,12 +151,7 @@ impl<T> Receiver<T> {
 
     /// Receive without waiting; `None` if the queue is empty.
     pub fn try_recv(&self) -> Option<T> {
-        let mut s = self.state.borrow_mut();
-        let v = s.queue.pop_front();
-        if v.is_some() {
-            s.wake_one_sender();
-        }
-        v
+        self.state.borrow_mut().queue.pop_front()
     }
 
     /// Number of queued messages.
@@ -237,7 +174,6 @@ impl<T> Future for RecvFuture<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut s = self.state.borrow_mut();
         if let Some(v) = s.queue.pop_front() {
-            s.wake_one_sender();
             return Poll::Ready(Ok(v));
         }
         if s.senders == 0 {
@@ -372,26 +308,18 @@ mod tests {
     }
 
     #[test]
-    fn bounded_backpressure() {
+    fn send_never_yields() {
         let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let (tx, rx) = bounded(2);
-            let producer = spawn(async move {
-                for i in 0..5u32 {
-                    tx.send(i).await.unwrap();
-                }
-                crate::executor::now()
-            });
-            // Drain slowly: producer must stall on capacity.
-            sleep(SimDuration::from_millis(10)).await;
-            for _ in 0..5 {
-                rx.recv().await.unwrap();
-                sleep(SimDuration::from_millis(1)).await;
+        let queued = sim.block_on(async {
+            let (tx, rx) = channel();
+            for i in 0..10_000u32 {
+                tx.send(i).await.unwrap();
             }
-            let done_at = producer.await;
-            assert!(done_at.as_millis() >= 10, "producer finished too early");
+            rx.len()
         });
-        sim.run_to_completion();
+        assert_eq!(queued, 10_000);
+        // One poll ran the sending task to completion: no send was Pending.
+        assert_eq!(sim.poll_count(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Lightweight metrics registry: counters, gauges, and fixed-bucket
-//! histograms, with no external dependencies.
+//! Lightweight metrics registry: counters and fixed-bucket histograms,
+//! with no external dependencies.
 //!
 //! A [`Metrics`] registry is a cheap clonable handle (`Rc` inside — the
 //! simulator is single-threaded) that instrumented subsystems write to
@@ -133,11 +133,10 @@ impl HistogramHandle {
 #[derive(Default)]
 struct MetricsInner {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Rc<RefCell<Histogram>>>,
 }
 
-/// A registry of named counters, gauges, and histograms.
+/// A registry of named counters and histograms.
 ///
 /// Cloning shares the underlying storage; a simulation and its
 /// instrumented components all write to one registry.
@@ -190,30 +189,6 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Set gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.inner
-            .borrow_mut()
-            .gauges
-            .insert(name.to_string(), value);
-    }
-
-    /// Raise gauge `name` to `value` if `value` is larger (high-water mark).
-    pub fn gauge_max(&self, name: &str, value: f64) {
-        let mut inner = self.inner.borrow_mut();
-        match inner.gauges.get_mut(name) {
-            Some(g) => *g = g.max(value),
-            None => {
-                inner.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Current value of gauge `name` (`None` if never written).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.borrow().gauges.get(name).copied()
-    }
-
     /// Record `value` into histogram `name`, creating it with `bounds` on
     /// first use (later calls ignore `bounds`).
     pub fn observe_with(&self, name: &str, value: u64, bounds: &[u64]) {
@@ -256,7 +231,6 @@ impl Metrics {
     pub fn clear(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.counters.clear();
-        inner.gauges.clear();
         inner.histograms.clear();
     }
 
@@ -273,7 +247,6 @@ impl Metrics {
                 .filter(|(_, v)| v.get() > 0)
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             histograms: inner
                 .histograms
                 .iter()
@@ -334,8 +307,6 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// `(name, value)` counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` gauges, sorted by name.
-    pub gauges: Vec<(String, f64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -343,7 +314,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Counter value by name (zero if absent).
@@ -355,9 +326,9 @@ impl MetricsSnapshot {
             .unwrap_or(0)
     }
 
-    /// Fold `other` into `self`: counters add, gauges keep the maximum,
-    /// histograms with identical bounds merge bucket-wise (mismatched
-    /// bounds keep `self`'s buckets and only fold the scalar stats).
+    /// Fold `other` into `self`: counters add, histograms with identical
+    /// bounds merge bucket-wise (mismatched bounds keep `self`'s buckets
+    /// and only fold the scalar stats).
     ///
     /// Used by the bench runner to combine the registries of the several
     /// simulations that make up one figure.
@@ -369,13 +340,6 @@ impl MetricsSnapshot {
             }
         }
         self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(k, _)| k == name) {
-                Some((_, mine)) => *mine = mine.max(*v),
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
         for h in &other.histograms {
             match self.histograms.iter_mut().find(|m| m.name == h.name) {
                 Some(mine) => {
@@ -419,14 +383,6 @@ impl MetricsSnapshot {
                 last_prefix = p;
             }
             let _ = writeln!(out, "    {name:<32} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let p = prefix_of(name);
-            if p != last_prefix {
-                let _ = writeln!(out, "  [{p}]");
-                last_prefix = p;
-            }
-            let _ = writeln!(out, "    {name:<32} {v:.3}");
         }
         for h in &self.histograms {
             let p = prefix_of(&h.name);
@@ -472,18 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_max() {
-        let m = Metrics::new();
-        m.gauge_set("net.rate", 2.5);
-        m.gauge_set("net.rate", 1.5);
-        assert_eq!(m.gauge("net.rate"), Some(1.5));
-        m.gauge_max("net.peak", 10.0);
-        m.gauge_max("net.peak", 4.0);
-        assert_eq!(m.gauge("net.peak"), Some(10.0));
-        assert_eq!(m.gauge("absent"), None);
-    }
-
-    #[test]
     fn histogram_buckets_and_stats() {
         let m = Metrics::new();
         for v in [500, 5_000, 5_000_000, u64::MAX / 2] {
@@ -515,22 +459,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_and_maxes() {
+    fn merge_adds_counters_and_folds_histograms() {
         let a = Metrics::new();
         a.count("net.drops", 2);
-        a.gauge_max("net.peak", 5.0);
         a.observe_with("h", 10, &[100]);
         let b = Metrics::new();
         b.count("net.drops", 3);
         b.count("sched.quanta", 7);
-        b.gauge_max("net.peak", 9.0);
         b.observe_with("h", 1_000, &[100]);
 
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.counter("net.drops"), 5);
         assert_eq!(merged.counter("sched.quanta"), 7);
-        assert_eq!(merged.gauges[0].1, 9.0);
         let h = &merged.histograms[0];
         assert_eq!(h.count, 2);
         assert_eq!(h.buckets, vec![1, 1]);

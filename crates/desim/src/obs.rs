@@ -3,9 +3,8 @@
 //! Every [`crate::Simulation`] owns an [`Obs`]: a typed-event [`Tracer`]
 //! (disabled by default) plus an always-on [`Metrics`] registry.
 //! Instrumented code anywhere in the workspace calls the free functions
-//! in this module — [`emit`], [`count`], [`observe`], [`gauge_max`] —
-//! which resolve the current simulation through the executor's
-//! thread-local context.
+//! in this module — [`emit`], [`count`], [`observe`] — which resolve
+//! the current simulation through the executor's thread-local context.
 //!
 //! Two properties make these safe on hot paths:
 //!
@@ -130,16 +129,6 @@ pub fn histogram_handle(name: &str, bounds: &[u64]) -> HistogramHandle {
         .unwrap_or_else(|| HistogramHandle::detached(bounds))
 }
 
-/// Raise a high-water-mark gauge. No-op outside a simulation.
-pub fn gauge_max(name: &str, value: f64) {
-    try_with_current(|s| s.obs().metrics.gauge_max(name, value));
-}
-
-/// Set a gauge. No-op outside a simulation.
-pub fn gauge_set(name: &str, value: f64) {
-    try_with_current(|s| s.obs().metrics.gauge_set(name, value));
-}
-
 /// Open a causal span in the current simulation's span store.
 ///
 /// `f` returns `(track, lane, detail)` — the virtual host row, the
@@ -219,8 +208,6 @@ mod tests {
         emit(|| Event::PacketDrop { link: 1, bytes: 2 });
         count("net.drops", 1);
         observe("sched.quantum_ns", 5);
-        gauge_max("net.peak", 1.0);
-        gauge_set("net.rate", 2.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Synchronization primitives for simulation tasks.
 //!
-//! FIFO-fair semaphore (and a mutex built on it), a cyclic barrier, and a
-//! notification cell. Fairness matters for fidelity: the MicroGrid CPU
-//! scheduler is round-robin, and an unfair semaphore would starve processes
-//! and distort the quanta distributions of Fig 7.
+//! One primitive: a notification cell. Everything else a task shares with
+//! another goes through a channel ([`crate::channel`]) or plain `Rc` state
+//! mutated between await points, which the single-threaded executor makes
+//! race-free.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -11,278 +11,6 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct Waiter {
-    need: usize,
-    granted: bool,
-    waker: Option<Waker>,
-}
-
-struct SemState {
-    permits: usize,
-    waiters: VecDeque<Rc<RefCell<Waiter>>>,
-}
-
-impl SemState {
-    /// Hand permits to waiters at the queue head while they can be
-    /// satisfied (strict FIFO: a large request blocks later small ones).
-    fn grant(&mut self) {
-        while let Some(front) = self.waiters.front() {
-            let mut w = front.borrow_mut();
-            if w.granted {
-                // Already granted but not yet consumed; nothing more to do.
-                return;
-            }
-            if self.permits >= w.need {
-                self.permits -= w.need;
-                w.granted = true;
-                if let Some(wk) = w.waker.take() {
-                    wk.wake();
-                }
-                drop(w);
-                self.waiters.pop_front();
-            } else {
-                return;
-            }
-        }
-    }
-}
-
-/// A counting semaphore with strict FIFO wakeup order.
-#[derive(Clone)]
-pub struct Semaphore {
-    state: Rc<RefCell<SemState>>,
-}
-
-impl Semaphore {
-    /// Create a semaphore with `permits` initial permits.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            state: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-
-    /// Available (unclaimed) permits.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
-
-    /// Number of parked acquirers.
-    pub fn queue_len(&self) -> usize {
-        self.state.borrow().waiters.len()
-    }
-
-    /// Acquire one permit.
-    pub async fn acquire(&self) {
-        self.acquire_n(1).await;
-    }
-
-    /// Acquire `n` permits atomically (FIFO with respect to other
-    /// acquirers).
-    pub async fn acquire_n(&self, n: usize) {
-        let waiter = {
-            let mut s = self.state.borrow_mut();
-            if s.waiters.is_empty() && s.permits >= n {
-                s.permits -= n;
-                return;
-            }
-            let w = Rc::new(RefCell::new(Waiter {
-                need: n,
-                granted: false,
-                waker: None,
-            }));
-            s.waiters.push_back(w.clone());
-            w
-        };
-        AcquireFuture { waiter }.await;
-    }
-
-    /// Try to acquire one permit without waiting.
-    pub fn try_acquire(&self) -> bool {
-        let mut s = self.state.borrow_mut();
-        if s.waiters.is_empty() && s.permits >= 1 {
-            s.permits -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Return one permit.
-    pub fn release(&self) {
-        self.release_n(1);
-    }
-
-    /// Return `n` permits.
-    pub fn release_n(&self, n: usize) {
-        let mut s = self.state.borrow_mut();
-        s.permits += n;
-        s.grant();
-    }
-}
-
-struct AcquireFuture {
-    waiter: Rc<RefCell<Waiter>>,
-}
-
-impl Future for AcquireFuture {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut w = self.waiter.borrow_mut();
-        if w.granted {
-            Poll::Ready(())
-        } else {
-            w.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mutex
-// ---------------------------------------------------------------------------
-
-/// An async mutex with FIFO-fair handoff.
-pub struct SimMutex<T> {
-    sem: Semaphore,
-    value: Rc<RefCell<T>>,
-}
-
-impl<T> SimMutex<T> {
-    /// Wrap a value in a mutex.
-    pub fn new(value: T) -> Self {
-        SimMutex {
-            sem: Semaphore::new(1),
-            value: Rc::new(RefCell::new(value)),
-        }
-    }
-
-    /// Lock, parking until the mutex is free.
-    pub async fn lock(&self) -> SimMutexGuard<'_, T> {
-        self.sem.acquire().await;
-        SimMutexGuard { mutex: self }
-    }
-}
-
-impl<T> Clone for SimMutex<T> {
-    fn clone(&self) -> Self {
-        SimMutex {
-            sem: self.sem.clone(),
-            value: self.value.clone(),
-        }
-    }
-}
-
-/// RAII guard for [`SimMutex`]; access the value via [`SimMutexGuard::with`].
-pub struct SimMutexGuard<'a, T> {
-    mutex: &'a SimMutex<T>,
-}
-
-impl<T> SimMutexGuard<'_, T> {
-    /// Run a closure with mutable access to the protected value.
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.mutex.value.borrow_mut())
-    }
-}
-
-impl<T> Drop for SimMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        self.mutex.sem.release();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    n: usize,
-    arrived: usize,
-    generation: u64,
-    wakers: Vec<Waker>,
-}
-
-/// A cyclic barrier: `wait` parks until `n` tasks have arrived, then all
-/// proceed and the barrier resets for the next round.
-#[derive(Clone)]
-pub struct Barrier {
-    state: Rc<RefCell<BarrierState>>,
-}
-
-impl Barrier {
-    /// Create a barrier for `n` parties.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "barrier of zero parties");
-        Barrier {
-            state: Rc::new(RefCell::new(BarrierState {
-                n,
-                arrived: 0,
-                generation: 0,
-                wakers: Vec::new(),
-            })),
-        }
-    }
-
-    /// Arrive and wait for the rest. Returns `true` for exactly one task per
-    /// round (the "leader", the last to arrive).
-    pub async fn wait(&self) -> bool {
-        let (gen, leader) = {
-            let mut s = self.state.borrow_mut();
-            s.arrived += 1;
-            if s.arrived == s.n {
-                s.arrived = 0;
-                s.generation += 1;
-                for w in s.wakers.drain(..) {
-                    w.wake();
-                }
-                (s.generation, true)
-            } else {
-                (s.generation, false)
-            }
-        };
-        if leader {
-            return true;
-        }
-        BarrierWait {
-            state: self.state.clone(),
-            gen,
-        }
-        .await;
-        false
-    }
-}
-
-struct BarrierWait {
-    state: Rc<RefCell<BarrierState>>,
-    gen: u64,
-}
-
-impl Future for BarrierWait {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.state.borrow_mut();
-        if s.generation != self.gen {
-            Poll::Ready(())
-        } else {
-            s.wakers.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Notify
-// ---------------------------------------------------------------------------
 
 struct NotifyState {
     permit: bool,
@@ -383,208 +111,6 @@ mod tests {
     use super::*;
     use crate::executor::{now, sleep, spawn, Simulation};
     use crate::time::SimDuration;
-    use std::cell::Cell;
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let sem = Semaphore::new(2);
-            let active = Rc::new(Cell::new(0u32));
-            let peak = Rc::new(Cell::new(0u32));
-            let mut handles = Vec::new();
-            for _ in 0..6 {
-                let sem = sem.clone();
-                let active = active.clone();
-                let peak = peak.clone();
-                handles.push(spawn(async move {
-                    sem.acquire().await;
-                    active.set(active.get() + 1);
-                    peak.set(peak.get().max(active.get()));
-                    sleep(SimDuration::from_millis(1)).await;
-                    active.set(active.get() - 1);
-                    sem.release();
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            assert_eq!(peak.get(), 2);
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn semaphore_fifo_order() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let sem = Semaphore::new(0);
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut handles = Vec::new();
-            for i in 0..5 {
-                let sem = sem.clone();
-                let log = log.clone();
-                handles.push(spawn(async move {
-                    sem.acquire().await;
-                    log.borrow_mut().push(i);
-                }));
-            }
-            sleep(SimDuration::from_micros(1)).await;
-            for _ in 0..5 {
-                sem.release();
-                sleep(SimDuration::from_micros(1)).await;
-            }
-            for h in handles {
-                h.await;
-            }
-            assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn acquire_n_blocks_smaller_later_requests() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let sem = Semaphore::new(1);
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let l1 = log.clone();
-            let s1 = sem.clone();
-            let big = spawn(async move {
-                s1.acquire_n(3).await;
-                l1.borrow_mut().push("big");
-                s1.release_n(3);
-            });
-            sleep(SimDuration::from_micros(1)).await;
-            let l2 = log.clone();
-            let s2 = sem.clone();
-            let small = spawn(async move {
-                s2.acquire().await;
-                l2.borrow_mut().push("small");
-                s2.release();
-            });
-            sleep(SimDuration::from_micros(1)).await;
-            sem.release_n(2); // now 3 available -> big first, then small
-            big.await;
-            small.await;
-            assert_eq!(*log.borrow(), vec!["big", "small"]);
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn try_acquire_respects_queue() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let sem = Semaphore::new(1);
-            assert!(sem.try_acquire());
-            assert!(!sem.try_acquire());
-            sem.release();
-            assert!(sem.try_acquire());
-            sem.release();
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn mutex_exclusive() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let m = SimMutex::new(0u32);
-            let mut handles = Vec::new();
-            for _ in 0..10 {
-                let m = m.clone();
-                handles.push(spawn(async move {
-                    let g = m.lock().await;
-                    let v = g.with(|x| *x);
-                    sleep(SimDuration::from_micros(10)).await;
-                    g.with(|x| *x = v + 1);
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            let g = m.lock().await;
-            assert_eq!(g.with(|x| *x), 10);
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn barrier_synchronizes_rounds() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let barrier = Barrier::new(3);
-            let round_done = Rc::new(Cell::new([0u32; 3]));
-            let mut handles = Vec::new();
-            for p in 0..3usize {
-                let barrier = barrier.clone();
-                let rd = round_done.clone();
-                handles.push(spawn(async move {
-                    for round in 0..3usize {
-                        sleep(SimDuration::from_millis((p as u64 + 1) * 2)).await;
-                        barrier.wait().await;
-                        // Every party observes the same completed-round count.
-                        let mut arr = rd.get();
-                        arr[round] += 1;
-                        rd.set(arr);
-                    }
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            assert_eq!(round_done.get(), [3, 3, 3]);
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn barrier_leader_unique() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let barrier = Barrier::new(4);
-            let leaders = Rc::new(Cell::new(0u32));
-            let mut handles = Vec::new();
-            for p in 0..4u64 {
-                let barrier = barrier.clone();
-                let leaders = leaders.clone();
-                handles.push(spawn(async move {
-                    sleep(SimDuration::from_micros(p)).await;
-                    if barrier.wait().await {
-                        leaders.set(leaders.get() + 1);
-                    }
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            assert_eq!(leaders.get(), 1);
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn barrier_waits_for_slowest() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let barrier = Barrier::new(2);
-            let b = barrier.clone();
-            let fast = spawn(async move {
-                b.wait().await;
-                now()
-            });
-            let b = barrier.clone();
-            let slow = spawn(async move {
-                sleep(SimDuration::from_millis(50)).await;
-                b.wait().await;
-                now()
-            });
-            assert_eq!(fast.await.as_millis(), 50);
-            assert_eq!(slow.await.as_millis(), 50);
-        });
-        sim.run_to_completion();
-    }
 
     #[test]
     fn notify_banked_permit() {

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use mgrid_desim::channel::channel;
-use mgrid_desim::sync::Semaphore;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::{sleep, spawn, with_rng, Simulation};
 
@@ -68,41 +67,6 @@ proptest! {
             let seq: Vec<usize> = received.iter().filter(|(q, _)| *q == p).map(|(_, i)| *i).collect();
             prop_assert_eq!(seq, (0..count).collect::<Vec<_>>());
         }
-    }
-
-    /// Semaphore: concurrency never exceeds the permit count, and all
-    /// acquirers eventually complete.
-    #[test]
-    fn semaphore_never_oversubscribed(
-        permits in 1usize..5,
-        tasks in 1usize..25,
-        hold_ns in 1u64..10_000,
-    ) {
-        let mut sim = Simulation::new(4);
-        let peak = sim.block_on(async move {
-            let sem = Semaphore::new(permits);
-            let active = std::rc::Rc::new(std::cell::Cell::new(0usize));
-            let peak = std::rc::Rc::new(std::cell::Cell::new(0usize));
-            let mut handles = Vec::new();
-            for _ in 0..tasks {
-                let sem = sem.clone();
-                let active = active.clone();
-                let peak = peak.clone();
-                handles.push(spawn(async move {
-                    sem.acquire().await;
-                    active.set(active.get() + 1);
-                    peak.set(peak.get().max(active.get()));
-                    sleep(SimDuration::from_nanos(hold_ns)).await;
-                    active.set(active.get() - 1);
-                    sem.release();
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            peak.get()
-        });
-        prop_assert!(peak <= permits, "peak {peak} > permits {permits}");
     }
 
     /// RNG `below(n)` is always in range and `shuffle` permutes.

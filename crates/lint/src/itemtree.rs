@@ -15,10 +15,6 @@
 //!   `local name → full path` map, including grouped imports
 //!   (`use a::{b, c as d}`) and glob prefixes. Rules look identifiers
 //!   up here first, so aliased imports are no longer invisible.
-//! * **Atomic ops** — the span, receiver field, method and memory
-//!   orderings of every `load`/`store`/`swap`/`fetch_*`/
-//!   `compare_exchange` call that names an `Ordering::*`, feeding the
-//!   MG006 cross-file pairing audit.
 //! * **Hash declarations** — names (struct fields, `let` bindings, fn
 //!   parameters) declared with a hash-container type, feeding the MG007
 //!   unordered-iteration rule with cross-file knowledge of what `procs`
@@ -107,24 +103,6 @@ impl UseTable {
     }
 }
 
-/// One atomic operation naming at least one `Ordering::*`.
-#[derive(Debug, Clone)]
-pub struct AtomicOp {
-    /// Token index of the method identifier.
-    pub tok: usize,
-    /// 1-based source line.
-    pub line: u32,
-    /// Receiver base name: the last field/binding identifier of the
-    /// receiver chain (`exchange.mins[p][s].store(..)` → `mins`).
-    pub field: String,
-    /// Method name (`load`, `store`, `swap`, `fetch_add`, ...).
-    pub method: String,
-    /// Memory orderings named in the argument list, in order.
-    pub orderings: Vec<String>,
-    /// True when the op sits inside `#[cfg(test)]` code.
-    pub cfg_test: bool,
-}
-
 /// A name declared with a recognized container type — struct field,
 /// `let` binding or parameter. Hash-container declarations feed MG007's
 /// crate-wide name set; sequential/ordered ones (`Vec`, `BTreeMap`, ...)
@@ -155,8 +133,6 @@ pub struct ItemTree {
     pub uses: UseTable,
     /// Token-index ranges `[start, end)` of `use` declarations.
     pub use_ranges: Vec<(usize, usize)>,
-    /// Every atomic op naming an `Ordering::*`.
-    pub atomics: Vec<AtomicOp>,
     /// Names declared with recognized container types.
     pub decls: Vec<Decl>,
     /// Per token index: inside a `#[cfg(test)]` item.
@@ -164,27 +140,6 @@ pub struct ItemTree {
     /// Per token index: inside a `use` declaration.
     pub in_use: Vec<bool>,
 }
-
-/// Methods that take a memory ordering argument.
-const ATOMIC_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_nand",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-];
-
-/// The five memory orderings.
-const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// Hash-container type names (pre-alias-resolution targets).
 pub const HASH_CONTAINERS: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
@@ -217,7 +172,6 @@ pub fn build(toks: &[Token]) -> ItemTree {
         ..ItemTree::default()
     };
     parse_items(toks, 0, toks.len(), 0, false, &mut tree);
-    collect_atomics(toks, &mut tree);
     collect_decls(toks, &mut tree);
     tree
 }
@@ -712,43 +666,6 @@ fn match_back(toks: &[Token], at: usize, open: char, close: char) -> Option<usiz
     }
 }
 
-/// Collect every atomic op that names an `Ordering::*` in its args.
-fn collect_atomics(toks: &[Token], tree: &mut ItemTree) {
-    for i in 0..toks.len() {
-        let Some(m) = ident(toks, i) else { continue };
-        if !ATOMIC_METHODS.contains(&m) {
-            continue;
-        }
-        if i == 0 || !matches!(toks[i - 1].tok, Tok::Punct('.')) {
-            continue;
-        }
-        if !punct(toks, i + 1, '(') {
-            continue;
-        }
-        let call_end = skip_balanced(toks, i + 1, toks.len(), '(', ')');
-        let mut orderings = Vec::new();
-        for k in i + 2..call_end.saturating_sub(1) {
-            if let Some(o) = ident(toks, k) {
-                if ORDERINGS.contains(&o) {
-                    orderings.push(o.to_string());
-                }
-            }
-        }
-        if orderings.is_empty() {
-            continue; // not an atomic op (or ordering passed indirectly)
-        }
-        let field = receiver_base(toks, i - 1).unwrap_or_default();
-        tree.atomics.push(AtomicOp {
-            tok: i,
-            line: toks[i].line,
-            field,
-            method: m.to_string(),
-            orderings,
-            cfg_test: tree.in_test.get(i).copied().unwrap_or(false),
-        });
-    }
-}
-
 /// Collect names declared with recognized container types: `name:
 /// [&]Path<...>`
 /// annotations (fields, lets, params) and `let name = Path::new()` /
@@ -895,23 +812,6 @@ mod tests {
         assert!(tests.cfg_test);
         let f = t.items.iter().find(|i| i.name == "f").unwrap();
         assert!(!f.cfg_test);
-        assert!(t.atomics.iter().all(|a| a.cfg_test));
-    }
-
-    #[test]
-    fn atomic_ops_record_field_method_and_orderings() {
-        let t = tree_of(
-            "fn f() {\n    bank.min_time.store(v, Ordering::Release);\n    \
-             let x = self.banks[p & 1].min_time.load(Ordering::Acquire);\n    \
-             c.compare_exchange(a, b, Ordering::AcqRel, Ordering::Acquire);\n}\n",
-        );
-        assert_eq!(t.atomics.len(), 3);
-        assert_eq!(t.atomics[0].field, "min_time");
-        assert_eq!(t.atomics[0].method, "store");
-        assert_eq!(t.atomics[0].orderings, vec!["Release"]);
-        assert_eq!(t.atomics[1].field, "min_time");
-        assert_eq!(t.atomics[1].line, 3);
-        assert_eq!(t.atomics[2].orderings, vec!["AcqRel", "Acquire"]);
     }
 
     #[test]

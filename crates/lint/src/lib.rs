@@ -15,8 +15,8 @@
 //! * **MG003** — no ambient randomness (RNGs are seed-threaded)
 //! * **MG004** — every `unsafe` carries a `// SAFETY:` justification
 //! * **MG005** — no OS threads/locks in the deterministic executor path
-//! * **MG006** — every atomic memory ordering sits in a compatible,
-//!   crate-wide acquire/release pair or carries an `// ORDERING:` note
+//! * **MG006** — no `std::sync::atomic` in sim crates (a simulation is
+//!   single-threaded)
 //! * **MG007** — hash-container iteration never drives scheduling,
 //!   traces, or serialized output
 //! * **MG008** — no float construction/scaling or NaN-capable
@@ -28,12 +28,11 @@
 //! Since the v2 analyzer, scanning is two-phase. **Phase 1**
 //! ([`itemtree`]) lexes each file ([`lexer`]) and builds a lightweight
 //! item tree: brace-matched items with `#[cfg(test)]` spans, a
-//! `use`-resolution table (aliased imports are visible), atomic-op spans
-//! and hash-container declarations. **Phase 2** ([`rules`]) groups the
+//! `use`-resolution table (aliased imports are visible) and
+//! hash-container declarations. **Phase 2** ([`rules`]) groups the
 //! files by crate, unions each crate's phase-1 facts into a
-//! [`rules::CrateContext`], and runs the rules — so a `Release` store in
-//! one file pairs with an `Acquire` load in another, and a map declared
-//! in `types.rs` is recognized when iterated in `kernel.rs`.
+//! [`rules::CrateContext`], and runs the rules — so a map declared in
+//! `types.rs` is recognized when iterated in `kernel.rs`.
 //!
 //! There is still no full parser: the workspace builds against vendored
 //! dependency stubs only, so `syn` is unavailable — and the rules need
@@ -41,15 +40,13 @@
 //! type checking.
 //!
 //! Run it as `cargo run -p mgrid-lint` (or `just lint`); configuration
-//! lives in `mgrid-lint.toml` at the workspace root. `--fix` previews
-//! mechanical rewrites ([`fix`]); a [`baseline`] file lets new rules
-//! land deny-by-default over accepted legacy findings.
+//! lives in `mgrid-lint.toml` at the workspace root; a [`baseline`] file
+//! lets new rules land deny-by-default over accepted legacy findings.
 
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod config;
-pub mod fix;
 pub mod itemtree;
 pub mod lexer;
 pub mod report;
@@ -72,57 +69,34 @@ pub struct ScanResult {
     pub files_scanned: usize,
 }
 
-/// A fully analyzed workspace: phase-1 analyses plus phase-2 findings.
-/// `--fix` needs the analyses; plain linting only the [`ScanResult`].
-#[derive(Default)]
-pub struct Workspace {
-    /// Phase-1 analysis of every scanned file, in path order.
-    pub analyses: Vec<FileAnalysis>,
-    /// Phase-2 findings, ordered by path then line.
-    pub findings: Vec<Finding>,
-}
-
-impl Workspace {
-    /// Collapse into the plain scan result.
-    pub fn into_scan_result(self) -> ScanResult {
-        ScanResult {
-            files_scanned: self.analyses.len(),
-            findings: self.findings,
-        }
-    }
-}
-
-/// Analyze every workspace `.rs` file under `root` (excluding the
-/// config's `exclude` prefixes): phase 1 per file, then phase 2 per
-/// crate with cross-file context.
-pub fn analyze_workspace(root: &Path, config: &Config) -> std::io::Result<Workspace> {
+/// Scan every workspace `.rs` file under `root` (excluding the config's
+/// `exclude` prefixes): phase 1 per file, then phase 2 per crate with
+/// cross-file context.
+pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<ScanResult> {
     let mut files = Vec::new();
     collect_rs_files(root, root, config, &mut files)?;
     files.sort(); // deterministic report order, independent of readdir
-    let mut ws = Workspace::default();
+    let mut analyses = Vec::new();
     for rel in files {
         let src = std::fs::read_to_string(root.join(&rel))?;
         let crate_name = crate_of(&rel);
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        ws.analyses.push(rules::analyze(&rel_str, crate_name, &src));
+        analyses.push(rules::analyze(&rel_str, crate_name, &src));
     }
     // Group by crate, preserving path order inside each group.
     let mut by_crate: BTreeMap<&str, Vec<&FileAnalysis>> = BTreeMap::new();
-    for fa in &ws.analyses {
+    for fa in &analyses {
         by_crate.entry(fa.crate_name.as_str()).or_default().push(fa);
     }
+    let mut findings = Vec::new();
     for group in by_crate.values() {
-        ws.findings.extend(rules::lint_crate(group, config));
+        findings.extend(rules::lint_crate(group, config));
     }
-    ws.findings
-        .sort_by(|a, b| (&a.path, a.line, a.code).cmp(&(&b.path, b.line, b.code)));
-    Ok(ws)
-}
-
-/// Scan every workspace `.rs` file under `root` and apply the rules per
-/// crate (convenience wrapper over [`analyze_workspace`]).
-pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<ScanResult> {
-    Ok(analyze_workspace(root, config)?.into_scan_result())
+    findings.sort_by(|a, b| (&a.path, a.line, a.code).cmp(&(&b.path, b.line, b.code)));
+    Ok(ScanResult {
+        findings,
+        files_scanned: analyses.len(),
+    })
 }
 
 /// Which crate a workspace-relative path belongs to: `crates/<name>/...`

@@ -3,20 +3,17 @@
 //! ```text
 //! mgrid-lint [--root DIR] [--format human|json] [--config FILE]
 //!            [--baseline FILE | --no-baseline] [--write-baseline]
-//!            [--fix [--write]]
 //! ```
 //!
 //! Exits 0 when the tree is clean, 1 on findings, 2 on usage or I/O
 //! errors — so CI can gate on it directly. A baseline (from `--baseline`
 //! or the config's `baseline` key) suppresses accepted legacy findings;
 //! `--write-baseline` regenerates the file from the current scan.
-//! `--fix` prints a dry-run diff of the mechanical rewrites; add
-//! `--write` to apply them.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mgrid_lint::{analyze_workspace, fix, render, Baseline, Config, Format};
+use mgrid_lint::{lint_workspace, render, Baseline, Config, Format};
 
 fn main() -> ExitCode {
     match run() {
@@ -41,8 +38,6 @@ fn run() -> Result<bool, String> {
     let mut baseline_path: Option<PathBuf> = None;
     let mut no_baseline = false;
     let mut write_baseline = false;
-    let mut do_fix = false;
-    let mut do_write = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -65,20 +60,15 @@ fn run() -> Result<bool, String> {
             }
             "--no-baseline" => no_baseline = true,
             "--write-baseline" => write_baseline = true,
-            "--fix" => do_fix = true,
-            "--write" => do_write = true,
             "--help" | "-h" => {
                 println!(
                     "mgrid-lint: determinism & safety static analysis for MicroGrid-rs\n\n\
                      USAGE: mgrid-lint [--root DIR] [--format human|json] [--config FILE]\n\
-                     \u{20}                 [--baseline FILE | --no-baseline] [--write-baseline]\n\
-                     \u{20}                 [--fix [--write]]\n\n\
+                     \u{20}                 [--baseline FILE | --no-baseline] [--write-baseline]\n\n\
                      --baseline FILE   suppress findings accepted in FILE (default: the\n\
                      \u{20}                 config's `baseline` key, if set)\n\
                      --no-baseline     ignore any configured baseline\n\
-                     --write-baseline  regenerate the baseline from this scan and exit 0\n\
-                     --fix             print a dry-run diff of mechanical rewrites\n\
-                     --write           with --fix: apply the rewrites in place\n\n\
+                     --write-baseline  regenerate the baseline from this scan and exit 0\n\n\
                      Exit status: 0 clean, 1 findings, 2 error.\n\
                      Rule catalog: docs/LINTS.md; config: mgrid-lint.toml."
                 );
@@ -86,9 +76,6 @@ fn run() -> Result<bool, String> {
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
-    }
-    if do_write && !do_fix {
-        return Err("--write only makes sense with --fix".into());
     }
     if no_baseline && baseline_path.is_some() {
         return Err("--no-baseline conflicts with --baseline".into());
@@ -107,9 +94,9 @@ fn run() -> Result<bool, String> {
         None => Config::load(&root).map_err(|e| e.to_string())?,
     };
 
-    let ws = analyze_workspace(&root, &config).map_err(|e| format!("scanning workspace: {e}"))?;
-    let mut findings = ws.findings.clone();
-    let files_scanned = ws.analyses.len();
+    let scan = lint_workspace(&root, &config).map_err(|e| format!("scanning workspace: {e}"))?;
+    let mut findings = scan.findings;
+    let files_scanned = scan.files_scanned;
 
     // Resolve the baseline: CLI flag beats config key; --no-baseline
     // beats both. Paths are workspace-relative unless absolute.
@@ -149,32 +136,6 @@ fn run() -> Result<bool, String> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(format!("reading {}: {e}", p.display())),
         }
-    }
-
-    if do_fix {
-        let plan = fix::plan_fixes(&ws.analyses, &findings);
-        print!("{}", fix::render_diff(&plan));
-        for f in &plan.unfixable {
-            eprintln!("mgrid-lint: not auto-fixable: {f}");
-        }
-        if do_write {
-            for file in &plan.files {
-                let p = root.join(&file.path);
-                std::fs::write(&p, file.new_src())
-                    .map_err(|e| format!("writing {}: {e}", p.display()))?;
-            }
-            eprintln!(
-                "mgrid-lint: fixed {} finding(s) in {} file(s)",
-                plan.fixed,
-                plan.files.len()
-            );
-        } else if plan.fixed > 0 {
-            eprintln!(
-                "mgrid-lint: dry run — {} finding(s) fixable; re-run with --fix --write to apply",
-                plan.fixed
-            );
-        }
-        return Ok(findings.is_empty());
     }
 
     print!("{}", render(&findings, files_scanned, suppressed, format));

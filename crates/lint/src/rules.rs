@@ -8,7 +8,7 @@
 //! | MG003 | seed-threaded RNGs: no `thread_rng`/`rand::random`/`OsRng`      |
 //! | MG004 | auditable unsafety: every `unsafe` has a `// SAFETY:` comment   |
 //! | MG005 | single-threaded determinism: no `thread::spawn`/`Mutex`         |
-//! | MG006 | memory-ordering audit: paired/annotated atomics only            |
+//! | MG006 | single-threaded sim crates: no `std::sync::atomic` at all       |
 //! | MG007 | unordered iteration: hash containers never drive output order   |
 //! | MG008 | virtual-time float hazards: no float math/NaN compares on time  |
 //! | MG009 | unbounded growth: loop pushes into fields need a drain          |
@@ -16,18 +16,14 @@
 //! Phase 1 ([`crate::itemtree`]) builds the per-file structure; this
 //! module is phase 2. Identifier checks resolve through the file's `use`
 //! table first, so `use std::collections::HashMap as Map; Map::new()` is
-//! just as visible as the spelled-out form, and MG006/MG007 consult a
-//! [`CrateContext`] built from *every* file of the crate, so a store in
-//! one module can pair with a load in another and a map declared in one
-//! module is recognized when iterated in another.
+//! just as visible as the spelled-out form, and MG007 consults a
+//! [`CrateContext`] built from *every* file of the crate, so a map
+//! declared in one module is recognized when iterated in another.
 //!
 //! Code inside `#[cfg(test)]` items is exempt from every rule: tests may
 //! time themselves and allocate scratch maps freely. A finding on line
 //! `N` can be suppressed by `// mgrid-lint: allow(MGxxx) reason` on line
-//! `N` or `N-1`; the reason is mandatory (MG000 otherwise). MG006
-//! findings are alternatively discharged by a `// ORDERING: <reason>`
-//! comment at the site — the same comment that documents the pairing for
-//! human readers.
+//! `N` or `N-1`; the reason is mandatory (MG000 otherwise).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,9 +37,8 @@ pub const KNOWN_CODES: &[&str] = &[
     "MG000", "MG001", "MG002", "MG003", "MG004", "MG005", "MG006", "MG007", "MG008", "MG009",
 ];
 
-/// How far above a site a justifying comment (`// SAFETY:` for MG004,
-/// `// ORDERING:` for MG006) may start, in lines of contiguous
-/// comment/attribute.
+/// How far above an `unsafe` its `// SAFETY:` comment (MG004) may
+/// start, in lines of contiguous comment/attribute.
 const JUSTIFICATION_SEARCH_LINES: u32 = 30;
 
 /// Iteration methods whose order reflects the hasher (MG007).
@@ -79,6 +74,26 @@ const SORT_FAMILY: &[&str] = &[
     "sort_unstable_by_key",
 ];
 
+/// The `std::sync::atomic` types (MG006).
+const ATOMIC_TYPES: &[&str] = &[
+    "AtomicBool",
+    "AtomicI8",
+    "AtomicI16",
+    "AtomicI32",
+    "AtomicI64",
+    "AtomicIsize",
+    "AtomicU8",
+    "AtomicU16",
+    "AtomicU32",
+    "AtomicU64",
+    "AtomicUsize",
+    "AtomicPtr",
+];
+
+/// The five atomic memory orderings; `Ordering::` followed by anything
+/// else is `std::cmp::Ordering` (MG006).
+const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+
 /// Methods that shrink a container (MG009 drain evidence).
 const DRAIN_METHODS: &[&str] = &[
     "pop",
@@ -99,7 +114,7 @@ pub struct FileAnalysis {
     pub path: String,
     /// Owning crate (selects which rules apply).
     pub crate_name: String,
-    /// The file's source text (kept for `--fix`).
+    /// The file's source text.
     pub src: String,
     /// Token/comment streams.
     pub lexed: Lexed,
@@ -120,15 +135,11 @@ pub fn analyze(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
     }
 }
 
-/// Cross-file facts about one crate, consulted by MG006/MG007.
+/// Cross-file facts about one crate, consulted by MG007.
 #[derive(Debug, Default)]
 pub struct CrateContext {
     /// Names declared (anywhere in the crate) with a hash-container type.
     pub hash_names: BTreeSet<String>,
-    /// Atomic fields with an acquire-side reader outside tests.
-    pub acquire_fields: BTreeSet<String>,
-    /// Atomic fields with a release-side writer outside tests.
-    pub release_fields: BTreeSet<String>,
 }
 
 impl CrateContext {
@@ -141,35 +152,9 @@ impl CrateContext {
                     ctx.hash_names.insert(d.name.clone());
                 }
             }
-            for op in &fa.tree.atomics {
-                if op.cfg_test || op.field.is_empty() {
-                    continue;
-                }
-                let (acq, rel) = op_sides(op);
-                if acq {
-                    ctx.acquire_fields.insert(op.field.clone());
-                }
-                if rel {
-                    ctx.release_fields.insert(op.field.clone());
-                }
-            }
         }
         ctx
     }
-}
-
-/// Which happens-before sides an op provides: (acquire, release).
-/// `SeqCst` counts as both; a pure `Relaxed` op provides neither.
-fn op_sides(op: &itemtree::AtomicOp) -> (bool, bool) {
-    let has = |o: &str| op.orderings.iter().any(|x| x == o);
-    let seq = has("SeqCst");
-    let acqrel = has("AcqRel");
-    let is_load_side = op.method != "store";
-    let is_store_side = op.method != "load";
-    (
-        is_load_side && (has("Acquire") || acqrel || seq),
-        is_store_side && (has("Release") || acqrel || seq),
-    )
 }
 
 /// Lint every file of one crate with shared [`CrateContext`].
@@ -196,7 +181,6 @@ struct LineFlags {
     first_is_hash: bool,
     has_comment: bool,
     safety: bool,
-    ordering: bool,
 }
 
 struct Suppression {
@@ -228,9 +212,6 @@ fn lint_file(fa: &FileAnalysis, ctx: &CrateContext, config: &Config) -> Vec<Find
                 f.has_comment = true;
                 if c.text.contains("SAFETY:") {
                     f.safety = true;
-                }
-                if c.text.contains("ORDERING:") {
-                    f.ordering = true;
                 }
             }
         }
@@ -314,10 +295,9 @@ fn lint_file(fa: &FileAnalysis, ctx: &CrateContext, config: &Config) -> Vec<Find
         }
     };
     let n = toks.len();
+    let mut mg006_line = 0u32;
     for i in 0..n {
-        if tree.in_test.get(i).copied().unwrap_or(false)
-            || tree.in_use.get(i).copied().unwrap_or(false)
-        {
+        if tree.in_test.get(i).copied().unwrap_or(false) {
             continue;
         }
         let Tok::Ident(id) = &toks[i].tok else {
@@ -327,6 +307,17 @@ fn lint_file(fa: &FileAnalysis, ctx: &CrateContext, config: &Config) -> Vec<Find
         // Resolve through the use table: an aliased import is checked
         // under the name it actually refers to.
         let base = tree.uses.base_name(id);
+        // MG006 reads `use` declarations too: `atomic::` catches every
+        // import form (plain, grouped, glob) and every qualified path.
+        if enabled("MG006") && line != mg006_line && names_an_atomic(toks, i, base) {
+            mg006_line = line;
+            push(&mut findings, "MG006", path, line, format!(
+                "`{base}` from `std::sync::atomic` in a sim crate — a simulation runs on one thread and shares nothing across threads; use `Cell`/`RefCell`"
+            ));
+        }
+        if tree.in_use.get(i).copied().unwrap_or(false) {
+            continue;
+        }
         match base {
             "Instant" | "SystemTime" if enabled("MG001") && path_call(toks, i, "now") => {
                 push(&mut findings, "MG001", path, line, format!(
@@ -364,7 +355,7 @@ fn lint_file(fa: &FileAnalysis, ctx: &CrateContext, config: &Config) -> Vec<Find
                     "ambient randomness `rand::random` — RNGs must be seed-threaded (`mgrid_desim::SimRng`)".into(),
                 );
             }
-            "unsafe" if enabled("MG004") && !justified(&flags, line, |f| f.safety) => {
+            "unsafe" if enabled("MG004") && !has_safety_comment(&flags, line) => {
                 push(
                     &mut findings,
                     "MG004",
@@ -430,10 +421,6 @@ fn lint_file(fa: &FileAnalysis, ctx: &CrateContext, config: &Config) -> Vec<Find
         }
     }
 
-    if enabled("MG006") {
-        mg006(&mut findings, path, tree, ctx, &flags);
-    }
-
     // Apply suppressions, then report reason-less ones that matched.
     let mut used_without_reason: Vec<u32> = Vec::new();
     findings.retain(|f| {
@@ -472,75 +459,20 @@ fn from_std_collections(path: &str) -> bool {
     !path.contains("Fx")
 }
 
-/// MG006: audit the file's atomic ops against the crate-wide pairing
-/// evidence. An op discharges a finding with a `// ORDERING:` comment on
-/// its line or the contiguous comment block above.
-fn mg006(
-    findings: &mut Vec<Finding>,
-    path: &str,
-    tree: &ItemTree,
-    ctx: &CrateContext,
-    flags: &[LineFlags],
-) {
-    for op in &tree.atomics {
-        if op.cfg_test {
-            continue;
+/// MG006: does the identifier at `i` (use-resolved to `base`) name
+/// something from `std::sync::atomic` — the module path itself, one of
+/// its types, or one of its memory orderings?
+fn names_an_atomic(toks: &[Token], i: usize, base: &str) -> bool {
+    match base {
+        // `atomic::…` anywhere, or a bare `use std::sync::atomic;`.
+        "atomic" => {
+            matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::PathSep))
+                || (i >= 2
+                    && matches!(toks[i - 1].tok, Tok::PathSep)
+                    && matches!(&toks[i - 2].tok, Tok::Ident(s) if s == "sync"))
         }
-        let annotated = justified(flags, op.line, |f| f.ordering);
-        let has = |o: &str| op.orderings.iter().any(|x| x == o);
-        // Statically invalid orderings first: these are bugs regardless
-        // of annotation.
-        if op.method == "load" && (has("Release") || has("AcqRel")) {
-            push(
-                findings,
-                "MG006",
-                path,
-                op.line,
-                format!(
-                    "`load` with a release ordering on `{}` is statically invalid",
-                    op.field
-                ),
-            );
-            continue;
-        }
-        if op.method == "store" && (has("Acquire") || has("AcqRel")) {
-            push(
-                findings,
-                "MG006",
-                path,
-                op.line,
-                format!(
-                    "`store` with an acquire ordering on `{}` is statically invalid",
-                    op.field
-                ),
-            );
-            continue;
-        }
-        if annotated {
-            continue;
-        }
-        if has("Relaxed") && !has("Acquire") && !has("Release") && !has("AcqRel") && !has("SeqCst")
-        {
-            push(findings, "MG006", path, op.line, format!(
-                "`Ordering::Relaxed` on `{}` — a relaxed op publishes nothing across threads; annotate `// ORDERING: <why relaxed is sound>` or strengthen it",
-                op.field
-            ));
-            continue;
-        }
-        let (acq, rel) = op_sides(op);
-        let seq = has("SeqCst");
-        if acq && !seq && !ctx.release_fields.contains(&op.field) {
-            push(findings, "MG006", path, op.line, format!(
-                "acquire-side `{}` on `{}` has no release-side writer anywhere in this crate — annotate `// ORDERING: <what it pairs with>` or fix the pair",
-                op.method, op.field
-            ));
-        }
-        if rel && !seq && !ctx.acquire_fields.contains(&op.field) {
-            push(findings, "MG006", path, op.line, format!(
-                "release-side `{}` on `{}` has no acquire-side reader anywhere in this crate — annotate `// ORDERING: <what it pairs with>` or fix the pair",
-                op.method, op.field
-            ));
-        }
+        "Ordering" => ATOMIC_ORDERINGS.iter().any(|o| path_call(toks, i, o)),
+        _ => ATOMIC_TYPES.contains(&base),
     }
 }
 
@@ -983,10 +915,10 @@ fn explicit_generic_args(toks: &[Token], mut j: usize) -> Option<usize> {
 }
 
 /// Walk upward from the line above `line` through comments and
-/// attributes looking for a line where `which` is set (same-line
-/// comments count too). Shared by the `SAFETY:` and `ORDERING:` checks.
-fn justified(flags: &[LineFlags], line: u32, which: impl Fn(&LineFlags) -> bool) -> bool {
-    if flags.get(line as usize).map(&which).unwrap_or(false) {
+/// attributes looking for a `SAFETY:` comment (same-line comments count
+/// too).
+fn has_safety_comment(flags: &[LineFlags], line: u32) -> bool {
+    if flags.get(line as usize).is_some_and(|f| f.safety) {
         return true;
     }
     let stop = line.saturating_sub(JUSTIFICATION_SEARCH_LINES);
@@ -995,7 +927,7 @@ fn justified(flags: &[LineFlags], line: u32, which: impl Fn(&LineFlags) -> bool)
         let Some(f) = flags.get(l as usize) else {
             return false;
         };
-        if which(f) {
+        if f.safety {
             return true;
         }
         let continue_up = (f.has_code && f.first_is_hash) || (!f.has_code && f.has_comment);
@@ -1154,7 +1086,7 @@ mod tests {
         assert_eq!(codes("let m = Mutex::new(0);"), vec![("MG005", 1)]);
         assert_eq!(codes("use std::sync::Mutex;"), vec![("MG005", 1)]);
         // Our own primitives and thread-id reads are fine.
-        assert!(codes("let m = SimMutex::new(0);").is_empty());
+        assert!(codes("let n = Notify::new();").is_empty());
         assert!(codes("let id = std::thread::current().id();").is_empty());
     }
 
@@ -1218,53 +1150,53 @@ mod tests {
     // ----- MG006 -------------------------------------------------------
 
     #[test]
-    fn relaxed_without_annotation_flagged() {
-        let src = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-        assert_eq!(codes(src), vec![("MG006", 1)]);
+    fn every_atomic_ordering_is_flagged_paired_or_not() {
+        // Relaxed, an unpaired Acquire, a statically invalid
+        // load-with-Release — and the pairs and SeqCst the old pairing
+        // audit let through.
+        let src = "fn f(c: &C) { c.n.fetch_add(1, Ordering::Relaxed); }\n\
+                   fn r(s: &S) -> u64 { s.min_time.load(Ordering::Acquire) }\n\
+                   fn i(s: &S) -> u64 { s.min_time.load(Ordering::Release) }\n\
+                   fn w(s: &S) { s.min_time.store(1, Ordering::Release); }\n\
+                   fn t(s: &S) { s.buf.swap(p, Ordering::AcqRel); }\n\
+                   fn q(a: &A) { a.flag.store(true, Ordering::SeqCst); }\n";
+        let want: Vec<_> = (1..=6).map(|l| ("MG006", l)).collect();
+        assert_eq!(codes(src), want);
     }
 
     #[test]
-    fn relaxed_with_ordering_comment_is_fine() {
-        let src = "fn f(c: &AtomicU64) {\n    // ORDERING: pure statistics counter; the scope join publishes it.\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
+    fn ordering_comment_no_longer_discharges_an_atomic() {
+        let src = "fn f(c: &C) {\n    // ORDERING: pure statistics counter.\n    c.n.fetch_add(1, Ordering::Relaxed);\n}\n";
+        assert_eq!(codes(src), vec![("MG006", 3)]);
+        let src = "fn f(c: &C) {\n    // mgrid-lint: allow(MG006) statistics shared with a host-side sampler thread\n    c.n.fetch_add(1, Ordering::Relaxed);\n}\n";
         assert!(codes(src).is_empty());
     }
 
     #[test]
-    fn paired_acquire_release_is_fine_across_functions() {
-        let src = "fn w(s: &S) { s.min_time.store(1, Ordering::Release); }\n\
-                   fn r(s: &S) -> u64 { s.min_time.load(Ordering::Acquire) }\n";
-        assert!(codes(src).is_empty());
+    fn atomic_imports_and_types_flagged_once_per_line() {
+        assert_eq!(
+            codes("use std::sync::atomic::{AtomicU64, Ordering};\n"),
+            vec![("MG006", 1)]
+        );
+        assert_eq!(
+            codes("use std::sync::{atomic::AtomicBool, Arc};\n"),
+            vec![("MG006", 1)]
+        );
+        assert_eq!(codes("use std::sync::atomic::*;\n"), vec![("MG006", 1)]);
+        assert_eq!(codes("use std::sync::atomic;\n"), vec![("MG006", 1)]);
+        assert_eq!(
+            codes("static N: AtomicU64 = AtomicU64::new(0);\n"),
+            vec![("MG006", 1)]
+        );
+        // An alias hides nothing.
+        let src = "use std::sync::atomic::AtomicUsize as Count;\nstruct S { n: Count }\n";
+        assert_eq!(codes(src), vec![("MG006", 1), ("MG006", 2)]);
     }
 
     #[test]
-    fn unpaired_acquire_flagged() {
-        let src = "fn r(s: &S) -> u64 { s.min_time.load(Ordering::Acquire) }\n";
-        assert_eq!(codes(src), vec![("MG006", 1)]);
-    }
-
-    #[test]
-    fn unpaired_release_flagged() {
-        let src = "fn w(s: &S) { s.min_time.store(1, Ordering::Release); }\n";
-        assert_eq!(codes(src), vec![("MG006", 1)]);
-    }
-
-    #[test]
-    fn acqrel_rmw_self_pairs() {
-        let src = "fn t(s: &S) { s.buf.swap(p, Ordering::AcqRel); }\n";
-        assert!(codes(src).is_empty());
-    }
-
-    #[test]
-    fn invalid_orderings_flagged_even_with_annotation() {
-        let src = "// ORDERING: wrong anyway\nfn f(a: &AtomicU64) { a.load(Ordering::Release); }\n";
-        assert_eq!(codes(src), vec![("MG006", 2)]);
-        let src2 = "fn f(a: &AtomicU64) { a.store(1, Ordering::Acquire); }\n";
-        assert_eq!(codes(src2), vec![("MG006", 1)]);
-    }
-
-    #[test]
-    fn seqcst_needs_no_pairing() {
-        let src = "fn f(a: &AtomicBool) { a.store(true, Ordering::SeqCst); }\n";
+    fn cmp_ordering_is_not_an_atomic_ordering() {
+        let src =
+            "use std::cmp::Ordering;\nfn f(a: u8, b: u8) -> bool { a.cmp(&b) == Ordering::Less }\n";
         assert!(codes(src).is_empty());
     }
 

@@ -1,4 +1,6 @@
-//! Known-bad fixture: atomic orderings without pairing or annotation.
+//! Known-bad fixture: atomics in a sim crate — unpaired, invalid, or
+//! impeccably paired and annotated, a simulation has no second thread
+//! to share them with.
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Publisher {
@@ -15,5 +17,13 @@ impl Publisher {
     }
     fn invalid(&self) -> u64 {
         self.flagx.load(Ordering::Release)
+    }
+    fn open(&self, t: u64) {
+        // ORDERING: Release publishes the payload written before the
+        // store; paired with the Acquire load in `acquire_only`.
+        self.seqno.store(t, Ordering::Release);
+    }
+    fn fence(&self) {
+        self.flagx.store(2, Ordering::SeqCst);
     }
 }

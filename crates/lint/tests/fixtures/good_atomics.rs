@@ -1,23 +1,14 @@
-//! Known-good fixture: paired orderings, annotated Relaxed counters.
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! Known-good fixture: `cmp::Ordering` is not a memory ordering, and a
+//! reasoned suppression admits an atomic like any other finding.
+use std::cmp::Ordering;
 
-struct Gate {
-    latch: AtomicU64,
-    tally: AtomicUsize,
+fn descending(a: u64, b: u64) -> Ordering {
+    match a.cmp(&b) {
+        Ordering::Less => Ordering::Greater,
+        Ordering::Greater => Ordering::Less,
+        Ordering::Equal => Ordering::Equal,
+    }
 }
 
-impl Gate {
-    fn open(&self, t: u64) {
-        // ORDERING: Release publishes the payload written before the
-        // store; paired with the Acquire load in `wait`.
-        self.latch.store(t, Ordering::Release);
-    }
-    fn wait(&self) -> u64 {
-        self.latch.load(Ordering::Acquire)
-    }
-    fn bump(&self) {
-        // ORDERING: Relaxed — the tally is a statistic read only after
-        // the worker joins; no payload is published through it.
-        self.tally.fetch_add(1, Ordering::Relaxed);
-    }
-}
+// mgrid-lint: allow(MG006) id source shared with the host-side harness thread
+static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

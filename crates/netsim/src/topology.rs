@@ -353,8 +353,7 @@ impl Topology {
 
     /// Compute and memoize `src`'s first-hop table if absent, without
     /// counting a cache hit or miss (counts towards
-    /// `net.route_src_computed`). Used to pre-warm caches and to measure
-    /// the eager all-pairs baseline in benchmarks.
+    /// `net.route_src_computed`). Used to pre-warm caches.
     pub fn warm_routes_from(&self, src: NodeId) {
         let mut cache = self.cache.borrow_mut();
         cache.entry(src.0).or_insert_with(|| {
@@ -364,7 +363,8 @@ impl Topology {
     }
 
     /// Warm every source's table — the eager all-pairs computation the
-    /// lazy cache replaces. Benchmarks use this as the baseline cost.
+    /// lazy cache replaces, kept as the reference the property tests
+    /// compare the lazy cache against.
     pub fn warm_all_routes(&self) {
         for src in 0..self.nodes.len() {
             self.warm_routes_from(NodeId(src));
@@ -374,13 +374,6 @@ impl Topology {
     /// Number of sources whose first-hop tables are currently cached.
     pub fn routed_sources(&self) -> usize {
         self.cache.borrow().len()
-    }
-
-    /// Bytes resident in the route cache (first-hop table payloads).
-    /// Derived from the cached-source count, not map iteration, so the
-    /// figure is deterministic.
-    pub fn route_bytes_resident(&self) -> usize {
-        self.routed_sources() * self.nodes.len() * std::mem::size_of::<Option<LinkId>>()
     }
 
     /// Full route (sequence of directed links) from `src` to `dst`,
@@ -547,13 +540,11 @@ mod tests {
         b.link(r, c, LinkSpec::new(1e8, ms(1)));
         let t = b.build();
         assert_eq!(t.routed_sources(), 0);
-        assert_eq!(t.route_bytes_resident(), 0);
         assert!(t.next_hop(a, c).is_some());
         assert_eq!(t.routed_sources(), 1);
         // route() walks a->r->c: warms r's table too, but not c's.
         assert!(t.route(a, c).is_some());
         assert_eq!(t.routed_sources(), 2);
-        assert!(t.route_bytes_resident() > 0);
     }
 
     #[test]
