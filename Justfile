@@ -53,6 +53,12 @@ benchmark:
 benchmark-trace:
     bash benchmark/run.sh trace
 
+# The one workload where the observability layer works (spans + streamed
+# trace, capture, profile, critical path, Perfetto export), traced: the
+# `obs.*` phase times and `obs.record_overhead_ratio` in about 20 seconds.
+observed:
+    bash benchmark/run.sh --workload observed_lu --seed 0 --seconds 16 --trace 1
+
 # The same suite at class S and 64 hosts, one short repetition: a dozen
 # seconds, not comparable; checks that every workload still runs, verifies
 # and reproduces its blessed counters.

@@ -9,6 +9,9 @@
 
 use std::fmt;
 
+use crate::jsonw::{push_escaped, push_u64};
+use crate::span::SpanStr;
+
 /// The subsystem an [`Event`] originates from.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum Category {
@@ -60,22 +63,25 @@ impl fmt::Display for Category {
 ///
 /// Byte and duration fields are plain integers (`u64` nanoseconds for
 /// spans) so events serialize compactly and compare exactly in tests.
+/// Name fields are shared [`SpanStr`]s: an instrumentation site interns
+/// its host and process names once and every event it emits — and every
+/// copy the ring hands out — is a reference bump, not a heap string.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// The scheduler daemon granted a quantum to a job (Fig 4: SIGCONT).
     QuantumGrant {
         /// Virtual host the scheduler runs on.
-        host: String,
+        host: SpanStr,
         /// Process name of the granted job.
-        job: String,
+        job: SpanStr,
     },
     /// The scheduler daemon preempted the running job (Fig 4: SIGSTOP),
     /// charging it the elapsed wall time.
     QuantumPreempt {
         /// Virtual host the scheduler runs on.
-        host: String,
+        host: SpanStr,
         /// Process name of the preempted job.
-        job: String,
+        job: SpanStr,
         /// Wall (simulated physical) nanoseconds charged for the quantum.
         wall_ns: u64,
     },
@@ -105,23 +111,23 @@ pub enum Event {
     /// An application sent a datagram through a virtual socket.
     VsockSend {
         /// Sending virtual host.
-        src: String,
+        src: SpanStr,
         /// Destination virtual host.
-        dst: String,
+        dst: SpanStr,
         /// Payload bytes.
         bytes: u64,
     },
     /// An application received a datagram from a virtual socket.
     VsockRecv {
         /// Receiving virtual host.
-        host: String,
+        host: SpanStr,
         /// Payload bytes.
         bytes: u64,
     },
     /// A memory allocation succeeded against a host's cap.
     MemAlloc {
         /// Virtual host owning the memory cap.
-        host: String,
+        host: SpanStr,
         /// Bytes allocated.
         bytes: u64,
         /// Total bytes in use after the allocation.
@@ -131,7 +137,7 @@ pub enum Event {
     /// Fig 5 boundary).
     MemDeny {
         /// Virtual host owning the memory cap.
-        host: String,
+        host: SpanStr,
         /// Bytes requested.
         requested: u64,
         /// Bytes already in use.
@@ -171,7 +177,7 @@ pub enum Event {
         /// Stable fault-kind name (`"link_down"`, `"host_crash"`, …).
         fault: &'static str,
         /// Target description (link endpoints, host name, or cut).
-        target: String,
+        target: SpanStr,
     },
     /// An MPI receive or rendezvous wait exceeded its configured timeout,
     /// surfacing a suspected rank failure.
@@ -201,25 +207,48 @@ impl Event {
         }
     }
 
+    /// Every event kind name, indexed by [`Event::kind_index`].
+    pub(crate) const KINDS: [&'static str; 14] = [
+        "quantum_grant",
+        "quantum_preempt",
+        "packet_enqueue",
+        "packet_dequeue",
+        "packet_drop",
+        "route_loop",
+        "vsock_send",
+        "vsock_recv",
+        "mem_alloc",
+        "mem_deny",
+        "collective_start",
+        "collective_end",
+        "fault_injected",
+        "rank_timeout",
+    ];
+
+    /// Dense index of the event kind into [`Event::KINDS`].
+    pub(crate) const fn kind_index(&self) -> usize {
+        match self {
+            Event::QuantumGrant { .. } => 0,
+            Event::QuantumPreempt { .. } => 1,
+            Event::PacketEnqueue { .. } => 2,
+            Event::PacketDequeue { .. } => 3,
+            Event::PacketDrop { .. } => 4,
+            Event::RouteLoop { .. } => 5,
+            Event::VsockSend { .. } => 6,
+            Event::VsockRecv { .. } => 7,
+            Event::MemAlloc { .. } => 8,
+            Event::MemDeny { .. } => 9,
+            Event::CollectiveStart { .. } => 10,
+            Event::CollectiveEnd { .. } => 11,
+            Event::FaultInjected { .. } => 12,
+            Event::RankTimeout { .. } => 13,
+        }
+    }
+
     /// Stable snake_case name of the event kind (the `"event"` field of
     /// the JSON-lines encoding).
     pub const fn kind(&self) -> &'static str {
-        match self {
-            Event::QuantumGrant { .. } => "quantum_grant",
-            Event::QuantumPreempt { .. } => "quantum_preempt",
-            Event::PacketEnqueue { .. } => "packet_enqueue",
-            Event::PacketDequeue { .. } => "packet_dequeue",
-            Event::PacketDrop { .. } => "packet_drop",
-            Event::RouteLoop { .. } => "route_loop",
-            Event::VsockSend { .. } => "vsock_send",
-            Event::VsockRecv { .. } => "vsock_recv",
-            Event::MemAlloc { .. } => "mem_alloc",
-            Event::MemDeny { .. } => "mem_deny",
-            Event::CollectiveStart { .. } => "collective_start",
-            Event::CollectiveEnd { .. } => "collective_end",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::RankTimeout { .. } => "rank_timeout",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// Encode as one JSON object (no trailing newline) with the shape
@@ -230,109 +259,114 @@ impl Event {
     /// `&'static str` fields.
     pub fn to_json_line(&self, t_ns: u64) -> String {
         let mut out = String::with_capacity(96);
+        self.write_json_line(t_ns, &mut out);
+        out
+    }
+
+    /// Append the [`Event::to_json_line`] encoding to `out` without
+    /// allocating (beyond `out`'s own growth): string fields first, then
+    /// numeric fields, in declaration order.
+    pub(crate) fn write_json_line(&self, t_ns: u64, out: &mut String) {
+        fn field_str(out: &mut String, key: &str, val: &str) {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":\"");
+            push_escaped(out, val);
+            out.push('"');
+        }
+        fn field_num(out: &mut String, key: &str, val: u64) {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":");
+            push_u64(out, val);
+        }
         out.push_str("{\"t_ns\":");
-        out.push_str(&t_ns.to_string());
+        push_u64(out, t_ns);
         out.push_str(",\"cat\":\"");
         out.push_str(self.category().name());
         out.push_str("\",\"event\":\"");
         out.push_str(self.kind());
         out.push('"');
-        let mut field_str = |key: &str, val: &str| {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":\"");
-            for c in val.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        };
-        // Write string fields through the escaping closure first, then
-        // reuse `out` for numeric fields below.
         match self {
-            Event::QuantumGrant { host, job } | Event::QuantumPreempt { host, job, .. } => {
-                field_str("host", host);
-                field_str("job", job);
+            Event::QuantumGrant { host, job } => {
+                field_str(out, "host", host);
+                field_str(out, "job", job);
             }
-            Event::VsockSend { src, dst, .. } => {
-                field_str("src", src);
-                field_str("dst", dst);
+            Event::QuantumPreempt { host, job, wall_ns } => {
+                field_str(out, "host", host);
+                field_str(out, "job", job);
+                field_num(out, "wall_ns", *wall_ns);
             }
-            Event::VsockRecv { host, .. } => field_str("host", host),
-            Event::MemAlloc { host, .. } | Event::MemDeny { host, .. } => field_str("host", host),
-            Event::CollectiveStart { op, .. } | Event::CollectiveEnd { op, .. } => {
-                field_str("op", op)
-            }
-            Event::FaultInjected { fault, target } => {
-                field_str("fault", fault);
-                field_str("target", target);
-            }
-            _ => {}
-        }
-        let mut field_num = |key: &str, val: u64| {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
-            out.push_str(&val.to_string());
-        };
-        match self {
-            Event::QuantumGrant { .. } => {}
-            Event::QuantumPreempt { wall_ns, .. } => field_num("wall_ns", *wall_ns),
             Event::PacketEnqueue {
                 link,
                 bytes,
                 queued_bytes,
             } => {
-                field_num("link", *link as u64);
-                field_num("bytes", *bytes);
-                field_num("queued_bytes", *queued_bytes);
+                field_num(out, "link", *link as u64);
+                field_num(out, "bytes", *bytes);
+                field_num(out, "queued_bytes", *queued_bytes);
             }
             Event::PacketDequeue { link, bytes } | Event::PacketDrop { link, bytes } => {
-                field_num("link", *link as u64);
-                field_num("bytes", *bytes);
+                field_num(out, "link", *link as u64);
+                field_num(out, "bytes", *bytes);
             }
-            Event::VsockSend { bytes, .. } | Event::VsockRecv { bytes, .. } => {
-                field_num("bytes", *bytes)
+            Event::VsockSend { src, dst, bytes } => {
+                field_str(out, "src", src);
+                field_str(out, "dst", dst);
+                field_num(out, "bytes", *bytes);
             }
-            Event::MemAlloc { bytes, in_use, .. } => {
-                field_num("bytes", *bytes);
-                field_num("in_use", *in_use);
+            Event::VsockRecv { host, bytes } => {
+                field_str(out, "host", host);
+                field_num(out, "bytes", *bytes);
+            }
+            Event::MemAlloc {
+                host,
+                bytes,
+                in_use,
+            } => {
+                field_str(out, "host", host);
+                field_num(out, "bytes", *bytes);
+                field_num(out, "in_use", *in_use);
             }
             Event::MemDeny {
+                host,
                 requested,
                 in_use,
                 limit,
-                ..
             } => {
-                field_num("requested", *requested);
-                field_num("in_use", *in_use);
-                field_num("limit", *limit);
+                field_str(out, "host", host);
+                field_num(out, "requested", *requested);
+                field_num(out, "in_use", *in_use);
+                field_num(out, "limit", *limit);
             }
-            Event::CollectiveStart { ranks, .. } => field_num("ranks", *ranks as u64),
+            Event::CollectiveStart { op, ranks } => {
+                field_str(out, "op", op);
+                field_num(out, "ranks", *ranks as u64);
+            }
             Event::CollectiveEnd {
-                ranks, elapsed_ns, ..
+                op,
+                ranks,
+                elapsed_ns,
             } => {
-                field_num("ranks", *ranks as u64);
-                field_num("elapsed_ns", *elapsed_ns);
+                field_str(out, "op", op);
+                field_num(out, "ranks", *ranks as u64);
+                field_num(out, "elapsed_ns", *elapsed_ns);
             }
             Event::RouteLoop { src, dst, at } => {
-                field_num("src", *src as u64);
-                field_num("dst", *dst as u64);
-                field_num("at", *at as u64);
+                field_num(out, "src", *src as u64);
+                field_num(out, "dst", *dst as u64);
+                field_num(out, "at", *at as u64);
             }
-            Event::FaultInjected { .. } => {}
+            Event::FaultInjected { fault, target } => {
+                field_str(out, "fault", fault);
+                field_str(out, "target", target);
+            }
             Event::RankTimeout { rank, waited_ns } => {
-                field_num("rank", *rank);
-                field_num("waited_ns", *waited_ns);
+                field_num(out, "rank", *rank);
+                field_num(out, "waited_ns", *waited_ns);
             }
         }
         out.push('}');
-        out
     }
 }
 

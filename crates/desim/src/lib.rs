@@ -38,6 +38,7 @@ pub mod channel;
 pub mod event;
 pub mod executor;
 pub mod fasthash;
+mod jsonw;
 pub mod metrics;
 pub mod obs;
 pub mod perfetto;

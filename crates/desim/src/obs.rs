@@ -11,9 +11,10 @@
 //! - **No-op outside a simulation.** Code like the memory manager is
 //!   also used from plain unit tests with no executor running; the free
 //!   functions silently do nothing there instead of panicking.
-//! - **Lazy event construction.** [`emit`] takes a closure, so the
-//!   `String` fields of an [`Event`] are never built unless the tracer
-//!   is actually enabled.
+//! - **Lazy event construction.** [`emit`] takes a closure, so an
+//!   [`Event`] is never built unless the tracer is actually enabled —
+//!   and when it is, its name fields are clones of [`SpanStr`]s the
+//!   site interned once, not fresh strings.
 
 use crate::event::{Category, Event};
 use crate::executor::try_with_current;

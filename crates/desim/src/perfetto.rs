@@ -20,36 +20,18 @@
 //! strings, which the golden-file test in `tests/perfetto.rs` pins.
 //! Timestamps are microseconds (the trace-event unit) formatted as
 //! exact `ns/1000` decimals with three fractional digits — no floats.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+//!
+//! The document is streamed: every record is appended straight to the
+//! one result `String` (sized up front from the input counts) through
+//! the same integer, timestamp and escape writers the JSON-lines trace
+//! uses, and each span's `(pid, tid)` comes from one
+//! `SpanSnapshot::lane_index` pass — no per-record heap strings, no
+//! per-record name lookups.
 
 use crate::event::Category;
+use crate::jsonw::{push_escaped, push_ts_us, push_u64};
 use crate::span::SpanSnapshot;
 use crate::trace::TraceEvent;
-
-/// Escape a string for a JSON value position (same rules as
-/// [`crate::event::Event::to_json_line`]'s `field_str`).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Nanoseconds rendered as trace-event microseconds (`"12.345"`).
-fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
 
 /// One barrier round of a sharded run: per-shard horizons and whether
 /// each shard had events to execute before its horizon.
@@ -74,113 +56,138 @@ pub struct EpochRecord {
 /// `export(snap, events, &[])`.
 pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]) -> String {
     // Deterministic pid/tid assignment: tracks sorted by name, lanes
-    // sorted within each track, both 1-based.
-    let mut tracks: BTreeMap<&str, BTreeMap<&str, usize>> = BTreeMap::new();
-    for s in &snap.spans {
-        tracks
-            .entry(s.track.as_ref())
-            .or_default()
-            .insert(s.lane.as_ref(), 0);
+    // sorted within each track, both 1-based. The lane index is sorted
+    // by (track, lane), so one walk over it numbers both.
+    let index = snap.lane_index();
+    let mut pid_tid: Vec<(u64, u64)> = Vec::with_capacity(index.pairs.len());
+    for (l, &(track, _)) in index.pairs.iter().enumerate() {
+        let next = match pid_tid.last() {
+            Some(&(pid, tid)) if index.pairs[l - 1].0 == track => (pid, tid + 1),
+            Some(&(pid, _)) => (pid + 1, 1),
+            None => (1, 1),
+        };
+        pid_tid.push(next);
     }
-    let mut pid_of: BTreeMap<&str, usize> = BTreeMap::new();
-    for (p, (track, lanes)) in tracks.iter_mut().enumerate() {
-        pid_of.insert(track, p + 1);
-        for (t, tid) in lanes.values_mut().enumerate() {
-            *tid = t + 1;
-        }
-    }
-    let events_pid = tracks.len() + 1;
-    let engine_pid = tracks.len() + 2;
+    let tracks = pid_tid.last().map_or(0, |&(pid, _)| pid);
+    let events_pid = tracks + 1;
+    let engine_pid = tracks + 2;
+    let span_lane = |id| {
+        let s = snap.span(id)?;
+        Some((s, pid_tid[index.of_span[(id.get() - 1) as usize] as usize]))
+    };
 
-    let mut recs: Vec<String> = Vec::new();
+    // Typical records run 100-170 bytes; a short guess only costs a
+    // regrowth.
+    let mut out = String::with_capacity(
+        64 + 176 * snap.spans.len() + 224 * snap.flows.len() + 112 * events.len(),
+    );
+    out.push_str("{\"traceEvents\":[\n");
+    let head = out.len();
+    // Start the next record: the separator, then `{"name":"<name>"`.
+    let open = |out: &mut String, name: &str| {
+        if out.len() > head {
+            out.push_str(",\n");
+        }
+        out.push_str("{\"name\":\"");
+        push_escaped(out, name);
+        out.push('"');
+    };
+    let num = |out: &mut String, key: &str, v: u64| {
+        out.push_str(key);
+        push_u64(out, v);
+    };
+    let ts = |out: &mut String, key: &str, ns: u64| {
+        out.push_str(key);
+        push_ts_us(out, ns);
+    };
+    // A `process_name` record, or a `thread_name` one when `tid` is set.
+    let meta = |out: &mut String, pid: u64, tid: Option<u64>, name: &str| {
+        open(
+            out,
+            if tid.is_some() {
+                "thread_name"
+            } else {
+                "process_name"
+            },
+        );
+        num(out, ",\"ph\":\"M\",\"pid\":", pid);
+        if let Some(tid) = tid {
+            num(out, ",\"tid\":", tid);
+        }
+        out.push_str(",\"args\":{\"name\":\"");
+        push_escaped(out, name);
+        out.push_str("\"}}");
+    };
 
     // Metadata: process and thread names.
-    for (track, lanes) in &tracks {
-        let pid = pid_of[track];
-        recs.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
-            esc(track)
-        ));
-        for (lane, tid) in lanes {
-            recs.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-                esc(lane)
-            ));
+    for (l, &(track, lane)) in index.pairs.iter().enumerate() {
+        let (pid, tid) = pid_tid[l];
+        if tid == 1 {
+            meta(&mut out, pid, None, track);
         }
+        meta(&mut out, pid, Some(tid), lane);
     }
     if !events.is_empty() {
-        recs.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{events_pid},\"args\":{{\"name\":\"events\"}}}}"
-        ));
+        meta(&mut out, events_pid, None, "events");
         for (t, cat) in Category::ALL.iter().enumerate() {
-            recs.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{events_pid},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-                t + 1,
-                cat.name()
-            ));
+            meta(&mut out, events_pid, Some(t as u64 + 1), cat.name());
         }
     }
     if !epochs.is_empty() {
-        let shards = epochs[0].horizons.len();
-        recs.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{engine_pid},\"args\":{{\"name\":\"shard-engine\"}}}}"
-        ));
-        for d in 0..shards {
-            recs.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{engine_pid},\"tid\":{},\"args\":{{\"name\":\"shard{d}\"}}}}",
-                d + 1
-            ));
+        meta(&mut out, engine_pid, None, "shard-engine");
+        for d in 0..epochs[0].horizons.len() {
+            let name = format!("shard{d}");
+            meta(&mut out, engine_pid, Some(d as u64 + 1), &name);
         }
     }
 
     // Span slices, in record order.
-    for s in &snap.spans {
+    for (s, &l) in snap.spans.iter().zip(&index.of_span) {
         let Some(end) = s.end else { continue };
-        let pid = pid_of[s.track.as_ref()];
-        let tid = tracks[s.track.as_ref()][s.lane.as_ref()];
-        let args = if s.detail.is_empty() {
-            format!("{{\"span\":{}}}", s.id.get())
-        } else {
-            format!(
-                "{{\"span\":{},\"detail\":\"{}\"}}",
-                s.id.get(),
-                esc(s.detail.as_ref())
-            )
-        };
-        recs.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{args}}}",
-            esc(s.name),
-            s.cat.name(),
-            ts_us(s.begin.as_nanos()),
-            ts_us(end.as_nanos().saturating_sub(s.begin.as_nanos())),
-        ));
+        let (pid, tid) = pid_tid[l as usize];
+        open(&mut out, s.name);
+        out.push_str(",\"cat\":\"");
+        out.push_str(s.cat.name());
+        ts(&mut out, "\",\"ph\":\"X\",\"ts\":", s.begin.as_nanos());
+        let dur = end.as_nanos().saturating_sub(s.begin.as_nanos());
+        ts(&mut out, ",\"dur\":", dur);
+        num(&mut out, ",\"pid\":", pid);
+        num(&mut out, ",\"tid\":", tid);
+        num(&mut out, ",\"args\":{\"span\":", s.id.get());
+        if !s.detail.is_empty() {
+            out.push_str(",\"detail\":\"");
+            push_escaped(&mut out, &s.detail);
+            out.push('"');
+        }
+        out.push_str("}}");
     }
 
     // Flow arrows: anchored at the producer's begin ("s") and bound to
     // the slice enclosing the consumer's end ("f" with bp:"e").
     for (i, f) in snap.flows.iter().enumerate() {
-        let (Some(from), Some(to)) = (snap.span(f.from), snap.span(f.to)) else {
+        let (Some((from, from_lane)), Some((to, to_lane))) = (span_lane(f.from), span_lane(f.to))
+        else {
             continue;
         };
         let Some(to_end) = to.end else { continue };
         if from.end.is_none() {
             continue;
         }
-        let id = i + 1;
-        recs.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{id},\"ts\":{},\"pid\":{},\"tid\":{}}}",
-            f.class,
-            ts_us(from.begin.as_nanos()),
-            pid_of[from.track.as_ref()],
-            tracks[from.track.as_ref()][from.lane.as_ref()],
-        ));
-        recs.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":{},\"pid\":{},\"tid\":{}}}",
-            f.class,
-            ts_us(to_end.as_nanos()),
-            pid_of[to.track.as_ref()],
-            tracks[to.track.as_ref()][to.lane.as_ref()],
-        ));
+        let id = i as u64 + 1;
+        let halves = [
+            ("s\"", from.begin.as_nanos(), from_lane),
+            ("f\",\"bp\":\"e\"", to_end.as_nanos(), to_lane),
+        ];
+        for (ph, at, (pid, tid)) in halves {
+            open(&mut out, f.class);
+            out.push_str(",\"cat\":\"flow\",\"ph\":\"");
+            out.push_str(ph);
+            num(&mut out, ",\"id\":", id);
+            ts(&mut out, ",\"ts\":", at);
+            num(&mut out, ",\"pid\":", pid);
+            num(&mut out, ",\"tid\":", tid);
+            out.push('}');
+        }
     }
 
     // Flat events as thread-scoped instants on per-category lanes.
@@ -188,14 +195,19 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
         let tid = Category::ALL
             .iter()
             .position(|c| *c == e.category())
-            .expect("category is in ALL")
+            .expect("category is in ALL") as u64
             + 1;
-        recs.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{events_pid},\"tid\":{tid}}}",
-            e.event.kind(),
-            e.category().name(),
-            ts_us(e.at.as_nanos()),
-        ));
+        open(&mut out, e.event.kind());
+        out.push_str(",\"cat\":\"");
+        out.push_str(e.category().name());
+        ts(
+            &mut out,
+            "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":",
+            e.at.as_nanos(),
+        );
+        num(&mut out, ",\"pid\":", events_pid);
+        num(&mut out, ",\"tid\":", tid);
+        out.push('}');
     }
 
     // Shard-epoch lanes: one run/idle slice per shard per round,
@@ -209,30 +221,19 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
                 if h == u64::MAX || h <= *last {
                     continue;
                 }
-                let name = if rec.ran.get(d).copied().unwrap_or(false) {
-                    "run"
-                } else {
-                    "idle"
-                };
-                recs.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{engine_pid},\"tid\":{},\"args\":{{\"round\":{}}}}}",
-                    ts_us(*last),
-                    ts_us(h - *last),
-                    d + 1,
-                    round + 1,
-                ));
+                let ran = rec.ran.get(d).copied().unwrap_or(false);
+                open(&mut out, if ran { "run" } else { "idle" });
+                ts(&mut out, ",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":", *last);
+                ts(&mut out, ",\"dur\":", h - *last);
+                num(&mut out, ",\"pid\":", engine_pid);
+                num(&mut out, ",\"tid\":", d as u64 + 1);
+                num(&mut out, ",\"args\":{\"round\":", round as u64 + 1);
+                out.push_str("}}");
                 *last = h;
             }
         }
     }
 
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, r) in recs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(r);
-    }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
 }

@@ -17,7 +17,6 @@
 //!   depends on its lane predecessor (program order), on flow producers
 //!   (message send → receive, collective rendezvous), and on its parent.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::Category;
@@ -82,38 +81,48 @@ impl Profile {
     /// Build the attribution tables from a snapshot. Open spans (no
     /// `end`) contribute nothing.
     pub fn from_snapshot(snap: &SpanSnapshot) -> Profile {
-        let mut lanes: BTreeMap<(String, String), LaneRow> = BTreeMap::new();
-        let mut ops: BTreeMap<(Category, &'static str), OpRow> = BTreeMap::new();
+        let index = snap.lane_index();
+        // One accumulator per lane; `None` until a completed span lands
+        // on it (a lane with only open spans has no row).
+        let mut lanes: Vec<Option<LaneRow>> = vec![None; index.pairs.len()];
+        let mut ops: Vec<OpRow> = Vec::new();
         let mut total = 0u64;
-        for s in &snap.spans {
+        for (s, &lane) in snap.spans.iter().zip(&index.of_span) {
             if s.end.is_none() {
                 continue;
             }
             let d = s.dur_ns();
             total += d;
-            let row = lanes
-                .entry((s.track.to_string(), s.lane.to_string()))
-                .or_insert_with(|| LaneRow {
-                    track: s.track.to_string(),
-                    lane: s.lane.to_string(),
+            let row = lanes[lane as usize].get_or_insert_with(|| {
+                let (track, lane) = index.pairs[lane as usize];
+                LaneRow {
+                    track: track.to_string(),
+                    lane: lane.to_string(),
                     ..LaneRow::default()
-                });
+                }
+            });
             match s.cat {
                 Category::Sched => row.cpu_ns += d,
                 Category::Net | Category::Vsock => row.net_ns += d,
                 Category::Mpi => row.coll_ns += d,
                 Category::Mem | Category::Fault => row.other_ns += d,
             }
-            let op = ops.entry((s.cat, s.name)).or_insert_with(|| OpRow {
-                cat: s.cat,
-                name: s.name,
-                count: 0,
-                total_ns: 0,
-            });
-            op.count += 1;
-            op.total_ns += d;
+            // A run has a handful of operations: a scan beats a map.
+            let at = ops
+                .iter()
+                .position(|op| op.cat == s.cat && op.name == s.name)
+                .unwrap_or_else(|| {
+                    ops.push(OpRow {
+                        cat: s.cat,
+                        name: s.name,
+                        count: 0,
+                        total_ns: 0,
+                    });
+                    ops.len() - 1
+                });
+            ops[at].count += 1;
+            ops[at].total_ns += d;
         }
-        let mut ops: Vec<OpRow> = ops.into_values().collect();
         ops.sort_by(|a, b| {
             b.total_ns
                 .cmp(&a.total_ns)
@@ -121,7 +130,7 @@ impl Profile {
                 .then(a.name.cmp(b.name))
         });
         Profile {
-            lanes: lanes.into_values().collect(),
+            lanes: lanes.into_iter().flatten().collect(),
             ops,
             total_ns: total,
         }
@@ -170,6 +179,26 @@ impl Profile {
         }
         out
     }
+}
+
+/// Bucket `(group, value)` items by group, keeping input order within a
+/// group: returns `(start, values)` with group `g`'s values at
+/// `values[start[g]..start[g + 1]]`.
+fn bucket(groups: usize, items: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut start: Vec<u32> = vec![0; groups + 1];
+    for (g, _) in items.clone() {
+        start[g as usize + 1] += 1;
+    }
+    for g in 0..groups {
+        start[g + 1] += start[g];
+    }
+    let mut values: Vec<u32> = vec![0; start[groups] as usize];
+    let mut fill = start.clone();
+    for (g, v) in items {
+        values[fill[g as usize] as usize] = v;
+        fill[g as usize] += 1;
+    }
+    (start, values)
 }
 
 /// One hop on the critical path.
@@ -244,135 +273,146 @@ pub struct CriticalPath {
 /// tie-breaks are deterministic: higher cost first, then edge kind
 /// (flow, work, lane, parent), then smaller span id.
 pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
-    // Completed non-scheduler spans, indexed into `snap.spans`.
-    let comp: Vec<usize> = (0..snap.spans.len())
-        .filter(|&i| snap.spans[i].end.is_some() && snap.spans[i].cat != Category::Sched)
-        .collect();
-    if comp.is_empty() {
+    const NONE: u32 = u32::MAX;
+    // Edge kinds, in tie-break priority order; `START` marks a node
+    // with no chosen in-edge.
+    const FLOW: u8 = 0;
+    const WORK: u8 = 1;
+    const LANE: u8 = 2;
+    const PARENT: u8 = 3;
+    const START: u8 = 4;
+    const VIA: [&str; 5] = ["flow", "work", "lane", "parent", "start"];
+
+    // Project the completed non-scheduler spans ("comp" spans) into
+    // parallel arrays; everything below works on these, not on records.
+    let index = snap.lane_index();
+    let mut comp_of: Vec<u32> = vec![NONE; snap.spans.len()];
+    let mut at: Vec<u32> = Vec::new();
+    let mut begin: Vec<u64> = Vec::new();
+    let mut end: Vec<u64> = Vec::new();
+    let mut id: Vec<u64> = Vec::new();
+    let mut lane: Vec<u32> = Vec::new();
+    for (i, s) in snap.spans.iter().enumerate() {
+        let Some(e) = s.end else { continue };
+        if s.cat == Category::Sched {
+            continue;
+        }
+        comp_of[i] = at.len() as u32;
+        at.push(i as u32);
+        begin.push(s.begin.as_nanos());
+        end.push(e.as_nanos());
+        id.push(s.id.get());
+        lane.push(index.of_span[i]);
+    }
+    if at.is_empty() {
         return CriticalPath::default();
     }
-    let n = comp.len();
-    // Map a span id to its `comp` index.
-    let mut comp_of: BTreeMap<SpanId, usize> = BTreeMap::new();
-    for (c, &i) in comp.iter().enumerate() {
-        comp_of.insert(snap.spans[i].id, c);
-    }
-    let begin_ns = |c: usize| snap.spans[comp[c]].begin.as_nanos();
-    let end_ns = |c: usize| snap.spans[comp[c]].end.unwrap().as_nanos();
-    let span_id = |c: usize| snap.spans[comp[c]].id;
+    let n = at.len();
+    // A span id is its 1-based position in the snapshot (the rule
+    // `SpanSnapshot::span` applies), which makes id → comp index a
+    // table lookup.
+    let comp = |sid: SpanId| -> Option<usize> {
+        let i = usize::try_from(sid.get().checked_sub(1)?).ok()?;
+        let c = *comp_of.get(i)?;
+        (c != NONE && snap.spans[i].id == sid).then_some(c as usize)
+    };
 
     // Lane predecessor per comp index: latest span on the same
     // (track, lane) with end <= begin; an equal-instant predecessor
     // must have the smaller id (same-instant causality follows
     // creation order, which also keeps the node graph acyclic).
-    let mut by_lane: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-    for (c, &ci) in comp.iter().enumerate() {
-        let s = &snap.spans[ci];
-        by_lane
-            .entry((s.track.as_ref(), s.lane.as_ref()))
-            .or_default()
-            .push(c);
+    // `by_lane[lane_start[l]..lane_start[l + 1]]` holds lane `l`'s comp
+    // indices sorted by (end, id).
+    let lanes = index.pairs.len();
+    let (lane_start, mut by_lane) =
+        bucket(lanes, lane.iter().enumerate().map(|(c, &l)| (l, c as u32)));
+    for l in 0..lanes {
+        by_lane[lane_start[l] as usize..lane_start[l + 1] as usize]
+            .sort_unstable_by_key(|&c| (end[c as usize], id[c as usize]));
     }
-    for lane in by_lane.values_mut() {
-        lane.sort_by_key(|&c| (end_ns(c), span_id(c)));
-    }
-    let mut lane_pred: Vec<Option<usize>> = vec![None; n];
+    let mut lane_pred: Vec<u32> = vec![NONE; n];
     for c in 0..n {
-        let s = &snap.spans[comp[c]];
-        let lane = &by_lane[&(s.track.as_ref(), s.lane.as_ref())];
-        let cut = lane.partition_point(|&p| end_ns(p) <= begin_ns(c));
-        for &p in lane[..cut].iter().rev() {
-            let ok = p != c && (end_ns(p) < begin_ns(c) || span_id(p) < span_id(c));
-            if ok {
-                lane_pred[c] = Some(p);
-                break;
-            }
-        }
+        let l = lane[c] as usize;
+        let mates = &by_lane[lane_start[l] as usize..lane_start[l + 1] as usize];
+        let cut = mates.partition_point(|&p| end[p as usize] <= begin[c]);
+        lane_pred[c] = mates[..cut]
+            .iter()
+            .rev()
+            .copied()
+            .find(|&p| {
+                let p = p as usize;
+                p != c && (end[p] < begin[c] || id[p] < id[c])
+            })
+            .unwrap_or(NONE);
     }
-    // Flow producers per consumer comp index.
-    let mut flows_to: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for f in &snap.flows {
-        if let (Some(&a), Some(&b)) = (comp_of.get(&f.from), comp_of.get(&f.to)) {
-            if begin_ns(a) < end_ns(b) || (begin_ns(a) == end_ns(b) && span_id(a) < span_id(b)) {
-                flows_to[b].push(a);
-            }
-        }
-    }
+    // Flow producers per consumer comp index:
+    // `flow_from[flow_start[c]..flow_start[c + 1]]`, in flow order.
+    let edges: Vec<(u32, u32)> = snap
+        .flows
+        .iter()
+        .filter_map(|f| {
+            let (a, b) = (comp(f.from)?, comp(f.to)?);
+            (begin[a] < end[b] || (begin[a] == end[b] && id[a] < id[b]))
+                .then_some((b as u32, a as u32))
+        })
+        .collect();
+    let (flow_start, flow_from) = bucket(n, edges.iter().copied());
 
     // Node c*2 is span c's begin, c*2+1 its end. Topological order:
     // (time, span id, begin-before-end); every edge above respects it.
-    let node_time = |v: usize| {
-        if v.is_multiple_of(2) {
-            begin_ns(v / 2)
-        } else {
-            end_ns(v / 2)
-        }
-    };
-    let mut order: Vec<usize> = (0..2 * n).collect();
-    order.sort_by_key(|&v| (node_time(v), span_id(v / 2), v % 2));
-    let mut pos: Vec<usize> = vec![0; 2 * n];
-    for (p, &v) in order.iter().enumerate() {
-        pos[v] = p;
+    let mut order: Vec<(u64, u64, u32)> = Vec::with_capacity(2 * n);
+    for c in 0..n {
+        order.push((begin[c], id[c], 2 * c as u32));
+        order.push((end[c], id[c], 2 * c as u32 + 1));
     }
+    order.sort_unstable();
 
     // Longest-path DP. `via` is the kind of the chosen in-edge.
     let mut cost: Vec<u64> = vec![0; 2 * n];
-    let mut pred: Vec<Option<usize>> = vec![None; 2 * n];
-    let mut via: Vec<&'static str> = vec!["start"; 2 * n];
-    const PRIO: [&str; 4] = ["flow", "work", "lane", "parent"];
-    let prio = |k: &str| PRIO.iter().position(|p| *p == k).unwrap() as u8;
-    for &v in &order {
+    let mut pred: Vec<u32> = vec![NONE; 2 * n];
+    let mut via: Vec<u8> = vec![START; 2 * n];
+    for &(_, _, v) in &order {
+        let v = v as usize;
         let c = v / 2;
-        // (candidate pred node, kind, weight)
-        let mut cands: Vec<(usize, &'static str, u64)> = Vec::new();
-        if v % 2 == 0 {
-            if let Some(p) = lane_pred[c] {
-                cands.push((p * 2 + 1, "lane", 0));
+        // Best in-edge so far: (cost, kind, pred span id, pred node).
+        // Max cost, then edge-kind priority, then smaller span id.
+        let mut best: Option<(u64, u8, u64, u32)> = None;
+        let mut offer = |u: usize, kind: u8, w: u64| {
+            let cand = (cost[u] + w, kind, id[u / 2], u as u32);
+            let key = |x: (u64, u8, u64, u32)| (x.0, std::cmp::Reverse((x.1, x.2)));
+            if best.is_none_or(|cur| key(cand) > key(cur)) {
+                best = Some(cand);
             }
-            if let Some(pid) = snap.spans[comp[c]].parent {
-                if let Some(&p) = comp_of.get(&pid) {
-                    cands.push((p * 2, "parent", 0));
+        };
+        if v.is_multiple_of(2) {
+            if lane_pred[c] != NONE {
+                offer(lane_pred[c] as usize * 2 + 1, LANE, 0);
+            }
+            if let Some(p) = snap.spans[at[c] as usize].parent.and_then(comp) {
+                // Defensive: a parent that does not precede its child
+                // in the topological order is ignored.
+                if (begin[p], id[p]) < (begin[c], id[c]) {
+                    offer(p * 2, PARENT, 0);
                 }
             }
         } else {
             // A flow consumer's end is caused by the message, not by
             // local elapsed time: zero-weight work edge (see above).
-            let work_w = if flows_to[c].is_empty() {
-                end_ns(c) - begin_ns(c)
+            let producers = &flow_from[flow_start[c] as usize..flow_start[c + 1] as usize];
+            let work_w = if producers.is_empty() {
+                end[c] - begin[c]
             } else {
                 0
             };
-            cands.push((v - 1, "work", work_w));
-            for &a in &flows_to[c] {
-                cands.push((a * 2, "flow", end_ns(c) - begin_ns(a)));
+            offer(v - 1, WORK, work_w);
+            for &a in producers {
+                offer(a as usize * 2, FLOW, end[c] - begin[a as usize]);
             }
         }
-        for (u, kind, w) in cands {
-            if pos[u] >= pos[v] {
-                continue; // defensive: ignore any order-violating edge
-            }
-            let cand_cost = cost[u] + w;
-            // Max cost, then edge-kind priority, then smaller span id.
-            let better = match pred[v] {
-                None => true,
-                Some(p) => {
-                    let cur = (
-                        cost[v],
-                        std::cmp::Reverse(prio(via[v])),
-                        std::cmp::Reverse(span_id(p / 2)),
-                    );
-                    (
-                        cand_cost,
-                        std::cmp::Reverse(prio(kind)),
-                        std::cmp::Reverse(span_id(u / 2)),
-                    ) > cur
-                }
-            };
-            if better {
-                cost[v] = cand_cost;
-                pred[v] = Some(u);
-                via[v] = kind;
-            }
+        if let Some((best_cost, kind, _, u)) = best {
+            cost[v] = best_cost;
+            pred[v] = u;
+            via[v] = kind;
         }
     }
 
@@ -380,7 +420,7 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     let mut term = 1usize;
     for c in 0..n {
         let v = c * 2 + 1;
-        if cost[v] > cost[term] || (cost[v] == cost[term] && span_id(c) < span_id(term / 2)) {
+        if cost[v] > cost[term] || (cost[v] == cost[term] && id[c] < id[term / 2]) {
             term = v;
         }
     }
@@ -388,50 +428,53 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
 
     // Walk back, then group consecutive nodes of one span into a hop.
     let mut nodes = Vec::new();
-    let mut cur = Some(term);
-    while let Some(v) = cur {
-        nodes.push(v);
-        cur = pred[v];
+    let mut cur = term as u32;
+    while cur != NONE {
+        nodes.push(cur as usize);
+        cur = pred[cur as usize];
     }
     nodes.reverse();
     let mut hops: Vec<Hop> = Vec::new();
+    let mut hop_lane = NONE;
     let mut entry_cost = 0u64;
-    let mut entry_via: &'static str = "start";
+    let mut entry_via = START;
     for (k, &v) in nodes.iter().enumerate() {
         let c = v / 2;
         let first_of_span = k == 0 || nodes[k - 1] / 2 != c;
         if first_of_span {
             entry_via = via[v];
-            entry_cost = pred[v].map_or(0, |u| cost[u]);
+            entry_cost = if pred[v] == NONE {
+                0
+            } else {
+                cost[pred[v] as usize]
+            };
         }
         let last_of_span = k + 1 == nodes.len() || nodes[k + 1] / 2 != c;
         if last_of_span {
-            let s = &snap.spans[comp[c]];
-            let via = if hops.is_empty() { "start" } else { entry_via };
+            let s = &snap.spans[at[c] as usize];
+            let via = if hops.is_empty() { START } else { entry_via };
             let contrib = cost[v] - entry_cost;
             // Coalesce a lane-chained run of the same operation into one
             // hop with a repeat count.
             match hops.last_mut() {
-                Some(prev)
-                    if via == "lane"
-                        && prev.track == *s.track
-                        && prev.lane == *s.lane
-                        && prev.name == s.name =>
-                {
+                Some(prev) if via == LANE && hop_lane == lane[c] && prev.name == s.name => {
                     prev.contrib_ns += contrib;
                     prev.count += 1;
                 }
-                _ => hops.push(Hop {
-                    id: s.id,
-                    track: s.track.to_string(),
-                    lane: s.lane.to_string(),
-                    name: s.name,
-                    detail: s.detail.to_string(),
-                    begin_ns: s.begin.as_nanos(),
-                    contrib_ns: contrib,
-                    via,
-                    count: 1,
-                }),
+                _ => {
+                    hop_lane = lane[c];
+                    hops.push(Hop {
+                        id: s.id,
+                        track: s.track.to_string(),
+                        lane: s.lane.to_string(),
+                        name: s.name,
+                        detail: s.detail.to_string(),
+                        begin_ns: s.begin.as_nanos(),
+                        contrib_ns: contrib,
+                        via: VIA[via as usize],
+                        count: 1,
+                    });
+                }
             }
         }
     }

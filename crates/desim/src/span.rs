@@ -25,6 +25,18 @@
 //! Everything here is deterministic: span ids are a per-simulation
 //! counter, all iteration orders are record order, and the snapshot is a
 //! pure function of the recorded half-points.
+//!
+//! ## Storage
+//!
+//! Recording a span or a half-point allocates nothing in the steady
+//! state. A span's track, lane and detail are [`SpanStr`]s its site
+//! interned up front. The strings of a flow key are interned into small
+//! integers the first time they are seen, each distinct key gets a dense
+//! *stream* number, and a half-point is that number plus a span id —
+//! [`SpanStore::snapshot`] joins the two sides with array indexing.
+//! Consumers that group spans by `(track, lane)` share one
+//! `SpanSnapshot::lane_index` pass instead of comparing names per
+//! span.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -137,20 +149,109 @@ impl SpanSnapshot {
     }
 }
 
-/// Key of one flow half-point stream: `(class, src, dst)`.
-type FlowKey = (&'static str, String, String);
+/// The `(track, lane)` pairs of one snapshot, numbered in sorted order
+/// (see [`SpanSnapshot::lane_index`]).
+pub(crate) struct LaneIndex<'a> {
+    /// Distinct `(track, lane)` pairs, sorted.
+    pub pairs: Vec<(&'a str, &'a str)>,
+    /// For each span of the snapshot, in order, its index into `pairs`.
+    pub of_span: Vec<u32>,
+}
+
+impl SpanSnapshot {
+    /// Number the distinct `(track, lane)` pairs in sorted order and
+    /// resolve every span to its pair, in one pass.
+    ///
+    /// Instrumentation sites hand out clones of a few interned
+    /// [`SpanStr`]s, so spans of one lane usually share their two
+    /// allocations: a pair is first looked up by its pointers, and only
+    /// a pair of pointers not seen before is looked up by name (so equal
+    /// names held by distinct allocations still land on one lane).
+    pub(crate) fn lane_index(&self) -> LaneIndex<'_> {
+        let mut by_ptr: FxHashMap<(*const u8, *const u8), u32> = FxHashMap::default();
+        let mut by_name: FxHashMap<(&str, &str), u32> = FxHashMap::default();
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        let mut of_span: Vec<u32> = Vec::with_capacity(self.spans.len());
+        for s in &self.spans {
+            let ptrs = (s.track.as_ptr(), s.lane.as_ptr());
+            let lane = *by_ptr.entry(ptrs).or_insert_with(|| {
+                let names = (&*s.track, &*s.lane);
+                *by_name.entry(names).or_insert_with(|| {
+                    pairs.push(names);
+                    (pairs.len() - 1) as u32
+                })
+            });
+            of_span.push(lane);
+        }
+        // Renumber from first-seen order to sorted order.
+        let mut sorted: Vec<u32> = (0..pairs.len() as u32).collect();
+        sorted.sort_unstable_by_key(|&i| pairs[i as usize]);
+        let mut rank = vec![0u32; pairs.len()];
+        for (r, &i) in sorted.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        for lane in &mut of_span {
+            *lane = rank[*lane as usize];
+        }
+        LaneIndex {
+            pairs: sorted.iter().map(|&i| pairs[i as usize]).collect(),
+            of_span,
+        }
+    }
+}
+
+/// One flow half-point stream: everything recorded on one
+/// `(class, src, dst)` key.
+struct FlowStream {
+    class: &'static str,
+    /// Send-side half-points in emit order (the vector index is the
+    /// FIFO sequence number).
+    outs: Vec<SpanId>,
+    /// Receive-side half-points recorded so far (the next one's FIFO
+    /// sequence number).
+    ins: u64,
+}
 
 struct SpanInner {
     enabled: bool,
     capacity: usize,
     dropped: u64,
     spans: Vec<SpanRecord>,
-    /// Send-side half-points in per-key emit order (the vector index is
-    /// the FIFO sequence number).
-    out_points: FxHashMap<FlowKey, Vec<SpanId>>,
-    /// Receive-side FIFO counters; half-points kept in record order.
-    in_seq: FxHashMap<FlowKey, u64>,
-    in_points: Vec<(FlowKey, u64, SpanId)>,
+    /// Interned flow-key strings (class, src and dst alike).
+    names: FxHashMap<Box<str>, u32>,
+    /// Interned `(class, src, dst)` → index into `streams`.
+    stream_of: FxHashMap<(u32, u32, u32), u32>,
+    streams: Vec<FlowStream>,
+    /// Receive-side half-points in record order: stream, FIFO sequence
+    /// number within it, consuming span.
+    in_points: Vec<(u32, u64, SpanId)>,
+}
+
+impl SpanInner {
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.names.get(s) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.insert(s.into(), id);
+        id
+    }
+
+    /// Index into `streams` of key `(class, src, dst)`, created on first
+    /// use.
+    fn stream(&mut self, class: &'static str, src: &str, dst: &str) -> u32 {
+        let key = (self.intern(class), self.intern(src), self.intern(dst));
+        let next = self.streams.len() as u32;
+        let at = *self.stream_of.entry(key).or_insert(next);
+        if at == next {
+            self.streams.push(FlowStream {
+                class,
+                outs: Vec::new(),
+                ins: 0,
+            });
+        }
+        at
+    }
 }
 
 /// Shared per-simulation span store (cloning shares the store).
@@ -184,8 +285,9 @@ impl SpanStore {
                 capacity: Self::DEFAULT_CAPACITY,
                 dropped: 0,
                 spans: Vec::new(),
-                out_points: FxHashMap::default(),
-                in_seq: FxHashMap::default(),
+                names: FxHashMap::default(),
+                stream_of: FxHashMap::default(),
+                streams: Vec::new(),
                 in_points: Vec::new(),
             })),
         }
@@ -283,8 +385,8 @@ impl SpanStore {
         if !s.enabled {
             return;
         }
-        let key: FlowKey = (class, src.to_string(), dst.to_string());
-        s.out_points.entry(key).or_default().push(span);
+        let at = s.stream(class, src, dst);
+        s.streams[at as usize].outs.push(span);
     }
 
     /// Record the consuming half of a flow on key `(class, src, dst)`,
@@ -297,18 +399,11 @@ impl SpanStore {
         if !s.enabled {
             return;
         }
-        let key: FlowKey = (class, src.to_string(), dst.to_string());
-        let seq = match s.in_seq.get_mut(&key) {
-            Some(v) => {
-                *v += 1;
-                *v
-            }
-            None => {
-                s.in_seq.insert(key.clone(), 0);
-                0
-            }
-        };
-        s.in_points.push((key, seq, span));
+        let at = s.stream(class, src, dst);
+        let stream = &mut s.streams[at as usize];
+        let seq = stream.ins;
+        stream.ins += 1;
+        s.in_points.push((at, seq, span));
     }
 
     /// Snapshot spans and resolve flow half-points into [`FlowEdge`]s.
@@ -318,17 +413,14 @@ impl SpanStore {
     /// disabled) is silently skipped.
     pub fn snapshot(&self) -> SpanSnapshot {
         let s = self.inner.borrow();
-        let mut flows = Vec::new();
-        for (key, seq, to) in &s.in_points {
-            let from = s
-                .out_points
-                .get(key)
-                .and_then(|outs| outs.get(*seq as usize));
-            if let Some(from) = from {
+        let mut flows = Vec::with_capacity(s.in_points.len());
+        for &(at, seq, to) in &s.in_points {
+            let stream = &s.streams[at as usize];
+            if let Some(&from) = stream.outs.get(seq as usize) {
                 flows.push(FlowEdge {
-                    class: key.0,
-                    from: *from,
-                    to: *to,
+                    class: stream.class,
+                    from,
+                    to,
                 });
             }
         }

@@ -19,9 +19,14 @@
 //! Independently of both, [`Tracer::kind_counts`] tallies every recorded
 //! event by its [`Event::kind`] name — eviction-proof totals for the
 //! metrics summary.
+//!
+//! Recording allocates nothing per event: the tallies are a fixed array
+//! indexed by kind, the sink line is encoded into one buffer the tracer
+//! reuses and handed over in a single `write_all`, and the ring stores
+//! events whose name fields are shared [`crate::span::SpanStr`]s.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::rc::Rc;
 
@@ -54,11 +59,14 @@ struct TraceState {
     capacity: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    /// Eviction-proof per-kind totals, keyed by [`Event::kind`].
-    kinds: BTreeMap<&'static str, u64>,
+    /// Eviction-proof per-kind totals, indexed by the event's position
+    /// in [`Event::KINDS`].
+    kinds: [u64; Event::KINDS.len()],
     /// Optional streaming sink: every recorded event is written as one
     /// JSON line before ring admission, so the sink never truncates.
     sink: Option<Box<dyn Write>>,
+    /// The sink's line buffer, reused across events.
+    line: String,
     streamed: u64,
     sink_error: Option<String>,
 }
@@ -81,8 +89,9 @@ impl Tracer {
                 capacity,
                 events: VecDeque::new(),
                 dropped: 0,
-                kinds: BTreeMap::new(),
+                kinds: [0; Event::KINDS.len()],
                 sink: None,
+                line: String::new(),
                 streamed: 0,
                 sink_error: None,
             })),
@@ -126,14 +135,16 @@ impl Tracer {
     /// the oldest entry when full).
     pub fn record(&self, at: SimTime, event: Event) {
         let mut s = self.state.borrow_mut();
+        let s = &mut *s;
         if !s.enabled {
             return;
         }
-        *s.kinds.entry(event.kind()).or_insert(0) += 1;
-        if s.sink.is_some() && s.sink_error.is_none() {
-            let line = event.to_json_line(at.as_nanos());
-            let sink = s.sink.as_mut().expect("checked above");
-            match writeln!(sink, "{line}") {
+        s.kinds[event.kind_index()] += 1;
+        if let (Some(sink), None) = (s.sink.as_mut(), &s.sink_error) {
+            s.line.clear();
+            event.write_json_line(at.as_nanos(), &mut s.line);
+            s.line.push('\n');
+            match sink.write_all(s.line.as_bytes()) {
                 Ok(()) => s.streamed += 1,
                 Err(e) => s.sink_error = Some(e.to_string()),
             }
@@ -193,12 +204,15 @@ impl Tracer {
     /// Eviction-proof per-kind event totals, sorted by kind name. Counts
     /// every recorded event regardless of ring capacity.
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
-        self.state
-            .borrow()
-            .kinds
+        let s = self.state.borrow();
+        let mut counts: Vec<(&'static str, u64)> = Event::KINDS
             .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
+            .zip(s.kinds)
+            .filter(|(_, n)| *n > 0)
+            .map(|(kind, n)| (*kind, n))
+            .collect();
+        counts.sort_unstable();
+        counts
     }
 
     /// Snapshot of the retained events, oldest first.
@@ -241,16 +255,31 @@ impl Tracer {
         let mut s = self.state.borrow_mut();
         s.events.clear();
         s.dropped = 0;
-        s.kinds.clear();
+        s.kinds = [0; Event::KINDS.len()];
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn ev(n: u64) -> Event {
         Event::PacketDequeue { link: 0, bytes: n }
+    }
+
+    /// A `Write` sharing its buffer, so a test can read it back after
+    /// handing ownership to the tracer.
+    #[derive(Clone, Default)]
+    struct Shared(Rc<RefCell<Vec<u8>>>);
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -353,23 +382,6 @@ mod tests {
 
     #[test]
     fn sink_streams_every_event_past_ring_capacity() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        // A Write impl sharing its buffer so the test can read it back
-        // after handing ownership to the tracer.
-        #[derive(Clone, Default)]
-        struct Shared(Rc<RefCell<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let buf = Shared::default();
         let t = Tracer::new(1); // ring keeps only the newest event
         t.set_sink(Box::new(buf.clone()));
@@ -386,22 +398,123 @@ mod tests {
 
     #[test]
     fn sink_error_latches_and_stops_streaming() {
-        struct Failing;
+        /// Fails every write, counting the attempts.
+        struct Failing(Rc<Cell<u32>>);
         impl std::io::Write for Failing {
             fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+                self.0.set(self.0.get() + 1);
                 Err(std::io::Error::other("disk full"))
             }
             fn flush(&mut self) -> std::io::Result<()> {
                 Ok(())
             }
         }
+        let attempts = Rc::new(Cell::new(0));
         let t = Tracer::new(4);
-        t.set_sink(Box::new(Failing));
+        t.set_sink(Box::new(Failing(attempts.clone())));
         t.record(SimTime::ZERO, ev(1));
         t.record(SimTime::ZERO, ev(2));
         assert_eq!(t.streamed(), 0);
         assert!(t.sink_error().unwrap().contains("disk full"));
+        assert_eq!(attempts.get(), 1); // the sink is left alone after the error
         assert_eq!(t.len(), 2); // the ring keeps recording
+        assert_eq!(t.kind_counts(), vec![("packet_dequeue", 2)]);
+    }
+
+    /// One event of every variant, with strings that need escaping.
+    fn every_event() -> Vec<Event> {
+        vec![
+            Event::QuantumGrant {
+                host: "h\"0".into(),
+                job: "j\\0".into(),
+            },
+            Event::QuantumPreempt {
+                host: "h".into(),
+                job: "line\nbreak".into(),
+                wall_ns: u64::MAX,
+            },
+            Event::PacketEnqueue {
+                link: 1,
+                bytes: 2,
+                queued_bytes: 3,
+            },
+            Event::PacketDequeue { link: 4, bytes: 5 },
+            Event::PacketDrop { link: 6, bytes: 7 },
+            Event::RouteLoop {
+                src: 8,
+                dst: 9,
+                at: 10,
+            },
+            Event::VsockSend {
+                src: "é漢字".into(),
+                dst: "ctl\u{1}".into(),
+                bytes: 11,
+            },
+            Event::VsockRecv {
+                host: "".into(),
+                bytes: 0,
+            },
+            Event::MemAlloc {
+                host: "m".into(),
+                bytes: 12,
+                in_use: 13,
+            },
+            Event::MemDeny {
+                host: "m".into(),
+                requested: 14,
+                in_use: 15,
+                limit: 16,
+            },
+            Event::CollectiveStart {
+                op: "barrier",
+                ranks: 4,
+            },
+            Event::CollectiveEnd {
+                op: "bcast",
+                ranks: 4,
+                elapsed_ns: 17,
+            },
+            Event::FaultInjected {
+                fault: "link_down",
+                target: "a<->b".into(),
+            },
+            Event::RankTimeout {
+                rank: 3,
+                waited_ns: 18,
+            },
+        ]
+    }
+
+    #[test]
+    fn sink_receives_each_variant_as_its_json_line() {
+        let events = every_event();
+        assert_eq!(events.len(), Event::KINDS.len());
+        let buf = Shared::default();
+        let t = Tracer::new(2);
+        t.set_sink(Box::new(buf.clone()));
+        let mut want = String::new();
+        for (i, e) in events.iter().enumerate() {
+            let at = SimTime::from_nanos(i as u64 * 1_000);
+            t.record(at, e.clone());
+            want.push_str(&e.to_json_line(at.as_nanos()));
+            want.push('\n');
+        }
+        assert_eq!(String::from_utf8(buf.0.borrow().clone()).unwrap(), want);
+        assert_eq!(t.streamed(), events.len() as u64);
+    }
+
+    #[test]
+    fn kind_counts_are_sorted_by_name_and_skip_unseen_kinds() {
+        let t = Tracer::new(1);
+        for e in every_event().into_iter().skip(2) {
+            t.record(SimTime::ZERO, e.clone());
+            t.record(SimTime::ZERO, e);
+        }
+        let counts = t.kind_counts();
+        let mut names: Vec<&str> = Event::KINDS[2..].to_vec();
+        names.sort_unstable();
+        assert_eq!(counts.iter().map(|(k, _)| *k).collect::<Vec<_>>(), names);
+        assert!(counts.iter().all(|(_, n)| *n == 2));
     }
 
     #[test]

@@ -344,7 +344,7 @@ pub fn spawn_injector(plan: &FaultPlan, bus: FaultBus) {
             obs::count(ev.kind.metric_name(), 1);
             obs::emit(|| Event::FaultInjected {
                 fault: ev.kind.name(),
-                target: ev.kind.target(),
+                target: ev.kind.target().into(),
             });
             bus.publish(&ev.kind);
         }

@@ -51,8 +51,9 @@ struct MemState {
     peak: u64,
     procs: FxHashMap<u64, ProcUsage>,
     next_proc: u64,
-    /// Virtual-host label attached to emitted trace events.
-    label: String,
+    /// Virtual-host label attached to emitted trace events (shared, so
+    /// an event costs a reference bump).
+    label: mgrid_desim::SpanStr,
 }
 
 impl MemState {
@@ -109,7 +110,7 @@ impl MemoryManager {
                 peak: 0,
                 procs: FxHashMap::default(),
                 next_proc: 0,
-                label: label.into(),
+                label: label.into().into(),
             })),
         }
     }

@@ -261,9 +261,10 @@ impl MGridScheduler {
             "sched.quantum_wall_ns",
             mgrid_desim::metrics::TIME_BOUNDS_NS,
         );
-        // Span attributes interned once per daemon: track (host label)
-        // and detail never change, and each grant's lane is the
-        // process's shared name — a quantum span allocates nothing.
+        // Span and event attributes interned once per daemon: track
+        // (host label) and detail never change, and each grant's lane
+        // is the process's shared name — a quantum's span and its two
+        // events allocate nothing.
         let span_track: mgrid_desim::SpanStr = self.inner.borrow().label.as_str().into();
         let span_empty: mgrid_desim::SpanStr = "".into();
         loop {
@@ -295,8 +296,8 @@ impl MGridScheduler {
             self.daemon.run_cpu(overhead).await;
             let t0 = now();
             obs::emit(|| Event::QuantumGrant {
-                host: self.inner.borrow().label.clone(),
-                job: proc.name(),
+                host: span_track.clone(),
+                job: proc.name_shared(),
             });
             // Causal span covering the whole grant (quantum + wakeup
             // jitter): the unit of virtual CPU attribution in the
@@ -329,8 +330,8 @@ impl MGridScheduler {
             m_quanta.add(1);
             m_quantum_wall.observe(wall.as_nanos());
             obs::emit(|| Event::QuantumPreempt {
-                host: self.inner.borrow().label.clone(),
-                job: proc.name(),
+                host: span_track.clone(),
+                job: proc.name_shared(),
                 wall_ns: wall.as_nanos(),
             });
             let mut inner = self.inner.borrow_mut();

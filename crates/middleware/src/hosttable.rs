@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mgrid_desim::FxHashMap;
+use mgrid_desim::{FxHashMap, SpanStr};
 use mgrid_hostsim::VirtualHost;
 use mgrid_netsim::NodeId;
 
@@ -39,6 +39,9 @@ struct TableInner {
     by_node: FxHashMap<NodeId, String>,
     order: Vec<String>,
     vips: VipAllocator,
+    /// Interned observability labels of a `host:port` endpoint, filled
+    /// by traced traffic only (see [`HostTable::endpoint_labels`]).
+    labels: FxHashMap<(NodeId, u16), (SpanStr, SpanStr)>,
 }
 
 /// The shared mapping table of one virtual Grid.
@@ -99,6 +102,25 @@ impl HostTable {
     pub fn lookup_node(&self, node: NodeId) -> Option<HostEntry> {
         let t = self.inner.borrow();
         t.by_node.get(&node).and_then(|n| t.by_name.get(n)).cloned()
+    }
+
+    /// The shared strings traced traffic to or from `port` on `host`
+    /// is labelled with: the host's name and `"name:port"` (the span
+    /// detail of a send, and the destination half of a `"msg"` flow
+    /// key). Built on first use, so the per-message paths clone
+    /// reference bumps instead of formatting the same text again.
+    pub(crate) fn endpoint_labels(&self, host: &HostEntry, port: u16) -> (SpanStr, SpanStr) {
+        self.inner
+            .borrow_mut()
+            .labels
+            .entry((host.node, port))
+            .or_insert_with(|| {
+                (
+                    host.name.as_str().into(),
+                    format!("{}:{port}", host.name).into(),
+                )
+            })
+            .clone()
     }
 
     /// All entries in registration order.

@@ -10,17 +10,18 @@ use mgrid_desim::time::SimDuration;
 use mgrid_desim::{obs, Category, Event};
 use mgrid_netsim::{NetError, Payload};
 
+use crate::hosttable::HostEntry;
 use crate::process::ProcessCtx;
 use crate::vip::VirtIp;
 
 /// Record one outbound vsocket message in the observability layer.
-fn note_send(ctx: &ProcessCtx, dst: &str, bytes: u64) {
+fn note_send(ctx: &ProcessCtx, dst: &HostEntry, port: u16, bytes: u64) {
     let m = &ctx.vsock_metrics;
     m.sends.add(1);
     m.bytes_sent.add(bytes);
     obs::emit(|| Event::VsockSend {
-        src: ctx.gethostname().to_string(),
-        dst: dst.to_string(),
+        src: ctx.span_attrs().0,
+        dst: ctx.table().endpoint_labels(dst, port).0,
         bytes,
     });
 }
@@ -31,7 +32,7 @@ fn note_recv(ctx: &ProcessCtx, bytes: u64) {
     m.recvs.add(1);
     m.bytes_recvd.add(bytes);
     obs::emit(|| Event::VsockRecv {
-        host: ctx.gethostname().to_string(),
+        host: ctx.span_attrs().0,
         bytes,
     });
 }
@@ -55,13 +56,14 @@ async fn send_impl(
         .ok_or_else(|| SockError::UnknownHost(host.to_string()))?;
     let span = obs::span_begin(Category::Vsock, "vsock_send", || {
         let (track, lane) = ctx.span_attrs();
-        (track, lane, format!("{host}:{port}").into())
+        (track, lane, ctx.table().endpoint_labels(&entry, port).1)
     });
     if !span.is_none() {
-        obs::flow_out("msg", ctx.gethostname(), &format!("{host}:{port}"), span);
+        let dst = ctx.table().endpoint_labels(&entry, port).1;
+        obs::flow_out("msg", ctx.gethostname(), &dst, span);
     }
     ctx.process().intercept_overhead().await;
-    note_send(ctx, host, size_bytes);
+    note_send(ctx, &entry, port, size_bytes);
     let res = ctx
         .endpoint()
         .send(entry.node, port, src_port, size_bytes, payload)
@@ -157,9 +159,9 @@ pub struct VSocket {
     ctx: ProcessCtx,
     inbox: mgrid_netsim::Inbox,
     port: u16,
-    /// Interned `":port"` span detail, allocated on the first traced
-    /// receive.
-    span_detail: std::cell::OnceCell<mgrid_desim::SpanStr>,
+    /// Interned `":port"` span detail and `"host:port"` flow-key
+    /// destination, allocated on the first traced receive.
+    span_labels: std::cell::OnceCell<(mgrid_desim::SpanStr, mgrid_desim::SpanStr)>,
 }
 
 impl ProcessCtx {
@@ -172,7 +174,7 @@ impl ProcessCtx {
         VSocket {
             ctx: self.clone(),
             inbox,
-            span_detail: std::cell::OnceCell::new(),
+            span_labels: std::cell::OnceCell::new(),
             port,
         }
     }
@@ -284,6 +286,16 @@ impl VSocket {
             .await
     }
 
+    /// This socket's `(":port", "host:port")` labels.
+    fn span_labels(&self) -> &(mgrid_desim::SpanStr, mgrid_desim::SpanStr) {
+        self.span_labels.get_or_init(|| {
+            (
+                format!(":{}", self.port).into(),
+                format!("{}:{}", self.ctx.gethostname(), self.port).into(),
+            )
+        })
+    }
+
     /// Receive the next message, parking until one arrives.
     ///
     /// The wait is covered by a `vsock_recv` causal span; on delivery
@@ -293,10 +305,7 @@ impl VSocket {
     pub async fn recv(&self) -> Result<VMessage, SockError> {
         let span = obs::span_begin(Category::Vsock, "vsock_recv", || {
             let (track, lane) = self.ctx.span_attrs();
-            let detail = self
-                .span_detail
-                .get_or_init(|| format!(":{}", self.port).into());
-            (track, lane, detail.clone())
+            (track, lane, self.span_labels().0.clone())
         });
         let msg = match self.inbox.recv().await {
             Ok(msg) => msg,
@@ -313,12 +322,7 @@ impl VSocket {
             .lookup_node(msg.src)
             .expect("message from unmapped node");
         if !span.is_none() {
-            obs::flow_in(
-                "msg",
-                &src.name,
-                &format!("{}:{}", self.ctx.gethostname(), self.port),
-                span,
-            );
+            obs::flow_in("msg", &src.name, &self.span_labels().1, span);
         }
         obs::span_end(span);
         Ok(VMessage {

@@ -132,9 +132,22 @@ pub struct Comm {
     drained: Notify,
     /// Ranks this communicator has timed out waiting on (suspected dead).
     failed: Rc<RefCell<FxHashSet<usize>>>,
-    /// Interned `(track, lane, detail)` span attributes for this rank's
-    /// collective spans — allocated on the first traced collective.
-    span_attrs: Rc<std::cell::OnceCell<(SpanStr, SpanStr, SpanStr)>>,
+    /// Interned labels of this rank's collective spans and flows —
+    /// allocated on the first traced collective.
+    coll_labels: Rc<std::cell::OnceCell<CollLabels>>,
+}
+
+/// What one rank's collective spans and `"coll"` flow half-points are
+/// labelled with.
+struct CollLabels {
+    /// Span track: the rank's host.
+    track: SpanStr,
+    /// Span lane, and this rank's flow-key name: `"rankN"`.
+    lane: SpanStr,
+    /// Span detail: `"xRANKS"`.
+    detail: SpanStr,
+    /// On rank 0, the flow-key names of ranks `1..`; empty elsewhere.
+    peers: Vec<String>,
 }
 
 impl Comm {
@@ -194,7 +207,7 @@ impl Comm {
             outstanding: Rc::new(Cell::new(0)),
             drained: Notify::new(),
             failed: Rc::new(RefCell::new(FxHashSet::default())),
-            span_attrs: Rc::new(std::cell::OnceCell::new()),
+            coll_labels: Rc::new(std::cell::OnceCell::new()),
         }
     }
 
@@ -525,25 +538,31 @@ impl Comm {
         let ranks = self.size();
         obs::emit(|| Event::CollectiveStart { op, ranks });
         let rank = self.rank;
+        let labels = || {
+            self.coll_labels.get_or_init(|| CollLabels {
+                track: self.hosts[rank].as_str().into(),
+                lane: format!("rank{rank}").into(),
+                detail: format!("x{ranks}").into(),
+                peers: if rank == 0 {
+                    (1..ranks).map(|r| format!("rank{r}")).collect()
+                } else {
+                    Vec::new()
+                },
+            })
+        };
         let span = obs::span_begin(Category::Mpi, op, || {
-            let (track, lane, detail) = self.span_attrs.get_or_init(|| {
-                (
-                    self.hosts[rank].as_str().into(),
-                    format!("rank{rank}").into(),
-                    format!("x{ranks}").into(),
-                )
-            });
-            (track.clone(), lane.clone(), detail.clone())
+            let l = labels();
+            (l.track.clone(), l.lane.clone(), l.detail.clone())
         });
         if !span.is_none() && rank != 0 {
-            obs::flow_out("coll", &format!("rank{rank}"), "rank0", span);
+            obs::flow_out("coll", &labels().lane, "rank0", span);
         }
         let t0 = mgrid_desim::now();
         let out = fut.await;
         let elapsed_ns = (mgrid_desim::now() - t0).as_nanos();
-        if !span.is_none() && rank == 0 {
-            for peer in 1..ranks {
-                obs::flow_in("coll", &format!("rank{peer}"), "rank0", span);
+        if !span.is_none() {
+            for peer in &labels().peers {
+                obs::flow_in("coll", peer, "rank0", span);
             }
         }
         obs::span_end(span);

@@ -258,6 +258,11 @@ pub(crate) struct NetInner {
     loopback: RefCell<VecDeque<(SimTime, Packet)>>,
     loopback_arrived: Notify,
     pub(crate) m: NetMetrics,
+    /// Interned `"<size>B to <node>"` details of `net_send` spans, by
+    /// destination and size — filled by traced sends only. Transfers
+    /// repeat few sizes per peer, so a span shares its detail instead
+    /// of formatting a fresh one.
+    pub(crate) send_details: RefCell<FxHashMap<(NodeId, u64), mgrid_desim::SpanStr>>,
 }
 
 /// The simulated network. Must be created inside a running simulation (its
@@ -303,6 +308,7 @@ impl Network {
                 stats: RefCell::new(NetworkStats::default()),
                 loopback: RefCell::new(VecDeque::new()),
                 loopback_arrived: Notify::new(),
+                send_details: RefCell::new(FxHashMap::default()),
                 m: NetMetrics {
                     packets_tx: obs::counter_handle("net.packets_tx"),
                     bytes_tx: obs::counter_handle("net.bytes_tx"),

@@ -38,15 +38,19 @@ impl Endpoint {
         payload: Payload,
     ) -> Result<(), NetError> {
         let span = obs::span_begin(Category::Net, "net_send", || {
-            let topo = &self.network().inner.topo;
+            let inner = &self.network().inner;
             let (track, lane) = self
                 .span_attrs
-                .get_or_init(|| (topo.node_name(self.node()).into(), "transport".into()));
-            (
-                track.clone(),
-                lane.clone(),
-                format!("{}B to {}", size_bytes, topo.node_name(dst)).into(),
-            )
+                .get_or_init(|| (inner.topo.node_name(self.node()).into(), "transport".into()));
+            let detail = inner
+                .send_details
+                .borrow_mut()
+                .entry((dst, size_bytes))
+                .or_insert_with(|| {
+                    format!("{}B to {}", size_bytes, inner.topo.node_name(dst)).into()
+                })
+                .clone();
+            (track.clone(), lane.clone(), detail)
         });
         let res = self
             .send_inner(dst, port, src_port, size_bytes, payload)
