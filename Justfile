@@ -12,15 +12,19 @@ test:
 
 # Documentation, formatting, and lint gate — keep these warning-free.
 # Also verifies every relative link/anchor in README.md and docs/.
+# Test code may use wall clocks, std hash containers and float-built
+# SimTime literals, hence the three `-A`s; `lint` below holds the rest.
 docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
     cargo fmt --check
-    cargo clippy --workspace --all-targets -- -D warnings
-    cargo run -p mgrid-lint --bin linkcheck
+    cargo clippy --workspace --all-targets -- -D warnings \
+        -A clippy::disallowed_methods -A clippy::disallowed_types -A clippy::iter_over_hash_type
+    cargo run -p mgrid-linkcheck
 
-# Determinism & safety static analysis (rule catalog: docs/LINTS.md).
+# The determinism gate on lib and bin targets (clippy.toml, rule table:
+# docs/LINTS.md).
 lint:
-    cargo run -p mgrid-lint --bin mgrid-lint -- --format human
+    cargo clippy --workspace -- -D warnings
 
 fmt:
     cargo fmt --all

@@ -119,9 +119,10 @@ pub async fn run(comm: Comm, class: NpbClass, sensors: Option<NpbSensors>) -> Np
                     let piv = aug[i][i];
                     for j in i + 1..(i + 3).min(m) {
                         let f = aug[j][i] / piv;
-                        // Two rows of `aug` are read and written at once;
-                        // an iterator form would need split_at_mut noise.
-                        #[allow(clippy::needless_range_loop)]
+                        #[allow(
+                            clippy::needless_range_loop,
+                            reason = "reads one row of `aug` while writing another; iterators need split_at_mut"
+                        )]
                         for k in i..(i + 3).min(m) {
                             aug[j][k] -= f * aug[i][k];
                         }

@@ -299,17 +299,6 @@ where
     });
 }
 
-/// [`run_jobs_each`], collecting the results in submission order.
-pub fn run_jobs<R, F>(workers: usize, jobs: Vec<F>) -> Vec<R>
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    let mut out = Vec::with_capacity(jobs.len());
-    run_jobs_each(workers, jobs, |r| out.push(r));
-    out
-}
-
 /// Give this thread's later [`run_scenarios`] calls `workers` pool
 /// workers. `repro` passes each figure worker its share of the
 /// `MGRID_REPRO_THREADS` budget and `chaos` the whole budget; tests
@@ -321,8 +310,8 @@ pub fn set_scenario_workers(workers: usize) {
 /// A type-erased independent scenario of one figure.
 pub type Scenario<R> = Box<dyn FnOnce() -> R + Send>;
 
-/// Run one figure's independent scenarios on the pool ([`run_jobs`])
-/// with this thread's [`set_scenario_workers`] share.
+/// Run one figure's independent scenarios on the pool
+/// ([`run_jobs_each`]) with this thread's [`set_scenario_workers`] share.
 ///
 /// Results come back in submission order and each scenario is a
 /// self-contained deterministic simulation, so the figure is
@@ -331,17 +320,16 @@ pub type Scenario<R> = Box<dyn FnOnce() -> R + Send>;
 /// accumulator; [`MetricsSnapshot::merge`] is commutative and
 /// associative, so the merged figure snapshot is count-invariant too.
 pub fn run_scenarios<R: Send>(jobs: Vec<Scenario<R>>) -> Vec<R> {
-    let jobs = jobs
+    let jobs: Vec<_> = jobs
         .into_iter()
         .map(|job| move || (job(), take_metrics()))
         .collect();
-    run_jobs(SCENARIO_WORKERS.with(Cell::get), jobs)
-        .into_iter()
-        .map(|(result, snap)| {
-            ACCUM.with(|a| a.borrow_mut().merge(&snap));
-            result
-        })
-        .collect()
+    let mut out = Vec::with_capacity(jobs.len());
+    run_jobs_each(SCENARIO_WORKERS.with(Cell::get), jobs, |(result, snap)| {
+        ACCUM.with(|a| a.borrow_mut().merge(&snap));
+        out.push(result);
+    });
+    out
 }
 
 /// Class A normally, class S in fast mode.

@@ -304,6 +304,13 @@ fn run_cmd(args: &[String]) {
     let seed = config.seed;
     let baseline = args.iter().any(|a| a == "--baseline");
     let app = args[1].to_ascii_uppercase();
+    // A missing, non-numeric or zero edge is a usage error, not a silent
+    // 50^3 run or an empty grid that "verifies".
+    let wavetoy_edge =
+        (app == "WAVETOY").then(|| match args.get(2).and_then(|s| s.parse::<u32>().ok()) {
+            Some(edge) if edge > 0 => edge,
+            _ => usage(),
+        });
     let mode = if baseline {
         "physical baseline"
     } else {
@@ -311,10 +318,9 @@ fn run_cmd(args: &[String]) {
     };
     outln!("running {app} on '{}' ({mode})", config.name);
 
-    if app == "WAVETOY" {
-        let edge: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(50);
+    if let Some(grid_edge) = wavetoy_edge {
         let wt = WaveToyConfig {
-            grid_edge: edge,
+            grid_edge,
             steps: 100,
         };
         let (results, capture) = execute(seed, &obs_opts, async move {

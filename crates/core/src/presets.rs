@@ -219,6 +219,10 @@ pub fn vbns_grid(bottleneck_bps: f64) -> GridConfig {
                     a: a.into(),
                     b: b.into(),
                     bandwidth_bps: bw,
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the vBNS table above gives link delays in fractional milliseconds"
+                    )]
                     delay: SimDuration::from_secs_f64(ms * 1e-3),
                     // WAN routers buffer more than LAN switches.
                     queue_bytes: Some(4 * 1024 * 1024),

@@ -31,3 +31,23 @@ fn closed_stdout_pipe_ends_the_run_quietly() {
     assert_eq!(status.code(), Some(0), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+/// `wavetoy` needs a positive numeric edge: anything else is a usage
+/// error before a simulation starts, not a silent 50^3 or empty grid.
+#[test]
+fn wavetoy_rejects_a_missing_non_numeric_or_zero_edge() {
+    for edge in [None, Some("abc"), Some("0")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mgrid"))
+            .args(["run", "alpha_cluster", "wavetoy"])
+            .args(edge)
+            .output()
+            .expect("run mgrid");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "edge {edge:?}: {stderr}");
+        assert!(
+            stderr.starts_with("usage: mgrid"),
+            "edge {edge:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "edge {edge:?} started a run");
+    }
+}

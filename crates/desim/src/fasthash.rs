@@ -72,9 +72,17 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the fixed-seed alias the rest of the workspace uses instead of `RandomState`"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the fixed-seed alias the rest of the workspace uses instead of `RandomState`"
+)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

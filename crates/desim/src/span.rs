@@ -326,7 +326,10 @@ impl SpanStore {
 
     /// Open a span at `at`. Returns [`SpanId::NONE`] (recording nothing)
     /// while disabled or once the capacity backstop is hit.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one flat call per span keeps the hot recording path free of a builder"
+    )]
     pub fn begin(
         &self,
         at: SimTime,

@@ -121,22 +121,31 @@ impl VirtualClock {
 
     /// Physical duration needed for `virt` of virtual time to elapse at the
     /// *current* rate.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the rate map IS the paper's scaled-clock model; both runs replay the same f64 ops"
+    )]
     pub fn to_physical(&self, virt: SimDuration) -> SimDuration {
-        // mgrid-lint: allow(MG008) the rate map IS the paper's scaled-clock model; both runs replay the same f64 ops
         virt.div_f64(self.rate())
     }
 
     /// Virtual duration that elapses over `phys` of physical time at the
     /// *current* rate.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same scaled-clock model as `to_physical`; deterministic per seed"
+    )]
     pub fn to_virtual(&self, phys: SimDuration) -> SimDuration {
-        // mgrid-lint: allow(MG008) same scaled-clock model as `to_physical`; deterministic per seed
         phys.mul_f64(self.rate())
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "segment interpolation is the scaled-clock model; identical f64 ops replay identically"
+)]
 fn virt_at(seg: &Segment, phys: SimTime) -> SimTime {
     let elapsed = phys.saturating_since(seg.phys_start);
-    // mgrid-lint: allow(MG008) segment interpolation is the scaled-clock model; identical f64 ops replay identically
     seg.virt_start + elapsed.mul_f64(seg.rate)
 }
 

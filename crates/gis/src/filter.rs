@@ -61,7 +61,10 @@ impl Filter {
     }
 
     /// Negation.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "a constructor beside `and`/`or`, not an operator on an existing filter"
+    )]
     pub fn not(f: Filter) -> Filter {
         Filter::Not(Box::new(f))
     }

@@ -87,6 +87,10 @@ pub fn spawn_io_competitor(
         while !s.get() {
             p.run_cpu(params.cpu_burst).await;
             let jitter = (1.0 + params.io_jitter * rng.normal()).max(0.1);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "model math: the I/O wait is scaled by a jitter drawn from the seeded rng"
+            )]
             p.os_sleep(params.io_wait.mul_f64(jitter)).await;
         }
         p.exit();

@@ -157,8 +157,16 @@ impl Disk {
                     SimDuration::ZERO
                 } else {
                     let z = inner.rng.normal();
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "model math: the seek is scaled by a jitter drawn from the seeded rng"
+                    )]
                     spec.seek.mul_f64((1.0 + spec.seek_jitter * z).max(0.1))
                 };
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "model math: transfer time is bytes over the configured f64 rate"
+                )]
                 let transfer = SimDuration::from_secs_f64(req.bytes as f64 / spec.transfer_bps);
                 let total = seek + transfer;
                 inner.busy += total;

@@ -426,6 +426,10 @@ impl GridProcess {
         if mops <= 0.0 {
             return;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "model math: CPU time is f64 Mops over the configured f64 speed"
+        )]
         let cpu = SimDuration::from_secs_f64(mops / self.inner.vh.physical().spec().speed_mops);
         self.inner.proc.run_cpu(cpu).await;
     }

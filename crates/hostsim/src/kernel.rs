@@ -255,7 +255,10 @@ impl OsKernel {
             .all(|p| p.counter <= 0.0);
         if all_drained {
             // New epoch: everyone recharges; sleepers bank credit.
-            // mgrid-lint: allow(MG007) per-entry update commutes — visit order is irrelevant
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "per-entry update commutes — visit order is irrelevant"
+            )]
             for p in inner.procs.values_mut() {
                 p.counter = p.counter / 2.0 + p.base;
             }
@@ -265,7 +268,6 @@ impl OsKernel {
             // The comparator below is total (credit, then last-ran,
             // then pid), so the winner is unique and iteration order
             // cannot affect the pick.
-            // mgrid-lint: allow(MG007) max_by with a total comparator picks a unique winner
             .iter()
             .filter(|(_, p)| runnable(p) && p.counter > 0.0)
             .max_by(|(pa, a), (pb, b)| {
@@ -311,6 +313,10 @@ impl OsKernel {
                 p.last_ran_seq = seq;
                 let credit = SimDuration::from_nanos((p.counter.max(0.05) * tick_ns) as u64);
                 let want = p.requests.front().expect("runnable has request").remaining;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "model math: the slice is scaled by a jitter drawn from the seeded rng"
+                )]
                 let slice = want.min(credit).min(max_slice).mul_f64(jitter);
                 // Never schedule a zero-length slice (it would livelock).
                 (slice.max(SimDuration::from_nanos(100)), cs)

@@ -168,6 +168,10 @@ impl MGridScheduler {
         // fraction), while accrued-but-unused entitlement is forfeited —
         // never banked into a CPU burst.
         let elapsed = now().saturating_since(job.started);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "model math: entitlement is the f64 CPU fraction times elapsed time (Fig 4)"
+        )]
         let entitled = SimDuration::from_secs_f64(job.fraction * elapsed.as_secs_f64());
         job.used = job.used.saturating_sub(entitled);
         job.started = now();
@@ -239,6 +243,10 @@ impl MGridScheduler {
             .map(|j| {
                 let elapsed = t.saturating_since(j.started).as_secs_f64();
                 let wait = j.used.as_secs_f64() / j.fraction - elapsed;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "model math: inverts the Fig 4 condition `used <= fraction * elapsed`"
+                )]
                 SimDuration::from_secs_f64(wait.max(0.0))
             })
             .min()
@@ -318,6 +326,10 @@ impl MGridScheduler {
                 let std = inner.params.wakeup_jitter_base.as_secs_f64()
                     + inner.params.wakeup_jitter_per_runnable.as_secs_f64() * others as f64;
                 let z = mgrid_desim::with_rng(|r| r.normal()).abs();
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "model math: wakeup latency is a normal draw from the seeded rng"
+                )]
                 SimDuration::from_secs_f64(std * z)
             };
             if !jitter.is_zero() {

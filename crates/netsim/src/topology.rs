@@ -80,6 +80,10 @@ impl LinkSpec {
     }
 
     /// Serialization time of `bytes` on this link (virtual time).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "model math: serialization time is bits over the configured f64 bandwidth"
+    )]
     pub fn tx_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.bandwidth_bps)
     }

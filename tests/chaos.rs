@@ -2,8 +2,8 @@
 //! simulation, so a faulty run must be exactly as reproducible as a
 //! healthy one. Each scenario here runs twice from the same seed and the
 //! serialized metrics snapshots are compared byte-for-byte — the dynamic
-//! counterpart of the static invariants `mgrid-lint` enforces
-//! (docs/LINTS.md) and the contract documented in docs/FAULTS.md.
+//! counterpart of the static invariants clippy enforces
+//! (clippy.toml, docs/LINTS.md) and the contract documented in docs/FAULTS.md.
 
 use std::future::Future;
 use std::pin::Pin;

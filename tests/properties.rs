@@ -265,9 +265,9 @@ proptest! {
 /// Double-run determinism backstop: one full figure scenario (an NPB
 /// kernel on the alpha-cluster MicroGrid), executed twice from the same
 /// seed, must produce byte-identical serialized metrics snapshots. This
-/// is the end-to-end check behind the invariants `mgrid-lint` enforces
-/// statically (docs/LINTS.md): no wall clock, no entropy-seeded hashers,
-/// no ambient randomness, no OS threads in the simulation core.
+/// is the end-to-end check behind the invariants clippy enforces
+/// statically (clippy.toml, docs/LINTS.md): no wall clock, no
+/// entropy-seeded hashers, no OS threads in the simulation core.
 #[test]
 fn same_seed_runs_are_byte_identical() {
     use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
