@@ -63,6 +63,13 @@ benchmark-trace:
 observed:
     bash benchmark/run.sh --workload observed_lu --seed 0 --seconds 16 --trace 1
 
+# What a performance claim is judged by: alternating parent/change pairs
+# of one workload at seed 0 and again at seed 7, with each side's median,
+# quartiles, wins and failed/attempted (e.g. `just pairs HEAD~1 npb_lan`;
+# ten pairs at both seeds take about twelve minutes).
+pairs parent workload pairs="10":
+    bash scripts/pairs.sh {{parent}} {{workload}} {{pairs}}
+
 # The same suite at class S and 64 hosts, one short repetition: a dozen
 # seconds, not comparable; checks that every workload still runs, verifies
 # and reproduces its blessed counters.

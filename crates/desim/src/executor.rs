@@ -19,13 +19,21 @@
 //!   list). A [`TaskId`] packs `slot | generation`, so a stale wake for a
 //!   completed task is rejected by a generation compare instead of a hash
 //!   probe, and spawn/complete never allocate map nodes.
-//! * **Task wakers** are created once per task and cached in its slot;
-//!   polling reuses the cached waker (an `Arc` clone) instead of
-//!   allocating a fresh waker per poll.
+//! * **Task wakers** are created once per task and cached in its slot.
+//!   A poll *takes* the waker out of the slot and puts it back on
+//!   `Pending`, exactly as it does with the future, so polling touches no
+//!   reference count.
 //! * **Timers** keep their tie-break-by-registration-sequence contract in
-//!   the binary heap, but waker storage is a generation-tagged slab
-//!   addressed by a private `TimerHandle`; re-arming an existing timer uses
+//!   the binary heap; what to wake lives in a generation-tagged slab
+//!   addressed by a private `TimerHandle`. A timer registered with the
+//!   waker the executor handed to the task being polled (the common case:
+//!   a `Sleep` awaited by its own task) stores that task's [`TaskId`], and
+//!   firing it is a plain push on the ready queue, in the same order as
+//!   the `wake()` it stands for. Any other waker (a test's, a
+//!   combinator's own) is cloned into the slot, and re-arming uses
 //!   [`Waker::will_wake`] to skip redundant clones.
+//! * What still clones a waker per wait: [`crate::sync::Notify`], the
+//!   channels and [`JoinHandle`], which park wakers outside the executor.
 //! * The **ready queue** is a plain `VecDeque` behind an owner-thread
 //!   assertion instead of a `Mutex`: wakers are nominally `Send + Sync`,
 //!   but every task of a `!Send` simulation runs on the thread that owns
@@ -39,7 +47,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWakerVTable, Wake, Waker};
 
 use crate::obs::Obs;
 use crate::rng::{SharedRng, SimRng};
@@ -148,7 +156,8 @@ struct TaskSlot {
     gen: u32,
     /// `None` while the slot is free or the task is being polled.
     fut: Option<BoxedFuture>,
-    /// Waker created on first poll and reused for every later poll.
+    /// Waker created on first poll and reused for every later poll;
+    /// `None` before the first poll and while the task is being polled.
     waker: Option<Waker>,
     daemon: bool,
     live: bool,
@@ -183,10 +192,44 @@ pub(crate) struct TimerHandle {
     gen: u32,
 }
 
-/// Slab slot holding one pending timer's waker.
+/// What a pending timer wakes when it fires.
+enum TimerWake {
+    /// The task that registered the timer with its own executor-issued
+    /// waker: firing pushes the id on the ready queue, which is all that
+    /// waker's `wake()` does.
+    Task(TaskId),
+    /// Any other waker, cloned.
+    Waker(Waker),
+}
+
+/// Slab slot holding what one pending timer wakes.
 struct TimerSlot {
     gen: u32,
-    waker: Option<Waker>,
+    wake: Option<TimerWake>,
+}
+
+/// The task being polled and the identity of the waker it was handed.
+/// The pointers are only ever compared, never dereferenced; they stay
+/// unique while the cell holds them because `poll_task` owns the waker
+/// for that long.
+#[derive(Clone, Copy)]
+struct PolledTask {
+    id: TaskId,
+    waker_data: *const (),
+    waker_vtable: &'static RawWakerVTable,
+}
+
+/// Sets [`SimInner::polled`] for the duration of one poll and restores
+/// the previous value on every exit, unwinding included.
+struct PolledGuard<'a> {
+    cell: &'a Cell<Option<PolledTask>>,
+    prev: Option<PolledTask>,
+}
+
+impl Drop for PolledGuard<'_> {
+    fn drop(&mut self) {
+        self.cell.set(self.prev);
+    }
 }
 
 pub(crate) struct SimInner {
@@ -196,6 +239,8 @@ pub(crate) struct SimInner {
     task_free: RefCell<Vec<u32>>,
     /// Non-daemon tasks spawned and not yet completed.
     live_count: Cell<usize>,
+    /// The task `poll_task` is in the middle of polling, if any.
+    polled: Cell<Option<PolledTask>>,
     ready: Arc<ReadyQueue>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     timer_slots: RefCell<Vec<TimerSlot>>,
@@ -255,6 +300,7 @@ impl Simulation {
                 tasks: RefCell::new(Vec::new()),
                 task_free: RefCell::new(Vec::new()),
                 live_count: Cell::new(0),
+                polled: Cell::new(None),
                 ready: ReadyQueue::new(),
                 timers: RefCell::new(BinaryHeap::with_capacity(64)),
                 timer_slots: RefCell::new(Vec::new()),
@@ -457,7 +503,8 @@ impl SimInner {
     }
 
     fn poll_task(self: &Rc<Self>, id: TaskId) {
-        // Take the future out so the task may spawn/wake reentrantly.
+        // Take the future and its waker out so the task may spawn/wake
+        // reentrantly.
         let (mut fut, waker) = {
             let mut tasks = self.tasks.borrow_mut();
             let Some(slot) = tasks.get_mut(id.slot()) else {
@@ -469,20 +516,28 @@ impl SimInner {
             let Some(fut) = slot.fut.take() else {
                 return; // completed (or mid-poll); spurious wake
             };
-            let waker = slot
-                .waker
-                .get_or_insert_with(|| {
-                    Waker::from(Arc::new(TaskWaker {
-                        id,
-                        ready: self.ready.clone(),
-                    }))
-                })
-                .clone();
+            let waker = slot.waker.take().unwrap_or_else(|| {
+                Waker::from(Arc::new(TaskWaker {
+                    id,
+                    ready: self.ready.clone(),
+                }))
+            });
             (fut, waker)
         };
         let mut cx = Context::from_waker(&waker);
         self.polls.set(self.polls.get() + 1);
-        match fut.as_mut().poll(&mut cx) {
+        let polled = {
+            let _polled = PolledGuard {
+                cell: &self.polled,
+                prev: self.polled.replace(Some(PolledTask {
+                    id,
+                    waker_data: waker.data(),
+                    waker_vtable: waker.vtable(),
+                })),
+            };
+            fut.as_mut().poll(&mut cx)
+        };
+        match polled {
             Poll::Ready(()) => {
                 // Run the future's destructors before re-borrowing the
                 // task table: dropping captured state may re-enter the
@@ -494,14 +549,30 @@ impl SimInner {
                     self.live_count.set(self.live_count.get() - 1);
                 }
                 slot.gen = slot.gen.wrapping_add(1);
-                slot.waker = None;
                 slot.daemon = false;
                 slot.live = false;
                 self.task_free.borrow_mut().push(id.slot() as u32);
             }
             Poll::Pending => {
-                self.tasks.borrow_mut()[id.slot()].fut = Some(fut);
+                let mut tasks = self.tasks.borrow_mut();
+                let slot = &mut tasks[id.slot()];
+                slot.fut = Some(fut);
+                slot.waker = Some(waker);
             }
+        }
+    }
+
+    /// What a timer registered with `waker` has to wake: the task being
+    /// polled if `waker` is the one it was handed, else a clone of it.
+    #[inline]
+    fn timer_wake(&self, waker: &Waker) -> TimerWake {
+        match self.polled.get() {
+            Some(p)
+                if waker.data() == p.waker_data && std::ptr::eq(waker.vtable(), p.waker_vtable) =>
+            {
+                TimerWake::Task(p.id)
+            }
+            _ => TimerWake::Waker(waker.clone()),
         }
     }
 
@@ -537,7 +608,7 @@ impl SimInner {
                     _ => break,
                 }
             };
-            let waker = {
+            let wake = {
                 let mut slots = self.timer_slots.borrow_mut();
                 let s = &mut slots[slot as usize];
                 if s.gen != gen {
@@ -546,13 +617,15 @@ impl SimInner {
                         .set(self.stale_timers.get().saturating_sub(1));
                     continue;
                 }
-                let w = s.waker.take();
+                let w = s.wake.take();
                 s.gen = s.gen.wrapping_add(1);
                 self.timer_free.borrow_mut().push(slot);
                 w
             };
-            if let Some(w) = waker {
-                w.wake();
+            match wake {
+                Some(TimerWake::Task(id)) => self.ready.push(id),
+                Some(TimerWake::Waker(w)) => w.wake(),
+                None => {}
             }
         }
     }
@@ -560,21 +633,19 @@ impl SimInner {
     pub(crate) fn register_timer(&self, at: SimTime, waker: &Waker) -> TimerHandle {
         let seq = self.next_timer_seq.get();
         self.next_timer_seq.set(seq + 1);
+        let wake = Some(self.timer_wake(waker));
         let (slot, gen) = {
             let mut slots = self.timer_slots.borrow_mut();
             match self.timer_free.borrow_mut().pop() {
                 Some(slot) => {
                     let s = &mut slots[slot as usize];
-                    debug_assert!(s.waker.is_none());
-                    s.waker = Some(waker.clone());
+                    debug_assert!(s.wake.is_none());
+                    s.wake = wake;
                     (slot, s.gen)
                 }
                 None => {
                     let slot = u32::try_from(slots.len()).expect("timer slab exhausted");
-                    slots.push(TimerSlot {
-                        gen: 0,
-                        waker: Some(waker.clone()),
-                    });
+                    slots.push(TimerSlot { gen: 0, wake });
                     (slot, 0)
                 }
             }
@@ -589,23 +660,23 @@ impl SimInner {
         let mut slots = self.timer_slots.borrow_mut();
         let s = &mut slots[handle.slot as usize];
         if s.gen == handle.gen {
-            match &mut s.waker {
-                Some(w) if w.will_wake(waker) => {}
-                slot_waker => *slot_waker = Some(waker.clone()),
+            match &s.wake {
+                Some(TimerWake::Waker(w)) if w.will_wake(waker) => {}
+                _ => s.wake = Some(self.timer_wake(waker)),
             }
         }
     }
 
     pub(crate) fn cancel_timer(&self, handle: TimerHandle) {
         // The heap entry stays and is skipped on pop (generation mismatch);
-        // dropping the waker and bumping the generation neutralizes it.
+        // clearing the slot and bumping the generation neutralizes it.
         {
             let mut slots = self.timer_slots.borrow_mut();
             let s = &mut slots[handle.slot as usize];
             if s.gen != handle.gen {
                 return;
             }
-            s.waker = None;
+            s.wake = None;
             s.gen = s.gen.wrapping_add(1);
             self.timer_free.borrow_mut().push(handle.slot);
         }
@@ -706,6 +777,7 @@ impl<T> Future for JoinHandle<T> {
 // ---------------------------------------------------------------------------
 
 /// Current simulation time (inside a running simulation).
+#[inline]
 pub fn now() -> SimTime {
     with_current(|s| s.now.get())
 }
@@ -742,6 +814,7 @@ pub fn fork_rng() -> SimRng {
 }
 
 /// Sleep for a span of simulated physical time.
+#[inline]
 pub fn sleep(d: SimDuration) -> Sleep {
     Sleep {
         at: None,
@@ -751,6 +824,7 @@ pub fn sleep(d: SimDuration) -> Sleep {
 }
 
 /// Sleep until an absolute instant.
+#[inline]
 pub fn sleep_until(at: SimTime) -> Sleep {
     Sleep {
         at: Some(at),
@@ -768,6 +842,7 @@ pub struct Sleep {
 
 impl Future for Sleep {
     type Output = ();
+    #[inline]
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
         with_current(|s| {
@@ -796,6 +871,7 @@ impl Future for Sleep {
 }
 
 impl Drop for Sleep {
+    #[inline]
     fn drop(&mut self) {
         if let Some(handle) = self.timer.take() {
             // Best-effort: outside a context (sim already dropped) there is
@@ -1049,8 +1125,131 @@ mod tests {
         stale.borrow().as_ref().unwrap().wake_by_ref();
         sim.run();
         assert!(done.get());
-        // The stale wake costs no task poll (generation mismatch).
-        let _ = polls_before;
+        // The stale wake costs no task poll (generation mismatch): only
+        // the new task's two polls happened.
+        assert_eq!(sim.poll_count(), polls_before + 2);
+    }
+
+    /// A waker that is not a task's: counts its wakes.
+    struct CountingWaker(std::sync::atomic::AtomicUsize);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl CountingWaker {
+        fn wakes(&self) -> usize {
+            self.0.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    /// Poll `sleep` once from inside the running task, with `waker` or,
+    /// when `None`, with the task's own.
+    async fn poll_once(sleep: &mut Sleep, waker: Option<&Waker>) -> Poll<()> {
+        std::future::poll_fn(|cx| {
+            let mut sleep = Pin::new(&mut *sleep);
+            Poll::Ready(match waker {
+                Some(w) => sleep.as_mut().poll(&mut Context::from_waker(w)),
+                None => sleep.as_mut().poll(cx),
+            })
+        })
+        .await
+    }
+
+    /// For each pending timer, in slot order: whether it wakes by `TaskId`
+    /// (`true`) or through a cloned waker (`false`).
+    fn pending_timers_wake_by_task_id(sim: &Simulation) -> Vec<bool> {
+        let slots = sim.inner.timer_slots.borrow();
+        slots
+            .iter()
+            .filter_map(|s| s.wake.as_ref())
+            .map(|w| matches!(w, TimerWake::Task(_)))
+            .collect()
+    }
+
+    #[test]
+    fn timer_registered_with_a_foreign_waker_fires_it_once() {
+        let mut sim = Simulation::new(0);
+        let foreign = Arc::new(CountingWaker(Default::default()));
+        let f2 = foreign.clone();
+        sim.spawn(async move {
+            let waker = Waker::from(f2.clone());
+            let mut timer = sleep(SimDuration::from_millis(1));
+            assert!(poll_once(&mut timer, Some(&waker)).await.is_pending());
+            // Re-arming with the same foreign waker keeps the one timer.
+            assert!(poll_once(&mut timer, Some(&waker)).await.is_pending());
+            sleep(SimDuration::from_millis(5)).await;
+            assert_eq!(f2.wakes(), 1);
+            assert!(poll_once(&mut timer, Some(&waker)).await.is_ready());
+        });
+        sim.run_until(SimTime::ZERO);
+        // The task's own sleep wakes by id, the foreign one by waker.
+        assert_eq!(pending_timers_wake_by_task_id(&sim), [false, true]);
+        sim.run_until(SimTime::from_nanos(1_000_000));
+        // The 1 ms timer woke the foreign waker, not the task.
+        assert_eq!(foreign.wakes(), 1);
+        assert_eq!(sim.poll_count(), 1);
+        sim.run_to_completion();
+        assert_eq!(foreign.wakes(), 1);
+        assert_eq!(sim.poll_count(), 2);
+    }
+
+    #[test]
+    fn sleep_moved_between_tasks_wakes_the_one_that_polled_last() {
+        let mut sim = Simulation::new(0);
+        let parked: Rc<RefCell<Option<Sleep>>> = Rc::new(RefCell::new(None));
+        let p2 = parked.clone();
+        let first = sim.spawn(async move {
+            let mut timer = sleep(SimDuration::from_millis(1));
+            // First polled here, so the timer is registered for this task.
+            assert!(poll_once(&mut timer, None).await.is_pending());
+            *p2.borrow_mut() = Some(timer);
+            std::future::pending::<()>().await;
+        });
+        let second = sim.spawn(async move {
+            let timer = parked.borrow_mut().take().expect("first task ran first");
+            timer.await;
+            now()
+        });
+        sim.run();
+        assert_eq!(second.try_take(), Some(SimTime::from_nanos(1_000_000)));
+        assert!(!first.is_finished());
+        // One poll of the first task, two of the second: the timer did not
+        // wake the task that registered it.
+        assert_eq!(sim.poll_count(), 3);
+    }
+
+    #[test]
+    fn timers_of_a_completed_task_poll_nothing_in_its_recycled_slot() {
+        let mut sim = Simulation::new(0);
+        let parked: Rc<RefCell<Vec<Sleep>>> = Rc::new(RefCell::new(Vec::new()));
+        let p2 = parked.clone();
+        sim.spawn(async move {
+            // Two timers registered for this task outlive it.
+            for ms in [1, 2] {
+                let mut timer = sleep(SimDuration::from_millis(ms));
+                assert!(poll_once(&mut timer, None).await.is_pending());
+                p2.borrow_mut().push(timer);
+            }
+        });
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.poll_count(), 1);
+        assert_eq!(pending_timers_wake_by_task_id(&sim), [true, true]);
+        // The slot is recycled by a task that cancels the 2 ms timer and
+        // is asleep when the 1 ms one fires.
+        let woken_at = sim.spawn(async move {
+            drop(parked.borrow_mut().pop());
+            sleep(SimDuration::from_millis(5)).await;
+            now()
+        });
+        assert_eq!(sim.inner.tasks.borrow().len(), 1);
+        sim.run_until(SimTime::from_nanos(3_000_000));
+        assert_eq!(sim.poll_count(), 2);
+        sim.run();
+        assert_eq!(woken_at.try_take(), Some(SimTime::from_nanos(5_000_000)));
+        assert_eq!(sim.poll_count(), 3);
     }
 
     #[test]

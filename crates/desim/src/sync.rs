@@ -44,6 +44,7 @@ impl Notify {
     }
 
     /// Wake one waiter, or bank a permit if none is waiting.
+    #[inline]
     pub fn notify_one(&self) {
         let mut s = self.state.borrow_mut();
         if let Some(w) = s.wakers.pop_front() {
@@ -78,6 +79,7 @@ struct Notified {
 
 impl Future for Notified {
     type Output = ();
+    #[inline]
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let mut s = self.state.borrow_mut();
         if s.permit {

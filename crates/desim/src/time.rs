@@ -15,6 +15,19 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Number of nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x` rounded to the nearest integer, halves away from zero, saturating
+/// at `u64::MAX`: equal to `x.round() as u64` for every `x >= 0` (and for
+/// `+inf`), without the libm call `f64::round` is on baseline x86-64.
+///
+/// Below 2^52 the truncation and the subtraction are both exact, so the
+/// comparison sees the true fractional part; from 2^52 up `x` is already
+/// an integer and the fraction is zero; past `u64::MAX` the cast saturates.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 /// An absolute instant on the simulation's physical clock.
 ///
 /// Instants start at [`SimTime::ZERO`] when the simulation begins.
@@ -62,7 +75,7 @@ impl SimTime {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid time: {secs}");
-        SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Span since an earlier instant, saturating to zero if `earlier` is
@@ -109,7 +122,7 @@ impl SimDuration {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimDuration((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanoseconds.
@@ -143,24 +156,26 @@ impl SimDuration {
     ///
     /// # Panics
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "invalid scale factor: {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * factor))
     }
 
     /// Divide by a positive float, rounding to the nearest nanosecond.
     ///
     /// # Panics
     /// Panics if `divisor` is not finite and strictly positive.
+    #[inline]
     pub fn div_f64(self, divisor: f64) -> SimDuration {
         assert!(
             divisor.is_finite() && divisor > 0.0,
             "invalid divisor: {divisor}"
         );
-        SimDuration((self.0 as f64 / divisor).round() as u64)
+        SimDuration(round_u64(self.0 as f64 / divisor))
     }
 
     /// Saturating subtraction.
@@ -304,6 +319,7 @@ fn format_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_roundtrips() {
@@ -339,6 +355,90 @@ mod tests {
         let d = SimDuration::from_secs(10);
         assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
         assert_eq!(d.div_f64(4.0), SimDuration::from_secs_f64(2.5));
+    }
+
+    /// The oracle: `f64::round`, which `round_u64` must equal.
+    fn libm_round(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    #[test]
+    fn round_u64_matches_libm_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let mut cases = vec![
+            0.0,
+            0.5,
+            0.49999999999999994, // largest f64 below 0.5: `floor(x + 0.5)` gets it wrong
+            0.5000000000000001,
+            1.0,
+            1.5,
+            2.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two53,
+            two53 + 2.0,
+            1.8e19,
+            u64::MAX as f64,
+            1.9e19, // > u64::MAX: saturates
+            f64::MAX,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,       // smallest normal
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::from_bits(1),       // smallest subnormal
+        ];
+        for k in [1u64, 2, 3, 1_000, 1_000_001, 999_999_999, (1 << 51) + 1] {
+            cases.extend([
+                k as f64 - 0.5,
+                k as f64 + 0.5,
+                f64::from_bits((k as f64 + 0.5).to_bits() - 1),
+            ]);
+        }
+        for x in cases {
+            assert_eq!(round_u64(x), libm_round(x), "x = {x:e}");
+        }
+        assert_eq!(round_u64(0.49999999999999994), 0);
+        assert_eq!(round_u64(2.5), 3);
+        assert_eq!(round_u64(1.9e19), u64::MAX);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// Any bit pattern (every magnitude, both signs, NaN included),
+        /// fractions at nanosecond-count magnitudes, and the two sides of
+        /// a half-way point.
+        #[test]
+        fn round_u64_matches_libm_round(
+            bits in any::<u64>(),
+            whole in 0u64..(1 << 53),
+            frac in 0.0f64..1.0,
+            shift in 0u32..52,
+        ) {
+            let half = (whole >> shift) as f64 + 0.5;
+            let below_half = f64::from_bits(half.to_bits() - 1);
+            for x in [f64::from_bits(bits), whole as f64 + frac, half, below_half] {
+                prop_assert_eq!(round_u64(x), libm_round(x), "x = {:e}", x);
+            }
+        }
+
+        #[test]
+        fn scaling_matches_libm_round(
+            ns in any::<u64>(),
+            shift in 0u32..64,
+            factor in 1e-6f64..1e6,
+        ) {
+            let d = SimDuration::from_nanos(ns >> shift);
+            let ns = d.as_nanos() as f64;
+            prop_assert_eq!(d.mul_f64(factor).as_nanos(), libm_round(ns * factor));
+            prop_assert_eq!(d.div_f64(factor).as_nanos(), libm_round(ns / factor));
+            prop_assert_eq!(
+                SimDuration::from_secs_f64(factor).as_nanos(),
+                libm_round(factor * NANOS_PER_SEC as f64)
+            );
+        }
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl Tracer {
     }
 
     /// Whether events are currently recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.state.borrow().enabled
     }

@@ -69,6 +69,7 @@ impl VirtualClock {
     }
 
     /// The current simulation rate.
+    #[inline]
     pub fn rate(&self) -> f64 {
         self.state.borrow().current.rate
     }
@@ -121,6 +122,7 @@ impl VirtualClock {
 
     /// Physical duration needed for `virt` of virtual time to elapse at the
     /// *current* rate.
+    #[inline]
     #[expect(
         clippy::disallowed_methods,
         reason = "the rate map IS the paper's scaled-clock model; both runs replay the same f64 ops"
@@ -131,6 +133,7 @@ impl VirtualClock {
 
     /// Virtual duration that elapses over `phys` of physical time at the
     /// *current* rate.
+    #[inline]
     #[expect(
         clippy::disallowed_methods,
         reason = "same scaled-clock model as `to_physical`; deterministic per seed"

@@ -552,7 +552,8 @@ async fn halt_forever() -> ! {
 struct InterruptibleSleep {
     until: SimTime,
     slot: Rc<RefCell<IntrSlot>>,
-    timer: Option<Pin<Box<mgrid_desim::executor::Sleep>>>,
+    /// `Sleep` is `Unpin`, so it is held inline and pinned per poll.
+    timer: Option<mgrid_desim::executor::Sleep>,
 }
 
 impl Future for InterruptibleSleep {
@@ -561,12 +562,15 @@ impl Future for InterruptibleSleep {
         if self.slot.borrow().fired || now() >= self.until {
             return Poll::Ready(());
         }
-        self.slot.borrow_mut().waker = Some(cx.waker().clone());
+        match &mut self.slot.borrow_mut().waker {
+            Some(w) if w.will_wake(cx.waker()) => {}
+            w => *w = Some(cx.waker().clone()),
+        }
         let until = self.until;
         let timer = self
             .timer
-            .get_or_insert_with(|| Box::pin(mgrid_desim::sleep_until(until)));
-        match timer.as_mut().poll(cx) {
+            .get_or_insert_with(|| mgrid_desim::sleep_until(until));
+        match Pin::new(timer).poll(cx) {
             Poll::Ready(()) => Poll::Ready(()),
             Poll::Pending => {
                 if self.slot.borrow().fired {
