@@ -227,15 +227,20 @@ fn report_run(capture: &ObsCapture, opts: &ObsOpts) {
         let cp = profile::critical_path(&capture.spans);
         outln!("-- critical path --");
         out!("{}", cp.to_table());
-        let json = perfetto::export(&capture.spans, &capture.events, &[]);
-        if let Err(e) = std::fs::write(path, &json) {
+        // `export_to` hands the file 64 KB at a time, so the document is
+        // never held in memory and the file needs no `BufWriter`.
+        let written = std::fs::File::create(path)
+            .and_then(|mut file| perfetto::export_to(&capture.spans, &capture.events, &mut file));
+        if let Err(e) = written {
             eprintln!("cannot write profile to {path}: {e}");
             std::process::exit(1);
         }
+        let (spans, bytes) = (capture.spans.spans.len(), capture.spans.spans.heap_bytes());
         outln!(
-            "profile: {} spans, {} flows written to {path}",
-            capture.spans.spans.len(),
-            capture.spans.flows.len()
+            "profile: {spans} spans, {} flows written to {path}; span table {} KB ({} bytes/span)",
+            capture.spans.flows.len(),
+            bytes / 1024,
+            bytes.div_ceil(spans.max(1)),
         );
     }
     if !capture.metrics.is_empty() {

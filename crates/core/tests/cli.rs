@@ -51,3 +51,55 @@ fn wavetoy_rejects_a_missing_non_numeric_or_zero_edge() {
         assert!(out.stdout.is_empty(), "edge {edge:?} started a run");
     }
 }
+
+/// `--profile-out` streams the Perfetto export into the file and then
+/// reports what the spans cost to keep; a write the file refuses is an
+/// error exit after the tables, not a panic and not a silent success.
+#[test]
+fn profile_out_reports_the_span_table_and_a_failed_write() {
+    let path = std::env::temp_dir().join(format!("mgrid-cli-prof-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_mgrid"))
+        .args(["run", "alpha_cluster", "IS", "S", "--profile-out"])
+        .arg(&path)
+        .output()
+        .expect("run mgrid");
+    let written = std::fs::read_to_string(&path).expect("profile file");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(written.starts_with("{\"traceEvents\":[\n"), "{written:.40}");
+    assert!(written.ends_with("\n],\"displayTimeUnit\":\"ms\"}\n"));
+    // "profile: N spans, M flows written to P; span table K KB (B bytes/span)"
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("profile: "))
+        .unwrap_or_else(|| panic!("no profile line in {stdout}"));
+    let per_span: usize = line
+        .rsplit_once('(')
+        .and_then(|(_, tail)| tail.strip_suffix(" bytes/span)"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no bytes/span in {line:?}"));
+    assert!((32..=40).contains(&per_span), "{line}");
+
+    // /dev/full opens, then fails every write with ENOSPC.
+    if cfg!(target_os = "linux") {
+        let out = Command::new(env!("CARGO_BIN_EXE_mgrid"))
+            .args([
+                "run",
+                "alpha_cluster",
+                "IS",
+                "S",
+                "--profile-out",
+                "/dev/full",
+            ])
+            .output()
+            .expect("run mgrid");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(
+            stderr.contains("cannot write profile to /dev/full"),
+            "stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    }
+}

@@ -111,12 +111,12 @@ fn span_layer_records_flows_and_renders_deterministic_tables() {
 
     // Every instrumented layer leaves spans: scheduler quanta, vsocket
     // send/recv, transport sends, and MPI collectives.
-    let names: std::collections::BTreeSet<&str> = snap.spans.iter().map(|s| s.name).collect();
+    let names: std::collections::BTreeSet<&str> = snap.spans.records().map(|s| s.name).collect();
     for want in ["quantum", "vsock_send", "vsock_recv", "net_send"] {
         assert!(names.contains(want), "missing span {want}: {names:?}");
     }
     assert!(
-        snap.spans.iter().any(|s| matches!(s.cat, Category::Mpi)),
+        snap.spans.records().any(|s| matches!(s.cat, Category::Mpi)),
         "no MPI collective spans"
     );
 

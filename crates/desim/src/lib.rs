@@ -60,6 +60,8 @@ pub use fasthash::{FxHashMap, FxHashSet};
 pub use metrics::{Counter, HistogramHandle, Metrics, MetricsSnapshot};
 pub use obs::Obs;
 pub use rng::{SharedRng, SimRng};
-pub use span::{FlowEdge, SpanId, SpanRecord, SpanSnapshot, SpanStore, SpanStr};
+pub use span::{
+    FlowEdge, SpanId, SpanKind, SpanRecord, SpanRow, SpanSnapshot, SpanStore, SpanStr, SpanTable,
+};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, Tracer};

@@ -242,8 +242,12 @@ mod tests {
         });
         let snap = obs.spans().snapshot();
         assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].dur_ns(), 50);
-        assert_eq!(&*snap.spans[0].track, "h0");
+        assert_eq!(snap.spans.record(0).dur_ns(), 50);
+        assert_eq!(&*snap.spans.record(0).track, "h0");
+        // Sealed, the store hands every snapshot the one table.
+        obs.seal();
+        let (one, two) = (obs.spans().snapshot(), obs.spans().snapshot());
+        assert!(std::sync::Arc::ptr_eq(&one.spans, &two.spans));
     }
 
     #[test]

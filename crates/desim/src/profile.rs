@@ -81,17 +81,26 @@ impl Profile {
     /// Build the attribution tables from a snapshot. Open spans (no
     /// `end`) contribute nothing.
     pub fn from_snapshot(snap: &SpanSnapshot) -> Profile {
-        let index = snap.lane_index();
+        let table = &*snap.spans;
+        // Completed spans and their time, per kind: a kind fixes the
+        // lane, the bucket and the operation, so the pass over the rows
+        // only adds.
+        let mut done: Vec<(u64, u64)> = vec![(0, 0); table.kinds().len()];
+        for row in table.rows().iter().filter(|r| r.closed) {
+            let (count, ns) = &mut done[row.kind as usize];
+            *count += 1;
+            *ns += row.dur_ns();
+        }
+        let index = table.lanes();
         // One accumulator per lane; `None` until a completed span lands
         // on it (a lane with only open spans has no row).
         let mut lanes: Vec<Option<LaneRow>> = vec![None; index.pairs.len()];
         let mut ops: Vec<OpRow> = Vec::new();
         let mut total = 0u64;
-        for (s, &lane) in snap.spans.iter().zip(&index.of_span) {
-            if s.end.is_none() {
+        for ((kind, &lane), &(count, d)) in table.kinds().iter().zip(&index.of_kind).zip(&done) {
+            if count == 0 {
                 continue;
             }
-            let d = s.dur_ns();
             total += d;
             let row = lanes[lane as usize].get_or_insert_with(|| {
                 let (track, lane) = index.pairs[lane as usize];
@@ -101,7 +110,7 @@ impl Profile {
                     ..LaneRow::default()
                 }
             });
-            match s.cat {
+            match kind.cat {
                 Category::Sched => row.cpu_ns += d,
                 Category::Net | Category::Vsock => row.net_ns += d,
                 Category::Mpi => row.coll_ns += d,
@@ -110,17 +119,17 @@ impl Profile {
             // A run has a handful of operations: a scan beats a map.
             let at = ops
                 .iter()
-                .position(|op| op.cat == s.cat && op.name == s.name)
+                .position(|op| op.cat == kind.cat && op.name == kind.name)
                 .unwrap_or_else(|| {
                     ops.push(OpRow {
-                        cat: s.cat,
-                        name: s.name,
+                        cat: kind.cat,
+                        name: kind.name,
                         count: 0,
                         total_ns: 0,
                     });
                     ops.len() - 1
                 });
-            ops[at].count += 1;
+            ops[at].count += count;
             ops[at].total_ns += d;
         }
         ops.sort_by(|a, b| {
@@ -284,37 +293,34 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     const VIA: [&str; 5] = ["flow", "work", "lane", "parent", "start"];
 
     // Project the completed non-scheduler spans ("comp" spans) into
-    // parallel arrays; everything below works on these, not on records.
-    let index = snap.lane_index();
-    let mut comp_of: Vec<u32> = vec![NONE; snap.spans.len()];
+    // parallel arrays; everything below works on these, not on rows.
+    let table = &*snap.spans;
+    let (rows, kinds) = (table.rows(), table.kinds());
+    let index = table.lanes();
+    let mut comp_of: Vec<u32> = vec![NONE; rows.len()];
     let mut at: Vec<u32> = Vec::new();
     let mut begin: Vec<u64> = Vec::new();
     let mut end: Vec<u64> = Vec::new();
     let mut id: Vec<u64> = Vec::new();
     let mut lane: Vec<u32> = Vec::new();
-    for (i, s) in snap.spans.iter().enumerate() {
-        let Some(e) = s.end else { continue };
-        if s.cat == Category::Sched {
+    for (i, row) in rows.iter().enumerate() {
+        if !row.closed || kinds[row.kind as usize].cat == Category::Sched {
             continue;
         }
         comp_of[i] = at.len() as u32;
         at.push(i as u32);
-        begin.push(s.begin.as_nanos());
-        end.push(e.as_nanos());
-        id.push(s.id.get());
-        lane.push(index.of_span[i]);
+        begin.push(row.begin);
+        end.push(row.end);
+        id.push(i as u64 + 1);
+        lane.push(index.of_kind[row.kind as usize]);
     }
     if at.is_empty() {
         return CriticalPath::default();
     }
     let n = at.len();
-    // A span id is its 1-based position in the snapshot (the rule
-    // `SpanSnapshot::span` applies), which makes id → comp index a
-    // table lookup.
     let comp = |sid: SpanId| -> Option<usize> {
-        let i = usize::try_from(sid.get().checked_sub(1)?).ok()?;
-        let c = *comp_of.get(i)?;
-        (c != NONE && snap.spans[i].id == sid).then_some(c as usize)
+        let c = comp_of[table.index_of(sid)?];
+        (c != NONE).then_some(c as usize)
     };
 
     // Lane predecessor per comp index: latest span on the same
@@ -388,7 +394,7 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
             if lane_pred[c] != NONE {
                 offer(lane_pred[c] as usize * 2 + 1, LANE, 0);
             }
-            if let Some(p) = snap.spans[at[c] as usize].parent.and_then(comp) {
+            if let Some(p) = rows[at[c] as usize].parent_id().and_then(comp) {
                 // Defensive: a parent that does not precede its child
                 // in the topological order is ignored.
                 if (begin[p], id[p]) < (begin[c], id[c]) {
@@ -451,7 +457,7 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
         }
         let last_of_span = k + 1 == nodes.len() || nodes[k + 1] / 2 != c;
         if last_of_span {
-            let s = &snap.spans[at[c] as usize];
+            let s = table.record(at[c] as usize);
             let via = if hops.is_empty() { START } else { entry_via };
             let contrib = cost[v] - entry_cost;
             // Coalesce a lane-chained run of the same operation into one

@@ -28,15 +28,34 @@
 //!
 //! ## Storage
 //!
-//! Recording a span or a half-point allocates nothing in the steady
-//! state. A span's track, lane and detail are [`SpanStr`]s its site
-//! interned up front. The strings of a flow key are interned into small
-//! integers the first time they are seen, each distinct key gets a dense
-//! *stream* number, and a half-point is that number plus a span id —
+//! A stored span is one 32-byte [`SpanRow`] of a [`SpanTable`]: begin and
+//! end nanoseconds, the parent's id and two small integers. Everything a
+//! site repeats from span to span is stored once: the distinct
+//! `(cat, name, track, lane)` combinations — a few per process, tens per
+//! run — make up the table's *kinds*, the distinct detail strings its
+//! *details*, and a row holds an index into each. [`SpanStore::begin`]
+//! interns both by the address of the [`SpanStr`]s a site hands it (sites
+//! intern their strings once and pass clones), falling back to the text
+//! itself for an address it has not keyed, so equal text held by a fresh
+//! allocation still lands on the one entry. Only allocations the table
+//! stores are keyed by address, which keeps every keyed address alive
+//! and unique for the life of the store. A span's id is its row index
+//! plus one. Recording a span allocates nothing in the steady state.
+//!
+//! The store holds its table in an [`Arc`] and writes through
+//! [`Arc::make_mut`]: [`SpanStore::snapshot`] hands out that same `Arc`,
+//! so a snapshot of a store nobody records into any more (the normal
+//! case: [`crate::obs::Obs::seal`], then snapshot) copies no span, and
+//! only a `begin` or a closing `end` *after* a snapshot was taken pays
+//! for one copy of the table. The profiler, the critical path and the
+//! Perfetto export read rows and resolve `(track, lane)` once per kind
+//! (`SpanTable::lanes`); [`SpanTable::record`] materialises a
+//! [`SpanRecord`] for tests and slow consumers.
+//!
+//! The strings of a flow key are interned into small integers the first
+//! time they are seen, each distinct key gets a dense *stream* number,
+//! and a half-point is that number plus a span id —
 //! [`SpanStore::snapshot`] joins the two sides with array indexing.
-//! Consumers that group spans by `(track, lane)` share one
-//! `SpanSnapshot::lane_index` pass instead of comparing names per
-//! span.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -77,7 +96,9 @@ impl SpanId {
     }
 }
 
-/// One recorded span: a named virtual-time interval on a track/lane.
+/// One span, materialised from a [`SpanTable`] row by
+/// [`SpanTable::record`]: the view tests, oracles and slow consumers
+/// read. It is not how spans are stored.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// This span's id (1-based, in begin order).
@@ -109,6 +130,175 @@ impl SpanRecord {
     }
 }
 
+/// One stored span. Its id is its index in [`SpanTable::rows`] plus one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanRow {
+    /// Virtual instant the span began, nanoseconds.
+    pub begin: u64,
+    /// Virtual instant the span ended, nanoseconds; meaningful only
+    /// when `closed` (any instant, `u64::MAX` included, is a valid end).
+    pub end: u64,
+    /// Raw id of the enclosing span; 0 for none.
+    pub parent: u32,
+    /// Index into [`SpanTable::kinds`].
+    pub kind: u32,
+    /// Index into [`SpanTable::details`].
+    pub detail: u32,
+    /// Whether the span was closed.
+    pub closed: bool,
+}
+
+// What a recorded span costs; a wider row shows in `peak_rss_mb`.
+const _: () = assert!(std::mem::size_of::<SpanRow>() == 32);
+
+impl SpanRow {
+    /// The enclosing span, if the caller linked one.
+    pub fn parent_id(&self) -> Option<SpanId> {
+        (self.parent != 0).then_some(SpanId(u64::from(self.parent)))
+    }
+
+    /// Duration in nanoseconds (zero while the span is open).
+    pub fn dur_ns(&self) -> u64 {
+        if self.closed {
+            self.end.saturating_sub(self.begin)
+        } else {
+            0
+        }
+    }
+}
+
+/// What the spans of one site on one lane share: a distinct
+/// `(cat, name, track, lane)` combination.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SpanKind {
+    /// Subsystem category.
+    pub cat: Category,
+    /// Stable operation name.
+    pub name: &'static str,
+    /// Top-level grouping row — the virtual host or node.
+    pub track: SpanStr,
+    /// Row within the track — the process, rank, or daemon.
+    pub lane: SpanStr,
+}
+
+/// All recorded spans in begin order, with what they repeat stored once
+/// (see the module docs, "Storage").
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SpanTable {
+    rows: Vec<SpanRow>,
+    kinds: Vec<SpanKind>,
+    details: Vec<SpanStr>,
+}
+
+impl SpanTable {
+    /// Number of spans.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True if no span was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The stored rows, in begin order.
+    pub fn rows(&self) -> &[SpanRow] {
+        &self.rows
+    }
+
+    /// The distinct `(cat, name, track, lane)` combinations, in
+    /// first-recorded order.
+    pub fn kinds(&self) -> &[SpanKind] {
+        &self.kinds
+    }
+
+    /// The distinct detail strings, in first-recorded order.
+    pub fn details(&self) -> &[SpanStr] {
+        &self.details
+    }
+
+    /// Row index of span `id`: `None` for the sentinel and for an id this
+    /// table has no row for (a dropped span, another store's span).
+    pub fn index_of(&self, id: SpanId) -> Option<usize> {
+        let i = usize::try_from(id.0.checked_sub(1)?).ok()?;
+        (i < self.rows.len()).then_some(i)
+    }
+
+    /// Span `i` (0-based, begin order) as a [`SpanRecord`].
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn record(&self, i: usize) -> SpanRecord {
+        let row = &self.rows[i];
+        let kind = &self.kinds[row.kind as usize];
+        SpanRecord {
+            id: SpanId(i as u64 + 1),
+            parent: row.parent_id(),
+            cat: kind.cat,
+            name: kind.name,
+            track: kind.track.clone(),
+            lane: kind.lane.clone(),
+            detail: self.details[row.detail as usize].clone(),
+            begin: SimTime::from_nanos(row.begin),
+            end: row.closed.then_some(SimTime::from_nanos(row.end)),
+        }
+    }
+
+    /// Every span as a [`SpanRecord`], in begin order.
+    pub fn records(&self) -> impl Iterator<Item = SpanRecord> + '_ {
+        (0..self.rows.len()).map(|i| self.record(i))
+    }
+
+    /// Heap bytes the table's contents occupy: rows, kinds, details and
+    /// the text they point to (each allocation with its two reference
+    /// counts). Growth slack of the vectors is not counted, so the value
+    /// is a function of what was recorded.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let text = |s: &SpanStr| 2 * size_of::<usize>() + s.len();
+        self.rows.len() * size_of::<SpanRow>()
+            + self.kinds.len() * size_of::<SpanKind>()
+            + self.details.len() * size_of::<SpanStr>()
+            + self
+                .kinds
+                .iter()
+                .map(|k| text(&k.track) + text(&k.lane))
+                .sum::<usize>()
+            + self.details.iter().map(text).sum::<usize>()
+    }
+
+    /// Number the distinct `(track, lane)` pairs in sorted order and
+    /// resolve every kind to its pair: the row numbering the profiler,
+    /// the critical path and the Perfetto export share.
+    pub(crate) fn lanes(&self) -> Lanes<'_> {
+        fn pair(k: &SpanKind) -> (&str, &str) {
+            (&k.track, &k.lane)
+        }
+        let mut pairs: Vec<(&str, &str)> = self.kinds.iter().map(pair).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let of_kind = self
+            .kinds
+            .iter()
+            .map(|k| {
+                pairs
+                    .binary_search(&pair(k))
+                    .expect("every kind's pair is listed") as u32
+            })
+            .collect();
+        Lanes { pairs, of_kind }
+    }
+}
+
+/// The `(track, lane)` pairs of one table, numbered in sorted order (see
+/// [`SpanTable::lanes`]).
+pub(crate) struct Lanes<'a> {
+    /// Distinct `(track, lane)` pairs, sorted.
+    pub pairs: Vec<(&'a str, &'a str)>,
+    /// For each kind of the table, in order, its index into `pairs`.
+    pub of_kind: Vec<u32>,
+}
+
 /// A resolved causal edge between two spans on (usually) different
 /// tracks, produced by joining `flow_out`/`flow_in` half-points.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,16 +312,23 @@ pub struct FlowEdge {
     pub to: SpanId,
 }
 
-/// Immutable copy of a [`SpanStore`]'s contents with flows resolved.
+/// A [`SpanStore`]'s contents with flows resolved.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpanSnapshot {
-    /// All recorded spans, in begin order (`id` ascending).
-    pub spans: Vec<SpanRecord>,
+    /// All recorded spans, in begin order. Shared with the store until
+    /// one of the two changes (see the module docs, "Storage").
+    pub spans: Arc<SpanTable>,
     /// Resolved flow edges, in `flow_in` record order.
     pub flows: Vec<FlowEdge>,
     /// Spans discarded because the store hit its capacity.
     pub dropped: u64,
 }
+
+// The scenario pool returns snapshots across threads.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<SpanSnapshot>();
+};
 
 impl SpanSnapshot {
     /// True if nothing was recorded.
@@ -140,63 +337,74 @@ impl SpanSnapshot {
     }
 
     /// Look up a span by id (`None` for the sentinel or a dropped span).
-    pub fn span(&self, id: SpanId) -> Option<&SpanRecord> {
-        if id.is_none() {
-            return None;
-        }
-        let idx = (id.0 - 1) as usize;
-        self.spans.get(idx).filter(|s| s.id == id)
+    pub fn span(&self, id: SpanId) -> Option<SpanRecord> {
+        self.spans.index_of(id).map(|i| self.spans.record(i))
     }
 }
 
-/// The `(track, lane)` pairs of one snapshot, numbered in sorted order
-/// (see [`SpanSnapshot::lane_index`]).
-pub(crate) struct LaneIndex<'a> {
-    /// Distinct `(track, lane)` pairs, sorted.
-    pub pairs: Vec<(&'a str, &'a str)>,
-    /// For each span of the snapshot, in order, its index into `pairs`.
-    pub of_span: Vec<u32>,
+/// The interning indexes over a store's [`SpanTable`] (see the module
+/// docs, "Storage"). Address keys name only allocations the table holds.
+#[derive(Default)]
+struct Interner {
+    /// `(name address, name length, track address, lane address, cat)`.
+    kind_by_addr: FxHashMap<(usize, usize, usize, usize, Category), u32>,
+    kind_by_text: FxHashMap<(Category, &'static str, SpanStr, SpanStr), u32>,
+    /// `(address, length)`: two words, so the address's zero low bits
+    /// do not survive the multiply-fold hash as the bucket index.
+    detail_by_addr: FxHashMap<(usize, usize), u32>,
+    detail_by_text: FxHashMap<SpanStr, u32>,
 }
 
-impl SpanSnapshot {
-    /// Number the distinct `(track, lane)` pairs in sorted order and
-    /// resolve every span to its pair, in one pass.
-    ///
-    /// Instrumentation sites hand out clones of a few interned
-    /// [`SpanStr`]s, so spans of one lane usually share their two
-    /// allocations: a pair is first looked up by its pointers, and only
-    /// a pair of pointers not seen before is looked up by name (so equal
-    /// names held by distinct allocations still land on one lane).
-    pub(crate) fn lane_index(&self) -> LaneIndex<'_> {
-        let mut by_ptr: FxHashMap<(*const u8, *const u8), u32> = FxHashMap::default();
-        let mut by_name: FxHashMap<(&str, &str), u32> = FxHashMap::default();
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
-        let mut of_span: Vec<u32> = Vec::with_capacity(self.spans.len());
-        for s in &self.spans {
-            let ptrs = (s.track.as_ptr(), s.lane.as_ptr());
-            let lane = *by_ptr.entry(ptrs).or_insert_with(|| {
-                let names = (&*s.track, &*s.lane);
-                *by_name.entry(names).or_insert_with(|| {
-                    pairs.push(names);
-                    (pairs.len() - 1) as u32
-                })
+impl Interner {
+    /// Index in `kinds` of this combination, appended on first sight.
+    fn kind(
+        &mut self,
+        kinds: &mut Vec<SpanKind>,
+        cat: Category,
+        name: &'static str,
+        track: SpanStr,
+        lane: SpanStr,
+    ) -> u32 {
+        let addrs = (
+            name.as_ptr().addr(),
+            name.len(),
+            track.as_ptr().addr(),
+            lane.as_ptr().addr(),
+            cat,
+        );
+        if let Some(&at) = self.kind_by_addr.get(&addrs) {
+            return at;
+        }
+        let next = kinds.len() as u32;
+        let at = *self
+            .kind_by_text
+            .entry((cat, name, track.clone(), lane.clone()))
+            .or_insert(next);
+        if at == next {
+            self.kind_by_addr.insert(addrs, at);
+            kinds.push(SpanKind {
+                cat,
+                name,
+                track,
+                lane,
             });
-            of_span.push(lane);
         }
-        // Renumber from first-seen order to sorted order.
-        let mut sorted: Vec<u32> = (0..pairs.len() as u32).collect();
-        sorted.sort_unstable_by_key(|&i| pairs[i as usize]);
-        let mut rank = vec![0u32; pairs.len()];
-        for (r, &i) in sorted.iter().enumerate() {
-            rank[i as usize] = r as u32;
+        at
+    }
+
+    /// Index in `details` of this text, appended on first sight.
+    fn detail(&mut self, details: &mut Vec<SpanStr>, detail: SpanStr) -> u32 {
+        let addr = (detail.as_ptr().addr(), detail.len());
+        if let Some(&at) = self.detail_by_addr.get(&addr) {
+            return at;
         }
-        for lane in &mut of_span {
-            *lane = rank[*lane as usize];
+        let next = details.len() as u32;
+        let at = *self.detail_by_text.entry(detail.clone()).or_insert(next);
+        if at == next {
+            self.detail_by_addr.insert(addr, at);
+            details.push(detail);
         }
-        LaneIndex {
-            pairs: sorted.iter().map(|&i| pairs[i as usize]).collect(),
-            of_span,
-        }
+        at
     }
 }
 
@@ -216,7 +424,9 @@ struct SpanInner {
     enabled: bool,
     capacity: usize,
     dropped: u64,
-    spans: Vec<SpanRecord>,
+    /// Shared with every snapshot taken since the last write.
+    table: Arc<SpanTable>,
+    interner: Interner,
     /// Interned flow-key strings (class, src and dst alike).
     names: FxHashMap<Box<str>, u32>,
     /// Interned `(class, src, dst)` → index into `streams`.
@@ -284,7 +494,8 @@ impl SpanStore {
                 enabled: false,
                 capacity: Self::DEFAULT_CAPACITY,
                 dropped: 0,
-                spans: Vec::new(),
+                table: Arc::default(),
+                interner: Interner::default(),
                 names: FxHashMap::default(),
                 stream_of: FxHashMap::default(),
                 streams: Vec::new(),
@@ -311,12 +522,12 @@ impl SpanStore {
 
     /// Number of retained spans.
     pub fn len(&self) -> usize {
-        self.inner.borrow().spans.len()
+        self.inner.borrow().table.len()
     }
 
     /// True if no spans were recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().spans.is_empty()
+        self.inner.borrow().table.is_empty()
     }
 
     /// Spans discarded because the capacity backstop was hit.
@@ -326,6 +537,11 @@ impl SpanStore {
 
     /// Open a span at `at`. Returns [`SpanId::NONE`] (recording nothing)
     /// while disabled or once the capacity backstop is hit.
+    ///
+    /// A row keeps its parent's id in 32 bits, so the backstop never
+    /// exceeds `u32::MAX` spans whatever [`SpanStore::set_capacity`] was
+    /// given, and a `parent` id above that — which no span of this store
+    /// can have — is stored as none.
     #[allow(
         clippy::too_many_arguments,
         reason = "one flat call per span keeps the hot recording path free of a builder"
@@ -344,37 +560,40 @@ impl SpanStore {
         if !s.enabled {
             return SpanId::NONE;
         }
-        if s.spans.len() >= s.capacity {
+        if s.table.len() >= s.capacity.min(u32::MAX as usize) {
             s.dropped += 1;
             return SpanId::NONE;
         }
-        let id = SpanId(s.spans.len() as u64 + 1);
-        s.spans.push(SpanRecord {
-            id,
-            parent: parent.filter(|p| !p.is_none()),
-            cat,
-            name,
-            track: track.into(),
-            lane: lane.into(),
-            detail: detail.into(),
-            begin: at,
-            end: None,
+        let s = &mut *s;
+        let table = Arc::make_mut(&mut s.table);
+        let kind = s
+            .interner
+            .kind(&mut table.kinds, cat, name, track.into(), lane.into());
+        let detail = s.interner.detail(&mut table.details, detail.into());
+        table.rows.push(SpanRow {
+            begin: at.as_nanos(),
+            end: 0,
+            parent: parent.map_or(0, |p| u32::try_from(p.0).unwrap_or(0)),
+            kind,
+            detail,
+            closed: false,
         });
-        id
+        SpanId(table.rows.len() as u64)
     }
 
     /// Close a span at `at`. No-op for the sentinel or an already-closed
     /// span (the first close wins, keeping replays byte-stable).
     pub fn end(&self, at: SimTime, id: SpanId) {
-        if id.is_none() {
-            return;
-        }
         let mut s = self.inner.borrow_mut();
-        let idx = (id.0 - 1) as usize;
-        if let Some(rec) = s.spans.get_mut(idx) {
-            if rec.end.is_none() {
-                rec.end = Some(at);
+        // Look before writing: a repeated close must not be what copies
+        // a table some snapshot shares.
+        match s.table.index_of(id) {
+            Some(i) if !s.table.rows[i].closed => {
+                let row = &mut Arc::make_mut(&mut s.table).rows[i];
+                row.end = at.as_nanos();
+                row.closed = true;
             }
+            _ => {}
         }
     }
 
@@ -409,7 +628,8 @@ impl SpanStore {
         s.in_points.push((at, seq, span));
     }
 
-    /// Snapshot spans and resolve flow half-points into [`FlowEdge`]s.
+    /// Share the span table and resolve flow half-points into
+    /// [`FlowEdge`]s.
     ///
     /// Edges appear in `flow_in` record order; an in-point whose matching
     /// out-point was never recorded (e.g. the sender ran with spans
@@ -428,7 +648,7 @@ impl SpanStore {
             }
         }
         SpanSnapshot {
-            spans: s.spans.clone(),
+            spans: Arc::clone(&s.table),
             flows,
             dropped: s.dropped,
         }
@@ -437,6 +657,8 @@ impl SpanStore {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn t(ns: u64) -> SimTime {
@@ -552,5 +774,135 @@ mod tests {
         assert!(b.is_none());
         assert_eq!(s.dropped(), 1);
         assert_eq!(s.len(), 1);
+    }
+    #[test]
+    fn a_snapshot_shares_the_table_until_someone_writes() {
+        let s = store();
+        let a = s.begin(t(1), None, Category::Net, "send", "h0", "p", "d");
+        let b = s.begin(t(2), Some(a), Category::Net, "send", "h0", "p", "d");
+        s.end(t(3), a);
+        let snap = s.snapshot();
+        let before: Vec<SpanRecord> = snap.spans.records().collect();
+
+        // Recording after the snapshot copies the table: the snapshot
+        // keeps what it saw, the store gets the new rows.
+        s.end(t(9), b);
+        let c = s.begin(t(10), None, Category::Mpi, "barrier", "h1", "r0", "");
+        assert_eq!(snap.spans.records().collect::<Vec<_>>(), before);
+        assert_eq!(snap.span(b).unwrap().end, None);
+        assert!(snap.span(c).is_none());
+        let now = s.snapshot();
+        assert!(!Arc::ptr_eq(&snap.spans, &now.spans));
+        assert_eq!(now.spans.len(), 3);
+        assert_eq!(now.span(b).unwrap().end, Some(t(9)));
+        assert_eq!(&*now.span(c).unwrap().track, "h1");
+
+        // With recording off (what `Obs::seal` does) snapshots are the
+        // same table, and closing a closed span again copies nothing.
+        s.set_enabled(false);
+        let (one, two) = (s.snapshot(), s.snapshot());
+        assert!(Arc::ptr_eq(&one.spans, &two.spans));
+        s.end(t(99), a);
+        s.end(t(99), SpanId::NONE);
+        assert!(Arc::ptr_eq(&one.spans, &s.snapshot().spans));
+        assert_eq!(one.span(a).unwrap().end, Some(t(3)));
+    }
+
+    #[test]
+    fn heap_bytes_counts_rows_once_and_shared_text_once() {
+        let s = store();
+        let (track, lane, detail): (SpanStr, SpanStr, SpanStr) =
+            ("host".into(), "proc".into(), "1500B to peer".into());
+        for i in 0..1000 {
+            let id = s.begin(
+                t(i),
+                None,
+                Category::Net,
+                "net_send",
+                track.clone(),
+                lane.clone(),
+                detail.clone(),
+            );
+            s.end(t(i + 1), id);
+        }
+        let table = s.snapshot().spans;
+        assert_eq!((table.kinds().len(), table.details().len()), (1, 1));
+        let fixed = table.heap_bytes() - 1000 * std::mem::size_of::<SpanRow>();
+        assert!(fixed < 200, "{fixed} bytes beside the rows");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table is a lossless encoding: whatever goes in through the
+        /// store comes out of `record(i)` as the `SpanRecord` the old
+        /// `Vec<SpanRecord>` storage would have held — except a parent id
+        /// above `u32::MAX`, stored as none (see [`SpanStore::begin`]).
+        #[test]
+        fn records_match_a_reference_built_beside_the_store(
+            ops in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..60),
+        ) {
+            const TEXTS: [&str; 4] = ["", "alpha0", "p0", "é\"\n"];
+            const NAMES: [&str; 3] = ["quantum", "net_send", ""];
+            let shared: Vec<SpanStr> = TEXTS.iter().map(|t| SpanStr::from(*t)).collect();
+            let s = store();
+            // Ids another store handed out: here they are only numbers,
+            // naming whichever row has that index, or none.
+            let donor = store();
+            let mut want: Vec<SpanRecord> = Vec::new();
+            for &(a, b, c) in &ops {
+                if a % 4 == 0 && !want.is_empty() {
+                    // Close a span (again, sometimes) at any instant up
+                    // to the last one; the first close wins.
+                    let i = (b % want.len() as u64) as usize;
+                    let at = t(if c % 3 == 0 { u64::MAX } else { c % 1_000 });
+                    s.end(at, want[i].id);
+                    want[i].end.get_or_insert(at);
+                    continue;
+                }
+                // Equal text from the shared allocation or a fresh one.
+                let text = |pick: u64| -> SpanStr {
+                    let text = &shared[(pick % 4) as usize];
+                    if a % 2 == 1 { SpanStr::from(&**text) } else { text.clone() }
+                };
+                let (track, lane, detail) = (text(a >> 2), text(a >> 4), text(a >> 6));
+                let name = NAMES[(a >> 8) as usize % NAMES.len()];
+                let cat = Category::ALL[(a >> 10) as usize % Category::ALL.len()];
+                let own = want.len() as u64;
+                let parent = match b % 6 {
+                    0 => None,
+                    1 => Some(SpanId::NONE),
+                    2 => Some(SpanId(c % (own + 1))),
+                    3 => Some(SpanId(own + 1 + c % 1_000)),
+                    4 => Some(donor.begin(t(0), None, Category::Net, "donor", "", "", "")),
+                    _ => Some(SpanId(u64::from(u32::MAX) + 1 + c % 1_000)),
+                };
+                let begin = t(c % 1_000);
+                let id = s.begin(
+                    begin, parent, cat, name, track.clone(), lane.clone(), detail.clone(),
+                );
+                prop_assert_eq!(id, SpanId(own + 1));
+                want.push(SpanRecord {
+                    id,
+                    parent: parent.filter(|p| !p.is_none() && p.0 <= u64::from(u32::MAX)),
+                    cat,
+                    name,
+                    track,
+                    lane,
+                    detail,
+                    begin,
+                    end: None,
+                });
+            }
+            let table = s.snapshot().spans;
+            prop_assert_eq!(table.records().collect::<Vec<_>>(), want);
+            // Equal text is one entry, however many allocations held it.
+            for (i, kind) in table.kinds().iter().enumerate() {
+                prop_assert!(!table.kinds()[..i].contains(kind));
+            }
+            for (i, detail) in table.details().iter().enumerate() {
+                prop_assert!(!table.details()[..i].contains(detail));
+            }
+        }
     }
 }

@@ -1,18 +1,21 @@
 //! Differential tests of the observability consumers.
 //!
-//! [`perfetto::export`], [`profile::critical_path`] and
-//! [`Profile::from_snapshot`] stream and index where they used to build
-//! a `String` per record and walk name-keyed maps. Their output is a
-//! contract (the golden Perfetto file, the profiler tables, byte-stable
+//! [`perfetto::export`] (and [`perfetto::export_to`], the same encoder
+//! behind a writer), [`profile::critical_path`] and
+//! [`Profile::from_snapshot`] stream, index and read the 32-byte rows of
+//! a `SpanTable` where they used to build a `String` per record and walk
+//! name-keyed maps over a `Vec<SpanRecord>`. Their output is a contract
+//! (the golden Perfetto file, the profiler tables, byte-stable
 //! `--profile-out`), so the previous implementations live on here as
-//! test-only oracles and random snapshots are run through both.
+//! test-only oracles, reading the records `SpanTable::record`
+//! materialises, and random snapshots are run through both.
 //!
 //! The snapshots are nastier than any real run: names that need every
 //! JSON escape class, open spans, begin times out of id order, ties at
 //! one instant, parents and flows that name open, unknown or sentinel
 //! spans, and the same track/lane text held sometimes by one shared
 //! allocation and sometimes by a fresh one per span — which is what
-//! proves the pointer-keyed lane cache falls back to names.
+//! proves the store's address-keyed interning falls back to the text.
 
 use std::sync::Arc;
 
@@ -181,6 +184,12 @@ fn assert_matches_reference(snap: &SpanSnapshot, events: &[TraceEvent], epochs: 
         perfetto::export(snap, events, epochs),
         reference::export(snap, events, epochs)
     );
+    let mut streamed = Vec::new();
+    perfetto::export_to(snap, events, &mut streamed).expect("writes to memory");
+    assert_eq!(
+        String::from_utf8(streamed).expect("utf-8"),
+        reference::export(snap, events, &[])
+    );
     let (new, old) = (Profile::from_snapshot(snap), reference::profile(snap));
     assert_eq!(new, old);
     assert_eq!(new.to_table(), old.to_table());
@@ -282,7 +291,7 @@ mod reference {
 
     use mgrid_desim::perfetto::EpochRecord;
     use mgrid_desim::profile::{CriticalPath, Hop, LaneRow, OpRow, Profile};
-    use mgrid_desim::{Category, SpanId, SpanSnapshot, TraceEvent};
+    use mgrid_desim::{Category, SpanId, SpanRecord, SpanSnapshot, TraceEvent};
 
     /// Escape a string for a JSON value position.
     fn esc(s: &str) -> String {
@@ -309,8 +318,9 @@ mod reference {
     pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]) -> String {
         // Deterministic pid/tid assignment: tracks sorted by name, lanes
         // sorted within each track, both 1-based.
+        let spans: Vec<SpanRecord> = snap.spans.records().collect();
         let mut tracks: BTreeMap<&str, BTreeMap<&str, usize>> = BTreeMap::new();
-        for s in &snap.spans {
+        for s in &spans {
             tracks
                 .entry(s.track.as_ref())
                 .or_default()
@@ -368,7 +378,7 @@ mod reference {
         }
 
         // Span slices, in record order.
-        for s in &snap.spans {
+        for s in &spans {
             let Some(end) = s.end else { continue };
             let pid = pid_of[s.track.as_ref()];
             let tid = tracks[s.track.as_ref()][s.lane.as_ref()];
@@ -475,7 +485,7 @@ mod reference {
         let mut lanes: BTreeMap<(String, String), LaneRow> = BTreeMap::new();
         let mut ops: BTreeMap<(Category, &'static str), OpRow> = BTreeMap::new();
         let mut total = 0u64;
-        for s in &snap.spans {
+        for s in snap.spans.records() {
             if s.end.is_none() {
                 continue;
             }
@@ -518,9 +528,10 @@ mod reference {
     }
 
     pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
-        // Completed non-scheduler spans, indexed into `snap.spans`.
-        let comp: Vec<usize> = (0..snap.spans.len())
-            .filter(|&i| snap.spans[i].end.is_some() && snap.spans[i].cat != Category::Sched)
+        // Completed non-scheduler spans, indexed into `spans`.
+        let spans: Vec<SpanRecord> = snap.spans.records().collect();
+        let comp: Vec<usize> = (0..spans.len())
+            .filter(|&i| spans[i].end.is_some() && spans[i].cat != Category::Sched)
             .collect();
         if comp.is_empty() {
             return CriticalPath::default();
@@ -529,11 +540,11 @@ mod reference {
         // Map a span id to its `comp` index.
         let mut comp_of: BTreeMap<SpanId, usize> = BTreeMap::new();
         for (c, &i) in comp.iter().enumerate() {
-            comp_of.insert(snap.spans[i].id, c);
+            comp_of.insert(spans[i].id, c);
         }
-        let begin_ns = |c: usize| snap.spans[comp[c]].begin.as_nanos();
-        let end_ns = |c: usize| snap.spans[comp[c]].end.unwrap().as_nanos();
-        let span_id = |c: usize| snap.spans[comp[c]].id;
+        let begin_ns = |c: usize| spans[comp[c]].begin.as_nanos();
+        let end_ns = |c: usize| spans[comp[c]].end.unwrap().as_nanos();
+        let span_id = |c: usize| spans[comp[c]].id;
 
         // Lane predecessor per comp index: latest span on the same
         // (track, lane) with end <= begin; an equal-instant predecessor
@@ -541,7 +552,7 @@ mod reference {
         // creation order, which also keeps the node graph acyclic).
         let mut by_lane: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         for (c, &ci) in comp.iter().enumerate() {
-            let s = &snap.spans[ci];
+            let s = &spans[ci];
             by_lane
                 .entry((s.track.as_ref(), s.lane.as_ref()))
                 .or_default()
@@ -552,7 +563,7 @@ mod reference {
         }
         let mut lane_pred: Vec<Option<usize>> = vec![None; n];
         for c in 0..n {
-            let s = &snap.spans[comp[c]];
+            let s = &spans[comp[c]];
             let lane = &by_lane[&(s.track.as_ref(), s.lane.as_ref())];
             let cut = lane.partition_point(|&p| end_ns(p) <= begin_ns(c));
             for &p in lane[..cut].iter().rev() {
@@ -604,7 +615,7 @@ mod reference {
                 if let Some(p) = lane_pred[c] {
                     cands.push((p * 2 + 1, "lane", 0));
                 }
-                if let Some(pid) = snap.spans[comp[c]].parent {
+                if let Some(pid) = spans[comp[c]].parent {
                     if let Some(&p) = comp_of.get(&pid) {
                         cands.push((p * 2, "parent", 0));
                     }
@@ -681,7 +692,7 @@ mod reference {
             }
             let last_of_span = k + 1 == nodes.len() || nodes[k + 1] / 2 != c;
             if last_of_span {
-                let s = &snap.spans[comp[c]];
+                let s = &spans[comp[c]];
                 let via = if hops.is_empty() { "start" } else { entry_via };
                 let contrib = cost[v] - entry_cost;
                 // Coalesce a lane-chained run of the same operation into one

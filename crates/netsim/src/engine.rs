@@ -13,7 +13,7 @@
 //! [`VirtualClock`] — this is what lets the same network run under any
 //! emulation rate (Fig 15).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -348,6 +348,11 @@ pub(crate) struct NetInner {
     /// repeat few sizes per peer, so a span shares its detail instead
     /// of formatting a fresh one.
     pub(crate) send_details: RefCell<FxHashMap<(NodeId, u64), mgrid_desim::SpanStr>>,
+    /// Interned `(track, lane)` attributes of `net_send` spans per
+    /// sending node, filled by its first traced send. Kept here and not
+    /// on [`Endpoint`]: endpoints are cloned into a task per message, and
+    /// a cell that travels with the clone is empty every time.
+    pub(crate) send_attrs: Vec<OnceCell<(mgrid_desim::SpanStr, mgrid_desim::SpanStr)>>,
 }
 
 /// The simulated network. Must be created inside a running simulation (its
@@ -394,6 +399,7 @@ impl Network {
                 loopback: RefCell::new(VecDeque::new()),
                 loopback_arrived: Notify::new(),
                 send_details: RefCell::new(FxHashMap::default()),
+                send_attrs: (0..node_count).map(|_| OnceCell::new()).collect(),
                 m: NetMetrics {
                     packets_tx: obs::counter_handle("net.packets_tx"),
                     bytes_tx: obs::counter_handle("net.bytes_tx"),
@@ -460,7 +466,6 @@ impl Network {
         Endpoint {
             net: self.clone(),
             node,
-            span_attrs: std::cell::OnceCell::new(),
         }
     }
 
@@ -914,10 +919,6 @@ fn lookup_inbox(inboxes: &PortMap, node: NodeId, port: u16) -> Option<&Sender<Me
 pub struct Endpoint {
     pub(crate) net: Network,
     pub(crate) node: NodeId,
-    /// Lazily interned `(track, lane)` span attributes — long-lived
-    /// endpoints (one per process) pay the name allocation once, not
-    /// once per send.
-    pub(crate) span_attrs: std::cell::OnceCell<(mgrid_desim::SpanStr, mgrid_desim::SpanStr)>,
 }
 
 impl Endpoint {

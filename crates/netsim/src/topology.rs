@@ -22,7 +22,8 @@
 //! iteration order.
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -125,6 +126,27 @@ impl RouteMetrics {
     }
 }
 
+/// "No route" in a first-hop table; [`TopologyBuilder::build`] keeps
+/// every real link id below it.
+const NO_ROUTE: u32 = u32::MAX;
+
+/// The route cache and the working vectors of the Dijkstra that fills it.
+#[derive(Clone, Default)]
+struct Routes {
+    /// `tables[src]`, once computed: for each `dst`, the id of the first
+    /// directed link from `src` towards it, or [`NO_ROUTE`]. Four bytes
+    /// per pair and indexed by source, since every hop of every packet
+    /// reads it.
+    tables: Vec<Option<Box<[u32]>>>,
+    // Dijkstra's scratch, kept between sources so a source costs one
+    // allocation (its table), not six.
+    dist: Vec<(u64, u32)>,
+    parent: Vec<u32>,
+    settled: Vec<bool>,
+    order: Vec<usize>,
+    heap: BinaryHeap<Reverse<((u64, u32), usize)>>,
+}
+
 /// An immutable topology with a demand-driven route cache.
 ///
 /// Construction is O(nodes + links): no routes are computed until the
@@ -142,9 +164,8 @@ pub struct Topology {
     /// Normalized `(min, max)` node pair → directed links joining them,
     /// in link-id order.
     pair_links: FxHashMap<(NodeId, NodeId), Vec<LinkId>>,
-    /// Lazily filled per-source first-hop tables: `cache[src][dst]` is
-    /// the first directed link from `src` towards `dst`.
-    cache: RefCell<FxHashMap<usize, Vec<Option<LinkId>>>>,
+    /// Lazily filled per-source first-hop tables.
+    routes: RefCell<Routes>,
     m: RouteMetrics,
 }
 
@@ -153,7 +174,7 @@ impl std::fmt::Debug for Topology {
         f.debug_struct("Topology")
             .field("nodes", &self.nodes)
             .field("links", &self.links)
-            .field("routed_sources", &self.cache.borrow().len())
+            .field("routed_sources", &self.routed_sources())
             .finish()
     }
 }
@@ -218,7 +239,16 @@ impl TopologyBuilder {
 
     /// Freeze the topology. O(nodes + links): builds the adjacency and
     /// lookup indexes only — routes are computed on demand per source.
+    ///
+    /// # Panics
+    /// Panics if there are `u32::MAX` directed links or more (first-hop
+    /// tables store link ids in 32 bits).
     pub fn build(self) -> Topology {
+        assert!(
+            self.links.len() < NO_ROUTE as usize,
+            "{} directed links do not fit a 32-bit link id",
+            self.links.len()
+        );
         let n = self.nodes.len();
         let mut adj: Vec<Vec<(LinkId, NodeId, SimDuration)>> = vec![Vec::new(); n];
         let mut pair_links: FxHashMap<(NodeId, NodeId), Vec<LinkId>> = FxHashMap::default();
@@ -237,7 +267,10 @@ impl TopologyBuilder {
             adj,
             by_name,
             pair_links,
-            cache: RefCell::new(FxHashMap::default()),
+            routes: RefCell::new(Routes {
+                tables: vec![None; n],
+                ..Routes::default()
+            }),
             m: RouteMetrics::resolve(),
         }
     }
@@ -294,31 +327,45 @@ impl Topology {
     /// node it relaxes (delay is clamped to ≥ 1 ns per hop), so all
     /// equal-cost parent offers arrive before a node is settled and the
     /// choice is independent of heap pop order.
-    fn compute_source(&self, src: NodeId) -> Vec<Option<LinkId>> {
+    fn compute_source(&self, routes: &mut Routes, src: NodeId) -> Box<[u32]> {
         let n = self.nodes.len();
-        let mut dist: Vec<(u64, u32)> = vec![(u64::MAX, u32::MAX); n];
-        let mut parent: Vec<Option<LinkId>> = vec![None; n];
-        let mut settled = vec![false; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut heap = std::collections::BinaryHeap::new();
+        let Routes {
+            dist,
+            parent,
+            settled,
+            order,
+            heap,
+            ..
+        } = routes;
+        dist.clear();
+        dist.resize(n, (u64::MAX, u32::MAX));
+        parent.clear();
+        parent.resize(n, NO_ROUTE);
+        settled.clear();
+        settled.resize(n, false);
+        order.clear();
+        heap.clear();
         dist[src.0] = (0, 0);
-        heap.push(std::cmp::Reverse(((0u64, 0u32), src.0)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        heap.push(Reverse(((0u64, 0u32), src.0)));
+        while let Some(Reverse((d, u))) = heap.pop() {
             if settled[u] {
                 continue;
             }
             settled[u] = true;
             order.push(u);
             for &(lid, v, delay) in &self.adj[u] {
+                let lid = lid.0 as u32;
                 let nd = (d.0 + delay.as_nanos().max(1), d.1 + 1);
                 match nd.cmp(&dist[v.0]) {
                     Ordering::Less => {
                         dist[v.0] = nd;
-                        parent[v.0] = Some(lid);
-                        heap.push(std::cmp::Reverse((nd, v.0)));
+                        parent[v.0] = lid;
+                        heap.push(Reverse((nd, v.0)));
                     }
-                    Ordering::Equal if !settled[v.0] && parent[v.0].is_none_or(|p| lid < p) => {
-                        parent[v.0] = Some(lid);
+                    // `NO_ROUTE` is above every link id, so "no parent
+                    // yet" loses to any offer.
+                    Ordering::Equal if !settled[v.0] && lid < parent[v.0] => {
+                        parent[v.0] = lid;
                     }
                     _ => {}
                 }
@@ -327,14 +374,15 @@ impl Topology {
         // Fold parent pointers into first hops in settle order: a node's
         // first hop is its parent's first hop, or the parent link itself
         // when the parent is the source.
-        let mut first: Vec<Option<LinkId>> = vec![None; n];
-        for &u in &order {
+        let mut first: Box<[u32]> = vec![NO_ROUTE; n].into();
+        for &u in order.iter() {
             if u == src.0 {
                 continue;
             }
-            let p = parent[u].expect("settled non-source node has a parent link");
-            let from = self.links[p.0].from;
-            first[u] = if from == src { Some(p) } else { first[from.0] };
+            let p = parent[u];
+            assert_ne!(p, NO_ROUTE, "settled non-source node has a parent link");
+            let from = self.links[p as usize].from;
+            first[u] = if from == src { p } else { first[from.0] };
         }
         first
     }
@@ -342,28 +390,31 @@ impl Topology {
     /// First directed link on the route from `src` to `dst`, computing
     /// and memoizing `src`'s table on first use.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
-        let mut cache = self.cache.borrow_mut();
-        if let Some(table) = cache.get(&src.0) {
+        let mut routes = self.routes.borrow_mut();
+        let hop = if let Some(table) = &routes.tables[src.0] {
             self.m.hits.add(1);
-            return table[dst.0];
-        }
-        self.m.misses.add(1);
-        self.m.src_computed.add(1);
-        let table = self.compute_source(src);
-        let hop = table[dst.0];
-        cache.insert(src.0, table);
-        hop
+            table[dst.0]
+        } else {
+            self.m.misses.add(1);
+            self.m.src_computed.add(1);
+            let table = self.compute_source(&mut routes, src);
+            let hop = table[dst.0];
+            routes.tables[src.0] = Some(table);
+            hop
+        };
+        (hop != NO_ROUTE).then_some(LinkId(hop as usize))
     }
 
     /// Compute and memoize `src`'s first-hop table if absent, without
     /// counting a cache hit or miss (counts towards
     /// `net.route_src_computed`). Used to pre-warm caches.
     pub fn warm_routes_from(&self, src: NodeId) {
-        let mut cache = self.cache.borrow_mut();
-        cache.entry(src.0).or_insert_with(|| {
+        let mut routes = self.routes.borrow_mut();
+        if routes.tables[src.0].is_none() {
             self.m.src_computed.add(1);
-            self.compute_source(src)
-        });
+            let table = self.compute_source(&mut routes, src);
+            routes.tables[src.0] = Some(table);
+        }
     }
 
     /// Warm every source's table — the eager all-pairs computation the
@@ -377,7 +428,7 @@ impl Topology {
 
     /// Number of sources whose first-hop tables are currently cached.
     pub fn routed_sources(&self) -> usize {
-        self.cache.borrow().len()
+        self.routes.borrow().tables.iter().flatten().count()
     }
 
     /// Full route (sequence of directed links) from `src` to `dst`,
@@ -640,9 +691,10 @@ mod tests {
             b.link(r, c, LinkSpec::new(1e8, ms(1)));
             let t = b.build();
             {
-                let mut cache = t.cache.borrow_mut();
-                cache.insert(a.0, vec![None, Some(ar), Some(ar)]);
-                cache.insert(r.0, vec![Some(ra), None, Some(ra)]);
+                let (ar, ra) = (ar.0 as u32, ra.0 as u32);
+                let mut routes = t.routes.borrow_mut();
+                routes.tables[a.0] = Some([NO_ROUTE, ar, ar].into());
+                routes.tables[r.0] = Some([ra, NO_ROUTE, ra].into());
             }
             assert_eq!(t.route(a, c), None);
         });

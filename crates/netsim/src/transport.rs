@@ -39,8 +39,7 @@ impl Endpoint {
     ) -> Result<(), NetError> {
         let span = obs::span_begin(Category::Net, "net_send", || {
             let inner = &self.network().inner;
-            let (track, lane) = self
-                .span_attrs
+            let (track, lane) = inner.send_attrs[self.node().0]
                 .get_or_init(|| (inner.topo.node_name(self.node()).into(), "transport".into()));
             let detail = inner
                 .send_details
@@ -244,6 +243,48 @@ mod tests {
             assert!((60..200).contains(&elapsed), "latency {elapsed}us");
         });
         sim.run_to_completion();
+    }
+
+    /// `mpi` clones the sender into a task per message: every clone must
+    /// hand the span store the node's one interned `(track, lane)` pair,
+    /// not a pair of its own.
+    #[test]
+    fn traced_sends_through_endpoint_clones_share_the_nodes_span_strings() {
+        let mut sim = Simulation::new(1);
+        sim.obs().enable_spans();
+        let obs = sim.obs().clone();
+        let net = sim.block_on(async {
+            let (net, a, c) = lan();
+            let rx = net.endpoint(c).bind(7);
+            let tx = net.endpoint(a);
+            for i in 0..5u64 {
+                // A clone taken before any send, as `protocol_send` does.
+                let tx = tx.clone();
+                spawn(async move {
+                    tx.send(c, 7, 1, 100 + i, Payload::empty()).await.unwrap();
+                });
+            }
+            for _ in 0..5 {
+                rx.recv().await.unwrap();
+            }
+            (net, a)
+        });
+        let (net, a) = net;
+        let table = obs.spans().snapshot().spans;
+        assert_eq!(table.len(), 5);
+        let (track, lane) = net.inner.send_attrs[a.0]
+            .get()
+            .expect("the first traced send fills the node's cell");
+        // One kind for the node's transport lane, and it holds the
+        // cell's own allocations: what the first send handed over is
+        // what every later clone hands over.
+        let [kind] = table.kinds() else {
+            panic!("expected one kind, got {:?}", table.kinds())
+        };
+        assert!(std::sync::Arc::ptr_eq(&kind.track, track));
+        assert!(std::sync::Arc::ptr_eq(&kind.lane, lane));
+        assert_eq!((&*kind.track, &*kind.lane), ("a", "transport"));
+        assert_eq!(table.details().len(), 5);
     }
 
     #[test]
