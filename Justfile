@@ -29,6 +29,12 @@ lint:
 fmt:
     cargo fmt --all
 
+# Lines of Rust per crate (src/ and tests/ apart), root tests + examples,
+# vendor/ and benchmark/: the number a PR's "deleted line to show for it"
+# is read from. CI appends the same table to the job summary.
+loc:
+    bash scripts/loc.sh
+
 # Regenerate the paper's figures (fast, shrunken parameters).
 figures:
     MGRID_FAST=1 cargo run --release -p mgrid-bench --bin repro -- all

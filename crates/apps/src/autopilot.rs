@@ -13,9 +13,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use mgrid_desim::spawn_daemon;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::vclock::VirtualClock;
-use mgrid_desim::{spawn_daemon, SimTime};
 
 /// A sensor: a shared numeric program variable.
 #[derive(Clone)]
@@ -124,11 +124,6 @@ impl Autopilot {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// Names of all registered sensors.
-    pub fn sensor_names(&self) -> Vec<String> {
-        self.inner.borrow().sensors.keys().cloned().collect()
-    }
 }
 
 /// Root-mean-square percentage difference between two traces, compared
@@ -180,11 +175,6 @@ pub fn resample(trace: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
         out.push((t, va + f.clamp(0.0, 1.0) * (vb - va)));
     }
     out
-}
-
-/// Virtual-time helper: current virtual instant on a clock.
-pub fn virtual_now(clock: &VirtualClock) -> SimTime {
-    clock.virtual_at(mgrid_desim::now())
 }
 
 #[cfg(test)]

@@ -135,41 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_class_s_runs_and_verifies() {
-        let r = run_npb(NpbBenchmark::CG, NpbClass::S);
-        assert!(r.verified, "CG verification failed: {r:?}");
-        // CG-S is reduction-bound: 375 allreduce pairs dominate the
-        // 2 s of compute.
-        assert!(
-            (5.0..9.0).contains(&r.virtual_seconds),
-            "CG-S time {}",
-            r.virtual_seconds
-        );
-    }
-
-    #[test]
-    fn ft_class_s_runs_and_verifies() {
-        let r = run_npb(NpbBenchmark::FT, NpbClass::S);
-        assert!(r.verified, "FT verification failed: {r:?}");
-        assert!(
-            (2.0..8.0).contains(&r.virtual_seconds),
-            "FT-S time {}",
-            r.virtual_seconds
-        );
-    }
-
-    #[test]
-    fn sp_class_s_runs_and_verifies() {
-        let r = run_npb(NpbBenchmark::SP, NpbClass::S);
-        assert!(r.verified, "SP verification failed: {r:?}");
-        assert!(
-            (6.0..11.0).contains(&r.virtual_seconds),
-            "SP-S time {}",
-            r.virtual_seconds
-        );
-    }
-
-    #[test]
     fn npb_results_are_deterministic() {
         let a = run_npb(NpbBenchmark::MG, NpbClass::S);
         let b = run_npb(NpbBenchmark::MG, NpbClass::S);

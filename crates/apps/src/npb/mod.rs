@@ -22,13 +22,10 @@
 //! claimed, not the original absolute seconds (see DESIGN.md).
 
 pub mod bt;
-pub mod cg;
 pub mod ep;
-pub mod ft;
 pub mod is;
 pub mod lu;
 pub mod mg;
-pub mod sp;
 
 use serde::{Deserialize, Serialize};
 
@@ -53,8 +50,7 @@ impl NpbClass {
     }
 }
 
-/// The modeled benchmarks: the paper's five plus the rest of the NPB 2.3
-/// suite (CG, FT, SP) as extensions.
+/// The modeled benchmarks: the five the paper validates with (§3.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum NpbBenchmark {
     /// Embarrassingly Parallel.
@@ -67,12 +63,6 @@ pub enum NpbBenchmark {
     MG,
     /// Integer Sort.
     IS,
-    /// Conjugate Gradient (extension).
-    CG,
-    /// 3-D Fast Fourier Transform (extension).
-    FT,
-    /// Scalar Pentadiagonal solver (extension).
-    SP,
 }
 
 impl NpbBenchmark {
@@ -84,9 +74,6 @@ impl NpbBenchmark {
             NpbBenchmark::LU => "LU",
             NpbBenchmark::MG => "MG",
             NpbBenchmark::IS => "IS",
-            NpbBenchmark::CG => "CG",
-            NpbBenchmark::FT => "FT",
-            NpbBenchmark::SP => "SP",
         }
     }
 
@@ -98,20 +85,6 @@ impl NpbBenchmark {
             NpbBenchmark::LU,
             NpbBenchmark::MG,
             NpbBenchmark::IS,
-        ]
-    }
-
-    /// The full modeled suite, including the CG/FT/SP extensions.
-    pub fn full_suite() -> [NpbBenchmark; 8] {
-        [
-            NpbBenchmark::EP,
-            NpbBenchmark::BT,
-            NpbBenchmark::LU,
-            NpbBenchmark::MG,
-            NpbBenchmark::IS,
-            NpbBenchmark::CG,
-            NpbBenchmark::FT,
-            NpbBenchmark::SP,
         ]
     }
 }
@@ -155,9 +128,6 @@ pub async fn run(
         NpbBenchmark::LU => lu::run(comm, class, sensors).await,
         NpbBenchmark::MG => mg::run(comm, class, sensors).await,
         NpbBenchmark::IS => is::run(comm, class, sensors).await,
-        NpbBenchmark::CG => cg::run(comm, class, sensors).await,
-        NpbBenchmark::FT => ft::run(comm, class, sensors).await,
-        NpbBenchmark::SP => sp::run(comm, class, sensors).await,
     }
 }
 

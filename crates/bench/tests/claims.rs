@@ -59,3 +59,90 @@ fn fig15_virtual_time_is_invariant_under_the_emulation_rate() {
         }
     }
 }
+
+fn series<'a>(report: &'a Report, label: &str) -> &'a [(String, f64)] {
+    &report
+        .series
+        .iter()
+        .find(|s| s.label == label)
+        .unwrap_or_else(|| panic!("{} has no series {label:?}", report.id))
+        .points
+}
+
+/// An x label such as `"40%"` or `"128KB"` as its number.
+fn x_value(label: &str, unit: &str) -> f64 {
+    label
+        .strip_suffix(unit)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("x label {label:?} is not a number of {unit}"))
+}
+
+/// Fig 5: a process can allocate its virtual host's memory limit less
+/// the 1 KB of per-process overhead, at every limit from 1 KB to 1 MB.
+#[test]
+fn fig5_max_allocatable_is_the_cap_less_one_kb() {
+    let report = tracked("fig5");
+    let points = series(&report, "max allocatable (KB) vs specified limit");
+    assert!(points.len() >= 11, "fig5 has {} points", points.len());
+    for (limit, allocatable) in points {
+        let cap_kb = x_value(limit, "KB");
+        assert_eq!(*allocatable, cap_kb - 1.0, "limit {limit}");
+    }
+}
+
+/// Fig 6: alone, a virtual host is delivered its specified CPU fraction
+/// within one point at every step; against a CPU hog it is delivered the
+/// same up to 40 % and then saturates at the fair share, 45-52 %, for
+/// every specified fraction of 60 % and above.
+#[test]
+fn fig6_cpu_fraction_is_linear_alone_and_saturates_under_a_cpu_hog() {
+    let report = tracked("fig6");
+    let alone = series(&report, "No Competition");
+    assert_eq!(alone.len(), 10, "fig6 steps");
+    for (specified, delivered) in alone {
+        let want = x_value(specified, "%");
+        assert!(
+            (delivered - want).abs() <= 1.0,
+            "alone at {specified}: delivered {delivered:.2} %"
+        );
+    }
+    let hog = series(&report, "CPU Competition");
+    assert_eq!(hog.len(), 10, "fig6 steps");
+    for (specified, delivered) in hog {
+        let want = x_value(specified, "%");
+        if want <= 40.0 {
+            assert!(
+                (delivered - want).abs() <= 1.0,
+                "CPU hog at {specified}: delivered {delivered:.2} %"
+            );
+        } else if want >= 60.0 {
+            assert!(
+                (45.0..=52.0).contains(delivered),
+                "CPU hog at {specified}: delivered {delivered:.2} %, fair share is 45-52 %"
+            );
+        }
+    }
+}
+
+/// Fig 14: over the 62x range of WAN bottleneck bandwidth (622 Mb/s to
+/// 10 Mb/s) no code's run time moves by more than 10 %, and EP's by no
+/// more than 0.1 %: latency, not bandwidth, is what the WAN costs.
+#[test]
+fn fig14_run_time_is_mildly_sensitive_to_wan_bandwidth() {
+    let report = tracked("fig14");
+    assert!(report.series.len() >= 4, "fig14 codes");
+    for code in &report.series {
+        let labels: Vec<&str> = code.points.iter().map(|(x, _)| x.as_str()).collect();
+        assert_eq!(labels, ["622Mb/s", "155Mb/s", "10Mb/s"], "{}", code.label);
+        let times = code.points.iter().map(|(_, t)| *t);
+        let fastest = times.clone().fold(f64::INFINITY, f64::min);
+        let slowest = times.fold(0.0, f64::max);
+        let moved = (slowest / fastest - 1.0) * 100.0;
+        let bound = if code.label == "EP" { 0.1 } else { 10.0 };
+        assert!(
+            moved <= bound,
+            "{}: {moved:.3} % between 622 and 10 Mb/s, claim <= {bound} %",
+            code.label
+        );
+    }
+}

@@ -81,7 +81,7 @@ fn usage() -> ! {
          \x20 dump <preset>\n\
          \x20 validate <config.json|preset>\n\
          \x20 rate <config.json|preset>\n\
-         \x20 run <config.json|preset> <EP|BT|LU|MG|IS|CG|FT|SP> <S|A> [--baseline]\n\
+         \x20 run <config.json|preset> <EP|BT|LU|MG|IS> <S|A> [--baseline]\n\
          \x20 run <config.json|preset> wavetoy <grid-edge> [--baseline]\n\
          \x20 run options: --trace-out <path> [--trace-cap <n>] --profile-out <path>"
     );
@@ -354,9 +354,6 @@ fn run_cmd(args: &[String]) {
         "LU" => NpbBenchmark::LU,
         "MG" => NpbBenchmark::MG,
         "IS" => NpbBenchmark::IS,
-        "CG" => NpbBenchmark::CG,
-        "FT" => NpbBenchmark::FT,
-        "SP" => NpbBenchmark::SP,
         other => {
             eprintln!("unknown application {other:?}");
             std::process::exit(2);

@@ -108,13 +108,33 @@ pub enum ConfigError {
         /// Feasible bound.
         feasible: String,
     },
-    /// A host (physical or virtual) declares a non-positive CPU speed,
-    /// which would make the coordinator's `C_p / sum(demand)` bound
-    /// meaningless (zero demand divides to infinity).
+    /// A host (physical or virtual) declares a CPU speed that is not
+    /// positive and finite, which would make the coordinator's
+    /// `C_p / sum(demand)` bound meaningless (zero demand divides to
+    /// infinity, infinite demand to a zero rate).
     NonPositiveSpeed(String),
     /// A fault-plan event is malformed: bad parameters or a reference to
     /// a name the grid does not define.
     InvalidFault(String),
+    /// An `Auto` rate policy whose safety factor is outside `(0, 1]` (NaN
+    /// included).
+    SafetyOutOfRange(String),
+    /// A `Fixed` rate that is not positive and finite: the virtual clock
+    /// cannot run at it.
+    NonPositiveRate(String),
+    /// A link whose bandwidth is not positive and finite: a packet's
+    /// serialisation time on it would be infinite or negative.
+    NonPositiveBandwidth {
+        /// One end of the link.
+        a: String,
+        /// The other end.
+        b: String,
+        /// The declared `bandwidth_bps`.
+        bandwidth_bps: String,
+    },
+    /// A zero scheduler quantum: every grant would last only its own
+    /// overhead.
+    ZeroQuantum,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -128,20 +148,55 @@ impl std::fmt::Display for ConfigError {
                 feasible,
             } => write!(f, "rate {requested} exceeds feasible bound {feasible}"),
             ConfigError::NonPositiveSpeed(h) => {
-                write!(f, "host {h:?} declares a non-positive CPU speed")
+                write!(f, "host {h:?}: speed_mops is not positive and finite")
             }
             ConfigError::InvalidFault(why) => write!(f, "invalid fault plan: {why}"),
+            ConfigError::SafetyOutOfRange(safety) => {
+                write!(f, "rate: Auto safety factor {safety} is not in (0, 1]")
+            }
+            ConfigError::NonPositiveRate(rate) => {
+                write!(f, "rate: Fixed rate {rate} is not positive and finite")
+            }
+            ConfigError::NonPositiveBandwidth {
+                a,
+                b,
+                bandwidth_bps,
+            } => write!(
+                f,
+                "link {a:?}-{b:?}: bandwidth_bps {bandwidth_bps} is not positive and finite"
+            ),
+            ConfigError::ZeroQuantum => write!(f, "quantum must be positive"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
+/// The domain of every rate, speed and bandwidth: NaN, zero, negatives
+/// and the infinity the JSON reader makes of `1e999` are all outside it.
+fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
 impl GridConfig {
-    /// Check referential integrity (names resolve, no duplicates, speeds
-    /// positive) and, when a fault plan is present, that every fault has
-    /// sound parameters and targets a name the grid defines.
+    /// Check referential integrity (names resolve, no duplicates), every
+    /// numeric precondition the layers below assert (speeds, link
+    /// bandwidths, rate policy and quantum in their domains) and, when a
+    /// fault plan is present, that every fault has sound parameters and
+    /// targets a name the grid defines.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        match self.rate {
+            RatePolicy::Auto { safety } if !(safety > 0.0 && safety <= 1.0) => {
+                return Err(ConfigError::SafetyOutOfRange(safety.to_string()));
+            }
+            RatePolicy::Fixed(rate) if !positive_finite(rate) => {
+                return Err(ConfigError::NonPositiveRate(rate.to_string()));
+            }
+            _ => {}
+        }
+        if self.quantum.is_zero() {
+            return Err(ConfigError::ZeroQuantum);
+        }
         // Every name lives in exactly one of these two sets, so a name is
         // a duplicate when either already holds it.
         let mut physical = FxHashSet::default();
@@ -149,7 +204,7 @@ impl GridConfig {
             if !physical.insert(p.name.as_str()) {
                 return Err(ConfigError::DuplicateName(p.name.clone()));
             }
-            if p.speed_mops.is_nan() || p.speed_mops <= 0.0 {
+            if !positive_finite(p.speed_mops) {
                 return Err(ConfigError::NonPositiveSpeed(p.name.clone()));
             }
         }
@@ -161,7 +216,7 @@ impl GridConfig {
             if !physical.contains(v.mapped_to.as_str()) {
                 return Err(ConfigError::UnknownPhysicalHost(v.mapped_to.clone()));
             }
-            if v.spec.speed_mops.is_nan() || v.spec.speed_mops <= 0.0 {
+            if !positive_finite(v.spec.speed_mops) {
                 return Err(ConfigError::NonPositiveSpeed(v.spec.name.clone()));
             }
         }
@@ -175,6 +230,13 @@ impl GridConfig {
                 if !nodes.contains(end.as_str()) {
                     return Err(ConfigError::UnknownNode(end.clone()));
                 }
+            }
+            if !positive_finite(l.bandwidth_bps) {
+                return Err(ConfigError::NonPositiveBandwidth {
+                    a: l.a.clone(),
+                    b: l.b.clone(),
+                    bandwidth_bps: l.bandwidth_bps.to_string(),
+                });
             }
         }
         if let Some(plan) = &self.faults {
@@ -289,12 +351,80 @@ mod tests {
             c.validate(),
             Err(ConfigError::NonPositiveSpeed("vm0".into()))
         );
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut c = sample();
+            c.physical_hosts[0].speed_mops = bad;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::NonPositiveSpeed("phys0".into())),
+                "speed {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn safety_factor_must_be_in_unit_interval() {
+        let with = |safety| {
+            let mut c = sample();
+            c.rate = RatePolicy::Auto { safety };
+            c.validate()
+        };
+        assert_eq!(with(1.0), Ok(()));
+        assert_eq!(with(f64::MIN_POSITIVE), Ok(()));
+        for bad in [0.0, -0.5, 1.0 + f64::EPSILON, 2.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                with(bad),
+                Err(ConfigError::SafetyOutOfRange(bad.to_string())),
+                "safety {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_rate_must_be_positive_and_finite() {
+        let with = |rate| {
+            let mut c = sample();
+            c.rate = RatePolicy::Fixed(rate);
+            c.validate()
+        };
+        assert_eq!(with(0.04), Ok(()));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                with(bad),
+                Err(ConfigError::NonPositiveRate(bad.to_string())),
+                "rate {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn link_bandwidth_must_be_positive_and_finite() {
+        let with = |bps| {
+            let mut c = sample();
+            c.network.links[0].bandwidth_bps = bps;
+            c.validate()
+        };
+        assert_eq!(with(1.0), Ok(()));
+        for bad in [0.0, -100e6, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                with(bad),
+                Err(ConfigError::NonPositiveBandwidth {
+                    a: "vm0".into(),
+                    b: "r0".into(),
+                    bandwidth_bps: bad.to_string(),
+                }),
+                "bandwidth {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_quantum_rejected() {
         let mut c = sample();
-        c.physical_hosts[0].speed_mops = -1.0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::NonPositiveSpeed("phys0".into()))
-        );
+        c.quantum = SimDuration::from_nanos(1);
+        assert_eq!(c.validate(), Ok(()));
+        c.quantum = SimDuration::ZERO;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroQuantum));
     }
 
     #[test]

@@ -57,10 +57,6 @@ pub fn plan_rate(config: &GridConfig) -> Result<RatePlan, ConfigError> {
     let feasible = cpu_bounds.first().map(|(_, r)| *r).unwrap_or(f64::INFINITY);
     let chosen = match config.rate {
         RatePolicy::Auto { safety } => {
-            assert!(
-                safety > 0.0 && safety <= 1.0,
-                "safety factor must be in (0,1], got {safety}"
-            );
             if feasible.is_finite() {
                 feasible * safety
             } else {

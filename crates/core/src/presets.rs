@@ -177,19 +177,20 @@ pub fn vbns_grid(bottleneck_bps: f64) -> GridConfig {
     let oc3 = 155e6;
     let oc12 = 622e6;
     let hosts = ["ucsd0", "ucsd1", "uiuc0", "uiuc1"];
+    // (a, b, bandwidth in bits/s, one-way delay in microseconds)
     let links = vec![
         // UCSD CSE department LAN.
-        ("ucsd0", "ucsd-lan", lan, 0.05),
-        ("ucsd1", "ucsd-lan", lan, 0.05),
-        ("ucsd-lan", "ucsd-gw", oc3, 0.3),
+        ("ucsd0", "ucsd-lan", lan, 50),
+        ("ucsd1", "ucsd-lan", lan, 50),
+        ("ucsd-lan", "ucsd-gw", oc3, 300),
         // vBNS: San Diego -> Los Angeles -> (long haul) -> Chicago.
-        ("ucsd-gw", "vbns-la", oc12, 2.0),
-        ("vbns-la", "vbns-chi", bottleneck_bps, 25.0),
-        ("vbns-chi", "uiuc-gw", oc12, 2.0),
+        ("ucsd-gw", "vbns-la", oc12, 2_000),
+        ("vbns-la", "vbns-chi", bottleneck_bps, 25_000),
+        ("vbns-chi", "uiuc-gw", oc12, 2_000),
         // UIUC CS department LAN.
-        ("uiuc-gw", "uiuc-lan", oc3, 0.3),
-        ("uiuc-lan", "uiuc0", lan, 0.05),
-        ("uiuc-lan", "uiuc1", lan, 0.05),
+        ("uiuc-gw", "uiuc-lan", oc3, 300),
+        ("uiuc-lan", "uiuc0", lan, 50),
+        ("uiuc-lan", "uiuc1", lan, 50),
     ];
     GridConfig {
         name: format!("vBNS_{:.0}Mbps", bottleneck_bps / 1e6),
@@ -215,15 +216,11 @@ pub fn vbns_grid(bottleneck_bps: f64) -> GridConfig {
             ],
             links: links
                 .into_iter()
-                .map(|(a, b, bw, ms)| LinkConfig {
+                .map(|(a, b, bw, delay_us)| LinkConfig {
                     a: a.into(),
                     b: b.into(),
                     bandwidth_bps: bw,
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "the vBNS table above gives link delays in fractional milliseconds"
-                    )]
-                    delay: SimDuration::from_secs_f64(ms * 1e-3),
+                    delay: SimDuration::from_micros(delay_us),
                     // WAN routers buffer more than LAN switches.
                     queue_bytes: Some(4 * 1024 * 1024),
                 })
@@ -306,6 +303,6 @@ mod tests {
             .find(|l| l.a == "vbns-la")
             .expect("long-haul link");
         assert_eq!(l.bandwidth_bps, 10e6);
-        assert_eq!(l.delay, SimDuration::from_secs_f64(0.025));
+        assert_eq!(l.delay, SimDuration::from_millis(25));
     }
 }

@@ -103,3 +103,102 @@ fn profile_out_reports_the_span_table_and_a_failed_write() {
         assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     }
 }
+
+fn mgrid(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mgrid"))
+        .args(args)
+        .output()
+        .expect("run mgrid");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `mgrid run` takes the five benchmarks the paper validates with
+/// (§3.3) and no others.
+#[test]
+fn run_accepts_exactly_the_papers_five_benchmarks() {
+    let (code, _, stderr) = mgrid(&["run", "alpha_cluster", "FT", "S"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown application \"FT\""), "{stderr}");
+
+    let (code, _, usage) = mgrid(&[]);
+    assert_eq!(code, Some(2));
+    let run_line = usage
+        .lines()
+        .find(|l| l.contains("run <config.json|preset> <"))
+        .unwrap_or_else(|| panic!("no run line in {usage}"));
+    assert!(run_line.contains(" <EP|BT|LU|MG|IS> <S|A> "), "{run_line}");
+}
+
+/// Configs whose numbers are outside what the layers below assert:
+/// `validate` names the field and exits 1, `run` refuses with the same
+/// message before a simulation starts. None of them may panic.
+#[test]
+fn hostile_configs_are_typed_errors_not_panics() {
+    use microgrid::{presets, GridConfig, RatePolicy};
+    type Patch = fn(&mut GridConfig);
+    let cases: [(&str, Patch, &str); 5] = [
+        (
+            "safety",
+            |c| c.rate = RatePolicy::Auto { safety: 2.0 },
+            "rate: Auto safety factor 2 is not in (0, 1]",
+        ),
+        (
+            "fixed-zero",
+            |c| c.rate = RatePolicy::Fixed(0.0),
+            "rate: Fixed rate 0 is not positive and finite",
+        ),
+        (
+            "fixed-negative",
+            |c| c.rate = RatePolicy::Fixed(-1.0),
+            "rate: Fixed rate -1 is not positive and finite",
+        ),
+        (
+            "bandwidth",
+            |c| c.network.links[1].bandwidth_bps = 0.0,
+            "link \"alpha1\"-\"switch\": bandwidth_bps 0 is not positive and finite",
+        ),
+        (
+            "quantum",
+            |c| c.quantum = microgrid::desim::SimDuration::ZERO,
+            "quantum must be positive",
+        ),
+    ];
+    for (name, patch, message) in cases {
+        let mut config = presets::alpha_cluster();
+        patch(&mut config);
+        let path =
+            std::env::temp_dir().join(format!("mgrid-cli-{name}-{}.json", std::process::id()));
+        std::fs::write(&path, config.to_json()).expect("write config");
+        let file = path.to_str().expect("utf-8 temp path");
+        let validate = mgrid(&["validate", file]);
+        let run = mgrid(&["run", file, "IS", "S"]);
+        let _ = std::fs::remove_file(&path);
+
+        let (code, stdout, stderr) = validate;
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert_eq!(stderr, format!("invalid: {message}\n"), "{name}");
+        assert!(stdout.is_empty(), "{name}: {stdout}");
+
+        let (code, stdout, stderr) = run;
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert_eq!(stderr, format!("cannot build grid: {message}\n"), "{name}");
+        assert!(!stdout.contains("verified"), "{name} ran: {stdout}");
+    }
+}
+
+/// Every name `mgrid presets` prints is a config `mgrid validate` accepts.
+#[test]
+fn every_listed_preset_validates() {
+    let (code, names, _) = mgrid(&["presets"]);
+    assert_eq!(code, Some(0));
+    assert!(names.lines().count() >= 7, "{names}");
+    for name in names.lines() {
+        let (code, stdout, stderr) = mgrid(&["validate", name]);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+        assert!(stdout.starts_with("ok: "), "{name}: {stdout}");
+    }
+}

@@ -101,11 +101,6 @@ impl SimRng {
         lo + self.below(hi - lo)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-
     /// True with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
@@ -126,11 +121,6 @@ impl SimRng {
         let theta = std::f64::consts::TAU * u2;
         self.spare_normal = Some(r * theta.sin());
         r * theta.cos()
-    }
-
-    /// Normal deviate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
     }
 
     /// Exponential deviate with the given mean (`mean = 1/lambda`).

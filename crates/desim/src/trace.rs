@@ -185,12 +185,6 @@ impl Tracer {
         }
     }
 
-    /// Detach and return the streaming sink (unflushed writes are the
-    /// caller's to flush, e.g. by dropping a `BufWriter`).
-    pub fn take_sink(&self) -> Option<Box<dyn Write>> {
-        self.state.borrow_mut().sink.take()
-    }
-
     /// Number of events successfully written to the streaming sink.
     pub fn streamed(&self) -> u64 {
         self.state.borrow().streamed

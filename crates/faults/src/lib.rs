@@ -318,11 +318,6 @@ impl FaultBus {
             sub(kind);
         }
     }
-
-    /// Number of registered subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subs.borrow().len()
-    }
 }
 
 /// Spawn the injector daemon: replay `plan` on the simulation clock,

@@ -246,7 +246,7 @@ mod tests {
     fn scoped_search() {
         let d = sample();
         let base = dn("ou=CSAG, o=Grid");
-        let any = Filter::parse("(&)").unwrap();
+        let any = Filter::and([]);
         assert_eq!(d.search(&base, Scope::Base, &any).len(), 1);
         assert_eq!(d.search(&base, Scope::OneLevel, &any).len(), 3);
         assert_eq!(d.search(&base, Scope::Subtree, &any).len(), 4);
@@ -255,8 +255,10 @@ mod tests {
     #[test]
     fn filtered_search_finds_virtual_hosts() {
         let d = sample();
-        let f =
-            Filter::parse("(&(objectclass=GridComputeResource)(Is_Virtual_Resource=Yes))").unwrap();
+        let f = Filter::and([
+            Filter::eq("objectclass", "GridComputeResource"),
+            Filter::eq("Is_Virtual_Resource", "Yes"),
+        ]);
         let hits = d.search_all(&f);
         assert_eq!(hits.len(), 2);
         assert!(hits
@@ -269,14 +271,14 @@ mod tests {
         // Subtype compatibility (paper §2.2.2): a pre-virtualization query
         // for compute resources sees virtual and physical records alike.
         let d = sample();
-        let f = Filter::parse("(objectclass=GridComputeResource)").unwrap();
+        let f = Filter::eq("objectclass", "GridComputeResource");
         assert_eq!(d.search_all(&f).len(), 3);
     }
 
     #[test]
     fn search_results_deterministic_order() {
         let d = sample();
-        let f = Filter::parse("(is_virtual_resource=*)").unwrap();
+        let f = Filter::present("is_virtual_resource");
         let names: Vec<&str> = d
             .search_all(&f)
             .iter()

@@ -79,11 +79,6 @@ impl Record {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 
-    /// Number of distinct attributes.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
     /// Parse the first value of an attribute as a float.
     pub fn get_f64(&self, attr: impl AsRef<str>) -> Option<f64> {
         self.get(attr)?.trim().parse().ok()

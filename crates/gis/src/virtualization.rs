@@ -180,6 +180,53 @@ mod tests {
     }
 
     #[test]
+    fn virtual_hosts_filter_separates_virtual_from_physical() {
+        // One server holds a physical host, a virtual host and a virtual
+        // network of the same configuration (paper §2.2.2).
+        let mut d = Directory::new();
+        d.add(
+            Record::new(base().child(Rdn::new("hn", "phys.ucsd.edu")))
+                .with("objectclass", "GridComputeResource")
+                .with("hn", "phys.ucsd.edu")
+                .with("CpuSpeed", "533"),
+        )
+        .unwrap();
+        d.add(virtual_host_record(
+            &base(),
+            "vm.ucsd.edu",
+            "ConfigA",
+            "phys.ucsd.edu",
+            10.0,
+            1 << 27,
+        ))
+        .unwrap();
+        d.add(virtual_network_record(
+            &base(),
+            "1.11.11.0",
+            "ConfigA",
+            "LAN",
+            "100Mbps 50ms",
+        ))
+        .unwrap();
+        let hosts: Vec<_> = d
+            .search_all(&virtual_hosts_filter("ConfigA"))
+            .iter()
+            .map(|r| r.get("hn"))
+            .collect();
+        assert_eq!(hosts, [Some("vm.ucsd.edu")]);
+        let physical = Filter::and([
+            Filter::eq("objectclass", "GridComputeResource"),
+            Filter::not(Filter::present(IS_VIRTUAL)),
+        ]);
+        let hosts: Vec<_> = d
+            .search_all(&physical)
+            .iter()
+            .map(|r| r.get("hn"))
+            .collect();
+        assert_eq!(hosts, [Some("phys.ucsd.edu")]);
+    }
+
+    #[test]
     fn extended_records_remain_subtype_compatible() {
         // A legacy query for compute resources must return virtual records
         // too (extension by addition, "a la Pascal, Modula-3, or C++").
@@ -193,7 +240,7 @@ mod tests {
             1,
         ))
         .unwrap();
-        let legacy = Filter::parse("(objectclass=GridComputeResource)").unwrap();
+        let legacy = Filter::eq("objectclass", "GridComputeResource");
         assert_eq!(d.search_all(&legacy).len(), 1);
     }
 

@@ -30,14 +30,6 @@ fn arb_record(idx: usize) -> impl Strategy<Value = Record> {
 }
 
 proptest! {
-    /// Display -> parse round-trips every generated filter.
-    #[test]
-    fn filter_display_parse_roundtrip(f in arb_filter()) {
-        let text = f.to_string();
-        let back = Filter::parse(&text).unwrap();
-        prop_assert_eq!(back, f);
-    }
-
     /// Directory search equals a naive linear scan with the same filter.
     #[test]
     fn search_equals_naive_scan(

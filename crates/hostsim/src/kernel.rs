@@ -190,26 +190,6 @@ impl OsKernel {
             .count()
     }
 
-    /// Debug snapshot: `(pid, name, counter, stopped, pending_requests)`.
-    pub fn debug_procs(&self) -> Vec<(u64, String, f64, bool, usize)> {
-        let inner = self.inner.borrow();
-        let mut v: Vec<_> = inner
-            .procs
-            .iter()
-            .map(|(pid, p)| {
-                (
-                    pid.0,
-                    p.name.to_string(),
-                    p.counter,
-                    p.stopped,
-                    p.requests.len(),
-                )
-            })
-            .collect();
-        v.sort_by_key(|e| e.0);
-        v
-    }
-
     fn ensure_driver(&self) {
         let start = {
             let mut inner = self.inner.borrow_mut();
@@ -484,15 +464,6 @@ impl ProcessHandle {
             }
         }
         self.kernel.interrupt();
-    }
-
-    /// Whether the process currently holds a pending CPU request.
-    pub fn has_pending_work(&self) -> bool {
-        let inner = self.kernel.inner.borrow();
-        inner
-            .procs
-            .get(&self.pid)
-            .is_some_and(|p| !p.requests.is_empty())
     }
 
     /// Total CPU time this process has received.

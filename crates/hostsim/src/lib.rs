@@ -18,14 +18,12 @@
 #![warn(missing_docs)]
 
 pub mod competitors;
-pub mod disk;
 pub mod host;
 pub mod kernel;
 pub mod memory;
 pub mod scheduler;
 pub mod spec;
 
-pub use disk::{Disk, DiskOp, DiskSpec};
 pub use host::{GridProcess, PhysicalHost, VirtualHost};
 pub use kernel::{OsKernel, OsParams, Pid, ProcessHandle};
 pub use memory::{MemoryHandle, MemoryManager, OutOfMemory};

@@ -223,7 +223,7 @@ async fn run_jobmanager(
 ) {
     let status = jobmanager_body(&gk, &registry, &req).await;
     // Report completion to the client.
-    let reply_sock = gk.bind(ephemeral_port(&gk));
+    let reply_sock = gk.bind(ephemeral_port());
     let _ = reply_sock
         .send_to(
             &req.reply_host,
@@ -301,12 +301,7 @@ async fn jobmanager_body(
 
 /// Pick an unused high port on the host (deterministic draw from the
 /// simulation RNG, retrying is unnecessary at our port density).
-fn ephemeral_port(_ctx: &ProcessCtx) -> u16 {
-    ephemeral_port_pub()
-}
-
-/// Crate-internal ephemeral port draw (also used by the info service).
-pub(crate) fn ephemeral_port_pub() -> u16 {
+fn ephemeral_port() -> u16 {
     49152 + (mgrid_desim::with_rng(|r| r.below(16000)) as u16)
 }
 
@@ -317,7 +312,7 @@ pub async fn submit_job(
     gatekeeper_host: &str,
     spec: &JobSpec,
 ) -> Result<JobStatus, SockError> {
-    let reply_port = ephemeral_port(client);
+    let reply_port = ephemeral_port();
     let reply_sock: VSocket = client.bind(reply_port);
     let rsl = spec.to_rsl();
     let request = JobRequest {
@@ -325,7 +320,7 @@ pub async fn submit_job(
         reply_host: client.gethostname().to_string(),
         reply_port,
     };
-    let send_sock = client.bind(ephemeral_port(client));
+    let send_sock = client.bind(ephemeral_port());
     send_sock
         .send_to(
             gatekeeper_host,

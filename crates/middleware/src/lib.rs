@@ -14,12 +14,15 @@
 //! * [`vsocket`] — the fully virtualized socket interface.
 //! * [`gatekeeper`] — RSL job specs, gatekeeper and jobmanager daemons,
 //!   client-side submission.
+//!
+//! The information service is not served from here: `microgrid::VirtualGrid`
+//! publishes the virtual-resource records straight into an in-process
+//! `mgrid_gis::Directory`, and callers search that.
 
 #![warn(missing_docs)]
 
 pub mod gatekeeper;
 pub mod hosttable;
-pub mod infoservice;
 pub mod process;
 pub mod vip;
 pub mod vsocket;
@@ -29,7 +32,6 @@ pub use gatekeeper::{
     JobStatus, GATEKEEPER_PORT,
 };
 pub use hosttable::{HostEntry, HostTable};
-pub use infoservice::{gis_search, GisQueryError, GisServer, GIS_PORT};
 pub use process::ProcessCtx;
 pub use vip::{VipAllocator, VirtIp};
 pub use vsocket::{RetryPolicy, SockError, VMessage, VSender, VSocket};

@@ -6,11 +6,37 @@ use std::rc::Rc;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::timeout::with_timeout;
 use mgrid_desim::vclock::VirtualClock;
-use mgrid_desim::{obs, spawn, Event};
+use mgrid_desim::{obs, spawn, Event, JoinHandle};
 use mgrid_middleware::{HostTable, ProcessCtx};
 use mgrid_netsim::Network;
 
 use crate::comm::{Comm, MpiParams};
+
+/// Start every rank's process and communicator, then spawn the bodies in
+/// rank order: all sockets are bound before any body runs.
+fn launch<T, F, Fut>(
+    table: &HostTable,
+    net: &Network,
+    clock: &VirtualClock,
+    hosts: &[String],
+    params: MpiParams,
+    body: F,
+) -> (Vec<Comm>, Vec<JoinHandle<T>>)
+where
+    T: 'static,
+    F: Fn(Comm) -> Fut,
+    Fut: Future<Output = T> + 'static,
+{
+    let hosts_rc = Rc::new(hosts.to_vec());
+    let mut comms = Vec::with_capacity(hosts.len());
+    for (rank, host) in hosts.iter().enumerate() {
+        let ctx = ProcessCtx::spawn(table, net, clock, host, format!("mpi-rank{rank}"))
+            .unwrap_or_else(|e| panic!("cannot start rank {rank} on {host}: {e}"));
+        comms.push(Comm::create(ctx, rank, hosts_rc.clone(), params.clone()));
+    }
+    let handles = comms.iter().map(|comm| spawn(body(comm.clone()))).collect();
+    (comms, handles)
+}
 
 /// Launch an MPI world: rank `r` runs on `hosts[r]` (hosts may repeat for
 /// multi-process-per-host placements, provided the memory cap fits).
@@ -82,19 +108,7 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
-    let hosts_rc = Rc::new(hosts.to_vec());
-    let mut comms = Vec::with_capacity(hosts.len());
-    for (rank, host) in hosts.iter().enumerate() {
-        let ctx = ProcessCtx::spawn(table, net, clock, host, format!("mpi-rank{rank}"))
-            .unwrap_or_else(|e| panic!("cannot start rank {rank} on {host}: {e}"));
-        comms.push(Comm::create(ctx, rank, hosts_rc.clone(), params.clone()));
-    }
-    let mut handles = Vec::with_capacity(comms.len());
-    for comm in &comms {
-        let comm2 = comm.clone();
-        let fut = body(comm2);
-        handles.push(spawn(fut));
-    }
+    let (comms, handles) = launch(table, net, clock, hosts, params, body);
     let mut outputs = Vec::with_capacity(handles.len());
     for h in handles {
         outputs.push(h.await);
@@ -129,19 +143,7 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
-    let hosts_rc = Rc::new(hosts.to_vec());
-    let mut comms = Vec::with_capacity(hosts.len());
-    for (rank, host) in hosts.iter().enumerate() {
-        let ctx = ProcessCtx::spawn(table, net, clock, host, format!("mpi-rank{rank}"))
-            .unwrap_or_else(|e| panic!("cannot start rank {rank} on {host}: {e}"));
-        comms.push(Comm::create(ctx, rank, hosts_rc.clone(), params.clone()));
-    }
-    let mut handles = Vec::with_capacity(comms.len());
-    for comm in &comms {
-        let comm2 = comm.clone();
-        let fut = body(comm2);
-        handles.push(spawn(fut));
-    }
+    let (comms, handles) = launch(table, net, clock, hosts, params, body);
     let cutoff = mgrid_desim::now() + deadline;
     let mut outputs = Vec::with_capacity(handles.len());
     for (rank, h) in handles.into_iter().enumerate() {
