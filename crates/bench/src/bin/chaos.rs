@@ -13,29 +13,10 @@
 //! output, which also pins the numbers across machines (everything in a
 //! report is virtual-time; nothing depends on the host).
 
-use mgrid_bench::experiments::chaos;
-use mgrid_bench::runner::{repro_threads, run_scenarios, set_scenario_workers, Scenario as Job};
-use microgrid::{outln, Report};
+use mgrid_bench::runner::{repro_threads, run_plans, CHAOS_SCENARIOS};
+use microgrid::outln;
 
 const TRACKED: &str = "results/chaos.json";
-
-struct Scenario {
-    id: &'static str,
-    run: fn() -> Report,
-}
-
-fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            id: "chaos-wan",
-            run: chaos::chaos_wan,
-        },
-        Scenario {
-            id: "chaos-crash",
-            run: chaos::chaos_crash,
-        },
-    ]
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,31 +37,34 @@ fn main() {
         }
     }
 
-    // Each scenario runs twice; the four runs share the whole
-    // MGRID_REPRO_THREADS budget on the pool. Scenarios are self-contained
-    // simulations, so the tracked output is byte-identical at any count.
-    set_scenario_workers(repro_threads());
-    let mut jobs: Vec<Job<Report>> = Vec::new();
-    for s in scenarios() {
+    // Each scenario runs twice; the simulations of all four runs are one
+    // job list on the MGRID_REPRO_THREADS workers. Every job is a
+    // self-contained simulation, so the tracked output is byte-identical
+    // at any count.
+    let mut plans = Vec::new();
+    for (id, plan) in CHAOS_SCENARIOS {
         for pass in 1..=2 {
-            eprintln!("scenario {} (run {pass}/2) ...", s.id);
-            let run = s.run;
-            jobs.push(Box::new(run));
+            eprintln!("scenario {id} (run {pass}/2) ...");
+            plans.push((id, plan()));
         }
     }
-    let mut runs = run_scenarios(jobs).into_iter();
+    let mut runs = Vec::new();
+    run_plans(repro_threads(), plans, |mut done| {
+        // The tracked file holds what the scenario reports, not the
+        // metrics of the simulations behind it.
+        done.report.metrics = None;
+        runs.push(done.report);
+    });
     let mut reports = Vec::new();
-    for s in scenarios() {
-        let first = runs.next().expect("first run");
-        let second = runs.next().expect("second run");
-        let (a, b) = (first.to_json(), second.to_json());
+    for ((id, _), pair) in CHAOS_SCENARIOS.iter().zip(runs.chunks(2)) {
+        let (a, b) = (pair[0].to_json(), pair[1].to_json());
         if a != b {
-            eprintln!("FAIL: scenario {} diverged between same-seed runs", s.id);
+            eprintln!("FAIL: scenario {id} diverged between same-seed runs");
             std::process::exit(1);
         }
-        outln!("{}", first.to_table());
+        outln!("{}", pair[0].to_table());
         outln!("determinism: double run byte-identical ({} bytes)", a.len());
-        reports.push(first);
+        reports.push(&pair[0]);
     }
 
     let combined = serde_json::to_string_pretty(&reports).expect("reports serialize");

@@ -10,22 +10,24 @@
 //! MGRID_REPRO_THREADS=1 repro all   # force serial regeneration
 //! ```
 //!
-//! Every simulation is single-threaded and self-contained, so whole
-//! figures — and the independent scenarios inside one — run in parallel
-//! on the worker pool ([`run_jobs_each`]). The `MGRID_REPRO_THREADS`
-//! budget (default: available parallelism) is split as
-//! `F = min(threads, figures selected)` figure workers, each with
-//! `threads / F` scenario workers. Output stays byte-identical
-//! to a serial run: the pool hands finished figures to the main thread
-//! in canonical figure order (per-figure wall times vary with load,
-//! nothing else does).
+//! Every simulation is single-threaded and self-contained, so every
+//! simulation of every selected figure is one job on one list
+//! ([`run_plans`]), claimed in canonical order by `MGRID_REPRO_THREADS`
+//! workers (default: available parallelism; `1` runs one simulation at a
+//! time). A figure is folded and printed when its last simulation and
+//! every earlier figure are done, so stdout is byte-identical to a serial
+//! run but for the lines that report host seconds. The last line, on
+//! stderr, is the sweep's end-to-end number: simulations run, their
+//! summed host seconds (more threads than cores stretch each one),
+//! threads, wall seconds and the share of the thread budget that was
+//! busy.
+//!
+//! `--check` and `--bless` also hold each regenerated report to the
+//! paper's claims ([`mgrid_bench::claims`]): a report that breaks one
+//! fails the check, and is not blessed, by the claim's name.
 
-use std::io::Write;
-
-use mgrid_bench::runner::{
-    fast_mode, figures, repro_threads, run_jobs_each, set_scenario_workers, take_metrics, Figure,
-};
-use microgrid::desim::MetricsSnapshot;
+use mgrid_bench::claims;
+use mgrid_bench::runner::{fast_mode, figures, repro_threads, run_plans, Finished};
 use microgrid::{outln, ComparisonRow, Report, Series};
 use serde::Serialize;
 
@@ -123,6 +125,16 @@ fn row_diff(tracked: &Report, fresh: &Report) -> Vec<String> {
     out
 }
 
+/// Print the claims `report` breaks, one per line; returns whether it
+/// breaks none.
+fn claims_hold(report: &Report) -> bool {
+    let broken = claims::broken(report);
+    for claim in &broken {
+        outln!("{}: FAIL breaks claim {claim}", report.id);
+    }
+    broken.is_empty()
+}
+
 /// Compare one regenerated figure with its tracked file; prints the
 /// verdict (and a row-level diff) and returns whether they match.
 fn check_figure(report: &Report) -> bool {
@@ -209,90 +221,72 @@ fn main() {
     if fast_mode() {
         outln!("(MGRID_FAST=1: shrunken experiment parameters)\n");
     }
-    let selected: Vec<Figure> = figs
-        .into_iter()
+    let plans: Vec<_> = figs
+        .iter()
         .filter(|f| all || wanted.iter().any(|w| w == f.id))
+        .map(|f| (f.id, (f.plan)()))
         .collect();
-    // Split the thread budget: figures first, the rest to the scenarios
-    // inside each figure.
     let threads = repro_threads();
-    let figure_workers = threads.min(selected.len()).max(1);
-    let scenario_workers = threads / figure_workers;
-    if mode == Mode::Print && figure_workers > 1 {
+    if mode == Mode::Print && threads > 1 {
         outln!(
-            "(regenerating {} figures on {figure_workers} threads)\n",
-            selected.len()
+            "(regenerating {} figures on {threads} threads)\n",
+            plans.len()
         );
     }
-
-    struct Done {
-        report: Report,
-        metrics: MetricsSnapshot,
-        secs: f64,
-    }
-
-    // A figure's simulations stay on its worker (or on that worker's own
-    // scenario workers, which hand their metrics back), so the runner's
-    // thread-local accumulator holds exactly that figure's runs.
-    let jobs: Vec<_> = selected
-        .iter()
-        .map(|f| {
-            move || {
-                set_scenario_workers(scenario_workers);
-                let t0 = std::time::Instant::now();
-                let report = (f.run)();
-                let secs = t0.elapsed().as_secs_f64();
-                Done {
-                    report,
-                    metrics: take_metrics(),
-                    secs,
-                }
+    let t0 = std::time::Instant::now();
+    let (mut failures, mut simulations, mut sim_secs) = (0usize, 0usize, 0.0f64);
+    run_plans(threads, plans, |done| {
+        simulations += done.jobs;
+        sim_secs += done.sim_secs;
+        match mode {
+            Mode::Print => emit_figure(&done, &json_dir),
+            Mode::Check => {
+                // Both verdicts, not the first: a byte diff and the claim
+                // it broke are read together.
+                let (matches, holds) = (check_figure(&done.report), claims_hold(&done.report));
+                failures += usize::from(!(matches && holds));
             }
-        })
-        .collect();
-    let mut mismatches = 0usize;
-    run_jobs_each(figure_workers, jobs, |mut done: Done| match mode {
-        Mode::Print => {
-            done.report.attach_metrics(done.metrics.clone());
-            emit_figure(&done.report, &done.metrics, done.secs, &json_dir);
-        }
-        Mode::Check => mismatches += usize::from(!check_figure(&done.report)),
-        Mode::Bless => {
-            let path = format!("{TRACKED_DIR}/{}.json", done.report.id);
-            std::fs::write(&path, tracked_json(&done.report)).expect("write tracked file");
-            outln!("blessed {path}");
+            Mode::Bless if claims_hold(&done.report) => {
+                let path = format!("{TRACKED_DIR}/{}.json", done.report.id);
+                std::fs::write(&path, tracked_json(&done.report)).expect("write tracked file");
+                outln!("blessed {path}");
+            }
+            Mode::Bless => failures += 1,
         }
     });
-    if mismatches > 0 {
+    let wall = t0.elapsed().as_secs_f64();
+    eprintln!(
+        "repro: {simulations} simulations, {sim_secs:.1} simulation seconds, threads={threads}, \
+         {wall:.1} s wall, {:.0} % of the thread budget busy",
+        sim_secs / (wall * threads as f64) * 100.0
+    );
+    if failures > 0 {
         eprintln!(
-            "check FAILED: {mismatches} figure(s) differ from {TRACKED_DIR}/; \
-             inspect, then `repro --bless` if intended"
+            "FAILED: {failures} figure(s) differ from {TRACKED_DIR}/ or break a claim; \
+             inspect, then `repro --bless` if the new bytes are intended"
         );
         std::process::exit(1);
     }
 }
 
 /// Print one regenerated figure and, if requested, write its JSON files.
-fn emit_figure(report: &Report, metrics: &MetricsSnapshot, secs: f64, json_dir: &Option<String>) {
+fn emit_figure(done: &Finished, json_dir: &Option<String>) {
+    let report = &done.report;
     let id = &report.id;
     outln!("{}", report.to_table());
-    outln!("({id} regenerated in {secs:.1}s wall)\n");
+    outln!(
+        "({id}: {} simulations, {:.1} simulation seconds)\n",
+        done.jobs,
+        done.sim_secs
+    );
     if let Some(dir) = json_dir {
         let path = format!("{dir}/{id}.json");
-        let mut file = std::fs::File::create(&path).expect("create report file");
-        file.write_all(report.to_json().as_bytes())
-            .expect("write report");
+        std::fs::write(&path, report.to_json()).expect("write report");
         outln!("wrote {path}");
-        if !metrics.is_empty() {
+        if let Some(metrics) = report.metrics.as_ref().filter(|m| !m.is_empty()) {
             let mpath = format!("{dir}/{id}.metrics.json");
-            let mut mfile = std::fs::File::create(&mpath).expect("create metrics file");
-            mfile
-                .write_all(
-                    serde_json::to_string_pretty(metrics)
-                        .expect("metrics serialize")
-                        .as_bytes(),
-                )
-                .expect("write metrics");
+            let json = serde_json::to_string_pretty(metrics).expect("metrics serialize");
+            std::fs::write(&mpath, json).expect("write metrics");
             outln!("wrote {mpath}");
         }
     }

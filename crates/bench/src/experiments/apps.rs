@@ -1,101 +1,98 @@
 //! Application-level regenerators: Fig 16 (CACTUS WaveToy) and Fig 17
 //! (Autopilot internal validation).
 
-use microgrid::apps::npb::{NpbBenchmark, NpbClass};
+use microgrid::apps::npb::NpbBenchmark;
 use microgrid::apps::{rms_skew_percent, WaveToyConfig};
 use microgrid::desim::time::SimDuration;
 use microgrid::{presets, ComparisonRow, Report, Series};
 
-use crate::runner::{fast_mode, run_npb_with_sensors, run_scenarios, run_wavetoy, Mode, Scenario};
+use crate::runner::{class_for_run, fast_mode, run_npb_with_sensors, run_wavetoy, Mode, Plan};
 
 /// Fig 16: CACTUS WaveToy on the physical cluster vs the MicroGrid model
 /// of it, grid sizes 50 and 250.
-pub fn fig16_cactus() -> Report {
-    let mut rep = Report::new("fig16", "CACTUS WaveToy: physical vs MicroGrid");
-    let configs = if fast_mode() {
-        vec![WaveToyConfig::small()]
-    } else {
-        vec![WaveToyConfig::small(), WaveToyConfig::large()]
-    };
-    for wt in configs {
-        let phys = run_wavetoy(presets::alpha_cluster(), Mode::Physical, wt);
-        let mgrid = run_wavetoy(presets::alpha_cluster(), Mode::MicroGrid, wt);
-        assert!(
-            phys.verified && mgrid.verified,
-            "WaveToy verification failed"
-        );
-        rep.rows.push(ComparisonRow {
-            label: format!("WaveToy {}^3", wt.grid_edge),
-            physical_seconds: phys.virtual_seconds,
-            microgrid_seconds: mgrid.virtual_seconds,
-        });
+pub fn fig16_cactus() -> Plan {
+    let mut configs = vec![WaveToyConfig::small()];
+    if !fast_mode() {
+        configs.push(WaveToyConfig::large());
     }
-    rep.notes.push("paper: matches within 5-7%".into());
-    rep
+    let mut jobs = Vec::new();
+    for &wt in &configs {
+        for mode in [Mode::Physical, Mode::MicroGrid] {
+            jobs.push(move || {
+                let r = run_wavetoy(presets::alpha_cluster(), mode, wt);
+                assert!(r.verified, "WaveToy verification failed: {r:?}");
+                r.virtual_seconds
+            });
+        }
+    }
+    Plan::new(jobs, move |secs| {
+        let mut rep = Report::new("fig16", "CACTUS WaveToy: physical vs MicroGrid");
+        for (wt, pair) in configs.iter().zip(secs.chunks(2)) {
+            rep.rows.push(ComparisonRow {
+                label: format!("WaveToy {}^3", wt.grid_edge),
+                physical_seconds: pair[0],
+                microgrid_seconds: pair[1],
+            });
+        }
+        rep.notes.push("paper: matches within 5-7%".into());
+        rep
+    })
 }
 
 /// Fig 17: Autopilot counter traces on the physical system and inside a
 /// 4%-CPU MicroGrid; skew is the RMS percentage difference per sample.
-pub fn fig17_autopilot() -> Report {
-    let class = if fast_mode() {
-        NpbClass::S
-    } else {
-        NpbClass::A
-    };
-    let mut rep = Report::new(
-        "fig17",
-        format!(
-            "Autopilot internal validation (class {}, MicroGrid at 4% CPU)",
-            class.name()
-        ),
-    );
+pub fn fig17_autopilot() -> Plan {
+    const BENCHES: [NpbBenchmark; 3] = [NpbBenchmark::EP, NpbBenchmark::BT, NpbBenchmark::MG];
+    let class = class_for_run();
     // Long enough to cover any class A run at 1 sample per virtual second.
     let horizon = SimDuration::from_secs(600);
-    // Each benchmark's physical/MicroGrid pair is an independent
-    // scenario for the pool, with byte-identical series.
-    let jobs: Vec<Scenario<Series>> = [NpbBenchmark::EP, NpbBenchmark::BT, NpbBenchmark::MG]
-        .into_iter()
-        .map(|bench| {
-            Box::new(move || {
-                let (pr, ptrace) = run_npb_with_sensors(
-                    presets::alpha_cluster(),
-                    Mode::Physical,
-                    bench,
-                    class,
-                    horizon,
-                );
-                let (mr, mtrace) = run_npb_with_sensors(
-                    presets::fig17_cluster(),
-                    Mode::MicroGrid,
-                    bench,
-                    class,
-                    horizon,
-                );
-                assert!(pr.verified && mr.verified);
-                let n = ptrace.len().min(mtrace.len());
-                let skew = rms_skew_percent(&ptrace[..n], &mtrace[..n]);
-                Series {
-                    label: format!("{} skew%", bench.name()),
-                    points: vec![
-                        ("rms_skew_percent".into(), skew),
-                        ("samples".into(), n as f64),
-                        ("physical_seconds".into(), pr.virtual_seconds),
-                        ("microgrid_seconds".into(), mr.virtual_seconds),
-                    ],
-                }
-            }) as Scenario<Series>
-        })
-        .collect();
-    rep.series = run_scenarios(jobs);
-    rep.notes
-        .push("paper skews: EP 3.08%, BT 2.02%, MG 8.33%".into());
-    rep
+    let mut jobs = Vec::new();
+    for bench in BENCHES {
+        for (mode, config) in [
+            (Mode::Physical, presets::alpha_cluster()),
+            (Mode::MicroGrid, presets::fig17_cluster()),
+        ] {
+            jobs.push(move || {
+                let (r, trace) = run_npb_with_sensors(config, mode, bench, class, horizon);
+                assert!(r.verified, "verification failed: {r:?}");
+                (r.virtual_seconds, trace)
+            });
+        }
+    }
+    Plan::new(jobs, move |runs| {
+        let mut rep = Report::new(
+            "fig17",
+            format!(
+                "Autopilot internal validation (class {}, MicroGrid at 4% CPU)",
+                class.name()
+            ),
+        );
+        for (bench, pair) in BENCHES.iter().zip(runs.chunks(2)) {
+            let ((physical, ptrace), (microgrid, mtrace)) = (&pair[0], &pair[1]);
+            let n = ptrace.len().min(mtrace.len());
+            rep.series.push(Series {
+                label: format!("{} skew%", bench.name()),
+                points: vec![
+                    (
+                        "rms_skew_percent".into(),
+                        rms_skew_percent(&ptrace[..n], &mtrace[..n]),
+                    ),
+                    ("samples".into(), n as f64),
+                    ("physical_seconds".into(), *physical),
+                    ("microgrid_seconds".into(), *microgrid),
+                ],
+            });
+        }
+        rep.notes
+            .push("paper skews: EP 3.08%, BT 2.02%, MG 8.33%".into());
+        rep
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_wavetoy;
+    use microgrid::apps::npb::NpbClass;
 
     #[test]
     fn wavetoy_small_matches_within_15pct() {

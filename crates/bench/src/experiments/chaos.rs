@@ -16,15 +16,13 @@
 //! timeline = one set of numbers (asserted byte-for-byte by
 //! `tests/chaos.rs` and the `chaos` binary's double-run check).
 
-use std::future::Future;
-use std::pin::Pin;
-
 use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
 use microgrid::desim::time::SimDuration;
-use microgrid::desim::Simulation;
 use microgrid::faults::{FaultKind, FaultPlan};
 use microgrid::mpi::{Comm, MpiData, MpiParams};
-use microgrid::{presets, Report, Series, VirtualGrid};
+use microgrid::{presets, Report, Series};
+
+use crate::runner::{rank0, with_grid, Mode, Plan, Run};
 
 /// The scripted WAN impairment for scenario 1: 5% loss on the vBNS
 /// long-haul from the start, plus a 150 ms hard outage that heals.
@@ -54,78 +52,59 @@ fn wan_plan() -> FaultPlan {
         )
 }
 
-fn run_is_vbns(faults: Option<FaultPlan>, seed: u64) -> (NpbResult, MetricsTriple) {
-    let mut sim = Simulation::new(seed);
-    let (result, retransmits) = sim.block_on(async move {
-        let mut config = presets::vbns_grid(155e6);
-        config.seed = seed;
-        config.faults = faults;
-        let grid = VirtualGrid::build(config).expect("build");
-        let results = grid
-            .mpirun_all(MpiParams::default(), |comm| {
-                Box::pin(npb::run(NpbBenchmark::IS, comm, NpbClass::S, None))
-                    as Pin<Box<dyn Future<Output = NpbResult>>>
-            })
-            .await;
-        let retransmits = grid.network().stats().retransmit_rounds;
-        (
-            results.into_iter().next().expect("rank 0 result"),
-            retransmits,
-        )
-    });
-    let m = sim.obs().metrics();
-    let snap = m.snapshot();
-    let recovery_ms = snap
-        .histograms
-        .iter()
-        .find(|h| h.name == "net.recovery_latency_ns")
-        .map(|h| h.sum as f64 / 1e6)
-        .unwrap_or(0.0);
-    let triple = MetricsTriple {
-        retransmits,
-        stalls: m.counter("net.stalls"),
-        recovery_ms,
-    };
-    (result, triple)
-}
-
-struct MetricsTriple {
-    retransmits: u64,
-    stalls: u64,
-    recovery_ms: f64,
+/// NPB IS class S over the 155 Mb/s vBNS grid, healthy or under `faults`:
+/// rank 0's result and the network's retransmit rounds.
+fn run_is_vbns(faults: Option<FaultPlan>, seed: u64) -> Run<(NpbResult, u64)> {
+    let mut config = presets::vbns_grid(155e6);
+    config.seed = seed;
+    config.faults = faults;
+    with_grid(config, Mode::MicroGrid, seed, |grid| async move {
+        let body = |comm| npb::run(NpbBenchmark::IS, comm, NpbClass::S, None);
+        let results = grid.mpirun_all(MpiParams::default(), body).await;
+        (rank0(results), grid.network().stats().retransmit_rounds)
+    })
 }
 
 /// Scenario 1: NPB IS over the lossy/outaged vBNS WAN vs the healthy WAN.
-pub fn chaos_wan() -> Report {
-    let mut rep = Report::new(
-        "chaos-wan",
-        "NPB IS over the vBNS WAN under scripted loss and a healed outage (class S)",
-    );
-    let (healthy, _) = run_is_vbns(None, 4242);
-    let (faulty, m) = run_is_vbns(Some(wan_plan()), 4242);
-    assert!(healthy.verified, "healthy run failed: {healthy:?}");
-    assert!(faulty.verified, "faulty run must still verify: {faulty:?}");
-    rep.series.push(Series {
-        label: "virtual seconds".into(),
-        points: vec![
-            ("healthy".into(), healthy.virtual_seconds),
-            ("faulty".into(), faulty.virtual_seconds),
-        ],
-    });
-    rep.series.push(Series {
-        label: "recovery".into(),
-        points: vec![
-            ("retransmits".into(), m.retransmits as f64),
-            ("stalls".into(), m.stalls as f64),
-            ("recovery_ms_total".into(), m.recovery_ms),
-        ],
-    });
-    rep.notes.push(format!(
-        "transport retransmitted through 5% loss plus a 150 ms outage; \
-         slowdown {:.2}x",
-        faulty.virtual_seconds / healthy.virtual_seconds.max(1e-9)
-    ));
-    rep
+pub fn chaos_wan() -> Plan {
+    let jobs = [None, Some(wan_plan())].map(|faults| move || run_is_vbns(faults, 4242));
+    Plan::new(jobs.into(), |runs| {
+        let [healthy, faulty]: [Run<(NpbResult, u64)>; 2] = runs.try_into().ok().expect("two runs");
+        let (retransmits, m) = (faulty.output.1, faulty.metrics);
+        let (healthy, faulty) = (healthy.output.0, faulty.output.0);
+        assert!(healthy.verified, "healthy run failed: {healthy:?}");
+        assert!(faulty.verified, "faulty run must still verify: {faulty:?}");
+        let recovery_ms = m
+            .histograms
+            .iter()
+            .find(|h| h.name == "net.recovery_latency_ns")
+            .map_or(0.0, |h| h.sum as f64 / 1e6);
+        let mut rep = Report::new(
+            "chaos-wan",
+            "NPB IS over the vBNS WAN under scripted loss and a healed outage (class S)",
+        );
+        rep.series.push(Series {
+            label: "virtual seconds".into(),
+            points: vec![
+                ("healthy".into(), healthy.virtual_seconds),
+                ("faulty".into(), faulty.virtual_seconds),
+            ],
+        });
+        rep.series.push(Series {
+            label: "recovery".into(),
+            points: vec![
+                ("retransmits".into(), retransmits as f64),
+                ("stalls".into(), m.counter("net.stalls") as f64),
+                ("recovery_ms_total".into(), recovery_ms),
+            ],
+        });
+        rep.notes.push(format!(
+            "transport retransmitted through 5% loss plus a 150 ms outage; \
+             slowdown {:.2}x",
+            faulty.virtual_seconds / healthy.virtual_seconds.max(1e-9)
+        ));
+        rep
+    })
 }
 
 /// Per-rank Mops of EP-style independent work in scenario 2.
@@ -135,45 +114,38 @@ const CRASH_BLOCKS: u32 = 20;
 /// Scenario 2 worker body: EP-style independent compute, partial sums
 /// funneled to rank 0, which tolerates dead workers via receive
 /// timeouts and reports how much of the job survived.
-fn crash_body(comm: Comm) -> Pin<Box<dyn Future<Output = (usize, usize, f64)>>> {
-    Box::pin(async move {
-        let mut acc = 0.0f64;
-        for b in 0..CRASH_BLOCKS {
-            comm.ctx()
-                .compute_mops(CRASH_WORK_MOPS / CRASH_BLOCKS as f64)
-                .await;
-            acc += f64::from(b);
+async fn crash_body(comm: Comm) -> (usize, usize, f64) {
+    let mut acc = 0.0f64;
+    for b in 0..CRASH_BLOCKS {
+        comm.ctx()
+            .compute_mops(CRASH_WORK_MOPS / CRASH_BLOCKS as f64)
+            .await;
+        acc += f64::from(b);
+    }
+    if comm.rank() != 0 {
+        let _ = comm.send(0, 7, MpiData::typed(8, acc)).await;
+        return (0, 0, 0.0);
+    }
+    let mut survivors = 1; // rank 0 itself
+    let mut dropped = 0;
+    for src in 1..comm.size() {
+        match comm.recv(src, 7).await {
+            Ok(_) => survivors += 1,
+            Err(_) => dropped += 1,
         }
-        if comm.rank() != 0 {
-            let _ = comm.send(0, 7, MpiData::typed(8, acc)).await;
-            return (0, 0, 0.0);
-        }
-        let mut survivors = 1; // rank 0 itself
-        let mut dropped = 0;
-        for src in 1..comm.size() {
-            match comm.recv(src, 7).await {
-                Ok(_) => survivors += 1,
-                Err(_) => dropped += 1,
-            }
-        }
-        let done = comm.ctx().gettimeofday();
-        let finish_secs = done
-            .saturating_since(mgrid_desim::time::SimTime::ZERO)
-            .as_secs_f64();
-        (survivors, dropped, finish_secs)
-    })
+    }
+    let done = comm.ctx().gettimeofday();
+    let finish_secs = done
+        .saturating_since(mgrid_desim::time::SimTime::ZERO)
+        .as_secs_f64();
+    (survivors, dropped, finish_secs)
 }
 
 /// Scenario 2: one Alpha-cluster host crashes mid-compute; the run
 /// degrades gracefully instead of hanging.
-pub fn chaos_crash() -> Report {
-    let mut rep = Report::new(
-        "chaos-crash",
-        "EP-style run with a mid-compute host crash: graceful degradation",
-    );
+pub fn chaos_crash() -> Plan {
     let seed = 777;
-    let mut sim = Simulation::new(seed);
-    let (survivors, dropped, finish_secs) = sim.block_on(async move {
+    let job = move || {
         let mut config = presets::alpha_cluster();
         config.seed = seed;
         config.faults = Some(FaultPlan::new().at(
@@ -182,46 +154,45 @@ pub fn chaos_crash() -> Report {
                 host: "alpha2".into(),
             },
         ));
-        let grid = VirtualGrid::build(config).expect("build");
-        let hosts = grid.host_names();
-        let params = MpiParams {
-            recv_timeout: Some(SimDuration::from_secs(2)),
-            ..MpiParams::default()
-        };
-        let results = grid
-            .mpirun_resilient(&hosts, params, SimDuration::from_secs(30), crash_body)
-            .await;
-        let (survivors, dropped, finish_secs) = results[0].expect("rank 0 survives");
-        (survivors, dropped, finish_secs)
-    });
-    let m = sim.obs().metrics();
-    assert_eq!(m.counter("faults.host_crash"), 1, "crash did not fire");
-    assert!(dropped >= 1, "crashed rank was not detected");
-    rep.series.push(Series {
-        label: "degradation".into(),
-        points: vec![
-            ("ranks_total".into(), 4.0),
-            ("ranks_survived".into(), survivors as f64),
-            ("ranks_dropped".into(), dropped as f64),
-            (
-                "rank_timeouts".into(),
-                m.counter("mpi.rank_timeouts") as f64,
-            ),
-            (
-                "jobs_dropped".into(),
-                m.counter("faults.jobs_dropped") as f64,
-            ),
-            (
-                "procs_killed".into(),
-                m.counter("faults.procs_killed") as f64,
-            ),
-            ("rank0_finish_seconds".into(), finish_secs),
-        ],
-    });
-    rep.notes.push(
-        "one of four hosts crashes at t=120ms; rank 0 detects the dead \
-         worker via the MPI receive timeout and completes on survivors"
-            .into(),
-    );
-    rep
+        with_grid(config, Mode::MicroGrid, seed, |grid| async move {
+            let hosts = grid.host_names();
+            let params = MpiParams {
+                recv_timeout: Some(SimDuration::from_secs(2)),
+                ..MpiParams::default()
+            };
+            let results = grid
+                .mpirun_resilient(&hosts, params, SimDuration::from_secs(30), crash_body)
+                .await;
+            results[0].expect("rank 0 survives")
+        })
+    };
+    Plan::new(vec![job], |mut runs| {
+        let run: Run<(usize, usize, f64)> = runs.pop().expect("one run");
+        let ((survivors, dropped, finish_secs), m) = (run.output, run.metrics);
+        assert_eq!(m.counter("faults.host_crash"), 1, "crash did not fire");
+        assert!(dropped >= 1, "crashed rank was not detected");
+        let counted = |point: &str, counter| (point.to_string(), m.counter(counter) as f64);
+        let mut rep = Report::new(
+            "chaos-crash",
+            "EP-style run with a mid-compute host crash: graceful degradation",
+        );
+        rep.series.push(Series {
+            label: "degradation".into(),
+            points: vec![
+                ("ranks_total".into(), 4.0),
+                ("ranks_survived".into(), survivors as f64),
+                ("ranks_dropped".into(), dropped as f64),
+                counted("rank_timeouts", "mpi.rank_timeouts"),
+                counted("jobs_dropped", "faults.jobs_dropped"),
+                counted("procs_killed", "faults.procs_killed"),
+                ("rank0_finish_seconds".into(), finish_secs),
+            ],
+        });
+        rep.notes.push(
+            "one of four hosts crashes at t=120ms; rank 0 detects the dead \
+             worker via the MPI receive timeout and completes on survivors"
+                .into(),
+        );
+        rep
+    })
 }

@@ -2,92 +2,83 @@
 //! message size on the 100 Mb Ethernet pair, real system ("Ethernet")
 //! vs MicroGrid ("Mgrid").
 
-use std::future::Future;
-use std::pin::Pin;
-
-use microgrid::desim::Simulation;
 use microgrid::mpi::{Comm, MpiData, MpiParams};
-use microgrid::{presets, Report, Series, VirtualGrid};
+use microgrid::{presets, Report, Series};
 
-use crate::runner::Mode;
+use crate::runner::{rank0, with_grid, Mode, Plan};
 
 /// One ping-pong measurement: (message size, one-way latency in seconds).
 pub fn ping_pong(mode: Mode, size: u64, iters: u32) -> f64 {
-    let mut sim = Simulation::new(800 ^ size);
-    let latency = sim.block_on(async move {
-        let mut config = presets::alpha_cluster();
-        config.virtual_hosts.truncate(2);
-        config.network.links.truncate(2);
-        let grid = match mode {
-            Mode::Physical => VirtualGrid::build_baseline(config).unwrap(),
-            Mode::MicroGrid => VirtualGrid::build(config).unwrap(),
+    let mut config = presets::alpha_cluster();
+    config.virtual_hosts.truncate(2);
+    config.network.links.truncate(2);
+    with_grid(config, mode, 800 ^ size, move |grid| async move {
+        let body = move |comm: Comm| async move {
+            if comm.rank() == 0 {
+                // Warm-up exchange.
+                comm.send(1, 1, MpiData::bytes_only(size)).await.unwrap();
+                comm.recv(1, 2).await.unwrap();
+                let t0 = comm.ctx().gettimeofday();
+                for _ in 0..iters {
+                    comm.send(1, 1, MpiData::bytes_only(size)).await.unwrap();
+                    comm.recv(1, 2).await.unwrap();
+                }
+                let t1 = comm.ctx().gettimeofday();
+                // One-way latency: half the mean round trip, in
+                // VIRTUAL time (what the benchmark would report).
+                Some(t1.saturating_since(t0).as_secs_f64() / iters as f64 / 2.0)
+            } else {
+                comm.recv(0, 1).await.unwrap();
+                comm.send(0, 2, MpiData::bytes_only(size)).await.unwrap();
+                for _ in 0..iters {
+                    comm.recv(0, 1).await.unwrap();
+                    comm.send(0, 2, MpiData::bytes_only(size)).await.unwrap();
+                }
+                None
+            }
         };
-        let hosts = grid.host_names();
-        let outs = grid
-            .mpirun(&hosts, MpiParams::default(), move |comm: Comm| {
-                Box::pin(async move {
-                    if comm.rank() == 0 {
-                        // Warm-up exchange.
-                        comm.send(1, 1, MpiData::bytes_only(size)).await.unwrap();
-                        comm.recv(1, 2).await.unwrap();
-                        let t0 = comm.ctx().gettimeofday();
-                        for _ in 0..iters {
-                            comm.send(1, 1, MpiData::bytes_only(size)).await.unwrap();
-                            comm.recv(1, 2).await.unwrap();
-                        }
-                        let t1 = comm.ctx().gettimeofday();
-                        // One-way latency: half the mean round trip, in
-                        // VIRTUAL time (what the benchmark would report).
-                        Some(t1.saturating_since(t0).as_secs_f64() / iters as f64 / 2.0)
-                    } else {
-                        comm.recv(0, 1).await.unwrap();
-                        comm.send(0, 2, MpiData::bytes_only(size)).await.unwrap();
-                        for _ in 0..iters {
-                            comm.recv(0, 1).await.unwrap();
-                            comm.send(0, 2, MpiData::bytes_only(size)).await.unwrap();
-                        }
-                        None
-                    }
-                }) as Pin<Box<dyn Future<Output = Option<f64>>>>
-            })
-            .await;
-        outs[0].expect("rank 0 measured")
-    });
-    latency
+        rank0(grid.mpirun_all(MpiParams::default(), body).await).expect("rank 0 measured")
+    })
+    .output
 }
 
 /// The Fig 8 size sweep.
-pub fn sizes() -> Vec<u64> {
-    vec![4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144]
-}
+const SIZES: [u64; 9] = [4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144];
 
 /// Fig 8: latency (us) and bandwidth (MB/s) vs message size, for the
 /// physical pair and the MicroGrid model of it.
-pub fn fig8_network(iters: u32) -> Report {
-    let mut rep = Report::new("fig8", "NSE network modeling: MPI latency and bandwidth");
-    for (mode, label) in [(Mode::Physical, "Ethernet"), (Mode::MicroGrid, "Mgrid")] {
-        let mut lat_points = Vec::new();
-        let mut bw_points = Vec::new();
-        for size in sizes() {
-            let lat = ping_pong(mode, size, iters);
-            lat_points.push((format!("{size}B"), lat * 1e6));
-            bw_points.push((format!("{size}B"), size as f64 / lat / 1e6));
+pub fn fig8_network(iters: u32) -> Plan {
+    const SIDES: [(Mode, &str); 2] = [(Mode::Physical, "Ethernet"), (Mode::MicroGrid, "Mgrid")];
+    let mut jobs = Vec::new();
+    for (mode, _) in SIDES {
+        for size in SIZES {
+            jobs.push(move || ping_pong(mode, size, iters));
         }
-        rep.series.push(Series {
-            label: format!("latency us — {label}"),
-            points: lat_points,
-        });
-        rep.series.push(Series {
-            label: format!("bandwidth MB/s — {label}"),
-            points: bw_points,
-        });
     }
-    rep.notes.push(
-        "both curves come from the simulator: the 'Ethernet' series plays the role of \
-         the real system (direct hosts), 'Mgrid' is the paced/virtualized run"
-            .into(),
-    );
-    rep
+    Plan::new(jobs, |latencies| {
+        let mut rep = Report::new("fig8", "NSE network modeling: MPI latency and bandwidth");
+        for ((_, label), latencies) in SIDES.iter().zip(latencies.chunks(SIZES.len())) {
+            let sized = || SIZES.iter().zip(latencies);
+            rep.series.push(Series {
+                label: format!("latency us — {label}"),
+                points: sized()
+                    .map(|(size, lat)| (format!("{size}B"), lat * 1e6))
+                    .collect(),
+            });
+            rep.series.push(Series {
+                label: format!("bandwidth MB/s — {label}"),
+                points: sized()
+                    .map(|(size, lat)| (format!("{size}B"), *size as f64 / lat / 1e6))
+                    .collect(),
+            });
+        }
+        rep.notes.push(
+            "both curves come from the simulator: the 'Ethernet' series plays the role of \
+             the real system (direct hosts), 'Mgrid' is the paced/virtualized run"
+                .into(),
+        );
+        rep
+    })
 }
 
 #[cfg(test)]

@@ -4,111 +4,136 @@
 
 use microgrid::apps::npb::{NpbBenchmark, NpbClass};
 use microgrid::desim::time::SimDuration;
-use microgrid::{presets, ComparisonRow, Report, Series};
+use microgrid::{presets, ComparisonRow, GridConfig, Report, Series};
 
-use crate::runner::{class_for_run, run_npb, run_scenarios, Mode, Scenario};
+use crate::runner::{class_for_run, npb_seconds, Mode, Plan};
 
 /// Fig 9: the two virtual Grid configurations studied.
-pub fn fig9_configs() -> Report {
-    let mut rep = Report::new("fig9", "Virtual Grid configurations studied");
-    for config in [presets::alpha_cluster(), presets::hpvm_cluster()] {
-        let v = &config.virtual_hosts[0].spec;
-        let l = &config.network.links[0];
-        rep.notes.push(format!(
-            "{}: {} procs, {} Mops each, {} Mb/s network ({} us links)",
-            config.name,
-            config.virtual_hosts.len(),
-            v.speed_mops,
-            l.bandwidth_bps / 1e6,
-            l.delay.as_micros(),
-        ));
-    }
-    rep
+pub fn fig9_configs() -> Plan {
+    Plan::new(Vec::<fn()>::new(), |_| {
+        let mut rep = Report::new("fig9", "Virtual Grid configurations studied");
+        for config in [presets::alpha_cluster(), presets::hpvm_cluster()] {
+            let v = &config.virtual_hosts[0].spec;
+            let l = &config.network.links[0];
+            rep.notes.push(format!(
+                "{}: {} procs, {} Mops each, {} Mb/s network ({} us links)",
+                config.name,
+                config.virtual_hosts.len(),
+                v.speed_mops,
+                l.bandwidth_bps / 1e6,
+                l.delay.as_micros(),
+            ));
+        }
+        rep
+    })
 }
 
-/// The benchmark set of Fig 10 (all five) or Figs 11/12/15 (no IS).
-fn benches(with_is: bool) -> Vec<NpbBenchmark> {
-    let mut v = vec![
-        NpbBenchmark::EP,
-        NpbBenchmark::BT,
-        NpbBenchmark::LU,
-        NpbBenchmark::MG,
-    ];
-    if with_is {
-        v.push(NpbBenchmark::IS);
-    }
-    v
-}
+/// The benchmark set of Figs 11/12/14/15; Fig 10 adds IS.
+const SWEEP_BENCHES: [NpbBenchmark; 4] = [
+    NpbBenchmark::EP,
+    NpbBenchmark::BT,
+    NpbBenchmark::LU,
+    NpbBenchmark::MG,
+];
 
 /// Fig 10: NPB total run times, physical vs MicroGrid, on the Alpha
 /// cluster and the HPVM configuration.
-pub fn fig10_npb() -> Report {
+pub fn fig10_npb() -> Plan {
     let class = class_for_run();
-    let mut rep = Report::new(
-        "fig10",
-        format!("NPB class {} totals: physical vs MicroGrid", class.name()),
-    );
-    // One scenario per (configuration, benchmark) pair: each is an
-    // independent pair of simulations, so the pool may run them on any
-    // number of workers with byte-identical rows.
-    let mut jobs: Vec<Scenario<ComparisonRow>> = Vec::new();
+    let mut labels = Vec::new();
+    let mut jobs = Vec::new();
     for config in [presets::alpha_cluster(), presets::hpvm_cluster()] {
-        for bench in benches(true) {
-            let config = config.clone();
-            jobs.push(Box::new(move || {
-                let label = format!("{} ({})", bench.name(), config.name);
-                let phys = run_npb(config.clone(), Mode::Physical, bench, class);
-                let mgrid = run_npb(config, Mode::MicroGrid, bench, class);
-                assert!(phys.verified && mgrid.verified, "verification failed");
-                ComparisonRow {
-                    label,
-                    physical_seconds: phys.virtual_seconds,
-                    microgrid_seconds: mgrid.virtual_seconds,
-                }
-            }));
+        for bench in SWEEP_BENCHES.into_iter().chain([NpbBenchmark::IS]) {
+            labels.push(format!("{} ({})", bench.name(), config.name));
+            for mode in [Mode::Physical, Mode::MicroGrid] {
+                jobs.push(npb_seconds(config.clone(), mode, bench, class));
+            }
         }
     }
-    rep.rows = run_scenarios(jobs);
-    rep.notes
-        .push("paper: IS/LU/MG within 2%, EP/BT within 4%".into());
-    rep
+    Plan::new(jobs, move |secs| {
+        let mut rep = Report::new(
+            "fig10",
+            format!("NPB class {} totals: physical vs MicroGrid", class.name()),
+        );
+        rep.rows = labels
+            .into_iter()
+            .zip(secs.chunks(2))
+            .map(|(label, pair)| ComparisonRow {
+                label,
+                physical_seconds: pair[0],
+                microgrid_seconds: pair[1],
+            })
+            .collect();
+        rep.notes
+            .push("paper: IS/LU/MG within 2%, EP/BT within 4%".into());
+        rep
+    })
+}
+
+/// The shape Figs 11, 12, 14 and 15 share: each of [`SWEEP_BENCHES`] run
+/// at every `(x label, mode, configuration)` point, one series per
+/// benchmark (labelled `<name><suffix>`) added to `rep`. With `normalize`
+/// a series is divided by its first point.
+fn sweep(
+    mut rep: Report,
+    class: NpbClass,
+    suffix: &'static str,
+    normalize: bool,
+    points: Vec<(String, Mode, GridConfig)>,
+) -> Plan {
+    let mut jobs = Vec::new();
+    for bench in SWEEP_BENCHES {
+        for (_, mode, config) in &points {
+            jobs.push(npb_seconds(config.clone(), *mode, bench, class));
+        }
+    }
+    Plan::new(jobs, move |secs| {
+        for (bench, secs) in SWEEP_BENCHES.iter().zip(secs.chunks(points.len())) {
+            let base = if normalize { secs[0] } else { 1.0 };
+            rep.series.push(Series {
+                label: format!("{}{suffix}", bench.name()),
+                points: points
+                    .iter()
+                    .zip(secs)
+                    .map(|((x, ..), s)| (x.clone(), s / base))
+                    .collect(),
+            });
+        }
+        rep
+    })
 }
 
 /// Fig 11: the effect of the scheduling quantum on modeling accuracy
 /// (class S, quanta 2.5/5/10/30 ms).
-pub fn fig11_quanta_sweep() -> Report {
+pub fn fig11_quanta_sweep() -> Plan {
     let mut rep = Report::new(
         "fig11",
         "Scheduling-quantum sweep vs physical (NPB class S)",
     );
-    let quanta_us = [2_500u64, 5_000, 10_000, 30_000];
-    for bench in benches(false) {
-        let phys = run_npb(presets::alpha_cluster(), Mode::Physical, bench, NpbClass::S);
-        let mut points = vec![("physical".to_string(), phys.virtual_seconds)];
-        for q in quanta_us {
-            // The quantum effect shows on a shared deployment (fraction
-            // 0.5), where stall windows are quantum-sized.
-            let mut config = presets::alpha_cluster_shared();
-            config.quantum = SimDuration::from_micros(q);
-            let r = run_npb(config, Mode::MicroGrid, bench, NpbClass::S);
-            points.push((format!("slice={}ms", q as f64 / 1000.0), r.virtual_seconds));
-        }
-        rep.series.push(Series {
-            label: format!("{} (class S)", bench.name()),
-            points,
-        });
-    }
     rep.notes.push(
         "paper: frequently-synchronizing codes match better with shorter quanta; best \
          matches 12%/0.6%/0.4%/1.3% for MG/BT/LU/EP"
             .into(),
     );
-    rep
+    let mut points = vec![(
+        "physical".to_string(),
+        Mode::Physical,
+        presets::alpha_cluster(),
+    )];
+    for q in [2_500u64, 5_000, 10_000, 30_000] {
+        // The quantum effect shows on a shared deployment (fraction
+        // 0.5), where stall windows are quantum-sized.
+        let mut config = presets::alpha_cluster_shared();
+        config.quantum = SimDuration::from_micros(q);
+        let x = format!("slice={}ms", q as f64 / 1000.0);
+        points.push((x, Mode::MicroGrid, config));
+    }
+    sweep(rep, NpbClass::S, " (class S)", false, points)
 }
 
 /// Fig 12: total run times varying only the virtual CPU (1x..8x), network
 /// pinned to 1 Mb/s / 50 ms. Values are normalized to the 1x run.
-pub fn fig12_cpu_scaling() -> Report {
+pub fn fig12_cpu_scaling() -> Plan {
     let class = class_for_run();
     let mut rep = Report::new(
         "fig12",
@@ -117,112 +142,66 @@ pub fn fig12_cpu_scaling() -> Report {
             class.name()
         ),
     );
-    // One scenario per (benchmark, multiplier) run; normalization to the
-    // 1x run happens after the pooled sweep, in submission order.
-    let mults = [1.0, 2.0, 4.0, 8.0];
-    let mut jobs: Vec<Scenario<f64>> = Vec::new();
-    for bench in benches(false) {
-        for mult in mults {
-            jobs.push(Box::new(move || {
-                run_npb(
-                    presets::cpu_scaled_cluster(mult),
-                    Mode::MicroGrid,
-                    bench,
-                    class,
-                )
-                .virtual_seconds
-            }));
-        }
-    }
-    let times = run_scenarios(jobs);
-    for (bi, bench) in benches(false).into_iter().enumerate() {
-        let base = times[bi * mults.len()];
-        rep.series.push(Series {
-            label: bench.name().into(),
-            points: mults
-                .iter()
-                .enumerate()
-                .map(|(mi, mult)| (format!("{mult}x CPU"), times[bi * mults.len() + mi] / base))
-                .collect(),
-        });
-    }
     rep.notes.push(
         "paper: significant speedups from CPU alone; EP scales nearly ideally, the \
          others partially (communication share is fixed)"
             .into(),
     );
-    rep
+    let points = [1.0, 2.0, 4.0, 8.0].map(|mult| {
+        let config = presets::cpu_scaled_cluster(mult);
+        (format!("{mult}x CPU"), Mode::MicroGrid, config)
+    });
+    sweep(rep, class, "", true, points.into())
 }
 
 /// Fig 14: NPB over the vBNS coupled-cluster testbed, bottleneck at
 /// 622/155/10 Mb/s.
-pub fn fig14_vbns() -> Report {
+pub fn fig14_vbns() -> Plan {
     let mut rep = Report::new(
         "fig14",
         "NPB over the vBNS distributed cluster, varying the WAN bottleneck (class S)",
     );
-    for bench in benches(false) {
-        let mut points = Vec::new();
-        for bw in [622e6, 155e6, 10e6] {
-            let r = run_npb(presets::vbns_grid(bw), Mode::MicroGrid, bench, NpbClass::S);
-            points.push((format!("{:.0}Mb/s", bw / 1e6), r.virtual_seconds));
-        }
-        rep.series.push(Series {
-            label: bench.name().into(),
-            points,
-        });
-    }
     rep.notes.push(
         "paper: performance only mildly sensitive to WAN bandwidth — latency \
          dominates for all but EP (class not stated in the paper; we use S)"
             .into(),
     );
-    rep
+    let points = [622e6, 155e6, 10e6].map(|bw| {
+        let x = format!("{:.0}Mb/s", bw / 1e6);
+        (x, Mode::MicroGrid, presets::vbns_grid(bw))
+    });
+    sweep(rep, NpbClass::S, "", false, points.into())
 }
 
 /// Fig 15: identical virtual results across emulation rates (1x..8x
 /// system speed). Values are virtual run times normalized to the 1x run.
-pub fn fig15_emulation_rates() -> Report {
-    // Class S on both paths: the rate-invariance property is independent
-    // of problem size and class A adds nothing but wall time here.
-    let class = NpbClass::S;
+pub fn fig15_emulation_rates() -> Plan {
     let mut rep = Report::new(
         "fig15",
         "Virtual run time across emulation rates (normalized, class S)",
     );
-    for bench in benches(false) {
-        let mut base = None;
-        let mut points = Vec::new();
-        for k in [1.0, 2.0, 4.0, 8.0] {
-            let r = run_npb(
-                presets::emulation_rate_cluster(k),
-                Mode::MicroGrid,
-                bench,
-                class,
-            );
-            let b = *base.get_or_insert(r.virtual_seconds);
-            points.push((format!("{k}x system"), r.virtual_seconds / b));
-        }
-        rep.series.push(Series {
-            label: bench.name().into(),
-            points,
-        });
-    }
     rep.notes.push(
         "paper: normalized run times stay ~1.0 (0.85-1.05) across an order of \
          magnitude of emulation speed"
             .into(),
     );
-    rep
+    let points = [1.0, 2.0, 4.0, 8.0].map(|k| {
+        let config = presets::emulation_rate_cluster(k);
+        (format!("{k}x system"), Mode::MicroGrid, config)
+    });
+    // Class S on both paths: the rate-invariance property is independent
+    // of problem size and class A adds nothing but wall time here.
+    sweep(rep, NpbClass::S, "", true, points.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_npb;
 
     #[test]
     fn fig9_lists_both_configs() {
-        let rep = fig9_configs();
+        let rep = fig9_configs().run_inline();
         assert_eq!(rep.notes.len(), 2);
         assert!(rep.notes[0].contains("Alpha_Cluster"));
         assert!(rep.notes[1].contains("HPVM"));

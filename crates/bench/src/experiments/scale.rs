@@ -7,64 +7,61 @@
 //! is byte-gated like every figure; host wall time is measured by the
 //! repo benchmark (`BENCHMARK.json`) and nowhere else.
 
-use std::future::Future;
-use std::pin::Pin;
-
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-use microgrid::desim::Simulation;
+use microgrid::apps::npb::{self, NpbBenchmark, NpbClass};
 use microgrid::mpi::MpiParams;
-use microgrid::{presets, Report, Series, VirtualGrid};
+use microgrid::{presets, Report, Series};
+
+use crate::runner::{rank0, with_grid, Mode, Plan};
 
 /// One scale point: returns (virtual seconds, polls).
 pub fn run_scale_point(hosts: usize) -> (f64, u64) {
-    let mut sim = Simulation::new(4242 + hosts as u64);
-    let result: NpbResult = {
-        let results = sim.block_on(async move {
-            let grid = VirtualGrid::build(presets::alpha_cluster_n(hosts)).expect("valid");
-            grid.mpirun_all(MpiParams::default(), |comm| {
-                Box::pin(npb::run(NpbBenchmark::MG, comm, NpbClass::S, None))
-                    as Pin<Box<dyn Future<Output = NpbResult>>>
-            })
-            .await
-        });
-        results.into_iter().next().expect("rank 0")
-    };
-    assert!(result.verified, "MG-S failed at {hosts} hosts");
-    (result.virtual_seconds, sim.poll_count())
+    let config = presets::alpha_cluster_n(hosts);
+    let seed = 4242 + hosts as u64;
+    let run = with_grid(config, Mode::MicroGrid, seed, |grid| async move {
+        let body = |comm| npb::run(NpbBenchmark::MG, comm, NpbClass::S, None);
+        rank0(grid.mpirun_all(MpiParams::default(), body).await)
+    });
+    assert!(run.output.verified, "MG-S failed at {hosts} hosts");
+    (run.output.virtual_seconds, run.polls)
 }
 
 /// The scaling sweep.
-pub fn scale_study() -> Report {
-    let mut rep = Report::new(
-        "scale",
-        "Simulator scalability: MG class S on growing virtual clusters",
-    );
-    let mut virt = Vec::new();
-    let mut polls = Vec::new();
-    for hosts in [4usize, 8, 16, 32] {
-        let (v, p) = run_scale_point(hosts);
-        virt.push((format!("{hosts} hosts"), v));
-        polls.push((format!("{hosts} hosts"), p as f64 / v));
-    }
-    rep.series.push(Series {
-        label: "MG-S virtual seconds".into(),
-        points: virt,
-    });
-    rep.series.push(Series {
-        label: "executor polls per virtual second".into(),
-        points: polls,
-    });
-    rep.notes.push(
-        "the paper's §5 near-term goal was dozens of machines; the engine cost should \
-         grow near-linearly with host count"
-            .into(),
-    );
-    rep
+pub fn scale_study() -> Plan {
+    const HOSTS: [usize; 4] = [4, 8, 16, 32];
+    let jobs = HOSTS.map(|hosts| move || run_scale_point(hosts));
+    Plan::new(jobs.into(), |runs| {
+        let mut rep = Report::new(
+            "scale",
+            "Simulator scalability: MG class S on growing virtual clusters",
+        );
+        let per_host = |value: fn(&(f64, u64)) -> f64| {
+            HOSTS
+                .iter()
+                .zip(&runs)
+                .map(|(hosts, run)| (format!("{hosts} hosts"), value(run)))
+                .collect()
+        };
+        rep.series.push(Series {
+            label: "MG-S virtual seconds".into(),
+            points: per_host(|(v, _)| *v),
+        });
+        rep.series.push(Series {
+            label: "executor polls per virtual second".into(),
+            points: per_host(|(v, p)| *p as f64 / v),
+        });
+        rep.notes.push(
+            "the paper's §5 near-term goal was dozens of machines; the engine cost should \
+             grow near-linearly with host count"
+                .into(),
+        );
+        rep
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_npb;
 
     #[test]
     fn mg_runs_on_sixteen_hosts() {
@@ -76,20 +73,11 @@ mod tests {
 
     #[test]
     fn ep_weak_scales_to_thirty_two() {
-        use mgrid_desim::Simulation;
-        let mut sim = Simulation::new(99);
-        let results = sim.block_on(async {
-            let grid = VirtualGrid::build(presets::alpha_cluster_n(32)).expect("valid");
-            grid.mpirun_all(MpiParams::default(), |comm| {
-                Box::pin(npb::run(NpbBenchmark::EP, comm, NpbClass::S, None))
-                    as Pin<Box<dyn Future<Output = NpbResult>>>
-            })
-            .await
-        });
-        assert_eq!(results.len(), 32);
-        assert!(results[0].verified);
+        let config = presets::alpha_cluster_n(32);
+        let r = run_npb(config, Mode::MicroGrid, NpbBenchmark::EP, NpbClass::S);
+        assert!(r.verified && r.ranks == 32, "{r:?}");
         // EP divides evenly: 32 ranks ~ 1/8 the 4-rank time.
-        let t = results[0].virtual_seconds;
+        let t = r.virtual_seconds;
         assert!((1.0..3.0).contains(&t), "EP-S on 32 hosts took {t}");
     }
 }

@@ -11,5 +11,6 @@
 
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod experiments;
 pub mod runner;

@@ -1,29 +1,30 @@
-//! Shared drivers for the figure regenerators: the figure registry, the
-//! one worker pool, and the per-scenario simulation runners.
+//! Shared drivers for the figure regenerators: the registry of figures,
+//! the [`Plan`] each one is (independent simulation jobs plus a pure
+//! fold of their results), the one job queue `repro` and `chaos` run
+//! every selected plan on ([`run_plans`]), and the one way a job runs a
+//! virtual Grid ([`with_grid`]). A job is one whole deterministic
+//! simulation, so the thread budget has a single level and output is
+//! byte-identical at any worker count.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::any::Any;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
-use std::pin::Pin;
 use std::sync::{mpsc, Mutex};
 
 use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult, NpbSensors};
-use microgrid::apps::{Autopilot, WaveToyConfig, WaveToyResult};
+use microgrid::apps::{wavetoy, Autopilot, WaveToyConfig, WaveToyResult};
 use microgrid::desim::time::SimDuration;
 use microgrid::desim::{MetricsSnapshot, Simulation};
 use microgrid::mpi::MpiParams;
 use microgrid::{GridConfig, Report, VirtualGrid};
 
-use crate::experiments::{apps as fig_apps, micro, network, npb as fig_npb, scale};
+use crate::experiments::{apps as fig_apps, chaos, micro, network, npb as fig_npb, scale};
 
 thread_local! {
-    /// Metrics accumulated across every simulation this thread has driven
-    /// since the last [`take_metrics`] call.
+    /// Metrics of every simulation this thread has driven since
+    /// [`run_plans`]' job wrapper last took them: one job's worth.
     static ACCUM: RefCell<MetricsSnapshot> = RefCell::new(MetricsSnapshot::default());
-    /// Pool workers [`run_scenarios`] uses on this thread: 1 (serial)
-    /// until the binary driving the thread hands it a share of the
-    /// thread budget through [`set_scenario_workers`].
-    static SCENARIO_WORKERS: Cell<usize> = const { Cell::new(1) };
 }
 
 /// One regenerable figure of the paper's evaluation.
@@ -32,8 +33,8 @@ pub struct Figure {
     pub id: &'static str,
     /// One-line description for `repro --help`.
     pub what: &'static str,
-    /// Regenerate the figure.
-    pub run: fn() -> Report,
+    /// The figure's simulations and the fold that makes its report.
+    pub plan: fn() -> Plan,
 }
 
 /// Every figure `repro` regenerates, in canonical order.
@@ -42,83 +43,183 @@ pub fn figures() -> Vec<Figure> {
         Figure {
             id: "fig5",
             what: "memory capacity microbenchmark",
-            run: micro::fig5_memory,
+            plan: micro::fig5_memory,
         },
         Figure {
             id: "fig6",
             what: "CPU fraction fidelity under competition",
-            run: || micro::fig6_cpu(SimDuration::from_secs(if fast_mode() { 3 } else { 10 })),
+            plan: || micro::fig6_cpu(SimDuration::from_secs(if fast_mode() { 3 } else { 10 })),
         },
         Figure {
             id: "fig7",
             what: "quanta-size distribution",
-            run: || micro::fig7_quanta(if fast_mode() { 1000 } else { 9000 }),
+            plan: || micro::fig7_quanta(if fast_mode() { 1000 } else { 9000 }),
         },
         Figure {
             id: "fig8",
             what: "network latency/bandwidth vs message size",
-            run: || network::fig8_network(if fast_mode() { 4 } else { 20 }),
+            plan: || network::fig8_network(if fast_mode() { 4 } else { 20 }),
         },
         Figure {
             id: "fig9",
             what: "virtual Grid configurations table",
-            run: fig_npb::fig9_configs,
+            plan: fig_npb::fig9_configs,
         },
         Figure {
             id: "fig10",
             what: "NPB totals, physical vs MicroGrid",
-            run: fig_npb::fig10_npb,
+            plan: fig_npb::fig10_npb,
         },
         Figure {
             id: "fig11",
             what: "scheduling-quantum sweep",
-            run: fig_npb::fig11_quanta_sweep,
+            plan: fig_npb::fig11_quanta_sweep,
         },
         Figure {
             id: "fig12",
             what: "CPU scaling at fixed slow network",
-            run: fig_npb::fig12_cpu_scaling,
+            plan: fig_npb::fig12_cpu_scaling,
         },
         Figure {
             id: "fig14",
             what: "vBNS WAN bottleneck sweep",
-            run: fig_npb::fig14_vbns,
+            plan: fig_npb::fig14_vbns,
         },
         Figure {
             id: "fig15",
             what: "emulation-rate invariance",
-            run: fig_npb::fig15_emulation_rates,
+            plan: fig_npb::fig15_emulation_rates,
         },
         Figure {
             id: "fig16",
             what: "CACTUS WaveToy",
-            run: fig_apps::fig16_cactus,
+            plan: fig_apps::fig16_cactus,
         },
         Figure {
             id: "fig17",
             what: "Autopilot internal validation",
-            run: fig_apps::fig17_autopilot,
+            plan: fig_apps::fig17_autopilot,
         },
         Figure {
             id: "scale",
             what: "simulator scalability study (extension)",
-            run: scale::scale_study,
+            plan: scale::scale_study,
         },
     ]
 }
 
-/// Fold one finished simulation's metrics into the thread accumulator.
-fn note_run(sim: &Simulation) {
-    let snap = sim.obs().metrics().snapshot();
-    if !snap.is_empty() {
-        ACCUM.with(|a| a.borrow_mut().merge(&snap));
+/// A fault-injection scenario: its id and its plan.
+pub type Scenario = (&'static str, fn() -> Plan);
+
+/// The tracked scenarios `chaos` replays, in the order of
+/// `results/chaos.json`.
+pub const CHAOS_SCENARIOS: [Scenario; 2] = [
+    ("chaos-wan", chaos::chaos_wan),
+    ("chaos-crash", chaos::chaos_crash),
+];
+
+type Erased = Box<dyn Any + Send>;
+
+/// A figure as the queue sees it: independent jobs, each one whole
+/// self-contained simulation that may run on any worker thread, and the
+/// pure fold of their results (in submission order) into the report.
+pub struct Plan {
+    jobs: Vec<Box<dyn FnOnce() -> Erased + Send>>,
+    finish: Box<dyn FnOnce(Vec<Erased>) -> Report>,
+}
+
+impl Plan {
+    /// A plan whose jobs all yield an `R`. A figure that runs no
+    /// simulation (fig5, fig9) has no jobs and does its work in `finish`.
+    pub fn new<R, J>(jobs: Vec<J>, finish: impl FnOnce(Vec<R>) -> Report + 'static) -> Plan
+    where
+        R: Send + 'static,
+        J: FnOnce() -> R + Send + 'static,
+    {
+        Plan {
+            jobs: jobs
+                .into_iter()
+                .map(|job| Box::new(move || Box::new(job()) as Erased) as _)
+                .collect(),
+            finish: Box::new(move |results| {
+                let typed = results.into_iter().map(|r| {
+                    *r.downcast::<R>()
+                        .expect("a plan's results have its jobs' type")
+                });
+                finish(typed.collect())
+            }),
+        }
+    }
+
+    /// Run the jobs one after another on this thread and fold them: the
+    /// report [`run_plans`] delivers for this plan at any worker count.
+    pub fn run_inline(self) -> Report {
+        let mut report = None;
+        run_plans(1, vec![("inline", self)], |done| report = Some(done.report));
+        report.expect("one plan delivers one report")
     }
 }
 
-/// Take (and reset) the metrics accumulated over all runs since the last
-/// call — one figure's worth when called once per figure.
-pub fn take_metrics() -> MetricsSnapshot {
-    ACCUM.with(|a| std::mem::take(&mut *a.borrow_mut()))
+/// One plan's outcome, as [`run_plans`] delivers it.
+pub struct Finished {
+    /// The folded report, with the merged metrics of the plan's
+    /// simulations attached.
+    pub report: Report,
+    /// Simulations the plan ran.
+    pub jobs: usize,
+    /// Host seconds those simulations took, summed.
+    pub sim_secs: f64,
+}
+
+/// Run every job of every plan as one list, in the order given, on
+/// `workers` threads ([`run_jobs_each`]), and hand each plan's
+/// [`Finished`] to `each` on the calling thread, in the order given, as
+/// soon as its last result (and every earlier plan's) is in.
+///
+/// Each job's metrics are taken on the thread that ran it and merged
+/// into its plan's snapshot; [`MetricsSnapshot::merge`] is commutative
+/// and associative, so that snapshot does not depend on `workers` either.
+/// A panicking job (its message is on stderr by then) is re-raised as
+/// `"<id>: simulation <n> of <N> panicked"`.
+pub fn run_plans(workers: usize, plans: Vec<(&'static str, Plan)>, mut each: impl FnMut(Finished)) {
+    let mut queue = Vec::new();
+    let mut folds = VecDeque::new();
+    for (id, plan) in plans {
+        let of = plan.jobs.len();
+        folds.push_back((of, plan.finish));
+        for (n, job) in plan.jobs.into_iter().enumerate() {
+            queue.push(move || {
+                let t0 = std::time::Instant::now();
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+                    .unwrap_or_else(|_| panic!("{id}: simulation {} of {of} panicked", n + 1));
+                let metrics = ACCUM.with(RefCell::take);
+                (result, metrics, t0.elapsed().as_secs_f64())
+            });
+        }
+    }
+    // Results arrive in submission order, so they fill one plan at a
+    // time: the first that is still short of one.
+    let mut filling = (Vec::new(), MetricsSnapshot::default(), 0.0);
+    let mut fold_complete = |filling: &mut (Vec<Erased>, MetricsSnapshot, f64)| {
+        while folds.front().is_some_and(|(of, _)| *of == filling.0.len()) {
+            let (jobs, finish) = folds.pop_front().expect("front was just seen");
+            let (results, metrics, sim_secs) = std::mem::take(filling);
+            let mut report = finish(results);
+            report.attach_metrics(metrics);
+            each(Finished {
+                report,
+                jobs,
+                sim_secs,
+            });
+        }
+    };
+    fold_complete(&mut filling);
+    run_jobs_each(workers, queue, |(result, metrics, secs)| {
+        filling.0.push(result);
+        filling.1.merge(&metrics);
+        filling.2 += secs;
+        fold_complete(&mut filling);
+    });
 }
 
 /// Which side of a comparison to run.
@@ -130,45 +231,82 @@ pub enum Mode {
     MicroGrid,
 }
 
-impl Mode {
-    /// Both sides, physical first.
-    pub fn both() -> [Mode; 2] {
-        [Mode::Physical, Mode::MicroGrid]
+/// What one simulation left behind.
+pub struct Run<T> {
+    /// What the body returned.
+    pub output: T,
+    /// Executor polls the simulation took.
+    pub polls: u64,
+    /// The simulation's metrics (also folded into its job's snapshot).
+    pub metrics: MetricsSnapshot,
+}
+
+/// Run `body` to completion as the root task of a fresh simulation and
+/// fold the simulation's metrics into this thread's job. Figs 6 and 7,
+/// which model one kernel and no Grid, call this directly; everything
+/// else goes through [`with_grid`].
+pub fn simulate<T: 'static>(seed: u64, body: impl Future<Output = T> + 'static) -> Run<T> {
+    let mut sim = Simulation::new(seed);
+    let output = sim.block_on(body);
+    let metrics = sim.obs().metrics().snapshot();
+    ACCUM.with(|a| a.borrow_mut().merge(&metrics));
+    Run {
+        output,
+        polls: sim.poll_count(),
+        metrics,
     }
 }
 
-fn build(config: GridConfig, mode: Mode) -> VirtualGrid {
-    match mode {
-        Mode::Physical => VirtualGrid::build_baseline(config).expect("valid config"),
-        Mode::MicroGrid => VirtualGrid::build(config).expect("valid config"),
-    }
+/// The one scenario runner: build `config` as `mode` inside a simulation
+/// seeded with `seed`, run `body` on the grid, and account for the run as
+/// [`simulate`] does.
+pub fn with_grid<T, Fut>(
+    config: GridConfig,
+    mode: Mode,
+    seed: u64,
+    body: impl FnOnce(VirtualGrid) -> Fut + 'static,
+) -> Run<T>
+where
+    T: 'static,
+    Fut: Future<Output = T> + 'static,
+{
+    simulate(seed, async move {
+        let grid = match mode {
+            Mode::Physical => VirtualGrid::build_baseline(config),
+            Mode::MicroGrid => VirtualGrid::build(config),
+        };
+        body(grid.expect("valid config")).await
+    })
+}
+
+/// Rank 0's result of an SPMD run.
+pub fn rank0<T>(results: Vec<T>) -> T {
+    results.into_iter().next().expect("rank 0 result")
 }
 
 /// Run one NPB benchmark on `config` in `mode`; returns rank 0's result.
 pub fn run_npb(config: GridConfig, mode: Mode, bench: NpbBenchmark, class: NpbClass) -> NpbResult {
-    run_npb_on_hosts(config, mode, bench, class, None)
+    let seed = config.seed ^ 0x5eed;
+    with_grid(config, mode, seed, move |grid| async move {
+        let body = move |comm| npb::run(bench, comm, class, None);
+        rank0(grid.mpirun_all(MpiParams::default(), body).await)
+    })
+    .output
 }
 
-/// As [`run_npb`], with an explicit host subset (e.g. the 2+2 vBNS
-/// placement uses all four hosts, but callers may restrict).
-pub fn run_npb_on_hosts(
+/// [`run_npb`] as a job that insists the run verified and yields its
+/// virtual seconds.
+pub fn npb_seconds(
     config: GridConfig,
     mode: Mode,
     bench: NpbBenchmark,
     class: NpbClass,
-    hosts: Option<Vec<String>>,
-) -> NpbResult {
-    let mut sim = Simulation::new(config.seed ^ 0x5eed);
-    let results = sim.block_on(async move {
-        let grid = build(config, mode);
-        let hosts = hosts.unwrap_or_else(|| grid.host_names());
-        grid.mpirun(&hosts, MpiParams::default(), move |comm| {
-            Box::pin(npb::run(bench, comm, class, None)) as Pin<Box<dyn Future<Output = NpbResult>>>
-        })
-        .await
-    });
-    note_run(&sim);
-    results.into_iter().next().expect("rank 0 result")
+) -> impl FnOnce() -> f64 + Send + 'static {
+    move || {
+        let r = run_npb(config, mode, bench, class);
+        assert!(r.verified, "verification failed: {r:?}");
+        r.virtual_seconds
+    }
 }
 
 /// Run an NPB benchmark with Autopilot sensors attached to rank 0 and a
@@ -180,47 +318,31 @@ pub fn run_npb_with_sensors(
     class: NpbClass,
     trace_horizon: SimDuration,
 ) -> (NpbResult, Vec<(f64, f64)>) {
-    let mut sim = Simulation::new(config.seed ^ 0xaa);
-    let out = sim.block_on(async move {
-        let grid = build(config, mode);
+    let seed = config.seed ^ 0xaa;
+    with_grid(config, mode, seed, move |grid| async move {
         let ap = Autopilot::new();
         let counter = ap.sensor("counter");
         ap.start_sampling(grid.clock(), SimDuration::from_secs(1), trace_horizon);
-        let hosts = grid.host_names();
-        let results = grid
-            .mpirun(&hosts, MpiParams::default(), move |comm| {
-                let sensors = if comm.rank() == 0 {
-                    Some(NpbSensors {
-                        counter: counter.clone(),
-                    })
-                } else {
-                    None
-                };
-                Box::pin(npb::run(bench, comm, class, sensors))
-                    as Pin<Box<dyn Future<Output = NpbResult>>>
-            })
-            .await;
-        let result = results.into_iter().next().expect("rank 0 result");
+        let body = move |comm: microgrid::mpi::Comm| {
+            let sensors = (comm.rank() == 0).then(|| NpbSensors {
+                counter: counter.clone(),
+            });
+            npb::run(bench, comm, class, sensors)
+        };
+        let result = rank0(grid.mpirun_all(MpiParams::default(), body).await);
         (result, ap.trace("counter"))
-    });
-    note_run(&sim);
-    out
+    })
+    .output
 }
 
 /// Run CACTUS WaveToy; returns rank 0's result.
 pub fn run_wavetoy(config: GridConfig, mode: Mode, wt: WaveToyConfig) -> WaveToyResult {
-    let mut sim = Simulation::new(config.seed ^ 0xcac);
-    let results = sim.block_on(async move {
-        let grid = build(config, mode);
-        let hosts = grid.host_names();
-        grid.mpirun(&hosts, MpiParams::default(), move |comm| {
-            Box::pin(microgrid::apps::wavetoy::run(comm, wt, None))
-                as Pin<Box<dyn Future<Output = WaveToyResult>>>
-        })
-        .await
-    });
-    note_run(&sim);
-    results.into_iter().next().expect("rank 0 result")
+    let seed = config.seed ^ 0xcac;
+    with_grid(config, mode, seed, move |grid| async move {
+        let body = move |comm| wavetoy::run(comm, wt, None);
+        rank0(grid.mpirun_all(MpiParams::default(), body).await)
+    })
+    .output
 }
 
 /// Fast mode shrinks long experiments (set `MGRID_FAST=1`).
@@ -230,8 +352,8 @@ pub fn fast_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Worker threads for parallel figure regeneration: `MGRID_REPRO_THREADS`
-/// if set (minimum 1), otherwise the machine's available parallelism.
+/// Worker threads for the job queue: `MGRID_REPRO_THREADS` if set
+/// (minimum 1), otherwise the machine's available parallelism.
 pub fn repro_threads() -> usize {
     if let Ok(v) = std::env::var("MGRID_REPRO_THREADS") {
         return v.parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or(1);
@@ -241,9 +363,10 @@ pub fn repro_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The one worker pool: run independent `jobs` on `workers` scoped
-/// threads and hand each result to `each` on the calling thread, in
-/// submission order, as soon as it and all its predecessors are done.
+/// The worker pool under [`run_plans`]: run independent `jobs` on
+/// `workers` scoped threads and hand each result to `each` on the calling
+/// thread, in submission order, as soon as it and all its predecessors
+/// are done.
 ///
 /// `workers` is taken as given — not clamped to the machine's
 /// parallelism, so a 1-core box still exercises the threaded path;
@@ -299,39 +422,6 @@ where
     });
 }
 
-/// Give this thread's later [`run_scenarios`] calls `workers` pool
-/// workers. `repro` passes each figure worker its share of the
-/// `MGRID_REPRO_THREADS` budget and `chaos` the whole budget; tests
-/// leave the default of 1, a serial sweep.
-pub fn set_scenario_workers(workers: usize) {
-    SCENARIO_WORKERS.with(|w| w.set(workers));
-}
-
-/// A type-erased independent scenario of one figure.
-pub type Scenario<R> = Box<dyn FnOnce() -> R + Send>;
-
-/// Run one figure's independent scenarios on the pool
-/// ([`run_jobs_each`]) with this thread's [`set_scenario_workers`] share.
-///
-/// Results come back in submission order and each scenario is a
-/// self-contained deterministic simulation, so the figure is
-/// byte-identical at every worker count. Each scenario's metrics are
-/// taken on the thread that ran it and folded into this thread's
-/// accumulator; [`MetricsSnapshot::merge`] is commutative and
-/// associative, so the merged figure snapshot is count-invariant too.
-pub fn run_scenarios<R: Send>(jobs: Vec<Scenario<R>>) -> Vec<R> {
-    let jobs: Vec<_> = jobs
-        .into_iter()
-        .map(|job| move || (job(), take_metrics()))
-        .collect();
-    let mut out = Vec::with_capacity(jobs.len());
-    run_jobs_each(SCENARIO_WORKERS.with(Cell::get), jobs, |(result, snap)| {
-        ACCUM.with(|a| a.borrow_mut().merge(&snap));
-        out.push(result);
-    });
-    out
-}
-
 /// Class A normally, class S in fast mode.
 pub fn class_for_run() -> NpbClass {
     if fast_mode() {
@@ -363,52 +453,72 @@ mod tests {
         assert_eq!(mean_stddev(&[]), (0.0, 0.0));
     }
 
-    /// The property every figure relies on: the same scenarios run
-    /// inline, and through the pool on 1, 2 and 4 workers (not clamped
-    /// to the machine, so this is real on a 1-core box), give the same
-    /// results in submission order and the same merged metrics.
+    /// A test figure: one class S run per `(seed, benchmark)` case, the
+    /// report's notes their debug-printed results.
+    fn digest_plan(id: &'static str, cases: &'static [(u64, NpbBenchmark)]) -> Plan {
+        let jobs = cases.iter().map(|&(seed, bench)| {
+            move || {
+                let mut config = microgrid::presets::alpha_cluster();
+                config.seed = seed;
+                format!("{:?}", run_npb(config, Mode::MicroGrid, bench, NpbClass::S))
+            }
+        });
+        Plan::new(jobs.collect(), move |digests| {
+            let mut report = Report::new(id, "digests");
+            report.notes = digests;
+            report
+        })
+    }
+
+    /// The property every figure relies on: plans flattened into one job
+    /// list and run on 1, 2 and 4 workers (not clamped to the machine, so
+    /// this is real on a 1-core box) give each figure the report and the
+    /// merged metrics its own inline run gives, in the order submitted —
+    /// a plan without jobs between two with jobs included.
     #[test]
     fn job_pool_is_byte_identical_to_sequential() {
-        const CASES: [(u64, NpbBenchmark); 6] = [
+        const A: &[(u64, NpbBenchmark)] = &[
             (7, NpbBenchmark::IS),
             (7, NpbBenchmark::EP),
             (11, NpbBenchmark::MG),
+        ];
+        const B: &[(u64, NpbBenchmark)] = &[
             (13, NpbBenchmark::IS),
             (17, NpbBenchmark::EP),
             (19, NpbBenchmark::MG),
         ];
-        fn scenario(seed: u64, bench: NpbBenchmark) -> String {
-            let mut config = microgrid::presets::alpha_cluster();
-            config.seed = seed;
-            format!("{:?}", run_npb(config, Mode::MicroGrid, bench, NpbClass::S))
-        }
-        fn digest(results: Vec<String>) -> (Vec<String>, String) {
-            let merged = take_metrics();
-            assert!(!merged.is_empty(), "scenarios recorded no metrics");
-            let merged = serde_json::to_string(&merged).expect("snapshot serializes");
-            (results, merged)
+        fn plans() -> Vec<(&'static str, Plan)> {
+            let empty = Plan::new(Vec::<fn()>::new(), |_| Report::new("empty", "no jobs"));
+            vec![
+                ("a", digest_plan("a", A)),
+                ("empty", empty),
+                ("b", digest_plan("b", B)),
+            ]
         }
 
-        let _ = take_metrics();
-        let inline = digest(CASES.iter().map(|&(s, b)| scenario(s, b)).collect());
+        let inline: Vec<Report> = plans().into_iter().map(|(_, p)| p.run_inline()).collect();
+        for (report, jobs) in inline.iter().zip([3, 0, 3]) {
+            let metrics = report.metrics.as_ref().expect("metrics attached");
+            assert_eq!(metrics.is_empty(), jobs == 0, "{}", report.id);
+            // Sensitivity: every digest is distinct, so the equalities
+            // below compare real per-simulation output.
+            let distinct: std::collections::BTreeSet<&String> = report.notes.iter().collect();
+            assert_eq!(distinct.len(), jobs, "{}: digests collide", report.id);
+        }
+        assert_ne!(inline[0].metrics, inline[2].metrics);
+        let inline: Vec<String> = inline.iter().map(Report::to_json).collect();
+
         for workers in [1, 2, 4] {
-            set_scenario_workers(workers);
-            let jobs = CASES
-                .iter()
-                .map(|&(s, b)| Box::new(move || scenario(s, b)) as Scenario<String>)
-                .collect();
+            let mut pooled = Vec::new();
+            run_plans(workers, plans(), |done| {
+                assert_eq!(done.jobs, done.report.notes.len());
+                pooled.push(done.report.to_json());
+            });
             assert_eq!(
-                inline,
-                digest(run_scenarios(jobs)),
-                "{workers}-worker pool diverged from inline"
+                inline, pooled,
+                "{workers}-worker queue diverged from inline"
             );
         }
-        set_scenario_workers(1);
-
-        // Sensitivity: every scenario digest is distinct, so the
-        // equalities above compare real per-scenario output.
-        let distinct: std::collections::BTreeSet<&String> = inline.0.iter().collect();
-        assert_eq!(distinct.len(), CASES.len(), "scenario digests collide");
     }
 
     #[test]
@@ -429,9 +539,39 @@ mod tests {
         assert_eq!(delivered, vec![0]);
     }
 
+    /// On the flat list a failing simulation could be any figure's: the
+    /// panic that reaches the caller says whose, and which.
+    #[test]
+    fn panicking_job_names_its_figure() {
+        fn counting(id: &'static str, jobs: Vec<fn() -> u32>) -> (&'static str, Plan) {
+            let finish = move |results: Vec<u32>| {
+                let mut report = Report::new(id, "count");
+                report.notes.push(format!("{results:?}"));
+                report
+            };
+            (id, Plan::new(jobs, finish))
+        }
+        for workers in [1, 2] {
+            let plans = vec![
+                counting("figA", vec![|| 1, || 2]),
+                counting("figB", vec![|| 3, || panic!("boom")]),
+            ];
+            let mut delivered = Vec::new();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_plans(workers, plans, |done| delivered.push(done.report.notes));
+            }));
+            let panic = caught.expect_err("the job's panic must propagate");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("figB: simulation 2 of 2 panicked")
+            );
+            assert_eq!(delivered, vec![vec!["[1, 2]".to_string()]]);
+        }
+    }
+
     #[test]
     fn npb_runner_runs_both_modes() {
-        for mode in Mode::both() {
+        for mode in [Mode::Physical, Mode::MicroGrid] {
             let r = run_npb(
                 microgrid::presets::alpha_cluster(),
                 mode,

@@ -2,35 +2,53 @@
 
 use std::process::Command;
 
-/// Stdout of `MGRID_FAST=1 repro fig8 fig9 fig17` at a thread budget, minus
-/// blank lines and the lines that carry wall-clock times or the thread
-/// count.
+/// Stdout of `MGRID_FAST=1 repro all` at a thread budget, minus blank
+/// lines and the lines that carry host seconds or the thread count.
 fn repro_stdout(threads: &str) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["fig8", "fig9", "fig17"])
+        .arg("all")
         .env("MGRID_FAST", "1")
         .env("MGRID_REPRO_THREADS", threads)
         .output()
         .expect("run repro");
     assert!(out.status.success(), "{out:?}");
+    let summary = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        summary.starts_with("repro: ") && summary.contains(&format!(" threads={threads}, ")),
+        "the end-to-end line on stderr: {summary}"
+    );
     String::from_utf8(out.stdout)
         .expect("utf-8 output")
         .lines()
-        .filter(|l| !(l.is_empty() || l.starts_with("(regenerating ") || l.ends_with("s wall)")))
+        .filter(|l| {
+            !(l.is_empty() || l.starts_with("(regenerating ") || l.ends_with("simulation seconds)"))
+        })
         .map(|l| format!("{l}\n"))
         .collect()
 }
 
-/// The reorder-buffer property: fig9 (no simulation at all) finishes
-/// long before fig8 on a second worker, and must still print after it;
-/// fig17's metrics table is merged from scenarios run on the pool.
+/// The whole fast sweep as one job list: a figure's simulations interleave
+/// with its neighbours' on three workers, fig5 and fig9 have none at all,
+/// and every figure must still print in canonical order with the bytes of
+/// the serial run — the metrics table merged from its simulations
+/// included, which every figure that runs one carries.
 #[test]
 fn output_is_byte_identical_at_one_and_three_threads() {
     let serial = repro_stdout("1");
-    let fig8 = serial.find("== fig8").expect("fig8 table");
-    let fig9 = serial.find("== fig9").expect("fig9 table");
-    assert!(fig8 < fig9, "canonical order: {serial}");
-    assert!(serial.contains("-- metrics --"), "fig17 carries metrics");
+    let tables: Vec<&str> = serial.split("== ").skip(1).collect();
+    let ids: Vec<&str> = tables
+        .iter()
+        .map(|t| t.split(' ').next().expect("figure id"))
+        .collect();
+    let canonical = [
+        "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig14", "fig15",
+        "fig16", "fig17", "scale",
+    ];
+    assert_eq!(ids, canonical, "canonical order: {serial}");
+    for (id, table) in ids.iter().zip(&tables) {
+        let simulates = !matches!(*id, "fig5" | "fig9");
+        assert_eq!(table.contains("-- metrics --"), simulates, "{id}: {table}");
+    }
     assert_eq!(serial, repro_stdout("3"));
 }
 

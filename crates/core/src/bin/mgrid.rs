@@ -26,42 +26,18 @@
 //! loadable at <https://ui.perfetto.dev> (see `docs/OBSERVABILITY.md`).
 
 use std::future::Future;
-use std::pin::Pin;
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-use microgrid::apps::wavetoy::{self, WaveToyConfig, WaveToyResult};
+use microgrid::apps::npb::{self, NpbBenchmark, NpbClass};
+use microgrid::apps::wavetoy::{self, WaveToyConfig};
 use microgrid::desim::metrics::MetricsSnapshot;
 use microgrid::desim::obs::Obs;
 use microgrid::desim::trace::TraceEvent;
 use microgrid::desim::{perfetto, profile, Simulation, SpanSnapshot};
-use microgrid::mpi::MpiParams;
+use microgrid::mpi::{Comm, MpiParams};
 use microgrid::{out, outln, plan_rate, presets, GridConfig, VirtualGrid};
 
-fn preset_by_name(name: &str) -> Option<GridConfig> {
-    match name {
-        "alpha_cluster" => Some(presets::alpha_cluster()),
-        "alpha_cluster_shared" => Some(presets::alpha_cluster_shared()),
-        "hpvm_cluster" => Some(presets::hpvm_cluster()),
-        "vbns_oc12" => Some(presets::vbns_grid(622e6)),
-        "vbns_oc3" => Some(presets::vbns_grid(155e6)),
-        "vbns_10mbps" => Some(presets::vbns_grid(10e6)),
-        "fig17_cluster" => Some(presets::fig17_cluster()),
-        _ => None,
-    }
-}
-
-const PRESETS: &[&str] = &[
-    "alpha_cluster",
-    "alpha_cluster_shared",
-    "hpvm_cluster",
-    "vbns_oc12",
-    "vbns_oc3",
-    "vbns_10mbps",
-    "fig17_cluster",
-];
-
 fn load_config(path_or_preset: &str) -> GridConfig {
-    if let Some(c) = preset_by_name(path_or_preset) {
+    if let Some(c) = presets::by_name(path_or_preset) {
         return c;
     }
     let text = std::fs::read_to_string(path_or_preset).unwrap_or_else(|e| {
@@ -177,14 +153,17 @@ fn capture_obs(obs: &Obs, opts: &ObsOpts) -> ObsCapture {
     }
 }
 
-/// Run `work` to completion under the observability options. Returns the
-/// workload results and the sealed observability capture.
-fn execute<R: 'static>(
-    seed: u64,
+/// Build `config` (as the physical baseline or the MicroGrid) and run
+/// `body` on every virtual host to completion under the observability
+/// options. Returns the per-rank results and the sealed observability
+/// capture.
+fn execute<R: 'static, Fut: Future<Output = R> + 'static>(
+    config: GridConfig,
+    baseline: bool,
     opts: &ObsOpts,
-    work: impl Future<Output = Vec<R>> + 'static,
+    body: impl Fn(Comm) -> Fut + 'static,
 ) -> (Vec<R>, ObsCapture) {
-    let mut sim = Simulation::new(seed);
+    let mut sim = Simulation::new(config.seed);
     let obs = sim.obs().clone();
     if let Some(path) = &opts.trace_out {
         let file = std::fs::File::create(path).unwrap_or_else(|e| {
@@ -200,7 +179,11 @@ fn execute<R: 'static>(
     }
     let opts = opts.clone();
     sim.block_on(async move {
-        let results = work.await;
+        // The grid is a temporary of this statement: it is gone, as the
+        // workload is, before the capture.
+        let results = build(config, baseline)
+            .mpirun_all(MpiParams::default(), body)
+            .await;
         (results, capture_obs(&obs, &opts))
     })
 }
@@ -253,13 +236,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("presets") => {
-            for p in PRESETS {
-                outln!("{p}");
+            for (name, _) in presets::NAMED {
+                outln!("{name}");
             }
         }
         Some("dump") => {
             let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let Some(c) = preset_by_name(name) else {
+            let Some(c) = presets::by_name(name) else {
                 eprintln!("unknown preset {name:?} (try `mgrid presets`)");
                 std::process::exit(2);
             };
@@ -306,7 +289,6 @@ fn run_cmd(args: &[String]) {
         usage();
     }
     let config = load_config(&args[0]);
-    let seed = config.seed;
     let baseline = args.iter().any(|a| a == "--baseline");
     let app = args[1].to_ascii_uppercase();
     // A missing, non-numeric or zero edge is a usage error, not a silent
@@ -328,14 +310,8 @@ fn run_cmd(args: &[String]) {
             grid_edge,
             steps: 100,
         };
-        let (results, capture) = execute(seed, &obs_opts, async move {
-            let grid = build(config, baseline);
-            grid.mpirun_all(MpiParams::default(), move |comm| {
-                Box::pin(wavetoy::run(comm, wt, None))
-                    as Pin<Box<dyn Future<Output = WaveToyResult>>>
-            })
-            .await
-        });
+        let body = move |comm| wavetoy::run(comm, wt, None);
+        let (results, capture) = execute(config, baseline, &obs_opts, body);
         let r = &results[0];
         outln!(
             "wavetoy {}^3: {:.3} virtual s, energy drift {:.4}, verified {}",
@@ -363,13 +339,8 @@ fn run_cmd(args: &[String]) {
         Some("A") | Some("a") => NpbClass::A,
         _ => NpbClass::S,
     };
-    let (results, capture) = execute(seed, &obs_opts, async move {
-        let grid = build(config, baseline);
-        grid.mpirun_all(MpiParams::default(), move |comm| {
-            Box::pin(npb::run(bench, comm, class, None)) as Pin<Box<dyn Future<Output = NpbResult>>>
-        })
-        .await
-    });
+    let body = move |comm| npb::run(bench, comm, class, None);
+    let (results, capture) = execute(config, baseline, &obs_opts, body);
     let r = &results[0];
     outln!(
         "{} class {}: {:.3} virtual s on {} ranks, verified {}",

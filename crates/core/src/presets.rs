@@ -243,6 +243,27 @@ pub fn fig17_cluster() -> GridConfig {
     c
 }
 
+/// A preset's CLI name and its constructor.
+pub type Named = (&'static str, fn() -> GridConfig);
+
+/// The presets the `mgrid` CLI knows by name, in the order `mgrid
+/// presets` lists them.
+pub const NAMED: [Named; 7] = [
+    ("alpha_cluster", alpha_cluster),
+    ("alpha_cluster_shared", alpha_cluster_shared),
+    ("hpvm_cluster", hpvm_cluster),
+    ("vbns_oc12", || vbns_grid(622e6)),
+    ("vbns_oc3", || vbns_grid(155e6)),
+    ("vbns_10mbps", || vbns_grid(10e6)),
+    ("fig17_cluster", fig17_cluster),
+];
+
+/// The [`NAMED`] preset called `name`.
+pub fn by_name(name: &str) -> Option<GridConfig> {
+    let (_, build) = NAMED.iter().find(|(n, _)| *n == name)?;
+    Some(build())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -190,13 +190,16 @@ fn hostile_configs_are_typed_errors_not_panics() {
     }
 }
 
-/// Every name `mgrid presets` prints is a config `mgrid validate` accepts.
+/// `mgrid presets` prints the names of `presets::NAMED`, and each is a
+/// config `mgrid validate` accepts.
 #[test]
 fn every_listed_preset_validates() {
     let (code, names, _) = mgrid(&["presets"]);
     assert_eq!(code, Some(0));
-    assert!(names.lines().count() >= 7, "{names}");
-    for name in names.lines() {
+    let listed: Vec<&str> = names.lines().collect();
+    let table = microgrid::presets::NAMED.map(|(name, _)| name);
+    assert_eq!(listed, table);
+    for name in table {
         let (code, stdout, stderr) = mgrid(&["validate", name]);
         assert_eq!(code, Some(0), "{name}: {stderr}");
         assert!(stdout.starts_with("ok: "), "{name}: {stdout}");
