@@ -35,6 +35,12 @@ fmt:
 loc:
     bash scripts/loc.sh
 
+# The same table with what each row gained or lost against `tree`, a
+# `git archive` export of the parent: the one output a simplification PR
+# quotes in CHANGES.md.
+loc-diff tree:
+    bash scripts/loc.sh --against {{tree}}
+
 # Regenerate the paper's figures (fast, shrunken parameters).
 figures:
     MGRID_FAST=1 cargo run --release -p mgrid-bench --bin repro -- all

@@ -93,7 +93,7 @@ impl Autopilot {
             inner.running = true;
         }
         let me = self.clone();
-        let clock = clock.clone();
+        let clock = *clock;
         spawn_daemon(async move {
             let mut elapsed = SimDuration::ZERO;
             let t0 = clock.virtual_at(mgrid_desim::now());

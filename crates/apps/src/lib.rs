@@ -31,7 +31,7 @@ mod tests {
 
     /// 4 direct virtual hosts on a 100 Mb Ethernet switch (the "physical
     /// grid" baseline wiring).
-    fn cluster4() -> (HostTable, Network, VirtualClock, Vec<String>) {
+    fn cluster4() -> (HostTable, Network, Vec<String>) {
         let mut b = TopologyBuilder::new();
         let sw = b.router("switch");
         let mut names = Vec::new();
@@ -43,8 +43,7 @@ mod tests {
             names.push(name);
             nodes.push(n);
         }
-        let clock = VirtualClock::identity();
-        let net = Network::new(b.build(), clock.clone(), NetParams::default());
+        let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
         let table = HostTable::new();
         for (i, name) in names.iter().enumerate() {
             let ph = PhysicalHost::new(
@@ -55,24 +54,17 @@ mod tests {
             );
             table.register(name, nodes[i], ph.as_direct_virtual());
         }
-        (table, net, clock, names)
+        (table, net, names)
     }
 
     fn run_npb(bench: NpbBenchmark, class: NpbClass) -> NpbResult {
         let mut sim = Simulation::new(42);
         let results = sim.block_on(async move {
-            let (table, net, clock, hosts) = cluster4();
-            mpirun(
-                &table,
-                &net,
-                &clock,
-                &hosts,
-                MpiParams::default(),
-                move |comm| {
-                    Box::pin(npb::run(bench, comm, class, None))
-                        as std::pin::Pin<Box<dyn std::future::Future<Output = NpbResult>>>
-                },
-            )
+            let (table, net, hosts) = cluster4();
+            mpirun(&table, &net, &hosts, MpiParams::default(), move |comm| {
+                Box::pin(npb::run(bench, comm, class, None))
+                    as std::pin::Pin<Box<dyn std::future::Future<Output = NpbResult>>>
+            })
             .await
         });
         results.into_iter().next().expect("rank 0 result")
@@ -146,8 +138,8 @@ mod tests {
     fn wavetoy_small_conserves_energy() {
         let mut sim = Simulation::new(7);
         let results = sim.block_on(async move {
-            let (table, net, clock, hosts) = cluster4();
-            mpirun(&table, &net, &clock, &hosts, MpiParams::default(), |comm| {
+            let (table, net, hosts) = cluster4();
+            mpirun(&table, &net, &hosts, MpiParams::default(), |comm| {
                 Box::pin(wavetoy::run(comm, WaveToyConfig::small(), None))
                     as std::pin::Pin<Box<dyn std::future::Future<Output = WaveToyResult>>>
             })

@@ -250,8 +250,10 @@ fn main() {
         }
         Some("validate") => {
             let config = load_config(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-            match config.validate() {
-                Ok(()) => outln!(
+            // `plan_rate` validates, then checks what depends on the rate
+            // it chooses: `ok` means `run` can build this grid.
+            match plan_rate(&config) {
+                Ok(_) => outln!(
                     "ok: {} ({} virtual hosts)",
                     config.name,
                     config.virtual_hosts.len()
@@ -283,73 +285,93 @@ fn main() {
     }
 }
 
+/// What `mgrid run` was asked to run.
+enum App {
+    WaveToy(u32),
+    Npb(NpbBenchmark, NpbClass),
+}
+
 fn run_cmd(args: &[String]) {
     let (args, obs_opts) = parse_obs_opts(args);
-    if args.len() < 2 {
-        usage();
-    }
-    let config = load_config(&args[0]);
     let baseline = args.iter().any(|a| a == "--baseline");
-    let app = args[1].to_ascii_uppercase();
-    // A missing, non-numeric or zero edge is a usage error, not a silent
-    // 50^3 run or an empty grid that "verifies".
-    let wavetoy_edge =
-        (app == "WAVETOY").then(|| match args.get(2).and_then(|s| s.parse::<u32>().ok()) {
-            Some(edge) if edge > 0 => edge,
+    let positional: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "--baseline")
+        .collect();
+    // Exactly `<config> <app> <class|edge>`. A missing or unknown class, a
+    // missing, non-numeric or zero edge and an argument `run` does not know
+    // are usage errors: not a silent class S, a 50^3 run, an empty grid
+    // that "verifies", or a `--basline` that runs the MicroGrid.
+    let &[config, app, size] = positional.as_slice() else {
+        usage()
+    };
+    let name = app.to_ascii_uppercase();
+    let app = if name == "WAVETOY" {
+        match size.parse() {
+            Ok(edge) if edge > 0 => App::WaveToy(edge),
             _ => usage(),
-        });
+        }
+    } else {
+        let bench = match name.as_str() {
+            "EP" => NpbBenchmark::EP,
+            "BT" => NpbBenchmark::BT,
+            "LU" => NpbBenchmark::LU,
+            "MG" => NpbBenchmark::MG,
+            "IS" => NpbBenchmark::IS,
+            other => {
+                eprintln!("unknown application {other:?}");
+                std::process::exit(2);
+            }
+        };
+        let class = match size {
+            "S" | "s" => NpbClass::S,
+            "A" | "a" => NpbClass::A,
+            _ => usage(),
+        };
+        App::Npb(bench, class)
+    };
+    let config = load_config(config);
     let mode = if baseline {
         "physical baseline"
     } else {
         "MicroGrid"
     };
-    outln!("running {app} on '{}' ({mode})", config.name);
+    outln!("running {name} on '{}' ({mode})", config.name);
 
-    if let Some(grid_edge) = wavetoy_edge {
-        let wt = WaveToyConfig {
-            grid_edge,
-            steps: 100,
-        };
-        let body = move |comm| wavetoy::run(comm, wt, None);
-        let (results, capture) = execute(config, baseline, &obs_opts, body);
-        let r = &results[0];
-        outln!(
-            "wavetoy {}^3: {:.3} virtual s, energy drift {:.4}, verified {}",
-            r.grid_edge,
-            r.virtual_seconds,
-            r.energy_drift,
-            r.verified
-        );
-        report_run(&capture, &obs_opts);
-        return;
-    }
-
-    let bench = match app.as_str() {
-        "EP" => NpbBenchmark::EP,
-        "BT" => NpbBenchmark::BT,
-        "LU" => NpbBenchmark::LU,
-        "MG" => NpbBenchmark::MG,
-        "IS" => NpbBenchmark::IS,
-        other => {
-            eprintln!("unknown application {other:?}");
-            std::process::exit(2);
+    let capture = match app {
+        App::WaveToy(grid_edge) => {
+            let wt = WaveToyConfig {
+                grid_edge,
+                steps: 100,
+            };
+            let body = move |comm| wavetoy::run(comm, wt, None);
+            let (results, capture) = execute(config, baseline, &obs_opts, body);
+            let r = &results[0];
+            outln!(
+                "wavetoy {}^3: {:.3} virtual s, energy drift {:.4}, verified {}",
+                r.grid_edge,
+                r.virtual_seconds,
+                r.energy_drift,
+                r.verified
+            );
+            capture
+        }
+        App::Npb(bench, class) => {
+            let body = move |comm| npb::run(bench, comm, class, None);
+            let (results, capture) = execute(config, baseline, &obs_opts, body);
+            let r = &results[0];
+            outln!(
+                "{} class {}: {:.3} virtual s on {} ranks, verified {}",
+                r.benchmark,
+                r.class.name(),
+                r.virtual_seconds,
+                r.ranks,
+                r.verified
+            );
+            capture
         }
     };
-    let class = match args.get(2).map(String::as_str) {
-        Some("A") | Some("a") => NpbClass::A,
-        _ => NpbClass::S,
-    };
-    let body = move |comm| npb::run(bench, comm, class, None);
-    let (results, capture) = execute(config, baseline, &obs_opts, body);
-    let r = &results[0];
-    outln!(
-        "{} class {}: {:.3} virtual s on {} ranks, verified {}",
-        r.benchmark,
-        r.class.name(),
-        r.virtual_seconds,
-        r.ranks,
-        r.verified
-    );
     report_run(&capture, &obs_opts);
 }
 

@@ -10,7 +10,9 @@
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::FxHashSet;
 use mgrid_faults::FaultPlan;
+use mgrid_hostsim::memory::PROCESS_OVERHEAD;
 use mgrid_hostsim::{PhysicalHostSpec, VirtualHostSpec};
+use mgrid_netsim::NetParams;
 use serde::{Deserialize, Serialize};
 
 /// How the global simulation rate is chosen (paper §2.3).
@@ -135,6 +137,37 @@ pub enum ConfigError {
     /// A zero scheduler quantum: every grant would last only its own
     /// overhead.
     ZeroQuantum,
+    /// A link queue that cannot hold one full data segment: every bulk
+    /// packet is dropped on arrival and the transfer retransmits forever.
+    QueueBelowSegment {
+        /// One end of the link.
+        a: String,
+        /// The other end.
+        b: String,
+        /// The declared `queue_bytes`.
+        queue_bytes: u64,
+        /// Wire size of one full segment (MTU plus header).
+        segment_bytes: u64,
+    },
+    /// A virtual host whose memory cannot hold the bookkeeping of a single
+    /// process, so no rank can ever start on it.
+    MemoryBelowProcess {
+        /// The virtual host.
+        host: String,
+        /// The declared `memory_bytes`.
+        memory_bytes: u64,
+    },
+    /// A virtual host whose CPU fraction `speed * rate / physical speed`
+    /// underflows to zero at the chosen rate: the scheduler would have
+    /// nothing to grant it.
+    ZeroCpuFraction {
+        /// The virtual host.
+        host: String,
+        /// Its declared `speed_mops`.
+        speed_mops: String,
+        /// The chosen simulation rate.
+        rate: String,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -166,6 +199,29 @@ impl std::fmt::Display for ConfigError {
                 "link {a:?}-{b:?}: bandwidth_bps {bandwidth_bps} is not positive and finite"
             ),
             ConfigError::ZeroQuantum => write!(f, "quantum must be positive"),
+            ConfigError::QueueBelowSegment {
+                a,
+                b,
+                queue_bytes,
+                segment_bytes,
+            } => write!(
+                f,
+                "link {a:?}-{b:?}: queue_bytes {queue_bytes} cannot hold one \
+                 {segment_bytes}-byte segment"
+            ),
+            ConfigError::MemoryBelowProcess { host, memory_bytes } => write!(
+                f,
+                "host {host:?}: memory_bytes {memory_bytes} cannot hold one process \
+                 ({PROCESS_OVERHEAD} bytes)"
+            ),
+            ConfigError::ZeroCpuFraction {
+                host,
+                speed_mops,
+                rate,
+            } => write!(
+                f,
+                "host {host:?}: speed_mops {speed_mops} at rate {rate} is a CPU fraction of 0"
+            ),
         }
     }
 }
@@ -180,10 +236,12 @@ fn positive_finite(x: f64) -> bool {
 
 impl GridConfig {
     /// Check referential integrity (names resolve, no duplicates), every
-    /// numeric precondition the layers below assert (speeds, link
-    /// bandwidths, rate policy and quantum in their domains) and, when a
-    /// fault plan is present, that every fault has sound parameters and
-    /// targets a name the grid defines.
+    /// numeric precondition the layers below assert or hang on (speeds,
+    /// link bandwidths, rate policy and quantum in their domains; a link
+    /// queue that holds a segment, host memory that holds a process) and,
+    /// when a fault plan is present, that every fault has sound parameters
+    /// and targets a name the grid defines. What depends on the chosen
+    /// rate is [`crate::plan_rate`]'s to check.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self.rate {
             RatePolicy::Auto { safety } if !(safety > 0.0 && safety <= 1.0) => {
@@ -219,12 +277,21 @@ impl GridConfig {
             if !positive_finite(v.spec.speed_mops) {
                 return Err(ConfigError::NonPositiveSpeed(v.spec.name.clone()));
             }
+            if v.spec.memory_bytes < PROCESS_OVERHEAD {
+                return Err(ConfigError::MemoryBelowProcess {
+                    host: v.spec.name.clone(),
+                    memory_bytes: v.spec.memory_bytes,
+                });
+            }
         }
         for r in &self.network.routers {
             if physical.contains(r.as_str()) || !nodes.insert(r.as_str()) {
                 return Err(ConfigError::DuplicateName(r.clone()));
             }
         }
+        // The grid brings its network up with the default parameters.
+        let net = NetParams::default();
+        let segment_bytes = net.mtu + net.header_bytes;
         for l in &self.network.links {
             for end in [&l.a, &l.b] {
                 if !nodes.contains(end.as_str()) {
@@ -236,6 +303,14 @@ impl GridConfig {
                     a: l.a.clone(),
                     b: l.b.clone(),
                     bandwidth_bps: l.bandwidth_bps.to_string(),
+                });
+            }
+            if let Some(queue_bytes) = l.queue_bytes.filter(|q| *q < segment_bytes) {
+                return Err(ConfigError::QueueBelowSegment {
+                    a: l.a.clone(),
+                    b: l.b.clone(),
+                    queue_bytes,
+                    segment_bytes,
                 });
             }
         }
@@ -395,6 +470,25 @@ mod tests {
                 "rate {bad}"
             );
         }
+    }
+
+    #[test]
+    fn link_queue_must_hold_a_segment_and_host_memory_a_process() {
+        let mut c = sample();
+        c.network.links[0].queue_bytes = Some(1518);
+        c.virtual_hosts[0].spec.memory_bytes = PROCESS_OVERHEAD;
+        assert_eq!(c.validate(), Ok(()));
+        c.network.links[0].queue_bytes = Some(1517);
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::QueueBelowSegment { .. })
+        ));
+        c.network.links[0].queue_bytes = None;
+        c.virtual_hosts[0].spec.memory_bytes -= 1;
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::MemoryBelowProcess { .. })
+        ));
     }
 
     #[test]

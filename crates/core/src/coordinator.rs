@@ -40,17 +40,24 @@ pub(crate) fn sort_cpu_bounds(bounds: &mut [(String, f64)]) {
 /// Compute the feasible bound and select the rate per the config's policy.
 pub fn plan_rate(config: &GridConfig) -> Result<RatePlan, ConfigError> {
     config.validate()?;
-    let mut demand: FxHashMap<&str, f64> = FxHashMap::default();
+    // Per physical host: its speed and the summed speed of the virtual
+    // hosts mapped to it.
+    let mut cpus: FxHashMap<&str, (f64, f64)> = config
+        .physical_hosts
+        .iter()
+        .map(|p| (p.name.as_str(), (p.speed_mops, 0.0)))
+        .collect();
     for v in &config.virtual_hosts {
-        *demand.entry(v.mapped_to.as_str()).or_insert(0.0) += v.spec.speed_mops;
+        cpus.get_mut(v.mapped_to.as_str())
+            .expect("validated mapping")
+            .1 += v.spec.speed_mops;
     }
     let mut cpu_bounds: Vec<(String, f64)> = config
         .physical_hosts
         .iter()
         .filter_map(|p| {
-            demand
-                .get(p.name.as_str())
-                .map(|v| (p.name.clone(), p.speed_mops / v))
+            let (speed, demand) = cpus[p.name.as_str()];
+            (demand > 0.0).then(|| (p.name.clone(), speed / demand))
         })
         .collect();
     sort_cpu_bounds(&mut cpu_bounds);
@@ -73,6 +80,20 @@ pub fn plan_rate(config: &GridConfig) -> Result<RatePlan, ConfigError> {
             r
         }
     };
+    // The fraction `PhysicalHost::map_virtual` will compute, by the same
+    // expression: it asserts what a speed or rate near the bottom of the
+    // f64 range underflows to.
+    for v in &config.virtual_hosts {
+        let fraction = v.spec.speed_mops * chosen / cpus[v.mapped_to.as_str()].0;
+        if fraction <= 0.0 {
+            return Err(ConfigError::ZeroCpuFraction {
+                host: v.spec.name.clone(),
+                // `{:?}` writes 5e-324 as that, not as 324 decimal places.
+                speed_mops: format!("{:?}", v.spec.speed_mops),
+                rate: format!("{chosen:?}"),
+            });
+        }
+    }
     Ok(RatePlan {
         cpu_bounds,
         feasible,
@@ -156,6 +177,22 @@ mod tests {
         }];
         let err = plan_rate(&c).unwrap_err();
         assert_eq!(err, ConfigError::NonPositiveSpeed("v0".into()));
+    }
+
+    #[test]
+    fn cpu_fraction_that_underflows_to_zero_is_rejected() {
+        // Both pass `validate`: the speed and the rate are positive and
+        // finite. Their product over the physical speed is not.
+        let mut tiny_speed = config(RatePolicy::Fixed(0.04));
+        tiny_speed.virtual_hosts[2].spec.speed_mops = 5e-324;
+        let tiny_rate = config(RatePolicy::Fixed(5e-324));
+        for (c, host) in [(tiny_speed, "v2"), (tiny_rate, "v0")] {
+            assert_eq!(c.validate(), Ok(()));
+            match plan_rate(&c) {
+                Err(ConfigError::ZeroCpuFraction { host: h, .. }) => assert_eq!(h, host),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

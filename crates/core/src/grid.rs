@@ -21,7 +21,7 @@ use mgrid_middleware::{HostTable, ProcessCtx};
 use mgrid_mpi::{Comm, MpiParams};
 use mgrid_netsim::{LinkSpec, NetParams, Network, NodeId, TopologyBuilder};
 
-use mgrid_faults::{spawn_injector, FaultBus, FaultKind};
+use mgrid_faults::{spawn_injector, FaultKind};
 
 use crate::config::{ConfigError, GridConfig};
 use crate::coordinator::{plan_rate, RatePlan};
@@ -31,7 +31,6 @@ pub struct VirtualGrid {
     config: GridConfig,
     table: HostTable,
     network: Network,
-    clock: VirtualClock,
     gis: Rc<RefCell<Directory>>,
     physical: FxHashMap<String, PhysicalHost>,
     plan: Option<RatePlan>,
@@ -83,7 +82,6 @@ impl VirtualGrid {
         baseline: bool,
     ) -> Result<VirtualGrid, ConfigError> {
         let rate = plan.as_ref().map(|p| p.chosen).unwrap_or(1.0);
-        let clock = VirtualClock::new(rate);
         let mut rng = SimRng::new(config.seed);
 
         // Virtual network: hosts in config order, then routers.
@@ -103,7 +101,7 @@ impl VirtualGrid {
             };
             b.link(node_of[l.a.as_str()], node_of[l.b.as_str()], spec);
         }
-        let network = Network::new(b.build(), clock.clone(), NetParams::default());
+        let network = Network::new(b.build(), VirtualClock::new(rate), NetParams::default());
 
         let sched_params = SchedulerParams {
             quantum: config.quantum,
@@ -153,10 +151,9 @@ impl VirtualGrid {
         if !baseline {
             if let Some(fault_plan) = &config.faults {
                 if !fault_plan.is_empty() {
-                    let bus = FaultBus::new();
-                    network.attach_faults(&bus);
                     let ht = table.clone();
-                    bus.subscribe(move |kind| match kind {
+                    let net = network.clone();
+                    spawn_injector(fault_plan, move |kind| match kind {
                         FaultKind::HostCrash { host } => {
                             if let Some(e) = ht.lookup(host) {
                                 e.vhost.crash();
@@ -177,11 +174,8 @@ impl VirtualGrid {
                                 e.vhost.set_degradation(1.0);
                             }
                         }
-                        // Link-level faults are handled by the network's
-                        // own subscription.
-                        _ => {}
+                        link_fault => net.apply_fault(link_fault),
                     });
-                    spawn_injector(fault_plan, bus);
                 }
             }
         }
@@ -225,7 +219,6 @@ impl VirtualGrid {
             config,
             table,
             network,
-            clock,
             gis: Rc::new(RefCell::new(gis)),
             physical,
             plan,
@@ -240,7 +233,7 @@ impl VirtualGrid {
 
     /// The chosen simulation rate (1.0 for baselines).
     pub fn rate(&self) -> f64 {
-        self.clock.rate()
+        self.network.clock().rate()
     }
 
     /// The coordinator's rate plan (absent for baselines).
@@ -263,9 +256,9 @@ impl VirtualGrid {
         &self.network
     }
 
-    /// The global virtual clock.
+    /// The global virtual clock (the network carries it).
     pub fn clock(&self) -> &VirtualClock {
-        &self.clock
+        self.network.clock()
     }
 
     /// The GIS directory holding this grid's records.
@@ -289,7 +282,7 @@ impl VirtualGrid {
         host: &str,
         name: impl Into<String>,
     ) -> Result<ProcessCtx, mgrid_hostsim::OutOfMemory> {
-        ProcessCtx::spawn(&self.table, &self.network, &self.clock, host, name)
+        ProcessCtx::spawn(&self.table, &self.network, host, name)
     }
 
     /// Run an SPMD body with one rank per listed host (see
@@ -300,7 +293,7 @@ impl VirtualGrid {
         F: Fn(Comm) -> Fut,
         Fut: std::future::Future<Output = T> + 'static,
     {
-        mgrid_mpi::mpirun(&self.table, &self.network, &self.clock, hosts, params, body).await
+        mgrid_mpi::mpirun(&self.table, &self.network, hosts, params, body).await
     }
 
     /// Fault-tolerant `mpirun`: every rank races a per-job `deadline`;
@@ -318,16 +311,7 @@ impl VirtualGrid {
         F: Fn(Comm) -> Fut,
         Fut: std::future::Future<Output = T> + 'static,
     {
-        mgrid_mpi::mpirun_resilient(
-            &self.table,
-            &self.network,
-            &self.clock,
-            hosts,
-            params,
-            deadline,
-            body,
-        )
-        .await
+        mgrid_mpi::mpirun_resilient(&self.table, &self.network, hosts, params, deadline, body).await
     }
 
     /// Convenience: `mpirun` across every virtual host.
@@ -339,21 +323,5 @@ impl VirtualGrid {
     {
         let hosts = self.host_names();
         self.mpirun(&hosts, params, body).await
-    }
-
-    /// Dynamic virtual time (paper §5, near-term future work): change the
-    /// global simulation rate mid-run. The virtual clock stays continuous,
-    /// every virtual host's CPU fraction is retuned, and the network's
-    /// time conversions follow automatically.
-    ///
-    /// # Panics
-    /// Panics on baseline grids or if `new_rate` is infeasible for any
-    /// mapping.
-    pub fn set_rate(&self, new_rate: f64) {
-        assert!(!self.baseline, "baseline grids have no simulation rate");
-        for entry in self.table.entries() {
-            entry.vhost.set_rate(new_rate);
-        }
-        self.clock.set_rate(mgrid_desim::now(), new_rate);
     }
 }

@@ -52,6 +52,32 @@ fn wavetoy_rejects_a_missing_non_numeric_or_zero_edge() {
     }
 }
 
+/// A class other than S or A, a missing class and an argument `run` does
+/// not know are usage errors too: not a silent class S, and not a
+/// misspelt `--baseline` that runs the MicroGrid instead.
+#[test]
+fn run_rejects_an_unknown_class_and_unknown_arguments() {
+    for args in [
+        &["IS", "B"][..],
+        &["IS"],
+        &["IS", "S", "--basline"],
+        &["IS", "S", "A"],
+        &["wavetoy", "50", "--basline"],
+    ] {
+        let (code, stdout, stderr) = mgrid(&[&["run", "alpha_cluster"], args].concat());
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage: mgrid"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} started a run: {stdout}");
+    }
+    // Either case of a known class still runs, on the side asked for.
+    let (code, stdout, stderr) = mgrid(&["run", "alpha_cluster", "is", "s", "--baseline"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.starts_with("running IS on 'Alpha_Cluster' (physical baseline)\nIS class S:"),
+        "{stdout}"
+    );
+}
+
 /// `--profile-out` streams the Perfetto export into the file and then
 /// reports what the spans cost to keep; a write the file refuses is an
 /// error exit after the tables, not a panic and not a silent success.
@@ -140,7 +166,7 @@ fn run_accepts_exactly_the_papers_five_benchmarks() {
 fn hostile_configs_are_typed_errors_not_panics() {
     use microgrid::{presets, GridConfig, RatePolicy};
     type Patch = fn(&mut GridConfig);
-    let cases: [(&str, Patch, &str); 5] = [
+    let cases: [(&str, Patch, &str); 8] = [
         (
             "safety",
             |c| c.rate = RatePolicy::Auto { safety: 2.0 },
@@ -165,6 +191,25 @@ fn hostile_configs_are_typed_errors_not_panics() {
             "quantum",
             |c| c.quantum = microgrid::desim::SimDuration::ZERO,
             "quantum must be positive",
+        ),
+        // Below one full segment's wire size every bulk packet is dropped:
+        // `run` used to retransmit forever.
+        (
+            "queue",
+            |c| c.network.links[1].queue_bytes = Some(1517),
+            "link \"alpha1\"-\"switch\": queue_bytes 1517 cannot hold one 1518-byte segment",
+        ),
+        // Below hostsim's per-process overhead no rank can start.
+        (
+            "memory",
+            |c| c.virtual_hosts[1].spec.memory_bytes = 512,
+            "host \"alpha1\": memory_bytes 512 cannot hold one process (1024 bytes)",
+        ),
+        // Positive and finite, but its CPU fraction underflows to zero.
+        (
+            "speed-underflow",
+            |c| c.virtual_hosts[1].spec.speed_mops = 5e-324,
+            "host \"alpha1\": speed_mops 5e-324 at rate 0.9 is a CPU fraction of 0",
         ),
     ];
     for (name, patch, message) in cases {

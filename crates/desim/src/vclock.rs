@@ -1,43 +1,24 @@
 //! Virtual time: the MicroGrid's `gettimeofday` virtualization (paper §2.3).
 //!
 //! A [`VirtualClock`] maps the engine's physical clock onto virtual Grid
-//! time at a configurable *simulation rate* `r = d(virtual)/d(physical)`.
-//! With `r = 0.04` (the paper's Fig 17 setting), one virtual second takes 25
-//! physical seconds of emulation. The rate may change during a run
-//! (dynamic virtual time, listed by the paper as near-term future work); the
-//! clock accumulates piecewise-linear segments so virtual time never jumps
-//! or reverses.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! time at the *simulation rate* `r = d(virtual)/d(physical)`. With
+//! `r = 0.04` (the paper's Fig 17 setting), one virtual second takes 25
+//! physical seconds of emulation. The paper's global coordination picks one
+//! rate before the run and holds every resource to it, so the clock is that
+//! one number, a `Copy` value each layer keeps for itself.
 
 use crate::time::{SimDuration, SimTime};
 
-#[derive(Debug)]
-struct Segment {
-    /// Physical instant where this segment begins.
-    phys_start: SimTime,
-    /// Virtual time already accumulated at `phys_start`.
-    virt_start: SimTime,
-    /// d(virtual)/d(physical) within this segment.
-    rate: f64,
-}
-
-#[derive(Debug)]
-struct ClockState {
-    current: Segment,
-    /// Closed history, kept so conversions of past instants stay exact.
-    history: Vec<Segment>,
-}
-
-/// A shared virtual clock.
+/// The virtual clock of a run: virtual time is physical time scaled by one
+/// fixed rate.
 ///
-/// Cloning shares the underlying clock state, so every virtual host on a
-/// coordinated virtual Grid observes the same virtual time — the paper's
-/// global coordination requirement.
-#[derive(Clone, Debug)]
+/// Every virtual host and the network of a coordinated virtual Grid hold a
+/// copy of the same clock and so observe the same virtual time — the
+/// paper's global coordination requirement.
+#[derive(Clone, Copy, Debug)]
 pub struct VirtualClock {
-    state: Rc<RefCell<ClockState>>,
+    /// d(virtual)/d(physical).
+    rate: f64,
 }
 
 impl VirtualClock {
@@ -50,16 +31,7 @@ impl VirtualClock {
             rate.is_finite() && rate > 0.0,
             "simulation rate must be positive, got {rate}"
         );
-        VirtualClock {
-            state: Rc::new(RefCell::new(ClockState {
-                current: Segment {
-                    phys_start: SimTime::ZERO,
-                    virt_start: SimTime::ZERO,
-                    rate,
-                },
-                history: Vec::new(),
-            })),
-        }
+        VirtualClock { rate }
     }
 
     /// An identity clock (`rate = 1`): virtual time equals physical time.
@@ -68,95 +40,34 @@ impl VirtualClock {
         VirtualClock::new(1.0)
     }
 
-    /// The current simulation rate.
+    /// The simulation rate.
     #[inline]
     pub fn rate(&self) -> f64 {
-        self.state.borrow().current.rate
-    }
-
-    /// Change the rate at physical instant `phys_now` (dynamic virtual
-    /// time). Virtual time is continuous across the change.
-    ///
-    /// # Panics
-    /// Panics if `phys_now` precedes the start of the current segment, or if
-    /// the new rate is invalid.
-    pub fn set_rate(&self, phys_now: SimTime, rate: f64) {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "simulation rate must be positive, got {rate}"
-        );
-        let mut s = self.state.borrow_mut();
-        assert!(
-            phys_now >= s.current.phys_start,
-            "rate change in the past: {phys_now:?} < {:?}",
-            s.current.phys_start
-        );
-        let virt_now = virt_at(&s.current, phys_now);
-        let old = std::mem::replace(
-            &mut s.current,
-            Segment {
-                phys_start: phys_now,
-                virt_start: virt_now,
-                rate,
-            },
-        );
-        s.history.push(old);
+        self.rate
     }
 
     /// Virtual time corresponding to physical instant `phys`.
-    ///
-    /// Past instants are resolved against the segment history, so the
-    /// mapping is consistent even across rate changes.
-    pub fn virtual_at(&self, phys: SimTime) -> SimTime {
-        let s = self.state.borrow();
-        if phys >= s.current.phys_start {
-            return virt_at(&s.current, phys);
-        }
-        // Find the most recent historical segment starting at or before phys.
-        match s.history.binary_search_by(|seg| seg.phys_start.cmp(&phys)) {
-            Ok(i) => virt_at(&s.history[i], phys),
-            Err(0) => SimTime::ZERO, // before the first segment: clamp
-            Err(i) => virt_at(&s.history[i - 1], phys),
-        }
-    }
-
-    /// Physical duration needed for `virt` of virtual time to elapse at the
-    /// *current* rate.
     #[inline]
     #[expect(
         clippy::disallowed_methods,
-        reason = "the rate map IS the paper's scaled-clock model; both runs replay the same f64 ops"
+        reason = "the rate map IS the paper's scaled-clock model; identical f64 ops replay identically"
+    )]
+    pub fn virtual_at(&self, phys: SimTime) -> SimTime {
+        SimTime::ZERO + phys.saturating_since(SimTime::ZERO).mul_f64(self.rate)
+    }
+
+    /// Physical duration needed for `virt` of virtual time to elapse.
+    #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same scaled-clock model as `virtual_at`; both runs replay the same f64 ops"
     )]
     pub fn to_physical(&self, virt: SimDuration) -> SimDuration {
-        virt.div_f64(self.rate())
+        virt.div_f64(self.rate)
     }
-
-    /// Virtual duration that elapses over `phys` of physical time at the
-    /// *current* rate.
-    #[inline]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "same scaled-clock model as `to_physical`; deterministic per seed"
-    )]
-    pub fn to_virtual(&self, phys: SimDuration) -> SimDuration {
-        phys.mul_f64(self.rate())
-    }
-}
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "segment interpolation is the scaled-clock model; identical f64 ops replay identically"
-)]
-fn virt_at(seg: &Segment, phys: SimTime) -> SimTime {
-    let elapsed = phys.saturating_since(seg.phys_start);
-    seg.virt_start + elapsed.mul_f64(seg.rate)
 }
 
 /// Sleep for a span of **virtual** time on the given clock.
-///
-/// Converts through the clock's current rate; if the rate changes while
-/// sleeping, the wake-up instant is not retroactively adjusted (matching the
-/// MicroGrid, where an in-flight timer is not rescheduled).
 pub async fn sleep_virtual(clock: &VirtualClock, virt: SimDuration) {
     crate::executor::sleep(clock.to_physical(virt)).await;
 }
@@ -164,6 +75,69 @@ pub async fn sleep_virtual(clock: &VirtualClock, virt: SimDuration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The clock is a plain value: every layer keeps its own copy, and
+    // nothing ties it to the thread that built it.
+    const _: () = {
+        const fn copy_and_send<T: Copy + Send>() {}
+        copy_and_send::<VirtualClock>();
+    };
+
+    /// `(rate, t, virtual_at(t), to_physical(t as a span))`, times in
+    /// nanoseconds, as the piecewise-linear clock this one replaced printed
+    /// them: recorded, not recomputed. The rates are the ones the presets
+    /// and figures use: baseline, alpha_cluster, the shared deployment,
+    /// Fig 17, and Fig 15's `0.45 * k` (0.45, 0.9, 1.8 and 3.6 to the bit).
+    const RECORDED: [(f64, u64, u64, u64); 36] = [
+        (1.0, 1, 1, 1),
+        (1.0, 7, 7, 7),
+        (1.0, 15_000, 15_000, 15_000),
+        (1.0, 1_000_000_007, 1_000_000_007, 1_000_000_007),
+        (1.0, 25_000_000_000, 25_000_000_000, 25_000_000_000),
+        (1.0, 1_234_567_890_123, 1_234_567_890_123, 1_234_567_890_123),
+        (0.9, 1, 1, 1),
+        (0.9, 7, 6, 8),
+        (0.9, 15_000, 13_500, 16_667),
+        (0.9, 1_000_000_007, 900_000_006, 1_111_111_119),
+        (0.9, 25_000_000_000, 22_500_000_000, 27_777_777_778),
+        (0.9, 1_234_567_890_123, 1_111_111_101_111, 1_371_742_100_137),
+        (0.45, 1, 0, 2),
+        (0.45, 7, 3, 16),
+        (0.45, 15_000, 6750, 33_333),
+        (0.45, 1_000_000_007, 450_000_003, 2_222_222_238),
+        (0.45, 25_000_000_000, 11_250_000_000, 55_555_555_556),
+        (0.45, 1_234_567_890_123, 555_555_550_555, 2_743_484_200_273),
+        (0.04, 1, 0, 25),
+        (0.04, 7, 0, 175),
+        (0.04, 15_000, 600, 375_000),
+        (0.04, 1_000_000_007, 40_000_000, 25_000_000_175),
+        (0.04, 25_000_000_000, 1_000_000_000, 625_000_000_000),
+        (0.04, 1_234_567_890_123, 49_382_715_605, 30_864_197_253_075),
+        (1.8, 1, 2, 1),
+        (1.8, 7, 13, 4),
+        (1.8, 15_000, 27_000, 8333),
+        (1.8, 1_000_000_007, 1_800_000_013, 555_555_559),
+        (1.8, 25_000_000_000, 45_000_000_000, 13_888_888_889),
+        (1.8, 1_234_567_890_123, 2_222_222_202_221, 685_871_050_068),
+        (3.6, 1, 4, 0),
+        (3.6, 7, 25, 2),
+        (3.6, 15_000, 54_000, 4167),
+        (3.6, 1_000_000_007, 3_600_000_025, 277_777_780),
+        (3.6, 25_000_000_000, 90_000_000_000, 6_944_444_444),
+        (3.6, 1_234_567_890_123, 4_444_444_404_443, 342_935_525_034),
+    ];
+
+    #[test]
+    fn conversions_match_the_values_recorded_from_the_previous_clock() {
+        assert_eq!([0.45 * 2.0, 0.45 * 4.0, 0.45 * 8.0], [0.9, 1.8, 3.6]);
+        for (rate, t, virt, phys) in RECORDED {
+            let c = VirtualClock::new(rate);
+            let at = c.virtual_at(SimTime::from_nanos(t));
+            assert_eq!(at.as_nanos(), virt, "virtual_at({t}) at rate {rate}");
+            let span = c.to_physical(SimDuration::from_nanos(t));
+            assert_eq!(span.as_nanos(), phys, "to_physical({t}) at rate {rate}");
+        }
+    }
 
     #[test]
     fn identity_clock_is_identity() {
@@ -184,70 +158,8 @@ mod tests {
     #[test]
     fn duration_conversions_roundtrip() {
         let c = VirtualClock::new(0.04);
-        let v = SimDuration::from_secs(1);
-        let p = c.to_physical(v);
+        let p = c.to_physical(SimDuration::from_secs(1));
         assert_eq!(p, SimDuration::from_secs(25));
-        assert_eq!(c.to_virtual(p), v);
-    }
-
-    #[test]
-    fn rate_change_is_continuous() {
-        let c = VirtualClock::new(1.0);
-        c.set_rate(SimTime::from_secs_f64(10.0), 0.25);
-        // At the changeover instant virtual == 10s.
-        assert_eq!(
-            c.virtual_at(SimTime::from_secs_f64(10.0)),
-            SimTime::from_secs_f64(10.0)
-        );
-        // 4s later physically -> 1s later virtually.
-        assert_eq!(
-            c.virtual_at(SimTime::from_secs_f64(14.0)),
-            SimTime::from_secs_f64(11.0)
-        );
-    }
-
-    #[test]
-    fn history_resolves_past_instants() {
-        let c = VirtualClock::new(2.0);
-        c.set_rate(SimTime::from_secs_f64(5.0), 0.5);
-        c.set_rate(SimTime::from_secs_f64(9.0), 1.0);
-        // Segment 1 (rate 2.0): virtual_at(3) = 6.
-        assert_eq!(
-            c.virtual_at(SimTime::from_secs_f64(3.0)),
-            SimTime::from_secs_f64(6.0)
-        );
-        // Segment 2 (rate 0.5, starts phys 5 virt 10): virtual_at(7) = 11.
-        assert_eq!(
-            c.virtual_at(SimTime::from_secs_f64(7.0)),
-            SimTime::from_secs_f64(11.0)
-        );
-        // Segment 3 (rate 1.0, starts phys 9 virt 12): virtual_at(10) = 13.
-        assert_eq!(
-            c.virtual_at(SimTime::from_secs_f64(10.0)),
-            SimTime::from_secs_f64(13.0)
-        );
-    }
-
-    #[test]
-    fn monotone_across_rate_changes() {
-        let c = VirtualClock::new(1.5);
-        c.set_rate(SimTime::from_secs_f64(2.0), 0.1);
-        c.set_rate(SimTime::from_secs_f64(4.0), 3.0);
-        let mut prev = SimTime::ZERO;
-        for i in 0..100 {
-            let t = SimTime::from_secs_f64(i as f64 * 0.1);
-            let v = c.virtual_at(t);
-            assert!(v >= prev, "virtual time went backwards at {t:?}");
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let a = VirtualClock::new(1.0);
-        let b = a.clone();
-        a.set_rate(SimTime::from_secs_f64(1.0), 0.5);
-        assert_eq!(b.rate(), 0.5);
     }
 
     #[test]

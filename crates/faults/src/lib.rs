@@ -10,8 +10,8 @@
 //! reordering, virtual-host crash and restart, and transient CPU-capacity
 //! degradation. At grid bring-up the plan is handed to [`spawn_injector`],
 //! a simulation daemon that replays the script on the simulated clock and
-//! publishes each [`FaultKind`] on a [`FaultBus`]. The resource models
-//! (`netsim`, `hostsim`) subscribe and reconfigure themselves; they never
+//! hands each [`FaultKind`] to the one closure the grid wired at build,
+//! which reconfigures the resource models (`netsim`, `hostsim`); they never
 //! poll.
 //!
 //! ## Determinism
@@ -23,9 +23,6 @@
 //! one trace (see `docs/FAULTS.md`).
 
 #![warn(missing_docs)]
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::{obs, spawn_daemon, Event};
@@ -287,47 +284,14 @@ impl FaultPlan {
     }
 }
 
-type Subscriber = Box<dyn Fn(&FaultKind)>;
-
-/// The distribution channel between the injector and the resource models.
-///
-/// Models subscribe a closure at grid bring-up; [`spawn_injector`] calls
-/// every subscriber, in subscription order, each time a fault fires.
-/// Single-threaded like everything in the simulator — `Rc`, not `Arc`.
-#[derive(Clone, Default)]
-pub struct FaultBus {
-    subs: Rc<RefCell<Vec<Subscriber>>>,
-}
-
-impl FaultBus {
-    /// A bus with no subscribers.
-    pub fn new() -> Self {
-        FaultBus::default()
-    }
-
-    /// Register `f` to be called on every published fault.
-    pub fn subscribe(&self, f: impl Fn(&FaultKind) + 'static) {
-        self.subs.borrow_mut().push(Box::new(f));
-    }
-
-    /// Deliver `kind` to every subscriber in subscription order.
-    pub fn publish(&self, kind: &FaultKind) {
-        // Subscribers may not re-enter subscribe(); hold the borrow only
-        // across the iteration.
-        for sub in self.subs.borrow().iter() {
-            sub(kind);
-        }
-    }
-}
-
 /// Spawn the injector daemon: replay `plan` on the simulation clock,
-/// publishing each fault on `bus` at its scheduled time.
+/// calling `apply` with each fault at its scheduled time.
 ///
 /// Runs as a daemon so a plan stretching past the workload's end never
 /// keeps the simulation alive. Each injection increments
 /// `faults.injected` plus the per-kind `faults.<kind>` counter and emits
 /// an [`Event::FaultInjected`] trace event.
-pub fn spawn_injector(plan: &FaultPlan, bus: FaultBus) {
+pub fn spawn_injector(plan: &FaultPlan, apply: impl Fn(&FaultKind) + 'static) {
     let events = plan.sorted_events();
     if events.is_empty() {
         return;
@@ -341,7 +305,7 @@ pub fn spawn_injector(plan: &FaultPlan, bus: FaultBus) {
                 fault: ev.kind.name(),
                 target: ev.kind.target().into(),
             });
-            bus.publish(&ev.kind);
+            apply(&ev.kind);
         }
     });
 }
@@ -350,6 +314,8 @@ pub fn spawn_injector(plan: &FaultPlan, bus: FaultBus) {
 mod tests {
     use super::*;
     use mgrid_desim::{now, sleep, Simulation};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn down(a: &str, b: &str) -> FaultKind {
         FaultKind::LinkDown {
@@ -424,15 +390,11 @@ mod tests {
             .at(SimDuration::from_millis(10), down("second", "s"));
         let mut sim = Simulation::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        let bus = FaultBus::new();
-        {
-            let log = log.clone();
-            bus.subscribe(move |k| {
-                log.borrow_mut().push((now(), k.target()));
-            });
-        }
+        let sink = log.clone();
         sim.block_on(async move {
-            spawn_injector(&plan, bus);
+            spawn_injector(&plan, move |k| {
+                sink.borrow_mut().push((now(), k.target()));
+            });
             sleep(SimDuration::from_millis(50)).await;
         });
         let got = log.borrow().clone();
@@ -452,9 +414,8 @@ mod tests {
         // A plan far in the future must not keep the simulation alive.
         let plan = FaultPlan::new().at(SimDuration::from_secs(3600), down("a", "b"));
         let mut sim = Simulation::new(1);
-        let bus = FaultBus::new();
         let t = sim.block_on(async move {
-            spawn_injector(&plan, bus);
+            spawn_injector(&plan, |_| {});
             sleep(SimDuration::from_millis(1)).await;
             now()
         });
@@ -471,7 +432,7 @@ mod tests {
             );
         let mut sim = Simulation::new(1);
         sim.block_on(async move {
-            spawn_injector(&plan, FaultBus::new());
+            spawn_injector(&plan, |_| {});
             sleep(SimDuration::from_millis(5)).await;
         });
         let m = sim.obs().metrics();

@@ -110,9 +110,8 @@ impl PhysicalHost {
             inner: Rc::new(VhInner {
                 spec,
                 phys: self.clone(),
-                rate: std::cell::Cell::new(rate),
                 managed: true,
-                fraction: std::cell::Cell::new(fraction),
+                fraction,
                 memory: RefCell::new(None),
                 members: RefCell::new(Vec::new()),
                 degrade: std::cell::Cell::new(1.0),
@@ -133,9 +132,8 @@ impl PhysicalHost {
             inner: Rc::new(VhInner {
                 spec,
                 phys: self.clone(),
-                rate: std::cell::Cell::new(1.0),
                 managed: false,
-                fraction: std::cell::Cell::new(1.0),
+                fraction: 1.0,
                 memory: RefCell::new(None),
                 members: RefCell::new(Vec::new()),
                 degrade: std::cell::Cell::new(1.0),
@@ -149,9 +147,8 @@ impl PhysicalHost {
 struct VhInner {
     spec: VirtualHostSpec,
     phys: PhysicalHost,
-    rate: std::cell::Cell<f64>,
     managed: bool,
-    fraction: std::cell::Cell<f64>,
+    fraction: f64,
     memory: RefCell<Option<MemoryManager>>,
     /// Live jobs of this virtual host (managed mode): the host fraction is
     /// divided evenly across them.
@@ -189,46 +186,9 @@ impl VirtualHost {
         &self.inner.phys
     }
 
-    /// The simulation rate this virtual host currently runs at.
-    pub fn rate(&self) -> f64 {
-        self.inner.rate.get()
-    }
-
     /// Total physical CPU fraction of the virtual host.
     pub fn cpu_fraction(&self) -> f64 {
-        self.inner.fraction.get()
-    }
-
-    /// Dynamic virtual time (paper §5): retune this virtual host to a new
-    /// simulation rate. The CPU fraction is recomputed and re-divided
-    /// across live processes.
-    ///
-    /// # Panics
-    /// Panics on unmanaged (baseline) hosts, or if the new fraction
-    /// leaves `(0, 1]`.
-    pub fn set_rate(&self, new_rate: f64) {
-        assert!(
-            self.inner.managed,
-            "cannot retune an unmanaged (baseline) virtual host"
-        );
-        let fraction = self.inner.spec.speed_mops * new_rate / self.inner.phys.spec().speed_mops;
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "rate {new_rate} needs infeasible CPU fraction {fraction:.3}"
-        );
-        {
-            let mut alloc = self.inner.phys.inner.allocated_fraction.borrow_mut();
-            let next = *alloc - self.inner.fraction.get() + fraction;
-            assert!(
-                next <= 1.0 + 1e-9,
-                "over-committing {}: retune needs {next:.3} total",
-                self.inner.phys.spec().name
-            );
-            *alloc = next;
-        }
-        self.inner.rate.set(new_rate);
-        self.inner.fraction.set(fraction);
-        self.rebalance(&self.inner.phys.scheduler());
+        self.inner.fraction
     }
 
     /// True when the MicroGrid scheduler paces this host's processes.
@@ -330,7 +290,7 @@ impl VirtualHost {
             let sched = self.inner.phys.scheduler();
             let live = Rc::new(std::cell::Cell::new(true));
             // Temporary fraction; rebalance fixes it below.
-            let id = sched.add_job(proc.clone(), self.inner.fraction.get());
+            let id = sched.add_job(proc.clone(), self.inner.fraction);
             self.inner.members.borrow_mut().push((id, live.clone()));
             self.rebalance(&sched);
             Some((id, live))
@@ -361,7 +321,7 @@ impl VirtualHost {
         if live.is_empty() {
             return;
         }
-        let each = self.inner.fraction.get() * self.inner.degrade.get() / live.len() as f64;
+        let each = self.inner.fraction * self.inner.degrade.get() / live.len() as f64;
         for id in live {
             sched.set_fraction(id, each);
         }

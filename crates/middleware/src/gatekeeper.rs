@@ -250,7 +250,6 @@ async fn jobmanager_body(
     let jm = match ProcessCtx::spawn(
         gk.table(),
         gk.endpoint().network(),
-        gk.clock(),
         gk.gethostname(),
         format!("jobmanager-{}", spec.executable),
     ) {
@@ -264,7 +263,6 @@ async fn jobmanager_body(
         match ProcessCtx::spawn(
             gk.table(),
             gk.endpoint().network(),
-            gk.clock(),
             gk.gethostname(),
             format!("{}[{rank}]", spec.executable),
         ) {
@@ -368,13 +366,12 @@ mod tests {
         assert!(JobSpec::parse_rsl("&(executable=x").is_err());
     }
 
-    fn grid() -> (HostTable, Network, VirtualClock) {
+    fn grid() -> (HostTable, Network) {
         let mut b = TopologyBuilder::new();
         let n0 = b.host("client.ucsd.edu");
         let n1 = b.host("server.ucsd.edu");
         b.link(n0, n1, LinkSpec::fast_ethernet());
-        let clock = VirtualClock::identity();
-        let net = Network::new(b.build(), clock.clone(), NetParams::default());
+        let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
         let table = HostTable::new();
         for (i, (name, node)) in [("client.ucsd.edu", n0), ("server.ucsd.edu", n1)]
             .into_iter()
@@ -388,7 +385,7 @@ mod tests {
             );
             table.register(name, node, ph.as_direct_virtual());
         }
-        (table, net, clock)
+        (table, net)
     }
 
     #[test]
@@ -397,7 +394,7 @@ mod tests {
         let ran = Rc::new(Cell::new(0usize));
         let ran2 = ran.clone();
         sim.spawn(async move {
-            let (table, net, clock) = grid();
+            let (table, net) = grid();
             let registry = ExecutableRegistry::new();
             let ran3 = ran2.clone();
             registry.register("worker", move |inst: AppInstance| {
@@ -409,11 +406,9 @@ mod tests {
                     ran.set(ran.get() + 1);
                 }) as AppFuture
             });
-            let gk_ctx =
-                ProcessCtx::spawn(&table, &net, &clock, "server.ucsd.edu", "gatekeeper").unwrap();
+            let gk_ctx = ProcessCtx::spawn(&table, &net, "server.ucsd.edu", "gatekeeper").unwrap();
             Gatekeeper::start(gk_ctx, registry);
-            let client =
-                ProcessCtx::spawn(&table, &net, &clock, "client.ucsd.edu", "client").unwrap();
+            let client = ProcessCtx::spawn(&table, &net, "client.ucsd.edu", "client").unwrap();
             let spec = JobSpec {
                 executable: "worker".into(),
                 count: 3,
@@ -430,13 +425,11 @@ mod tests {
     fn unknown_executable_reported() {
         let mut sim = Simulation::new(6);
         sim.spawn(async {
-            let (table, net, clock) = grid();
+            let (table, net) = grid();
             let registry = ExecutableRegistry::new();
-            let gk_ctx =
-                ProcessCtx::spawn(&table, &net, &clock, "server.ucsd.edu", "gatekeeper").unwrap();
+            let gk_ctx = ProcessCtx::spawn(&table, &net, "server.ucsd.edu", "gatekeeper").unwrap();
             Gatekeeper::start(gk_ctx, registry);
-            let client =
-                ProcessCtx::spawn(&table, &net, &clock, "client.ucsd.edu", "client").unwrap();
+            let client = ProcessCtx::spawn(&table, &net, "client.ucsd.edu", "client").unwrap();
             let status = submit_job(&client, "server.ucsd.edu", &JobSpec::simple("ghost"))
                 .await
                 .unwrap();

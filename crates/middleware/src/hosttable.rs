@@ -37,7 +37,6 @@ struct TableInner {
     by_name: FxHashMap<String, HostEntry>,
     by_vip: FxHashMap<VirtIp, String>,
     by_node: FxHashMap<NodeId, String>,
-    order: Vec<String>,
     vips: VipAllocator,
     /// Interned observability labels of a `host:port` endpoint, filled
     /// by traced traffic only (see [`HostTable::endpoint_labels`]).
@@ -81,8 +80,7 @@ impl HostTable {
         };
         t.by_name.insert(name.clone(), entry.clone());
         t.by_vip.insert(vip, name.clone());
-        t.by_node.insert(node, name.clone());
-        t.order.push(name);
+        t.by_node.insert(node, name);
         entry
     }
 
@@ -123,12 +121,6 @@ impl HostTable {
             .clone()
     }
 
-    /// All entries in registration order.
-    pub fn entries(&self) -> Vec<HostEntry> {
-        let t = self.inner.borrow();
-        t.order.iter().map(|n| t.by_name[n].clone()).collect()
-    }
-
     /// Number of registered virtual hosts.
     pub fn len(&self) -> usize {
         self.inner.borrow().by_name.len()
@@ -167,21 +159,6 @@ mod tests {
             assert_eq!(t.lookup_vip(e.vip).unwrap().name, "vm.ucsd.edu");
             assert_eq!(t.lookup_node(NodeId(0)).unwrap().vip, e.vip);
             assert!(t.lookup("other").is_none());
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn entries_in_registration_order() {
-        let mut sim = Simulation::new(1);
-        sim.spawn(async {
-            let t = HostTable::new();
-            for (i, name) in ["c", "a", "b"].iter().enumerate() {
-                t.register(*name, NodeId(i), vhost());
-            }
-            let names: Vec<String> = t.entries().into_iter().map(|e| e.name).collect();
-            assert_eq!(names, ["c", "a", "b"]);
-            assert_eq!(t.len(), 3);
         });
         sim.run_to_completion();
     }

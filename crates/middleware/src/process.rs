@@ -38,7 +38,6 @@ pub struct ProcessCtx {
     proc: GridProcess,
     endpoint: Endpoint,
     table: HostTable,
-    clock: VirtualClock,
     pub(crate) vsock_metrics: Rc<VsockMetrics>,
     /// Lazily interned `(track, lane)` span attributes — the virtual
     /// host name and process name never change, so per-message spans
@@ -57,7 +56,6 @@ impl ProcessCtx {
     pub fn spawn(
         table: &HostTable,
         net: &Network,
-        clock: &VirtualClock,
         host: &str,
         proc_name: impl Into<String>,
     ) -> Result<ProcessCtx, OutOfMemory> {
@@ -71,7 +69,6 @@ impl ProcessCtx {
             proc,
             endpoint,
             table: table.clone(),
-            clock: clock.clone(),
             vsock_metrics: Rc::new(VsockMetrics {
                 sends: obs::counter_handle("vsock.sends"),
                 bytes_sent: obs::counter_handle("vsock.bytes_sent"),
@@ -110,12 +107,12 @@ impl ProcessCtx {
     /// The intercepted `gettimeofday()`: current **virtual** time
     /// (paper §2.3, "Virtualizing Time").
     pub fn gettimeofday(&self) -> SimTime {
-        self.clock.virtual_at(mgrid_desim::now())
+        self.clock().virtual_at(mgrid_desim::now())
     }
 
-    /// The virtual clock itself.
+    /// The virtual clock itself: the one the process's network runs on.
     pub fn clock(&self) -> &VirtualClock {
-        &self.clock
+        self.endpoint.network().clock()
     }
 
     /// The mapping table (resource discovery helpers).
@@ -150,7 +147,7 @@ impl ProcessCtx {
 
     /// Sleep for a span of *virtual* time (the intercepted `sleep()`).
     pub async fn sleep_virtual(&self, d: SimDuration) {
-        mgrid_desim::vclock::sleep_virtual(&self.clock, d).await;
+        mgrid_desim::vclock::sleep_virtual(self.clock(), d).await;
     }
 
     /// Allocate virtual-host memory.

@@ -368,13 +368,12 @@ mod tests {
     use mgrid_netsim::{LinkSpec, NetParams, Network, TopologyBuilder};
 
     /// Two virtual hosts on two physical hosts, 100 Mb Ethernet between.
-    fn grid() -> (HostTable, Network, VirtualClock) {
+    fn grid() -> (HostTable, Network) {
         let mut b = TopologyBuilder::new();
         let n0 = b.host("vm0.ucsd.edu");
         let n1 = b.host("vm1.ucsd.edu");
         b.link(n0, n1, LinkSpec::fast_ethernet());
-        let clock = VirtualClock::identity();
-        let net = Network::new(b.build(), clock.clone(), NetParams::default());
+        let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
         let table = HostTable::new();
         for (i, (name, node)) in [("vm0.ucsd.edu", n0), ("vm1.ucsd.edu", n1)]
             .into_iter()
@@ -388,16 +387,16 @@ mod tests {
             );
             table.register(name, node, ph.as_direct_virtual());
         }
-        (table, net, clock)
+        (table, net)
     }
 
     #[test]
     fn send_recv_between_virtual_hosts() {
         let mut sim = Simulation::new(1);
         sim.spawn(async {
-            let (table, net, clock) = grid();
-            let a = ProcessCtx::spawn(&table, &net, &clock, "vm0.ucsd.edu", "sender").unwrap();
-            let b = ProcessCtx::spawn(&table, &net, &clock, "vm1.ucsd.edu", "receiver").unwrap();
+            let (table, net) = grid();
+            let a = ProcessCtx::spawn(&table, &net, "vm0.ucsd.edu", "sender").unwrap();
+            let b = ProcessCtx::spawn(&table, &net, "vm1.ucsd.edu", "receiver").unwrap();
             assert_eq!(a.gethostname(), "vm0.ucsd.edu");
             let sock_b = b.bind(7000);
             let sock_a = a.bind(7001);
@@ -420,8 +419,8 @@ mod tests {
     fn unknown_host_is_rejected() {
         let mut sim = Simulation::new(2);
         sim.spawn(async {
-            let (table, net, clock) = grid();
-            let a = ProcessCtx::spawn(&table, &net, &clock, "vm0.ucsd.edu", "p").unwrap();
+            let (table, net) = grid();
+            let a = ProcessCtx::spawn(&table, &net, "vm0.ucsd.edu", "p").unwrap();
             let sock = a.bind(1);
             // A physical-world name must not resolve inside the virtual Grid.
             let err = sock
@@ -443,12 +442,11 @@ mod tests {
             let n0 = b.host("vm0");
             let n1 = b.host("vm1");
             let (ab, ba) = b.link(n0, n1, LinkSpec::fast_ethernet());
-            let clock = VirtualClock::identity();
             // A small retry budget makes the transport give up quickly so
             // the middleware-level retry policy is what recovers.
             let net = Network::new(
                 b.build(),
-                clock.clone(),
+                VirtualClock::identity(),
                 NetParams {
                     retry_budget: 2,
                     ..NetParams::default()
@@ -474,8 +472,8 @@ mod tests {
                     net.set_link_down(ba, false);
                 });
             }
-            let a = ProcessCtx::spawn(&table, &net, &clock, "vm0", "sender").unwrap();
-            let b = ProcessCtx::spawn(&table, &net, &clock, "vm1", "receiver").unwrap();
+            let a = ProcessCtx::spawn(&table, &net, "vm0", "sender").unwrap();
+            let b = ProcessCtx::spawn(&table, &net, "vm1", "receiver").unwrap();
             let sock_b = b.bind(9000);
             let sock_a = a.bind(9001);
             let policy = RetryPolicy {
@@ -512,8 +510,7 @@ mod tests {
             let mut b = TopologyBuilder::new();
             let n0 = b.host("vm0");
             let _n1 = b.host("pad");
-            let clock = VirtualClock::new(0.25);
-            let net = Network::new(b.build(), clock.clone(), NetParams::default());
+            let net = Network::new(b.build(), VirtualClock::new(0.25), NetParams::default());
             let table = HostTable::new();
             let ph = PhysicalHost::new(
                 PhysicalHostSpec::new("p", 500.0, 1 << 30),
@@ -522,7 +519,7 @@ mod tests {
                 SimRng::new(7),
             );
             table.register("vm0", n0, ph.as_direct_virtual());
-            let ctx = ProcessCtx::spawn(&table, &net, &clock, "vm0", "app").unwrap();
+            let ctx = ProcessCtx::spawn(&table, &net, "vm0", "app").unwrap();
             mgrid_desim::sleep(mgrid_desim::SimDuration::from_secs(8)).await;
             // 8 physical seconds at rate 0.25 = 2 virtual seconds.
             assert_eq!(ctx.gettimeofday().as_secs_f64(), 2.0);

@@ -5,7 +5,6 @@ use std::rc::Rc;
 
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::timeout::with_timeout;
-use mgrid_desim::vclock::VirtualClock;
 use mgrid_desim::{obs, spawn, Event, JoinHandle};
 use mgrid_middleware::{HostTable, ProcessCtx};
 use mgrid_netsim::Network;
@@ -17,7 +16,6 @@ use crate::comm::{Comm, MpiParams};
 fn launch<T, F, Fut>(
     table: &HostTable,
     net: &Network,
-    clock: &VirtualClock,
     hosts: &[String],
     params: MpiParams,
     body: F,
@@ -30,7 +28,7 @@ where
     let hosts_rc = Rc::new(hosts.to_vec());
     let mut comms = Vec::with_capacity(hosts.len());
     for (rank, host) in hosts.iter().enumerate() {
-        let ctx = ProcessCtx::spawn(table, net, clock, host, format!("mpi-rank{rank}"))
+        let ctx = ProcessCtx::spawn(table, net, host, format!("mpi-rank{rank}"))
             .unwrap_or_else(|e| panic!("cannot start rank {rank} on {host}: {e}"));
         comms.push(Comm::create(ctx, rank, hosts_rc.clone(), params.clone()));
     }
@@ -72,8 +70,7 @@ where
 ///             n
 ///         })
 ///         .collect();
-///     let clock = VirtualClock::identity();
-///     let net = Network::new(b.build(), clock.clone(), NetParams::default());
+///     let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
 ///     let table = HostTable::new();
 ///     for (i, (name, node)) in hosts.iter().zip(&nodes).enumerate() {
 ///         let ph = PhysicalHost::new(
@@ -85,7 +82,7 @@ where
 ///         table.register(*name, *node, ph.as_direct_virtual());
 ///     }
 ///     let hosts: Vec<String> = hosts.iter().map(|h| h.to_string()).collect();
-///     mpirun(&table, &net, &clock, &hosts, MpiParams::default(), |comm| async move {
+///     mpirun(&table, &net, &hosts, MpiParams::default(), |comm| async move {
 ///         (comm.rank(), comm.size())
 ///     })
 ///     .await
@@ -98,7 +95,6 @@ where
 pub async fn mpirun<T, F, Fut>(
     table: &HostTable,
     net: &Network,
-    clock: &VirtualClock,
     hosts: &[String],
     params: MpiParams,
     body: F,
@@ -108,7 +104,7 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
-    let (comms, handles) = launch(table, net, clock, hosts, params, body);
+    let (comms, handles) = launch(table, net, hosts, params, body);
     let mut outputs = Vec::with_capacity(handles.len());
     for h in handles {
         outputs.push(h.await);
@@ -132,7 +128,6 @@ where
 pub async fn mpirun_resilient<T, F, Fut>(
     table: &HostTable,
     net: &Network,
-    clock: &VirtualClock,
     hosts: &[String],
     params: MpiParams,
     deadline: SimDuration,
@@ -143,7 +138,7 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
-    let (comms, handles) = launch(table, net, clock, hosts, params, body);
+    let (comms, handles) = launch(table, net, hosts, params, body);
     let cutoff = mgrid_desim::now() + deadline;
     let mut outputs = Vec::with_capacity(handles.len());
     for (rank, h) in handles.into_iter().enumerate() {
@@ -169,12 +164,13 @@ where
 mod tests {
     use super::*;
     use crate::proto::MpiData;
+    use mgrid_desim::vclock::VirtualClock;
     use mgrid_desim::{SimRng, SimTime, Simulation};
     use mgrid_hostsim::{OsParams, PhysicalHost, PhysicalHostSpec, SchedulerParams};
     use mgrid_netsim::{LinkSpec, NetParams, NodeId, TopologyBuilder};
 
     /// A 4-host switched-Ethernet virtual grid on 4 direct physical hosts.
-    fn grid4() -> (HostTable, Network, VirtualClock, Vec<String>) {
+    fn grid4() -> (HostTable, Network, Vec<String>) {
         let mut b = TopologyBuilder::new();
         let sw = b.router("switch");
         let mut nodes: Vec<(String, NodeId)> = Vec::new();
@@ -184,8 +180,7 @@ mod tests {
             b.link(n, sw, LinkSpec::fast_ethernet());
             nodes.push((name, n));
         }
-        let clock = VirtualClock::identity();
-        let net = Network::new(b.build(), clock.clone(), NetParams::default());
+        let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
         let table = HostTable::new();
         for (i, (name, node)) in nodes.iter().enumerate() {
             let ph = PhysicalHost::new(
@@ -197,7 +192,7 @@ mod tests {
             table.register(name, *node, ph.as_direct_virtual());
         }
         let names = nodes.into_iter().map(|(n, _)| n).collect();
-        (table, net, clock, names)
+        (table, net, names)
     }
 
     fn run_world<T: 'static>(
@@ -206,8 +201,8 @@ mod tests {
     ) -> Vec<T> {
         let mut sim = Simulation::new(seed);
         let out = sim.block_on(async move {
-            let (table, net, clock, hosts) = grid4();
-            mpirun(&table, &net, &clock, &hosts, MpiParams::default(), body).await
+            let (table, net, hosts) = grid4();
+            mpirun(&table, &net, &hosts, MpiParams::default(), body).await
         });
         out
     }
@@ -393,7 +388,7 @@ mod tests {
     fn recv_timeout_surfaces_dead_rank() {
         let mut sim = Simulation::new(21);
         let out = sim.block_on(async move {
-            let (table, net, clock, hosts) = grid4();
+            let (table, net, hosts) = grid4();
             let params = MpiParams {
                 recv_timeout: Some(mgrid_desim::SimDuration::from_secs(2)),
                 ..MpiParams::default()
@@ -401,7 +396,7 @@ mod tests {
             let table2 = table.clone();
             // Rank 3's host dies before it ever sends, so rank 0's receive
             // from it must time out and mark the rank suspect.
-            mpirun(&table, &net, &clock, &hosts, params, move |comm| {
+            mpirun(&table, &net, &hosts, params, move |comm| {
                 let table = table2.clone();
                 Box::pin(async move {
                     match comm.rank() {
@@ -429,7 +424,7 @@ mod tests {
     fn resilient_run_drops_crashed_rank() {
         let mut sim = Simulation::new(22);
         let out = sim.block_on(async move {
-            let (table, net, clock, hosts) = grid4();
+            let (table, net, hosts) = grid4();
             let params = MpiParams {
                 recv_timeout: Some(mgrid_desim::SimDuration::from_secs(1)),
                 ..MpiParams::default()
@@ -438,7 +433,6 @@ mod tests {
             mpirun_resilient(
                 &table,
                 &net,
-                &clock,
                 &hosts,
                 params,
                 mgrid_desim::SimDuration::from_secs(5),

@@ -25,7 +25,7 @@ use mgrid_desim::{
     fork_rng, now, obs, sleep_until, spawn_daemon, Counter, Event, FxHashMap, FxHashSet,
     HistogramHandle, SimRng,
 };
-use mgrid_faults::{FaultBus, FaultKind};
+use mgrid_faults::FaultKind;
 
 use crate::packet::{Packet, PacketKind, Payload, TransferId};
 use crate::topology::{LinkId, LinkSpec, NodeId, NodeKind, Topology};
@@ -229,24 +229,20 @@ pub(crate) struct NetMetrics {
     pub(crate) recovery_latency_ns: HistogramHandle,
 }
 
-/// One link's physical serialization and propagation times, memoised.
+/// One link's physical serialization times, memoised.
 ///
-/// Both are pure functions of the clock rate and, for serialization, the
-/// packet's wire size. A directed link carries runs of MTU-sized segments
-/// and ack-sized packets, so the two most recent `(rate, wire_bytes)`
-/// pairs answer nearly every packet without the float divisions of
+/// The time is a pure function of the packet's wire size (the link and the
+/// clock rate are fixed for the run). A directed link carries runs of
+/// MTU-sized segments and ack-sized packets, so the two most recent sizes
+/// answer nearly every packet without the float divisions of
 /// `to_physical(tx_time(..))`: 95–99 % of lookups on the six benchmark
 /// workloads. Two entries, not one, because one-packet messages share a
 /// link with the acks of the reverse flow: there the older entry answers
-/// about half of all lookups (8 % under bulk traffic). Keys hold the
-/// rate's bit pattern: after a `set_rate` nothing matches and the times
-/// are computed afresh.
+/// about half of all lookups (8 % under bulk traffic).
 struct LinkTimes {
     spec: LinkSpec,
-    /// `(rate bits, wire_bytes, physical tx time)`, most recent first.
-    tx: [Option<(u64, u64, SimDuration)>; 2],
-    /// `(rate bits, physical propagation delay)`.
-    prop: Option<(u64, SimDuration)>,
+    /// `(wire_bytes, physical tx time)`, most recent first.
+    tx: [Option<(u64, SimDuration)>; 2],
 }
 
 impl LinkTimes {
@@ -254,35 +250,21 @@ impl LinkTimes {
         LinkTimes {
             spec,
             tx: [None; 2],
-            prop: None,
         }
     }
 
-    /// `clock.to_physical(spec.tx_time(wire_bytes))` at the current rate.
+    /// `clock.to_physical(spec.tx_time(wire_bytes))`; `clock` is the
+    /// network's, the same on every call.
     fn tx(&mut self, clock: &VirtualClock, wire_bytes: u64) -> SimDuration {
-        let rate = clock.rate().to_bits();
         match self.tx {
-            [Some((r, b, d)), _] if (r, b) == (rate, wire_bytes) => d,
-            [_, Some((r, b, d))] if (r, b) == (rate, wire_bytes) => {
+            [Some((b, d)), _] if b == wire_bytes => d,
+            [_, Some((b, d))] if b == wire_bytes => {
                 self.tx.swap(0, 1);
                 d
             }
             _ => {
                 let d = clock.to_physical(self.spec.tx_time(wire_bytes));
-                self.tx = [Some((rate, wire_bytes, d)), self.tx[0]];
-                d
-            }
-        }
-    }
-
-    /// `clock.to_physical(spec.delay)` at the current rate.
-    fn prop(&mut self, clock: &VirtualClock) -> SimDuration {
-        let rate = clock.rate().to_bits();
-        match self.prop {
-            Some((r, d)) if r == rate => d,
-            _ => {
-                let d = clock.to_physical(self.spec.delay);
-                self.prop = Some((rate, d));
+                self.tx = [Some((wire_bytes, d)), self.tx[0]];
                 d
             }
         }
@@ -527,9 +509,9 @@ impl Network {
     /// Apply one scripted fault to this network. Link faults resolve
     /// their endpoint names against the topology and configure both
     /// directions of the duplex link; host-level faults are not the
-    /// network's business and are ignored (the host models subscribe to
-    /// the same [`FaultBus`]). Names that don't resolve are ignored —
-    /// plans are validated against the grid configuration upstream.
+    /// network's business and are ignored (the grid applies those to its
+    /// host models). Names that don't resolve are ignored — plans are
+    /// validated against the grid configuration upstream.
     pub fn apply_fault(&self, kind: &FaultKind) {
         match kind {
             FaultKind::LinkDown { a, b } => self.set_named_link(a, b, |n, l| {
@@ -551,13 +533,6 @@ impl Network {
             FaultKind::HealPartition { side_a, side_b } => self.set_cut(side_a, side_b, false),
             _ => {}
         }
-    }
-
-    /// Subscribe this network to a fault bus: every published link fault
-    /// is applied via [`Network::apply_fault`].
-    pub fn attach_faults(&self, bus: &FaultBus) {
-        let net = self.clone();
-        bus.subscribe(move |kind| net.apply_fault(kind));
     }
 
     fn set_named_link(&self, a: &str, b: &str, f: impl Fn(&Network, LinkId)) {
@@ -646,7 +621,9 @@ impl Network {
     /// One link's transmit loop: serialize, then hand the packet to the
     /// link's delivery daemon with its propagation deadline.
     async fn pump(self, lid: LinkId) {
-        let mut times = LinkTimes::new(self.inner.topo.links[lid.0].spec.clone());
+        let spec = &self.inner.topo.links[lid.0].spec;
+        let prop = self.inner.clock.to_physical(spec.delay);
+        let mut times = LinkTimes::new(spec.clone());
         loop {
             let pkt = {
                 let link = &self.inner.links[lid.0];
@@ -676,10 +653,6 @@ impl Network {
                 link: lid.0,
                 bytes: pkt.wire_bytes,
             });
-            // The clock rate can change mid-run, so the deadline is fixed
-            // at serialization time (same instant the per-packet task used
-            // to compute it).
-            let prop = times.prop(&self.inner.clock);
             let reorder = {
                 let mut f = link.fault.borrow_mut();
                 let r = f.reorder_per_mille;
@@ -1025,7 +998,7 @@ impl Drop for Inbox {
 mod tests {
     use super::*;
     use crate::topology::TopologyBuilder;
-    use mgrid_desim::{sleep, spawn, Simulation};
+    use mgrid_desim::Simulation;
     use proptest::prelude::*;
 
     #[test]
@@ -1073,105 +1046,64 @@ mod tests {
         sim.run_to_completion();
     }
 
-    /// The expressions `LinkTimes` memoises, evaluated directly at `rate`.
-    fn direct_times(spec: &LinkSpec, rate: f64, wire_bytes: u64) -> (SimDuration, SimDuration) {
-        let clock = VirtualClock::new(rate);
-        (
-            clock.to_physical(spec.tx_time(wire_bytes)),
-            clock.to_physical(spec.delay),
-        )
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every time the memo hands the pump equals the direct expression
-        /// at that instant, over streams that repeat a few sizes (hits),
-        /// mix in fresh ones (misses, evictions) and change the rate.
+        /// Every time the memo hands the pump equals the direct expression,
+        /// over streams that repeat a few sizes (hits) and mix in fresh
+        /// ones (misses, evictions).
         #[test]
         fn link_times_equal_the_direct_computation(
             bandwidth_bps in 1e5f64..2e9,
-            delay_ns in 0u64..100_000_000,
-            rates in prop::collection::vec(0.01f64..8.0, 2..5),
-            stream in prop::collection::vec((0usize..6, 1u64..9000, 0u32..40), 1..300),
+            rate in 0.01f64..8.0,
+            stream in prop::collection::vec((0usize..6, 1u64..9000), 1..300),
         ) {
-            let spec = LinkSpec::new(bandwidth_bps, SimDuration::from_nanos(delay_ns));
-            let clock = VirtualClock::new(rates[0]);
+            let spec = LinkSpec::new(bandwidth_bps, SimDuration::ZERO);
+            let clock = VirtualClock::new(rate);
             let mut times = LinkTimes::new(spec.clone());
             let palette = [1518, 64, 158, 1518, 64];
-            let mut changes = 0;
-            for (i, (pick, fresh, change)) in stream.into_iter().enumerate() {
-                if change == 0 {
-                    changes += 1;
-                    clock.set_rate(SimTime::from_nanos(i as u64), rates[changes % rates.len()]);
-                }
+            for (pick, fresh) in stream {
                 let wire_bytes = palette.get(pick).copied().unwrap_or(fresh);
                 prop_assert_eq!(
                     times.tx(&clock, wire_bytes),
                     clock.to_physical(spec.tx_time(wire_bytes))
                 );
-                prop_assert_eq!(times.prop(&clock), clock.to_physical(spec.delay));
             }
         }
 
         /// Datagrams queued on one link arrive exactly when the unmemoised
-        /// expressions say, with the clock rate changed mid-stream.
+        /// expressions say.
         #[test]
         fn memoised_pump_matches_unmemoised_arrival_times(
             bandwidth_bps in 1e6f64..1e9,
             delay_us in 1u64..5_000,
-            rate_before in 0.05f64..4.0,
-            rate_after in 0.05f64..4.0,
-            change_after in 1usize..40,
+            rate in 0.05f64..4.0,
             sizes in prop::collection::vec((0usize..4, 1u64..1460), 40..80),
         ) {
             let spec = LinkSpec::new(bandwidth_bps, SimDuration::from_micros(delay_us));
             let params = NetParams::default();
+            let clock = VirtualClock::new(rate);
             let wires: Vec<u64> = sizes
                 .iter()
                 .map(|&(pick, fresh)| [1460, 6, 100].get(pick).copied().unwrap_or(fresh))
                 .map(|size| size + params.header_bytes)
                 .collect();
-            // The rate changes somewhere inside packet `change_after`'s
-            // serialization (at the old rate).
-            let change_at = wires[..change_after]
-                .iter()
-                .map(|&w| direct_times(&spec, rate_before, w).0)
-                .fold(SimTime::ZERO, |t, tx| t + tx)
-                + SimDuration::from_nanos(1);
-            let rate_at = |t: SimTime| if t >= change_at { rate_after } else { rate_before };
 
             // Oracle: the pump's loop with the direct expressions.
             let mut expected = Vec::new();
             let mut t = SimTime::ZERO;
-            let mut last_arrival = SimTime::ZERO;
             for &w in &wires {
-                t += direct_times(&spec, rate_at(t), w).0;
-                let deadline = t + direct_times(&spec, rate_at(t), w).1;
-                // Deliveries are FIFO: a deadline pulled in by a faster
-                // clock still waits for its predecessor.
-                last_arrival = last_arrival.max(deadline);
-                expected.push(last_arrival);
+                t += clock.to_physical(spec.tx_time(w));
+                expected.push(t + clock.to_physical(spec.delay));
             }
 
             let mut sim = Simulation::new(5);
             let n = wires.len();
-            let link_spec = spec.clone();
             let arrivals = sim.block_on(async move {
-                let clock = VirtualClock::new(rate_before);
-                // Spawned first, so at a shared instant the rate changes
-                // before a pump looks at it.
-                spawn({
-                    let clock = clock.clone();
-                    async move {
-                        sleep(change_at - SimTime::ZERO).await;
-                        clock.set_rate(now(), rate_after);
-                    }
-                });
                 let mut b = TopologyBuilder::new();
                 let a = b.host("a");
                 let c = b.host("c");
-                b.link(a, c, link_spec);
+                b.link(a, c, spec);
                 let net = Network::new(b.build(), clock, params.clone());
                 let rx = net.endpoint(c).bind(9);
                 let tx = net.endpoint(a);

@@ -784,7 +784,7 @@ mod tests {
     fn partition_isolates_and_heals() {
         // A partition cuts the router path between two sides; sends from
         // the cut-off host stall until the partition heals.
-        use mgrid_faults::{FaultBus, FaultKind};
+        use mgrid_faults::FaultKind;
         let mut sim = Simulation::new(26);
         sim.spawn(async {
             let mut b = TopologyBuilder::new();
@@ -794,9 +794,7 @@ mod tests {
             b.link(a, r, LinkSpec::new(100e6, SimDuration::from_micros(50)));
             b.link(r, c, LinkSpec::new(100e6, SimDuration::from_micros(50)));
             let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
-            let bus = FaultBus::new();
-            net.attach_faults(&bus);
-            bus.publish(&FaultKind::Partition {
+            net.apply_fault(&FaultKind::Partition {
                 side_a: vec!["a".into(), "r".into()],
                 side_b: vec!["c".into()],
             });
@@ -808,7 +806,7 @@ mod tests {
             });
             mgrid_desim::sleep(SimDuration::from_millis(500)).await;
             assert!(rx.is_empty(), "nothing may cross the partition");
-            bus.publish(&FaultKind::HealPartition {
+            net.apply_fault(&FaultKind::HealPartition {
                 side_a: vec!["a".into(), "r".into()],
                 side_b: vec!["c".into()],
             });

@@ -76,8 +76,7 @@ proptest! {
             let a = b.host("a");
             let z = b.host("z");
             b.link(a, z, LinkSpec::new(bw_mbps * 1e6, SimDuration::from_micros(50)));
-            let clock = VirtualClock::new(rate);
-            let net = Network::new(b.build(), clock.clone(), NetParams::default());
+            let net = Network::new(b.build(), VirtualClock::new(rate), NetParams::default());
             let rx = net.endpoint(z).bind(2);
             let bytes = size_kb * 1024;
             let t0 = mgrid_desim::now();

@@ -62,16 +62,13 @@ proptest! {
 }
 
 proptest! {
-    /// The virtual clock is monotone for any positive rate schedule.
+    /// The virtual clock is monotone at any positive rate.
     #[test]
     fn vclock_monotone(
-        rates in prop::collection::vec(0.01f64..50.0, 1..6),
+        rate in 0.01f64..50.0,
         probes in prop::collection::vec(0u64..100_000_000_000u64, 1..20),
     ) {
-        let clock = VirtualClock::new(rates[0]);
-        for (i, r) in rates.iter().enumerate().skip(1) {
-            clock.set_rate(SimTime::from_secs_f64(i as f64 * 5.0), *r);
-        }
+        let clock = VirtualClock::new(rate);
         let mut sorted = probes.clone();
         sorted.sort_unstable();
         let mut prev = SimTime::ZERO;
