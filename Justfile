@@ -55,6 +55,8 @@ check-figures:
 # Chaos scenarios: replay the tracked fault-injection experiments, verify
 # same-seed double runs are byte-identical, and diff against
 # results/chaos.json (`chaos --bless` re-anchors after intended changes).
+# CI runs it in the `figures` lane, after the two `repro --check all`
+# runs, from the same release build.
 chaos:
     cargo run --release -p mgrid-bench --bin chaos -- --check
 

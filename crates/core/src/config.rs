@@ -137,6 +137,11 @@ pub enum ConfigError {
     /// A zero scheduler quantum: every grant would last only its own
     /// overhead.
     ZeroQuantum,
+    /// A duration the run derives from the config — the quantum, or a
+    /// link's delay or one-segment serialisation in physical time at the
+    /// chosen rate — longer than one step may last (half the simulation
+    /// clock's range), so the clock overflows on it. Holds which one.
+    ClockOverflow(String),
     /// A link queue that cannot hold one full data segment: every bulk
     /// packet is dropped on arrival and the transfer retransmits forever.
     QueueBelowSegment {
@@ -199,6 +204,11 @@ impl std::fmt::Display for ConfigError {
                 "link {a:?}-{b:?}: bandwidth_bps {bandwidth_bps} is not positive and finite"
             ),
             ConfigError::ZeroQuantum => write!(f, "quantum must be positive"),
+            ConfigError::ClockOverflow(what) => write!(
+                f,
+                "{what} overflows the simulation clock (one step may last at most {} ns)",
+                MAX_STEP.as_nanos()
+            ),
             ConfigError::QueueBelowSegment {
                 a,
                 b,
@@ -228,6 +238,12 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// The longest physical step a duration the run derives from the config
+/// may take: half the simulation clock's range, so that any instant in
+/// its first half (292 years) can take one more such step without
+/// overflowing it.
+pub(crate) const MAX_STEP: SimDuration = SimDuration::from_nanos(u64::MAX / 2);
+
 /// The domain of every rate, speed and bandwidth: NaN, zero, negatives
 /// and the infinity the JSON reader makes of `1e999` are all outside it.
 fn positive_finite(x: f64) -> bool {
@@ -237,7 +253,8 @@ fn positive_finite(x: f64) -> bool {
 impl GridConfig {
     /// Check referential integrity (names resolve, no duplicates), every
     /// numeric precondition the layers below assert or hang on (speeds,
-    /// link bandwidths, rate policy and quantum in their domains; a link
+    /// link bandwidths, rate policy and quantum in their domains, the
+    /// quantum short enough for the clock; a link
     /// queue that holds a segment, host memory that holds a process) and,
     /// when a fault plan is present, that every fault has sound parameters
     /// and targets a name the grid defines. What depends on the chosen
@@ -254,6 +271,10 @@ impl GridConfig {
         }
         if self.quantum.is_zero() {
             return Err(ConfigError::ZeroQuantum);
+        }
+        if self.quantum > MAX_STEP {
+            let quantum = format!("quantum {} ns", self.quantum.as_nanos());
+            return Err(ConfigError::ClockOverflow(quantum));
         }
         // Every name lives in exactly one of these two sets, so a name is
         // a duplicate when either already holds it.
@@ -513,12 +534,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_quantum_rejected() {
+    fn quantum_must_be_positive_and_fit_the_clock() {
         let mut c = sample();
         c.quantum = SimDuration::from_nanos(1);
         assert_eq!(c.validate(), Ok(()));
         c.quantum = SimDuration::ZERO;
         assert_eq!(c.validate(), Err(ConfigError::ZeroQuantum));
+        c.quantum = MAX_STEP;
+        assert_eq!(c.validate(), Ok(()));
+        for ns in [MAX_STEP.as_nanos() + 1, u64::MAX] {
+            c.quantum = SimDuration::from_nanos(ns);
+            let quantum = format!("quantum {ns} ns");
+            assert_eq!(c.validate(), Err(ConfigError::ClockOverflow(quantum)));
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! lists as an open problem.
 
 use mgrid_desim::FxHashMap;
+use mgrid_netsim::NetParams;
 
-use crate::config::{ConfigError, GridConfig, RatePolicy};
+use crate::config::{ConfigError, GridConfig, RatePolicy, MAX_STEP};
 
 /// Per-resource simulation-rate bounds, and the chosen global rate.
 #[derive(Clone, Debug)]
@@ -94,6 +95,28 @@ pub fn plan_rate(config: &GridConfig) -> Result<RatePlan, ConfigError> {
             });
         }
     }
+    // Every link time the network derives from the config, as physical
+    // seconds at the chosen rate (plain f64: a bandwidth near the bottom
+    // of the range makes the serialisation time infinite, which must be
+    // an error here, not a panic).
+    let net = NetParams::default();
+    let segment_bytes = net.mtu + net.header_bytes;
+    let max_step = MAX_STEP.as_secs_f64();
+    for l in &config.network.links {
+        let delay = l.delay.as_secs_f64() / chosen;
+        let segment = (segment_bytes * 8) as f64 / l.bandwidth_bps / chosen;
+        let what = if delay > max_step {
+            format!("delay {} ns", l.delay.as_nanos())
+        } else if segment > max_step {
+            format!("one {segment_bytes}-byte segment")
+        } else {
+            continue;
+        };
+        return Err(ConfigError::ClockOverflow(format!(
+            "link {:?}-{:?}: {what} at rate {chosen:?}",
+            l.a, l.b
+        )));
+    }
     Ok(RatePlan {
         cpu_bounds,
         feasible,
@@ -104,7 +127,7 @@ pub fn plan_rate(config: &GridConfig) -> Result<RatePlan, ConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{NetworkConfig, VirtualHostConfig};
+    use crate::config::{LinkConfig, NetworkConfig, VirtualHostConfig};
     use mgrid_desim::time::SimDuration;
     use mgrid_hostsim::{PhysicalHostSpec, VirtualHostSpec};
 
@@ -192,6 +215,36 @@ mod tests {
                 Err(ConfigError::ZeroCpuFraction { host: h, .. }) => assert_eq!(h, host),
                 other => panic!("{other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn link_time_that_overflows_the_clock_is_rejected() {
+        // Positive and finite, like the speeds above: a delay or a
+        // segment's serialisation stretched past half the clock's range
+        // by a tiny rate or a tiny bandwidth.
+        let with_link = |rate, bandwidth_bps, delay| {
+            let mut c = config(RatePolicy::Fixed(rate));
+            c.network.links = vec![LinkConfig {
+                a: "v0".into(),
+                b: "v1".into(),
+                bandwidth_bps,
+                delay,
+                queue_bytes: None,
+            }];
+            c
+        };
+        let century = SimDuration::from_secs(100 * 365 * 86_400);
+        assert!(plan_rate(&with_link(0.9, 100e6, century)).is_ok());
+        for (rate, bandwidth_bps, what) in [
+            (1e-300, 100e6, "delay 50000 ns"),
+            (0.9, 1e-300, "one 1518-byte segment"),
+            (0.9, 5e-324, "one 1518-byte segment"),
+        ] {
+            let c = with_link(rate, bandwidth_bps, SimDuration::from_micros(50));
+            assert_eq!(c.validate(), Ok(()));
+            let what = format!("link \"v0\"-\"v1\": {what} at rate {rate:?}");
+            assert_eq!(plan_rate(&c).unwrap_err(), ConfigError::ClockOverflow(what));
         }
     }
 

@@ -24,7 +24,7 @@ use mgrid_netsim::{LinkSpec, NetParams, Network, NodeId, TopologyBuilder};
 use mgrid_faults::{spawn_injector, FaultKind};
 
 use crate::config::{ConfigError, GridConfig};
-use crate::coordinator::{plan_rate, RatePlan};
+use crate::coordinator::plan_rate;
 
 /// A running virtual Grid.
 pub struct VirtualGrid {
@@ -33,7 +33,6 @@ pub struct VirtualGrid {
     network: Network,
     gis: Rc<RefCell<Directory>>,
     physical: FxHashMap<String, PhysicalHost>,
-    plan: Option<RatePlan>,
     baseline: bool,
 }
 
@@ -64,8 +63,8 @@ impl VirtualGrid {
     /// assert_eq!(ranks, vec![0, 1, 2, 3]);
     /// ```
     pub fn build(config: GridConfig) -> Result<VirtualGrid, ConfigError> {
-        let plan = plan_rate(&config)?;
-        Self::assemble(config, Some(plan), false)
+        let rate = plan_rate(&config)?.chosen;
+        Self::assemble(config, rate, false)
     }
 
     /// Bring up the "physical grid" baseline: each virtual host spec is
@@ -73,18 +72,15 @@ impl VirtualGrid {
     /// clock, same network topology).
     pub fn build_baseline(config: GridConfig) -> Result<VirtualGrid, ConfigError> {
         config.validate()?;
-        Self::assemble(config, None, true)
+        Self::assemble(config, 1.0, true)
     }
 
-    fn assemble(
-        config: GridConfig,
-        plan: Option<RatePlan>,
-        baseline: bool,
-    ) -> Result<VirtualGrid, ConfigError> {
-        let rate = plan.as_ref().map(|p| p.chosen).unwrap_or(1.0);
+    fn assemble(config: GridConfig, rate: f64, baseline: bool) -> Result<VirtualGrid, ConfigError> {
         let mut rng = SimRng::new(config.seed);
 
-        // Virtual network: hosts in config order, then routers.
+        // Virtual network: hosts in config order, then routers. Hosts thus
+        // hold nodes 0.. in config order, which is what their virtual IPs
+        // are numbered by.
         let mut b = TopologyBuilder::new();
         let mut node_of: FxHashMap<&str, NodeId> = FxHashMap::default();
         for v in &config.virtual_hosts {
@@ -153,28 +149,21 @@ impl VirtualGrid {
                 if !fault_plan.is_empty() {
                     let ht = table.clone();
                     let net = network.clone();
-                    spawn_injector(fault_plan, move |kind| match kind {
-                        FaultKind::HostCrash { host } => {
-                            if let Some(e) = ht.lookup(host) {
-                                e.vhost.crash();
+                    spawn_injector(fault_plan, move |kind| {
+                        let vhost = |host: &str| {
+                            ht.lookup(host)
+                                .expect("validate checks every host fault's target")
+                                .vhost
+                        };
+                        match kind {
+                            FaultKind::HostCrash { host } => vhost(host).crash(),
+                            FaultKind::HostRestart { host } => vhost(host).restart(),
+                            FaultKind::CpuDegrade { host, factor } => {
+                                vhost(host).set_degradation(*factor)
                             }
+                            FaultKind::CpuRestore { host } => vhost(host).set_degradation(1.0),
+                            link_fault => net.apply_fault(link_fault),
                         }
-                        FaultKind::HostRestart { host } => {
-                            if let Some(e) = ht.lookup(host) {
-                                e.vhost.restart();
-                            }
-                        }
-                        FaultKind::CpuDegrade { host, factor } => {
-                            if let Some(e) = ht.lookup(host) {
-                                e.vhost.set_degradation(*factor);
-                            }
-                        }
-                        FaultKind::CpuRestore { host } => {
-                            if let Some(e) = ht.lookup(host) {
-                                e.vhost.set_degradation(1.0);
-                            }
-                        }
-                        link_fault => net.apply_fault(link_fault),
                     });
                 }
             }
@@ -221,7 +210,6 @@ impl VirtualGrid {
             network,
             gis: Rc::new(RefCell::new(gis)),
             physical,
-            plan,
             baseline,
         })
     }
@@ -234,11 +222,6 @@ impl VirtualGrid {
     /// The chosen simulation rate (1.0 for baselines).
     pub fn rate(&self) -> f64 {
         self.network.clock().rate()
-    }
-
-    /// The coordinator's rate plan (absent for baselines).
-    pub fn rate_plan(&self) -> Option<&RatePlan> {
-        self.plan.as_ref()
     }
 
     /// True if this grid is a direct "physical grid" baseline.
@@ -323,5 +306,29 @@ impl VirtualGrid {
     {
         let hosts = self.host_names();
         self.mpirun(&hosts, params, body).await
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets;
+    use mgrid_desim::Simulation;
+
+    /// Virtual hosts take nodes 0.. in config order, so inside either
+    /// grid the intercepted `gethostbyname` answers `alphaK` with
+    /// 1.0.0.(K+1).
+    #[test]
+    fn virtual_ips_follow_config_order() {
+        for build in [VirtualGrid::build, VirtualGrid::build_baseline] {
+            let vips = Simulation::new(1).block_on(async move {
+                let grid = build(presets::alpha_cluster()).unwrap();
+                let ctx = grid.spawn_process("alpha0", "probe").unwrap();
+                (0..4)
+                    .map(|k| ctx.resolve(&format!("alpha{k}")).unwrap().to_string())
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(vips, ["1.0.0.1", "1.0.0.2", "1.0.0.3", "1.0.0.4"]);
+        }
     }
 }

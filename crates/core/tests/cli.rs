@@ -166,7 +166,7 @@ fn run_accepts_exactly_the_papers_five_benchmarks() {
 fn hostile_configs_are_typed_errors_not_panics() {
     use microgrid::{presets, GridConfig, RatePolicy};
     type Patch = fn(&mut GridConfig);
-    let cases: [(&str, Patch, &str); 8] = [
+    let cases: [(&str, Patch, &str); 10] = [
         (
             "safety",
             |c| c.rate = RatePolicy::Auto { safety: 2.0 },
@@ -210,6 +210,22 @@ fn hostile_configs_are_typed_errors_not_panics() {
             "speed-underflow",
             |c| c.virtual_hosts[1].spec.speed_mops = 5e-324,
             "host \"alpha1\": speed_mops 5e-324 at rate 0.9 is a CPU fraction of 0",
+        ),
+        // Positive and finite, but a 50 us link delay at this rate is
+        // past the simulation clock's range: `run` panicked in netsim.
+        (
+            "fixed-tiny",
+            |c| c.rate = RatePolicy::Fixed(1e-300),
+            "link \"alpha0\"-\"switch\": delay 50000 ns at rate 1e-300 overflows the \
+             simulation clock (one step may last at most 9223372036854775807 ns)",
+        ),
+        // Non-zero, but the scheduler daemon's first sleep through it
+        // overflowed the clock.
+        (
+            "quantum-max",
+            |c| c.quantum = microgrid::desim::SimDuration::MAX,
+            "quantum 18446744073709551615 ns overflows the simulation clock \
+             (one step may last at most 9223372036854775807 ns)",
         ),
     ];
     for (name, patch, message) in cases {

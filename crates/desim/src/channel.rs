@@ -116,16 +116,6 @@ impl<T> Sender<T> {
     pub fn is_closed(&self) -> bool {
         !self.state.borrow().receiver_alive
     }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Receiving half of a channel.

@@ -227,13 +227,6 @@ impl Metrics {
         self.observe_with(name, value, TIME_BOUNDS_NS);
     }
 
-    /// Drop every metric.
-    pub fn clear(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.clear();
-        inner.histograms.clear();
-    }
-
     /// Freeze the registry into a serializable snapshot. Entries are
     /// sorted by name, so equal registries produce identical snapshots.
     /// Counters and histograms that were registered (e.g. through a

@@ -109,12 +109,6 @@ pub fn observe(name: &str, value: u64) {
     try_with_current(|s| s.obs().metrics.observe(name, value));
 }
 
-/// Record a value into a histogram created with explicit bucket bounds.
-/// No-op outside a simulation.
-pub fn observe_with(name: &str, value: u64, bounds: &[u64]) {
-    try_with_current(|s| s.obs().metrics.observe_with(name, value, bounds));
-}
-
 /// A [`Counter`] handle bound to the current simulation's registry, for
 /// per-event hot paths: resolve the name once at setup, then add without
 /// any lookup. Outside a simulation the handle is detached (writes are

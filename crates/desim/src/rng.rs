@@ -101,11 +101,6 @@ impl SimRng {
         lo + self.below(hi - lo)
     }
 
-    /// True with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Standard normal deviate (Box-Muller with caching).
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {

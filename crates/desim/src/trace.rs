@@ -242,16 +242,6 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         self.state.borrow().dropped
     }
-
-    /// Discard all retained events and reset the dropped count and the
-    /// per-kind totals. The streaming sink (and its counters) is
-    /// untouched.
-    pub fn clear(&self) {
-        let mut s = self.state.borrow_mut();
-        s.events.clear();
-        s.dropped = 0;
-        s.kinds = [0; Event::KINDS.len()];
-    }
 }
 
 #[cfg(test)]
@@ -510,16 +500,5 @@ mod tests {
         names.sort_unstable();
         assert_eq!(counts.iter().map(|(k, _)| *k).collect::<Vec<_>>(), names);
         assert!(counts.iter().all(|(_, n)| *n == 2));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let t = Tracer::new(2);
-        for i in 0..3u64 {
-            t.record(SimTime::ZERO, ev(i));
-        }
-        t.clear();
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 }

@@ -142,23 +142,6 @@ impl FaultKind {
         }
     }
 
-    /// Per-kind counter key in the metrics registry.
-    pub const fn metric_name(&self) -> &'static str {
-        match self {
-            FaultKind::LinkDown { .. } => "faults.link_down",
-            FaultKind::LinkUp { .. } => "faults.link_up",
-            FaultKind::Partition { .. } => "faults.partition",
-            FaultKind::HealPartition { .. } => "faults.heal_partition",
-            FaultKind::LinkLoss { .. } => "faults.link_loss",
-            FaultKind::LinkCorrupt { .. } => "faults.link_corrupt",
-            FaultKind::LinkReorder { .. } => "faults.link_reorder",
-            FaultKind::HostCrash { .. } => "faults.host_crash",
-            FaultKind::HostRestart { .. } => "faults.host_restart",
-            FaultKind::CpuDegrade { .. } => "faults.cpu_degrade",
-            FaultKind::CpuRestore { .. } => "faults.cpu_restore",
-        }
-    }
-
     /// Human-readable target description for trace output.
     pub fn target(&self) -> String {
         match self {
@@ -300,7 +283,7 @@ pub fn spawn_injector(plan: &FaultPlan, apply: impl Fn(&FaultKind) + 'static) {
         for ev in events {
             mgrid_desim::sleep_until(SimTime::ZERO + ev.at).await;
             obs::count("faults.injected", 1);
-            obs::count(ev.kind.metric_name(), 1);
+            obs::count(&format!("faults.{}", ev.kind.name()), 1);
             obs::emit(|| Event::FaultInjected {
                 fault: ev.kind.name(),
                 target: ev.kind.target().into(),

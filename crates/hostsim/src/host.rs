@@ -191,11 +191,6 @@ impl VirtualHost {
         self.inner.fraction
     }
 
-    /// True when the MicroGrid scheduler paces this host's processes.
-    pub fn is_managed(&self) -> bool {
-        self.inner.managed
-    }
-
     /// The virtual host's memory manager (created lazily).
     pub fn memory(&self) -> MemoryManager {
         self.inner
@@ -349,19 +344,9 @@ pub struct GridProcess {
 }
 
 impl GridProcess {
-    /// The virtual host this process runs on.
-    pub fn host(&self) -> &VirtualHost {
-        &self.inner.vh
-    }
-
     /// The underlying OS process (for kernel-level accounting).
     pub fn os_process(&self) -> &ProcessHandle {
         &self.inner.proc
-    }
-
-    /// The scheduler job, when managed.
-    pub fn job_id(&self) -> Option<JobId> {
-        self.inner.job.borrow().as_ref().map(|(id, _)| *id)
     }
 
     /// This process's memory handle.

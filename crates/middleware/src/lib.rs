@@ -6,8 +6,9 @@
 //! path (gatekeeper → jobmanager → processes) that crosses from the
 //! physical domain into the virtual Grid.
 //!
-//! * [`vip`] — virtual IP addresses and their allocator.
-//! * [`hosttable`] — the virtual→physical mapping table.
+//! * [`vip`] — virtual IP addresses.
+//! * [`hosttable`] — the virtual→physical mapping table, the one registry
+//!   of virtual hosts.
 //! * [`process`] — [`ProcessCtx`], the mediated execution surface
 //!   applications see (virtual `gethostname`/`gettimeofday`, compute,
 //!   memory).
@@ -33,5 +34,5 @@ pub use gatekeeper::{
 };
 pub use hosttable::{HostEntry, HostTable};
 pub use process::ProcessCtx;
-pub use vip::{VipAllocator, VirtIp};
-pub use vsocket::{RetryPolicy, SockError, VMessage, VSender, VSocket};
+pub use vip::VirtIp;
+pub use vsocket::{SockError, VMessage, VSender, VSocket};

@@ -3,7 +3,8 @@
 //! The MicroGrid gives every virtual host a virtual IP; all name- and
 //! address-bearing library calls are intercepted and translated through a
 //! mapping table (paper §2.2.1). Virtual addresses live in the 1.0.0.0/8
-//! block, matching the paper's examples (`nn=1.11.11.0`).
+//! block, matching the paper's examples (`nn=1.11.11.0`); a host's is a
+//! function of its network node (see `HostEntry::vip`).
 
 use std::fmt;
 
@@ -51,33 +52,6 @@ impl fmt::Debug for VirtIp {
     }
 }
 
-/// Sequential allocator of virtual addresses in `1.x.y.z`.
-#[derive(Debug)]
-pub struct VipAllocator {
-    next: u32,
-}
-
-impl Default for VipAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VipAllocator {
-    /// A fresh allocator starting at `1.0.0.1`.
-    pub fn new() -> Self {
-        VipAllocator { next: 1 }
-    }
-
-    /// Allocate the next address.
-    pub fn allocate(&mut self) -> VirtIp {
-        let ip = VirtIp((1 << 24) | self.next);
-        self.next += 1;
-        assert!(self.next < (1 << 24), "virtual address space exhausted");
-        ip
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,15 +64,5 @@ mod tests {
         assert_eq!(VirtIp::parse("1.11.11"), None);
         assert_eq!(VirtIp::parse("1.11.11.7.9"), None);
         assert_eq!(VirtIp::parse("300.1.1.1"), None);
-    }
-
-    #[test]
-    fn allocator_is_sequential_in_virtual_block() {
-        let mut a = VipAllocator::new();
-        assert_eq!(a.allocate().to_string(), "1.0.0.1");
-        assert_eq!(a.allocate().to_string(), "1.0.0.2");
-        let many: Vec<VirtIp> = (0..300).map(|_| a.allocate()).collect();
-        assert!(many.iter().all(|ip| ip.octets()[0] == 1));
-        assert_eq!(many.last().unwrap().to_string(), "1.0.1.46");
     }
 }

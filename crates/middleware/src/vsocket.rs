@@ -6,7 +6,6 @@
 //! (possibly paced) virtual CPU, resolves names through the mapping table,
 //! and moves data only across the simulated virtual network.
 
-use mgrid_desim::time::SimDuration;
 use mgrid_desim::{obs, Category, Event};
 use mgrid_netsim::{NetError, Payload};
 
@@ -15,20 +14,20 @@ use crate::process::ProcessCtx;
 use crate::vip::VirtIp;
 
 /// Record one outbound vsocket message in the observability layer.
-fn note_send(ctx: &ProcessCtx, dst: &HostEntry, port: u16, bytes: u64) {
-    let m = &ctx.vsock_metrics;
+fn note_send(ctx: &ProcessCtx, dst: &HostEntry, bytes: u64) {
+    let m = &ctx.table().vsock;
     m.sends.add(1);
     m.bytes_sent.add(bytes);
     obs::emit(|| Event::VsockSend {
         src: ctx.span_attrs().0,
-        dst: ctx.table().endpoint_labels(dst, port).0,
+        dst: dst.name.clone(),
         bytes,
     });
 }
 
 /// Record one delivered vsocket message in the observability layer.
 fn note_recv(ctx: &ProcessCtx, bytes: u64) {
-    let m = &ctx.vsock_metrics;
+    let m = &ctx.table().vsock;
     m.recvs.add(1);
     m.bytes_recvd.add(bytes);
     obs::emit(|| Event::VsockRecv {
@@ -45,28 +44,24 @@ fn note_recv(ctx: &ProcessCtx, bytes: u64) {
 async fn send_impl(
     ctx: &ProcessCtx,
     src_port: u16,
-    host: &str,
+    dst: &HostEntry,
     port: u16,
     size_bytes: u64,
     payload: Payload,
 ) -> Result<(), SockError> {
-    let entry = ctx
-        .table()
-        .lookup(host)
-        .ok_or_else(|| SockError::UnknownHost(host.to_string()))?;
     let span = obs::span_begin(Category::Vsock, "vsock_send", || {
         let (track, lane) = ctx.span_attrs();
-        (track, lane, ctx.table().endpoint_labels(&entry, port).1)
+        (track, lane, ctx.table().endpoint_label(dst, port))
     });
     if !span.is_none() {
-        let dst = ctx.table().endpoint_labels(&entry, port).1;
-        obs::flow_out("msg", ctx.gethostname(), &dst, span);
+        let label = ctx.table().endpoint_label(dst, port);
+        obs::flow_out("msg", ctx.gethostname(), &label, span);
     }
     ctx.process().intercept_overhead().await;
-    note_send(ctx, &entry, port, size_bytes);
+    note_send(ctx, dst, size_bytes);
     let res = ctx
         .endpoint()
-        .send(entry.node, port, src_port, size_bytes, payload)
+        .send(dst.node, port, src_port, size_bytes, payload)
         .await
         .map_err(SockError::Net);
     obs::span_end(span);
@@ -83,8 +78,8 @@ pub enum SockError {
     Net(NetError),
     /// The socket (or network) was closed.
     Closed,
-    /// A middleware-level deadline expired: a retry policy ran out of
-    /// attempts, or an MPI receive exceeded its configured timeout.
+    /// A middleware-level deadline expired: an MPI wait on a peer outlived
+    /// its configured receive timeout.
     TimedOut,
 }
 
@@ -101,51 +96,11 @@ impl std::fmt::Display for SockError {
 
 impl std::error::Error for SockError {}
 
-/// Deterministic retry policy for unreliable sends: exponential backoff
-/// with no jitter, so two same-seed runs retry at identical instants.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (0 is treated as 1).
-    pub attempts: u32,
-    /// Delay before the first retry; doubles per retry.
-    pub backoff: SimDuration,
-    /// Cap on the doubled backoff.
-    pub max_backoff: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            backoff: SimDuration::from_millis(100),
-            max_backoff: SimDuration::from_secs(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Whether `err` is worth retrying: transient transport failures are;
-    /// configuration errors (unknown host) and closed sockets are not.
-    fn retryable(err: &SockError) -> bool {
-        matches!(
-            err,
-            SockError::Net(NetError::TimedOut) | SockError::Net(NetError::Unreachable)
-        )
-    }
-
-    /// The backoff after `backoff`, doubled and capped.
-    fn next_backoff(&self, backoff: SimDuration) -> SimDuration {
-        SimDuration::from_nanos(backoff.as_nanos().saturating_mul(2)).min(self.max_backoff)
-    }
-}
-
 /// A message received on a virtual socket.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct VMessage {
-    /// Sending virtual host's name.
-    pub src_host: String,
-    /// Sending virtual host's virtual IP.
-    pub src_vip: VirtIp,
+    /// The sending virtual host.
+    pub src: HostEntry,
     /// Sender's port.
     pub src_port: u16,
     /// Application bytes.
@@ -179,12 +134,16 @@ impl ProcessCtx {
         }
     }
 
-    /// The intercepted `gethostbyname()`: resolve a *virtual* hostname.
-    pub fn resolve(&self, host: &str) -> Result<VirtIp, SockError> {
+    /// The mapping-table entry of a *virtual* hostname.
+    fn lookup(&self, host: &str) -> Result<HostEntry, SockError> {
         self.table()
             .lookup(host)
-            .map(|e| e.vip)
             .ok_or_else(|| SockError::UnknownHost(host.to_string()))
+    }
+
+    /// The intercepted `gethostbyname()`: resolve a *virtual* hostname.
+    pub fn resolve(&self, host: &str) -> Result<VirtIp, SockError> {
+        self.lookup(host).map(|e| e.vip())
     }
 }
 
@@ -197,55 +156,20 @@ pub struct VSender {
 }
 
 impl VSender {
-    /// Reliably send `size_bytes` (+payload) to `host:port`; identical
-    /// semantics to [`VSocket::send_to`].
+    /// Reliably send `size_bytes` (+payload) to `port` on the resolved
+    /// host `dst`; otherwise identical to [`VSocket::send_to`].
     pub async fn send_to(
         &self,
-        host: &str,
+        dst: &HostEntry,
         port: u16,
         size_bytes: u64,
         payload: Payload,
     ) -> Result<(), SockError> {
-        send_impl(&self.ctx, self.src_port, host, port, size_bytes, payload).await
-    }
-
-    /// Like [`VSender::send_to`], retrying transient transport failures
-    /// under `policy`; identical semantics to
-    /// [`VSocket::send_to_with_retry`].
-    pub async fn send_to_with_retry(
-        &self,
-        host: &str,
-        port: u16,
-        size_bytes: u64,
-        payload: Payload,
-        policy: &RetryPolicy,
-    ) -> Result<(), SockError> {
-        let mut backoff = policy.backoff;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.send_to(host, port, size_bytes, payload.clone()).await {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt < policy.attempts.max(1) && RetryPolicy::retryable(&e) => {
-                    self.ctx.vsock_metrics.retries.add(1);
-                    mgrid_desim::sleep(backoff).await;
-                    backoff = policy.next_backoff(backoff);
-                }
-                Err(e) => {
-                    self.ctx.vsock_metrics.send_failures.add(1);
-                    return Err(e);
-                }
-            }
-        }
+        send_impl(&self.ctx, self.src_port, dst, port, size_bytes, payload).await
     }
 }
 
 impl VSocket {
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
     /// A cloneable sending half bound to this socket's port.
     pub fn sender(&self) -> VSender {
         VSender {
@@ -256,7 +180,7 @@ impl VSocket {
 
     /// Reliably send `size_bytes` (+payload) to `host:port`.
     ///
-    /// Pays the interception overhead, resolves the virtual name, and
+    /// Resolves the virtual name, pays the interception overhead, and
     /// completes when the message is fully acknowledged.
     pub async fn send_to(
         &self,
@@ -265,25 +189,8 @@ impl VSocket {
         size_bytes: u64,
         payload: Payload,
     ) -> Result<(), SockError> {
-        send_impl(&self.ctx, self.port, host, port, size_bytes, payload).await
-    }
-
-    /// Reliably send with deterministic retries: transient transport
-    /// failures ([`NetError::TimedOut`], [`NetError::Unreachable`]) are
-    /// retried up to `policy.attempts` total attempts with jitter-free
-    /// exponential backoff. Retries count into `vsock.retries`; a final
-    /// failure counts into `vsock.send_failures`.
-    pub async fn send_to_with_retry(
-        &self,
-        host: &str,
-        port: u16,
-        size_bytes: u64,
-        payload: Payload,
-        policy: &RetryPolicy,
-    ) -> Result<(), SockError> {
-        self.sender()
-            .send_to_with_retry(host, port, size_bytes, payload, policy)
-            .await
+        let dst = self.ctx.lookup(host)?;
+        send_impl(&self.ctx, self.port, &dst, port, size_bytes, payload).await
     }
 
     /// This socket's `(":port", "host:port")` labels.
@@ -326,35 +233,11 @@ impl VSocket {
         }
         obs::span_end(span);
         Ok(VMessage {
-            src_host: src.name,
-            src_vip: src.vip,
+            src,
             src_port: msg.src_port,
             size_bytes: msg.size_bytes,
             payload: msg.payload,
         })
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<VMessage> {
-        let msg = self.inbox.try_recv()?;
-        note_recv(&self.ctx, msg.size_bytes);
-        let src = self
-            .ctx
-            .table()
-            .lookup_node(msg.src)
-            .expect("message from unmapped node");
-        Some(VMessage {
-            src_host: src.name,
-            src_vip: src.vip,
-            src_port: msg.src_port,
-            size_bytes: msg.size_bytes,
-            payload: msg.payload,
-        })
-    }
-
-    /// Number of queued messages.
-    pub fn pending(&self) -> usize {
-        self.inbox.len()
     }
 }
 
@@ -367,12 +250,15 @@ mod tests {
     use mgrid_hostsim::{OsParams, PhysicalHost, PhysicalHostSpec, SchedulerParams};
     use mgrid_netsim::{LinkSpec, NetParams, Network, TopologyBuilder};
 
-    /// Two virtual hosts on two physical hosts, 100 Mb Ethernet between.
+    /// Two virtual hosts on two physical hosts, a 100 Mb Ethernet switch
+    /// between.
     fn grid() -> (HostTable, Network) {
         let mut b = TopologyBuilder::new();
         let n0 = b.host("vm0.ucsd.edu");
         let n1 = b.host("vm1.ucsd.edu");
-        b.link(n0, n1, LinkSpec::fast_ethernet());
+        let sw = b.router("switch");
+        b.link(n0, sw, LinkSpec::fast_ethernet());
+        b.link(n1, sw, LinkSpec::fast_ethernet());
         let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
         let table = HostTable::new();
         for (i, (name, node)) in [("vm0.ucsd.edu", n0), ("vm1.ucsd.edu", n1)]
@@ -407,7 +293,7 @@ mod tests {
                     .unwrap();
             });
             let msg = sock_b.recv().await.unwrap();
-            assert_eq!(msg.src_host, "vm0.ucsd.edu");
+            assert_eq!(&*msg.src.name, "vm0.ucsd.edu");
             assert_eq!(msg.src_port, 7001);
             assert_eq!(msg.size_bytes, 4096);
             assert_eq!(*msg.payload.downcast::<&str>().unwrap(), "hello");
@@ -428,79 +314,14 @@ mod tests {
                 .await
                 .unwrap_err();
             assert!(matches!(err, SockError::UnknownHost(_)));
-            assert!(a.resolve("real-host.example.com").is_err());
-            assert!(a.resolve("vm1.ucsd.edu").is_ok());
+            // Nor does a router of the virtual network, or the physical
+            // host a virtual host runs on.
+            for name in ["real-host.example.com", "switch", "phys1"] {
+                assert_eq!(a.resolve(name), Err(SockError::UnknownHost(name.into())));
+            }
+            assert_eq!(a.resolve("vm1.ucsd.edu").unwrap().to_string(), "1.0.0.2");
         });
         sim.run_until(mgrid_desim::SimTime::from_secs_f64(1.0));
-    }
-
-    #[test]
-    fn retry_policy_survives_a_transient_outage() {
-        let mut sim = Simulation::new(4);
-        sim.spawn(async {
-            let mut b = TopologyBuilder::new();
-            let n0 = b.host("vm0");
-            let n1 = b.host("vm1");
-            let (ab, ba) = b.link(n0, n1, LinkSpec::fast_ethernet());
-            // A small retry budget makes the transport give up quickly so
-            // the middleware-level retry policy is what recovers.
-            let net = Network::new(
-                b.build(),
-                VirtualClock::identity(),
-                NetParams {
-                    retry_budget: 2,
-                    ..NetParams::default()
-                },
-            );
-            let table = HostTable::new();
-            for (i, (name, node)) in [("vm0", n0), ("vm1", n1)].into_iter().enumerate() {
-                let ph = PhysicalHost::new(
-                    PhysicalHostSpec::new(format!("phys{i}"), 500.0, 1 << 30),
-                    OsParams::default(),
-                    SchedulerParams::default(),
-                    SimRng::new(i as u64 + 1),
-                );
-                table.register(name, node, ph.as_direct_virtual());
-            }
-            net.set_link_down(ab, true);
-            net.set_link_down(ba, true);
-            {
-                let net = net.clone();
-                mgrid_desim::spawn(async move {
-                    mgrid_desim::sleep(SimDuration::from_secs(2)).await;
-                    net.set_link_down(ab, false);
-                    net.set_link_down(ba, false);
-                });
-            }
-            let a = ProcessCtx::spawn(&table, &net, "vm0", "sender").unwrap();
-            let b = ProcessCtx::spawn(&table, &net, "vm1", "receiver").unwrap();
-            let sock_b = b.bind(9000);
-            let sock_a = a.bind(9001);
-            let policy = RetryPolicy {
-                attempts: 10,
-                backoff: SimDuration::from_millis(200),
-                max_backoff: SimDuration::from_secs(2),
-            };
-            {
-                let sock_a = sock_a;
-                mgrid_desim::spawn(async move {
-                    sock_a
-                        .send_to_with_retry("vm1", 9000, 4096, Payload::empty(), &policy)
-                        .await
-                        .unwrap();
-                });
-            }
-            let msg = sock_b.recv().await.unwrap();
-            assert_eq!(msg.size_bytes, 4096);
-        });
-        sim.run_until(mgrid_desim::SimTime::from_secs_f64(30.0));
-        let m = sim.obs().metrics().snapshot();
-        assert!(
-            m.counter("vsock.retries") >= 1,
-            "retries must be recorded: {:?}",
-            m.counters
-        );
-        assert_eq!(m.counter("vsock.send_failures"), 0);
     }
 
     #[test]

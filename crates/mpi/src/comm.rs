@@ -16,7 +16,7 @@ use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::timeout::with_timeout;
 use mgrid_desim::{obs, spawn, Category, Event, FxHashMap, FxHashSet, SpanStr};
-use mgrid_middleware::{ProcessCtx, SockError, VSender};
+use mgrid_middleware::{HostEntry, ProcessCtx, SockError, VSender};
 use mgrid_netsim::Payload;
 
 use crate::proto::{MpiData, MpiMsg, Pattern, RecvMsg, Tag};
@@ -120,7 +120,8 @@ impl Engine {
 pub struct Comm {
     ctx: ProcessCtx,
     rank: usize,
-    hosts: Rc<Vec<String>>,
+    /// Every rank's host, resolved once at launch (rank `r` on `peers[r]`).
+    peers: Rc<[HostEntry]>,
     sender: VSender,
     engine: Rc<RefCell<Engine>>,
     params: Rc<MpiParams>,
@@ -151,12 +152,12 @@ struct CollLabels {
 }
 
 impl Comm {
-    /// Create the communicator for `rank` of a world spanning `hosts`
-    /// (rank `r` lives on `hosts[r]`). Binds the rank's port and starts
+    /// Create the communicator for `rank` of a world spanning `peers`
+    /// (rank `r` lives on `peers[r]`). Binds the rank's port and starts
     /// the receive pump. All ranks must be created before any
     /// communication starts (as `mpirun` guarantees).
-    pub fn create(ctx: ProcessCtx, rank: usize, hosts: Rc<Vec<String>>, params: MpiParams) -> Comm {
-        assert!(rank < hosts.len(), "rank {rank} out of range");
+    pub fn create(ctx: ProcessCtx, rank: usize, peers: Rc<[HostEntry]>, params: MpiParams) -> Comm {
+        assert!(rank < peers.len(), "rank {rank} out of range");
         let sock = ctx.bind(params.base_port + rank as u16);
         let sender = sock.sender();
         let engine = Rc::new(RefCell::new(Engine {
@@ -197,7 +198,7 @@ impl Comm {
         Comm {
             ctx,
             rank,
-            hosts,
+            peers,
             sender,
             engine,
             params: Rc::new(params),
@@ -273,17 +274,12 @@ impl Comm {
 
     /// World size.
     pub fn size(&self) -> usize {
-        self.hosts.len()
+        self.peers.len()
     }
 
     /// The execution context of this rank's process.
     pub fn ctx(&self) -> &ProcessCtx {
         &self.ctx
-    }
-
-    /// The virtual hostname of a rank.
-    pub fn host_of(&self, rank: usize) -> &str {
-        &self.hosts[rank]
     }
 
     fn port_of(&self, rank: usize) -> u16 {
@@ -320,7 +316,7 @@ impl Comm {
         if bytes <= self.params.eager_threshold {
             // Eager: hand off to the transport and return (buffered).
             let sender = self.sender.clone();
-            let host = self.hosts[dst].clone();
+            let peers = self.peers.clone();
             let port = self.port_of(dst);
             let wire = bytes + self.params.control_bytes;
             let src = self.rank;
@@ -330,7 +326,7 @@ impl Comm {
             spawn(async move {
                 let _ = sender
                     .send_to(
-                        &host,
+                        &peers[dst],
                         port,
                         wire,
                         Payload::new(MpiMsg::Eager {
@@ -355,14 +351,14 @@ impl Comm {
         self.engine.borrow_mut().cts_waiters.insert(send_id, tx);
         {
             let sender = self.sender.clone();
-            let host = self.hosts[dst].clone();
+            let peers = self.peers.clone();
             let port = self.port_of(dst);
             let control = self.params.control_bytes;
             let src = self.rank;
             spawn(async move {
                 let _ = sender
                     .send_to(
-                        &host,
+                        &peers[dst],
                         port,
                         control,
                         Payload::new(MpiMsg::Rts {
@@ -399,7 +395,7 @@ impl Comm {
         }
         self.sender
             .send_to(
-                &self.hosts[dst],
+                &self.peers[dst],
                 self.port_of(dst),
                 bytes + self.params.control_bytes,
                 Payload::new(MpiMsg::RendezvousData {
@@ -468,7 +464,7 @@ impl Comm {
                     // Release the sender, then wait for the data.
                     self.sender
                         .send_to(
-                            &self.hosts[src],
+                            &self.peers[src],
                             self.port_of(src),
                             self.params.control_bytes,
                             Payload::new(MpiMsg::Cts { send_id }),
@@ -516,10 +512,6 @@ impl Comm {
         COLLECTIVE_TAG_BASE - epoch as Tag * 64
     }
 
-    async fn coll_send(&self, dst: usize, tag: Tag, data: MpiData) -> Result<(), SockError> {
-        self.protocol_send(dst, tag, data).await
-    }
-
     /// Wrap one collective call with trace events, timing metrics, and a
     /// causal span. Emitted per participating rank; `elapsed_ns` is this
     /// rank's wall time in the collective (skew across ranks is visible
@@ -540,7 +532,7 @@ impl Comm {
         let rank = self.rank;
         let labels = || {
             self.coll_labels.get_or_init(|| CollLabels {
-                track: self.hosts[rank].as_str().into(),
+                track: self.peers[rank].name.clone(),
                 lane: format!("rank{rank}").into(),
                 detail: format!("x{ranks}").into(),
                 peers: if rank == 0 {
@@ -595,7 +587,7 @@ impl Comm {
             let tag = tag0 - round;
             let send = {
                 let comm = self.clone();
-                spawn(async move { comm.coll_send(to, tag, MpiData::bytes_only(0)).await })
+                spawn(async move { comm.protocol_send(to, tag, MpiData::bytes_only(0)).await })
             };
             self.recv(from, tag).await?;
             send.await?;
@@ -631,7 +623,7 @@ impl Comm {
                 let child_v = vrank | j;
                 if child_v < n {
                     let child = (child_v + root) % n;
-                    self.coll_send(child, tag, data.clone()).await?;
+                    self.protocol_send(child, tag, data.clone()).await?;
                 }
             }
             j <<= 1;
@@ -691,7 +683,7 @@ impl Comm {
         }
         let parent_v = vrank & (vrank - 1);
         let parent = (parent_v + root) % n;
-        self.coll_send(parent, tag, MpiData::typed(bytes, acc))
+        self.protocol_send(parent, tag, MpiData::typed(bytes, acc))
             .await?;
         Ok(None)
     }
@@ -758,7 +750,7 @@ impl Comm {
                     .collect(),
             ))
         } else {
-            self.coll_send(root, tag, MpiData::typed(bytes, value))
+            self.protocol_send(root, tag, MpiData::typed(bytes, value))
                 .await?;
             Ok(None)
         }
@@ -788,7 +780,8 @@ impl Comm {
             } else {
                 let comm = self.clone();
                 sends.push(spawn(async move {
-                    comm.coll_send(d, tag, MpiData::typed(bytes, chunk)).await
+                    comm.protocol_send(d, tag, MpiData::typed(bytes, chunk))
+                        .await
                 }));
             }
         }

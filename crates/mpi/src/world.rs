@@ -6,13 +6,14 @@ use std::rc::Rc;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::timeout::with_timeout;
 use mgrid_desim::{obs, spawn, Event, JoinHandle};
-use mgrid_middleware::{HostTable, ProcessCtx};
+use mgrid_middleware::{HostEntry, HostTable, ProcessCtx};
 use mgrid_netsim::Network;
 
 use crate::comm::{Comm, MpiParams};
 
-/// Start every rank's process and communicator, then spawn the bodies in
-/// rank order: all sockets are bound before any body runs.
+/// Resolve every rank's host once, start every rank's process and
+/// communicator, then spawn the bodies in rank order: all sockets are
+/// bound before any body runs.
 fn launch<T, F, Fut>(
     table: &HostTable,
     net: &Network,
@@ -25,12 +26,19 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
-    let hosts_rc = Rc::new(hosts.to_vec());
+    let peers: Rc<[HostEntry]> = hosts
+        .iter()
+        .map(|host| {
+            table
+                .lookup(host)
+                .unwrap_or_else(|| panic!("unknown virtual host {host:?}"))
+        })
+        .collect();
     let mut comms = Vec::with_capacity(hosts.len());
     for (rank, host) in hosts.iter().enumerate() {
         let ctx = ProcessCtx::spawn(table, net, host, format!("mpi-rank{rank}"))
             .unwrap_or_else(|e| panic!("cannot start rank {rank} on {host}: {e}"));
-        comms.push(Comm::create(ctx, rank, hosts_rc.clone(), params.clone()));
+        comms.push(Comm::create(ctx, rank, peers.clone(), params.clone()));
     }
     let handles = comms.iter().map(|comm| spawn(body(comm.clone()))).collect();
     (comms, handles)
@@ -167,7 +175,7 @@ mod tests {
     use mgrid_desim::vclock::VirtualClock;
     use mgrid_desim::{SimRng, SimTime, Simulation};
     use mgrid_hostsim::{OsParams, PhysicalHost, PhysicalHostSpec, SchedulerParams};
-    use mgrid_netsim::{LinkSpec, NetParams, NodeId, TopologyBuilder};
+    use mgrid_netsim::{LinkId, LinkSpec, NetParams, NodeId, TopologyBuilder};
 
     /// A 4-host switched-Ethernet virtual grid on 4 direct physical hosts.
     fn grid4() -> (HostTable, Network, Vec<String>) {
@@ -454,6 +462,34 @@ mod tests {
         assert_eq!(out, vec![Some(0), Some(1), None, Some(3)]);
         let m = sim.obs().metrics().snapshot();
         assert_eq!(m.counter("faults.jobs_dropped"), 1);
+    }
+
+    #[test]
+    fn ranks_may_share_a_virtual_host() {
+        // Both ranks resolve to node1's entry: their eager and rendezvous
+        // traffic takes the loopback path and never touches a link.
+        let mut sim = Simulation::new(15);
+        let (out, link_packets) = sim.block_on(async move {
+            let (table, net, hosts) = grid4();
+            let body = |comm: Comm| async move {
+                assert_eq!(comm.ctx().gethostname(), "node1.cluster");
+                let peer = 1 - comm.rank();
+                let mut got = Vec::new();
+                for (tag, bytes) in [(3, 8), (4, 100_000)] {
+                    let data = MpiData::typed(bytes, comm.rank());
+                    let msg = comm.sendrecv(peer, tag, data, peer, tag).await.unwrap();
+                    got.push(*msg.data.downcast::<usize>().unwrap());
+                }
+                got
+            };
+            let hosts = [hosts[1].clone(), hosts[1].clone()];
+            let out = mpirun(&table, &net, &hosts, MpiParams::default(), body).await;
+            let links = 0..net.topology().link_count();
+            let packets = links.map(|l| net.link_stats(LinkId(l)).tx_packets);
+            (out, packets.sum::<u64>())
+        });
+        assert_eq!(out, vec![vec![1, 1], vec![0, 0]]);
+        assert_eq!(link_packets, 0);
     }
 
     #[test]

@@ -49,10 +49,6 @@ pub struct NetParams {
     /// doubles the RTO no further than this, and RTT-blend updates are
     /// clamped to it (so one pathological sample can't park a transfer).
     pub max_rto: SimDuration,
-    /// Consecutive timed-out retransmission rounds (no ack progress)
-    /// tolerated before a send fails with [`NetError::TimedOut`].
-    /// `0` means retry forever — the pre-fault-engine behaviour.
-    pub retry_budget: u32,
     /// Latency of a loopback delivery (same-host messaging).
     pub loopback_delay: SimDuration,
 }
@@ -67,7 +63,6 @@ impl Default for NetParams {
             min_rto: SimDuration::from_millis(10),
             initial_rto: SimDuration::from_millis(300),
             max_rto: SimDuration::from_secs(5),
-            retry_budget: 0,
             loopback_delay: SimDuration::from_micros(15),
         }
     }
@@ -121,10 +116,6 @@ pub enum NetError {
     Unreachable,
     /// The network was torn down mid-operation.
     Closed,
-    /// The retry budget ran out with no acknowledgment progress (the
-    /// destination is down, partitioned away, or the path is lossy beyond
-    /// recovery within [`NetParams::retry_budget`] rounds).
-    TimedOut,
 }
 
 impl std::fmt::Display for NetError {
@@ -132,7 +123,6 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::Unreachable => write!(f, "destination unreachable"),
             NetError::Closed => write!(f, "network closed"),
-            NetError::TimedOut => write!(f, "retry budget exhausted without ack progress"),
         }
     }
 }
@@ -965,26 +955,6 @@ impl Inbox {
     /// Receive the next message, parking until one arrives.
     pub async fn recv(&self) -> Result<Message, NetError> {
         self.rx.recv().await.map_err(|_| NetError::Closed)
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv()
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// True if no messages are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
-    }
-
-    /// The bound port number.
-    pub fn port(&self) -> u16 {
-        self.port
     }
 }
 
