@@ -4,9 +4,18 @@
 use microgrid::apps::npb::NpbBenchmark;
 use microgrid::apps::{rms_skew_percent, WaveToyConfig};
 use microgrid::desim::time::SimDuration;
-use microgrid::{presets, ComparisonRow, Report, Series};
+use microgrid::{presets, App, AppResult, ComparisonRow, Mode, Report, Scenario, Series};
 
-use crate::runner::{class_for_run, fast_mode, run_npb_with_sensors, run_wavetoy, Mode, Plan};
+use crate::runner::{class_for_run, fast_mode, run, seconds, Plan};
+
+/// [`run`] for an [`App::NpbSensors`] job that insists the run verified:
+/// rank 0's virtual seconds and counter trace.
+fn sensed(scenario: Scenario) -> (f64, Vec<(f64, f64)>) {
+    match run(scenario).output.swap_remove(0) {
+        AppResult::Sensed(r, trace) if r.verified => (r.virtual_seconds, trace),
+        other => panic!("verification failed: {other:?}"),
+    }
+}
 
 /// Fig 16: CACTUS WaveToy on the physical cluster vs the MicroGrid model
 /// of it, grid sizes 50 and 250.
@@ -18,11 +27,8 @@ pub fn fig16_cactus() -> Plan {
     let mut jobs = Vec::new();
     for &wt in &configs {
         for mode in [Mode::Physical, Mode::MicroGrid] {
-            jobs.push(move || {
-                let r = run_wavetoy(presets::alpha_cluster(), mode, wt);
-                assert!(r.verified, "WaveToy verification failed: {r:?}");
-                r.virtual_seconds
-            });
+            let scenario = Scenario::new(presets::alpha_cluster(), mode, App::WaveToy(wt));
+            jobs.push(move || seconds(scenario));
         }
     }
     Plan::new(jobs, move |secs| {
@@ -52,11 +58,8 @@ pub fn fig17_autopilot() -> Plan {
             (Mode::Physical, presets::alpha_cluster()),
             (Mode::MicroGrid, presets::fig17_cluster()),
         ] {
-            jobs.push(move || {
-                let (r, trace) = run_npb_with_sensors(config, mode, bench, class, horizon);
-                assert!(r.verified, "verification failed: {r:?}");
-                (r.virtual_seconds, trace)
-            });
+            let scenario = Scenario::new(config, mode, App::NpbSensors(bench, class, horizon));
+            jobs.push(move || sensed(scenario));
         }
     }
     Plan::new(jobs, move |runs| {
@@ -97,41 +100,35 @@ mod tests {
     #[test]
     fn wavetoy_small_matches_within_15pct() {
         let wt = WaveToyConfig::small();
-        let phys = run_wavetoy(presets::alpha_cluster(), Mode::Physical, wt);
-        let mgrid = run_wavetoy(presets::alpha_cluster(), Mode::MicroGrid, wt);
-        assert!(phys.verified && mgrid.verified);
-        let err = (mgrid.virtual_seconds - phys.virtual_seconds).abs() / phys.virtual_seconds;
+        let wavetoy = |mode| {
+            seconds(Scenario::new(
+                presets::alpha_cluster(),
+                mode,
+                App::WaveToy(wt),
+            ))
+        };
+        let (phys, mgrid) = (wavetoy(Mode::Physical), wavetoy(Mode::MicroGrid));
+        let err = (mgrid - phys).abs() / phys;
         // Grid 50 has ~8ms steps: neighbor stall-phase mismatch costs a
         // couple of ms per step at fraction 0.9 (the paper's Fig 16
         // headline 5-7% is dominated by the 250^3 case, which tracks far
         // tighter — see fig16 in EXPERIMENTS.md).
         assert!(
             err < 0.15,
-            "WaveToy mismatch {:.1}%: {:.3} vs {:.3}",
-            err * 100.0,
-            phys.virtual_seconds,
-            mgrid.virtual_seconds
+            "WaveToy mismatch {:.1}%: {phys:.3} vs {mgrid:.3}",
+            err * 100.0
         );
     }
 
     #[test]
     fn autopilot_traces_follow_each_other() {
-        let horizon = SimDuration::from_secs(60);
-        let (pr, pt) = run_npb_with_sensors(
-            presets::alpha_cluster(),
-            Mode::Physical,
-            NpbBenchmark::EP,
-            NpbClass::S,
-            horizon,
-        );
-        let (mr, mt) = run_npb_with_sensors(
+        let app = App::NpbSensors(NpbBenchmark::EP, NpbClass::S, SimDuration::from_secs(60));
+        let (_, pt) = sensed(Scenario::new(presets::alpha_cluster(), Mode::Physical, app));
+        let (_, mt) = sensed(Scenario::new(
             presets::fig17_cluster(),
             Mode::MicroGrid,
-            NpbBenchmark::EP,
-            NpbClass::S,
-            horizon,
-        );
-        assert!(pr.verified && mr.verified);
+            app,
+        ));
         assert!(pt.len() >= 5, "physical trace too short: {}", pt.len());
         assert!(mt.len() >= 5, "microgrid trace too short: {}", mt.len());
         let n = pt.len().min(mt.len());

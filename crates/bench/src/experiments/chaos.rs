@@ -16,13 +16,13 @@
 //! timeline = one set of numbers (asserted byte-for-byte by
 //! `tests/chaos.rs` and the `chaos` binary's double-run check).
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
+use microgrid::apps::npb::{NpbBenchmark, NpbClass};
 use microgrid::desim::time::SimDuration;
 use microgrid::faults::{FaultKind, FaultPlan};
 use microgrid::mpi::{Comm, MpiData, MpiParams};
-use microgrid::{presets, Report, Series};
+use microgrid::{presets, App, AppResult, Mode, Outcome, Report, Scenario, Series};
 
-use crate::runner::{rank0, with_grid, Mode, Plan, Run};
+use crate::runner::{run_with, Plan};
 
 /// The scripted WAN impairment for scenario 1: 5% loss on the vBNS
 /// long-haul from the start, plus a 150 ms hard outage that heals.
@@ -54,14 +54,15 @@ fn wan_plan() -> FaultPlan {
 
 /// NPB IS class S over the 155 Mb/s vBNS grid, healthy or under `faults`:
 /// rank 0's result and the network's retransmit rounds.
-fn run_is_vbns(faults: Option<FaultPlan>, seed: u64) -> Run<(NpbResult, u64)> {
+fn run_is_vbns(faults: Option<FaultPlan>, seed: u64) -> Outcome<(AppResult, u64)> {
     let mut config = presets::vbns_grid(155e6);
     config.seed = seed;
     config.faults = faults;
-    with_grid(config, Mode::MicroGrid, seed, |grid| async move {
-        let body = |comm| npb::run(NpbBenchmark::IS, comm, NpbClass::S, None);
-        let results = grid.mpirun_all(MpiParams::default(), body).await;
-        (rank0(results), grid.network().stats().retransmit_rounds)
+    let scenario = Scenario::seeded(config, Mode::MicroGrid, seed);
+    run_with(scenario, |grid| async move {
+        let mut ranks = App::Npb(NpbBenchmark::IS, NpbClass::S).launch(&grid).await;
+        let retransmits = grid.network().stats().retransmit_rounds;
+        (ranks.swap_remove(0), retransmits)
     })
 }
 
@@ -69,11 +70,15 @@ fn run_is_vbns(faults: Option<FaultPlan>, seed: u64) -> Run<(NpbResult, u64)> {
 pub fn chaos_wan() -> Plan {
     let jobs = [None, Some(wan_plan())].map(|faults| move || run_is_vbns(faults, 4242));
     Plan::new(jobs.into(), |runs| {
-        let [healthy, faulty]: [Run<(NpbResult, u64)>; 2] = runs.try_into().ok().expect("two runs");
+        let [healthy, faulty]: [Outcome<(AppResult, u64)>; 2] =
+            runs.try_into().ok().expect("two runs");
         let (retransmits, m) = (faulty.output.1, faulty.metrics);
         let (healthy, faulty) = (healthy.output.0, faulty.output.0);
-        assert!(healthy.verified, "healthy run failed: {healthy:?}");
-        assert!(faulty.verified, "faulty run must still verify: {faulty:?}");
+        assert!(healthy.verified(), "healthy run failed: {healthy:?}");
+        assert!(
+            faulty.verified(),
+            "faulty run must still verify: {faulty:?}"
+        );
         let recovery_ms = m
             .histograms
             .iter()
@@ -86,8 +91,8 @@ pub fn chaos_wan() -> Plan {
         rep.series.push(Series {
             label: "virtual seconds".into(),
             points: vec![
-                ("healthy".into(), healthy.virtual_seconds),
-                ("faulty".into(), faulty.virtual_seconds),
+                ("healthy".into(), healthy.virtual_seconds()),
+                ("faulty".into(), faulty.virtual_seconds()),
             ],
         });
         rep.series.push(Series {
@@ -101,7 +106,7 @@ pub fn chaos_wan() -> Plan {
         rep.notes.push(format!(
             "transport retransmitted through 5% loss plus a 150 ms outage; \
              slowdown {:.2}x",
-            faulty.virtual_seconds / healthy.virtual_seconds.max(1e-9)
+            faulty.virtual_seconds() / healthy.virtual_seconds().max(1e-9)
         ));
         rep
     })
@@ -154,7 +159,8 @@ pub fn chaos_crash() -> Plan {
                 host: "alpha2".into(),
             },
         ));
-        with_grid(config, Mode::MicroGrid, seed, |grid| async move {
+        let scenario = Scenario::seeded(config, Mode::MicroGrid, seed);
+        run_with(scenario, |grid| async move {
             let hosts = grid.host_names();
             let params = MpiParams {
                 recv_timeout: Some(SimDuration::from_secs(2)),
@@ -167,7 +173,7 @@ pub fn chaos_crash() -> Plan {
         })
     };
     Plan::new(vec![job], |mut runs| {
-        let run: Run<(usize, usize, f64)> = runs.pop().expect("one run");
+        let run: Outcome<(usize, usize, f64)> = runs.pop().expect("one run");
         let ((survivors, dropped, finish_secs), m) = (run.output, run.metrics);
         assert_eq!(m.counter("faults.host_crash"), 1, "crash did not fire");
         assert!(dropped >= 1, "crashed rank was not detected");

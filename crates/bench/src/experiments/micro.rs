@@ -85,7 +85,6 @@ pub fn delivered_fraction(fraction: f64, competition: Competition, horizon: SimD
         mgrid_desim::sleep(horizon).await;
         refproc.cpu_used().as_secs_f64() / horizon.as_secs_f64()
     })
-    .output
 }
 
 /// Fig 6: delivered vs specified CPU fraction (10%..100%) for the three
@@ -123,7 +122,7 @@ pub fn fig6_cpu(horizon: SimDuration) -> Plan {
 /// (constantly sleeping) MicroGrid job, as Fig 7: mean and deviation of
 /// at least `samples` grants, normalized to the nominal quantum.
 pub fn quanta_distribution(competition: Competition, samples: usize) -> (f64, f64) {
-    let run = simulate(700, async move {
+    let grants = simulate(700, async move {
         let kernel = OsKernel::new(OsParams::default(), SimRng::new(79));
         let params = SchedulerParams::default();
         let quantum = params.quantum;
@@ -145,7 +144,7 @@ pub fn quanta_distribution(competition: Competition, samples: usize) -> (f64, f6
             }
         }
     });
-    mean_stddev(&run.output)
+    mean_stddev(&grants)
 }
 
 /// Fig 7: normalized quanta-size distribution (mean and deviation) for the

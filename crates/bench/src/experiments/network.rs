@@ -3,16 +3,17 @@
 //! vs MicroGrid ("Mgrid").
 
 use microgrid::mpi::{Comm, MpiData, MpiParams};
-use microgrid::{presets, Report, Series};
+use microgrid::{presets, Mode, Report, Scenario, Series};
 
-use crate::runner::{rank0, with_grid, Mode, Plan};
+use crate::runner::{run_with, Plan};
 
 /// One ping-pong measurement: (message size, one-way latency in seconds).
 pub fn ping_pong(mode: Mode, size: u64, iters: u32) -> f64 {
     let mut config = presets::alpha_cluster();
     config.virtual_hosts.truncate(2);
     config.network.links.truncate(2);
-    with_grid(config, mode, 800 ^ size, move |grid| async move {
+    let scenario = Scenario::seeded(config, mode, 800 ^ size);
+    run_with(scenario, move |grid| async move {
         let body = move |comm: Comm| async move {
             if comm.rank() == 0 {
                 // Warm-up exchange.
@@ -37,7 +38,8 @@ pub fn ping_pong(mode: Mode, size: u64, iters: u32) -> f64 {
                 None
             }
         };
-        rank0(grid.mpirun_all(MpiParams::default(), body).await).expect("rank 0 measured")
+        let ranks = grid.mpirun_all(MpiParams::default(), body).await;
+        ranks[0].expect("rank 0 measured")
     })
     .output
 }

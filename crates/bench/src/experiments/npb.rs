@@ -4,9 +4,9 @@
 
 use microgrid::apps::npb::{NpbBenchmark, NpbClass};
 use microgrid::desim::time::SimDuration;
-use microgrid::{presets, ComparisonRow, GridConfig, Report, Series};
+use microgrid::{presets, App, ComparisonRow, GridConfig, Mode, Report, Scenario, Series};
 
-use crate::runner::{class_for_run, npb_seconds, Mode, Plan};
+use crate::runner::{class_for_run, seconds, Plan};
 
 /// Fig 9: the two virtual Grid configurations studied.
 pub fn fig9_configs() -> Plan {
@@ -46,7 +46,8 @@ pub fn fig10_npb() -> Plan {
         for bench in SWEEP_BENCHES.into_iter().chain([NpbBenchmark::IS]) {
             labels.push(format!("{} ({})", bench.name(), config.name));
             for mode in [Mode::Physical, Mode::MicroGrid] {
-                jobs.push(npb_seconds(config.clone(), mode, bench, class));
+                let scenario = Scenario::new(config.clone(), mode, App::Npb(bench, class));
+                jobs.push(move || seconds(scenario));
             }
         }
     }
@@ -84,7 +85,8 @@ fn sweep(
     let mut jobs = Vec::new();
     for bench in SWEEP_BENCHES {
         for (_, mode, config) in &points {
-            jobs.push(npb_seconds(config.clone(), *mode, bench, class));
+            let scenario = Scenario::new(config.clone(), *mode, App::Npb(bench, class));
+            jobs.push(move || seconds(scenario));
         }
     }
     Plan::new(jobs, move |secs| {
@@ -197,7 +199,11 @@ pub fn fig15_emulation_rates() -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_npb;
+
+    /// Rank 0's virtual seconds of `bench` class S on `config` as `mode`.
+    fn secs(config: GridConfig, mode: Mode, bench: NpbBenchmark) -> f64 {
+        seconds(Scenario::new(config, mode, App::Npb(bench, NpbClass::S)))
+    }
 
     #[test]
     fn fig9_lists_both_configs() {
@@ -213,20 +219,13 @@ mod tests {
     #[test]
     fn class_s_comparisons_track() {
         for bench in [NpbBenchmark::EP, NpbBenchmark::MG] {
-            let phys = run_npb(presets::alpha_cluster(), Mode::Physical, bench, NpbClass::S);
-            let mgrid = run_npb(
-                presets::alpha_cluster(),
-                Mode::MicroGrid,
-                bench,
-                NpbClass::S,
-            );
-            let err = (mgrid.virtual_seconds - phys.virtual_seconds).abs() / phys.virtual_seconds;
+            let phys = secs(presets::alpha_cluster(), Mode::Physical, bench);
+            let mgrid = secs(presets::alpha_cluster(), Mode::MicroGrid, bench);
+            let err = (mgrid - phys).abs() / phys;
             assert!(
                 err < 0.12,
-                "{}: phys {:.3} vs mgrid {:.3} ({:.1}%)",
+                "{}: phys {phys:.3} vs mgrid {mgrid:.3} ({:.1}%)",
                 bench.name(),
-                phys.virtual_seconds,
-                mgrid.virtual_seconds,
                 err * 100.0
             );
         }
@@ -236,17 +235,11 @@ mod tests {
     /// quantum must model worse than a 2.5 ms quantum.
     #[test]
     fn larger_quantum_models_worse_for_lu() {
-        let phys = run_npb(
-            presets::alpha_cluster(),
-            Mode::Physical,
-            NpbBenchmark::LU,
-            NpbClass::S,
-        );
+        let phys = secs(presets::alpha_cluster(), Mode::Physical, NpbBenchmark::LU);
         let err = |q_us: u64| {
             let mut c = presets::alpha_cluster_shared();
             c.quantum = SimDuration::from_micros(q_us);
-            let r = run_npb(c, Mode::MicroGrid, NpbBenchmark::LU, NpbClass::S);
-            (r.virtual_seconds - phys.virtual_seconds).abs() / phys.virtual_seconds
+            (secs(c, Mode::MicroGrid, NpbBenchmark::LU) - phys).abs() / phys
         };
         let small = err(2_500);
         let large = err(30_000);
@@ -259,19 +252,14 @@ mod tests {
     /// Fig 12 mechanism: EP speeds up nearly ideally with CPU speed.
     #[test]
     fn ep_scales_with_cpu() {
-        let r1 = run_npb(
-            presets::cpu_scaled_cluster(1.0),
-            Mode::MicroGrid,
-            NpbBenchmark::EP,
-            NpbClass::S,
-        );
-        let r4 = run_npb(
-            presets::cpu_scaled_cluster(4.0),
-            Mode::MicroGrid,
-            NpbBenchmark::EP,
-            NpbClass::S,
-        );
-        let ratio = r4.virtual_seconds / r1.virtual_seconds;
+        let ep = |mult| {
+            secs(
+                presets::cpu_scaled_cluster(mult),
+                Mode::MicroGrid,
+                NpbBenchmark::EP,
+            )
+        };
+        let ratio = ep(4.0) / ep(1.0);
         assert!(
             (0.2..0.35).contains(&ratio),
             "EP 4x ratio {ratio} (ideal 0.25)"
@@ -281,19 +269,14 @@ mod tests {
     /// Fig 15 mechanism: virtual results are rate-invariant.
     #[test]
     fn emulation_rate_invariance() {
-        let r1 = run_npb(
-            presets::emulation_rate_cluster(1.0),
-            Mode::MicroGrid,
-            NpbBenchmark::MG,
-            NpbClass::S,
-        );
-        let r8 = run_npb(
-            presets::emulation_rate_cluster(8.0),
-            Mode::MicroGrid,
-            NpbBenchmark::MG,
-            NpbClass::S,
-        );
-        let ratio = r8.virtual_seconds / r1.virtual_seconds;
+        let mg = |k| {
+            secs(
+                presets::emulation_rate_cluster(k),
+                Mode::MicroGrid,
+                NpbBenchmark::MG,
+            )
+        };
+        let ratio = mg(8.0) / mg(1.0);
         assert!(
             (0.85..1.15).contains(&ratio),
             "rate invariance broken: {ratio}"
@@ -304,19 +287,8 @@ mod tests {
     /// mild degradation from 622 to 155 Mb/s.
     #[test]
     fn vbns_latency_dominates() {
-        let fast = run_npb(
-            presets::vbns_grid(622e6),
-            Mode::MicroGrid,
-            NpbBenchmark::EP,
-            NpbClass::S,
-        );
-        let slow = run_npb(
-            presets::vbns_grid(10e6),
-            Mode::MicroGrid,
-            NpbBenchmark::EP,
-            NpbClass::S,
-        );
-        let ratio = slow.virtual_seconds / fast.virtual_seconds;
+        let ep = |bw| secs(presets::vbns_grid(bw), Mode::MicroGrid, NpbBenchmark::EP);
+        let ratio = ep(10e6) / ep(622e6);
         assert!(
             (0.95..1.2).contains(&ratio),
             "EP must be bandwidth-insensitive: {ratio}"

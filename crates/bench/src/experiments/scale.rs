@@ -7,22 +7,21 @@
 //! is byte-gated like every figure; host wall time is measured by the
 //! repo benchmark (`BENCHMARK.json`) and nowhere else.
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass};
-use microgrid::mpi::MpiParams;
-use microgrid::{presets, Report, Series};
+use microgrid::apps::npb::{NpbBenchmark, NpbClass};
+use microgrid::{presets, App, Mode, Report, Scenario, Series};
 
-use crate::runner::{rank0, with_grid, Mode, Plan};
+use crate::runner::{run, Plan};
 
 /// One scale point: returns (virtual seconds, polls).
 pub fn run_scale_point(hosts: usize) -> (f64, u64) {
-    let config = presets::alpha_cluster_n(hosts);
-    let seed = 4242 + hosts as u64;
-    let run = with_grid(config, Mode::MicroGrid, seed, |grid| async move {
-        let body = |comm| npb::run(NpbBenchmark::MG, comm, NpbClass::S, None);
-        rank0(grid.mpirun_all(MpiParams::default(), body).await)
+    let app = App::Npb(NpbBenchmark::MG, NpbClass::S);
+    let outcome = run(Scenario {
+        seed: 4242 + hosts as u64,
+        ..Scenario::new(presets::alpha_cluster_n(hosts), Mode::MicroGrid, app)
     });
-    assert!(run.output.verified, "MG-S failed at {hosts} hosts");
-    (run.output.virtual_seconds, run.polls)
+    let rank0 = &outcome.output[0];
+    assert!(rank0.verified(), "MG-S failed at {hosts} hosts");
+    (rank0.virtual_seconds(), outcome.polls)
 }
 
 /// The scaling sweep.
@@ -61,7 +60,6 @@ pub fn scale_study() -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_npb;
 
     #[test]
     fn mg_runs_on_sixteen_hosts() {
@@ -73,11 +71,15 @@ mod tests {
 
     #[test]
     fn ep_weak_scales_to_thirty_two() {
-        let config = presets::alpha_cluster_n(32);
-        let r = run_npb(config, Mode::MicroGrid, NpbBenchmark::EP, NpbClass::S);
-        assert!(r.verified && r.ranks == 32, "{r:?}");
+        let app = App::Npb(NpbBenchmark::EP, NpbClass::S);
+        let outcome = run(Scenario::new(
+            presets::alpha_cluster_n(32),
+            Mode::MicroGrid,
+            app,
+        ));
+        assert!(outcome.output.len() == 32 && outcome.output[0].verified());
         // EP divides evenly: 32 ranks ~ 1/8 the 4-rank time.
-        let t = r.virtual_seconds;
+        let t = outcome.output[0].virtual_seconds();
         assert!((1.0..3.0).contains(&t), "EP-S on 32 hosts took {t}");
     }
 }

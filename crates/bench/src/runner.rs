@@ -1,10 +1,10 @@
 //! Shared drivers for the figure regenerators: the registry of figures,
 //! the [`Plan`] each one is (independent simulation jobs plus a pure
 //! fold of their results), the one job queue `repro` and `chaos` run
-//! every selected plan on ([`run_plans`]), and the one way a job runs a
-//! virtual Grid ([`with_grid`]). A job is one whole deterministic
-//! simulation, so the thread budget has a single level and output is
-//! byte-identical at any worker count.
+//! every selected plan on ([`run_plans`]), and the wrapper through which
+//! a job runs its [`Scenario`] ([`run`], [`run_with`]). A job is one whole
+//! deterministic simulation, so the thread budget has a single level and
+//! output is byte-identical at any worker count.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -12,12 +12,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::sync::{mpsc, Mutex};
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult, NpbSensors};
-use microgrid::apps::{wavetoy, Autopilot, WaveToyConfig, WaveToyResult};
+use microgrid::apps::npb::NpbClass;
 use microgrid::desim::time::SimDuration;
 use microgrid::desim::{MetricsSnapshot, Simulation};
-use microgrid::mpi::MpiParams;
-use microgrid::{GridConfig, Report, VirtualGrid};
+use microgrid::{AppResult, ConfigError, Outcome, Report, Scenario, VirtualGrid};
 
 use crate::experiments::{apps as fig_apps, chaos, micro, network, npb as fig_npb, scale};
 
@@ -108,12 +106,11 @@ pub fn figures() -> Vec<Figure> {
     ]
 }
 
-/// A fault-injection scenario: its id and its plan.
-pub type Scenario = (&'static str, fn() -> Plan);
+/// A fault-injection plan `chaos` replays, by id.
+pub type ChaosPlan = (&'static str, fn() -> Plan);
 
-/// The tracked scenarios `chaos` replays, in the order of
-/// `results/chaos.json`.
-pub const CHAOS_SCENARIOS: [Scenario; 2] = [
+/// The tracked fault-injection plans, in the order of `results/chaos.json`.
+pub const CHAOS_SCENARIOS: [ChaosPlan; 2] = [
     ("chaos-wan", chaos::chaos_wan),
     ("chaos-crash", chaos::chaos_crash),
 ];
@@ -222,127 +219,48 @@ pub fn run_plans(workers: usize, plans: Vec<(&'static str, Plan)>, mut each: imp
     });
 }
 
-/// Which side of a comparison to run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Mode {
-    /// "Physical grid": direct hosts, identity clock.
-    Physical,
-    /// The MicroGrid: paced hosts, rate-scaled clock.
-    MicroGrid,
-}
-
-/// What one simulation left behind.
-pub struct Run<T> {
-    /// What the body returned.
-    pub output: T,
-    /// Executor polls the simulation took.
-    pub polls: u64,
-    /// The simulation's metrics (also folded into its job's snapshot).
-    pub metrics: MetricsSnapshot,
-}
-
 /// Run `body` to completion as the root task of a fresh simulation and
-/// fold the simulation's metrics into this thread's job. Figs 6 and 7,
-/// which model one kernel and no Grid, call this directly; everything
-/// else goes through [`with_grid`].
-pub fn simulate<T: 'static>(seed: u64, body: impl Future<Output = T> + 'static) -> Run<T> {
+/// fold the simulation's metrics into this thread's job. Only Figs 6 and
+/// 7, which model one kernel and no Grid, call this; every other job runs
+/// a [`Scenario`] through [`run`] or [`run_with`].
+pub fn simulate<T: 'static>(seed: u64, body: impl Future<Output = T> + 'static) -> T {
     let mut sim = Simulation::new(seed);
     let output = sim.block_on(body);
     let metrics = sim.obs().metrics().snapshot();
     ACCUM.with(|a| a.borrow_mut().merge(&metrics));
-    Run {
-        output,
-        polls: sim.poll_count(),
-        metrics,
-    }
+    output
 }
 
-/// The one scenario runner: build `config` as `mode` inside a simulation
-/// seeded with `seed`, run `body` on the grid, and account for the run as
-/// [`simulate`] does.
-pub fn with_grid<T, Fut>(
-    config: GridConfig,
-    mode: Mode,
-    seed: u64,
+/// [`Scenario::run`] as (part of) this thread's job: its metrics join the
+/// job's snapshot.
+pub fn run(scenario: Scenario) -> Outcome<Vec<AppResult>> {
+    account(scenario.run())
+}
+
+/// [`Scenario::run_with`] as (part of) this thread's job.
+pub fn run_with<T, Fut>(
+    scenario: Scenario,
     body: impl FnOnce(VirtualGrid) -> Fut + 'static,
-) -> Run<T>
+) -> Outcome<T>
 where
     T: 'static,
     Fut: Future<Output = T> + 'static,
 {
-    simulate(seed, async move {
-        let grid = match mode {
-            Mode::Physical => VirtualGrid::build_baseline(config),
-            Mode::MicroGrid => VirtualGrid::build(config),
-        };
-        body(grid.expect("valid config")).await
-    })
+    account(scenario.run_with(body))
 }
 
-/// Rank 0's result of an SPMD run.
-pub fn rank0<T>(results: Vec<T>) -> T {
-    results.into_iter().next().expect("rank 0 result")
+fn account<T>(outcome: Result<Outcome<T>, ConfigError>) -> Outcome<T> {
+    let outcome = outcome.expect("valid config");
+    ACCUM.with(|a| a.borrow_mut().merge(&outcome.metrics));
+    outcome
 }
 
-/// Run one NPB benchmark on `config` in `mode`; returns rank 0's result.
-pub fn run_npb(config: GridConfig, mode: Mode, bench: NpbBenchmark, class: NpbClass) -> NpbResult {
-    let seed = config.seed ^ 0x5eed;
-    with_grid(config, mode, seed, move |grid| async move {
-        let body = move |comm| npb::run(bench, comm, class, None);
-        rank0(grid.mpirun_all(MpiParams::default(), body).await)
-    })
-    .output
-}
-
-/// [`run_npb`] as a job that insists the run verified and yields its
-/// virtual seconds.
-pub fn npb_seconds(
-    config: GridConfig,
-    mode: Mode,
-    bench: NpbBenchmark,
-    class: NpbClass,
-) -> impl FnOnce() -> f64 + Send + 'static {
-    move || {
-        let r = run_npb(config, mode, bench, class);
-        assert!(r.verified, "verification failed: {r:?}");
-        r.virtual_seconds
-    }
-}
-
-/// Run an NPB benchmark with Autopilot sensors attached to rank 0 and a
-/// 1-virtual-second sampling period; returns (result, counter trace).
-pub fn run_npb_with_sensors(
-    config: GridConfig,
-    mode: Mode,
-    bench: NpbBenchmark,
-    class: NpbClass,
-    trace_horizon: SimDuration,
-) -> (NpbResult, Vec<(f64, f64)>) {
-    let seed = config.seed ^ 0xaa;
-    with_grid(config, mode, seed, move |grid| async move {
-        let ap = Autopilot::new();
-        let counter = ap.sensor("counter");
-        ap.start_sampling(grid.clock(), SimDuration::from_secs(1), trace_horizon);
-        let body = move |comm: microgrid::mpi::Comm| {
-            let sensors = (comm.rank() == 0).then(|| NpbSensors {
-                counter: counter.clone(),
-            });
-            npb::run(bench, comm, class, sensors)
-        };
-        let result = rank0(grid.mpirun_all(MpiParams::default(), body).await);
-        (result, ap.trace("counter"))
-    })
-    .output
-}
-
-/// Run CACTUS WaveToy; returns rank 0's result.
-pub fn run_wavetoy(config: GridConfig, mode: Mode, wt: WaveToyConfig) -> WaveToyResult {
-    let seed = config.seed ^ 0xcac;
-    with_grid(config, mode, seed, move |grid| async move {
-        let body = move |comm| wavetoy::run(comm, wt, None);
-        rank0(grid.mpirun_all(MpiParams::default(), body).await)
-    })
-    .output
+/// [`run`] for a job that insists the run verified: rank 0's virtual
+/// seconds.
+pub fn seconds(scenario: Scenario) -> f64 {
+    let rank0 = &run(scenario).output[0];
+    assert!(rank0.verified(), "verification failed: {rank0:?}");
+    rank0.virtual_seconds()
 }
 
 /// Fast mode shrinks long experiments (set `MGRID_FAST=1`).
@@ -453,6 +371,9 @@ mod tests {
         assert_eq!(mean_stddev(&[]), (0.0, 0.0));
     }
 
+    use microgrid::apps::npb::NpbBenchmark;
+    use microgrid::{App, Mode};
+
     /// A test figure: one class S run per `(seed, benchmark)` case, the
     /// report's notes their debug-printed results.
     fn digest_plan(id: &'static str, cases: &'static [(u64, NpbBenchmark)]) -> Plan {
@@ -460,7 +381,11 @@ mod tests {
             move || {
                 let mut config = microgrid::presets::alpha_cluster();
                 config.seed = seed;
-                format!("{:?}", run_npb(config, Mode::MicroGrid, bench, NpbClass::S))
+                let app = App::Npb(bench, NpbClass::S);
+                format!(
+                    "{:?}",
+                    run(Scenario::new(config, Mode::MicroGrid, app)).output
+                )
             }
         });
         Plan::new(jobs.collect(), move |digests| {
@@ -572,13 +497,18 @@ mod tests {
     #[test]
     fn npb_runner_runs_both_modes() {
         for mode in [Mode::Physical, Mode::MicroGrid] {
-            let r = run_npb(
+            let app = App::Npb(NpbBenchmark::IS, NpbClass::S);
+            let outcome = run(Scenario::new(
                 microgrid::presets::alpha_cluster(),
                 mode,
-                NpbBenchmark::IS,
-                NpbClass::S,
+                app,
+            ));
+            assert_eq!(outcome.output.len(), 4, "{mode:?}: one result per rank");
+            assert!(
+                outcome.output[0].verified(),
+                "{mode:?}: {:?}",
+                outcome.output
             );
-            assert!(r.verified, "{mode:?}: {r:?}");
         }
     }
 }

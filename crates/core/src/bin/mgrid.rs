@@ -12,6 +12,10 @@
 //! mgrid run grid.json MG S --profile-out trace.json   # + Perfetto export
 //! ```
 //!
+//! `run` is the [`Scenario`] a figure job runs, seed included, so `mgrid
+//! run alpha_cluster EP A` prints the MicroGrid cell of fig10's `EP
+//! (Alpha_Cluster)` row and `--baseline` its physical cell.
+//!
 //! Every `run` prints a per-category metrics summary (scheduler quanta,
 //! network traffic, vsocket and MPI activity) after the result line.
 //! `--trace-out <path>` additionally enables the typed-event tracer and
@@ -25,16 +29,14 @@
 //! critical-path report, then writes a Chrome trace-event JSON file
 //! loadable at <https://ui.perfetto.dev> (see `docs/OBSERVABILITY.md`).
 
-use std::future::Future;
+use std::fs::File;
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass};
-use microgrid::apps::wavetoy::{self, WaveToyConfig};
-use microgrid::desim::metrics::MetricsSnapshot;
-use microgrid::desim::obs::Obs;
-use microgrid::desim::trace::TraceEvent;
-use microgrid::desim::{perfetto, profile, Simulation, SpanSnapshot};
-use microgrid::mpi::{Comm, MpiParams};
-use microgrid::{out, outln, plan_rate, presets, GridConfig, VirtualGrid};
+use microgrid::apps::npb::{NpbBenchmark, NpbClass};
+use microgrid::apps::WaveToyConfig;
+use microgrid::desim::{perfetto, profile};
+use microgrid::{
+    out, outln, plan_rate, presets, App, AppResult, GridConfig, Mode, Observe, Outcome, Scenario,
+};
 
 fn load_config(path_or_preset: &str) -> GridConfig {
     if let Some(c) = presets::by_name(path_or_preset) {
@@ -64,135 +66,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Observability options of `mgrid run`.
-#[derive(Clone)]
-struct ObsOpts {
-    trace_out: Option<String>,
-    trace_cap: usize,
-    profile_out: Option<String>,
-}
-
-/// Strip `--trace-out`/`--trace-cap`/`--profile-out` from `args`,
-/// returning the rest.
-fn parse_obs_opts(args: &[String]) -> (Vec<String>, ObsOpts) {
-    let mut rest = Vec::new();
-    let mut opts = ObsOpts {
-        trace_out: None,
-        trace_cap: 65536,
-        profile_out: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                let Some(path) = args.get(i + 1) else { usage() };
-                opts.trace_out = Some(path.clone());
-                i += 2;
-            }
-            "--trace-cap" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                opts.trace_cap = n;
-                i += 2;
-            }
-            "--profile-out" => {
-                let Some(path) = args.get(i + 1) else { usage() };
-                opts.profile_out = Some(path.clone());
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    (rest, opts)
-}
-
-/// Everything the observability layer recorded, snapshotted at the
-/// instant the root workload completed (and the [`Obs`] was sealed).
-struct ObsCapture {
-    metrics: MetricsSnapshot,
-    spans: SpanSnapshot,
-    events: Vec<TraceEvent>,
-    streamed: u64,
-    dropped: u64,
-    sink_error: Option<String>,
-}
-
-/// Seal the observability layer and snapshot it. Called as the root
-/// workload's final act, while still inside the simulation: sealing
-/// first stops the tracer (flushing the stream sink) and the span store,
-/// so nothing recorded after this instant — by tasks still ready in the
-/// root's final event batch — can reach the capture.
-fn capture_obs(obs: &Obs, opts: &ObsOpts) -> ObsCapture {
-    obs.seal();
-    let tracer = obs.tracer();
-    let dropped = tracer.dropped();
-    if dropped > 0 || opts.trace_out.is_some() {
-        obs.metrics().count("trace.dropped", dropped);
-    }
-    for (kind, n) in tracer.kind_counts() {
-        obs.metrics().count(&format!("trace.events.{kind}"), n);
-    }
-    let spans = obs.spans().snapshot();
-    if opts.profile_out.is_some() {
-        obs.metrics().count("trace.spans", spans.spans.len() as u64);
-        if spans.dropped > 0 {
-            obs.metrics().count("trace.spans_dropped", spans.dropped);
-        }
-    }
-    ObsCapture {
-        metrics: obs.metrics().snapshot(),
-        events: tracer.events(),
-        streamed: tracer.streamed(),
-        dropped,
-        sink_error: tracer.sink_error(),
-        spans,
-    }
-}
-
-/// Build `config` (as the physical baseline or the MicroGrid) and run
-/// `body` on every virtual host to completion under the observability
-/// options. Returns the per-rank results and the sealed observability
-/// capture.
-fn execute<R: 'static, Fut: Future<Output = R> + 'static>(
-    config: GridConfig,
-    baseline: bool,
-    opts: &ObsOpts,
-    body: impl Fn(Comm) -> Fut + 'static,
-) -> (Vec<R>, ObsCapture) {
-    let mut sim = Simulation::new(config.seed);
-    let obs = sim.obs().clone();
-    if let Some(path) = &opts.trace_out {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create trace file {path}: {e}");
-            std::process::exit(2);
-        });
-        obs.enable_tracing(opts.trace_cap);
-        obs.tracer()
-            .set_sink(Box::new(std::io::BufWriter::new(file)));
-    }
-    if opts.profile_out.is_some() {
-        obs.enable_spans();
-    }
-    let opts = opts.clone();
-    sim.block_on(async move {
-        // The grid is a temporary of this statement: it is gone, as the
-        // workload is, before the capture.
-        let results = build(config, baseline)
-            .mpirun_all(MpiParams::default(), body)
-            .await;
-        (results, capture_obs(&obs, &opts))
+/// Create an output file before the run, so a bad path costs no
+/// simulation.
+fn create(path: &str, what: &str) -> File {
+    File::create(path).unwrap_or_else(|e| {
+        eprintln!("cannot create {what} {path}: {e}");
+        std::process::exit(2);
     })
 }
 
 /// After a run: report the trace stream, print the profiler attribution
 /// and critical-path tables plus write the Perfetto export (when
 /// profiling), and print the metrics summary.
-fn report_run(capture: &ObsCapture, opts: &ObsOpts) {
-    if let Some(path) = &opts.trace_out {
+fn report_run<T>(outcome: &Outcome<T>, trace_out: Option<&str>, profile: Option<(&str, File)>) {
+    let capture = &outcome.capture;
+    if let Some(path) = trace_out {
         if let Some(e) = &capture.sink_error {
             eprintln!("trace stream to {path} failed: {e}");
             std::process::exit(1);
@@ -203,7 +91,7 @@ fn report_run(capture: &ObsCapture, opts: &ObsOpts) {
             capture.dropped
         );
     }
-    if let Some(path) = &opts.profile_out {
+    if let Some((path, mut file)) = profile {
         let prof = profile::Profile::from_snapshot(&capture.spans);
         outln!("-- profile --");
         out!("{}", prof.to_table());
@@ -212,9 +100,7 @@ fn report_run(capture: &ObsCapture, opts: &ObsOpts) {
         out!("{}", cp.to_table());
         // `export_to` hands the file 64 KB at a time, so the document is
         // never held in memory and the file needs no `BufWriter`.
-        let written = std::fs::File::create(path)
-            .and_then(|mut file| perfetto::export_to(&capture.spans, &capture.events, &mut file));
-        if let Err(e) = written {
+        if let Err(e) = perfetto::export_to(&capture.spans, &capture.events, &mut file) {
             eprintln!("cannot write profile to {path}: {e}");
             std::process::exit(1);
         }
@@ -226,9 +112,9 @@ fn report_run(capture: &ObsCapture, opts: &ObsOpts) {
             bytes.div_ceil(spans.max(1)),
         );
     }
-    if !capture.metrics.is_empty() {
+    if !outcome.metrics.is_empty() {
         outln!("-- metrics --");
-        out!("{}", capture.metrics.to_table());
+        out!("{}", outcome.metrics.to_table());
     }
 }
 
@@ -285,44 +171,44 @@ fn main() {
     }
 }
 
-/// What `mgrid run` was asked to run.
-enum App {
-    WaveToy(u32),
-    Npb(NpbBenchmark, NpbClass),
-}
-
 fn run_cmd(args: &[String]) {
-    let (args, obs_opts) = parse_obs_opts(args);
-    let baseline = args.iter().any(|a| a == "--baseline");
-    let positional: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| *a != "--baseline")
-        .collect();
+    let (mut baseline, mut positional) = (false, Vec::new());
+    let (mut trace_out, mut trace_cap, mut profile_out) = (None, None, None);
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage());
+        match arg {
+            "--baseline" => baseline = true,
+            "--trace-out" => trace_out = Some(value()),
+            "--trace-cap" => trace_cap = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--profile-out" => profile_out = Some(value()),
+            _ => positional.push(arg),
+        }
+    }
     // Exactly `<config> <app> <class|edge>`. A missing or unknown class, a
-    // missing, non-numeric or zero edge and an argument `run` does not know
-    // are usage errors: not a silent class S, a 50^3 run, an empty grid
-    // that "verifies", or a `--basline` that runs the MicroGrid.
+    // missing, non-numeric or zero edge, an argument `run` does not know
+    // and a ring capacity with no trace are usage errors: not a silent
+    // class S, a 50^3 run, an empty grid that "verifies", a `--basline`
+    // that runs the MicroGrid or a `--trace-cap` that does nothing.
     let &[config, app, size] = positional.as_slice() else {
         usage()
     };
+    if trace_cap.is_some() && trace_out.is_none() {
+        usage()
+    }
     let name = app.to_ascii_uppercase();
     let app = if name == "WAVETOY" {
         match size.parse() {
-            Ok(edge) if edge > 0 => App::WaveToy(edge),
+            Ok(grid_edge) if grid_edge > 0 => App::WaveToy(WaveToyConfig {
+                grid_edge,
+                steps: 100,
+            }),
             _ => usage(),
         }
     } else {
-        let bench = match name.as_str() {
-            "EP" => NpbBenchmark::EP,
-            "BT" => NpbBenchmark::BT,
-            "LU" => NpbBenchmark::LU,
-            "MG" => NpbBenchmark::MG,
-            "IS" => NpbBenchmark::IS,
-            other => {
-                eprintln!("unknown application {other:?}");
-                std::process::exit(2);
-            }
+        let Some(bench) = NpbBenchmark::all().into_iter().find(|b| b.name() == name) else {
+            eprintln!("unknown application {name:?}");
+            std::process::exit(2);
         };
         let class = match size {
             "S" | "s" => NpbClass::S,
@@ -332,57 +218,44 @@ fn run_cmd(args: &[String]) {
         App::Npb(bench, class)
     };
     let config = load_config(config);
-    let mode = if baseline {
-        "physical baseline"
+    let (mode, side) = if baseline {
+        (Mode::Physical, "physical baseline")
     } else {
-        "MicroGrid"
+        (Mode::MicroGrid, "MicroGrid")
     };
-    outln!("running {name} on '{}' ({mode})", config.name);
+    let trace = trace_out.map(|path| {
+        let sink = std::io::BufWriter::new(create(path, "trace file"));
+        (trace_cap.unwrap_or(65536), Box::new(sink) as Box<_>)
+    });
+    let profile = profile_out.map(|path| (path, create(path, "profile file")));
+    outln!("running {name} on '{}' ({side})", config.name);
 
-    let capture = match app {
-        App::WaveToy(grid_edge) => {
-            let wt = WaveToyConfig {
-                grid_edge,
-                steps: 100,
-            };
-            let body = move |comm| wavetoy::run(comm, wt, None);
-            let (results, capture) = execute(config, baseline, &obs_opts, body);
-            let r = &results[0];
-            outln!(
-                "wavetoy {}^3: {:.3} virtual s, energy drift {:.4}, verified {}",
-                r.grid_edge,
-                r.virtual_seconds,
-                r.energy_drift,
-                r.verified
-            );
-            capture
-        }
-        App::Npb(bench, class) => {
-            let body = move |comm| npb::run(bench, comm, class, None);
-            let (results, capture) = execute(config, baseline, &obs_opts, body);
-            let r = &results[0];
-            outln!(
-                "{} class {}: {:.3} virtual s on {} ranks, verified {}",
-                r.benchmark,
-                r.class.name(),
-                r.virtual_seconds,
-                r.ranks,
-                r.verified
-            );
-            capture
-        }
-    };
-    report_run(&capture, &obs_opts);
-}
-
-fn build(config: GridConfig, baseline: bool) -> VirtualGrid {
-    let result = if baseline {
-        VirtualGrid::build_baseline(config)
-    } else {
-        VirtualGrid::build(config)
-    };
-    result.unwrap_or_else(|e| {
+    let spans = profile.is_some();
+    let outcome = Scenario {
+        observe: Observe { trace, spans },
+        ..Scenario::new(config, mode, app)
+    }
+    .run()
+    .unwrap_or_else(|e| {
         eprintln!("cannot build grid: {e}");
         std::process::exit(1);
-    })
+    });
+    match &outcome.output[0] {
+        AppResult::WaveToy(r) => outln!(
+            "wavetoy {}^3: {:.3} virtual s, energy drift {:.4}, verified {}",
+            r.grid_edge,
+            r.virtual_seconds,
+            r.energy_drift,
+            r.verified
+        ),
+        AppResult::Npb(r) | AppResult::Sensed(r, _) => outln!(
+            "{} class {}: {:.3} virtual s on {} ranks, verified {}",
+            r.benchmark,
+            r.class.name(),
+            r.virtual_seconds,
+            r.ranks,
+            r.verified
+        ),
+    }
+    report_run(&outcome, trace_out, profile);
 }

@@ -33,6 +33,7 @@ pub mod coordinator;
 pub mod grid;
 pub mod presets;
 pub mod report;
+pub mod scenario;
 
 pub use config::{
     ConfigError, GridConfig, LinkConfig, NetworkConfig, RatePolicy, VirtualHostConfig,
@@ -40,6 +41,7 @@ pub use config::{
 pub use coordinator::{plan_rate, RatePlan};
 pub use grid::VirtualGrid;
 pub use report::{ComparisonRow, Report, Series};
+pub use scenario::{App, AppResult, Capture, Mode, Observe, Outcome, Scenario};
 
 // Re-export the substrate crates so downstream users need one dependency.
 pub use mgrid_apps as apps;
@@ -54,9 +56,8 @@ pub use mgrid_netsim as netsim;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgrid_apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
+    use mgrid_apps::npb::{NpbBenchmark, NpbClass};
     use mgrid_desim::Simulation;
-    use mgrid_mpi::MpiParams;
 
     #[test]
     fn grid_builds_and_publishes_gis_records() {
@@ -113,33 +114,20 @@ mod tests {
     /// time tracks the physical baseline within a few percent.
     #[test]
     fn microgrid_matches_baseline_on_mg_class_s() {
-        fn run(baseline: bool) -> NpbResult {
-            let mut sim = Simulation::new(6);
-            let results = sim.block_on(async move {
-                let config = presets::alpha_cluster();
-                let grid = if baseline {
-                    VirtualGrid::build_baseline(config).unwrap()
-                } else {
-                    VirtualGrid::build(config).unwrap()
-                };
-                grid.mpirun_all(MpiParams::default(), |comm| {
-                    Box::pin(npb::run(NpbBenchmark::MG, comm, NpbClass::S, None))
-                        as std::pin::Pin<Box<dyn std::future::Future<Output = NpbResult>>>
-                })
-                .await
-            });
-            results.into_iter().next().unwrap()
-        }
-        let phys = run(true);
-        let mgrid = run(false);
-        assert!(phys.verified && mgrid.verified);
-        let err = (mgrid.virtual_seconds - phys.virtual_seconds).abs() / phys.virtual_seconds;
+        let run = |mode| {
+            let app = App::Npb(NpbBenchmark::MG, NpbClass::S);
+            let scenario = Scenario::new(presets::alpha_cluster(), mode, app);
+            let seed = 6;
+            let rank0 = &Scenario { seed, ..scenario }.run().unwrap().output[0];
+            assert!(rank0.verified(), "{mode:?}: {rank0:?}");
+            rank0.virtual_seconds()
+        };
+        let (phys, mgrid) = (run(Mode::Physical), run(Mode::MicroGrid));
+        let err = (mgrid - phys).abs() / phys;
         assert!(
             err < 0.10,
-            "MG-S mismatch {:.1}%: phys {:.3}s vs mgrid {:.3}s",
-            err * 100.0,
-            phys.virtual_seconds,
-            mgrid.virtual_seconds
+            "MG-S mismatch {:.1}%: phys {phys:.3}s vs mgrid {mgrid:.3}s",
+            err * 100.0
         );
     }
 }

@@ -53,20 +53,27 @@ fn wavetoy_rejects_a_missing_non_numeric_or_zero_edge() {
 }
 
 /// A class other than S or A, a missing class and an argument `run` does
-/// not know are usage errors too: not a silent class S, and not a
-/// misspelt `--baseline` that runs the MicroGrid instead.
+/// not know are usage errors too: not a silent class S, not a misspelt
+/// `--baseline` that runs the MicroGrid instead, and not a `--trace-cap`
+/// with no trace to bound. A profile path that cannot be created fails
+/// before the run, not after it.
 #[test]
 fn run_rejects_an_unknown_class_and_unknown_arguments() {
-    for args in [
-        &["IS", "B"][..],
-        &["IS"],
-        &["IS", "S", "--basline"],
-        &["IS", "S", "A"],
-        &["wavetoy", "50", "--basline"],
+    for (args, refusal) in [
+        (&["IS", "B"][..], "usage: mgrid"),
+        (&["IS"], "usage: mgrid"),
+        (&["IS", "S", "--basline"], "usage: mgrid"),
+        (&["IS", "S", "A"], "usage: mgrid"),
+        (&["wavetoy", "50", "--basline"], "usage: mgrid"),
+        (&["IS", "S", "--trace-cap", "5"], "usage: mgrid"),
+        (
+            &["IS", "S", "--profile-out", "/nonexistent/p.json"],
+            "cannot create profile file /nonexistent/p.json: ",
+        ),
     ] {
         let (code, stdout, stderr) = mgrid(&[&["run", "alpha_cluster"], args].concat());
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("usage: mgrid"), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(refusal), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?} started a run: {stdout}");
     }
     // Either case of a known class still runs, on the side asked for.
@@ -76,6 +83,25 @@ fn run_rejects_an_unknown_class_and_unknown_arguments() {
         stdout.starts_with("running IS on 'Alpha_Cluster' (physical baseline)\nIS class S:"),
         "{stdout}"
     );
+}
+
+/// `run` is a figure job's scenario, seed included: it prints fig10's
+/// `EP (Alpha_Cluster)` MicroGrid cell and both sides of fig16's 50^3 row.
+#[test]
+fn run_reproduces_figure_cells() {
+    for (args, line) in [
+        (&["EP", "A"][..], "EP class A: 105.368 virtual s"),
+        (&["wavetoy", "50"], "wavetoy 50^3: 1.646 virtual s"),
+        (
+            &["wavetoy", "50", "--baseline"],
+            "wavetoy 50^3: 1.495 virtual s",
+        ),
+    ] {
+        let (code, stdout, stderr) = mgrid(&[&["run", "alpha_cluster"], args].concat());
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        let result = stdout.lines().nth(1).unwrap_or_default();
+        assert!(result.starts_with(line), "{args:?}: {stdout}");
+    }
 }
 
 /// `--profile-out` streams the Perfetto export into the file and then

@@ -6,32 +6,29 @@
 //! byte-identical profiler and critical-path reports across same-seed
 //! runs.
 
-use std::future::Future;
-use std::pin::Pin;
+use microgrid::apps::npb::{NpbBenchmark, NpbClass};
+use microgrid::desim::{profile, Category, TraceEvent};
+use microgrid::{presets, App, AppResult, Mode, Observe, Outcome, Scenario};
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-use microgrid::desim::{profile, Category, Simulation};
-use microgrid::mpi::MpiParams;
-use microgrid::{presets, VirtualGrid};
-
-fn run_small_grid(sim: &mut Simulation) {
-    let config = presets::alpha_cluster();
-    let results = sim.block_on(async move {
-        let grid = VirtualGrid::build(config).expect("valid preset");
-        grid.mpirun_all(MpiParams::default(), move |comm| {
-            Box::pin(npb::run(NpbBenchmark::IS, comm, NpbClass::S, None))
-                as Pin<Box<dyn Future<Output = NpbResult>>>
-        })
-        .await
-    });
-    assert!(results.iter().all(|r| r.verified));
+/// NPB IS class S on the Alpha cluster's MicroGrid, seeded 11, recording
+/// what `observe` asks for.
+fn run_small_grid(observe: Observe) -> Outcome<Vec<AppResult>> {
+    let app = App::Npb(NpbBenchmark::IS, NpbClass::S);
+    let scenario = Scenario::new(presets::alpha_cluster(), Mode::MicroGrid, app);
+    let outcome = Scenario {
+        seed: 11,
+        observe,
+        ..scenario
+    }
+    .run()
+    .expect("valid preset");
+    assert!(outcome.output.iter().all(AppResult::verified));
+    outcome
 }
 
 #[test]
 fn small_grid_run_populates_metrics() {
-    let mut sim = Simulation::new(11);
-    run_small_grid(&mut sim);
-    let snap = sim.obs().metrics().snapshot();
+    let snap = run_small_grid(Observe::default()).metrics;
 
     assert!(snap.counter("sched.quanta") > 0, "no scheduler quanta");
     assert!(snap.counter("net.packets_tx") > 0, "no packets transmitted");
@@ -54,16 +51,23 @@ fn small_grid_run_populates_metrics() {
 
 #[test]
 fn small_grid_run_traces_all_layers_as_valid_json_lines() {
-    let mut sim = Simulation::new(11);
-    sim.obs().enable_tracing(1 << 20);
-    run_small_grid(&mut sim);
-    let tracer = sim.obs().tracer();
-
-    assert!(!tracer.events_in(Category::Sched).is_empty());
-    assert!(!tracer.events_in(Category::Net).is_empty());
-    assert!(!tracer.events_in(Category::Mem).is_empty());
-    assert!(!tracer.events_in(Category::Vsock).is_empty());
-    assert!(!tracer.events_in(Category::Mpi).is_empty());
+    let events = || -> Vec<TraceEvent> {
+        let observe = Observe {
+            trace: Some((1 << 20, Box::new(std::io::sink()))),
+            spans: false,
+        };
+        run_small_grid(observe).capture.events
+    };
+    let events1 = events();
+    for cat in [
+        Category::Sched,
+        Category::Net,
+        Category::Mem,
+        Category::Vsock,
+        Category::Mpi,
+    ] {
+        assert!(events1.iter().any(|e| e.category() == cat), "no {cat:?}");
+    }
 
     // Every line is a standalone JSON object with the envelope fields.
     #[derive(serde::Deserialize)]
@@ -73,7 +77,7 @@ fn small_grid_run_traces_all_layers_as_valid_json_lines() {
         event: String,
     }
     let mut last_t = 0;
-    for ev in tracer.events() {
+    for ev in &events1 {
         let line = ev.to_json_line();
         let v: Envelope =
             serde_json::from_str(&line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
@@ -84,27 +88,20 @@ fn small_grid_run_traces_all_layers_as_valid_json_lines() {
     }
 
     // Determinism: the same seed yields the same event stream.
-    let mut sim2 = Simulation::new(11);
-    sim2.obs().enable_tracing(1 << 20);
-    run_small_grid(&mut sim2);
-    let lines: Vec<String> = tracer.events().iter().map(|e| e.to_json_line()).collect();
-    let lines2: Vec<String> = sim2
-        .obs()
-        .tracer()
-        .events()
-        .iter()
-        .map(|e| e.to_json_line())
-        .collect();
-    assert_eq!(lines, lines2);
+    let lines = |events: &[TraceEvent]| -> Vec<String> {
+        events.iter().map(TraceEvent::to_json_line).collect()
+    };
+    assert_eq!(lines(&events1), lines(&events()));
 }
 
 #[test]
 fn span_layer_records_flows_and_renders_deterministic_tables() {
     let run = || {
-        let mut sim = Simulation::new(11);
-        sim.obs().enable_spans();
-        run_small_grid(&mut sim);
-        sim.obs().spans().snapshot()
+        let observe = Observe {
+            trace: None,
+            spans: true,
+        };
+        run_small_grid(observe).capture.spans
     };
     let snap = run();
     assert!(!snap.spans.is_empty(), "no spans recorded");

@@ -118,15 +118,6 @@ impl SimRng {
         r * theta.cos()
     }
 
-    /// Exponential deviate with the given mean (`mean = 1/lambda`).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let mut u = self.f64();
-        while u <= f64::MIN_POSITIVE {
-            u = self.f64();
-        }
-        -mean * u.ln()
-    }
-
     /// Fisher-Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -214,15 +205,6 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = SimRng::new(13);
-        let n = 100_000;
-        let mean = 2.5;
-        let sum: f64 = (0..n).map(|_| r.exponential(mean)).sum();
-        assert!((sum / n as f64 - mean).abs() < 0.05);
     }
 
     #[test]

@@ -1,30 +1,20 @@
 //! Capacity planning with the MicroGrid: extrapolate to hardware you do
 //! not own (paper §3.4.2, Fig 12) — how much would faster CPUs help each
-//! benchmark if the network stays a slow 1 Mb/s / 50 ms WAN?
+//! benchmark if the network stays a slow 1 Mb/s / 50 ms WAN? Each cell is
+//! the scenario `MGRID_FAST=1 repro fig12` runs for it.
 //!
 //! ```text
 //! cargo run --release --example capacity_planning
 //! ```
 
-use std::future::Future;
-use std::pin::Pin;
+use microgrid::apps::npb::{NpbBenchmark, NpbClass};
+use microgrid::{presets, App, Mode, Scenario};
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-use microgrid::desim::Simulation;
-use microgrid::mpi::MpiParams;
-use microgrid::{presets, VirtualGrid};
-
-fn run(bench: NpbBenchmark, cpu_mult: f64) -> NpbResult {
-    let mut sim = Simulation::new(17);
-    let results = sim.block_on(async move {
-        let grid = VirtualGrid::build(presets::cpu_scaled_cluster(cpu_mult)).expect("valid config");
-        grid.mpirun_all(MpiParams::default(), move |comm| {
-            Box::pin(npb::run(bench, comm, NpbClass::S, None))
-                as Pin<Box<dyn Future<Output = NpbResult>>>
-        })
-        .await
-    });
-    results.into_iter().next().expect("rank 0")
+/// Rank 0's virtual seconds of `bench` class S at `cpu_mult` times the CPU.
+fn run(bench: NpbBenchmark, cpu_mult: f64) -> f64 {
+    let config = presets::cpu_scaled_cluster(cpu_mult);
+    let scenario = Scenario::new(config, Mode::MicroGrid, App::Npb(bench, NpbClass::S));
+    scenario.run().expect("valid config").output[0].virtual_seconds()
 }
 
 fn main() {
@@ -42,9 +32,9 @@ fn main() {
         let mut cells = Vec::new();
         let mut base = None;
         for mult in [1.0, 2.0, 4.0, 8.0] {
-            let r = run(bench, mult);
-            let b = *base.get_or_insert(r.virtual_seconds);
-            cells.push(format!("{:.3}", r.virtual_seconds / b));
+            let secs = run(bench, mult);
+            let b = *base.get_or_insert(secs);
+            cells.push(format!("{:.3}", secs / b));
         }
         println!(
             "{:<6} {:>10} {:>10} {:>10} {:>10}",

@@ -1,34 +1,19 @@
 //! Run a NAS Parallel Benchmark on the virtual Alpha cluster and compare
-//! against the "physical grid" baseline — one cell of the paper's Fig 10.
+//! against the "physical grid" baseline — one row of the paper's Fig 10,
+//! the same scenario (seed included) `repro fig10` runs for that cell.
 //!
 //! ```text
 //! cargo run --release --example npb_cluster            # MG class S
 //! cargo run --release --example npb_cluster -- LU A    # pick bench+class
 //! ```
 
-use std::future::Future;
-use std::pin::Pin;
+use microgrid::apps::npb::{NpbBenchmark, NpbClass};
+use microgrid::{presets, App, AppResult, Mode, Scenario};
 
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-use microgrid::desim::Simulation;
-use microgrid::mpi::MpiParams;
-use microgrid::{presets, VirtualGrid};
-
-fn run(baseline: bool, bench: NpbBenchmark, class: NpbClass) -> NpbResult {
-    let mut sim = Simulation::new(7);
-    let results = sim.block_on(async move {
-        let config = presets::alpha_cluster();
-        let grid = if baseline {
-            VirtualGrid::build_baseline(config).expect("valid config")
-        } else {
-            VirtualGrid::build(config).expect("valid config")
-        };
-        grid.mpirun_all(MpiParams::default(), move |comm| {
-            Box::pin(npb::run(bench, comm, class, None)) as Pin<Box<dyn Future<Output = NpbResult>>>
-        })
-        .await
-    });
-    results.into_iter().next().expect("rank 0")
+fn run(mode: Mode, bench: NpbBenchmark, class: NpbClass) -> AppResult {
+    let scenario = Scenario::new(presets::alpha_cluster(), mode, App::Npb(bench, class));
+    let mut ranks = scenario.run().expect("valid config").output;
+    ranks.swap_remove(0)
 }
 
 fn main() {
@@ -58,16 +43,19 @@ fn main() {
         class.name()
     );
 
-    let phys = run(true, bench, class);
+    let phys = run(Mode::Physical, bench, class);
     println!(
         "  physical grid : {:8.3} virtual s  (verified: {})",
-        phys.virtual_seconds, phys.verified
+        phys.virtual_seconds(),
+        phys.verified()
     );
-    let mgrid = run(false, bench, class);
+    let mgrid = run(Mode::MicroGrid, bench, class);
     println!(
         "  MicroGrid     : {:8.3} virtual s  (verified: {})",
-        mgrid.virtual_seconds, mgrid.verified
+        mgrid.virtual_seconds(),
+        mgrid.verified()
     );
-    let err = (mgrid.virtual_seconds - phys.virtual_seconds) / phys.virtual_seconds * 100.0;
+    let (phys, mgrid) = (phys.virtual_seconds(), mgrid.virtual_seconds());
+    let err = (mgrid - phys) / phys * 100.0;
     println!("  modeling error: {err:+.2}%  (paper's Fig 10: within 2-4%)");
 }

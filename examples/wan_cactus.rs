@@ -7,25 +7,13 @@
 //! cargo run --release --example wan_cactus
 //! ```
 
-use std::future::Future;
-use std::pin::Pin;
+use microgrid::apps::WaveToyConfig;
+use microgrid::{presets, App, AppResult, Mode, Scenario};
 
-use microgrid::apps::wavetoy::{self, WaveToyConfig, WaveToyResult};
-use microgrid::desim::Simulation;
-use microgrid::mpi::MpiParams;
-use microgrid::{presets, VirtualGrid};
-
-fn run(bottleneck_bps: f64) -> WaveToyResult {
-    let mut sim = Simulation::new(13);
-    let results = sim.block_on(async move {
-        let grid = VirtualGrid::build(presets::vbns_grid(bottleneck_bps)).expect("valid config");
-        let wt = WaveToyConfig::small();
-        grid.mpirun_all(MpiParams::default(), move |comm| {
-            Box::pin(wavetoy::run(comm, wt, None)) as Pin<Box<dyn Future<Output = WaveToyResult>>>
-        })
-        .await
-    });
-    results.into_iter().next().expect("rank 0")
+fn run(bottleneck_bps: f64) -> AppResult {
+    let app = App::WaveToy(WaveToyConfig::small());
+    let scenario = Scenario::new(presets::vbns_grid(bottleneck_bps), Mode::MicroGrid, app);
+    scenario.run().expect("valid config").output.swap_remove(0)
 }
 
 fn main() {
@@ -37,13 +25,14 @@ fn main() {
     let mut baseline = None;
     for bw in [622e6, 155e6, 10e6, 1e6] {
         let r = run(bw);
-        let base = *baseline.get_or_insert(r.virtual_seconds);
+        let secs = r.virtual_seconds();
+        let base = *baseline.get_or_insert(secs);
         println!(
             "{:<16} {:>12.3}s {:>10}   ({:+.1}% vs OC12)",
             format!("{:.0} Mb/s", bw / 1e6),
-            r.virtual_seconds,
-            r.verified,
-            (r.virtual_seconds / base - 1.0) * 100.0
+            secs,
+            r.verified(),
+            (secs / base - 1.0) * 100.0
         );
     }
     println!();

@@ -5,30 +5,33 @@
 //! counterpart of the static invariants clippy enforces
 //! (clippy.toml, docs/LINTS.md) and the contract documented in docs/FAULTS.md.
 
-use std::future::Future;
-use std::pin::Pin;
-
 use microgrid::desim::time::SimDuration;
-use microgrid::desim::Simulation;
 use microgrid::faults::{FaultKind, FaultPlan};
-use microgrid::mpi::MpiParams;
-use microgrid::{presets, VirtualGrid};
+use microgrid::middleware::SockError;
+use microgrid::mpi::{Comm, MpiParams};
+use microgrid::{presets, GridConfig, Mode, Scenario};
 
 /// A 4-rank ring workload long enough (in simulated time) to span every
 /// fault the scenarios below schedule: each round allreduces a counter,
 /// then idles 10 ms.
-fn ring_rounds(
-    comm: microgrid::mpi::Comm,
-    rounds: u64,
-) -> Pin<Box<dyn Future<Output = Result<u64, microgrid::middleware::SockError>>>> {
-    Box::pin(async move {
-        let mut acc = 0u64;
-        for round in 0..rounds {
-            acc = comm.allreduce(acc + round, 8, |a, b| a + b).await?;
-            microgrid::desim::sleep(SimDuration::from_millis(10)).await;
-        }
-        Ok(acc)
-    })
+async fn ring_rounds(comm: Comm, rounds: u64) -> Result<u64, SockError> {
+    let mut acc = 0u64;
+    for round in 0..rounds {
+        acc = comm.allreduce(acc + round, 8, |a, b| a + b).await?;
+        microgrid::desim::sleep(SimDuration::from_millis(10)).await;
+    }
+    Ok(acc)
+}
+
+/// The Alpha cluster seeded with `seed` under `faults`, as the MicroGrid
+/// simulation of the same seed.
+fn faulty(seed: u64, faults: FaultPlan) -> Scenario {
+    let config = GridConfig {
+        seed,
+        faults: Some(faults),
+        ..presets::alpha_cluster()
+    };
+    Scenario::seeded(config, Mode::MicroGrid, seed)
 }
 
 fn loss_plan() -> FaultPlan {
@@ -61,60 +64,54 @@ fn loss_plan() -> FaultPlan {
 /// The reliable transport must retransmit through both; the workload
 /// completes with correct results and the run is byte-deterministic.
 fn lossy_digest(seed: u64) -> String {
-    let mut sim = Simulation::new(seed);
-    let results = sim.block_on(async move {
-        let mut config = presets::alpha_cluster();
-        config.seed = seed;
-        config.faults = Some(loss_plan());
-        let grid = VirtualGrid::build(config).expect("build");
-        grid.mpirun_all(MpiParams::default(), |comm| ring_rounds(comm, 10))
-            .await
-    });
+    let outcome = faulty(seed, loss_plan())
+        .run_with(|grid| async move {
+            let body = |comm| ring_rounds(comm, 10);
+            grid.mpirun_all(MpiParams::default(), body).await
+        })
+        .expect("build");
     // allreduce keeps every rank in agreement despite the impairments.
+    let results = outcome.output;
     for r in &results {
         let v = r.as_ref().expect("rank completed despite link faults");
         assert_eq!(*v, *results[0].as_ref().unwrap());
     }
-    let m = sim.obs().metrics();
+    let m = outcome.metrics;
     assert!(m.counter("faults.injected") >= 3, "plan did not replay");
     assert!(m.counter("faults.link_down") == 1);
-    let snapshot = m.snapshot();
-    serde_json::to_string(&snapshot).expect("snapshot serializes")
+    serde_json::to_string(&m).expect("snapshot serializes")
 }
 
 /// Scenario 2: a host crashes mid-run. The resilient launcher must drop
 /// exactly that rank, the survivors finish, and the whole thing is still
 /// byte-deterministic.
 fn crash_digest(seed: u64) -> String {
-    let mut sim = Simulation::new(seed);
-    let results = sim.block_on(async move {
-        let mut config = presets::alpha_cluster();
-        config.seed = seed;
-        config.faults = Some(FaultPlan::new().at(
-            SimDuration::from_millis(30),
-            FaultKind::HostCrash {
-                host: "alpha3".into(),
-            },
-        ));
-        let grid = VirtualGrid::build(config).expect("build");
-        let hosts = grid.host_names();
-        let params = MpiParams {
-            recv_timeout: Some(SimDuration::from_millis(200)),
-            ..MpiParams::default()
-        };
-        grid.mpirun_resilient(&hosts, params, SimDuration::from_secs(2), |comm| {
-            Box::pin(async move {
-                let rank = comm.rank();
+    let crash = FaultPlan::new().at(
+        SimDuration::from_millis(30),
+        FaultKind::HostCrash {
+            host: "alpha3".into(),
+        },
+    );
+    let outcome = faulty(seed, crash)
+        .run_with(|grid| async move {
+            let hosts = grid.host_names();
+            let params = MpiParams {
+                recv_timeout: Some(SimDuration::from_millis(200)),
+                ..MpiParams::default()
+            };
+            let body = |comm: Comm| async move {
                 // Enough compute+idle rounds to straddle the 30 ms crash.
                 for _ in 0..20 {
                     comm.ctx().compute_mops(0.5).await;
                     microgrid::desim::sleep(SimDuration::from_millis(5)).await;
                 }
-                rank
-            }) as Pin<Box<dyn Future<Output = usize>>>
+                comm.rank()
+            };
+            let deadline = SimDuration::from_secs(2);
+            grid.mpirun_resilient(&hosts, params, deadline, body).await
         })
-        .await
-    });
+        .expect("build");
+    let results = outcome.output;
     assert_eq!(results.len(), 4);
     for (rank, r) in results.iter().enumerate() {
         if rank == 3 {
@@ -123,12 +120,11 @@ fn crash_digest(seed: u64) -> String {
             assert_eq!(*r, Some(rank), "healthy rank must survive");
         }
     }
-    let m = sim.obs().metrics();
+    let m = outcome.metrics;
     assert_eq!(m.counter("faults.host_crash"), 1);
     assert_eq!(m.counter("faults.jobs_dropped"), 1);
     assert!(m.counter("faults.procs_killed") >= 1);
-    let snapshot = m.snapshot();
-    serde_json::to_string(&snapshot).expect("snapshot serializes")
+    serde_json::to_string(&m).expect("snapshot serializes")
 }
 
 #[test]
@@ -152,32 +148,26 @@ fn host_crash_runs_are_byte_identical() {
 /// dead rank's task is parked forever.
 #[test]
 fn crash_does_not_hang_the_run() {
-    let mut sim = Simulation::new(5);
-    let t = sim.block_on(async move {
-        let mut config = presets::alpha_cluster();
-        config.seed = 5;
-        config.faults = Some(FaultPlan::new().at(
-            SimDuration::from_millis(10),
-            FaultKind::HostCrash {
-                host: "alpha0".into(),
-            },
-        ));
-        let grid = VirtualGrid::build(config).expect("build");
-        let hosts = grid.host_names();
-        let _ = grid
-            .mpirun_resilient(
-                &hosts,
-                MpiParams::default(),
-                SimDuration::from_millis(500),
-                |comm| {
-                    Box::pin(async move {
-                        comm.ctx().compute_mops(1e9).await; // far past the deadline
-                    }) as Pin<Box<dyn Future<Output = ()>>>
-                },
-            )
-            .await;
-        microgrid::desim::now()
-    });
+    let crash = FaultPlan::new().at(
+        SimDuration::from_millis(10),
+        FaultKind::HostCrash {
+            host: "alpha0".into(),
+        },
+    );
+    let t = faulty(5, crash)
+        .run_with(|grid| async move {
+            let hosts = grid.host_names();
+            let body = |comm: Comm| async move {
+                comm.ctx().compute_mops(1e9).await; // far past the deadline
+            };
+            let deadline = SimDuration::from_millis(500);
+            let _ = grid
+                .mpirun_resilient(&hosts, MpiParams::default(), deadline, body)
+                .await;
+            microgrid::desim::now()
+        })
+        .expect("build")
+        .output;
     assert!(
         t.saturating_since(microgrid::desim::time::SimTime::ZERO) < SimDuration::from_secs(5),
         "resilient run overstayed its deadline: {t:?}"

@@ -1,17 +1,13 @@
 //! End-to-end integration: configuration -> virtual Grid -> middleware ->
 //! MPI workload, across all the crates at once.
 
-use std::future::Future;
-use std::pin::Pin;
-
-use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
+use microgrid::apps::npb::{NpbBenchmark, NpbClass, NpbResult};
 use microgrid::desim::Simulation;
 use microgrid::gis::virtualization::{virtual_hosts_filter, MAPPED_PHYSICAL};
 use microgrid::middleware::{
     submit_job, AppFuture, AppInstance, ExecutableRegistry, Gatekeeper, JobSpec, JobStatus,
 };
-use microgrid::mpi::MpiParams;
-use microgrid::{presets, GridConfig, VirtualGrid};
+use microgrid::{presets, App, AppResult, GridConfig, Mode, Scenario, VirtualGrid};
 
 #[test]
 fn config_json_roundtrips_and_builds() {
@@ -50,16 +46,9 @@ fn wide_config_json_is_a_fixed_point() {
             let config = GridConfig::from_json(&text).expect("parse");
             assert_eq!(config.validate(), Ok(()), "{shards:?}");
             let plan = format!("{:?}", microgrid::plan_rate(&config).expect("feasible"));
-            let mut sim = Simulation::new(config.seed);
-            let results = sim.block_on(async move {
-                let grid = VirtualGrid::build(config).expect("build");
-                grid.mpirun_all(MpiParams::default(), move |comm| {
-                    Box::pin(npb::run(NpbBenchmark::IS, comm, NpbClass::S, None))
-                        as Pin<Box<dyn Future<Output = NpbResult>>>
-                })
-                .await
-            });
-            (plan, results[0].virtual_seconds)
+            let app = App::Npb(NpbBenchmark::IS, NpbClass::S);
+            let outcome = Scenario::new(config, Mode::MicroGrid, app).run();
+            (plan, outcome.expect("build").output[0].virtual_seconds())
         })
         .collect();
     assert_eq!(outcomes[0], outcomes[1]);
@@ -106,29 +95,25 @@ fn gatekeeper_submission_across_the_virtual_network() {
     });
 }
 
-fn run_full(bench: NpbBenchmark, baseline: bool, seed: u64) -> NpbResult {
-    let mut sim = Simulation::new(seed);
-    let results = sim.block_on(async move {
-        let mut config = presets::alpha_cluster();
-        config.seed = seed;
-        let grid = if baseline {
-            VirtualGrid::build_baseline(config).expect("build")
-        } else {
-            VirtualGrid::build(config).expect("build")
-        };
-        grid.mpirun_all(MpiParams::default(), move |comm| {
-            Box::pin(npb::run(bench, comm, NpbClass::S, None))
-                as Pin<Box<dyn Future<Output = NpbResult>>>
-        })
-        .await
-    });
-    results.into_iter().next().expect("rank 0")
+/// Rank 0's result of `bench` class S on the Alpha cluster seeded with
+/// `seed`, in a simulation of the same seed.
+fn run_full(bench: NpbBenchmark, mode: Mode, seed: u64) -> NpbResult {
+    let config = GridConfig {
+        seed,
+        ..presets::alpha_cluster()
+    };
+    let scenario = Scenario::new(config, mode, App::Npb(bench, NpbClass::S));
+    let mut ranks = Scenario { seed, ..scenario }.run().expect("build").output;
+    match ranks.swap_remove(0) {
+        AppResult::Npb(r) => r,
+        other => panic!("not an NPB result: {other:?}"),
+    }
 }
 
 #[test]
 fn every_benchmark_verifies_on_the_microgrid() {
     for bench in NpbBenchmark::all() {
-        let r = run_full(bench, false, 11);
+        let r = run_full(bench, Mode::MicroGrid, 11);
         assert!(r.verified, "{} failed verification: {r:?}", r.benchmark);
         assert!(r.virtual_seconds > 0.0);
     }
@@ -137,8 +122,8 @@ fn every_benchmark_verifies_on_the_microgrid() {
 #[test]
 fn microgrid_tracks_baseline_for_all_benchmarks() {
     for bench in NpbBenchmark::all() {
-        let phys = run_full(bench, true, 12);
-        let mgrid = run_full(bench, false, 12);
+        let phys = run_full(bench, Mode::Physical, 12);
+        let mgrid = run_full(bench, Mode::MicroGrid, 12);
         let err = (mgrid.virtual_seconds - phys.virtual_seconds).abs() / phys.virtual_seconds;
         assert!(
             err < 0.12,
@@ -153,16 +138,16 @@ fn microgrid_tracks_baseline_for_all_benchmarks() {
 
 #[test]
 fn same_seed_is_bit_deterministic_end_to_end() {
-    let a = run_full(NpbBenchmark::MG, false, 99);
-    let b = run_full(NpbBenchmark::MG, false, 99);
+    let a = run_full(NpbBenchmark::MG, Mode::MicroGrid, 99);
+    let b = run_full(NpbBenchmark::MG, Mode::MicroGrid, 99);
     assert_eq!(a.virtual_seconds, b.virtual_seconds);
     assert_eq!(a.checksum, b.checksum);
 }
 
 #[test]
 fn different_seeds_perturb_timing_but_not_results() {
-    let a = run_full(NpbBenchmark::MG, false, 100);
-    let b = run_full(NpbBenchmark::MG, false, 101);
+    let a = run_full(NpbBenchmark::MG, Mode::MicroGrid, 100);
+    let b = run_full(NpbBenchmark::MG, Mode::MicroGrid, 101);
     // Same numerical outcome...
     assert_eq!(a.checksum, b.checksum);
     assert!(a.verified && b.verified);

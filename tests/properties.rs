@@ -267,28 +267,21 @@ proptest! {
 /// entropy-seeded hashers, no OS threads in the simulation core.
 #[test]
 fn same_seed_runs_are_byte_identical() {
-    use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
-    use microgrid::mpi::MpiParams;
-    use microgrid::{presets, VirtualGrid};
-    use std::future::Future;
-    use std::pin::Pin;
+    use microgrid::apps::npb::{NpbBenchmark, NpbClass};
+    use microgrid::{presets, App, GridConfig, Mode, Scenario};
 
     fn metrics_digest(seed: u64) -> String {
-        let mut sim = Simulation::new(seed);
-        let results = sim.block_on(async move {
-            let mut config = presets::alpha_cluster();
-            config.seed = seed;
-            let grid = VirtualGrid::build(config).expect("build");
-            grid.mpirun_all(MpiParams::default(), move |comm| {
-                Box::pin(npb::run(NpbBenchmark::IS, comm, NpbClass::S, None))
-                    as Pin<Box<dyn Future<Output = NpbResult>>>
-            })
-            .await
-        });
-        for r in &results {
-            assert!(r.verified, "{} failed verification: {r:?}", r.benchmark);
+        let config = GridConfig {
+            seed,
+            ..presets::alpha_cluster()
+        };
+        let app = App::Npb(NpbBenchmark::IS, NpbClass::S);
+        let scenario = Scenario::new(config, Mode::MicroGrid, app);
+        let outcome = Scenario { seed, ..scenario }.run().expect("build");
+        for r in &outcome.output {
+            assert!(r.verified(), "failed verification: {r:?}");
         }
-        let snapshot = sim.obs().metrics().snapshot();
+        let snapshot = outcome.metrics;
         assert!(!snapshot.is_empty(), "scenario recorded no metrics");
         serde_json::to_string(&snapshot).expect("snapshot serializes")
     }
