@@ -23,8 +23,9 @@
 //! The crate wires together the substrate crates:
 //! [`mgrid_desim`] (deterministic engine), [`mgrid_hostsim`] (CPU/OS/
 //! memory models), [`mgrid_netsim`] (NSE-like network), [`mgrid_gis`]
-//! (information service), [`mgrid_middleware`] (virtualization +
-//! gatekeeper), [`mgrid_mpi`] and [`mgrid_apps`] (workloads).
+//! (information service), [`mgrid_middleware`] (virtual host table,
+//! process context, virtual sockets), [`mgrid_mpi`] and [`mgrid_apps`]
+//! (workloads).
 
 #![warn(missing_docs)]
 

@@ -86,8 +86,6 @@ struct Pcb {
     requests: std::collections::VecDeque<Request>,
     cpu_used: SimDuration,
     last_ran_seq: u64,
-    slices: Vec<(SimTime, SimDuration)>,
-    record_slices: bool,
 }
 
 struct IntrSlot {
@@ -106,7 +104,6 @@ struct KernelInner {
     intr: Option<Rc<RefCell<IntrSlot>>>,
     idle_notify: Notify,
     rng: RefCell<mgrid_desim::SimRng>,
-    busy_time: SimDuration,
     driver_started: bool,
 }
 
@@ -135,7 +132,6 @@ impl OsKernel {
                 intr: None,
                 idle_notify: Notify::new(),
                 rng: RefCell::new(rng),
-                busy_time: SimDuration::ZERO,
                 driver_started: false,
             })),
         }
@@ -158,19 +154,12 @@ impl OsKernel {
                 requests: std::collections::VecDeque::new(),
                 cpu_used: SimDuration::ZERO,
                 last_ran_seq: 0,
-                slices: Vec::new(),
-                record_slices: false,
             },
         );
         ProcessHandle {
             kernel: self.clone(),
             pid,
         }
-    }
-
-    /// Total CPU-busy time accumulated across all processes.
-    pub fn busy_time(&self) -> SimDuration {
-        self.inner.borrow().busy_time
     }
 
     /// Number of registered processes.
@@ -337,16 +326,12 @@ impl OsKernel {
 
     fn charge(&self, pid: Pid, ran: SimDuration) {
         let mut inner = self.inner.borrow_mut();
-        inner.busy_time += ran;
         let tick_ns = inner.params.tick.as_nanos() as f64;
         let Some(p) = inner.procs.get_mut(&pid) else {
             return;
         };
         p.counter -= ran.as_nanos() as f64 / tick_ns;
         p.cpu_used += ran;
-        if p.record_slices && !ran.is_zero() {
-            p.slices.push((now() - ran, ran));
-        }
         let finished = if let Some(req) = p.requests.front_mut() {
             req.served += ran.min(req.remaining);
             req.remaining = req.remaining.saturating_sub(ran);
@@ -474,28 +459,6 @@ impl ProcessHandle {
             .get(&self.pid)
             .map(|p| p.cpu_used)
             .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Enable per-slice recording (for quanta-distribution experiments).
-    pub fn record_slices(&self, on: bool) {
-        let mut inner = self.kernel.inner.borrow_mut();
-        if let Some(p) = inner.procs.get_mut(&self.pid) {
-            p.record_slices = on;
-            if !on {
-                p.slices.clear();
-            }
-        }
-    }
-
-    /// Recorded `(start, length)` CPU slices (see
-    /// [`ProcessHandle::record_slices`]).
-    pub fn slices(&self) -> Vec<(SimTime, SimDuration)> {
-        let inner = self.kernel.inner.borrow();
-        inner
-            .procs
-            .get(&self.pid)
-            .map(|p| p.slices.clone())
-            .unwrap_or_default()
     }
 
     /// Remove the process from the kernel. Any pending request is dropped
@@ -686,7 +649,6 @@ mod tests {
             }
             let total: u64 = procs.iter().map(|p| p.cpu_used().as_nanos()).sum();
             assert_eq!(total, 200_000_000);
-            assert_eq!(k.busy_time().as_nanos(), 200_000_000);
             // Serialized on one CPU: wall >= total CPU.
             assert!(now() >= SimTime::from_nanos(200_000_000));
         });
@@ -744,31 +706,5 @@ mod tests {
             assert!(!h.is_finished(), "killed process's compute must halt");
         });
         sim.run_until(SimTime::from_secs_f64(1.0));
-    }
-
-    #[test]
-    fn slices_recorded_when_enabled() {
-        let mut sim = Simulation::new(1);
-        sim.spawn(async {
-            let k = OsKernel::new(quiet_params(), SimRng::new(1));
-            let a = k.spawn_process("a");
-            let b = k.spawn_process("b");
-            a.record_slices(true);
-            let ha = {
-                let a = a.clone();
-                spawn(async move { a.run_cpu(SimDuration::from_millis(60)).await })
-            };
-            let hb = {
-                let b = b.clone();
-                spawn(async move { b.run_cpu(SimDuration::from_millis(60)).await })
-            };
-            ha.await;
-            hb.await;
-            let slices = a.slices();
-            assert!(!slices.is_empty());
-            let total: u64 = slices.iter().map(|(_, d)| d.as_nanos()).sum();
-            assert_eq!(total, 60_000_000);
-        });
-        sim.run_to_completion();
     }
 }

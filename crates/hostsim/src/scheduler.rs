@@ -78,7 +78,6 @@ struct SchedInner {
     jobs: Vec<Job>,
     cursor: usize,
     wake: Notify,
-    total_grants: u64,
     /// Host label attached to emitted trace events.
     label: String,
 }
@@ -107,7 +106,6 @@ impl MGridScheduler {
                 jobs: Vec::new(),
                 cursor: 0,
                 wake: Notify::new(),
-                total_grants: 0,
                 label: label.to_string(),
             })),
             daemon,
@@ -201,11 +199,6 @@ impl MGridScheduler {
     /// Wall time charged to a job so far.
     pub fn used(&self, id: JobId) -> SimDuration {
         self.inner.borrow().jobs[id.0].used
-    }
-
-    /// Total quanta granted across all jobs.
-    pub fn total_grants(&self) -> u64 {
-        self.inner.borrow().total_grants
     }
 
     /// Fig 4's eligibility test: grant while `used <= fraction * elapsed`.
@@ -347,7 +340,6 @@ impl MGridScheduler {
                 wall_ns: wall.as_nanos(),
             });
             let mut inner = self.inner.borrow_mut();
-            inner.total_grants += 1;
             let job = &mut inner.jobs[idx];
             // Fig 4: myUsedTime += (stopTime - startTime) — wall time, not
             // CPU time actually received.

@@ -1,10 +1,8 @@
 //! # mgrid-middleware — Globus-like middleware for MicroGrid-rs
 //!
 //! The virtualization layer of the paper's §2.2: the mapping table from
-//! virtual identities to physical resources, the intercepted library
-//! surface (hostname, time, sockets), and the Globus-style job-submission
-//! path (gatekeeper → jobmanager → processes) that crosses from the
-//! physical domain into the virtual Grid.
+//! virtual identities to physical resources and the intercepted library
+//! surface (hostname, time, sockets) that processes on virtual hosts see.
 //!
 //! * [`vip`] — virtual IP addresses.
 //! * [`hosttable`] — the virtual→physical mapping table, the one registry
@@ -13,8 +11,13 @@
 //!   applications see (virtual `gethostname`/`gettimeofday`, compute,
 //!   memory).
 //! * [`vsocket`] — the fully virtualized socket interface.
-//! * [`gatekeeper`] — RSL job specs, gatekeeper and jobmanager daemons,
-//!   client-side submission.
+//!
+//! Processes enter the virtual Grid one way: `microgrid::VirtualGrid`
+//! spawns them (`spawn_process`, and `mpirun` for every rank of a job).
+//! The paper's gatekeeper → jobmanager submission path (§2.2.1) is not
+//! modelled: a gatekeeper process would share its host's CPU with the
+//! ranks and draw from the simulation RNG, so no figure could keep its
+//! numbers with it.
 //!
 //! The information service is not served from here: `microgrid::VirtualGrid`
 //! publishes the virtual-resource records straight into an in-process
@@ -22,16 +25,11 @@
 
 #![warn(missing_docs)]
 
-pub mod gatekeeper;
 pub mod hosttable;
 pub mod process;
 pub mod vip;
 pub mod vsocket;
 
-pub use gatekeeper::{
-    submit_job, AppFactory, AppFuture, AppInstance, ExecutableRegistry, Gatekeeper, JobSpec,
-    JobStatus, GATEKEEPER_PORT,
-};
 pub use hosttable::{HostEntry, HostTable};
 pub use process::ProcessCtx;
 pub use vip::VirtIp;

@@ -77,8 +77,6 @@ pub struct LinkStats {
     pub tx_bytes: u64,
     /// Packets dropped at the full queue.
     pub drops: u64,
-    /// High-water mark of queued bytes.
-    pub peak_queue_bytes: u64,
 }
 
 /// Global counters of the network.
@@ -86,13 +84,11 @@ pub struct LinkStats {
 pub struct NetworkStats {
     /// Reliable messages fully delivered to an inbox.
     pub messages_delivered: u64,
-    /// Datagrams delivered.
-    pub datagrams_delivered: u64,
     /// Go-back-N retransmission rounds across all transfers.
     pub retransmit_rounds: u64,
     /// Packets (of any kind) dropped at full queues.
     pub packet_drops: u64,
-    /// Messages/datagrams that arrived for an unbound port.
+    /// Messages that arrived for an unbound port.
     pub unbound_drops: u64,
 }
 
@@ -130,10 +126,8 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// Injected impairments of one directed link, driven by a [`FaultPlan`]
-/// through [`Network::apply_fault`] (or set directly in tests). This
-/// generalizes the old single `force_drop_every` cell: outage, scripted
-/// periodic drops, and seeded probabilistic loss / corruption /
-/// reordering all live here.
+/// through [`Network::apply_fault`] (or set directly in tests): outage
+/// and seeded probabilistic loss / corruption / reordering.
 ///
 /// [`FaultPlan`]: mgrid_faults::FaultPlan
 #[derive(Default)]
@@ -148,9 +142,6 @@ struct LinkFault {
     /// Probability (thousandths) of swapping each serialized packet with
     /// its in-flight predecessor (out-of-order delivery).
     reorder_per_mille: u32,
-    /// When `n > 0`, every `n`-th offered packet is discarded.
-    drop_every: u64,
-    offered: u64,
     /// Per-link stream forked from the simulation RNG the first time a
     /// probabilistic impairment is configured, so loss rolls on one link
     /// never perturb another link's stream.
@@ -174,18 +165,9 @@ impl LinkFault {
     }
 
     /// Decide whether the next offered packet is discarded before
-    /// queueing (outage, scripted periodic drop, or random loss).
+    /// queueing (outage or random loss).
     fn drops_offered(&mut self) -> bool {
-        if self.down {
-            return true;
-        }
-        let forced = if self.drop_every > 0 {
-            self.offered += 1;
-            self.offered.is_multiple_of(self.drop_every)
-        } else {
-            false
-        };
-        forced || self.roll(self.loss_per_mille)
+        self.down || self.roll(self.loss_per_mille)
     }
 }
 
@@ -441,17 +423,6 @@ impl Network {
         }
     }
 
-    /// Force link `lid` to deterministically discard every `every`-th
-    /// packet offered to it (`0` disables injection). The discard counts
-    /// as a queue drop in the link and network statistics — this is the
-    /// hook fault-injection tests use to exercise the go-back-N recovery
-    /// path without depending on queue-sizing side effects.
-    pub fn force_drop_every(&self, lid: LinkId, every: u64) {
-        let mut f = self.inner.links[lid.0].fault.borrow_mut();
-        f.drop_every = every;
-        f.offered = 0;
-    }
-
     /// Take a directed link down (`true`) or bring it back up (`false`).
     /// While down, every offered packet is dropped (and accounted like a
     /// queue drop); packets already in flight still arrive.
@@ -568,17 +539,13 @@ impl Network {
             });
             return;
         }
-        link.queued_bytes.set(queued + pkt.wire_bytes);
-        let peak = link.queued_bytes.get();
-        {
-            let mut st = link.stats.borrow_mut();
-            st.peak_queue_bytes = st.peak_queue_bytes.max(peak);
-        }
-        self.inner.m.queue_depth.observe(peak);
+        let depth = queued + pkt.wire_bytes;
+        link.queued_bytes.set(depth);
+        self.inner.m.queue_depth.observe(depth);
         obs::emit(|| Event::PacketEnqueue {
             link: lid.0,
             bytes: pkt.wire_bytes,
-            queued_bytes: peak,
+            queued_bytes: depth,
         });
         link.queue.borrow_mut().push_back(pkt);
         link.notify.notify_one();
@@ -792,37 +759,6 @@ impl Network {
                     let _ = tx.send_now(next_expected);
                 }
             }
-            PacketKind::Datagram {
-                port,
-                src_port,
-                message_bytes,
-                payload,
-            } => {
-                let inboxes = self.inner.inboxes.borrow();
-                match lookup_inbox(&inboxes, pkt.dst, port) {
-                    Some(tx) => {
-                        let delivered = tx
-                            .send_now(Message {
-                                src: pkt.src,
-                                src_port,
-                                size_bytes: message_bytes,
-                                payload,
-                            })
-                            .is_ok();
-                        drop(inboxes);
-                        let mut st = self.inner.stats.borrow_mut();
-                        if delivered {
-                            st.datagrams_delivered += 1;
-                        } else {
-                            st.unbound_drops += 1;
-                        }
-                    }
-                    None => {
-                        drop(inboxes);
-                        self.inner.stats.borrow_mut().unbound_drops += 1;
-                    }
-                }
-            }
         }
     }
 
@@ -908,38 +844,6 @@ impl Endpoint {
             port,
             rx,
         }
-    }
-
-    /// Fire-and-forget datagram (dropped silently on congestion or if the
-    /// destination port is unbound).
-    ///
-    /// # Panics
-    /// Panics if the datagram exceeds one MTU.
-    pub fn send_datagram(
-        &self,
-        dst: NodeId,
-        port: u16,
-        src_port: u16,
-        size_bytes: u64,
-        payload: Payload,
-    ) {
-        assert!(
-            size_bytes <= self.net.inner.params.mtu,
-            "datagram of {size_bytes} bytes exceeds the {} byte MTU",
-            self.net.inner.params.mtu
-        );
-        let pkt = Packet {
-            src: self.node,
-            dst,
-            wire_bytes: size_bytes + self.net.inner.params.header_bytes,
-            kind: PacketKind::Datagram {
-                port,
-                src_port,
-                message_bytes: size_bytes,
-                payload,
-            },
-        };
-        self.net.send_from(self.node, pkt);
     }
 }
 
@@ -1041,8 +945,8 @@ mod tests {
             }
         }
 
-        /// Datagrams queued on one link arrive exactly when the unmemoised
-        /// expressions say.
+        /// Single-segment transfers queued on one link arrive exactly when
+        /// the unmemoised expressions say.
         #[test]
         fn memoised_pump_matches_unmemoised_arrival_times(
             bandwidth_bps in 1e6f64..1e9,
@@ -1051,7 +955,14 @@ mod tests {
             sizes in prop::collection::vec((0usize..4, 1u64..1460), 40..80),
         ) {
             let spec = LinkSpec::new(bandwidth_bps, SimDuration::from_micros(delay_us));
-            let params = NetParams::default();
+            // An RTO longer than the run: no retransmit joins the queue,
+            // so the data link carries exactly the first copies.
+            let hour = SimDuration::from_secs(3600);
+            let params = NetParams {
+                initial_rto: hour,
+                max_rto: hour,
+                ..NetParams::default()
+            };
             let clock = VirtualClock::new(rate);
             let wires: Vec<u64> = sizes
                 .iter()
@@ -1076,9 +987,12 @@ mod tests {
                 b.link(a, c, spec);
                 let net = Network::new(b.build(), clock, params.clone());
                 let rx = net.endpoint(c).bind(9);
-                let tx = net.endpoint(a);
                 for &w in &wires {
-                    tx.send_datagram(c, 9, 1, w - params.header_bytes, Payload::empty());
+                    let tx = net.endpoint(a);
+                    let size = w - params.header_bytes;
+                    mgrid_desim::spawn(async move {
+                        tx.send(c, 9, 1, size, Payload::empty()).await.unwrap();
+                    });
                 }
                 let mut arrivals = Vec::new();
                 for _ in 0..n {

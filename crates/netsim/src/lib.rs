@@ -9,7 +9,7 @@
 //! * [`engine`] — the online simulator: per-link pump tasks serialize and
 //!   propagate packets; hosts bind ports and receive assembled messages.
 //! * [`transport`] — a reliable go-back-N sliding-window message protocol
-//!   (the TCP stand-in) plus unreliable datagrams.
+//!   (the TCP stand-in), the one way a message crosses the network.
 //!
 //! All network timing is expressed in virtual network time and converted
 //! through a [`mgrid_desim::vclock::VirtualClock`], so one topology

@@ -82,17 +82,6 @@ pub enum PacketKind {
         /// Next segment the receiver expects (all below are received).
         next_expected: u32,
     },
-    /// An unreliable datagram (fits in one packet or is dropped whole).
-    Datagram {
-        /// Destination port.
-        port: u16,
-        /// Source port.
-        src_port: u16,
-        /// Application bytes.
-        message_bytes: u64,
-        /// Application payload.
-        payload: Payload,
-    },
 }
 
 /// A packet traversing the simulated network.

@@ -468,14 +468,6 @@ impl Topology {
                 .fold(SimDuration::ZERO, |a, b| a + b),
         )
     }
-
-    /// Minimum bandwidth along the route (the bottleneck link).
-    pub fn path_bottleneck_bps(&self, src: NodeId, dst: NodeId) -> Option<f64> {
-        self.route(src, dst)?
-            .iter()
-            .map(|l| self.links[l.0].spec.bandwidth_bps)
-            .min_by(|a, b| a.total_cmp(b))
-    }
 }
 
 #[cfg(test)]
@@ -538,20 +530,6 @@ mod tests {
         let t = b.build();
         assert!(t.route(a, c).is_none());
         assert!(t.path_delay(a, c).is_none());
-    }
-
-    #[test]
-    fn bottleneck_is_min_bandwidth() {
-        let mut b = TopologyBuilder::new();
-        let a = b.host("a");
-        let r1 = b.router("r1");
-        let r2 = b.router("r2");
-        let z = b.host("z");
-        b.link(a, r1, LinkSpec::new(622e6, ms(1)));
-        b.link(r1, r2, LinkSpec::new(10e6, ms(10)));
-        b.link(r2, z, LinkSpec::new(155e6, ms(1)));
-        let t = b.build();
-        assert_eq!(t.path_bottleneck_bps(a, z).unwrap(), 10e6);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Quickstart: bring up a virtual Grid, inspect its GIS records, and
-//! submit a job through the gatekeeper — the paper's §2.2 workflow.
+//! Quickstart: bring up a virtual Grid, inspect its GIS records, launch a
+//! 3-rank job with `mpirun` — the one way every figure starts its ranks —
+//! and watch virtual time run at the simulation rate (paper §2.2–2.3).
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -8,9 +9,7 @@
 use microgrid::desim::time::SimDuration;
 use microgrid::desim::Simulation;
 use microgrid::gis::virtualization::virtual_hosts_filter;
-use microgrid::middleware::{
-    submit_job, AppFuture, AppInstance, ExecutableRegistry, Gatekeeper, JobSpec, JobStatus,
-};
+use microgrid::mpi::MpiParams;
 use microgrid::{presets, VirtualGrid};
 
 fn main() {
@@ -40,48 +39,43 @@ fn main() {
             );
         }
 
-        // 3. Register an "executable" and start a gatekeeper on alpha0.
-        let registry = ExecutableRegistry::new();
-        registry.register("hello-grid", |inst: AppInstance| {
-            Box::pin(async move {
+        // 3. Launch a 3-rank job on the first three virtual hosts.
+        let hosts = &grid.host_names()[..3];
+        println!("mpirun: 3 ranks on {}", hosts.join(", "));
+        let ranks = grid
+            .mpirun(hosts, MpiParams::default(), |comm| async move {
                 // The app sees only virtual identities and virtual time.
-                let t0 = inst.ctx.gettimeofday();
-                inst.ctx.compute_mops(533.0).await; // one virtual CPU-second
-                let t1 = inst.ctx.gettimeofday();
-                println!(
-                    "  [rank {}/{}] hello from {} — {:.3} virtual s of compute",
-                    inst.rank,
-                    inst.count,
-                    inst.ctx.gethostname(),
-                    t1.saturating_since(t0).as_secs_f64()
-                );
-            }) as AppFuture
-        });
-        let gk_ctx = grid
-            .spawn_process("alpha0", "gatekeeper")
-            .expect("gatekeeper process");
-        Gatekeeper::start(gk_ctx, registry);
-
-        // 4. Submit from another virtual host, Globus-style.
-        let client = grid
-            .spawn_process("alpha1", "client")
-            .expect("client process");
-        let spec = JobSpec::parse_rsl("&(executable=hello-grid)(count=3)").expect("valid RSL");
-        println!("submitting {} to alpha0's gatekeeper...", spec.to_rsl());
-        let status = submit_job(&client, "alpha0", &spec)
-            .await
-            .expect("submission");
-        assert_eq!(status, JobStatus::Done);
+                let ctx = comm.ctx();
+                let t0 = ctx.gettimeofday();
+                ctx.compute_mops(533.0).await; // one virtual CPU-second
+                let t1 = ctx.gettimeofday();
+                comm.barrier().await.expect("barrier");
+                (
+                    ctx.gethostname().to_string(),
+                    t1.saturating_since(t0).as_secs_f64(),
+                )
+            })
+            .await;
+        for (rank, (host, secs)) in ranks.iter().enumerate() {
+            println!(
+                "  [rank {rank}/{}] hello from {host} — {secs:.3} virtual s of compute",
+                ranks.len()
+            );
+        }
+        let now = microgrid::desim::now();
         println!(
             "job done at virtual t={:.3}s (physical sim time {:.3}s)",
-            client.gettimeofday().as_secs_f64(),
-            mgrid_desim::now().as_secs_f64()
+            grid.clock().virtual_at(now).as_secs_f64(),
+            now.as_secs_f64()
         );
 
-        // 5. Virtual time really is scaled: sleep 1 virtual second.
-        let before = client.gettimeofday();
-        client.sleep_virtual(SimDuration::from_secs(1)).await;
-        let after = client.gettimeofday();
+        // 4. Virtual time really is scaled: sleep 1 virtual second.
+        let ctx = grid
+            .spawn_process("alpha3", "sleeper")
+            .expect("sleeper process");
+        let before = ctx.gettimeofday();
+        ctx.sleep_virtual(SimDuration::from_secs(1)).await;
+        let after = ctx.gettimeofday();
         println!(
             "slept {:.2} virtual s (rate {:.2})",
             after.saturating_since(before).as_secs_f64(),

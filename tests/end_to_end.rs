@@ -4,9 +4,6 @@
 use microgrid::apps::npb::{NpbBenchmark, NpbClass, NpbResult};
 use microgrid::desim::Simulation;
 use microgrid::gis::virtualization::{virtual_hosts_filter, MAPPED_PHYSICAL};
-use microgrid::middleware::{
-    submit_job, AppFuture, AppInstance, ExecutableRegistry, Gatekeeper, JobSpec, JobStatus,
-};
 use microgrid::{presets, App, AppResult, GridConfig, Mode, Scenario, VirtualGrid};
 
 #[test]
@@ -71,27 +68,6 @@ fn gis_records_point_to_real_mappings() {
                 "GIS names unknown physical host {phys}"
             );
         }
-    });
-}
-
-#[test]
-fn gatekeeper_submission_across_the_virtual_network() {
-    let mut sim = Simulation::new(3);
-    sim.block_on(async {
-        let grid = VirtualGrid::build(presets::alpha_cluster()).expect("build");
-        let registry = ExecutableRegistry::new();
-        registry.register("touch", |inst: AppInstance| {
-            Box::pin(async move {
-                inst.ctx.compute_mops(10.0).await;
-            }) as AppFuture
-        });
-        let gk = grid.spawn_process("alpha2", "gatekeeper").expect("gk");
-        Gatekeeper::start(gk, registry);
-        let client = grid.spawn_process("alpha0", "client").expect("client");
-        let status = submit_job(&client, "alpha2", &JobSpec::simple("touch"))
-            .await
-            .expect("submission");
-        assert_eq!(status, JobStatus::Done);
     });
 }
 

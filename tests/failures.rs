@@ -1,12 +1,8 @@
 //! Failure injection: the system must degrade predictably, not wedge.
 
 use microgrid::desim::time::{SimDuration, SimTime};
-use microgrid::desim::timeout::with_timeout;
 use microgrid::desim::vclock::VirtualClock;
 use microgrid::desim::{spawn, Simulation};
-use microgrid::middleware::{
-    submit_job, AppFuture, AppInstance, ExecutableRegistry, Gatekeeper, JobSpec, JobStatus,
-};
 use microgrid::netsim::{LinkSpec, NetParams, Network, Payload, TopologyBuilder};
 use microgrid::{presets, VirtualGrid};
 
@@ -46,73 +42,6 @@ fn black_hole_link_retransmits_forever_without_wedging() {
     });
     // The run must terminate (bounded), not spin at one instant.
     sim.run_until(SimTime::from_secs_f64(31.0));
-}
-
-/// Datagrams are fire-and-forget: losses are silent and counted.
-#[test]
-fn datagram_loss_is_silent() {
-    let mut sim = Simulation::new(2);
-    sim.spawn(async {
-        let mut b = TopologyBuilder::new();
-        let a = b.host("a");
-        let z = b.host("z");
-        b.link(
-            a,
-            z,
-            LinkSpec {
-                bandwidth_bps: 1e6,
-                delay: SimDuration::from_micros(100),
-                queue_bytes: 1_600, // one packet fits; bursts drop
-            },
-        );
-        let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
-        let rx = net.endpoint(z).bind(5);
-        let ep = net.endpoint(a);
-        for i in 0..20u32 {
-            ep.send_datagram(z, 5, 1, 1_000, Payload::new(i));
-        }
-        mgrid_desim::sleep(SimDuration::from_secs(1)).await;
-        let mut got = 0;
-        while let Some(msg) = with_timeout(SimDuration::ZERO, rx.recv()).await {
-            msg.expect("network stays up");
-            got += 1;
-        }
-        let stats = net.stats();
-        assert!(got >= 1, "at least the first datagram fits");
-        assert!(got < 20, "the burst must overflow the 1-packet queue");
-        assert_eq!(got as u64, stats.datagrams_delivered);
-        assert!(stats.packet_drops > 0);
-    });
-    sim.run_until(SimTime::from_secs_f64(2.0));
-}
-
-/// A job whose processes cannot start (memory exhausted) reports
-/// StartFailure to the client instead of hanging.
-#[test]
-fn gatekeeper_reports_start_failure_on_oom() {
-    let mut sim = Simulation::new(3);
-    sim.block_on(async {
-        let mut config = presets::alpha_cluster();
-        // Gatekeeper + jobmanager fit; the job's processes do not.
-        config.virtual_hosts[1].spec.memory_bytes = 2 * 1024 + 512;
-        let grid = VirtualGrid::build(config).expect("build");
-        let registry = ExecutableRegistry::new();
-        registry.register("hog", |inst: AppInstance| {
-            Box::pin(async move {
-                inst.ctx.compute_mops(1.0).await;
-            }) as AppFuture
-        });
-        let gk = grid.spawn_process("alpha1", "gatekeeper").expect("gk fits");
-        Gatekeeper::start(gk, registry);
-        let client = grid.spawn_process("alpha0", "client").expect("client");
-        let status = submit_job(&client, "alpha1", &JobSpec::simple("hog"))
-            .await
-            .expect("submission completes");
-        assert!(
-            matches!(status, JobStatus::StartFailure(_)),
-            "expected StartFailure, got {status:?}"
-        );
-    });
 }
 
 /// Partitioned topologies fail sends fast (unreachable), and the rest of
