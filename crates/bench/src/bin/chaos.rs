@@ -13,12 +13,16 @@
 //! output, which also pins the numbers across machines (everything in a
 //! report is virtual-time; nothing depends on the host).
 
-use mgrid_bench::runner::{repro_threads, run_plans, CHAOS_SCENARIOS};
+use mgrid_bench::runner::{run_plans, settings, CHAOS_SCENARIOS};
 use microgrid::outln;
 
 const TRACKED: &str = "results/chaos.json";
 
 fn main() {
+    let settings = settings().unwrap_or_else(|e| {
+        eprintln!("chaos: {e}");
+        std::process::exit(2);
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check = false;
     let mut bless = false;
@@ -49,7 +53,7 @@ fn main() {
         }
     }
     let mut runs = Vec::new();
-    run_plans(repro_threads(), plans, |mut done| {
+    run_plans(settings.threads(), plans, |mut done| {
         // The tracked file holds what the scenario reports, not the
         // metrics of the simulations behind it.
         done.report.metrics = None;

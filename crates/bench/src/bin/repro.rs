@@ -22,12 +22,16 @@
 //! threads, wall seconds and the share of the thread budget that was
 //! busy.
 //!
+//! A setting it cannot read exits 2 before anything runs: `MGRID_FAST`
+//! other than `0` or `1`, or `MGRID_REPRO_THREADS` other than a whole
+//! number of at least 1 (`chaos` reads both the same way).
+//!
 //! `--check` and `--bless` also hold each regenerated report to the
 //! paper's claims ([`mgrid_bench::claims`]): a report that breaks one
 //! fails the check, and is not blessed, by the claim's name.
 
 use mgrid_bench::claims;
-use mgrid_bench::runner::{fast_mode, figures, repro_threads, run_plans, Finished};
+use mgrid_bench::runner::{figures, run_plans, settings, Finished};
 use microgrid::{outln, ComparisonRow, Report, Series};
 use serde::Serialize;
 
@@ -170,6 +174,10 @@ fn check_figure(report: &Report) -> bool {
 const USAGE: &str = "usage: repro [--json DIR | --check | --bless] (all | figN ...)";
 
 fn main() {
+    let settings = settings().unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_dir: Option<String> = None;
     let mut mode = Mode::Print;
@@ -209,7 +217,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if mode != Mode::Print && fast_mode() {
+    if mode != Mode::Print && settings.fast {
         eprintln!(
             "--check/--bless need full-scale runs: {TRACKED_DIR}/ holds those (unset MGRID_FAST)"
         );
@@ -218,7 +226,7 @@ fn main() {
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
     }
-    if fast_mode() {
+    if settings.fast {
         outln!("(MGRID_FAST=1: shrunken experiment parameters)\n");
     }
     let plans: Vec<_> = figs
@@ -226,7 +234,7 @@ fn main() {
         .filter(|f| all || wanted.iter().any(|w| w == f.id))
         .map(|f| (f.id, (f.plan)()))
         .collect();
-    let threads = repro_threads();
+    let threads = settings.threads();
     if mode == Mode::Print && threads > 1 {
         outln!(
             "(regenerating {} figures on {threads} threads)\n",

@@ -164,7 +164,6 @@ pub fn chaos_crash() -> Plan {
             let hosts = grid.host_names();
             let params = MpiParams {
                 recv_timeout: Some(SimDuration::from_secs(2)),
-                ..MpiParams::default()
             };
             let results = grid
                 .mpirun_resilient(&hosts, params, SimDuration::from_secs(30), crash_body)

@@ -3,7 +3,7 @@
 
 use microgrid::desim::time::SimDuration;
 use microgrid::desim::SimRng;
-use microgrid::hostsim::competitors::{spawn_cpu_hog, spawn_io_competitor, IoCompetitorParams};
+use microgrid::hostsim::competitors::{spawn_cpu_hog, spawn_io_competitor};
 use microgrid::hostsim::memory::probe_max_allocatable;
 use microgrid::hostsim::{MGridScheduler, OsKernel, OsParams, SchedulerParams};
 use microgrid::{Report, Series};
@@ -63,18 +63,24 @@ impl Competition {
                 spawn_cpu_hog(kernel);
             }
             Competition::Io => {
-                spawn_io_competitor(kernel, IoCompetitorParams::default(), SimRng::new(io_seed));
+                spawn_io_competitor(kernel, SimRng::new(io_seed));
             }
         }
     }
 }
 
 /// Measure the CPU fraction actually delivered to a spinning reference
-/// process paced at `fraction`, under `competition`, over `horizon`.
-pub fn delivered_fraction(fraction: f64, competition: Competition, horizon: SimDuration) -> f64 {
+/// process paced at `fraction` with scheduler quantum `quantum`, under
+/// `competition`, over `horizon`.
+pub fn delivered_fraction(
+    fraction: f64,
+    quantum: SimDuration,
+    competition: Competition,
+    horizon: SimDuration,
+) -> f64 {
     simulate(600 + (fraction * 100.0) as u64, async move {
         let kernel = OsKernel::new(OsParams::default(), SimRng::new(77));
-        let sched = MGridScheduler::start(&kernel, SchedulerParams::default());
+        let sched = MGridScheduler::start(&kernel, SchedulerParams { quantum });
         competition.spawn(&kernel, 78);
         let refproc = kernel.spawn_process("reference");
         sched.add_job(refproc.clone(), fraction);
@@ -88,13 +94,16 @@ pub fn delivered_fraction(fraction: f64, competition: Competition, horizon: SimD
 }
 
 /// Fig 6: delivered vs specified CPU fraction (10%..100%) for the three
-/// competition scenarios.
+/// competition scenarios, at the default quantum.
 pub fn fig6_cpu(horizon: SimDuration) -> Plan {
     let steps: Vec<u32> = (10..=100).step_by(10).collect();
+    let quantum = SchedulerParams::default().quantum;
     let mut jobs = Vec::new();
     for competition in Competition::ALL {
         for &pct in &steps {
-            jobs.push(move || delivered_fraction(f64::from(pct) / 100.0, competition, horizon));
+            jobs.push(move || {
+                delivered_fraction(f64::from(pct) / 100.0, quantum, competition, horizon)
+            });
         }
     }
     Plan::new(jobs, move |delivered| {
@@ -191,6 +200,9 @@ mod tests {
     #[test]
     fn fig6_shapes() {
         let horizon = SimDuration::from_secs(4);
+        let delivered_fraction = |fraction, competition, horizon| {
+            delivered_fraction(fraction, SimDuration::from_millis(10), competition, horizon)
+        };
         // Alone: 30% is delivered accurately; 100% hits the ceiling.
         let alone30 = delivered_fraction(0.3, Competition::None, horizon);
         assert!((alone30 - 0.3).abs() < 0.03, "alone 30% -> {alone30}");

@@ -263,22 +263,69 @@ pub fn seconds(scenario: Scenario) -> f64 {
     rank0.virtual_seconds()
 }
 
-/// Fast mode shrinks long experiments (set `MGRID_FAST=1`).
-pub fn fast_mode() -> bool {
-    std::env::var("MGRID_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// How `repro` and `chaos` run, as `MGRID_FAST` and
+/// `MGRID_REPRO_THREADS` ask.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Settings {
+    /// `MGRID_FAST=1`: shrunken experiment parameters.
+    pub fast: bool,
+    /// `MGRID_REPRO_THREADS`; `None` (unset) runs one worker per
+    /// available CPU.
+    pub threads: Option<usize>,
 }
 
-/// Worker threads for the job queue: `MGRID_REPRO_THREADS` if set
-/// (minimum 1), otherwise the machine's available parallelism.
-pub fn repro_threads() -> usize {
-    if let Ok(v) = std::env::var("MGRID_REPRO_THREADS") {
-        return v.parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or(1);
+impl Settings {
+    /// Worker threads for the job queue: `MGRID_REPRO_THREADS` if set,
+    /// otherwise the machine's available parallelism.
+    pub fn threads(self) -> usize {
+        self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+}
+
+/// Parse the values of `MGRID_FAST` and `MGRID_REPRO_THREADS` (`None`
+/// when unset). `MGRID_FAST` is `0` or `1`, the thread count a whole
+/// number of at least 1; anything else is an error naming the variable
+/// and the values it accepts.
+pub fn parse_settings(fast: Option<&str>, threads: Option<&str>) -> Result<Settings, String> {
+    let fast = match fast {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(v) => return Err(format!("MGRID_FAST={v:?}: expected 0 or 1")),
+    };
+    let threads = match threads {
+        None => None,
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 && v.bytes().all(|b| b.is_ascii_digit()) => Some(n),
+            _ => {
+                return Err(format!(
+                    "MGRID_REPRO_THREADS={v:?}: expected a whole number >= 1"
+                ))
+            }
+        },
+    };
+    Ok(Settings { fast, threads })
+}
+
+/// [`parse_settings`] over this process's environment. `repro` and
+/// `chaos` check it first and exit 2 on an error.
+pub fn settings() -> Result<Settings, String> {
+    let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_settings(
+        var("MGRID_FAST").as_deref(),
+        var("MGRID_REPRO_THREADS").as_deref(),
+    )
+}
+
+/// Fast mode shrinks long experiments (set `MGRID_FAST=1`).
+///
+/// # Panics
+/// Panics if [`settings`] is an error.
+pub fn fast_mode() -> bool {
+    settings().unwrap_or_else(|e| panic!("{e}")).fast
 }
 
 /// The worker pool under [`run_plans`]: run independent `jobs` on
@@ -288,7 +335,7 @@ pub fn repro_threads() -> usize {
 ///
 /// `workers` is taken as given — not clamped to the machine's
 /// parallelism, so a 1-core box still exercises the threaded path;
-/// callers pass [`repro_threads`]-derived values. Jobs are claimed from
+/// callers pass [`Settings::threads`]. Jobs are claimed from
 /// a shared queue for load balance; they are mutually independent and
 /// individually deterministic, so placement cannot affect any result.
 /// With one worker (or one job) everything runs inline on the calling
@@ -362,6 +409,45 @@ pub fn mean_stddev(xs: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn settings_parse_table() {
+        let ok = |fast, threads| Ok(Settings { fast, threads });
+        for (fast, threads, want) in [
+            (None, None, ok(false, None)),
+            (Some("0"), None, ok(false, None)),
+            (Some("1"), Some("1"), ok(true, Some(1))),
+            (None, Some("3"), ok(false, Some(3))),
+            (Some("1"), Some("4"), ok(true, Some(4))),
+            (None, Some("12"), ok(false, Some(12))),
+        ] {
+            assert_eq!(parse_settings(fast, threads), want, "{fast:?} {threads:?}");
+        }
+        for fast in ["true", "yes", "2", "", " 1", "01"] {
+            let err = parse_settings(Some(fast), None).unwrap_err();
+            assert!(
+                err.starts_with("MGRID_FAST=") && err.ends_with("expected 0 or 1"),
+                "{fast:?}: {err}"
+            );
+        }
+        for threads in [
+            "0",
+            "four",
+            "-2",
+            "+3",
+            "",
+            " 4",
+            "1.5",
+            "99999999999999999999999",
+        ] {
+            let err = parse_settings(None, Some(threads)).unwrap_err();
+            assert!(
+                err.starts_with("MGRID_REPRO_THREADS=")
+                    && err.ends_with("expected a whole number >= 1"),
+                "{threads:?}: {err}"
+            );
+        }
+    }
 
     #[test]
     fn mean_stddev_basic() {

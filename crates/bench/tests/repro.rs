@@ -69,3 +69,22 @@ fn scale_check_passes_twice_in_a_row() {
         assert_eq!(stdout, "scale: matches results/scale.json\n", "run {run}");
     }
 }
+
+/// A harness setting `repro` cannot read stops it before any figure runs,
+/// naming the variable.
+#[test]
+fn misread_settings_exit_2() {
+    for (var, value) in [("MGRID_REPRO_THREADS", "0"), ("MGRID_FAST", "true")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("fig5")
+            .env_remove("MGRID_FAST")
+            .env_remove("MGRID_REPRO_THREADS")
+            .env(var, value)
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {out:?}");
+        assert!(out.stdout.is_empty(), "{var}={value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("repro: {var}=")), "{stderr}");
+    }
+}

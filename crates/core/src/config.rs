@@ -12,7 +12,7 @@ use mgrid_desim::FxHashSet;
 use mgrid_faults::FaultPlan;
 use mgrid_hostsim::memory::PROCESS_OVERHEAD;
 use mgrid_hostsim::{PhysicalHostSpec, VirtualHostSpec};
-use mgrid_netsim::NetParams;
+use mgrid_netsim::transport::SEGMENT_WIRE_BYTES;
 use serde::{Deserialize, Serialize};
 
 /// How the global simulation rate is chosen (paper §2.3).
@@ -310,9 +310,6 @@ impl GridConfig {
                 return Err(ConfigError::DuplicateName(r.clone()));
             }
         }
-        // The grid brings its network up with the default parameters.
-        let net = NetParams::default();
-        let segment_bytes = net.mtu + net.header_bytes;
         for l in &self.network.links {
             for end in [&l.a, &l.b] {
                 if !nodes.contains(end.as_str()) {
@@ -326,12 +323,12 @@ impl GridConfig {
                     bandwidth_bps: l.bandwidth_bps.to_string(),
                 });
             }
-            if let Some(queue_bytes) = l.queue_bytes.filter(|q| *q < segment_bytes) {
+            if let Some(queue_bytes) = l.queue_bytes.filter(|q| *q < SEGMENT_WIRE_BYTES) {
                 return Err(ConfigError::QueueBelowSegment {
                     a: l.a.clone(),
                     b: l.b.clone(),
                     queue_bytes,
-                    segment_bytes,
+                    segment_bytes: SEGMENT_WIRE_BYTES,
                 });
             }
         }

@@ -15,7 +15,7 @@
 //! lists as an open problem.
 
 use mgrid_desim::FxHashMap;
-use mgrid_netsim::NetParams;
+use mgrid_netsim::transport::SEGMENT_WIRE_BYTES;
 
 use crate::config::{ConfigError, GridConfig, RatePolicy, MAX_STEP};
 
@@ -99,16 +99,14 @@ pub fn plan_rate(config: &GridConfig) -> Result<RatePlan, ConfigError> {
     // seconds at the chosen rate (plain f64: a bandwidth near the bottom
     // of the range makes the serialisation time infinite, which must be
     // an error here, not a panic).
-    let net = NetParams::default();
-    let segment_bytes = net.mtu + net.header_bytes;
     let max_step = MAX_STEP.as_secs_f64();
     for l in &config.network.links {
         let delay = l.delay.as_secs_f64() / chosen;
-        let segment = (segment_bytes * 8) as f64 / l.bandwidth_bps / chosen;
+        let segment = (SEGMENT_WIRE_BYTES * 8) as f64 / l.bandwidth_bps / chosen;
         let what = if delay > max_step {
             format!("delay {} ns", l.delay.as_nanos())
         } else if segment > max_step {
-            format!("one {segment_bytes}-byte segment")
+            format!("one {SEGMENT_WIRE_BYTES}-byte segment")
         } else {
             continue;
         };

@@ -101,7 +101,6 @@ impl VirtualGrid {
 
         let sched_params = SchedulerParams {
             quantum: config.quantum,
-            ..SchedulerParams::default()
         };
 
         // Physical hosts (emulated mode) and the mapping table.

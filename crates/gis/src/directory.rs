@@ -1,45 +1,11 @@
-//! The directory information tree: DN-addressed record storage with
-//! LDAP-style scoped searches.
+//! The directory: DN-addressed record storage, searched with a filter
+//! over the whole tree.
 
 use std::collections::BTreeMap;
 
 use crate::dn::{Dn, SEPARATOR};
 use crate::filter::Filter;
 use crate::record::Record;
-
-/// Search scope, mirroring LDAP.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Scope {
-    /// Only the base entry itself.
-    Base,
-    /// Immediate children of the base entry.
-    OneLevel,
-    /// The base entry and everything beneath it.
-    Subtree,
-}
-
-/// Errors of directory operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DirError {
-    /// The target DN already holds an entry.
-    AlreadyExists(String),
-    /// No entry at the target DN.
-    NoSuchEntry(String),
-    /// The entry still has children.
-    NotLeaf(String),
-}
-
-impl std::fmt::Display for DirError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DirError::AlreadyExists(dn) => write!(f, "entry already exists: {dn}"),
-            DirError::NoSuchEntry(dn) => write!(f, "no such entry: {dn}"),
-            DirError::NotLeaf(dn) => write!(f, "entry has children: {dn}"),
-        }
-    }
-}
-
-impl std::error::Error for DirError {}
 
 /// An in-memory GIS directory.
 ///
@@ -64,21 +30,6 @@ impl Directory {
     /// True if the directory has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Insert a record at its DN.
-    ///
-    /// Missing ancestors are created as empty entries: the paper's
-    /// workflow drops records into existing GIS servers without bespoke
-    /// server setup, so we mirror that permissiveness while keeping the
-    /// tree well-formed.
-    pub fn add(&mut self, record: Record) -> Result<(), DirError> {
-        let key = record.dn.to_string();
-        if self.entries.contains_key(&key) {
-            return Err(DirError::AlreadyExists(key));
-        }
-        self.insert_new(key, record);
-        Ok(())
     }
 
     /// Replace the record at a DN (or insert it, creating ancestors).
@@ -108,50 +59,12 @@ impl Directory {
         self.entries.insert(key, record);
     }
 
-    /// Fetch the record at a DN.
-    pub fn get(&self, dn: &Dn) -> Option<&Record> {
-        self.entries.get(&dn.to_string())
-    }
-
-    /// Mutable access to the record at a DN.
-    pub fn get_mut(&mut self, dn: &Dn) -> Option<&mut Record> {
-        self.entries.get_mut(&dn.to_string())
-    }
-
-    /// Delete a leaf entry.
-    pub fn delete(&mut self, dn: &Dn) -> Result<Record, DirError> {
-        let key = dn.to_string();
-        if !self.entries.contains_key(&key) {
-            return Err(DirError::NoSuchEntry(key));
-        }
-        let has_children = self.entries.values().any(|r| r.dn.is_child_of(dn));
-        if has_children {
-            return Err(DirError::NotLeaf(key));
-        }
-        Ok(self.entries.remove(&key).expect("checked above"))
-    }
-
-    /// Scoped, filtered search under `base`. Results are in DN order.
-    pub fn search(&self, base: &Dn, scope: Scope, filter: &Filter) -> Vec<&Record> {
+    /// Every record `filter` matches, in DN order.
+    pub fn search_all(&self, filter: &Filter) -> Vec<&Record> {
         self.entries
             .values()
-            .filter(|r| match scope {
-                Scope::Base => &r.dn == base,
-                Scope::OneLevel => r.dn.is_child_of(base),
-                Scope::Subtree => r.dn.is_within(base),
-            })
             .filter(|r| filter.matches(r))
             .collect()
-    }
-
-    /// Search the whole tree.
-    pub fn search_all(&self, filter: &Filter) -> Vec<&Record> {
-        self.search(&Dn::root(), Scope::Subtree, filter)
-    }
-
-    /// Iterate all records in DN order.
-    pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.entries.values()
     }
 }
 
@@ -163,63 +76,46 @@ mod tests {
         Dn::parse(s).unwrap()
     }
 
+    /// Every record's DN, in DN order.
+    fn dns(d: &Directory) -> Vec<String> {
+        d.search_all(&Filter::and([]))
+            .iter()
+            .map(|r| r.dn.to_string())
+            .collect()
+    }
+
     fn sample() -> Directory {
         let mut d = Directory::new();
-        d.add(Record::new(dn("o=Grid"))).unwrap();
-        d.add(Record::new(dn("ou=CSAG, o=Grid")).with("ou", "CSAG"))
-            .unwrap();
+        d.upsert(Record::new(dn("ou=CSAG, o=Grid")).with("ou", "CSAG"));
         for (host, speed, virt) in [
             ("csag-226-67.ucsd.edu", "533", "No"),
             ("vm.ucsd.edu", "10", "Yes"),
             ("vm2.ucsd.edu", "20", "Yes"),
         ] {
-            d.add(
+            d.upsert(
                 Record::new(dn(&format!("hn={host}, ou=CSAG, o=Grid")))
                     .with("objectclass", "GridComputeResource")
                     .with("hn", host)
                     .with("CpuSpeed", speed)
                     .with("Is_Virtual_Resource", virt),
-            )
-            .unwrap();
+            );
         }
         d
     }
 
     #[test]
-    fn add_get_delete() {
-        let mut d = sample();
-        assert_eq!(d.len(), 5);
-        let h = dn("hn=vm.ucsd.edu, ou=CSAG, o=Grid");
-        assert_eq!(d.get(&h).unwrap().get("CpuSpeed"), Some("10"));
-        d.delete(&h).unwrap();
-        assert!(d.get(&h).is_none());
-        assert_eq!(d.delete(&h), Err(DirError::NoSuchEntry(h.to_string())));
-    }
-
-    #[test]
-    fn duplicate_add_rejected() {
-        let mut d = sample();
-        let r = Record::new(dn("ou=CSAG, o=Grid"));
-        assert!(matches!(d.add(r), Err(DirError::AlreadyExists(_))));
-    }
-
-    #[test]
-    fn delete_nonleaf_rejected() {
-        let mut d = sample();
-        assert!(matches!(
-            d.delete(&dn("ou=CSAG, o=Grid")),
-            Err(DirError::NotLeaf(_))
-        ));
-    }
-
-    #[test]
     fn ancestors_autocreated() {
         let mut d = Directory::new();
-        d.add(Record::new(dn("hn=deep, ou=a, ou=b, o=Grid")))
-            .unwrap();
-        assert!(d.get(&dn("ou=a, ou=b, o=Grid")).is_some());
-        assert!(d.get(&dn("ou=b, o=Grid")).is_some());
-        assert_eq!(d.len(), 4);
+        d.upsert(Record::new(dn("hn=deep, ou=a, ou=b, o=Grid")));
+        assert_eq!(
+            dns(&d),
+            [
+                "hn=deep, ou=a, ou=b, o=Grid",
+                "o=Grid",
+                "ou=a, ou=b, o=Grid",
+                "ou=b, o=Grid"
+            ]
+        );
     }
 
     #[test]
@@ -227,29 +123,27 @@ mod tests {
         use crate::dn::Rdn;
         // `Dn::parse` cannot produce such a value, `Rdn::new` can; the
         // ancestor keys must still be the ancestors' own text.
-        let leaf = Dn::from_rdns(vec![
+        let rdns = vec![
             Rdn::new("hn", "a, b=c"),
             Rdn::new("ou", "x, y"),
             Rdn::new("o", "Grid"),
-        ]);
+        ];
+        let leaf = Dn::from_rdns(rdns.clone());
         let mut d = Directory::new();
         d.upsert(Record::new(leaf.clone()).with("hn", "first"));
         d.upsert(Record::new(leaf.clone()).with("hn", "second"));
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.get(&leaf).unwrap().get("hn"), Some("second"));
-        let parent = leaf.parent().unwrap();
-        assert_eq!(d.get(&parent).unwrap().dn, parent);
-        assert!(d.get(&parent.parent().unwrap()).is_some());
-    }
-
-    #[test]
-    fn scoped_search() {
-        let d = sample();
-        let base = dn("ou=CSAG, o=Grid");
-        let any = Filter::and([]);
-        assert_eq!(d.search(&base, Scope::Base, &any).len(), 1);
-        assert_eq!(d.search(&base, Scope::OneLevel, &any).len(), 3);
-        assert_eq!(d.search(&base, Scope::Subtree, &any).len(), 4);
+        let ancestors = [&rdns[1..], &rdns[2..]].map(|r| Dn::from_rdns(r.to_vec()).to_string());
+        let mut want = vec![leaf.to_string(), ancestors[0].clone(), ancestors[1].clone()];
+        want.sort();
+        assert_eq!(dns(&d), want);
+        let hits = d.search_all(&Filter::eq("hn", "second"));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].dn, leaf);
+        assert_eq!(hits[0].get_all("hn"), ["second"]);
+        // Upserting at an ancestor's DN replaces the record created for it.
+        d.upsert(Record::new(Dn::from_rdns(rdns[1..].to_vec())).with("ou", "named"));
+        assert_eq!(dns(&d), want);
+        assert_eq!(d.search_all(&Filter::eq("ou", "named")).len(), 1);
     }
 
     #[test]
@@ -278,7 +172,7 @@ mod tests {
     #[test]
     fn search_results_deterministic_order() {
         let d = sample();
-        let f = Filter::present("is_virtual_resource");
+        let f = Filter::eq("objectclass", "GridComputeResource");
         let names: Vec<&str> = d
             .search_all(&f)
             .iter()

@@ -1,4 +1,4 @@
-//! LDAP-style distinguished names.
+//! Distinguished names.
 //!
 //! GIS records are addressed by distinguished names such as
 //! `hn=vm.ucsd.edu, ou=Concurrent Systems Architecture Group, o=Grid`
@@ -62,11 +62,6 @@ impl fmt::Display for DnParseError {
 impl std::error::Error for DnParseError {}
 
 impl Dn {
-    /// The empty DN (root of the directory).
-    pub fn root() -> Self {
-        Dn::default()
-    }
-
     /// Build from leaf-first RDNs.
     pub fn from_rdns(rdns: Vec<Rdn>) -> Self {
         Dn { rdns }
@@ -76,7 +71,7 @@ impl Dn {
     pub fn parse(s: &str) -> Result<Self, DnParseError> {
         let s = s.trim();
         if s.is_empty() {
-            return Ok(Dn::root());
+            return Ok(Dn::default());
         }
         let mut rdns = Vec::new();
         for part in s.split(',') {
@@ -99,50 +94,12 @@ impl Dn {
         &self.rdns
     }
 
-    /// Number of components.
-    pub fn depth(&self) -> usize {
-        self.rdns.len()
-    }
-
-    /// True for the empty root DN.
-    pub fn is_root(&self) -> bool {
-        self.rdns.is_empty()
-    }
-
-    /// The leaf (first) RDN, if any.
-    pub fn leaf(&self) -> Option<&Rdn> {
-        self.rdns.first()
-    }
-
-    /// Parent DN (everything but the leaf); `None` at the root.
-    pub fn parent(&self) -> Option<Dn> {
-        if self.rdns.is_empty() {
-            None
-        } else {
-            Some(Dn {
-                rdns: self.rdns[1..].to_vec(),
-            })
-        }
-    }
-
     /// A child of this DN with the extra leaf RDN.
     pub fn child(&self, rdn: Rdn) -> Dn {
         let mut rdns = Vec::with_capacity(self.rdns.len() + 1);
         rdns.push(rdn);
         rdns.extend(self.rdns.iter().cloned());
         Dn { rdns }
-    }
-
-    /// True if `self` equals `ancestor` or lies beneath it.
-    pub fn is_within(&self, ancestor: &Dn) -> bool {
-        let n = self.rdns.len();
-        let m = ancestor.rdns.len();
-        n >= m && self.rdns[n - m..] == ancestor.rdns[..]
-    }
-
-    /// True if `self` is an immediate child of `parent`.
-    pub fn is_child_of(&self, parent: &Dn) -> bool {
-        self.depth() == parent.depth() + 1 && self.is_within(parent)
     }
 }
 
@@ -158,13 +115,6 @@ impl fmt::Display for Dn {
     }
 }
 
-impl std::str::FromStr for Dn {
-    type Err = DnParseError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Dn::parse(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,9 +122,8 @@ mod tests {
     #[test]
     fn parse_and_display_roundtrip() {
         let dn = Dn::parse("hn=vm.ucsd.edu, ou=CSAG, o=Grid").unwrap();
-        assert_eq!(dn.depth(), 3);
-        assert_eq!(dn.leaf().unwrap().attr, "hn");
-        assert_eq!(dn.leaf().unwrap().value, "vm.ucsd.edu");
+        assert_eq!(dn.rdns().len(), 3);
+        assert_eq!(dn.rdns()[0], Rdn::new("hn", "vm.ucsd.edu"));
         assert_eq!(dn.to_string(), "hn=vm.ucsd.edu, ou=CSAG, o=Grid");
         for rdn in dn.rdns() {
             assert_eq!(rdn.text_len(), rdn.to_string().len());
@@ -189,25 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn parent_and_child() {
+    fn child_prepends_the_leaf() {
         let dn = Dn::parse("hn=x, ou=y, o=Grid").unwrap();
-        let parent = dn.parent().unwrap();
-        assert_eq!(parent.to_string(), "ou=y, o=Grid");
+        let parent = Dn::parse("ou=y, o=Grid").unwrap();
         assert_eq!(parent.child(Rdn::new("hn", "x")), dn);
-        assert!(dn.is_child_of(&parent));
-        assert!(!parent.is_child_of(&dn));
-    }
-
-    #[test]
-    fn is_within_hierarchy() {
-        let org = Dn::parse("o=Grid").unwrap();
-        let ou = Dn::parse("ou=y, o=Grid").unwrap();
-        let host = Dn::parse("hn=x, ou=y, o=Grid").unwrap();
-        assert!(host.is_within(&org));
-        assert!(host.is_within(&ou));
-        assert!(host.is_within(&host));
-        assert!(!ou.is_within(&host));
-        assert!(host.is_within(&Dn::root()));
     }
 
     #[test]
@@ -218,10 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn root_is_empty() {
-        let root = Dn::root();
-        assert!(root.is_root());
-        assert_eq!(root.parent(), None);
-        assert_eq!(Dn::parse("").unwrap(), root);
+    fn empty_text_is_the_empty_dn() {
+        let root = Dn::parse("").unwrap();
+        assert!(root.rdns().is_empty());
+        assert_eq!(root.to_string(), "");
     }
 }

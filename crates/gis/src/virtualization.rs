@@ -68,14 +68,6 @@ pub fn virtual_network_record(
         .with(CONFIGURATION, configuration)
 }
 
-/// Filter selecting every record of one virtual Grid configuration.
-pub fn configuration_filter(configuration: &str) -> Filter {
-    Filter::and([
-        Filter::eq(IS_VIRTUAL, "Yes"),
-        Filter::eq(CONFIGURATION, configuration),
-    ])
-}
-
 /// Filter selecting virtual hosts of one configuration.
 pub fn virtual_hosts_filter(configuration: &str) -> Filter {
     Filter::and([
@@ -83,32 +75,6 @@ pub fn virtual_hosts_filter(configuration: &str) -> Filter {
         Filter::eq(IS_VIRTUAL, "Yes"),
         Filter::eq(CONFIGURATION, configuration),
     ])
-}
-
-/// Parse the `"100Mbps 50ms"` speed convention into
-/// `(bits_per_second, latency_seconds)`.
-pub fn parse_speed(speed: &str) -> Option<(f64, f64)> {
-    let mut bps = None;
-    let mut latency = None;
-    for tok in speed.split_whitespace() {
-        let t = tok.to_ascii_lowercase();
-        if let Some(v) = t.strip_suffix("gbps") {
-            bps = Some(v.parse::<f64>().ok()? * 1e9);
-        } else if let Some(v) = t.strip_suffix("mbps") {
-            bps = Some(v.parse::<f64>().ok()? * 1e6);
-        } else if let Some(v) = t.strip_suffix("kbps") {
-            bps = Some(v.parse::<f64>().ok()? * 1e3);
-        } else if let Some(v) = t.strip_suffix("ms") {
-            latency = Some(v.parse::<f64>().ok()? * 1e-3);
-        } else if let Some(v) = t.strip_suffix("us") {
-            latency = Some(v.parse::<f64>().ok()? * 1e-6);
-        } else if let Some(v) = t.strip_suffix('s') {
-            latency = Some(v.parse::<f64>().ok()?);
-        } else {
-            return None;
-        }
-    }
-    Some((bps?, latency.unwrap_or(0.0)))
 }
 
 #[cfg(test)]
@@ -137,8 +103,8 @@ mod tests {
         assert_eq!(r.get(IS_VIRTUAL), Some("Yes"));
         assert_eq!(r.get(CONFIGURATION), Some("Slow_CPU_Configuration"));
         assert_eq!(r.get(MAPPED_PHYSICAL), Some("csag-226-67.ucsd.edu"));
-        assert_eq!(r.get_f64("CpuSpeed"), Some(10.0));
-        assert_eq!(r.get_u64("MemorySize"), Some(100_000_000));
+        assert_eq!(r.get("CpuSpeed"), Some("10"));
+        assert_eq!(r.get("MemorySize"), Some("100000000"));
     }
 
     #[test]
@@ -163,19 +129,18 @@ mod tests {
             ("vm2.ucsd.edu", "ConfigA"),
             ("vm3.ucsd.edu", "ConfigB"),
         ] {
-            d.add(virtual_host_record(
+            d.upsert(virtual_host_record(
                 &base(),
                 host,
                 config,
                 "phys.ucsd.edu",
                 10.0,
                 1 << 27,
-            ))
-            .unwrap();
+            ));
         }
         let hits = d.search_all(&virtual_hosts_filter("ConfigA"));
         assert_eq!(hits.len(), 2);
-        let hits_b = d.search_all(&configuration_filter("ConfigB"));
+        let hits_b = d.search_all(&virtual_hosts_filter("ConfigB"));
         assert_eq!(hits_b.len(), 1);
     }
 
@@ -184,46 +149,33 @@ mod tests {
         // One server holds a physical host, a virtual host and a virtual
         // network of the same configuration (paper §2.2.2).
         let mut d = Directory::new();
-        d.add(
+        d.upsert(
             Record::new(base().child(Rdn::new("hn", "phys.ucsd.edu")))
                 .with("objectclass", "GridComputeResource")
                 .with("hn", "phys.ucsd.edu")
                 .with("CpuSpeed", "533"),
-        )
-        .unwrap();
-        d.add(virtual_host_record(
+        );
+        d.upsert(virtual_host_record(
             &base(),
             "vm.ucsd.edu",
             "ConfigA",
             "phys.ucsd.edu",
             10.0,
             1 << 27,
-        ))
-        .unwrap();
-        d.add(virtual_network_record(
+        ));
+        d.upsert(virtual_network_record(
             &base(),
             "1.11.11.0",
             "ConfigA",
             "LAN",
             "100Mbps 50ms",
-        ))
-        .unwrap();
+        ));
         let hosts: Vec<_> = d
             .search_all(&virtual_hosts_filter("ConfigA"))
             .iter()
             .map(|r| r.get("hn"))
             .collect();
         assert_eq!(hosts, [Some("vm.ucsd.edu")]);
-        let physical = Filter::and([
-            Filter::eq("objectclass", "GridComputeResource"),
-            Filter::not(Filter::present(IS_VIRTUAL)),
-        ]);
-        let hosts: Vec<_> = d
-            .search_all(&physical)
-            .iter()
-            .map(|r| r.get("hn"))
-            .collect();
-        assert_eq!(hosts, [Some("phys.ucsd.edu")]);
     }
 
     #[test]
@@ -231,27 +183,15 @@ mod tests {
         // A legacy query for compute resources must return virtual records
         // too (extension by addition, "a la Pascal, Modula-3, or C++").
         let mut d = Directory::new();
-        d.add(virtual_host_record(
+        d.upsert(virtual_host_record(
             &base(),
             "vm.ucsd.edu",
             "C",
             "p",
             10.0,
             1,
-        ))
-        .unwrap();
+        ));
         let legacy = Filter::eq("objectclass", "GridComputeResource");
         assert_eq!(d.search_all(&legacy).len(), 1);
-    }
-
-    #[test]
-    fn speed_parsing() {
-        assert_eq!(parse_speed("100Mbps 50ms"), Some((100e6, 0.05)));
-        let (bps, lat) = parse_speed("1.2Gbps 10us").unwrap();
-        assert_eq!(bps, 1.2e9);
-        assert!((lat - 1e-5).abs() < 1e-12);
-        assert_eq!(parse_speed("64kbps"), Some((64e3, 0.0)));
-        assert_eq!(parse_speed("fast"), None);
-        assert_eq!(parse_speed("50ms"), None); // bandwidth required
     }
 }

@@ -35,28 +35,16 @@ impl Competitor {
     }
 }
 
-/// Parameters of the IO-intensive competitor.
-#[derive(Clone, Debug)]
-pub struct IoCompetitorParams {
-    /// CPU burst to fill/flush the buffer (memcpy + syscall path).
-    pub cpu_burst: SimDuration,
-    /// Mean blocking time of the disk write.
-    pub io_wait: SimDuration,
-    /// Relative standard deviation of the disk-write time.
-    pub io_jitter: f64,
-}
+/// CPU burst of the IO competitor to fill/flush its 1 MB buffer
+/// (memcpy + syscall path): ~1.5 ms of CPU.
+pub const IO_CPU_BURST: SimDuration = SimDuration::from_micros(1_500);
 
-impl Default for IoCompetitorParams {
-    fn default() -> Self {
-        IoCompetitorParams {
-            // 1 MB buffer: ~1.5 ms of memcpy/syscall CPU, ~30 ms on a
-            // 2000-era disk (~33 MB/s sequential).
-            cpu_burst: SimDuration::from_micros(1_500),
-            io_wait: SimDuration::from_millis(30),
-            io_jitter: 0.2,
-        }
-    }
-}
+/// Mean blocking time of the IO competitor's 1 MB disk write: ~30 ms on a
+/// 2000-era disk (~33 MB/s sequential).
+pub const IO_WAIT: SimDuration = SimDuration::from_millis(30);
+
+/// Relative standard deviation of the disk-write time.
+pub const IO_JITTER: f64 = 0.2;
 
 /// Start a CPU-bound competitor: spins forever in large CPU requests.
 pub fn spawn_cpu_hog(kernel: &OsKernel) -> Competitor {
@@ -74,24 +62,20 @@ pub fn spawn_cpu_hog(kernel: &OsKernel) -> Competitor {
 }
 
 /// Start an IO-bound competitor: burst of CPU, then a blocking disk write.
-pub fn spawn_io_competitor(
-    kernel: &OsKernel,
-    params: IoCompetitorParams,
-    mut rng: SimRng,
-) -> Competitor {
+pub fn spawn_io_competitor(kernel: &OsKernel, mut rng: SimRng) -> Competitor {
     let proc = kernel.spawn_process("io-hog");
     let stop = Rc::new(Cell::new(false));
     let p = proc.clone();
     let s = stop.clone();
     spawn_daemon(async move {
         while !s.get() {
-            p.run_cpu(params.cpu_burst).await;
-            let jitter = (1.0 + params.io_jitter * rng.normal()).max(0.1);
+            p.run_cpu(IO_CPU_BURST).await;
+            let jitter = (1.0 + IO_JITTER * rng.normal()).max(0.1);
             #[expect(
                 clippy::disallowed_methods,
                 reason = "model math: the I/O wait is scaled by a jitter drawn from the seeded rng"
             )]
-            p.os_sleep(params.io_wait.mul_f64(jitter)).await;
+            p.os_sleep(IO_WAIT.mul_f64(jitter)).await;
         }
         p.exit();
     });
@@ -122,7 +106,7 @@ mod tests {
         let mut sim = Simulation::new(2);
         sim.spawn(async {
             let k = OsKernel::new(OsParams::default(), SimRng::new(2));
-            let io = spawn_io_competitor(&k, IoCompetitorParams::default(), SimRng::new(3));
+            let io = spawn_io_competitor(&k, SimRng::new(3));
             mgrid_desim::sleep(SimDuration::from_secs(2)).await;
             let used = io.process().cpu_used().as_secs_f64();
             // ~1.5ms CPU per ~31.5ms cycle: roughly 5% of the CPU.

@@ -415,7 +415,6 @@ mod tests {
             OsParams {
                 timer_noise: 0.0,
                 context_switch: SimDuration::ZERO,
-                ..OsParams::default()
             },
             SchedulerParams::default(),
             SimRng::new(9),

@@ -11,11 +11,12 @@
 //! * Every process has a credit `counter` (in ticks). The runnable process
 //!   with the highest counter runs; its counter drains while it runs.
 //! * When every runnable process has drained its counter, a new epoch
-//!   recharges all processes: `counter = counter/2 + base`. Processes that
-//!   sleep a lot therefore accumulate credit (up to `2*base`) and preempt
-//!   CPU-bound processes when they wake — which is why a mostly-sleeping
-//!   MicroGrid-managed job receives its small CPU fraction accurately even
-//!   against a spinning competitor (Fig 6's linear region).
+//!   recharges all processes: `counter = counter/2 + BASE_TICKS`.
+//!   Processes that sleep a lot therefore accumulate credit (up to
+//!   `2*BASE_TICKS`) and preempt CPU-bound processes when they wake —
+//!   which is why a mostly-sleeping MicroGrid-managed job receives its
+//!   small CPU fraction accurately even against a spinning competitor
+//!   (Fig 6's linear region).
 //! * A wakeup (new CPU request, SIGCONT, sleep expiry) interrupts the
 //!   current slice and forces a re-schedule, so higher-credit processes
 //!   preempt immediately.
@@ -38,19 +39,23 @@ use mgrid_desim::{now, sleep, spawn_daemon, FxHashMap};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Pid(pub u64);
 
-/// Tunables of the kernel scheduler model.
+/// Scheduler tick: credit is measured in ticks and wakeups take effect
+/// with at most this much latency when not preempting.
+pub const TICK: SimDuration = SimDuration::from_millis(1);
+
+/// Credit added per epoch (Linux 2.2 "priority"): a process that never
+/// sleeps gets `BASE_TICKS` ticks per epoch; a heavy sleeper converges to
+/// `2 * BASE_TICKS`.
+pub const BASE_TICKS: f64 = 20.0;
+
+/// Upper bound on one uninterrupted slice (events are generated at least
+/// this often while the CPU is busy).
+pub const MAX_SLICE: SimDuration = SimDuration::from_millis(20);
+
+/// The settable half of the kernel scheduler model; the rest is [`TICK`],
+/// [`BASE_TICKS`] and [`MAX_SLICE`].
 #[derive(Clone, Debug)]
 pub struct OsParams {
-    /// Scheduler tick: credit is measured in ticks and wakeups take effect
-    /// with at most this much latency when not preempting.
-    pub tick: SimDuration,
-    /// Credit added per epoch (Linux 2.2 "priority"): a process that never
-    /// sleeps gets `base` ticks per epoch; a heavy sleeper converges to
-    /// `2*base`.
-    pub base_ticks: f64,
-    /// Upper bound on one uninterrupted slice (events are generated at
-    /// least this often while the CPU is busy).
-    pub max_slice: SimDuration,
     /// Direct cost of a context switch, charged to wall time.
     pub context_switch: SimDuration,
     /// Relative standard deviation of timer-expiry noise applied to slice
@@ -61,9 +66,6 @@ pub struct OsParams {
 impl Default for OsParams {
     fn default() -> Self {
         OsParams {
-            tick: SimDuration::from_millis(1),
-            base_ticks: 20.0,
-            max_slice: SimDuration::from_millis(20),
             context_switch: SimDuration::from_micros(5),
             timer_noise: 0.002,
         }
@@ -79,7 +81,6 @@ struct Request {
 struct Pcb {
     name: mgrid_desim::SpanStr,
     counter: f64,
-    base: f64,
     stopped: bool,
     /// Pending CPU requests, served FIFO: concurrent requests from one
     /// process's tasks are serialized, as a single-threaded process would.
@@ -143,13 +144,11 @@ impl OsKernel {
         let mut inner = self.inner.borrow_mut();
         let pid = Pid(inner.next_pid);
         inner.next_pid += 1;
-        let base = inner.params.base_ticks;
         inner.procs.insert(
             pid,
             Pcb {
                 name: name.into().into(),
-                counter: base,
-                base,
+                counter: BASE_TICKS,
                 stopped: false,
                 requests: std::collections::VecDeque::new(),
                 cpu_used: SimDuration::ZERO,
@@ -229,7 +228,7 @@ impl OsKernel {
                 reason = "per-entry update commutes — visit order is irrelevant"
             )]
             for p in inner.procs.values_mut() {
-                p.counter = p.counter / 2.0 + p.base;
+                p.counter = p.counter / 2.0 + BASE_TICKS;
             }
         }
         inner
@@ -264,8 +263,7 @@ impl OsKernel {
                 inner.current = Some(pid);
                 inner.run_seq += 1;
                 let seq = inner.run_seq;
-                let tick_ns = inner.params.tick.as_nanos() as f64;
-                let max_slice = inner.params.max_slice;
+                let tick_ns = TICK.as_nanos() as f64;
                 let noise = inner.params.timer_noise;
                 let cs = if switching {
                     inner.params.context_switch
@@ -286,7 +284,7 @@ impl OsKernel {
                     clippy::disallowed_methods,
                     reason = "model math: the slice is scaled by a jitter drawn from the seeded rng"
                 )]
-                let slice = want.min(credit).min(max_slice).mul_f64(jitter);
+                let slice = want.min(credit).min(MAX_SLICE).mul_f64(jitter);
                 // Never schedule a zero-length slice (it would livelock).
                 (slice.max(SimDuration::from_nanos(100)), cs)
             };
@@ -326,7 +324,7 @@ impl OsKernel {
 
     fn charge(&self, pid: Pid, ran: SimDuration) {
         let mut inner = self.inner.borrow_mut();
-        let tick_ns = inner.params.tick.as_nanos() as f64;
+        let tick_ns = TICK.as_nanos() as f64;
         let Some(p) = inner.procs.get_mut(&pid) else {
             return;
         };
@@ -526,7 +524,6 @@ mod tests {
         OsParams {
             timer_noise: 0.0,
             context_switch: SimDuration::ZERO,
-            ..OsParams::default()
         }
     }
 

@@ -30,34 +30,37 @@ use crate::kernel::{OsKernel, ProcessHandle};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct JobId(usize);
 
-/// Tunables of the scheduler daemon.
+/// Daemon bookkeeping CPU consumed around each grant (signal delivery,
+/// `gettimeofday`, accounting). Bounds the deliverable fraction.
+pub const GRANT_OVERHEAD: SimDuration = SimDuration::from_micros(25);
+
+/// Floor for the daemon's idle wait when no job is eligible.
+pub const MIN_WAIT: SimDuration = SimDuration::from_micros(200);
+
+/// Wakeup-latency noise: after its quantum sleep expires, the daemon is
+/// rescheduled with a delay of |N(0, base + per_runnable * k)| where k
+/// counts other runnable processes — timer granularity when idle,
+/// run-queue latency under load (the paper's Fig 7 spread). This is the
+/// base standard deviation.
+pub const WAKEUP_JITTER_BASE: SimDuration = SimDuration::from_micros(20);
+
+/// Additional wakeup-jitter standard deviation per runnable competitor
+/// (see [`WAKEUP_JITTER_BASE`]).
+pub const WAKEUP_JITTER_PER_RUNNABLE: SimDuration = SimDuration::from_micros(110);
+
+/// The settable part of the scheduler daemon; the rest is
+/// [`GRANT_OVERHEAD`], [`MIN_WAIT`] and the wakeup-jitter constants.
 #[derive(Clone, Debug)]
 pub struct SchedulerParams {
     /// Quantum granted per rotation (paper default: 10 ms, the Linux
     /// timesharing quantum; Fig 11 explores 2.5–30 ms).
     pub quantum: SimDuration,
-    /// Daemon bookkeeping CPU consumed around each grant (signal delivery,
-    /// `gettimeofday`, accounting). Bounds the deliverable fraction.
-    pub grant_overhead: SimDuration,
-    /// Floor for the daemon's idle wait when no job is eligible.
-    pub min_wait: SimDuration,
-    /// Wakeup-latency noise: after its quantum sleep expires, the daemon
-    /// is rescheduled with a delay of |N(0, base + per_runnable * k)| where
-    /// k counts other runnable processes — timer granularity when idle,
-    /// run-queue latency under load (the paper's Fig 7 spread).
-    pub wakeup_jitter_base: SimDuration,
-    /// Additional jitter standard deviation per runnable competitor.
-    pub wakeup_jitter_per_runnable: SimDuration,
 }
 
 impl Default for SchedulerParams {
     fn default() -> Self {
         SchedulerParams {
             quantum: SimDuration::from_millis(10),
-            grant_overhead: SimDuration::from_micros(25),
-            min_wait: SimDuration::from_micros(200),
-            wakeup_jitter_base: SimDuration::from_micros(20),
-            wakeup_jitter_per_runnable: SimDuration::from_micros(110),
         }
     }
 }
@@ -74,7 +77,7 @@ struct Job {
 }
 
 struct SchedInner {
-    params: SchedulerParams,
+    quantum: SimDuration,
     jobs: Vec<Job>,
     cursor: usize,
     wake: Notify,
@@ -102,7 +105,7 @@ impl MGridScheduler {
         let daemon = kernel.spawn_process("mgrid-schedd");
         let sched = MGridScheduler {
             inner: Rc::new(RefCell::new(SchedInner {
-                params,
+                quantum: params.quantum,
                 jobs: Vec::new(),
                 cursor: 0,
                 wake: Notify::new(),
@@ -178,7 +181,7 @@ impl MGridScheduler {
 
     /// The configured quantum.
     pub fn quantum(&self) -> SimDuration {
-        self.inner.borrow().params.quantum
+        self.inner.borrow().quantum
     }
 
     /// Enable recording of granted-quantum wall lengths for a job (Fig 7).
@@ -251,7 +254,7 @@ impl MGridScheduler {
         // without this, deterministic lockstep across hosts would mask the
         // quantum-granularity latency the paper measures in Fig 11.
         let offset = {
-            let q = self.inner.borrow().params.quantum.as_nanos();
+            let q = self.inner.borrow().quantum.as_nanos();
             mgrid_desim::with_rng(|r| r.below(q.max(1)))
         };
         self.daemon.os_sleep(SimDuration::from_nanos(offset)).await;
@@ -275,26 +278,18 @@ impl MGridScheduler {
                     (self.time_to_next_eligibility(), inner.wake.clone())
                 };
                 match wait {
-                    Some(w) => {
-                        let min_wait = self.inner.borrow().params.min_wait;
-                        self.daemon.os_sleep(w.max(min_wait)).await;
-                    }
+                    Some(w) => self.daemon.os_sleep(w.max(MIN_WAIT)).await,
                     None => wake.notified().await,
                 }
                 continue;
             };
-            let (proc, quantum, overhead) = {
+            let (proc, quantum) = {
                 let inner = self.inner.borrow();
-                let job = &inner.jobs[idx];
-                (
-                    job.proc.clone(),
-                    inner.params.quantum,
-                    inner.params.grant_overhead,
-                )
+                (inner.jobs[idx].proc.clone(), inner.quantum)
             };
             // Daemon bookkeeping before the grant: contends for CPU under
             // the native scheduler like the real daemon does.
-            self.daemon.run_cpu(overhead).await;
+            self.daemon.run_cpu(GRANT_OVERHEAD).await;
             let t0 = now();
             obs::emit(|| Event::QuantumGrant {
                 host: span_track.clone(),
@@ -312,12 +307,11 @@ impl MGridScheduler {
             // getting back on the CPU takes longer when the run queue is
             // busy. The granted process keeps running meanwhile.
             let jitter = {
-                let inner = self.inner.borrow();
                 // Everyone runnable except the granted job itself delays
                 // the daemon's trip back onto the CPU.
                 let others = self.kernel.runnable_count_except(proc.pid());
-                let std = inner.params.wakeup_jitter_base.as_secs_f64()
-                    + inner.params.wakeup_jitter_per_runnable.as_secs_f64() * others as f64;
+                let std = WAKEUP_JITTER_BASE.as_secs_f64()
+                    + WAKEUP_JITTER_PER_RUNNABLE.as_secs_f64() * others as f64;
                 let z = mgrid_desim::with_rng(|r| r.normal()).abs();
                 #[expect(
                     clippy::disallowed_methods,
@@ -330,7 +324,7 @@ impl MGridScheduler {
             }
             proc.sigstop();
             obs::span_end(span);
-            self.daemon.run_cpu(overhead).await;
+            self.daemon.run_cpu(GRANT_OVERHEAD).await;
             let wall = now() - t0;
             m_quanta.add(1);
             m_quantum_wall.observe(wall.as_nanos());
@@ -362,7 +356,6 @@ mod tests {
             OsParams {
                 timer_noise: 0.0,
                 context_switch: SimDuration::ZERO,
-                ..OsParams::default()
             },
             SimRng::new(1),
         )

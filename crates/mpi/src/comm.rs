@@ -21,24 +21,30 @@ use mgrid_netsim::Payload;
 
 use crate::proto::{MpiData, MpiMsg, Pattern, RecvMsg, Tag};
 
-/// Cost-model and wiring parameters of the MPI layer.
-#[derive(Clone, Debug)]
+/// Rank `r` binds `BASE_PORT + r` on its virtual host.
+pub const BASE_PORT: u16 = 5000;
+
+/// Messages at or below this size are sent eagerly; above it, the
+/// rendezvous protocol (RTS/CTS) is used.
+pub const EAGER_THRESHOLD: u64 = 16 * 1024;
+
+/// Software overhead per send call, in Mops (stack traversal, matching,
+/// syscall).
+pub const SEND_OVERHEAD_MOPS: f64 = 0.015;
+
+/// Software overhead per completed receive, in Mops.
+pub const RECV_OVERHEAD_MOPS: f64 = 0.015;
+
+/// Buffer-copy cost per megabyte, in Mops, paid on each side.
+pub const COPY_MOPS_PER_MB: f64 = 3.0;
+
+/// Wire size of RTS/CTS control messages and the per-message MPI header.
+pub const CONTROL_BYTES: u64 = 64;
+
+/// The settable part of the MPI layer; its cost model and wiring are the
+/// constants above.
+#[derive(Clone, Debug, Default)]
 pub struct MpiParams {
-    /// Rank `r` binds `base_port + r` on its virtual host.
-    pub base_port: u16,
-    /// Messages at or below this size are sent eagerly; above it, the
-    /// rendezvous protocol (RTS/CTS) is used.
-    pub eager_threshold: u64,
-    /// Software overhead per send call, in Mops (stack traversal,
-    /// matching, syscall).
-    pub send_overhead_mops: f64,
-    /// Software overhead per completed receive, in Mops.
-    pub recv_overhead_mops: f64,
-    /// Buffer-copy cost per megabyte, in Mops, paid on each side.
-    pub copy_mops_per_mb: f64,
-    /// Wire size of RTS/CTS control messages and the per-message MPI
-    /// header.
-    pub control_bytes: u64,
     /// Deadline for blocking waits on a peer (posted receives and
     /// rendezvous CTS waits). `None` (the default) waits forever, real-MPI
     /// style; with a deadline, an expired wait fails the operation with
@@ -46,20 +52,6 @@ pub struct MpiParams {
     /// [`Comm::failed_ranks`] — how a fault-tolerant harness observes that
     /// a rank's host crashed or was partitioned away.
     pub recv_timeout: Option<SimDuration>,
-}
-
-impl Default for MpiParams {
-    fn default() -> Self {
-        MpiParams {
-            base_port: 5000,
-            eager_threshold: 16 * 1024,
-            send_overhead_mops: 0.015,
-            recv_overhead_mops: 0.015,
-            copy_mops_per_mb: 3.0,
-            control_bytes: 64,
-            recv_timeout: None,
-        }
-    }
 }
 
 /// Tag space reserved for collectives (application tags must be >= 0).
@@ -124,7 +116,8 @@ pub struct Comm {
     peers: Rc<[HostEntry]>,
     sender: VSender,
     engine: Rc<RefCell<Engine>>,
-    params: Rc<MpiParams>,
+    /// [`MpiParams::recv_timeout`] of the job.
+    recv_timeout: Option<SimDuration>,
     next_send_id: Rc<Cell<u64>>,
     seq_out: Rc<RefCell<FxHashMap<usize, u64>>>,
     collective_epoch: Rc<Cell<u32>>,
@@ -158,7 +151,7 @@ impl Comm {
     /// communication starts (as `mpirun` guarantees).
     pub fn create(ctx: ProcessCtx, rank: usize, peers: Rc<[HostEntry]>, params: MpiParams) -> Comm {
         assert!(rank < peers.len(), "rank {rank} out of range");
-        let sock = ctx.bind(params.base_port + rank as u16);
+        let sock = ctx.bind(BASE_PORT + rank as u16);
         let sender = sock.sender();
         let engine = Rc::new(RefCell::new(Engine {
             eager: Vec::new(),
@@ -201,7 +194,7 @@ impl Comm {
             peers,
             sender,
             engine,
-            params: Rc::new(params),
+            recv_timeout: params.recv_timeout,
             next_send_id: Rc::new(Cell::new(0)),
             seq_out: Rc::new(RefCell::new(FxHashMap::default())),
             collective_epoch: Rc::new(Cell::new(0)),
@@ -283,11 +276,11 @@ impl Comm {
     }
 
     fn port_of(&self, rank: usize) -> u16 {
-        self.params.base_port + rank as u16
+        BASE_PORT + rank as u16
     }
 
     async fn pay(&self, overhead_mops: f64, bytes: u64) {
-        let copy = bytes as f64 / 1e6 * self.params.copy_mops_per_mb;
+        let copy = bytes as f64 / 1e6 * COPY_MOPS_PER_MB;
         self.ctx.compute_mops(overhead_mops + copy).await;
     }
 
@@ -304,7 +297,7 @@ impl Comm {
     }
 
     async fn protocol_send(&self, dst: usize, tag: Tag, data: MpiData) -> Result<(), SockError> {
-        self.pay(self.params.send_overhead_mops, data.bytes).await;
+        self.pay(SEND_OVERHEAD_MOPS, data.bytes).await;
         let seq = {
             let mut seqs = self.seq_out.borrow_mut();
             let s = seqs.entry(dst).or_insert(0);
@@ -313,12 +306,12 @@ impl Comm {
             cur
         };
         let bytes = data.bytes;
-        if bytes <= self.params.eager_threshold {
+        if bytes <= EAGER_THRESHOLD {
             // Eager: hand off to the transport and return (buffered).
             let sender = self.sender.clone();
             let peers = self.peers.clone();
             let port = self.port_of(dst);
-            let wire = bytes + self.params.control_bytes;
+            let wire = bytes + CONTROL_BYTES;
             let src = self.rank;
             self.outstanding.set(self.outstanding.get() + 1);
             let outstanding = self.outstanding.clone();
@@ -353,14 +346,13 @@ impl Comm {
             let sender = self.sender.clone();
             let peers = self.peers.clone();
             let port = self.port_of(dst);
-            let control = self.params.control_bytes;
             let src = self.rank;
             spawn(async move {
                 let _ = sender
                     .send_to(
                         &peers[dst],
                         port,
-                        control,
+                        CONTROL_BYTES,
                         Payload::new(MpiMsg::Rts {
                             src,
                             seq,
@@ -372,7 +364,7 @@ impl Comm {
                     .await;
             });
         }
-        match self.params.recv_timeout {
+        match self.recv_timeout {
             None => {
                 rx.recv().await.map_err(|_| SockError::Closed)?;
             }
@@ -397,7 +389,7 @@ impl Comm {
             .send_to(
                 &self.peers[dst],
                 self.port_of(dst),
-                bytes + self.params.control_bytes,
+                bytes + CONTROL_BYTES,
                 Payload::new(MpiMsg::RendezvousData {
                     src: self.rank,
                     send_id,
@@ -432,7 +424,7 @@ impl Comm {
     /// source (when specific) in [`Comm::failed_ranks`].
     pub async fn recv_matching(&self, pattern: Pattern) -> Result<RecvMsg, SockError> {
         let t0 = mgrid_desim::now();
-        let deadline = self.params.recv_timeout.map(|d| t0 + d);
+        let deadline = self.recv_timeout.map(|d| t0 + d);
         loop {
             enum Hit {
                 Eager(RecvMsg),
@@ -456,8 +448,7 @@ impl Comm {
             };
             match hit {
                 Some(Hit::Eager(msg)) => {
-                    self.pay(self.params.recv_overhead_mops, msg.data.bytes)
-                        .await;
+                    self.pay(RECV_OVERHEAD_MOPS, msg.data.bytes).await;
                     return Ok(msg);
                 }
                 Some(Hit::Rts { src, tag, send_id }) => {
@@ -466,7 +457,7 @@ impl Comm {
                         .send_to(
                             &self.peers[src],
                             self.port_of(src),
-                            self.params.control_bytes,
+                            CONTROL_BYTES,
                             Payload::new(MpiMsg::Cts { send_id }),
                         )
                         .await?;
@@ -480,7 +471,7 @@ impl Comm {
                         let n = self.engine.borrow().arrived.clone();
                         self.wait_arrival(n, deadline, t0, src as i32).await?;
                     };
-                    self.pay(self.params.recv_overhead_mops, data.bytes).await;
+                    self.pay(RECV_OVERHEAD_MOPS, data.bytes).await;
                     return Ok(RecvMsg { src, tag, data });
                 }
                 None => {

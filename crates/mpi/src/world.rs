@@ -399,7 +399,6 @@ mod tests {
             let (table, net, hosts) = grid4();
             let params = MpiParams {
                 recv_timeout: Some(mgrid_desim::SimDuration::from_secs(2)),
-                ..MpiParams::default()
             };
             let table2 = table.clone();
             // Rank 3's host dies before it ever sends, so rank 0's receive
@@ -435,7 +434,6 @@ mod tests {
             let (table, net, hosts) = grid4();
             let params = MpiParams {
                 recv_timeout: Some(mgrid_desim::SimDuration::from_secs(1)),
-                ..MpiParams::default()
             };
             let table2 = table.clone();
             mpirun_resilient(

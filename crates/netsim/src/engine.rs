@@ -30,40 +30,31 @@ use mgrid_faults::FaultKind;
 use crate::packet::{Packet, PacketKind, Payload, TransferId};
 use crate::topology::{LinkId, LinkSpec, NodeId, NodeKind, Topology};
 
-/// Protocol parameters of the simulated transport.
+/// Wire size of an acknowledgment packet.
+pub const ACK_WIRE_BYTES: u64 = 64;
+
+/// Latency of a loopback delivery (same-host messaging).
+pub const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(15);
+
+/// The settable part of the transport: its retransmission-timeout range.
+/// Segment sizes, window and RTO floor are constants of
+/// [`crate::transport`]; ack size and loopback latency are
+/// [`ACK_WIRE_BYTES`] and [`LOOPBACK_DELAY`].
 #[derive(Clone, Debug)]
 pub struct NetParams {
-    /// Application bytes per data segment (TCP MSS-like).
-    pub mtu: u64,
-    /// Header overhead added to each data segment on the wire.
-    pub header_bytes: u64,
-    /// Wire size of an acknowledgment packet.
-    pub ack_wire_bytes: u64,
-    /// Flow-control window in bytes (in-flight unacknowledged data).
-    pub window_bytes: u64,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
     /// Retransmission timeout before any RTT sample exists.
     pub initial_rto: SimDuration,
     /// Upper bound on the retransmission timeout: exponential backoff
     /// doubles the RTO no further than this, and RTT-blend updates are
     /// clamped to it (so one pathological sample can't park a transfer).
     pub max_rto: SimDuration,
-    /// Latency of a loopback delivery (same-host messaging).
-    pub loopback_delay: SimDuration,
 }
 
 impl Default for NetParams {
     fn default() -> Self {
         NetParams {
-            mtu: 1460,
-            header_bytes: 58,
-            ack_wire_bytes: 64,
-            window_bytes: 64 * 1024,
-            min_rto: SimDuration::from_millis(10),
             initial_rto: SimDuration::from_millis(300),
             max_rto: SimDuration::from_secs(5),
-            loopback_delay: SimDuration::from_micros(15),
         }
     }
 }
@@ -391,11 +382,6 @@ impl Network {
         &self.inner.clock
     }
 
-    /// Transport parameters.
-    pub fn params(&self) -> &NetParams {
-        &self.inner.params
-    }
-
     /// Counters of one directed link.
     pub fn link_stats(&self, id: LinkId) -> LinkStats {
         self.inner.links[id.0].stats.borrow().clone()
@@ -558,10 +544,7 @@ impl Network {
             // delay is one constant, so the network-wide FIFO drained by
             // `loopback_pump` preserves arrival order without a task per
             // message.
-            let d = self
-                .inner
-                .clock
-                .to_physical(self.inner.params.loopback_delay);
+            let d = self.inner.clock.to_physical(LOOPBACK_DELAY);
             self.inner.loopback.borrow_mut().push_back((now() + d, pkt));
             self.inner.loopback_arrived.notify_one();
             return;
@@ -742,7 +725,7 @@ impl Network {
                 let ack = Packet {
                     src: pkt.dst,
                     dst: pkt.src,
-                    wire_bytes: self.inner.params.ack_wire_bytes,
+                    wire_bytes: ACK_WIRE_BYTES,
                     kind: PacketKind::Ack {
                         transfer,
                         next_expected,
@@ -872,6 +855,7 @@ impl Drop for Inbox {
 mod tests {
     use super::*;
     use crate::topology::TopologyBuilder;
+    use crate::transport::HEADER_BYTES;
     use mgrid_desim::Simulation;
     use proptest::prelude::*;
 
@@ -961,13 +945,12 @@ mod tests {
             let params = NetParams {
                 initial_rto: hour,
                 max_rto: hour,
-                ..NetParams::default()
             };
             let clock = VirtualClock::new(rate);
             let wires: Vec<u64> = sizes
                 .iter()
                 .map(|&(pick, fresh)| [1460, 6, 100].get(pick).copied().unwrap_or(fresh))
-                .map(|size| size + params.header_bytes)
+                .map(|size| size + HEADER_BYTES)
                 .collect();
 
             // Oracle: the pump's loop with the direct expressions.
@@ -989,7 +972,7 @@ mod tests {
                 let rx = net.endpoint(c).bind(9);
                 for &w in &wires {
                     let tx = net.endpoint(a);
-                    let size = w - params.header_bytes;
+                    let size = w - HEADER_BYTES;
                     mgrid_desim::spawn(async move {
                         tx.send(c, 9, 1, size, Payload::empty()).await.unwrap();
                     });

@@ -19,6 +19,23 @@ use crate::engine::{Endpoint, NetError};
 use crate::packet::{Packet, PacketKind, Payload, TransferId};
 use crate::topology::NodeId;
 
+/// Application bytes per data segment (TCP MSS-like).
+pub const MTU: u64 = 1460;
+
+/// Header overhead added to each data segment on the wire.
+pub const HEADER_BYTES: u64 = 58;
+
+/// Wire size of a full data segment, the largest packet the transport
+/// sends: what a link queue must hold and a link must serialise in one
+/// step.
+pub const SEGMENT_WIRE_BYTES: u64 = MTU + HEADER_BYTES;
+
+/// Flow-control window in bytes (in-flight unacknowledged data).
+pub const WINDOW_BYTES: u64 = 64 * 1024;
+
+/// Lower bound on the retransmission timeout.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(10);
+
 impl Endpoint {
     /// Reliably send a message of `size_bytes` to `(dst, port)`.
     ///
@@ -73,9 +90,8 @@ impl Endpoint {
         if self.node() != dst && inner.topo.next_hop(self.node(), dst).is_none() {
             return Err(NetError::Unreachable);
         }
-        let mtu = inner.params.mtu;
-        let total = size_bytes.div_ceil(mtu).max(1) as u32;
-        let window = ((inner.params.window_bytes / mtu).max(1) as u32).min(total.max(1));
+        let total = size_bytes.div_ceil(MTU).max(1) as u32;
+        let window = ((WINDOW_BYTES / MTU).max(1) as u32).min(total.max(1));
         let transfer = TransferId(inner.next_transfer.get());
         inner.next_transfer.set(transfer.0 + 1);
 
@@ -103,7 +119,7 @@ impl Endpoint {
 
         let mut base: u32 = 0;
         let mut next: u32 = 0;
-        let max_rto = inner.params.max_rto.max(inner.params.min_rto);
+        let max_rto = inner.params.max_rto.max(MIN_RTO);
         let max_rto_ns = u128::from(max_rto.as_nanos());
         let mut rto = inner.params.initial_rto.min(max_rto);
         let mut srtt: Option<SimDuration> = None;
@@ -117,14 +133,14 @@ impl Endpoint {
             while next < total && next < base + window {
                 let last = next + 1 == total;
                 let seg_bytes = if last {
-                    size_bytes - u64::from(next) * mtu
+                    size_bytes - u64::from(next) * MTU
                 } else {
-                    mtu
+                    MTU
                 };
                 let pkt = Packet {
                     src: self.node(),
                     dst,
-                    wire_bytes: seg_bytes.max(1) + inner.params.header_bytes,
+                    wire_bytes: seg_bytes.max(1) + HEADER_BYTES,
                     kind: PacketKind::Data {
                         transfer,
                         seq: next,
@@ -159,7 +175,7 @@ impl Endpoint {
                                 let sample = mgrid_desim::now() - sent_at;
                                 // Blend in u128 so the 7x multiply cannot
                                 // overflow on very large simulated RTTs,
-                                // then clamp into [min_rto/4, max_rto]
+                                // then clamp into [MIN_RTO/4, max_rto]
                                 // before narrowing back to nanoseconds.
                                 let blended_ns = match srtt {
                                     None => u128::from(sample.as_nanos()),
@@ -174,7 +190,7 @@ impl Endpoint {
                                 srtt = Some(blended);
                                 let rto_ns =
                                     (u128::from(blended.as_nanos()) * 4).min(max_rto_ns) as u64;
-                                rto = SimDuration::from_nanos(rto_ns).max(inner.params.min_rto);
+                                rto = SimDuration::from_nanos(rto_ns).max(MIN_RTO);
                                 timing = None;
                             }
                         }
@@ -542,7 +558,7 @@ mod tests {
         // Recovery can't be observed faster than the outage remainder
         // after the first timeout, and the max must at least span one RTO.
         assert!(
-            rec.max >= NetParams::default().min_rto.as_nanos(),
+            rec.max >= MIN_RTO.as_nanos(),
             "recovery latency {} too small",
             rec.max
         );

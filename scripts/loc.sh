@@ -6,6 +6,10 @@
 # A number to record per PR, not a gate (ROADMAP north star: "a deleted
 # line to show for it").
 #
+# A second table follows: per crate (src/ and tests/ together), the uses
+# of the `unsafe` keyword and the `#[allow(` and `#[expect(` lint
+# exemptions, comment lines not counted.
+#
 #   scripts/loc.sh [tree]            # tree defaults to this checkout
 #   scripts/loc.sh --against <tree>  # this checkout, plus what each row
 #                                    # gained or lost against <tree>: a
@@ -81,4 +85,49 @@ rows() {
             base_all_src + base_all_tests + base_src["root"] + base_tests["root"])
         total_row("vendor", src["vendor"], base_src["vendor"])
         total_row("benchmark", src["benchmark"], base_src["benchmark"])
+    }'
+
+# Lines of Rust under the given directory that match the extended regex,
+# comment lines not counted.
+rust_matches() {
+    [ -d "$1" ] || { echo 0; return; }
+    find "$1" -name target -prune -o -name '*.rs' -type f -print0 |
+        xargs -0 cat | grep -v '^[[:space:]]*//' | grep -cE "$2" || true
+}
+
+# One tree as "<tag> <crate> <unsafe> <allow> <expect>" lines.
+exemptions() {
+    (
+        cd "$2"
+        for dir in crates/*/; do
+            echo "$1 $(basename "$dir")" \
+                "$(rust_matches "$dir" '\bunsafe[[:space:]]*(\{|impl|fn|trait|extern)')" \
+                "$(rust_matches "$dir" '#!?\[allow\(')" \
+                "$(rust_matches "$dir" '#!?\[expect\(')"
+        done
+    )
+}
+
+echo
+{
+    [ -n "$against" ] && exemptions base "$against"
+    exemptions here "$tree"
+} | awk -v diff="${against:+1}" '
+    $1 == "base" { bu[$2] = $3; ba[$2] = $4; be[$2] = $5; tbu += $3; tba += $4; tbe += $5; next }
+    { order[++n] = $2; u[$2] = $3; a[$2] = $4; e[$2] = $5 }
+    function delta(now, before) { return diff ? sprintf(" %+9d", now - before) : "" }
+    function row(label, x, y, z, bx, by, bz) {
+        printf "%-14s %8d %8d %8d%s%s%s\n", label, x, y, z, delta(x, bx), delta(y, by), delta(z, bz)
+    }
+    END {
+        printf "%-14s %8s %8s %8s%s\n", "crate", "unsafe", "allow", "expect",
+            diff ? sprintf(" %9s %9s %9s", "d(unsafe)", "d(allow)", "d(expect)") : ""
+        for (i = 1; i <= n; i++) {
+            c = order[i]
+            row(c, u[c], a[c], e[c], bu[c], ba[c], be[c])
+            tu += u[c]; ta += a[c]; te += e[c]
+        }
+        for (c in bu)
+            if (!(c in u)) row(c, 0, 0, 0, bu[c], ba[c], be[c])
+        row("all crates", tu, ta, te, tbu, tba, tbe)
     }'

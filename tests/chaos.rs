@@ -97,7 +97,6 @@ fn crash_digest(seed: u64) -> String {
             let hosts = grid.host_names();
             let params = MpiParams {
                 recv_timeout: Some(SimDuration::from_millis(200)),
-                ..MpiParams::default()
             };
             let body = |comm: Comm| async move {
                 // Enough compute+idle rounds to straddle the 30 ms crash.

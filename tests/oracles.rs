@@ -2,7 +2,9 @@
 //! states a closed form from the paper (or from first principles) and
 //! checks the simulator against it. The expected values are computed
 //! from the configuration's numbers with arithmetic written here, never
-//! with the simulator's own code.
+//! with the simulator's own code. The CPU model (Fig 6) and Fig 8's
+//! latency floor and plateau are checked the same way, through the
+//! figures' own measurements, in `crates/bench/tests/oracles.rs`.
 
 use proptest::prelude::*;
 
@@ -10,6 +12,8 @@ use microgrid::desim::time::SimDuration;
 use microgrid::desim::vclock::VirtualClock;
 use microgrid::desim::{now, spawn, Simulation};
 use microgrid::hostsim::{PhysicalHostSpec, VirtualHostSpec};
+use microgrid::netsim::engine::ACK_WIRE_BYTES;
+use microgrid::netsim::transport::{HEADER_BYTES, MTU, WINDOW_BYTES};
 use microgrid::netsim::{LinkSpec, NetParams, Network, Payload, TopologyBuilder};
 use microgrid::{
     plan_rate, presets, GridConfig, NetworkConfig, RatePolicy, VirtualGrid, VirtualHostConfig,
@@ -124,16 +128,15 @@ proptest! {
         delay_ns in 0u64..50_000_001,
         size in 1u64..1_000_001,
     ) {
-        let params = NetParams::default();
         let tx_secs = |wire_bytes: u64| wire_bytes as f64 * 8.0 / bandwidth_bps;
         let delay = delay_ns as f64 * 1e-9;
-        let full_wire = params.mtu + params.header_bytes;
-        let segments = size.div_ceil(params.mtu);
-        let last_wire = size - (segments - 1) * params.mtu + params.header_bytes;
-        let window = params.window_bytes / params.mtu;
+        let full_wire = MTU + HEADER_BYTES;
+        let segments = size.div_ceil(MTU);
+        let last_wire = size - (segments - 1) * MTU + HEADER_BYTES;
+        let window = WINDOW_BYTES / MTU;
 
         let lower = (segments - 1) as f64 * tx_secs(full_wire) + tx_secs(last_wire) + delay;
-        let turn = window as f64 * tx_secs(full_wire) + tx_secs(params.ack_wire_bytes) + 2.0 * delay;
+        let turn = window as f64 * tx_secs(full_wire) + tx_secs(ACK_WIRE_BYTES) + 2.0 * delay;
         let upper = segments.div_ceil(window) as f64 * turn;
         // Each packet's time is rounded to whole nanoseconds.
         let slack = 2e-9 * (2 * segments + 1) as f64;
@@ -144,7 +147,7 @@ proptest! {
             let a = b.host("a");
             let c = b.host("c");
             b.link(a, c, LinkSpec::new(bandwidth_bps, SimDuration::from_nanos(delay_ns)));
-            let net = Network::new(b.build(), VirtualClock::identity(), params);
+            let net = Network::new(b.build(), VirtualClock::identity(), NetParams::default());
             let rx = net.endpoint(c).bind(7);
             let tx = net.endpoint(a);
             let sender = spawn(async move {

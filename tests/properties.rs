@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use microgrid::desim::time::{SimDuration, SimTime};
 use microgrid::desim::vclock::VirtualClock;
 use microgrid::desim::{now, sleep, sleep_until, spawn, Simulation};
-use microgrid::gis::{Dn, Filter, Record};
+use microgrid::gis::Dn;
 use microgrid::netsim::{LinkSpec, NetParams, Network, NodeId, Payload, Topology, TopologyBuilder};
 
 proptest! {
@@ -88,24 +88,6 @@ proptest! {
         let text = s.join(", ");
         let dn = Dn::parse(&text).unwrap();
         prop_assert_eq!(Dn::parse(&dn.to_string()).unwrap(), dn);
-    }
-
-    /// De Morgan: !(a & b) == (!a | !b) over arbitrary records.
-    #[test]
-    fn filter_de_morgan(
-        attrs in prop::collection::vec(("[a-d]", "[x-z]{1,3}"), 0..6),
-        a_attr in "[a-d]", a_val in "[x-z]{1,3}",
-        b_attr in "[a-d]", b_val in "[x-z]{1,3}",
-    ) {
-        let mut rec = Record::new(Dn::parse("o=test").unwrap());
-        for (k, v) in &attrs {
-            rec.add(k, v.clone());
-        }
-        let a = Filter::eq(&a_attr, a_val);
-        let b = Filter::eq(&b_attr, b_val);
-        let lhs = Filter::not(Filter::and([a.clone(), b.clone()]));
-        let rhs = Filter::or([Filter::not(a), Filter::not(b)]);
-        prop_assert_eq!(lhs.matches(&rec), rhs.matches(&rec));
     }
 
     /// Routing: on random connected topologies every host pair routes,
