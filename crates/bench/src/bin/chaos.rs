@@ -40,6 +40,10 @@ fn main() {
             }
         }
     }
+    if check && bless {
+        eprintln!("chaos: --check and --bless exclude each other");
+        std::process::exit(2);
+    }
 
     // Each scenario runs twice; the simulations of all four runs are one
     // job list on the MGRID_REPRO_THREADS workers. Every job is a

@@ -28,7 +28,9 @@
 //!
 //! `--check` and `--bless` also hold each regenerated report to the
 //! paper's claims ([`mgrid_bench::claims`]): a report that breaks one
-//! fails the check, and is not blessed, by the claim's name.
+//! fails the check, and is not blessed, by the claim's name. The two
+//! flags exclude each other: given both, `repro` exits 2 (so does
+//! `chaos`).
 
 use mgrid_bench::claims;
 use mgrid_bench::runner::{figures, run_plans, settings, Finished};
@@ -191,8 +193,18 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--check" => mode = Mode::Check,
-            "--bless" => mode = Mode::Bless,
+            "--check" | "--bless" => {
+                let chosen = if a == "--check" {
+                    Mode::Check
+                } else {
+                    Mode::Bless
+                };
+                if mode != Mode::Print && mode != chosen {
+                    eprintln!("repro: --check and --bless exclude each other");
+                    std::process::exit(2);
+                }
+                mode = chosen;
+            }
             "--help" | "-h" => {
                 outln!("{USAGE}");
                 outln!("figures:");

@@ -88,3 +88,36 @@ fn misread_settings_exit_2() {
         assert!(stderr.starts_with(&format!("repro: {var}=")), "{stderr}");
     }
 }
+
+/// `--check` and `--bless` together are a usage error in both binaries,
+/// whatever their order: neither a check nor a bless runs, so a mistyped
+/// CI line cannot re-bless the tracked files.
+#[test]
+fn check_with_bless_exits_2() {
+    let bins = [
+        ("repro", env!("CARGO_BIN_EXE_repro")),
+        ("chaos", env!("CARGO_BIN_EXE_chaos")),
+    ];
+    for (name, bin) in bins {
+        for flags in [["--check", "--bless"], ["--bless", "--check"]] {
+            let mut cmd = Command::new(bin);
+            cmd.args(flags);
+            if name == "repro" {
+                cmd.arg("fig5");
+            }
+            let out = cmd
+                .env_remove("MGRID_FAST")
+                .env_remove("MGRID_REPRO_THREADS")
+                .output()
+                .expect("run binary");
+            assert_eq!(out.status.code(), Some(2), "{name} {flags:?}: {out:?}");
+            assert!(out.stdout.is_empty(), "{name} {flags:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                stderr,
+                format!("{name}: --check and --bless exclude each other\n"),
+                "{name} {flags:?}"
+            );
+        }
+    }
+}

@@ -9,7 +9,7 @@
 
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::FxHashSet;
-use mgrid_faults::FaultPlan;
+use mgrid_faults::{FaultKind, FaultPlan};
 use mgrid_hostsim::memory::PROCESS_OVERHEAD;
 use mgrid_hostsim::{PhysicalHostSpec, VirtualHostSpec};
 use mgrid_netsim::transport::SEGMENT_WIRE_BYTES;
@@ -257,7 +257,8 @@ impl GridConfig {
     /// quantum short enough for the clock; a link
     /// queue that holds a segment, host memory that holds a process) and,
     /// when a fault plan is present, that every fault has sound parameters
-    /// and targets a name the grid defines. What depends on the chosen
+    /// and targets what the grid defines: a host crash a virtual host, a
+    /// link fault two nodes a configured link joins. What depends on the chosen
     /// rate is [`crate::plan_rate`]'s to check.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self.rate {
@@ -334,23 +335,27 @@ impl GridConfig {
         }
         if let Some(plan) = &self.faults {
             plan.check_params().map_err(ConfigError::InvalidFault)?;
-            let vhosts: FxHashSet<&str> = self
-                .virtual_hosts
-                .iter()
-                .map(|v| v.spec.name.as_str())
-                .collect();
             for ev in &plan.events {
-                for name in ev.kind.node_refs() {
-                    let known = if ev.kind.is_host_fault() {
-                        vhosts.contains(name)
-                    } else {
-                        nodes.contains(name)
-                    };
-                    if !known {
-                        return Err(ConfigError::InvalidFault(format!(
-                            "{} targets unknown node {name:?}",
-                            ev.kind.name()
-                        )));
+                let invalid = |why: String| {
+                    let kind = ev.kind.name();
+                    Err(ConfigError::InvalidFault(format!("{kind} targets {why}")))
+                };
+                match &ev.kind {
+                    FaultKind::HostCrash { host } => {
+                        if !self.virtual_hosts.iter().any(|v| v.spec.name == *host) {
+                            return invalid(format!("{host:?}, which is not a virtual host"));
+                        }
+                    }
+                    FaultKind::LinkDown { a, b }
+                    | FaultKind::LinkUp { a, b }
+                    | FaultKind::LinkLoss { a, b, .. } => {
+                        // Link ends are known nodes, so this also rejects
+                        // a name the grid does not define.
+                        let joins =
+                            |l: &LinkConfig| (l.a == *a && l.b == *b) || (l.a == *b && l.b == *a);
+                        if !self.network.links.iter().any(joins) {
+                            return invalid(format!("{a:?}-{b:?}, which no link joins"));
+                        }
                     }
                 }
             }
@@ -548,7 +553,6 @@ mod tests {
 
     #[test]
     fn fault_plan_bad_params_rejected() {
-        use mgrid_faults::{FaultKind, FaultPlan};
         let mut c = sample();
         c.faults = Some(FaultPlan::new().at(
             SimDuration::from_secs(1),
@@ -563,7 +567,6 @@ mod tests {
 
     #[test]
     fn fault_targeting_unknown_node_rejected() {
-        use mgrid_faults::{FaultKind, FaultPlan};
         let mut c = sample();
         c.faults = Some(FaultPlan::new().at(
             SimDuration::from_secs(1),
@@ -576,8 +579,29 @@ mod tests {
     }
 
     #[test]
+    fn link_fault_between_unjoined_nodes_rejected() {
+        // Both nodes exist but no link joins them: the fault would find no
+        // link and inject nothing. Either orientation of a link is fine.
+        let mut c = sample();
+        c.network.routers.push("r1".into());
+        let down = |a: &str, b: &str| {
+            let kind = FaultKind::LinkDown {
+                a: a.into(),
+                b: b.into(),
+            };
+            Some(FaultPlan::new().at(SimDuration::from_secs(1), kind))
+        };
+        c.faults = down("vm0", "r1");
+        let why = r#"link_down targets "vm0"-"r1", which no link joins"#;
+        assert_eq!(c.validate(), Err(ConfigError::InvalidFault(why.into())));
+        for (a, b) in [("vm0", "r0"), ("r0", "vm0")] {
+            c.faults = down(a, b);
+            assert_eq!(c.validate(), Ok(()), "{a}-{b}");
+        }
+    }
+
+    #[test]
     fn host_fault_must_target_a_virtual_host() {
-        use mgrid_faults::{FaultKind, FaultPlan};
         // Routers are network nodes but not hosts: crashing one is a
         // config error, not a silent no-op.
         let mut c = sample();
@@ -592,6 +616,39 @@ mod tests {
             FaultKind::HostCrash { host: "vm0".into() },
         ));
         assert_eq!(ok.validate(), Ok(()));
+    }
+
+    #[test]
+    fn documented_fault_schema_parses_and_removed_kinds_do_not() {
+        #[derive(Deserialize)]
+        struct Scenario {
+            faults: FaultPlan,
+        }
+        let doc = include_str!("../../../docs/FAULTS.md");
+        let (_, block) = doc
+            .split_once("```json\n")
+            .expect("FAULTS.md has a json block");
+        let (block, _) = block.split_once("```").expect("the json block is closed");
+        let scenario: Scenario = serde_json::from_str(block).expect("documented schema parses");
+        let kinds: Vec<&str> = scenario
+            .faults
+            .events
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
+        assert_eq!(kinds, ["link_loss", "link_down", "link_up", "host_crash"]);
+
+        let preset = crate::presets::alpha_cluster().to_json();
+        let with = |kind: &str| {
+            let plan = format!(r#""faults": {{"events": [{{"at": 1000, "kind": {kind}}}]}}"#);
+            GridConfig::from_json(&preset.replacen(r#""faults": null"#, &plan, 1))
+        };
+        assert!(with(r#"{"HostCrash": {"host": "alpha1"}}"#).is_ok());
+        let removed = with(r#"{"CpuDegrade": {"host": "alpha1", "factor": 0.5}}"#);
+        let err = removed
+            .expect_err("CpuDegrade is not a fault kind")
+            .to_string();
+        assert!(err.contains("unknown variant `CpuDegrade`"), "{err}");
     }
 
     #[test]

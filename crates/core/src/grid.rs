@@ -148,21 +148,13 @@ impl VirtualGrid {
                 if !fault_plan.is_empty() {
                     let ht = table.clone();
                     let net = network.clone();
-                    spawn_injector(fault_plan, move |kind| {
-                        let vhost = |host: &str| {
-                            ht.lookup(host)
-                                .expect("validate checks every host fault's target")
-                                .vhost
-                        };
-                        match kind {
-                            FaultKind::HostCrash { host } => vhost(host).crash(),
-                            FaultKind::HostRestart { host } => vhost(host).restart(),
-                            FaultKind::CpuDegrade { host, factor } => {
-                                vhost(host).set_degradation(*factor)
-                            }
-                            FaultKind::CpuRestore { host } => vhost(host).set_degradation(1.0),
-                            link_fault => net.apply_fault(link_fault),
-                        }
+                    spawn_injector(fault_plan, move |kind| match kind {
+                        FaultKind::HostCrash { host } => ht
+                            .lookup(host)
+                            .expect("validate checks every host fault's target")
+                            .vhost
+                            .crash(),
+                        link_fault => net.apply_fault(link_fault),
                     });
                 }
             }

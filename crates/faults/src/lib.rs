@@ -2,25 +2,24 @@
 //!
 //! The healthy virtual Grid that `microgrid` assembles is only half of the
 //! paper's what-if promise: real Grid experiments ask what happens when the
-//! vBNS drops packets, a site partitions away, or a compute host dies
-//! mid-job. This crate supplies the scenario layer for those questions.
+//! vBNS drops packets, a link goes dark, or a compute host dies mid-job.
+//! This crate supplies the scenario layer for those questions.
 //!
 //! A [`FaultPlan`] is a serializable script of timed [`FaultEvent`]s —
-//! link outages and partitions, probabilistic per-link loss / corruption /
-//! reordering, virtual-host crash and restart, and transient CPU-capacity
-//! degradation. At grid bring-up the plan is handed to [`spawn_injector`],
-//! a simulation daemon that replays the script on the simulated clock and
-//! hands each [`FaultKind`] to the one closure the grid wired at build,
-//! which reconfigures the resource models (`netsim`, `hostsim`); they never
-//! poll.
+//! link outages and recoveries, probabilistic per-link loss, and final
+//! virtual-host crashes. At grid bring-up the plan is handed to
+//! [`spawn_injector`], a simulation daemon that replays the script on the
+//! simulated clock and hands each [`FaultKind`] to the one closure the
+//! grid wired at build, which reconfigures the resource models (`netsim`,
+//! `hostsim`); they never poll.
 //!
 //! ## Determinism
 //!
-//! Everything here is driven by the simulation clock and, for the
-//! probabilistic link impairments, by `desim::rng` streams forked from the
-//! grid seed inside the consuming model. A plan therefore perturbs a run
-//! the same way every time: one config + one seed = one fault timeline =
-//! one trace (see `docs/FAULTS.md`).
+//! Everything here is driven by the simulation clock and, for link loss,
+//! by `desim::rng` streams forked from the grid seed inside the consuming
+//! model. A plan therefore perturbs a run the same way every time: one
+//! config + one seed = one fault timeline = one trace (see
+//! `docs/FAULTS.md`).
 
 #![warn(missing_docs)]
 
@@ -31,9 +30,9 @@ use serde::{Deserialize, Serialize};
 /// One kind of injected fault.
 ///
 /// Link-level kinds name both endpoints of a configured duplex link; the
-/// impairment applies to both directions. Host-level kinds name a virtual
-/// host. Probabilities are expressed per-mille (`0..=1000`) so plans
-/// serialize exactly and compare bitwise.
+/// impairment applies to both directions. [`FaultKind::HostCrash`] names
+/// a virtual host. Probabilities are expressed per-mille (`0..=1000`) so
+/// plans serialize exactly and compare bitwise.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// Take the duplex link `a`–`b` down: every packet offered to either
@@ -51,21 +50,6 @@ pub enum FaultKind {
         /// The other endpoint.
         b: String,
     },
-    /// Partition the network: every link with one endpoint in `side_a`
-    /// and the other in `side_b` goes down.
-    Partition {
-        /// Node names on one side of the cut.
-        side_a: Vec<String>,
-        /// Node names on the other side.
-        side_b: Vec<String>,
-    },
-    /// Heal a partition: every link crossing the cut comes back up.
-    HealPartition {
-        /// Node names on one side of the cut.
-        side_a: Vec<String>,
-        /// Node names on the other side.
-        side_b: Vec<String>,
-    },
     /// Drop each packet offered to the link with probability
     /// `per_mille / 1000` (0 disables).
     LinkLoss {
@@ -76,48 +60,9 @@ pub enum FaultKind {
         /// Loss probability in thousandths.
         per_mille: u32,
     },
-    /// Corrupt each packet in flight with probability `per_mille / 1000`:
-    /// the packet consumes its transmission time but is discarded on
-    /// arrival, as a checksum failure would.
-    LinkCorrupt {
-        /// One endpoint.
-        a: String,
-        /// The other endpoint.
-        b: String,
-        /// Corruption probability in thousandths.
-        per_mille: u32,
-    },
-    /// Swap adjacent in-flight packets with probability
-    /// `per_mille / 1000`, modeling out-of-order delivery.
-    LinkReorder {
-        /// One endpoint.
-        a: String,
-        /// The other endpoint.
-        b: String,
-        /// Reorder probability in thousandths.
-        per_mille: u32,
-    },
-    /// Crash a virtual host: every process on it halts permanently and
-    /// new CPU requests never complete until a restart.
+    /// Crash a virtual host for good: every process on it halts
+    /// permanently and new CPU requests never complete.
     HostCrash {
-        /// Virtual host name.
-        host: String,
-    },
-    /// Restart a crashed virtual host (already-crashed processes stay
-    /// dead; new processes may be spawned).
-    HostRestart {
-        /// Virtual host name.
-        host: String,
-    },
-    /// Degrade a host's CPU capacity to `factor` of nominal (in `(0, 1]`).
-    CpuDegrade {
-        /// Virtual host name.
-        host: String,
-        /// Remaining capacity fraction.
-        factor: f64,
-    },
-    /// Restore a degraded host to full CPU capacity.
-    CpuRestore {
         /// Virtual host name.
         host: String,
     },
@@ -130,15 +75,8 @@ impl FaultKind {
         match self {
             FaultKind::LinkDown { .. } => "link_down",
             FaultKind::LinkUp { .. } => "link_up",
-            FaultKind::Partition { .. } => "partition",
-            FaultKind::HealPartition { .. } => "heal_partition",
             FaultKind::LinkLoss { .. } => "link_loss",
-            FaultKind::LinkCorrupt { .. } => "link_corrupt",
-            FaultKind::LinkReorder { .. } => "link_reorder",
             FaultKind::HostCrash { .. } => "host_crash",
-            FaultKind::HostRestart { .. } => "host_restart",
-            FaultKind::CpuDegrade { .. } => "cpu_degrade",
-            FaultKind::CpuRestore { .. } => "cpu_restore",
         }
     }
 
@@ -147,66 +85,17 @@ impl FaultKind {
         match self {
             FaultKind::LinkDown { a, b }
             | FaultKind::LinkUp { a, b }
-            | FaultKind::LinkLoss { a, b, .. }
-            | FaultKind::LinkCorrupt { a, b, .. }
-            | FaultKind::LinkReorder { a, b, .. } => format!("{a}-{b}"),
-            FaultKind::Partition { side_a, side_b }
-            | FaultKind::HealPartition { side_a, side_b } => {
-                format!("{}|{}", side_a.join(","), side_b.join(","))
-            }
-            FaultKind::HostCrash { host }
-            | FaultKind::HostRestart { host }
-            | FaultKind::CpuDegrade { host, .. }
-            | FaultKind::CpuRestore { host } => host.clone(),
+            | FaultKind::LinkLoss { a, b, .. } => format!("{a}-{b}"),
+            FaultKind::HostCrash { host } => host.clone(),
         }
     }
 
-    /// Every node name this fault refers to, for referential validation
-    /// against a grid configuration.
-    pub fn node_refs(&self) -> Vec<&str> {
-        match self {
-            FaultKind::LinkDown { a, b }
-            | FaultKind::LinkUp { a, b }
-            | FaultKind::LinkLoss { a, b, .. }
-            | FaultKind::LinkCorrupt { a, b, .. }
-            | FaultKind::LinkReorder { a, b, .. } => vec![a, b],
-            FaultKind::Partition { side_a, side_b }
-            | FaultKind::HealPartition { side_a, side_b } => side_a
-                .iter()
-                .chain(side_b.iter())
-                .map(String::as_str)
-                .collect(),
-            FaultKind::HostCrash { host }
-            | FaultKind::HostRestart { host }
-            | FaultKind::CpuDegrade { host, .. }
-            | FaultKind::CpuRestore { host } => vec![host],
-        }
-    }
-
-    /// True if the fault targets a virtual host (rather than a link).
-    pub const fn is_host_fault(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::HostCrash { .. }
-                | FaultKind::HostRestart { .. }
-                | FaultKind::CpuDegrade { .. }
-                | FaultKind::CpuRestore { .. }
-        )
-    }
-
-    /// Check parameter ranges (probabilities in `0..=1000`, degradation
-    /// factors in `(0, 1]`). Returns a description of the first violation.
+    /// Check parameter ranges (probabilities in `0..=1000`). Returns a
+    /// description of the first violation.
     pub fn check_params(&self) -> Result<(), String> {
         match self {
-            FaultKind::LinkLoss { per_mille, .. }
-            | FaultKind::LinkCorrupt { per_mille, .. }
-            | FaultKind::LinkReorder { per_mille, .. }
-                if *per_mille > 1000 =>
-            {
+            FaultKind::LinkLoss { per_mille, .. } if *per_mille > 1000 => {
                 Err(format!("{}: per_mille {per_mille} > 1000", self.name()))
-            }
-            FaultKind::CpuDegrade { factor, .. } if !(*factor > 0.0 && *factor <= 1.0) => {
-                Err(format!("{}: factor {factor} outside (0, 1]", self.name()))
             }
             _ => Ok(()),
         }
@@ -337,32 +226,13 @@ mod tests {
         }
         .check_params()
         .is_err());
-        assert!(FaultKind::CpuDegrade {
-            host: "h".into(),
-            factor: 0.0,
-        }
-        .check_params()
-        .is_err());
-        assert!(FaultKind::CpuDegrade {
-            host: "h".into(),
-            factor: 1.0,
+        assert!(FaultKind::LinkLoss {
+            a: "a".into(),
+            b: "b".into(),
+            per_mille: 1000,
         }
         .check_params()
         .is_ok());
-    }
-
-    #[test]
-    fn node_refs_cover_all_targets() {
-        assert_eq!(down("x", "y").node_refs(), vec!["x", "y"]);
-        let p = FaultKind::Partition {
-            side_a: vec!["a".into()],
-            side_b: vec!["b".into(), "c".into()],
-        };
-        assert_eq!(p.node_refs(), vec!["a", "b", "c"]);
-        assert_eq!(
-            FaultKind::HostCrash { host: "h".into() }.node_refs(),
-            vec!["h"]
-        );
     }
 
     #[test]

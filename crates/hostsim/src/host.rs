@@ -114,7 +114,6 @@ impl PhysicalHost {
                 fraction,
                 memory: RefCell::new(None),
                 members: RefCell::new(Vec::new()),
-                degrade: std::cell::Cell::new(1.0),
                 crashed: std::cell::Cell::new(false),
                 procs: RefCell::new(Vec::new()),
             }),
@@ -136,7 +135,6 @@ impl PhysicalHost {
                 fraction: 1.0,
                 memory: RefCell::new(None),
                 members: RefCell::new(Vec::new()),
-                degrade: std::cell::Cell::new(1.0),
                 crashed: std::cell::Cell::new(false),
                 procs: RefCell::new(Vec::new()),
             }),
@@ -153,11 +151,8 @@ struct VhInner {
     /// Live jobs of this virtual host (managed mode): the host fraction is
     /// divided evenly across them.
     members: RefCell<Vec<(JobId, Rc<std::cell::Cell<bool>>)>>,
-    /// Transient CPU degradation factor in `(0, 1]`; 1.0 when healthy.
-    /// Scales the fraction handed to the scheduler, not the configured one.
-    degrade: std::cell::Cell<f64>,
-    /// Set while the virtual host is crashed (between [`VirtualHost::crash`]
-    /// and [`VirtualHost::restart`]).
+    /// Set once the virtual host has crashed ([`VirtualHost::crash`]); a
+    /// crash is final.
     crashed: std::cell::Cell<bool>,
     /// Weak handles to this host's processes, so a crash can kill them.
     /// Weak avoids a reference cycle with [`GpInner::vh`].
@@ -202,10 +197,10 @@ impl VirtualHost {
             .clone()
     }
 
-    /// Crash the virtual host: every live process is terminated (its
-    /// in-flight compute halts, scheduler jobs retire, memory is released)
-    /// and further [`VirtualHost::spawn_process`] calls fail until
-    /// [`VirtualHost::restart`]. Idempotent while crashed.
+    /// Crash the virtual host for good: every live process is terminated
+    /// (its in-flight compute halts, scheduler jobs retire, memory is
+    /// released) and every later [`VirtualHost::spawn_process`] call
+    /// panics. Idempotent.
     pub fn crash(&self) {
         if self.inner.crashed.replace(true) {
             return;
@@ -229,39 +224,9 @@ impl VirtualHost {
         obs::count("faults.procs_killed", killed);
     }
 
-    /// Bring a crashed virtual host back up, empty of processes. The
-    /// configured resources (fraction, memory) are restored; applications
-    /// decide what to re-run on it.
-    pub fn restart(&self) {
-        self.inner.crashed.set(false);
-    }
-
-    /// Whether the host is currently crashed.
+    /// Whether the host has crashed.
     pub fn is_crashed(&self) -> bool {
         self.inner.crashed.get()
-    }
-
-    /// Apply a transient CPU degradation: the fraction delivered to this
-    /// host's processes is scaled by `factor` until restored with
-    /// `set_degradation(1.0)`. Only managed hosts are paced, so only they
-    /// degrade; the call is a no-op on direct (baseline) hosts.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not in `(0, 1]`.
-    pub fn set_degradation(&self, factor: f64) {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "degradation factor must be in (0,1], got {factor}"
-        );
-        self.inner.degrade.set(factor);
-        if self.inner.managed {
-            self.rebalance(&self.inner.phys.scheduler());
-        }
-    }
-
-    /// The current CPU degradation factor (1.0 when healthy).
-    pub fn degradation(&self) -> f64 {
-        self.inner.degrade.get()
     }
 
     /// Start a process on this virtual host.
@@ -270,7 +235,7 @@ impl VirtualHost {
     /// and the host fraction is re-divided across all live processes.
     ///
     /// # Panics
-    /// Panics if the host is crashed (callers gate on
+    /// Panics if the host has crashed (callers gate on
     /// [`VirtualHost::is_crashed`] when racing a fault scenario).
     pub fn spawn_process(&self, name: impl Into<String>) -> Result<GridProcess, OutOfMemory> {
         assert!(
@@ -304,8 +269,7 @@ impl VirtualHost {
         Ok(gp)
     }
 
-    /// Divide the host fraction (scaled by any transient degradation)
-    /// evenly across live member processes.
+    /// Divide the host fraction evenly across live member processes.
     fn rebalance(&self, sched: &MGridScheduler) {
         let members = self.inner.members.borrow();
         let live: Vec<JobId> = members
@@ -316,7 +280,7 @@ impl VirtualHost {
         if live.is_empty() {
             return;
         }
-        let each = self.inner.fraction * self.inner.degrade.get() / live.len() as f64;
+        let each = self.inner.fraction / live.len() as f64;
         for id in live {
             sched.set_fraction(id, each);
         }
@@ -548,48 +512,6 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs_f64(5.0));
         assert!(!done.get(), "compute on a crashed host must never finish");
-    }
-
-    #[test]
-    fn restart_allows_new_processes() {
-        let mut sim = Simulation::new(12);
-        sim.spawn(async {
-            let ph = phys(500.0);
-            let vh = ph.map_virtual(VirtualHostSpec::new("vm", 400.0, 1 << 28), 1.0);
-            let p = vh.spawn_process("first").unwrap();
-            vh.crash();
-            drop(p);
-            vh.restart();
-            assert!(!vh.is_crashed());
-            let p2 = vh.spawn_process("second").unwrap();
-            let t0 = now();
-            p2.compute_mops(80.0).await; // 0.16s CPU at fraction 0.8 ~ 0.2s
-            let wall = (now() - t0).as_secs_f64();
-            assert!((wall - 0.2).abs() < 0.1, "wall {wall}");
-        });
-        sim.run_until(SimTime::from_secs_f64(10.0));
-    }
-
-    #[test]
-    fn degradation_scales_delivered_fraction() {
-        let mut sim = Simulation::new(13);
-        sim.spawn(async {
-            let ph = phys(500.0);
-            // fraction 0.8; degraded by 0.5 -> effective 0.4.
-            let vh = ph.map_virtual(VirtualHostSpec::new("vm", 400.0, 1 << 28), 1.0);
-            let p = vh.spawn_process("app").unwrap();
-            vh.set_degradation(0.5);
-            let t0 = now();
-            p.compute_mops(200.0).await; // 0.4s CPU at 0.4 -> ~1s wall
-            let degraded_wall = (now() - t0).as_secs_f64();
-            assert!((degraded_wall - 1.0).abs() < 0.15, "wall {degraded_wall}");
-            vh.set_degradation(1.0);
-            let t1 = now();
-            p.compute_mops(200.0).await; // back to 0.8 -> ~0.5s wall
-            let healthy_wall = (now() - t1).as_secs_f64();
-            assert!((healthy_wall - 0.5).abs() < 0.15, "wall {healthy_wall}");
-        });
-        sim.run_until(SimTime::from_secs_f64(30.0));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct MpiParams {
     /// style; with a deadline, an expired wait fails the operation with
     /// [`SockError::TimedOut`] and records the peer in
     /// [`Comm::failed_ranks`] — how a fault-tolerant harness observes that
-    /// a rank's host crashed or was partitioned away.
+    /// a rank's host crashed or its link went down.
     pub recv_timeout: Option<SimDuration>,
 }
 

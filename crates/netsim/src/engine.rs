@@ -22,8 +22,8 @@ use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::vclock::VirtualClock;
 use mgrid_desim::{
-    fork_rng, now, obs, sleep_until, spawn_daemon, Counter, Event, FxHashMap, FxHashSet,
-    HistogramHandle, SimRng,
+    fork_rng, now, obs, sleep_until, spawn_daemon, Counter, Event, FxHashMap, HistogramHandle,
+    SimRng,
 };
 use mgrid_faults::FaultKind;
 
@@ -118,7 +118,7 @@ impl std::error::Error for NetError {}
 
 /// Injected impairments of one directed link, driven by a [`FaultPlan`]
 /// through [`Network::apply_fault`] (or set directly in tests): outage
-/// and seeded probabilistic loss / corruption / reordering.
+/// and seeded probabilistic loss.
 ///
 /// [`FaultPlan`]: mgrid_faults::FaultPlan
 #[derive(Default)]
@@ -127,38 +127,25 @@ struct LinkFault {
     down: bool,
     /// Probability (thousandths) of dropping each offered packet.
     loss_per_mille: u32,
-    /// Probability (thousandths) of corrupting each serialized packet
-    /// (it burns its wire time, then is discarded on arrival).
-    corrupt_per_mille: u32,
-    /// Probability (thousandths) of swapping each serialized packet with
-    /// its in-flight predecessor (out-of-order delivery).
-    reorder_per_mille: u32,
-    /// Per-link stream forked from the simulation RNG the first time a
-    /// probabilistic impairment is configured, so loss rolls on one link
-    /// never perturb another link's stream.
+    /// Per-link stream forked from the simulation RNG the first time loss
+    /// is configured, so loss rolls on one link never perturb another
+    /// link's stream.
     rng: Option<SimRng>,
 }
 
 impl LinkFault {
-    fn ensure_rng(&mut self) {
-        if self.rng.is_none() {
-            self.rng = Some(fork_rng());
+    /// Decide whether the next offered packet is discarded before
+    /// queueing: the link is down, or the loss roll (true with
+    /// probability `loss_per_mille / 1000`; no draw at 0) comes up.
+    fn drops_offered(&mut self) -> bool {
+        if self.down {
+            return true;
         }
-    }
-
-    /// True with probability `per_mille / 1000`.
-    fn roll(&mut self, per_mille: u32) -> bool {
-        if per_mille == 0 {
+        if self.loss_per_mille == 0 {
             return false;
         }
-        self.ensure_rng();
-        self.rng.as_mut().expect("rng set").below(1000) < u64::from(per_mille)
-    }
-
-    /// Decide whether the next offered packet is discarded before
-    /// queueing (outage or random loss).
-    fn drops_offered(&mut self) -> bool {
-        self.down || self.roll(self.loss_per_mille)
+        let rng = self.rng.as_mut().expect("set_link_loss forks the stream");
+        rng.below(1000) < u64::from(self.loss_per_mille)
     }
 }
 
@@ -422,43 +409,18 @@ impl Network {
     pub fn set_link_loss(&self, lid: LinkId, per_mille: u32) {
         assert!(per_mille <= 1000, "loss per_mille {per_mille} > 1000");
         let mut f = self.inner.links[lid.0].fault.borrow_mut();
-        if per_mille > 0 {
-            f.ensure_rng();
+        if per_mille > 0 && f.rng.is_none() {
+            f.rng = Some(fork_rng());
         }
         f.loss_per_mille = per_mille;
     }
 
-    /// Corrupt each packet serialized on `lid` with probability
-    /// `per_mille / 1000`: the packet consumes its transmission time but
-    /// is discarded at arrival, as a checksum failure would discard it.
-    pub fn set_link_corruption(&self, lid: LinkId, per_mille: u32) {
-        assert!(per_mille <= 1000, "corrupt per_mille {per_mille} > 1000");
-        let mut f = self.inner.links[lid.0].fault.borrow_mut();
-        if per_mille > 0 {
-            f.ensure_rng();
-        }
-        f.corrupt_per_mille = per_mille;
-    }
-
-    /// Swap each packet serialized on `lid` with its in-flight
-    /// predecessor with probability `per_mille / 1000`, modeling
-    /// out-of-order delivery (arrival instants are unchanged; only the
-    /// packet order swaps).
-    pub fn set_link_reordering(&self, lid: LinkId, per_mille: u32) {
-        assert!(per_mille <= 1000, "reorder per_mille {per_mille} > 1000");
-        let mut f = self.inner.links[lid.0].fault.borrow_mut();
-        if per_mille > 0 {
-            f.ensure_rng();
-        }
-        f.reorder_per_mille = per_mille;
-    }
-
     /// Apply one scripted fault to this network. Link faults resolve
     /// their endpoint names against the topology and configure both
-    /// directions of the duplex link; host-level faults are not the
-    /// network's business and are ignored (the grid applies those to its
-    /// host models). Names that don't resolve are ignored — plans are
-    /// validated against the grid configuration upstream.
+    /// directions of the duplex link; a host crash is not the network's
+    /// business and is ignored (the grid applies it to its host models).
+    /// Names that don't resolve are ignored — plans are validated against
+    /// the grid configuration upstream.
     pub fn apply_fault(&self, kind: &FaultKind) {
         match kind {
             FaultKind::LinkDown { a, b } => self.set_named_link(a, b, |n, l| {
@@ -470,15 +432,7 @@ impl Network {
             FaultKind::LinkLoss { a, b, per_mille } => self.set_named_link(a, b, |n, l| {
                 n.set_link_loss(l, *per_mille);
             }),
-            FaultKind::LinkCorrupt { a, b, per_mille } => self.set_named_link(a, b, |n, l| {
-                n.set_link_corruption(l, *per_mille);
-            }),
-            FaultKind::LinkReorder { a, b, per_mille } => self.set_named_link(a, b, |n, l| {
-                n.set_link_reordering(l, *per_mille);
-            }),
-            FaultKind::Partition { side_a, side_b } => self.set_cut(side_a, side_b, true),
-            FaultKind::HealPartition { side_a, side_b } => self.set_cut(side_a, side_b, false),
-            _ => {}
+            FaultKind::HostCrash { .. } => {}
         }
     }
 
@@ -487,23 +441,6 @@ impl Network {
         if let (Some(na), Some(nb)) = (topo.node_by_name(a), topo.node_by_name(b)) {
             for lid in topo.links_between(na, nb) {
                 f(self, lid);
-            }
-        }
-    }
-
-    /// Set every directed link crossing the `side_a` / `side_b` cut down
-    /// (or back up).
-    fn set_cut(&self, side_a: &[String], side_b: &[String], down: bool) {
-        let topo = &self.inner.topo;
-        let sa: FxHashSet<&str> = side_a.iter().map(String::as_str).collect();
-        let sb: FxHashSet<&str> = side_b.iter().map(String::as_str).collect();
-        for lid in 0..topo.link_count() {
-            let (from, to) = topo.link_ends(LinkId(lid));
-            let (fname, tname) = (topo.node_name(from), topo.node_name(to));
-            let crosses = (sa.contains(fname) && sb.contains(tname))
-                || (sb.contains(fname) && sa.contains(tname));
-            if crosses {
-                self.set_link_down(LinkId(lid), down);
             }
         }
     }
@@ -593,25 +530,7 @@ impl Network {
                 link: lid.0,
                 bytes: pkt.wire_bytes,
             });
-            let reorder = {
-                let mut f = link.fault.borrow_mut();
-                let r = f.reorder_per_mille;
-                f.roll(r)
-            };
-            {
-                let mut infl = link.inflight.borrow_mut();
-                infl.push_back((now() + prop, pkt));
-                let n = infl.len();
-                if reorder && n >= 2 {
-                    // Swap the packets but keep each arrival deadline in
-                    // place, so deliveries stay time-ordered while the
-                    // contents arrive out of order.
-                    infl.swap(n - 2, n - 1);
-                    let t = infl[n - 2].0;
-                    infl[n - 2].0 = infl[n - 1].0;
-                    infl[n - 1].0 = t;
-                }
-            }
+            link.inflight.borrow_mut().push_back((now() + prop, pkt));
             link.arrived.notify_one();
         }
     }
@@ -626,25 +545,6 @@ impl Network {
             match next {
                 Some((at, pkt)) => {
                     sleep_until(at).await;
-                    let link = &self.inner.links[lid.0];
-                    let corrupted = {
-                        let mut f = link.fault.borrow_mut();
-                        let c = f.corrupt_per_mille;
-                        f.roll(c)
-                    };
-                    if corrupted {
-                        // The packet burned its wire time but fails its
-                        // checksum on arrival; account it like a drop so
-                        // per-link and global totals stay consistent.
-                        link.stats.borrow_mut().drops += 1;
-                        self.inner.stats.borrow_mut().packet_drops += 1;
-                        self.inner.m.drops.add(1);
-                        obs::emit(|| Event::PacketDrop {
-                            link: lid.0,
-                            bytes: pkt.wire_bytes,
-                        });
-                        continue;
-                    }
                     self.deliver(to_node, pkt);
                 }
                 None => self.inner.links[lid.0].arrived.notified().await,

@@ -304,11 +304,6 @@ impl Topology {
         self.pair_links.get(&key).cloned().unwrap_or_default()
     }
 
-    /// Endpoints `(from, to)` of a directed link.
-    pub fn link_ends(&self, id: LinkId) -> (NodeId, NodeId) {
-        (self.links[id.0].from, self.links[id.0].to)
-    }
-
     /// Kind of a node.
     pub fn node_kind(&self, id: NodeId) -> NodeKind {
         self.nodes[id.0].kind

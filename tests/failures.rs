@@ -44,7 +44,7 @@ fn black_hole_link_retransmits_forever_without_wedging() {
     sim.run_until(SimTime::from_secs_f64(31.0));
 }
 
-/// Partitioned topologies fail sends fast (unreachable), and the rest of
+/// Disconnected topologies fail sends fast (unreachable), and the rest of
 /// the grid keeps working.
 #[test]
 fn partitioned_network_fails_fast() {

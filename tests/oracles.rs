@@ -171,3 +171,76 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Rate, delivered (paper §2.3): every virtual host runs one
+    /// CPU-bound process of `m = speed_v × work` Mops at once. In virtual
+    /// time none beats its own CPU: it finishes no sooner than
+    /// `m / speed_v`, less one quantum of physical CPU (`Q × speed_p`
+    /// Mops) that a grant may run ahead of the `used ≤ f × elapsed`
+    /// schedule. In physical time no host beats its CPU either: by each
+    /// finish instant `t` on physical host `p`, the Mops finished there
+    /// stay within `speed_p × t`.
+    #[test]
+    fn delivered_cpu_stays_within_the_rate_scaled_physical_cpu(
+        phys in prop::collection::vec(500f64..2000.0, 1..4),
+        virt in prop::collection::vec((50f64..500.0, 0usize..4), 1..7),
+        safety in 0.5f64..1.0,
+        work in 0.05f64..0.5,
+        seed in 0u64..1 << 20,
+    ) {
+        let mut config = grid_config(&phys, &virt, RatePolicy::Auto { safety });
+        config.seed = seed;
+        let quantum = config.quantum.as_secs_f64();
+        let rate = plan_rate(&config).expect("feasible").chosen;
+        let speeds: Vec<f64> = virt.iter().map(|&(speed, _)| speed).collect();
+        let mut sim = Simulation::new(seed);
+        let finished: Vec<f64> = sim.block_on(async move {
+            let grid = VirtualGrid::build(config).expect("valid config");
+            let runs: Vec<_> = speeds
+                .into_iter()
+                .enumerate()
+                .map(|(i, speed)| {
+                    let ctx = grid.spawn_process(&format!("v{i}"), "hog").expect("a process fits");
+                    spawn(async move {
+                        ctx.process().compute_mops(speed * work).await;
+                        now().as_secs_f64()
+                    })
+                })
+                .collect();
+            let mut finished = Vec::new();
+            for run in runs {
+                finished.push(run.await);
+            }
+            finished
+        });
+
+        let mut on_phys: Vec<Vec<(f64, f64)>> = vec![Vec::new(); phys.len()];
+        for (&(speed, p), &t) in virt.iter().zip(&finished) {
+            let p = p % phys.len();
+            let mops = speed * work;
+            let ahead = quantum * phys[p];
+            prop_assert!(
+                t * rate >= (mops - ahead) / speed,
+                "{mops} Mops on a {speed} Mops host done at virtual {} s, before {} s",
+                t * rate,
+                (mops - ahead) / speed
+            );
+            on_phys[p].push((t, mops));
+        }
+        for (p, mut done) in on_phys.into_iter().enumerate() {
+            done.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut delivered = 0.0;
+            for (t, mops) in done {
+                delivered += mops;
+                prop_assert!(
+                    delivered <= phys[p] * t * (1.0 + 1e-9),
+                    "p{p} delivered {delivered} Mops by {t} s on a {} Mops CPU",
+                    phys[p]
+                );
+            }
+        }
+    }
+}
