@@ -45,20 +45,13 @@ loc-diff tree:
 figures:
     MGRID_FAST=1 cargo run --release -p mgrid-bench --bin repro -- all
 
-# Regenerate every figure (`scale` included) at full scale, diff it
-# byte-for-byte against results/<id>.json and hold it to the paper's
-# claims (`repro --bless figN` re-anchors after intended changes). 149
-# simulations on one job list: 16 s on two threads, 32 s on one.
+# Regenerate every figure (`scale` and the two chaos scenarios included)
+# at full scale, diff it byte-for-byte against results/<id>.json and hold
+# it to its claims (`repro --bless figN` re-anchors after intended
+# changes). 152 simulations on one job list: 21 s on two threads, 39 s on
+# one.
 check-figures:
     cargo run --release -p mgrid-bench --bin repro -- --check all
-
-# Chaos scenarios: replay the tracked fault-injection experiments, verify
-# same-seed double runs are byte-identical, and diff against
-# results/chaos.json (`chaos --bless` re-anchors after intended changes).
-# CI runs it in the `figures` lane, after the two `repro --check all`
-# runs, from the same release build.
-chaos:
-    cargo run --release -p mgrid-bench --bin chaos -- --check
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md), the one place
 # wall time is measured: every end-to-end metric on all six workloads,

@@ -1,4 +1,5 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and the two
+//! fault-injection scenarios (`chaos-wan`, `chaos-crash`).
 //!
 //! ```text
 //! repro all                 # every figure (slow: full class A runs)
@@ -6,6 +7,7 @@
 //! repro --json out/ fig10   # also write JSON reports into out/
 //! repro --check all         # regenerate and diff against results/<id>.json
 //! repro --bless fig12       # rewrite results/<id>.json from this run
+//! repro --check chaos-wan chaos-crash   # the fault-injection scenarios
 //! MGRID_FAST=1 repro all    # shrunken runs (class S, fewer points)
 //! MGRID_REPRO_THREADS=1 repro all   # force serial regeneration
 //! ```
@@ -24,18 +26,19 @@
 //!
 //! A setting it cannot read exits 2 before anything runs: `MGRID_FAST`
 //! other than `0` or `1`, or `MGRID_REPRO_THREADS` other than a whole
-//! number of at least 1 (`chaos` reads both the same way).
+//! number of at least 1.
 //!
-//! `--check` and `--bless` also hold each regenerated report to the
-//! paper's claims ([`mgrid_bench::claims`]): a report that breaks one
-//! fails the check, and is not blessed, by the claim's name. The two
-//! flags exclude each other: given both, `repro` exits 2 (so does
-//! `chaos`).
+//! A tracked file is the report's own JSON ([`Report::to_json`]); the
+//! metrics of the simulations behind it are printed, and written by
+//! `--json`, but never tracked. `--check` and `--bless` also hold each
+//! regenerated report to the paper's claims ([`mgrid_bench::claims`]): a
+//! report that breaks one fails the check, and is not blessed, by the
+//! claim's name. The two flags exclude each other, and `--json` combines
+//! with neither: given such a pair, `repro` exits 2.
 
 use mgrid_bench::claims;
 use mgrid_bench::runner::{figures, run_plans, settings, Finished};
-use microgrid::{outln, ComparisonRow, Report, Series};
-use serde::Serialize;
+use microgrid::{outln, Report};
 
 /// Directory of the tracked figure outputs `--check`/`--bless` use.
 const TRACKED_DIR: &str = "results";
@@ -49,28 +52,6 @@ enum Mode {
     Check,
     /// Rewrite `results/<id>.json`.
     Bless,
-}
-
-/// The part of a [`Report`] that `results/<id>.json` tracks: everything
-/// but the metrics snapshot.
-#[derive(Serialize)]
-struct Tracked {
-    id: String,
-    title: String,
-    rows: Vec<ComparisonRow>,
-    series: Vec<Series>,
-    notes: Vec<String>,
-}
-
-fn tracked_json(r: &Report) -> String {
-    let tracked = Tracked {
-        id: r.id.clone(),
-        title: r.title.clone(),
-        rows: r.rows.clone(),
-        series: r.series.clone(),
-        notes: r.notes.clone(),
-    };
-    serde_json::to_string_pretty(&tracked).expect("report serializes")
 }
 
 /// One line per row, series point, title or note that differs.
@@ -90,12 +71,8 @@ fn row_diff(tracked: &Report, fresh: &Report) -> Vec<String> {
         ));
     }
     for (t, f) in tracked.rows.iter().zip(&fresh.rows) {
-        let (tv, fv) = (
-            (&t.label, t.physical_seconds, t.microgrid_seconds),
-            (&f.label, f.physical_seconds, f.microgrid_seconds),
-        );
-        if tv != fv {
-            out.push(format!("row: tracked {tv:?}, regenerated {fv:?}"));
+        if t != f {
+            out.push(format!("row: tracked {t:?}, regenerated {f:?}"));
         }
     }
     if tracked.series.len() != fresh.series.len() {
@@ -153,7 +130,7 @@ fn check_figure(report: &Report) -> bool {
             return false;
         }
     };
-    if expected == tracked_json(report) {
+    if expected == report.to_json() {
         outln!("{id}: matches {path}");
         return true;
     }
@@ -175,11 +152,14 @@ fn check_figure(report: &Report) -> bool {
 
 const USAGE: &str = "usage: repro [--json DIR | --check | --bless] (all | figN ...)";
 
+/// Print `message` on stderr and exit 2, before anything has run.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let settings = settings().unwrap_or_else(|e| {
-        eprintln!("repro: {e}");
-        std::process::exit(2);
-    });
+    let settings = settings().unwrap_or_else(|e| usage_error(format!("repro: {e}")));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_dir: Option<String> = None;
     let mut mode = Mode::Print;
@@ -188,10 +168,10 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => {
-                json_dir = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a directory");
-                    std::process::exit(2);
-                }));
+                json_dir = Some(
+                    it.next()
+                        .unwrap_or_else(|| usage_error("--json needs a directory")),
+                );
             }
             "--check" | "--bless" => {
                 let chosen = if a == "--check" {
@@ -200,8 +180,7 @@ fn main() {
                     Mode::Bless
                 };
                 if mode != Mode::Print && mode != chosen {
-                    eprintln!("repro: --check and --bless exclude each other");
-                    std::process::exit(2);
+                    usage_error("repro: --check and --bless exclude each other");
                 }
                 mode = chosen;
             }
@@ -209,31 +188,33 @@ fn main() {
                 outln!("{USAGE}");
                 outln!("figures:");
                 for f in figures() {
-                    outln!("  {:<6} {}", f.id, f.what);
+                    outln!("  {:<11} {}", f.id, f.what);
                 }
                 return;
             }
             other => wanted.push(other.to_string()),
         }
     }
+    if json_dir.is_some() && mode != Mode::Print {
+        usage_error(
+            "repro: --json writes printed reports; it does not combine with --check or --bless",
+        );
+    }
     if wanted.is_empty() {
-        eprintln!("{USAGE}; --help for the list");
-        std::process::exit(2);
+        usage_error(format!("{USAGE}; --help for the list"));
     }
     let all = wanted.iter().any(|w| w == "all");
     let figs = figures();
     let known: Vec<&str> = figs.iter().map(|f| f.id).collect();
     for w in &wanted {
         if w != "all" && !known.contains(&w.as_str()) {
-            eprintln!("unknown figure {w:?}; known: {known:?}");
-            std::process::exit(2);
+            usage_error(format!("unknown figure {w:?}; known: {known:?}"));
         }
     }
     if mode != Mode::Print && settings.fast {
-        eprintln!(
+        usage_error(format!(
             "--check/--bless need full-scale runs: {TRACKED_DIR}/ holds those (unset MGRID_FAST)"
-        );
-        std::process::exit(2);
+        ));
     }
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
@@ -268,7 +249,7 @@ fn main() {
             }
             Mode::Bless if claims_hold(&done.report) => {
                 let path = format!("{TRACKED_DIR}/{}.json", done.report.id);
-                std::fs::write(&path, tracked_json(&done.report)).expect("write tracked file");
+                std::fs::write(&path, done.report.to_json()).expect("write tracked file");
                 outln!("blessed {path}");
             }
             Mode::Bless => failures += 1,
@@ -289,11 +270,17 @@ fn main() {
     }
 }
 
-/// Print one regenerated figure and, if requested, write its JSON files.
+/// Print one regenerated figure, then the metrics of its simulations,
+/// and, if requested, write both as JSON files.
 fn emit_figure(done: &Finished, json_dir: &Option<String>) {
-    let report = &done.report;
+    let (report, metrics) = (&done.report, &done.metrics);
     let id = &report.id;
-    outln!("{}", report.to_table());
+    let mut table = report.to_table();
+    if !metrics.is_empty() {
+        table.push_str("-- metrics --\n");
+        table.push_str(&metrics.to_table());
+    }
+    outln!("{table}");
     outln!(
         "({id}: {} simulations, {:.1} simulation seconds)\n",
         done.jobs,
@@ -303,7 +290,7 @@ fn emit_figure(done: &Finished, json_dir: &Option<String>) {
         let path = format!("{dir}/{id}.json");
         std::fs::write(&path, report.to_json()).expect("write report");
         outln!("wrote {path}");
-        if let Some(metrics) = report.metrics.as_ref().filter(|m| !m.is_empty()) {
+        if !metrics.is_empty() {
             let mpath = format!("{dir}/{id}.metrics.json");
             let json = serde_json::to_string_pretty(metrics).expect("metrics serialize");
             std::fs::write(&mpath, json).expect("write metrics");
@@ -315,6 +302,7 @@ fn emit_figure(done: &Finished, json_dir: &Option<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use microgrid::Series;
 
     #[test]
     fn row_diff_names_the_series_point_that_moved() {

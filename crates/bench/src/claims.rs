@@ -1,5 +1,6 @@
-//! The paper's fidelity claims as predicates of a regenerated (or
-//! tracked) [`Report`], keyed by its id. `repro --check` pins the bytes
+//! The paper's fidelity claims, and what the two fault-injection
+//! scenarios promise, as predicates of a regenerated (or tracked)
+//! [`Report`], keyed by its id. `repro --check` pins the bytes
 //! of `results/*.json`; these say why the bytes are right, so a re-bless
 //! that loses fidelity fails with the claim it broke (`repro --bless`
 //! refuses to write such a report). A bound is what EXPERIMENTS.md
@@ -31,6 +32,8 @@ pub fn broken(report: &Report) -> Vec<String> {
         "fig15" => claims.fig15(),
         "fig16" => claims.fig16(),
         "fig17" => claims.fig17(),
+        "chaos-wan" => claims.chaos_wan(),
+        "chaos-crash" => claims.chaos_crash(),
         _ => {}
     }
     claims.broken
@@ -287,5 +290,39 @@ impl<'a> Claims<'a> {
                 format!("{code}: RMS skew {skew:.2} % (MG {mg:.2} %), claim <= 10 %, MG the worst")
             });
         }
+    }
+
+    /// chaos-wan: the transport recovers through the scripted loss and
+    /// outage, and that recovery costs virtual time: the faulty run is
+    /// slower than the healthy one, with at least one retransmit round
+    /// and one stall behind it.
+    fn chaos_wan(&mut self) {
+        self.name = "chaos_wan_recovers_through_loss_and_an_outage_at_a_cost";
+        let seconds = "virtual seconds";
+        let (healthy, faulty) = (self.at(seconds, "healthy"), self.at(seconds, "faulty"));
+        self.require(faulty > healthy, || {
+            format!("faulty {faulty} virtual s, healthy {healthy}: the faults cost nothing")
+        });
+        for counter in ["retransmits", "stalls"] {
+            let n = self.at("recovery", counter);
+            self.require(n >= 1.0, || format!("{counter} {n}, claim >= 1"));
+        }
+    }
+
+    /// chaos-crash: of the four ranks exactly the one on the crashed host
+    /// is dropped, the other three survive, and the fault layer accounts
+    /// for one dropped job and one killed process.
+    fn chaos_crash(&mut self) {
+        self.name = "chaos_crash_drops_exactly_the_crashed_rank";
+        let at = |x| self.at("degradation", x);
+        let (survived, dropped) = (at("ranks_survived"), at("ranks_dropped"));
+        let (total, jobs, procs) = (at("ranks_total"), at("jobs_dropped"), at("procs_killed"));
+        self.require(
+            survived == 3.0 && dropped == 1.0 && survived + dropped == total,
+            || format!("{survived} survived and {dropped} dropped of {total} ranks, claim 3 + 1"),
+        );
+        self.require(jobs == 1.0 && procs == 1.0, || {
+            format!("{jobs} jobs dropped and {procs} processes killed, claim 1 and 1")
+        });
     }
 }

@@ -13,8 +13,10 @@
 //!    reports surviving-rank throughput and the dropped-job accounting.
 //!
 //! Both scenarios are deterministic: one config + one seed = one fault
-//! timeline = one set of numbers (asserted byte-for-byte by
-//! `tests/chaos.rs` and the `chaos` binary's double-run check).
+//! timeline = one set of numbers. `repro --check chaos-wan chaos-crash`
+//! diffs them against their tracked files and holds them to their claims
+//! ([`crate::claims`]); `tests/chaos.rs` runs fault plans twice and
+//! compares the bytes.
 
 use microgrid::apps::npb::{NpbBenchmark, NpbClass};
 use microgrid::desim::time::SimDuration;
@@ -141,7 +143,7 @@ async fn crash_body(comm: Comm) -> (usize, usize, f64) {
     }
     let done = comm.ctx().gettimeofday();
     let finish_secs = done
-        .saturating_since(mgrid_desim::time::SimTime::ZERO)
+        .saturating_since(microgrid::desim::time::SimTime::ZERO)
         .as_secs_f64();
     (survivors, dropped, finish_secs)
 }
@@ -174,8 +176,6 @@ pub fn chaos_crash() -> Plan {
     Plan::new(vec![job], |mut runs| {
         let run: Outcome<(usize, usize, f64)> = runs.pop().expect("one run");
         let ((survivors, dropped, finish_secs), m) = (run.output, run.metrics);
-        assert_eq!(m.counter("faults.host_crash"), 1, "crash did not fire");
-        assert!(dropped >= 1, "crashed rank was not detected");
         let counted = |point: &str, counter| (point.to_string(), m.counter(counter) as f64);
         let mut rep = Report::new(
             "chaos-crash",

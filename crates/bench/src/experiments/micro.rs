@@ -85,10 +85,10 @@ pub fn delivered_fraction(
         let refproc = kernel.spawn_process("reference");
         sched.add_job(refproc.clone(), fraction);
         let spinner = refproc.clone();
-        mgrid_desim::spawn(async move {
+        microgrid::desim::spawn(async move {
             spinner.run_cpu(SimDuration::from_secs(100_000)).await;
         });
-        mgrid_desim::sleep(horizon).await;
+        microgrid::desim::sleep(horizon).await;
         refproc.cpu_used().as_secs_f64() / horizon.as_secs_f64()
     })
 }
@@ -143,7 +143,7 @@ pub fn quanta_distribution(competition: Competition, samples: usize) -> (f64, f6
         let job = sched.add_job(idle, 0.95);
         sched.record_grants(job, true);
         loop {
-            mgrid_desim::sleep(SimDuration::from_millis(200)).await;
+            microgrid::desim::sleep(SimDuration::from_millis(200)).await;
             let grants = sched.grants(job);
             if grants.len() >= samples {
                 break grants
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn fig5_is_linear_minus_overhead() {
-        let rep = fig5_memory().run_inline();
+        let rep = fig5_memory().run_inline().report;
         let pts = &rep.series[0].points;
         // limit 64KB -> 63KB allocatable.
         let kb64 = pts.iter().find(|(l, _)| l == "64KB").unwrap();
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn fig7_distribution_sane() {
-        let rep = fig7_quanta(300).run_inline();
+        let rep = fig7_quanta(300).run_inline().report;
         let stats = |i: usize| (rep.series[i].points[0].1, rep.series[i].points[1].1);
         assert_eq!(rep.series[0].label, "No Competition");
         let (mean, dev) = stats(0);

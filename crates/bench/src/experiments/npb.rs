@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn fig9_lists_both_configs() {
-        let rep = fig9_configs().run_inline();
+        let rep = fig9_configs().run_inline().report;
         assert_eq!(rep.notes.len(), 2);
         assert!(rep.notes[0].contains("Alpha_Cluster"));
         assert!(rep.notes[1].contains("HPVM"));

@@ -1,10 +1,11 @@
-//! Shared drivers for the figure regenerators: the registry of figures,
-//! the [`Plan`] each one is (independent simulation jobs plus a pure
-//! fold of their results), the one job queue `repro` and `chaos` run
-//! every selected plan on ([`run_plans`]), and the wrapper through which
-//! a job runs its [`Scenario`] ([`run`], [`run_with`]). A job is one whole
-//! deterministic simulation, so the thread budget has a single level and
-//! output is byte-identical at any worker count.
+//! Shared drivers for `repro`: the one registry of figures (the two
+//! fault-injection scenarios included), the [`Plan`] each one is
+//! (independent simulation jobs plus a pure fold of their results), the
+//! one job queue every selected plan runs on ([`run_plans`]), and the
+//! wrapper through which a job runs its [`Scenario`] ([`run`],
+//! [`run_with`]). A job is one whole deterministic simulation, so the
+//! thread budget has a single level and output is byte-identical at any
+//! worker count.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -25,7 +26,8 @@ thread_local! {
     static ACCUM: RefCell<MetricsSnapshot> = RefCell::new(MetricsSnapshot::default());
 }
 
-/// One regenerable figure of the paper's evaluation.
+/// One regenerable figure of the paper's evaluation, or one of the two
+/// fault-injection scenarios that extend it.
 pub struct Figure {
     /// Short id (`fig10`), also the stem of `results/<id>.json`.
     pub id: &'static str,
@@ -103,17 +105,18 @@ pub fn figures() -> Vec<Figure> {
             what: "simulator scalability study (extension)",
             plan: scale::scale_study,
         },
+        Figure {
+            id: "chaos-wan",
+            what: "NPB IS over a lossy WAN with an outage (extension)",
+            plan: chaos::chaos_wan,
+        },
+        Figure {
+            id: "chaos-crash",
+            what: "host crash mid-compute (extension)",
+            plan: chaos::chaos_crash,
+        },
     ]
 }
-
-/// A fault-injection plan `chaos` replays, by id.
-pub type ChaosPlan = (&'static str, fn() -> Plan);
-
-/// The tracked fault-injection plans, in the order of `results/chaos.json`.
-pub const CHAOS_SCENARIOS: [ChaosPlan; 2] = [
-    ("chaos-wan", chaos::chaos_wan),
-    ("chaos-crash", chaos::chaos_crash),
-];
 
 type Erased = Box<dyn Any + Send>;
 
@@ -148,20 +151,21 @@ impl Plan {
         }
     }
 
-    /// Run the jobs one after another on this thread and fold them: the
-    /// report [`run_plans`] delivers for this plan at any worker count.
-    pub fn run_inline(self) -> Report {
-        let mut report = None;
-        run_plans(1, vec![("inline", self)], |done| report = Some(done.report));
-        report.expect("one plan delivers one report")
+    /// Run the jobs one after another on this thread and fold them: what
+    /// [`run_plans`] delivers for this plan at any worker count.
+    pub fn run_inline(self) -> Finished {
+        let mut finished = None;
+        run_plans(1, vec![("inline", self)], |done| finished = Some(done));
+        finished.expect("one plan delivers one report")
     }
 }
 
 /// One plan's outcome, as [`run_plans`] delivers it.
 pub struct Finished {
-    /// The folded report, with the merged metrics of the plan's
-    /// simulations attached.
+    /// The folded report: what `results/<id>.json` tracks.
     pub report: Report,
+    /// The merged metrics of the plan's simulations.
+    pub metrics: MetricsSnapshot,
     /// Simulations the plan ran.
     pub jobs: usize,
     /// Host seconds those simulations took, summed.
@@ -201,10 +205,9 @@ pub fn run_plans(workers: usize, plans: Vec<(&'static str, Plan)>, mut each: imp
         while folds.front().is_some_and(|(of, _)| *of == filling.0.len()) {
             let (jobs, finish) = folds.pop_front().expect("front was just seen");
             let (results, metrics, sim_secs) = std::mem::take(filling);
-            let mut report = finish(results);
-            report.attach_metrics(metrics);
             each(Finished {
-                report,
+                report: finish(results),
+                metrics,
                 jobs,
                 sim_secs,
             });
@@ -263,8 +266,7 @@ pub fn seconds(scenario: Scenario) -> f64 {
     rank0.virtual_seconds()
 }
 
-/// How `repro` and `chaos` run, as `MGRID_FAST` and
-/// `MGRID_REPRO_THREADS` ask.
+/// How `repro` runs, as `MGRID_FAST` and `MGRID_REPRO_THREADS` ask.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Settings {
     /// `MGRID_FAST=1`: shrunken experiment parameters.
@@ -310,8 +312,8 @@ pub fn parse_settings(fast: Option<&str>, threads: Option<&str>) -> Result<Setti
     Ok(Settings { fast, threads })
 }
 
-/// [`parse_settings`] over this process's environment. `repro` and
-/// `chaos` check it first and exit 2 on an error.
+/// [`parse_settings`] over this process's environment. `repro` checks it
+/// first and exits 2 on an error.
 pub fn settings() -> Result<Settings, String> {
     let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
     parse_settings(
@@ -507,23 +509,24 @@ mod tests {
             ]
         }
 
-        let inline: Vec<Report> = plans().into_iter().map(|(_, p)| p.run_inline()).collect();
-        for (report, jobs) in inline.iter().zip([3, 0, 3]) {
-            let metrics = report.metrics.as_ref().expect("metrics attached");
-            assert_eq!(metrics.is_empty(), jobs == 0, "{}", report.id);
+        let inline: Vec<Finished> = plans().into_iter().map(|(_, p)| p.run_inline()).collect();
+        for (done, jobs) in inline.iter().zip([3, 0, 3]) {
+            let report = &done.report;
+            assert_eq!(done.metrics.is_empty(), jobs == 0, "{}", report.id);
             // Sensitivity: every digest is distinct, so the equalities
             // below compare real per-simulation output.
             let distinct: std::collections::BTreeSet<&String> = report.notes.iter().collect();
             assert_eq!(distinct.len(), jobs, "{}: digests collide", report.id);
         }
         assert_ne!(inline[0].metrics, inline[2].metrics);
-        let inline: Vec<String> = inline.iter().map(Report::to_json).collect();
+        let digest = |done: Finished| (done.report.to_json(), done.metrics);
+        let inline: Vec<_> = inline.into_iter().map(digest).collect();
 
         for workers in [1, 2, 4] {
             let mut pooled = Vec::new();
             run_plans(workers, plans(), |done| {
                 assert_eq!(done.jobs, done.report.notes.len());
-                pooled.push(done.report.to_json());
+                pooled.push(digest(done));
             });
             assert_eq!(
                 inline, pooled,

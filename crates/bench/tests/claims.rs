@@ -1,6 +1,7 @@
-//! The paper's fidelity claims ([`mgrid_bench::claims`]), held by name on
-//! the tracked figure outputs — the same predicates `repro --check` and
-//! `--bless` apply to what they regenerate. No simulation runs here.
+//! The paper's fidelity claims and the fault-injection scenarios' own
+//! ([`mgrid_bench::claims`]), held by name on the tracked outputs — the
+//! same predicates `repro --check` and `--bless` apply to what they
+//! regenerate. No simulation runs here.
 
 use mgrid_bench::claims;
 use microgrid::Report;
@@ -33,6 +34,8 @@ holds_on_the_tracked_file! {
     fig15_virtual_time_is_invariant_under_the_emulation_rate: "fig15";
     fig16_wavetoy_matches_within_the_documented_bands: "fig16";
     fig17_autopilot_skews_stay_under_ten_percent_with_mg_worst: "fig17";
+    chaos_wan_recovers_through_loss_and_an_outage_at_a_cost: "chaos-wan";
+    chaos_crash_drops_exactly_the_crashed_rank: "chaos-crash";
 }
 
 /// Sensitivity, and what `repro --check figN` prints: one number moved in
@@ -47,7 +50,7 @@ fn a_doctored_report_breaks_its_claim_by_name() {
         &mut points.iter_mut().find(|(px, _)| px == x).expect("point").1
     }
     type Doctor = fn(&mut Report);
-    let cases: [(&str, &str, Doctor); 12] = [
+    let cases: [(&str, &str, Doctor); 14] = [
         ("fig5", "fig5_max_allocatable", |r| {
             *point(r, "max allocatable (KB) vs specified limit", "64KB") = 64.0
         }),
@@ -83,6 +86,12 @@ fn a_doctored_report_breaks_its_claim_by_name() {
         }),
         ("fig6", "fig6_cpu_fraction", |r| {
             r.series.retain(|s| s.label != "No Competition")
+        }),
+        ("chaos-wan", "chaos_wan_recovers", |r| {
+            *point(r, "recovery", "stalls") = 0.0
+        }),
+        ("chaos-crash", "chaos_crash_drops", |r| {
+            *point(r, "degradation", "ranks_dropped") = 2.0
         }),
     ];
     for (id, claim, doctor) in cases {

@@ -41,8 +41,21 @@ fn output_is_byte_identical_at_one_and_three_threads() {
         .map(|t| t.split(' ').next().expect("figure id"))
         .collect();
     let canonical = [
-        "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig14", "fig15",
-        "fig16", "fig17", "scale",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig14",
+        "fig15",
+        "fig16",
+        "fig17",
+        "scale",
+        "chaos-wan",
+        "chaos-crash",
     ];
     assert_eq!(ids, canonical, "canonical order: {serial}");
     for (id, table) in ids.iter().zip(&tables) {
@@ -52,21 +65,29 @@ fn output_is_byte_identical_at_one_and_three_threads() {
     assert_eq!(serial, repro_stdout("3"));
 }
 
-/// `scale` holds only virtual seconds and executor polls, so it is gated
-/// like every figure: two runs of one build both match the tracked file.
+/// `scale` holds only virtual seconds and executor polls, and the two
+/// fault-injection scenarios only virtual time and fault counters, so
+/// they are gated like every figure: two runs of one build both match
+/// the tracked files.
 #[test]
-fn scale_check_passes_twice_in_a_row() {
+fn check_passes_twice_in_a_row() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     for run in 1..=2 {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--check", "scale"])
+            .args(["--check", "scale", "chaos-wan", "chaos-crash"])
             .current_dir(root)
             .env_remove("MGRID_FAST")
             .output()
             .expect("run repro");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(out.status.success(), "run {run}: {stdout}");
-        assert_eq!(stdout, "scale: matches results/scale.json\n", "run {run}");
+        assert_eq!(
+            stdout,
+            "scale: matches results/scale.json\n\
+             chaos-wan: matches results/chaos-wan.json\n\
+             chaos-crash: matches results/chaos-crash.json\n",
+            "run {run}"
+        );
     }
 }
 
@@ -89,35 +110,48 @@ fn misread_settings_exit_2() {
     }
 }
 
-/// `--check` and `--bless` together are a usage error in both binaries,
-/// whatever their order: neither a check nor a bless runs, so a mistyped
-/// CI line cannot re-bless the tracked files.
+/// Run `repro` with `args` and no harness settings; assert it exits 2
+/// with nothing on stdout and `stderr` on stderr.
+fn exits_2(args: &[&str], stderr: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .env_remove("MGRID_FAST")
+        .env_remove("MGRID_REPRO_THREADS")
+        .output()
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "{args:?}");
+}
+
+/// `--check` and `--bless` together are a usage error, whatever their
+/// order: neither a check nor a bless runs, so a mistyped CI line cannot
+/// re-bless the tracked files.
 #[test]
 fn check_with_bless_exits_2() {
-    let bins = [
-        ("repro", env!("CARGO_BIN_EXE_repro")),
-        ("chaos", env!("CARGO_BIN_EXE_chaos")),
-    ];
-    for (name, bin) in bins {
-        for flags in [["--check", "--bless"], ["--bless", "--check"]] {
-            let mut cmd = Command::new(bin);
-            cmd.args(flags);
-            if name == "repro" {
-                cmd.arg("fig5");
-            }
-            let out = cmd
-                .env_remove("MGRID_FAST")
-                .env_remove("MGRID_REPRO_THREADS")
-                .output()
-                .expect("run binary");
-            assert_eq!(out.status.code(), Some(2), "{name} {flags:?}: {out:?}");
-            assert!(out.stdout.is_empty(), "{name} {flags:?}: {out:?}");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                stderr,
-                format!("{name}: --check and --bless exclude each other\n"),
-                "{name} {flags:?}"
-            );
-        }
+    for flags in [["--check", "--bless"], ["--bless", "--check"]] {
+        exits_2(
+            &[flags[0], flags[1], "fig5"],
+            "repro: --check and --bless exclude each other\n",
+        );
+    }
+}
+
+/// `--json` writes the reports `repro` prints; with `--check` or
+/// `--bless` it would write nothing, so the pair is a usage error, caught
+/// before the directory is created.
+#[test]
+fn json_with_check_or_bless_exits_2() {
+    let dir = format!("{}/json-with-check", env!("CARGO_TARGET_TMPDIR"));
+    for flag in ["--check", "--bless"] {
+        let _ = std::fs::remove_dir(&dir);
+        exits_2(
+            &["--json", &dir, flag, "fig5"],
+            "repro: --json writes printed reports; it does not combine with --check or --bless\n",
+        );
+        assert!(
+            !std::path::Path::new(&dir).exists(),
+            "{flag}: {dir} created"
+        );
     }
 }

@@ -2,7 +2,6 @@
 
 use std::io::Write;
 
-use mgrid_desim::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 
 /// Write to stdout for the CLIs ([`out!`](crate::out), [`outln!`](crate::outln)).
@@ -32,7 +31,7 @@ macro_rules! outln {
 }
 
 /// One physical-vs-MicroGrid comparison row (the unit of Figs 10, 11, 16).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ComparisonRow {
     /// Workload label, e.g. `"MG (class A)"`.
     pub label: String,
@@ -61,7 +60,7 @@ pub struct Series {
     pub points: Vec<(String, f64)>,
 }
 
-/// A full experiment report.
+/// A full experiment report: exactly what `results/<id>.json` tracks.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Report {
     /// Experiment id, e.g. `"fig10"`.
@@ -74,8 +73,6 @@ pub struct Report {
     pub series: Vec<Series>,
     /// Free-form notes (calibration caveats, measured skews, ...).
     pub notes: Vec<String>,
-    /// Metrics snapshot of the run(s) behind this report, if captured.
-    pub metrics: Option<MetricsSnapshot>,
 }
 
 impl Report {
@@ -115,21 +112,7 @@ impl Report {
         for n in &self.notes {
             out.push_str(&format!("note: {n}\n"));
         }
-        if let Some(m) = &self.metrics {
-            if !m.is_empty() {
-                out.push_str("-- metrics --\n");
-                out.push_str(&m.to_table());
-            }
-        }
         out
-    }
-
-    /// Attach a metrics snapshot (merging if one is already present).
-    pub fn attach_metrics(&mut self, snapshot: MetricsSnapshot) {
-        match &mut self.metrics {
-            Some(existing) => existing.merge(&snapshot),
-            None => self.metrics = Some(snapshot),
-        }
     }
 
     /// Serialize to pretty JSON.
@@ -175,23 +158,6 @@ mod tests {
         assert!(t.contains("fig10"));
         assert!(t.contains("MG"));
         assert!(t.contains("2x"));
-    }
-
-    #[test]
-    fn metrics_render_and_roundtrip() {
-        let m = mgrid_desim::Metrics::new();
-        m.count("net.drops", 3);
-        let mut rep = Report::new("fig12", "tcp");
-        rep.attach_metrics(m.snapshot());
-        let t = rep.to_table();
-        assert!(t.contains("-- metrics --"), "{t}");
-        assert!(t.contains("net.drops"), "{t}");
-        let back: Report = serde_json::from_str(&rep.to_json()).unwrap();
-        assert_eq!(back.metrics.unwrap().counter("net.drops"), 3);
-        // Attaching again merges rather than replacing.
-        m.count("net.drops", 2);
-        rep.attach_metrics(m.snapshot());
-        assert_eq!(rep.metrics.unwrap().counter("net.drops"), 8);
     }
 
     #[test]
