@@ -19,6 +19,10 @@
 //!   list). A [`TaskId`] packs `slot | generation`, so a stale wake for a
 //!   completed task is rejected by a generation compare instead of a hash
 //!   probe, and spawn/complete never allocate map nodes.
+//! * **A task's future is boxed once**, at its own size: the slot holds
+//!   the spawned future itself behind a `dyn` that hands its output to
+//!   the task's join state, not an `async` wrapper that would carry the
+//!   future twice (once captured, once as its awaitee).
 //! * **Task wakers** are created once per task and cached in its slot.
 //!   A poll *takes* the waker out of the slot and puts it back on
 //!   `Pending`, exactly as it does with the future, so polling touches no
@@ -40,6 +44,7 @@
 //!   it, so the queue is never actually shared. The assertion turns any
 //!   future violation of that invariant into a panic rather than a race.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -72,7 +77,44 @@ impl TaskId {
     }
 }
 
-type BoxedFuture = Pin<Box<dyn Future<Output = ()>>>;
+/// A spawned future with its output type erased. Every future is one, so
+/// a task boxes the spawned future itself, at its own size.
+trait TaskFuture {
+    /// Poll the future. On completion its output goes into `join`, the
+    /// task's `RefCell<JoinState<Output>>`, and the waker of whoever
+    /// awaits the [`JoinHandle`] comes back, to be woken once the future
+    /// is dropped.
+    fn poll_task(self: Pin<&mut Self>, cx: &mut Context<'_>, join: &dyn Any)
+        -> Poll<Option<Waker>>;
+}
+
+impl<F> TaskFuture for F
+where
+    F: Future,
+    F::Output: 'static,
+{
+    fn poll_task(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        join: &dyn Any,
+    ) -> Poll<Option<Waker>> {
+        let Poll::Ready(out) = self.poll(cx) else {
+            return Poll::Pending;
+        };
+        let mut join = join
+            .downcast_ref::<RefCell<JoinState<F::Output>>>()
+            .expect("a task's join state holds its future's output type")
+            .borrow_mut();
+        join.result = Some(out);
+        Poll::Ready(join.waker.take())
+    }
+}
+
+/// A spawned task: its future and the join state its output goes to.
+struct Task {
+    fut: Pin<Box<dyn TaskFuture>>,
+    join: Rc<dyn Any>,
+}
 
 /// The executor's run queue, shared with every task waker.
 ///
@@ -155,7 +197,7 @@ struct TaskSlot {
     /// stale generation is ignored.
     gen: u32,
     /// `None` while the slot is free or the task is being polled.
-    fut: Option<BoxedFuture>,
+    task: Option<Task>,
     /// Waker created on first poll and reused for every later poll;
     /// `None` before the first poll and while the task is being polled.
     waker: Option<Waker>,
@@ -462,22 +504,17 @@ impl SimInner {
             result: None,
             waker: None,
         }));
-        let state2 = state.clone();
-        let wrapped: BoxedFuture = Box::pin(async move {
-            let out = fut.await;
-            let mut s = state2.borrow_mut();
-            s.result = Some(out);
-            if let Some(w) = s.waker.take() {
-                w.wake();
-            }
-        });
+        let task = Task {
+            fut: Box::pin(fut),
+            join: state.clone(),
+        };
         let id = {
             let mut tasks = self.tasks.borrow_mut();
             match self.task_free.borrow_mut().pop() {
                 Some(slot) => {
                     let s = &mut tasks[slot as usize];
-                    debug_assert!(s.fut.is_none() && !s.live);
-                    s.fut = Some(wrapped);
+                    debug_assert!(s.task.is_none() && !s.live);
+                    s.task = Some(task);
                     s.daemon = daemon;
                     s.live = true;
                     TaskId::new(slot, s.gen)
@@ -486,7 +523,7 @@ impl SimInner {
                     let slot = u32::try_from(tasks.len()).expect("task slab exhausted");
                     tasks.push(TaskSlot {
                         gen: 0,
-                        fut: Some(wrapped),
+                        task: Some(task),
                         waker: None,
                         daemon,
                         live: true,
@@ -505,7 +542,7 @@ impl SimInner {
     fn poll_task(self: &Rc<Self>, id: TaskId) {
         // Take the future and its waker out so the task may spawn/wake
         // reentrantly.
-        let (mut fut, waker) = {
+        let (mut task, waker) = {
             let mut tasks = self.tasks.borrow_mut();
             let Some(slot) = tasks.get_mut(id.slot()) else {
                 return;
@@ -513,7 +550,7 @@ impl SimInner {
             if slot.gen != id.gen() {
                 return; // stale wake for a recycled slot
             }
-            let Some(fut) = slot.fut.take() else {
+            let Some(task) = slot.task.take() else {
                 return; // completed (or mid-poll); spurious wake
             };
             let waker = slot.waker.take().unwrap_or_else(|| {
@@ -522,7 +559,7 @@ impl SimInner {
                     ready: self.ready.clone(),
                 }))
             });
-            (fut, waker)
+            (task, waker)
         };
         let mut cx = Context::from_waker(&waker);
         self.polls.set(self.polls.get() + 1);
@@ -535,14 +572,18 @@ impl SimInner {
                     waker_vtable: waker.vtable(),
                 })),
             };
-            fut.as_mut().poll(&mut cx)
+            task.fut.as_mut().poll_task(&mut cx, &*task.join)
         };
         match polled {
-            Poll::Ready(()) => {
+            Poll::Ready(joiner) => {
                 // Run the future's destructors before re-borrowing the
                 // task table: dropping captured state may re-enter the
-                // executor (cancel timers, wake tasks, even spawn).
-                drop(fut);
+                // executor (cancel timers, wake tasks, even spawn). The
+                // joiner wakes after them.
+                drop(task);
+                if let Some(w) = joiner {
+                    w.wake();
+                }
                 let mut tasks = self.tasks.borrow_mut();
                 let slot = &mut tasks[id.slot()];
                 if !slot.daemon {
@@ -556,7 +597,7 @@ impl SimInner {
             Poll::Pending => {
                 let mut tasks = self.tasks.borrow_mut();
                 let slot = &mut tasks[id.slot()];
-                slot.fut = Some(fut);
+                slot.task = Some(task);
                 slot.waker = Some(waker);
             }
         }
@@ -913,6 +954,28 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// The slot's box holds the spawned future and nothing else: a
+    /// wrapper around it would hold the future's state twice.
+    #[test]
+    fn a_task_is_boxed_once_at_its_futures_size() {
+        let sim = Simulation::new(0);
+        let fut = async {
+            let big = [7u8; 4096];
+            sleep(SimDuration::from_millis(1)).await;
+            u64::from(big[4095])
+        };
+        let size = std::mem::size_of_val(&fut);
+        assert!(size >= 4096, "the state is held across the await");
+        let _h = sim.spawn(fut);
+        let tasks = sim.inner.tasks.borrow();
+        let task = tasks[0].task.as_ref().expect("spawned, not yet polled");
+        let boxed = std::mem::size_of_val(task.fut.as_ref().get_ref());
+        assert!(
+            boxed <= size + 4 * std::mem::size_of::<usize>(),
+            "a {size}-byte future is boxed in {boxed} bytes"
+        );
+    }
 
     #[test]
     fn empty_simulation_finishes_at_zero() {

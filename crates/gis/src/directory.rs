@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::dn::{Dn, SEPARATOR};
+use crate::dn::SEPARATOR;
 use crate::filter::Filter;
 use crate::record::Record;
 
@@ -45,16 +45,19 @@ impl Directory {
     /// then walk up the tree creating ancestors until one exists.
     fn insert_new(&mut self, key: String, record: Record) {
         // An ancestor's key is a suffix of `key`, so each existence check
-        // borrows it; only a missing ancestor costs an allocation.
-        let rdns = record.dn.rdns();
+        // borrows it; only a missing ancestor costs an allocation, and its
+        // record shares its DN with `record`'s.
         let mut ancestor = key.as_str();
-        for depth in 1..rdns.len() {
-            ancestor = &ancestor[rdns[depth - 1].text_len() + SEPARATOR.len()..];
+        let mut dn = &record.dn;
+        while let Some(parent) = dn.parent().filter(|p| p.parent().is_some()) {
+            let leaf = dn.rdns().next().expect("a DN with a parent has a leaf");
+            ancestor = &ancestor[leaf.text_len() + SEPARATOR.len()..];
             if self.entries.contains_key(ancestor) {
                 break;
             }
-            let dn = Dn::from_rdns(rdns[depth..].to_vec());
-            self.entries.insert(ancestor.to_string(), Record::new(dn));
+            self.entries
+                .insert(ancestor.to_string(), Record::new(parent.clone()));
+            dn = parent;
         }
         self.entries.insert(key, record);
     }
@@ -71,6 +74,7 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dn::Dn;
 
     fn dn(s: &str) -> Dn {
         Dn::parse(s).unwrap()
@@ -139,7 +143,7 @@ mod tests {
         let hits = d.search_all(&Filter::eq("hn", "second"));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].dn, leaf);
-        assert_eq!(hits[0].get_all("hn"), ["second"]);
+        assert_eq!(hits[0].get_all("hn").collect::<Vec<_>>(), ["second"]);
         // Upserting at an ancestor's DN replaces the record created for it.
         d.upsert(Record::new(Dn::from_rdns(rdns[1..].to_vec())).with("ou", "named"));
         assert_eq!(dns(&d), want);

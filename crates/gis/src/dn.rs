@@ -7,11 +7,10 @@
 //! parent DN.
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// One `attr=value` component of a distinguished name.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rdn {
     /// Attribute name (normalized to lowercase).
     pub attr: String,
@@ -44,9 +43,16 @@ impl fmt::Display for Rdn {
 }
 
 /// A distinguished name: RDNs ordered leaf-first (`hn=x, ou=y, o=Grid`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct Dn {
-    rdns: Vec<Rdn>,
+///
+/// A DN is its leaf RDN and a shared handle to its parent DN, so every
+/// child of one base DN ([`Dn::child`]) shares the base's RDNs instead
+/// of copying them. The empty DN is the root.
+#[derive(Clone, Default)]
+pub struct Dn(Option<Rc<DnNode>>);
+
+struct DnNode {
+    rdn: Rdn,
+    parent: Dn,
 }
 
 /// Error parsing a DN string.
@@ -64,7 +70,9 @@ impl std::error::Error for DnParseError {}
 impl Dn {
     /// Build from leaf-first RDNs.
     pub fn from_rdns(rdns: Vec<Rdn>) -> Self {
-        Dn { rdns }
+        rdns.into_iter()
+            .rev()
+            .fold(Dn::default(), |parent, rdn| parent.child(rdn))
     }
 
     /// Parse `attr=value, attr=value, ...` (leaf first, comma separated).
@@ -86,26 +94,49 @@ impl Dn {
             }
             rdns.push(Rdn::new(attr, value));
         }
-        Ok(Dn { rdns })
+        Ok(Dn::from_rdns(rdns))
     }
 
     /// Leaf-first RDNs.
-    pub fn rdns(&self) -> &[Rdn] {
-        &self.rdns
+    pub fn rdns(&self) -> impl Iterator<Item = &Rdn> {
+        std::iter::successors(self.0.as_deref(), |node| node.parent.0.as_deref())
+            .map(|node| &node.rdn)
     }
 
-    /// A child of this DN with the extra leaf RDN.
+    /// The DN without its leaf RDN; `None` for the root (empty) DN.
+    pub fn parent(&self) -> Option<&Dn> {
+        self.0.as_deref().map(|node| &node.parent)
+    }
+
+    /// A child of this DN with the extra leaf RDN, sharing this DN.
     pub fn child(&self, rdn: Rdn) -> Dn {
-        let mut rdns = Vec::with_capacity(self.rdns.len() + 1);
-        rdns.push(rdn);
-        rdns.extend(self.rdns.iter().cloned());
-        Dn { rdns }
+        Dn(Some(Rc::new(DnNode {
+            rdn,
+            parent: self.clone(),
+        })))
+    }
+}
+
+impl PartialEq for Dn {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) if Rc::ptr_eq(a, b) => true,
+            _ => self.rdns().eq(other.rdns()),
+        }
+    }
+}
+
+impl Eq for Dn {}
+
+impl fmt::Debug for Dn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.rdns()).finish()
     }
 }
 
 impl fmt::Display for Dn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, rdn) in self.rdns.iter().enumerate() {
+        for (i, rdn) in self.rdns().enumerate() {
             if i > 0 {
                 f.write_str(SEPARATOR)?;
             }
@@ -122,8 +153,8 @@ mod tests {
     #[test]
     fn parse_and_display_roundtrip() {
         let dn = Dn::parse("hn=vm.ucsd.edu, ou=CSAG, o=Grid").unwrap();
-        assert_eq!(dn.rdns().len(), 3);
-        assert_eq!(dn.rdns()[0], Rdn::new("hn", "vm.ucsd.edu"));
+        assert_eq!(dn.rdns().count(), 3);
+        assert_eq!(dn.rdns().next(), Some(&Rdn::new("hn", "vm.ucsd.edu")));
         assert_eq!(dn.to_string(), "hn=vm.ucsd.edu, ou=CSAG, o=Grid");
         for rdn in dn.rdns() {
             assert_eq!(rdn.text_len(), rdn.to_string().len());
@@ -141,7 +172,10 @@ mod tests {
     fn child_prepends_the_leaf() {
         let dn = Dn::parse("hn=x, ou=y, o=Grid").unwrap();
         let parent = Dn::parse("ou=y, o=Grid").unwrap();
-        assert_eq!(parent.child(Rdn::new("hn", "x")), dn);
+        let child = parent.child(Rdn::new("hn", "x"));
+        assert_eq!(child, dn);
+        assert_eq!(child.parent(), Some(&parent));
+        assert!(Dn::default().parent().is_none());
     }
 
     #[test]
@@ -154,7 +188,7 @@ mod tests {
     #[test]
     fn empty_text_is_the_empty_dn() {
         let root = Dn::parse("").unwrap();
-        assert!(root.rdns().is_empty());
+        assert_eq!(root.rdns().count(), 0);
         assert_eq!(root.to_string(), "");
     }
 }

@@ -30,10 +30,7 @@ impl Filter {
     /// Evaluate against a record.
     pub fn matches(&self, record: &Record) -> bool {
         match self {
-            Filter::Eq(attr, value) => record
-                .get_all(attr)
-                .iter()
-                .any(|v| v.eq_ignore_ascii_case(value)),
+            Filter::Eq(attr, value) => record.get_all(attr).any(|v| v.eq_ignore_ascii_case(value)),
             Filter::And(fs) => fs.iter().all(|f| f.matches(record)),
         }
     }

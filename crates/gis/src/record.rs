@@ -1,20 +1,18 @@
 //! GIS records: multi-valued attribute sets addressed by DN.
 
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
-
 use crate::dn::Dn;
 
 /// One directory entry.
 ///
 /// Attribute names are case-insensitive (normalized to lowercase);
 /// attributes are multi-valued, in insertion order.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Record {
     /// Where this record lives in the directory tree.
     pub dn: Dn,
-    attrs: BTreeMap<String, Vec<String>>,
+    /// `(lowercase name, value)` pairs in insertion order: a record has a
+    /// handful of attributes, so a scan beats a map.
+    attrs: Vec<(Box<str>, Box<str>)>,
 }
 
 impl Record {
@@ -22,33 +20,34 @@ impl Record {
     pub fn new(dn: Dn) -> Self {
         Record {
             dn,
-            attrs: BTreeMap::new(),
+            attrs: Vec::new(),
         }
     }
 
     /// Add a value to an attribute (keeps existing values).
     pub fn with(mut self, attr: impl AsRef<str>, value: impl Into<String>) -> Self {
-        self.attrs
-            .entry(attr.as_ref().to_ascii_lowercase())
-            .or_default()
-            .push(value.into());
+        self.attrs.push((
+            attr.as_ref().to_ascii_lowercase().into(),
+            value.into().into(),
+        ));
         self
     }
 
     /// First value of an attribute.
     pub fn get(&self, attr: impl AsRef<str>) -> Option<&str> {
+        let attr = attr.as_ref();
         self.attrs
-            .get(&attr.as_ref().to_ascii_lowercase())
-            .and_then(|v| v.first())
-            .map(String::as_str)
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(attr))
+            .map(|(_, value)| &**value)
     }
 
-    /// All values of an attribute.
-    pub fn get_all(&self, attr: impl AsRef<str>) -> &[String] {
+    /// All values of an attribute, in insertion order.
+    pub fn get_all<'a>(&'a self, attr: impl AsRef<str> + 'a) -> impl Iterator<Item = &'a str> {
         self.attrs
-            .get(&attr.as_ref().to_ascii_lowercase())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .iter()
+            .filter(move |(name, _)| name.eq_ignore_ascii_case(attr.as_ref()))
+            .map(|(_, value)| &**value)
     }
 }
 
@@ -73,16 +72,15 @@ mod tests {
 
     #[test]
     fn multi_valued_attributes() {
-        let r = rec().with("objectclass", "VirtualResource");
-        assert_eq!(r.get_all("objectclass").len(), 2);
+        let r = rec()
+            .with("ObjectClass", "VirtualResource")
+            .with("cpuspeed", "20");
+        assert_eq!(
+            r.get_all("objectclass").collect::<Vec<_>>(),
+            ["GridComputeResource", "VirtualResource"]
+        );
         assert_eq!(r.get("objectclass"), Some("GridComputeResource"));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let r = rec();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Record = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
+        assert_eq!(r.get_all("CpuSpeed").collect::<Vec<_>>(), ["10", "20"]);
+        assert_eq!(r.get_all("missing").count(), 0);
     }
 }

@@ -149,13 +149,14 @@ struct VhInner {
     fraction: f64,
     memory: RefCell<Option<MemoryManager>>,
     /// Live jobs of this virtual host (managed mode): the host fraction is
-    /// divided evenly across them.
-    members: RefCell<Vec<(JobId, Rc<std::cell::Cell<bool>>)>>,
+    /// divided evenly across them. A retired job leaves the list.
+    members: RefCell<Vec<JobId>>,
     /// Set once the virtual host has crashed ([`VirtualHost::crash`]); a
     /// crash is final.
     crashed: std::cell::Cell<bool>,
     /// Weak handles to this host's processes, so a crash can kill them.
-    /// Weak avoids a reference cycle with [`GpInner::vh`].
+    /// Weak avoids a reference cycle with [`GpInner::vh`]; dropped
+    /// processes are pruned on each spawn.
     procs: RefCell<Vec<Weak<GpInner>>>,
 }
 
@@ -248,12 +249,11 @@ impl VirtualHost {
         let proc = self.inner.phys.kernel().spawn_process(name);
         let job = if self.inner.managed {
             let sched = self.inner.phys.scheduler();
-            let live = Rc::new(std::cell::Cell::new(true));
             // Temporary fraction; rebalance fixes it below.
             let id = sched.add_job(proc.clone(), self.inner.fraction);
-            self.inner.members.borrow_mut().push((id, live.clone()));
+            self.inner.members.borrow_mut().push(id);
             self.rebalance(&sched);
-            Some((id, live))
+            Some(id)
         } else {
             None
         };
@@ -265,29 +265,26 @@ impl VirtualHost {
                 mem: RefCell::new(Some(mem)),
             }),
         };
-        self.inner.procs.borrow_mut().push(Rc::downgrade(&gp.inner));
+        let mut procs = self.inner.procs.borrow_mut();
+        procs.retain(|p| p.strong_count() > 0);
+        procs.push(Rc::downgrade(&gp.inner));
         Ok(gp)
     }
 
     /// Divide the host fraction evenly across live member processes.
     fn rebalance(&self, sched: &MGridScheduler) {
         let members = self.inner.members.borrow();
-        let live: Vec<JobId> = members
-            .iter()
-            .filter(|(_, l)| l.get())
-            .map(|(id, _)| *id)
-            .collect();
-        if live.is_empty() {
+        if members.is_empty() {
             return;
         }
-        let each = self.inner.fraction / live.len() as f64;
-        for id in live {
+        let each = self.inner.fraction / members.len() as f64;
+        for &id in members.iter() {
             sched.set_fraction(id, each);
         }
     }
 
-    fn retire(&self, id: JobId, live: &Rc<std::cell::Cell<bool>>) {
-        live.set(false);
+    fn retire(&self, id: JobId) {
+        self.inner.members.borrow_mut().retain(|&m| m != id);
         let sched = self.inner.phys.scheduler();
         sched.remove_job(id);
         self.rebalance(&sched);
@@ -297,7 +294,7 @@ impl VirtualHost {
 struct GpInner {
     vh: VirtualHost,
     proc: ProcessHandle,
-    job: RefCell<Option<(JobId, Rc<std::cell::Cell<bool>>)>>,
+    job: RefCell<Option<JobId>>,
     mem: RefCell<Option<MemoryHandle>>,
 }
 
@@ -358,8 +355,8 @@ impl GridProcess {
     /// Terminate the process: leave the scheduler rotation, release memory,
     /// remove the OS process. Idempotent.
     pub fn exit(&self) {
-        if let Some((id, live)) = self.inner.job.borrow_mut().take() {
-            self.inner.vh.retire(id, &live);
+        if let Some(id) = self.inner.job.borrow_mut().take() {
+            self.inner.vh.retire(id);
         }
         if let Some(mem) = self.inner.mem.borrow_mut().take() {
             mem.release();
@@ -512,6 +509,36 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs_f64(5.0));
         assert!(!done.get(), "compute on a crashed host must never finish");
+    }
+
+    /// A host running job after job keeps no handle to a process that
+    /// is gone, and a crash still kills exactly the live ones.
+    #[test]
+    fn spawn_exit_cycles_leave_no_dead_handles() {
+        let mut sim = Simulation::new(12);
+        let obs = sim.obs().clone();
+        sim.spawn(async {
+            let ph = phys(500.0);
+            let vh = ph.map_virtual(VirtualHostSpec::new("vm", 400.0, 1 << 28), 1.0);
+            for i in 0..1000 {
+                let p = vh.spawn_process(format!("job{i}")).unwrap();
+                p.compute_mops(0.01).await;
+                p.exit();
+            }
+            assert!(vh.inner.procs.borrow().len() <= 1);
+            assert!(vh.inner.members.borrow().is_empty());
+            let live: Vec<GridProcess> = (0..3)
+                .map(|i| vh.spawn_process(format!("live{i}")).unwrap())
+                .collect();
+            let exited = vh.spawn_process("exited").unwrap();
+            exited.exit();
+            assert_eq!(vh.inner.procs.borrow().len(), 4);
+            vh.crash();
+            assert_eq!(vh.memory().used(), 0);
+            drop((live, exited));
+        });
+        sim.run_until(SimTime::from_secs_f64(60.0));
+        assert_eq!(obs.metrics().counter("faults.procs_killed"), 3);
     }
 
     #[test]

@@ -189,8 +189,7 @@ impl OsKernel {
             }
         };
         if start {
-            let kernel = self.clone();
-            spawn_daemon(async move { kernel.driver().await });
+            spawn_daemon(self.clone().driver());
         }
     }
 

@@ -114,8 +114,7 @@ impl MGridScheduler {
             daemon,
             kernel: kernel.clone(),
         };
-        let s = sched.clone();
-        spawn_daemon(async move { s.run().await });
+        spawn_daemon(sched.clone().run());
         sched
     }
 

@@ -9,6 +9,8 @@
 //! CPU, wire traffic through the simulated network.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::{pin, Pin};
 use std::rc::Rc;
 
 use mgrid_desim::channel::{oneshot, OneshotSender};
@@ -337,7 +339,20 @@ impl Comm {
             });
             return Ok(());
         }
-        // Rendezvous: RTS, wait for CTS, then ship the data.
+        // Boxed: a rank future awaits sends, and most are eager.
+        Box::pin(self.rendezvous_send(dst, tag, seq, data)).await
+    }
+
+    /// The rendezvous half of a send above [`EAGER_THRESHOLD`]: RTS, wait
+    /// for CTS, then ship the data.
+    async fn rendezvous_send(
+        &self,
+        dst: usize,
+        tag: Tag,
+        seq: u64,
+        data: MpiData,
+    ) -> Result<(), SockError> {
+        let bytes = data.bytes;
         let send_id = self.next_send_id.get();
         self.next_send_id.set(send_id + 1);
         let (tx, rx) = oneshot();
@@ -452,25 +467,8 @@ impl Comm {
                     return Ok(msg);
                 }
                 Some(Hit::Rts { src, tag, send_id }) => {
-                    // Release the sender, then wait for the data.
-                    self.sender
-                        .send_to(
-                            &self.peers[src],
-                            self.port_of(src),
-                            CONTROL_BYTES,
-                            Payload::new(MpiMsg::Cts { send_id }),
-                        )
-                        .await?;
-                    let data = loop {
-                        {
-                            let mut e = self.engine.borrow_mut();
-                            if let Some(d) = e.rdv_data.remove(&(src, send_id)) {
-                                break d;
-                            }
-                        }
-                        let n = self.engine.borrow().arrived.clone();
-                        self.wait_arrival(n, deadline, t0, src as i32).await?;
-                    };
+                    // Boxed: most receives match an eager message.
+                    let data = Box::pin(self.rendezvous_recv(src, send_id, deadline, t0)).await?;
                     self.pay(RECV_OVERHEAD_MOPS, data.bytes).await;
                     return Ok(RecvMsg { src, tag, data });
                 }
@@ -479,6 +477,35 @@ impl Comm {
                     self.wait_arrival(n, deadline, t0, pattern.src).await?;
                 }
             }
+        }
+    }
+
+    /// The rendezvous half of a receive matched to an RTS: release the
+    /// sender with a CTS, then wait for its data.
+    async fn rendezvous_recv(
+        &self,
+        src: usize,
+        send_id: u64,
+        deadline: Option<SimTime>,
+        t0: SimTime,
+    ) -> Result<MpiData, SockError> {
+        self.sender
+            .send_to(
+                &self.peers[src],
+                self.port_of(src),
+                CONTROL_BYTES,
+                Payload::new(MpiMsg::Cts { send_id }),
+            )
+            .await?;
+        loop {
+            {
+                let mut e = self.engine.borrow_mut();
+                if let Some(d) = e.rdv_data.remove(&(src, send_id)) {
+                    return Ok(d);
+                }
+            }
+            let n = self.engine.borrow().arrived.clone();
+            self.wait_arrival(n, deadline, t0, src as i32).await?;
         }
     }
 
@@ -513,10 +540,13 @@ impl Comm {
     /// one per peer after the collective completes. Collectives are
     /// globally SPMD-ordered, so the k-th half-point on each side of a
     /// `(rank r, rank 0)` key always belongs to the same collective.
+    ///
+    /// The body is borrowed, pinned in the caller's frame: owned, it
+    /// would be stored twice in this future (as argument and awaitee).
     async fn timed<T>(
         &self,
         op: &'static str,
-        fut: impl std::future::Future<Output = Result<T, SockError>>,
+        body: Pin<&mut dyn Future<Output = Result<T, SockError>>>,
     ) -> Result<T, SockError> {
         let ranks = self.size();
         obs::emit(|| Event::CollectiveStart { op, ranks });
@@ -541,7 +571,7 @@ impl Comm {
             obs::flow_out("coll", &labels().lane, "rank0", span);
         }
         let t0 = mgrid_desim::now();
-        let out = fut.await;
+        let out = body.await;
         let elapsed_ns = (mgrid_desim::now() - t0).as_nanos();
         if !span.is_none() {
             for peer in &labels().peers {
@@ -561,7 +591,7 @@ impl Comm {
 
     /// Barrier (dissemination algorithm, `ceil(log2(n))` rounds).
     pub async fn barrier(&self) -> Result<(), SockError> {
-        self.timed("barrier", self.barrier_impl()).await
+        self.timed("barrier", pin!(self.barrier_impl())).await
     }
 
     async fn barrier_impl(&self) -> Result<(), SockError> {
@@ -591,7 +621,7 @@ impl Comm {
     /// Broadcast from `root` (binomial tree). Non-root ranks receive and
     /// return the broadcast data; the root returns its own.
     pub async fn bcast(&self, root: usize, data: Option<MpiData>) -> Result<MpiData, SockError> {
-        self.timed("bcast", self.bcast_impl(root, data)).await
+        self.timed("bcast", pin!(self.bcast_impl(root, data))).await
     }
 
     async fn bcast_impl(&self, root: usize, data: Option<MpiData>) -> Result<MpiData, SockError> {
@@ -636,8 +666,11 @@ impl Comm {
         T: Clone + Send + Sync + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.timed("reduce", self.reduce_impl(root, value, bytes, combine))
-            .await
+        self.timed(
+            "reduce",
+            pin!(self.reduce_impl(root, value, bytes, combine)),
+        )
+        .await
     }
 
     async fn reduce_impl<T, F>(
@@ -688,7 +721,7 @@ impl Comm {
         T: Clone + Send + Sync + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.timed("allreduce", async {
+        let body = pin!(async {
             let reduced = self.reduce_impl(0, value, bytes, combine).await?;
             let data = self
                 .bcast_impl(0, reduced.map(|v| MpiData::typed(bytes, v)))
@@ -698,8 +731,8 @@ impl Comm {
                 .expect("type mismatch in allreduce")
                 .as_ref()
                 .clone())
-        })
-        .await
+        });
+        self.timed("allreduce", body).await
     }
 
     /// Gather one value per rank at `root`. Returns `Some(values)` (rank
@@ -710,7 +743,7 @@ impl Comm {
         value: T,
         bytes: u64,
     ) -> Result<Option<Vec<T>>, SockError> {
-        self.timed("gather", self.gather_impl(root, value, bytes))
+        self.timed("gather", pin!(self.gather_impl(root, value, bytes)))
             .await
     }
 
@@ -753,7 +786,8 @@ impl Comm {
         &self,
         chunks: Vec<(T, u64)>,
     ) -> Result<Vec<T>, SockError> {
-        self.timed("alltoall", self.alltoall_impl(chunks)).await
+        self.timed("alltoall", pin!(self.alltoall_impl(chunks)))
+            .await
     }
 
     async fn alltoall_impl<T: Clone + Send + Sync + 'static>(

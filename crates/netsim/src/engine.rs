@@ -349,13 +349,10 @@ impl Network {
             }),
         };
         for lid in 0..net.inner.topo.links.len() {
-            let n = net.clone();
-            spawn_daemon(async move { n.pump(LinkId(lid)).await });
-            let n = net.clone();
-            spawn_daemon(async move { n.delivery_pump(LinkId(lid)).await });
+            spawn_daemon(net.clone().pump(LinkId(lid)));
+            spawn_daemon(net.clone().delivery_pump(LinkId(lid)));
         }
-        let n = net.clone();
-        spawn_daemon(async move { n.loopback_pump().await });
+        spawn_daemon(net.clone().loopback_pump());
         net
     }
 

@@ -13,7 +13,10 @@
 //! thousand-host grids the paper's scalability claim is about. Instead
 //! [`Topology::next_hop`] computes the per-source first-hop table lazily
 //! on the first query from that source and memoizes it — the shape
-//! SSFNet-style simulators use to route large topologies on demand.
+//! SSFNet-style simulators use to route large topologies on demand. A
+//! source whose every destination leaves by one link (every host of a
+//! switched cluster) keeps that link id, not a table, so only routers
+//! hold node-count tables.
 //!
 //! Determinism: equal-cost paths are broken lexicographically by
 //! `(delay, hops, link id)` — among optimal predecessors of a node the
@@ -130,16 +133,51 @@ impl RouteMetrics {
 /// every real link id below it.
 const NO_ROUTE: u32 = u32::MAX;
 
+/// One source's cached first hops.
+#[derive(Clone)]
+enum SourceRoutes {
+    /// Every destination but the source itself leaves by this link (or
+    /// none is reachable, [`NO_ROUTE`]): a host on one uplink.
+    Uniform(u32),
+    /// For each `dst`, the id of the first directed link from the source
+    /// towards it, or [`NO_ROUTE`]. Four bytes per node.
+    Table(Box<[u32]>),
+}
+
+impl SourceRoutes {
+    /// Pack a first-hop table, `first[src]` being [`NO_ROUTE`].
+    fn pack(src: NodeId, first: &[u32]) -> Self {
+        let mut others = first
+            .iter()
+            .enumerate()
+            .filter(|&(dst, _)| dst != src.0)
+            .map(|(_, &hop)| hop);
+        let uniform = others.next().unwrap_or(NO_ROUTE);
+        if others.all(|hop| hop == uniform) {
+            SourceRoutes::Uniform(uniform)
+        } else {
+            SourceRoutes::Table(first.into())
+        }
+    }
+
+    fn hop(&self, src: NodeId, dst: NodeId) -> u32 {
+        match self {
+            SourceRoutes::Uniform(_) if dst == src => NO_ROUTE,
+            SourceRoutes::Uniform(hop) => *hop,
+            SourceRoutes::Table(first) => first[dst.0],
+        }
+    }
+}
+
 /// The route cache and the working vectors of the Dijkstra that fills it.
 #[derive(Clone, Default)]
 struct Routes {
-    /// `tables[src]`, once computed: for each `dst`, the id of the first
-    /// directed link from `src` towards it, or [`NO_ROUTE`]. Four bytes
-    /// per pair and indexed by source, since every hop of every packet
-    /// reads it.
-    tables: Vec<Option<Box<[u32]>>>,
-    // Dijkstra's scratch, kept between sources so a source costs one
-    // allocation (its table), not six.
+    /// `tables[src]`, once computed. Indexed by source, since every hop
+    /// of every packet reads it.
+    tables: Vec<Option<SourceRoutes>>,
+    // Dijkstra's scratch, kept between sources so a source costs at most
+    // one allocation (its table), not six.
+    first: Vec<u32>,
     dist: Vec<(u64, u32)>,
     parent: Vec<u32>,
     settled: Vec<bool>,
@@ -314,7 +352,7 @@ impl Topology {
         &self.links[id.0].spec
     }
 
-    /// One Dijkstra from `src`, returning the first-hop table.
+    /// One Dijkstra from `src`, returning its packed first hops.
     ///
     /// Costs are `(delay_nanos, hops)` compared lexicographically; among
     /// equal-cost optimal predecessors of a node the minimal incoming
@@ -322,9 +360,10 @@ impl Topology {
     /// node it relaxes (delay is clamped to ≥ 1 ns per hop), so all
     /// equal-cost parent offers arrive before a node is settled and the
     /// choice is independent of heap pop order.
-    fn compute_source(&self, routes: &mut Routes, src: NodeId) -> Box<[u32]> {
+    fn compute_source(&self, routes: &mut Routes, src: NodeId) -> SourceRoutes {
         let n = self.nodes.len();
         let Routes {
+            first,
             dist,
             parent,
             settled,
@@ -369,7 +408,8 @@ impl Topology {
         // Fold parent pointers into first hops in settle order: a node's
         // first hop is its parent's first hop, or the parent link itself
         // when the parent is the source.
-        let mut first: Box<[u32]> = vec![NO_ROUTE; n].into();
+        first.clear();
+        first.resize(n, NO_ROUTE);
         for &u in order.iter() {
             if u == src.0 {
                 continue;
@@ -379,7 +419,7 @@ impl Topology {
             let from = self.links[p as usize].from;
             first[u] = if from == src { p } else { first[from.0] };
         }
-        first
+        SourceRoutes::pack(src, first)
     }
 
     /// First directed link on the route from `src` to `dst`, computing
@@ -388,12 +428,12 @@ impl Topology {
         let mut routes = self.routes.borrow_mut();
         let hop = if let Some(table) = &routes.tables[src.0] {
             self.m.hits.add(1);
-            table[dst.0]
+            table.hop(src, dst)
         } else {
             self.m.misses.add(1);
             self.m.src_computed.add(1);
             let table = self.compute_source(&mut routes, src);
-            let hop = table[dst.0];
+            let hop = table.hop(src, dst);
             routes.tables[src.0] = Some(table);
             hop
         };
@@ -424,6 +464,23 @@ impl Topology {
     /// Number of sources whose first-hop tables are currently cached.
     pub fn routed_sources(&self) -> usize {
         self.routes.borrow().tables.iter().flatten().count()
+    }
+
+    /// Bytes the route cache holds: one entry per node, plus a
+    /// node-count table for each cached source that does not send every
+    /// destination out of one link (a router; a host on one uplink keeps
+    /// just that link id). The Dijkstra scratch is not counted.
+    pub fn route_cache_bytes(&self) -> usize {
+        let routes = self.routes.borrow();
+        let tables: usize = routes
+            .tables
+            .iter()
+            .map(|t| match t {
+                Some(SourceRoutes::Table(first)) => std::mem::size_of_val(&**first),
+                _ => 0,
+            })
+            .sum();
+        routes.tables.len() * std::mem::size_of::<Option<SourceRoutes>>() + tables
     }
 
     /// Full route (sequence of directed links) from `src` to `dst`,
@@ -666,8 +723,8 @@ mod tests {
             {
                 let (ar, ra) = (ar.0 as u32, ra.0 as u32);
                 let mut routes = t.routes.borrow_mut();
-                routes.tables[a.0] = Some([NO_ROUTE, ar, ar].into());
-                routes.tables[r.0] = Some([ra, NO_ROUTE, ra].into());
+                routes.tables[a.0] = Some(SourceRoutes::pack(a, &[NO_ROUTE, ar, ar]));
+                routes.tables[r.0] = Some(SourceRoutes::pack(r, &[ra, NO_ROUTE, ra]));
             }
             assert_eq!(t.route(a, c), None);
         });

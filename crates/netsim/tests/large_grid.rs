@@ -70,6 +70,10 @@ fn stress_grid_builds_without_routing_and_caches_only_the_working_set() {
     // Building computes no routes at all — that is the point.
     assert_eq!(ta.routed_sources(), 0);
 
+    // An empty cache is one entry per node.
+    let empty_bytes = ta.route_cache_bytes();
+    assert!(empty_bytes <= ta.node_count() * 32);
+
     let seed = 0x0005_eed1_a26e_621d;
     let (tb, hosts_b) = stress_topology();
     assert_eq!(
@@ -81,4 +85,17 @@ fn stress_grid_builds_without_routing_and_caches_only_the_working_set() {
     // fewer than the all-pairs matrix's node_count sources.
     assert!(ta.routed_sources() <= SOURCES + ROUTERS);
     assert!(ta.routed_sources() * 10 <= ta.node_count());
+    // Every host source sends everything up its one link: it costs no
+    // table, so only the backbone routers hold node-count tables.
+    let tables = ta.route_cache_bytes() - empty_bytes;
+    assert!(tables > 0, "the backbone routers route through tables");
+    assert!(
+        tables <= ROUTERS * ta.node_count() * 4,
+        "{tables} bytes of tables for {} cached sources",
+        ta.routed_sources()
+    );
+    assert!(
+        ta.routed_sources() > ROUTERS,
+        "host sources were cached too"
+    );
 }

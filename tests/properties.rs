@@ -221,6 +221,106 @@ proptest! {
         prop_assert_eq!(from_rev, table(&lazy, &pairs), "query order irrelevant");
     }
 
+    /// The compact route cache — one link id for a source whose every
+    /// destination leaves by the same link — answers every `(src, dst)`
+    /// exactly as a full first-hop table does, and counts each query as
+    /// one hit or one miss.
+    ///
+    /// Topologies are `routing_consistency`'s, plus hosts on one uplink to
+    /// a router (the sources the compact form exists for). The full
+    /// tables come from an independent reference: Floyd–Warshall over
+    /// `(delay_ns, hops)`, each node's parent the lowest-id optimal
+    /// incoming link, a first hop the parent chain's first link.
+    #[test]
+    fn compact_route_cache_matches_full_tables(
+        n_hosts in 2usize..6,
+        extra_edges in prop::collection::vec((0usize..8, 0usize..8, 1u64..60), 0..8),
+        leaves in prop::collection::vec(0usize..3, 0..4),
+    ) {
+        let mut sim = Simulation::new(3);
+        let obs = sim.obs().clone();
+        let (answers, full) = sim.block_on(async move {
+            let mut b = TopologyBuilder::new();
+            let hosts: Vec<NodeId> = (0..n_hosts).map(|i| b.host(format!("h{i}"))).collect();
+            let routers: Vec<NodeId> = (0..3).map(|i| b.router(format!("r{i}"))).collect();
+            let all: Vec<NodeId> = hosts.iter().chain(&routers).copied().collect();
+            // Directed links by id: (from, to, delay_ns).
+            let mut links: Vec<(usize, usize, u64)> = Vec::new();
+            let mut link = |b: &mut TopologyBuilder, x: NodeId, y: NodeId, ms: u64| {
+                let (xy, yx) = b.link(x, y, LinkSpec::new(1e8, SimDuration::from_millis(ms)));
+                assert_eq!((xy.0, yx.0), (links.len(), links.len() + 1));
+                links.push((x.0, y.0, ms * 1_000_000));
+                links.push((y.0, x.0, ms * 1_000_000));
+            };
+            for w in all.windows(2) {
+                link(&mut b, w[0], w[1], 1);
+            }
+            for &(x, y, ms) in &extra_edges {
+                let (a, c) = (all[x % all.len()], all[y % all.len()]);
+                if a != c {
+                    link(&mut b, a, c, ms);
+                }
+            }
+            for (i, &r) in leaves.iter().enumerate() {
+                let leaf = b.host(format!("leaf{i}"));
+                link(&mut b, leaf, routers[r], 1);
+            }
+            let topo = b.build();
+            let n = topo.node_count();
+
+            let inf = (u64::MAX, u32::MAX);
+            let mut dist = vec![vec![inf; n]; n];
+            for (d, row) in dist.iter_mut().enumerate() {
+                row[d] = (0, 0);
+            }
+            for &(x, y, ns) in &links {
+                dist[x][y] = dist[x][y].min((ns, 1));
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        if dist[i][k] != inf && dist[k][j] != inf {
+                            let via = (dist[i][k].0 + dist[k][j].0, dist[i][k].1 + dist[k][j].1);
+                            dist[i][j] = dist[i][j].min(via);
+                        }
+                    }
+                }
+            }
+            let mut full = Vec::new();
+            let mut answers = Vec::new();
+            for (s, from_s) in dist.iter().enumerate() {
+                let parent: Vec<Option<usize>> = (0..n)
+                    .map(|v| {
+                        links.iter().position(|&(u, to, ns)| {
+                            to == v
+                                && v != s
+                                && from_s[u] != inf
+                                && (from_s[u].0 + ns, from_s[u].1 + 1) == from_s[v]
+                        })
+                    })
+                    .collect();
+                for (d, &last) in parent.iter().enumerate() {
+                    let mut first = last;
+                    while let Some(l) = first {
+                        if links[l].0 == s {
+                            break;
+                        }
+                        first = parent[links[l].0];
+                    }
+                    full.push(first);
+                    answers.push(topo.next_hop(NodeId(s), NodeId(d)).map(|l| l.0));
+                }
+            }
+            (answers, full)
+        });
+        prop_assert_eq!(&answers, &full);
+        let m = obs.metrics();
+        prop_assert_eq!(
+            m.counter("net.route_cache_hits") + m.counter("net.route_cache_misses"),
+            answers.len() as u64
+        );
+    }
+
     /// The executor delivers timers in order for arbitrary delay sets.
     #[test]
     fn executor_fires_in_time_order(delays in prop::collection::vec(0u64..1_000_000u64, 1..40)) {
