@@ -101,6 +101,8 @@ pub enum ConfigError {
     UnknownPhysicalHost(String),
     /// A link endpoint names no virtual host or router.
     UnknownNode(String),
+    /// A link whose two ends name the same node.
+    SelfLink(String),
     /// Duplicate name.
     DuplicateName(String),
     /// A fixed rate exceeds the feasible bound.
@@ -180,6 +182,9 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::UnknownPhysicalHost(h) => write!(f, "unknown physical host {h:?}"),
             ConfigError::UnknownNode(n) => write!(f, "unknown network node {n:?}"),
+            ConfigError::SelfLink(n) => {
+                write!(f, "link {n:?}-{n:?}: both ends are the same node")
+            }
             ConfigError::DuplicateName(n) => write!(f, "duplicate name {n:?}"),
             ConfigError::InfeasibleRate {
                 requested,
@@ -251,7 +256,8 @@ fn positive_finite(x: f64) -> bool {
 }
 
 impl GridConfig {
-    /// Check referential integrity (names resolve, no duplicates), every
+    /// Check referential integrity (names resolve, no duplicates, no link
+    /// from a node to itself), every
     /// numeric precondition the layers below assert or hang on (speeds,
     /// link bandwidths, rate policy and quantum in their domains, the
     /// quantum short enough for the clock; a link
@@ -316,6 +322,9 @@ impl GridConfig {
                 if !nodes.contains(end.as_str()) {
                     return Err(ConfigError::UnknownNode(end.clone()));
                 }
+            }
+            if l.a == l.b {
+                return Err(ConfigError::SelfLink(l.a.clone()));
             }
             if !positive_finite(l.bandwidth_bps) {
                 return Err(ConfigError::NonPositiveBandwidth {
@@ -432,6 +441,17 @@ mod tests {
         let mut c = sample();
         c.network.links[0].b = "nowhere".into();
         assert!(matches!(c.validate(), Err(ConfigError::UnknownNode(_))));
+    }
+
+    #[test]
+    fn self_link_rejected() {
+        let mut c = sample();
+        c.network.links[0].b = "vm0".into();
+        assert_eq!(c.validate(), Err(ConfigError::SelfLink("vm0".into())));
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            "link \"vm0\"-\"vm0\": both ends are the same node"
+        );
     }
 
     #[test]

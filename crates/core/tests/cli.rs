@@ -192,7 +192,7 @@ fn run_accepts_exactly_the_papers_five_benchmarks() {
 fn hostile_configs_are_typed_errors_not_panics() {
     use microgrid::{presets, GridConfig, RatePolicy};
     type Patch = fn(&mut GridConfig);
-    let cases: [(&str, Patch, &str); 10] = [
+    let cases: [(&str, Patch, &str); 11] = [
         (
             "safety",
             |c| c.rate = RatePolicy::Auto { safety: 2.0 },
@@ -252,6 +252,12 @@ fn hostile_configs_are_typed_errors_not_panics() {
             |c| c.quantum = microgrid::desim::SimDuration::MAX,
             "quantum 18446744073709551615 ns overflows the simulation clock \
              (one step may last at most 9223372036854775807 ns)",
+        ),
+        // Both ends the same node: `run` panicked in netsim's builder.
+        (
+            "self-link",
+            |c| c.network.links[0].b = c.network.links[0].a.clone(),
+            "link \"alpha0\"-\"alpha0\": both ends are the same node",
         ),
     ];
     for (name, patch, message) in cases {

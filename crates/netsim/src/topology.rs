@@ -16,7 +16,10 @@
 //! SSFNet-style simulators use to route large topologies on demand. A
 //! source whose every destination leaves by one link (every host of a
 //! switched cluster) keeps that link id, not a table, so only routers
-//! hold node-count tables.
+//! hold node-count tables. A source with one outgoing link gets that
+//! entry without a Dijkstra when the link's head reaches every node (one
+//! memoized graph walk per head), so routing a switched cluster costs one
+//! Dijkstra, the switch's, not one per host.
 //!
 //! Determinism: equal-cost paths are broken lexicographically by
 //! `(delay, hops, link id)` — among optimal predecessors of a node the
@@ -115,7 +118,8 @@ struct RouteMetrics {
     hits: Counter,
     /// `net.route_cache_misses`: first-hop queries that had to compute.
     misses: Counter,
-    /// `net.route_src_computed`: per-source Dijkstra runs (misses + warming).
+    /// `net.route_src_computed`: sources whose entry was computed, by a
+    /// Dijkstra or the one-uplink rule (misses + warming).
     src_computed: Counter,
 }
 
@@ -183,13 +187,16 @@ struct Routes {
     settled: Vec<bool>,
     order: Vec<usize>,
     heap: BinaryHeap<Reverse<((u64, u32), usize)>>,
+    /// For each uplink head asked about: whether it reaches every node.
+    head_reaches_all: FxHashMap<NodeId, bool>,
 }
 
 /// An immutable topology with a demand-driven route cache.
 ///
 /// Construction is O(nodes + links): no routes are computed until the
 /// first [`Topology::next_hop`] / [`Topology::route`] query, and each
-/// source's first-hop table is computed exactly once (one Dijkstra) and
+/// source's first-hop table is computed exactly once (one Dijkstra, or
+/// none for a source on one uplink whose head reaches every node) and
 /// memoized. See the module docs for the determinism guarantee.
 #[derive(Clone)]
 pub struct Topology {
@@ -352,6 +359,45 @@ impl Topology {
         &self.links[id.0].spec
     }
 
+    /// `src`'s packed first hops.
+    ///
+    /// A source with exactly one outgoing link reaches everything it
+    /// reaches through that link, so when the link's head reaches every
+    /// node the source's first hop to every other node is that link, and
+    /// it gets the [`SourceRoutes::Uniform`] entry the Dijkstra would
+    /// pack, without running it. Any other source runs one Dijkstra.
+    fn compute_source(&self, routes: &mut Routes, src: NodeId) -> SourceRoutes {
+        if let [(uplink, head, _)] = self.adj[src.0][..] {
+            let reaches_all = *routes
+                .head_reaches_all
+                .entry(head)
+                .or_insert_with(|| self.reaches_every_node(head));
+            if reaches_all {
+                return SourceRoutes::Uniform(uplink.0 as u32);
+            }
+        }
+        self.dijkstra(routes, src)
+    }
+
+    /// Whether every node is reachable from `start`: one walk over the
+    /// links, O(nodes + links).
+    fn reaches_every_node(&self, start: NodeId) -> bool {
+        let mut seen = vec![false; self.nodes.len()];
+        seen[start.0] = true;
+        let mut stack = vec![start];
+        let mut count = 1;
+        while let Some(u) = stack.pop() {
+            for &(_, v, _) in &self.adj[u.0] {
+                if !seen[v.0] {
+                    seen[v.0] = true;
+                    count += 1;
+                    stack.push(v);
+                }
+            }
+        }
+        count == self.nodes.len()
+    }
+
     /// One Dijkstra from `src`, returning its packed first hops.
     ///
     /// Costs are `(delay_nanos, hops)` compared lexicographically; among
@@ -360,7 +406,7 @@ impl Topology {
     /// node it relaxes (delay is clamped to ≥ 1 ns per hop), so all
     /// equal-cost parent offers arrive before a node is settled and the
     /// choice is independent of heap pop order.
-    fn compute_source(&self, routes: &mut Routes, src: NodeId) -> SourceRoutes {
+    fn dijkstra(&self, routes: &mut Routes, src: NodeId) -> SourceRoutes {
         let n = self.nodes.len();
         let Routes {
             first,
@@ -440,9 +486,9 @@ impl Topology {
         (hop != NO_ROUTE).then_some(LinkId(hop as usize))
     }
 
-    /// Compute and memoize `src`'s first-hop table if absent, without
+    /// Compute and memoize `src`'s first-hop entry if absent, without
     /// counting a cache hit or miss (counts towards
-    /// `net.route_src_computed`). Used to pre-warm caches.
+    /// `net.route_src_computed`, like a miss). Used to pre-warm caches.
     pub fn warm_routes_from(&self, src: NodeId) {
         let mut routes = self.routes.borrow_mut();
         if routes.tables[src.0].is_none() {
@@ -469,7 +515,8 @@ impl Topology {
     /// Bytes the route cache holds: one entry per node, plus a
     /// node-count table for each cached source that does not send every
     /// destination out of one link (a router; a host on one uplink keeps
-    /// just that link id). The Dijkstra scratch is not counted.
+    /// just that link id). The Dijkstra scratch and the memo of which
+    /// uplink heads reach every node are not counted.
     pub fn route_cache_bytes(&self) -> usize {
         let routes = self.routes.borrow();
         let tables: usize = routes
@@ -702,6 +749,41 @@ mod tests {
         assert_eq!(obs.metrics().counter("net.route_cache_hits"), 1);
         // 1 miss + warming the remaining 2 sources.
         assert_eq!(obs.metrics().counter("net.route_src_computed"), 3);
+    }
+
+    #[test]
+    fn star_hosts_route_without_a_dijkstra() {
+        // Every host of a 4,096-host star answers its uplink from the
+        // one-uplink rule; only the switch runs a Dijkstra.
+        const HOSTS: usize = 4096;
+        let mut sim = mgrid_desim::Simulation::new(7);
+        let obs = sim.obs().clone();
+        sim.block_on(async {
+            let mut b = TopologyBuilder::new();
+            let switch = b.router("switch");
+            let hosts: Vec<(NodeId, LinkId, LinkId)> = (0..HOSTS)
+                .map(|i| {
+                    let h = b.host(format!("h{i}"));
+                    let (up, down) = b.link(h, switch, LinkSpec::fast_ethernet());
+                    (h, up, down)
+                })
+                .collect();
+            let t = b.build();
+            for (i, &(h, up, _)) in hosts.iter().enumerate() {
+                let (peer, ..) = hosts[(i + 1) % HOSTS];
+                assert_eq!(t.next_hop(h, peer), Some(up));
+                assert_eq!(t.next_hop(h, switch), Some(up));
+                assert_eq!(t.next_hop(h, h), None);
+            }
+            assert!(t.routes.borrow().dist.is_empty(), "a host ran a Dijkstra");
+            let (h0, _, down) = hosts[0];
+            assert_eq!(t.next_hop(switch, h0), Some(down));
+            assert_eq!(t.routes.borrow().dist.len(), HOSTS + 1);
+        });
+        assert_eq!(
+            obs.metrics().counter("net.route_src_computed"),
+            HOSTS as u64 + 1
+        );
     }
 
     #[test]

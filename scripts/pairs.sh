@@ -11,7 +11,11 @@
 # <pairs> alternating parent/change pairs at `--seed 0 --seconds 16
 # --trace 0` and the same series once more at `--seed 7`, a seed no change
 # was tuned on. For each seed and end-to-end metric it prints both sides'
-# median and quartiles, the wins, and failed/attempted operations. Reads
+# median and quartiles, the wins, failed/attempted operations, and a
+# verdict on the rule a claimed gain is judged by: "rule met" when the
+# change is lower in at least nine tenths of the pairs (ties count for
+# neither side) and its median is lower than the parent's by more than
+# the parent's interquartile range, else "rule not met". Reads
 # nothing but the JSON line that ends each run; a run that prints none
 # stops the script with the tail of its stderr (target/pairs/stderr-*.log).
 # Ten pairs at two seeds take about twelve minutes; do not edit sources
@@ -106,4 +110,9 @@ for seed, sides in sorted(runs.items()):
         if pmed:
             print(f"  {'':<12} change median {(cmed - pmed) / pmed:+.1%}; "
                   f"gap {abs(cmed - pmed):.4g}, parent IQR {pq3 - pq1:.4g}")
+        need, gap, iqr = -(-9 * len(p) // 10), pmed - cmed, pq3 - pq1
+        met = wins >= need and gap > iqr
+        print(f"  {'':<12} {'rule met' if met else 'rule not met'}: lower in {wins}/{len(p)} "
+              f"pairs (needs {need}), parent - change median {gap:.4g} "
+              f"{'>' if gap > iqr else '<='} parent IQR {iqr:.4g}")
 EOF

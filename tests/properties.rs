@@ -227,19 +227,23 @@ proptest! {
     /// one hit or one miss.
     ///
     /// Topologies are `routing_consistency`'s, plus hosts on one uplink to
-    /// a router (the sources the compact form exists for). The full
-    /// tables come from an independent reference: Floyd–Warshall over
-    /// `(delay_ns, hops)`, each node's parent the lowest-id optimal
-    /// incoming link, a first hop the parent chain's first link.
+    /// a router (the sources the compact form exists for) and one-way
+    /// leaves: a host with a link to a router and none back, so no node
+    /// reaches it and a one-uplink source must fall back to the Dijkstra.
+    /// The full tables come from an independent reference: Floyd–Warshall
+    /// over `(delay_ns, hops)`, each node's parent the lowest-id optimal
+    /// incoming link, a first hop the parent chain's first link. Every
+    /// source is computed once, whichever way.
     #[test]
     fn compact_route_cache_matches_full_tables(
         n_hosts in 2usize..6,
         extra_edges in prop::collection::vec((0usize..8, 0usize..8, 1u64..60), 0..8),
         leaves in prop::collection::vec(0usize..3, 0..4),
+        one_way_leaves in prop::collection::vec(0usize..3, 0..3),
     ) {
         let mut sim = Simulation::new(3);
         let obs = sim.obs().clone();
-        let (answers, full) = sim.block_on(async move {
+        let (answers, full, n) = sim.block_on(async move {
             let mut b = TopologyBuilder::new();
             let hosts: Vec<NodeId> = (0..n_hosts).map(|i| b.host(format!("h{i}"))).collect();
             let routers: Vec<NodeId> = (0..3).map(|i| b.router(format!("r{i}"))).collect();
@@ -264,6 +268,12 @@ proptest! {
             for (i, &r) in leaves.iter().enumerate() {
                 let leaf = b.host(format!("leaf{i}"));
                 link(&mut b, leaf, routers[r], 1);
+            }
+            for (i, &r) in one_way_leaves.iter().enumerate() {
+                let leaf = b.host(format!("one-way{i}"));
+                let id = b.directed_link(leaf, routers[r], LinkSpec::new(1e8, SimDuration::from_millis(1)));
+                assert_eq!(id.0, links.len());
+                links.push((leaf.0, routers[r].0, 1_000_000));
             }
             let topo = b.build();
             let n = topo.node_count();
@@ -311,14 +321,15 @@ proptest! {
                     answers.push(topo.next_hop(NodeId(s), NodeId(d)).map(|l| l.0));
                 }
             }
-            (answers, full)
+            (answers, full, n)
         });
         prop_assert_eq!(&answers, &full);
         let m = obs.metrics();
         prop_assert_eq!(
             m.counter("net.route_cache_hits") + m.counter("net.route_cache_misses"),
-            answers.len() as u64
+            (n * n) as u64
         );
+        prop_assert_eq!(m.counter("net.route_src_computed"), n as u64);
     }
 
     /// The executor delivers timers in order for arbitrary delay sets.
