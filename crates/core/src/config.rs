@@ -372,14 +372,6 @@ impl GridConfig {
         Ok(())
     }
 
-    /// Names of all virtual hosts, in configuration order.
-    pub fn virtual_host_names(&self) -> Vec<String> {
-        self.virtual_hosts
-            .iter()
-            .map(|v| v.spec.name.clone())
-            .collect()
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("config serializes")

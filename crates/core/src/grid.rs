@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mgrid_desim::vclock::VirtualClock;
-use mgrid_desim::{FxHashMap, SimRng};
+use mgrid_desim::{FxHashMap, SimRng, SpanStr};
 use mgrid_gis::{Directory, Dn};
 use mgrid_hostsim::{OsParams, PhysicalHost, PhysicalHostSpec, SchedulerParams};
 use mgrid_middleware::{HostTable, ProcessCtx};
@@ -28,7 +28,12 @@ use crate::coordinator::plan_rate;
 
 /// A running virtual Grid.
 pub struct VirtualGrid {
-    config: GridConfig,
+    /// The configuration's name (what the GIS groups this grid's records
+    /// by).
+    name: String,
+    /// Virtual host names in configuration order, shared with the
+    /// mapping table's entries.
+    hosts: Vec<SpanStr>,
     table: HostTable,
     network: Network,
     gis: Rc<RefCell<Directory>>,
@@ -105,6 +110,7 @@ impl VirtualGrid {
 
         // Physical hosts (emulated mode) and the mapping table.
         let table = HostTable::new();
+        let mut hosts = Vec::with_capacity(config.virtual_hosts.len());
         let mut physical = FxHashMap::default();
         if baseline {
             // The virtual hosts ARE the machines.
@@ -117,11 +123,12 @@ impl VirtualGrid {
                 let ph =
                     PhysicalHost::new(spec, OsParams::default(), sched_params.clone(), rng.fork());
                 physical.insert(v.spec.name.clone(), ph.clone());
-                table.register(
+                let entry = table.register(
                     &v.spec.name,
                     node_of[v.spec.name.as_str()],
                     ph.as_direct_virtual(),
                 );
+                hosts.push(entry.name);
             }
         } else {
             for p in &config.physical_hosts {
@@ -136,7 +143,8 @@ impl VirtualGrid {
             for v in &config.virtual_hosts {
                 let ph = &physical[&v.mapped_to];
                 let vh = ph.map_virtual(v.spec.clone(), rate);
-                table.register(&v.spec.name, node_of[v.spec.name.as_str()], vh);
+                let entry = table.register(&v.spec.name, node_of[v.spec.name.as_str()], vh);
+                hosts.push(entry.name);
             }
         }
 
@@ -196,7 +204,8 @@ impl VirtualGrid {
         }
 
         Ok(VirtualGrid {
-            config,
+            name: config.name,
+            hosts,
             table,
             network,
             gis: Rc::new(RefCell::new(gis)),
@@ -205,9 +214,9 @@ impl VirtualGrid {
         })
     }
 
-    /// The configuration this grid was built from.
-    pub fn config(&self) -> &GridConfig {
-        &self.config
+    /// The name of the configuration this grid was built from.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// The chosen simulation rate (1.0 for baselines).
@@ -247,7 +256,7 @@ impl VirtualGrid {
 
     /// Virtual host names, in configuration order.
     pub fn host_names(&self) -> Vec<String> {
-        self.config.virtual_host_names()
+        self.hosts.iter().map(|h| h.to_string()).collect()
     }
 
     /// Start a process on a virtual host.

@@ -83,9 +83,12 @@ trait TaskFuture {
     /// Poll the future. On completion its output goes into `join`, the
     /// task's `RefCell<JoinState<Output>>`, and the waker of whoever
     /// awaits the [`JoinHandle`] comes back, to be woken once the future
-    /// is dropped.
-    fn poll_task(self: Pin<&mut Self>, cx: &mut Context<'_>, join: &dyn Any)
-        -> Poll<Option<Waker>>;
+    /// is dropped. A daemon has no join state: its output is dropped.
+    fn poll_task(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        join: Option<&dyn Any>,
+    ) -> Poll<Option<Waker>>;
 }
 
 impl<F> TaskFuture for F
@@ -96,10 +99,13 @@ where
     fn poll_task(
         self: Pin<&mut Self>,
         cx: &mut Context<'_>,
-        join: &dyn Any,
+        join: Option<&dyn Any>,
     ) -> Poll<Option<Waker>> {
         let Poll::Ready(out) = self.poll(cx) else {
             return Poll::Pending;
+        };
+        let Some(join) = join else {
+            return Poll::Ready(None);
         };
         let mut join = join
             .downcast_ref::<RefCell<JoinState<F::Output>>>()
@@ -110,10 +116,11 @@ where
     }
 }
 
-/// A spawned task: its future and the join state its output goes to.
+/// A spawned task: its future and the join state its output goes to
+/// (`None` for a daemon, whose output nobody reads).
 struct Task {
     fut: Pin<Box<dyn TaskFuture>>,
-    join: Rc<dyn Any>,
+    join: Option<Rc<dyn Any>>,
 }
 
 /// The executor's run queue, shared with every task waker.
@@ -375,7 +382,7 @@ impl Simulation {
         F: Future + 'static,
         F::Output: 'static,
     {
-        self.inner.spawn_future(fut, false)
+        self.inner.spawn_future(fut)
     }
 
     /// Shared deterministic RNG for this simulation.
@@ -495,7 +502,7 @@ impl SimInner {
         &self.obs
     }
 
-    fn spawn_future<F>(self: &Rc<Self>, fut: F, daemon: bool) -> JoinHandle<F::Output>
+    fn spawn_future<F>(self: &Rc<Self>, fut: F) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
         F::Output: 'static,
@@ -504,10 +511,17 @@ impl SimInner {
             result: None,
             waker: None,
         }));
-        let task = Task {
+        self.insert_task(Task {
             fut: Box::pin(fut),
-            join: state.clone(),
-        };
+            join: Some(state.clone()),
+        });
+        JoinHandle { state }
+    }
+
+    /// Put `task` in a free slot (a daemon if it has no join state) and
+    /// queue its first poll.
+    fn insert_task(self: &Rc<Self>, task: Task) {
+        let daemon = task.join.is_none();
         let id = {
             let mut tasks = self.tasks.borrow_mut();
             match self.task_free.borrow_mut().pop() {
@@ -536,7 +550,6 @@ impl SimInner {
             self.live_count.set(self.live_count.get() + 1);
         }
         self.ready.push(id);
-        JoinHandle { state }
     }
 
     fn poll_task(self: &Rc<Self>, id: TaskId) {
@@ -572,7 +585,7 @@ impl SimInner {
                     waker_vtable: waker.vtable(),
                 })),
             };
-            task.fut.as_mut().poll_task(&mut cx, &*task.join)
+            task.fut.as_mut().poll_task(&mut cx, task.join.as_deref())
         };
         match polled {
             Poll::Ready(joiner) => {
@@ -829,19 +842,25 @@ where
     F: Future + 'static,
     F::Output: 'static,
 {
-    with_current(|s| s.spawn_future(fut, false))
+    with_current(|s| s.spawn_future(fut))
 }
 
 /// Spawn an infrastructure task (scheduler driver, network pump, …) that is
 /// expected to run forever. Daemon tasks are excluded from
 /// [`Simulation::live_tasks`], so [`Simulation::run_to_completion`] does not
-/// treat them as deadlocks.
-pub fn spawn_daemon<F>(fut: F) -> JoinHandle<F::Output>
+/// treat them as deadlocks. Nothing joins a daemon: it has no
+/// [`JoinHandle`], and its output, if it ever ends, is dropped.
+pub fn spawn_daemon<F>(fut: F)
 where
     F: Future + 'static,
     F::Output: 'static,
 {
-    with_current(|s| s.spawn_future(fut, true))
+    with_current(|s| {
+        s.insert_task(Task {
+            fut: Box::pin(fut),
+            join: None,
+        })
+    })
 }
 
 /// Run a closure with the simulation's shared RNG.

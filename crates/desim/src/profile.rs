@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 
 use crate::event::Category;
-use crate::span::{SpanId, SpanSnapshot};
+use crate::span::{SpanId, SpanRow, SpanSnapshot};
 
 /// Format integer nanoseconds as milliseconds with microsecond
 /// precision (`"12.345"`), byte-stable by construction.
@@ -292,100 +292,85 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     const START: u8 = 4;
     const VIA: [&str; 5] = ["flow", "work", "lane", "parent", "start"];
 
-    // Project the completed non-scheduler spans ("comp" spans) into
-    // parallel arrays; everything below works on these, not on rows.
+    // The completed non-scheduler spans ("comp" spans), by row index.
+    // A span's id is its row index + 1, so `at` is ascending: it orders
+    // comp spans as their ids do, and a binary search in it finds a
+    // span's comp index. Times and lanes are read from the rows, and
+    // each scratch array is sized once: the scratch stays small beside
+    // the snapshot it reads.
     let table = &*snap.spans;
     let (rows, kinds) = (table.rows(), table.kinds());
     let index = table.lanes();
-    let mut comp_of: Vec<u32> = vec![NONE; rows.len()];
-    let mut at: Vec<u32> = Vec::new();
-    let mut begin: Vec<u64> = Vec::new();
-    let mut end: Vec<u64> = Vec::new();
-    let mut id: Vec<u64> = Vec::new();
-    let mut lane: Vec<u32> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        if !row.closed || kinds[row.kind as usize].cat == Category::Sched {
-            continue;
-        }
-        comp_of[i] = at.len() as u32;
-        at.push(i as u32);
-        begin.push(row.begin);
-        end.push(row.end);
-        id.push(i as u64 + 1);
-        lane.push(index.of_kind[row.kind as usize]);
-    }
-    if at.is_empty() {
+    let is_comp = |row: &SpanRow| row.closed && kinds[row.kind as usize].cat != Category::Sched;
+    let n = rows.iter().filter(|row| is_comp(row)).count();
+    if n == 0 {
         return CriticalPath::default();
     }
-    let n = at.len();
+    let mut at: Vec<u32> = Vec::with_capacity(n);
+    at.extend((0..rows.len() as u32).filter(|&i| is_comp(&rows[i as usize])));
+    let row = |c: usize| &rows[at[c] as usize];
+    let begin = |c: usize| row(c).begin;
+    let end = |c: usize| row(c).end;
+    let lane = |c: usize| index.of_kind[row(c).kind as usize];
     let comp = |sid: SpanId| -> Option<usize> {
-        let c = comp_of[table.index_of(sid)?];
-        (c != NONE).then_some(c as usize)
+        let i = u32::try_from(table.index_of(sid)?).ok()?;
+        at.binary_search(&i).ok()
     };
+
+    // Flow producers per consumer comp index:
+    // `flow_from[flow_start[c]..flow_start[c + 1]]`, in flow order.
+    let (flow_start, flow_from) = bucket(
+        n,
+        snap.flows.iter().filter_map(|f| {
+            let (a, b) = (comp(f.from)?, comp(f.to)?);
+            (begin(a) < end(b) || (begin(a) == end(b) && at[a] < at[b]))
+                .then_some((b as u32, a as u32))
+        }),
+    );
+
+    // Node c*2 is span c's begin, c*2+1 its end. Topological order:
+    // (time, span id, begin-before-end); every edge above respects it.
+    // Begins and ends are sorted apart, then merged: a recorded
+    // snapshot's begins are already in time order, so sorting them is
+    // one pass.
+    let sorted_by = |time: fn(&SpanRow) -> u64| {
+        let mut spans: Vec<u32> = (0..n as u32).collect();
+        spans.sort_unstable_by_key(|&c| (time(row(c as usize)), at[c as usize]));
+        spans
+    };
+    let (begins, ends) = (sorted_by(|r| r.begin), sorted_by(|r| r.end));
+    let (mut b, mut e) = (begins.iter().peekable(), ends.iter().peekable());
+    let order = std::iter::from_fn(|| match (b.peek(), e.peek()) {
+        (Some(&&p), Some(&&q))
+            if (end(q as usize), at[q as usize]) < (begin(p as usize), at[p as usize]) =>
+        {
+            e.next().map(|&q| 2 * q + 1)
+        }
+        (Some(_), _) => b.next().map(|&p| 2 * p),
+        (None, _) => e.next().map(|&q| 2 * q + 1),
+    });
 
     // Lane predecessor per comp index: latest span on the same
     // (track, lane) with end <= begin; an equal-instant predecessor
     // must have the smaller id (same-instant causality follows
-    // creation order, which also keeps the node graph acyclic).
-    // `by_lane[lane_start[l]..lane_start[l + 1]]` holds lane `l`'s comp
-    // indices sorted by (end, id).
-    let lanes = index.pairs.len();
-    let (lane_start, mut by_lane) =
-        bucket(lanes, lane.iter().enumerate().map(|(c, &l)| (l, c as u32)));
-    for l in 0..lanes {
-        by_lane[lane_start[l] as usize..lane_start[l + 1] as usize]
-            .sort_unstable_by_key(|&c| (end[c as usize], id[c as usize]));
-    }
+    // creation order, which also keeps the node graph acyclic). Those
+    // are exactly the lane's end nodes the topological order visits
+    // before the span's begin, so the DP fills it in as it goes, from
+    // the last end node visited on each lane.
     let mut lane_pred: Vec<u32> = vec![NONE; n];
-    for c in 0..n {
-        let l = lane[c] as usize;
-        let mates = &by_lane[lane_start[l] as usize..lane_start[l + 1] as usize];
-        let cut = mates.partition_point(|&p| end[p as usize] <= begin[c]);
-        lane_pred[c] = mates[..cut]
-            .iter()
-            .rev()
-            .copied()
-            .find(|&p| {
-                let p = p as usize;
-                p != c && (end[p] < begin[c] || id[p] < id[c])
-            })
-            .unwrap_or(NONE);
-    }
-    // Flow producers per consumer comp index:
-    // `flow_from[flow_start[c]..flow_start[c + 1]]`, in flow order.
-    let edges: Vec<(u32, u32)> = snap
-        .flows
-        .iter()
-        .filter_map(|f| {
-            let (a, b) = (comp(f.from)?, comp(f.to)?);
-            (begin[a] < end[b] || (begin[a] == end[b] && id[a] < id[b]))
-                .then_some((b as u32, a as u32))
-        })
-        .collect();
-    let (flow_start, flow_from) = bucket(n, edges.iter().copied());
+    let mut last_end: Vec<u32> = vec![NONE; index.pairs.len()];
 
-    // Node c*2 is span c's begin, c*2+1 its end. Topological order:
-    // (time, span id, begin-before-end); every edge above respects it.
-    let mut order: Vec<(u64, u64, u32)> = Vec::with_capacity(2 * n);
-    for c in 0..n {
-        order.push((begin[c], id[c], 2 * c as u32));
-        order.push((end[c], id[c], 2 * c as u32 + 1));
-    }
-    order.sort_unstable();
-
-    // Longest-path DP. `via` is the kind of the chosen in-edge.
-    let mut cost: Vec<u64> = vec![0; 2 * n];
-    let mut pred: Vec<u32> = vec![NONE; 2 * n];
-    let mut via: Vec<u8> = vec![START; 2 * n];
-    for &(_, _, v) in &order {
-        let v = v as usize;
+    // The best in-edge of node `v` given its predecessors' costs:
+    // `(cost through it, edge kind, predecessor node)`. Max cost, then
+    // edge-kind priority, then smaller span id. The longest-path DP
+    // keeps only each node's cost; the walk back asks again for the
+    // edge, which its predecessors' final costs determine.
+    let best_in = |cost: &[u64], lane_pred: &[u32], v: usize| -> Option<(u64, u8, usize)> {
         let c = v / 2;
-        // Best in-edge so far: (cost, kind, pred span id, pred node).
-        // Max cost, then edge-kind priority, then smaller span id.
-        let mut best: Option<(u64, u8, u64, u32)> = None;
+        let mut best: Option<(u64, u8, usize)> = None;
         let mut offer = |u: usize, kind: u8, w: u64| {
-            let cand = (cost[u] + w, kind, id[u / 2], u as u32);
-            let key = |x: (u64, u8, u64, u32)| (x.0, std::cmp::Reverse((x.1, x.2)));
+            let cand = (cost[u] + w, kind, u);
+            let key = |x: (u64, u8, usize)| (x.0, std::cmp::Reverse((x.1, at[x.2 / 2])));
             if best.is_none_or(|cur| key(cand) > key(cur)) {
                 best = Some(cand);
             }
@@ -394,10 +379,10 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
             if lane_pred[c] != NONE {
                 offer(lane_pred[c] as usize * 2 + 1, LANE, 0);
             }
-            if let Some(p) = rows[at[c] as usize].parent_id().and_then(comp) {
+            if let Some(p) = row(c).parent_id().and_then(comp) {
                 // Defensive: a parent that does not precede its child
                 // in the topological order is ignored.
-                if (begin[p], id[p]) < (begin[c], id[c]) {
+                if (begin(p), at[p]) < (begin(c), at[c]) {
                     offer(p * 2, PARENT, 0);
                 }
             }
@@ -406,56 +391,64 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
             // local elapsed time: zero-weight work edge (see above).
             let producers = &flow_from[flow_start[c] as usize..flow_start[c + 1] as usize];
             let work_w = if producers.is_empty() {
-                end[c] - begin[c]
+                end(c) - begin(c)
             } else {
                 0
             };
             offer(v - 1, WORK, work_w);
             for &a in producers {
-                offer(a as usize * 2, FLOW, end[c] - begin[a as usize]);
+                offer(a as usize * 2, FLOW, end(c) - begin(a as usize));
             }
         }
-        if let Some((best_cost, kind, _, u)) = best {
+        best
+    };
+    let mut cost: Vec<u64> = vec![0; 2 * n];
+    for v in order {
+        let (v, c) = (v as usize, v as usize / 2);
+        let last = &mut last_end[lane(c) as usize];
+        if v.is_multiple_of(2) {
+            lane_pred[c] = *last;
+        } else {
+            *last = c as u32;
+        }
+        if let Some((best_cost, _, _)) = best_in(&cost, &lane_pred, v) {
             cost[v] = best_cost;
-            pred[v] = u;
-            via[v] = kind;
         }
     }
+    drop((begins, ends));
 
     // Terminus: the costliest end node, ties to the smaller span id.
     let mut term = 1usize;
     for c in 0..n {
         let v = c * 2 + 1;
-        if cost[v] > cost[term] || (cost[v] == cost[term] && id[c] < id[term / 2]) {
+        if cost[v] > cost[term] || (cost[v] == cost[term] && at[c] < at[term / 2]) {
             term = v;
         }
     }
     let total = cost[term];
 
     // Walk back, then group consecutive nodes of one span into a hop.
+    // Each node comes with its in-edge: `(node, edge kind, predecessor)`.
     let mut nodes = Vec::new();
-    let mut cur = term as u32;
-    while cur != NONE {
-        nodes.push(cur as usize);
-        cur = pred[cur as usize];
+    let mut cur = Some(term);
+    while let Some(v) = cur {
+        let edge = best_in(&cost, &lane_pred, v);
+        nodes.push((v, edge.map_or(START, |e| e.1), edge.map(|e| e.2)));
+        cur = edge.map(|e| e.2);
     }
     nodes.reverse();
     let mut hops: Vec<Hop> = Vec::new();
     let mut hop_lane = NONE;
     let mut entry_cost = 0u64;
     let mut entry_via = START;
-    for (k, &v) in nodes.iter().enumerate() {
+    for (k, &(v, via, pred)) in nodes.iter().enumerate() {
         let c = v / 2;
-        let first_of_span = k == 0 || nodes[k - 1] / 2 != c;
+        let first_of_span = k == 0 || nodes[k - 1].0 / 2 != c;
         if first_of_span {
-            entry_via = via[v];
-            entry_cost = if pred[v] == NONE {
-                0
-            } else {
-                cost[pred[v] as usize]
-            };
+            entry_via = via;
+            entry_cost = pred.map_or(0, |u| cost[u]);
         }
-        let last_of_span = k + 1 == nodes.len() || nodes[k + 1] / 2 != c;
+        let last_of_span = k + 1 == nodes.len() || nodes[k + 1].0 / 2 != c;
         if last_of_span {
             let s = table.record(at[c] as usize);
             let via = if hops.is_empty() { START } else { entry_via };
@@ -463,12 +456,12 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
             // Coalesce a lane-chained run of the same operation into one
             // hop with a repeat count.
             match hops.last_mut() {
-                Some(prev) if via == LANE && hop_lane == lane[c] && prev.name == s.name => {
+                Some(prev) if via == LANE && hop_lane == lane(c) && prev.name == s.name => {
                     prev.contrib_ns += contrib;
                     prev.count += 1;
                 }
                 _ => {
-                    hop_lane = lane[c];
+                    hop_lane = lane(c);
                     hops.push(Hop {
                         id: s.id,
                         track: s.track.to_string(),
@@ -693,6 +686,184 @@ mod tests {
         assert_eq!(cp.hops[0].count, 3);
         assert_eq!(cp.hops[0].contrib_ns, 35);
         assert!(cp.to_table().contains("vsock_send x3"));
+    }
+
+    /// A random snapshot: up to a dozen spans on four lanes, begins in
+    /// time order with same-instant ties, zero-length and open spans,
+    /// `Sched` spans, parent links, and flows whose ends may be open or
+    /// `Sched` spans.
+    fn random_snapshot(rng: &mut crate::rng::SimRng) -> SpanSnapshot {
+        const CATS: [Category; 3] = [Category::Sched, Category::Vsock, Category::Mpi];
+        const NAMES: [&str; 2] = ["a", "b"];
+        const HOSTS: [&str; 2] = ["h0", "h1"];
+        let st = SpanStore::new();
+        st.set_enabled(true);
+        let mut ids = Vec::new();
+        let mut at = 0;
+        for _ in 0..rng.range(1, 13) {
+            at += rng.below(3);
+            let parent = match rng.below(3) {
+                0 if !ids.is_empty() => Some(ids[rng.below(ids.len() as u64) as usize]),
+                _ => None,
+            };
+            let id = st.begin(
+                t(at),
+                parent,
+                CATS[rng.below(3) as usize],
+                NAMES[rng.below(2) as usize],
+                HOSTS[rng.below(2) as usize],
+                ["p0", "p1"][rng.below(2) as usize],
+                String::new(),
+            );
+            if rng.below(6) != 0 {
+                st.end(t(at + rng.below(4)), id);
+            }
+            ids.push(id);
+        }
+        for _ in 0..rng.below(9) {
+            let (src, dst) = (HOSTS[rng.below(2) as usize], HOSTS[rng.below(2) as usize]);
+            let span = ids[rng.below(ids.len() as u64) as usize];
+            if rng.below(2) == 0 {
+                st.flow_out("msg", src, dst, span);
+            } else {
+                st.flow_in("msg", src, dst, span);
+            }
+        }
+        st.snapshot()
+    }
+
+    /// The critical path by the rules of [`critical_path`]'s docs, one
+    /// edge list per node and one pass over the nodes in time order:
+    /// `(total_ns, the first span id of each hop)`.
+    fn reference_path(snap: &SpanSnapshot) -> (u64, Vec<SpanId>) {
+        const FLOW: u8 = 0;
+        const WORK: u8 = 1;
+        const LANE: u8 = 2;
+        const PARENT: u8 = 3;
+        let spans: Vec<_> = snap
+            .spans
+            .records()
+            .filter(|r| r.end.is_some() && r.cat != Category::Sched)
+            .collect();
+        let n = spans.len();
+        if n == 0 {
+            return (0, Vec::new());
+        }
+        let id = |c: usize| spans[c].id.get();
+        let begin = |c: usize| spans[c].begin.as_nanos();
+        let end = |c: usize| spans[c].end.expect("completed").as_nanos();
+        let comp = |sid: SpanId| spans.iter().position(|r| r.id == sid);
+        let same_lane = |a: usize, b: usize| {
+            (&spans[a].track, &spans[a].lane) == (&spans[b].track, &spans[b].lane)
+        };
+        // Node 2c is span c's begin, 2c + 1 its end; edges into each
+        // node as (from node, kind, weight).
+        let mut into: Vec<Vec<(usize, u8, u64)>> = vec![Vec::new(); 2 * n];
+        for c in 0..n {
+            let lane_pred = (0..n)
+                .filter(|&p| {
+                    p != c
+                        && same_lane(p, c)
+                        && (end(p) < begin(c) || (end(p) == begin(c) && id(p) < id(c)))
+                })
+                .max_by_key(|&p| (end(p), id(p)));
+            if let Some(p) = lane_pred {
+                into[2 * c].push((2 * p + 1, LANE, 0));
+            }
+            if let Some(p) = spans[c].parent.and_then(comp) {
+                if (begin(p), id(p)) < (begin(c), id(c)) {
+                    into[2 * c].push((2 * p, PARENT, 0));
+                }
+            }
+            let producers: Vec<usize> = snap
+                .flows
+                .iter()
+                .filter(|f| comp(f.to) == Some(c))
+                .filter_map(|f| comp(f.from))
+                .filter(|&a| begin(a) < end(c) || (begin(a) == end(c) && id(a) < id(c)))
+                .collect();
+            let work = if producers.is_empty() {
+                end(c) - begin(c)
+            } else {
+                0
+            };
+            into[2 * c + 1].push((2 * c, WORK, work));
+            for a in producers {
+                into[2 * c + 1].push((2 * a, FLOW, end(c) - begin(a)));
+            }
+        }
+        let mut order: Vec<usize> = (0..2 * n).collect();
+        order.sort_by_key(|&v| {
+            let c = v / 2;
+            (if v % 2 == 0 { begin(c) } else { end(c) }, id(c), v % 2)
+        });
+        let mut cost = vec![0u64; 2 * n];
+        let mut pred: Vec<Option<(usize, u8)>> = vec![None; 2 * n];
+        for &v in &order {
+            // Highest cost, then edge kind (flow, work, lane, parent),
+            // then the smaller span id.
+            let best = into[v].iter().copied().max_by(|x, y| {
+                (cost[x.0] + x.2)
+                    .cmp(&(cost[y.0] + y.2))
+                    .then((y.1, id(y.0 / 2)).cmp(&(x.1, id(x.0 / 2))))
+            });
+            if let Some((u, kind, w)) = best {
+                cost[v] = cost[u] + w;
+                pred[v] = Some((u, kind));
+            }
+        }
+        let term = (0..n)
+            .map(|c| 2 * c + 1)
+            .max_by(|&a, &b| cost[a].cmp(&cost[b]).then(id(b / 2).cmp(&id(a / 2))))
+            .expect("n > 0");
+        // Walk back to the first node, then list each span's visit with
+        // the kind of edge that entered it.
+        let mut visits: Vec<(usize, Option<u8>)> = Vec::new();
+        let mut v = term;
+        loop {
+            let entry = pred[v];
+            match visits.last_mut() {
+                Some(last) if last.0 == v / 2 => last.1 = entry.map(|e| e.1),
+                _ => visits.push((v / 2, entry.map(|e| e.1))),
+            }
+            match entry {
+                Some((u, _)) => v = u,
+                None => break,
+            }
+        }
+        visits.reverse();
+        // A lane-entered visit of the same name on the same lane as the
+        // hop it follows joins that hop.
+        let mut hops: Vec<(SpanId, usize)> = Vec::new();
+        for (k, &(c, via)) in visits.iter().enumerate() {
+            match hops.last() {
+                Some(&(_, first))
+                    if k > 0
+                        && via == Some(LANE)
+                        && same_lane(first, c)
+                        && spans[first].name == spans[c].name => {}
+                _ => hops.push((spans[c].id, c)),
+            }
+        }
+        (cost[term], hops.into_iter().map(|(sid, _)| sid).collect())
+    }
+
+    #[test]
+    fn critical_path_matches_a_plain_longest_path() {
+        for seed in 0..2000 {
+            let snap = random_snapshot(&mut crate::rng::SimRng::new(seed));
+            let cp = critical_path(&snap);
+            let got = (
+                cp.total_ns,
+                cp.hops.iter().map(|h| h.id).collect::<Vec<_>>(),
+            );
+            assert_eq!(got, reference_path(&snap), "seed {seed}");
+            assert_eq!(
+                cp.hops.iter().map(|h| h.contrib_ns).sum::<u64>(),
+                cp.total_ns,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

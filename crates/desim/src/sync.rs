@@ -14,7 +14,11 @@ use std::task::{Context, Poll, Waker};
 
 struct NotifyState {
     permit: bool,
-    wakers: VecDeque<Waker>,
+    /// The longest-waiting task: most cells never have two waiters, so
+    /// one waiter costs no queue.
+    first: Option<Waker>,
+    /// Later waiters, in arrival order (empty unless `first` is set).
+    rest: VecDeque<Waker>,
 }
 
 /// A notification cell in the style of `tokio::sync::Notify`.
@@ -38,7 +42,8 @@ impl Notify {
         Notify {
             state: Rc::new(RefCell::new(NotifyState {
                 permit: false,
-                wakers: VecDeque::new(),
+                first: None,
+                rest: VecDeque::new(),
             })),
         }
     }
@@ -47,7 +52,8 @@ impl Notify {
     #[inline]
     pub fn notify_one(&self) {
         let mut s = self.state.borrow_mut();
-        if let Some(w) = s.wakers.pop_front() {
+        if let Some(w) = s.first.take() {
+            s.first = s.rest.pop_front();
             w.wake();
         } else {
             s.permit = true;
@@ -57,7 +63,10 @@ impl Notify {
     /// Wake all current waiters (does not bank a permit).
     pub fn notify_all(&self) {
         let mut s = self.state.borrow_mut();
-        for w in s.wakers.drain(..) {
+        if let Some(w) = s.first.take() {
+            w.wake();
+        }
+        for w in s.rest.drain(..) {
             w.wake();
         }
     }
@@ -101,7 +110,12 @@ impl Future for Notified {
             // complete.
             return Poll::Ready(());
         }
-        s.wakers.push_back(cx.waker().clone());
+        let waker = cx.waker().clone();
+        if s.first.is_none() {
+            s.first = Some(waker);
+        } else {
+            s.rest.push_back(waker);
+        }
         drop(s);
         self.queued = true;
         Poll::Pending

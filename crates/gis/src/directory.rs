@@ -1,19 +1,26 @@
 //! The directory: DN-addressed record storage, searched with a filter
 //! over the whole tree.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
-use crate::dn::SEPARATOR;
+use crate::dn::Dn;
 use crate::filter::Filter;
 use crate::record::Record;
 
 /// An in-memory GIS directory.
 ///
-/// Keyed by stringified DN so iteration order (and therefore search-result
-/// order) is deterministic.
+/// Keyed by DN in the order of the DNs' text, so iteration order (and
+/// therefore search-result order) is deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    entries: BTreeMap<String, Record>,
+    entries: BTreeMap<Dn, Record>,
+    /// The value last stored under each attribute name. A record whose
+    /// value equals it shares its text: a grid publishes runs of records
+    /// that repeat their configuration name, the schema's constants and
+    /// the specs their hosts have in common.
+    last: Vec<(&'static str, Rc<str>)>,
 }
 
 impl Directory {
@@ -33,33 +40,42 @@ impl Directory {
     }
 
     /// Replace the record at a DN (or insert it, creating ancestors).
-    pub fn upsert(&mut self, record: Record) {
-        let key = record.dn.to_string();
-        match self.entries.get_mut(&key) {
-            Some(entry) => *entry = record,
-            None => self.insert_new(key, record),
+    pub fn upsert(&mut self, mut record: Record) {
+        record.share_values(|name, value| {
+            match self.last.iter_mut().find(|(held, _)| *held == name) {
+                Some((_, held)) if *held == *value => held.clone(),
+                Some((_, held)) => {
+                    *held = value.clone();
+                    value.clone()
+                }
+                None => {
+                    self.last.push((name, value.clone()));
+                    value.clone()
+                }
+            }
+        });
+        let parent = record.dn.parent().cloned();
+        match self.entries.entry(record.dn.clone()) {
+            Entry::Occupied(mut entry) => {
+                entry.insert(record);
+            }
+            Entry::Vacant(entry) => {
+                entry.insert(record);
+                self.create_ancestors(parent);
+            }
         }
     }
 
-    /// Insert `record` under `key`, its DN as text, which must be vacant;
-    /// then walk up the tree creating ancestors until one exists.
-    fn insert_new(&mut self, key: String, record: Record) {
-        // An ancestor's key is a suffix of `key`, so each existence check
-        // borrows it; only a missing ancestor costs an allocation, and its
-        // record shares its DN with `record`'s.
-        let mut ancestor = key.as_str();
-        let mut dn = &record.dn;
-        while let Some(parent) = dn.parent().filter(|p| p.parent().is_some()) {
-            let leaf = dn.rdns().next().expect("a DN with a parent has a leaf");
-            ancestor = &ancestor[leaf.text_len() + SEPARATOR.len()..];
-            if self.entries.contains_key(ancestor) {
+    /// Create `dn` and its ancestors below the root, up to the first that
+    /// exists. Each shares its DN with the record that needed it.
+    fn create_ancestors(&mut self, mut dn: Option<Dn>) {
+        while let Some(d) = dn.filter(|d| d.parent().is_some()) {
+            if self.entries.contains_key(&d) {
                 break;
             }
-            self.entries
-                .insert(ancestor.to_string(), Record::new(parent.clone()));
-            dn = parent;
+            dn = d.parent().cloned();
+            self.entries.insert(d.clone(), Record::new(d));
         }
-        self.entries.insert(key, record);
     }
 
     /// Every record `filter` matches, in DN order.

@@ -6,11 +6,12 @@
 //! pairs) ordered leaf-first; the directory tree hangs records under their
 //! parent DN.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::rc::Rc;
 
 /// One `attr=value` component of a distinguished name.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Rdn {
     /// Attribute name (normalized to lowercase).
     pub attr: String,
@@ -26,15 +27,10 @@ impl Rdn {
             value: value.into(),
         }
     }
-
-    /// Length in bytes of this component as [`fmt::Display`] writes it.
-    pub(crate) fn text_len(&self) -> usize {
-        self.attr.len() + "=".len() + self.value.len()
-    }
 }
 
 /// What [`Dn`]'s text form puts between components.
-pub(crate) const SEPARATOR: &str = ", ";
+const SEPARATOR: &str = ", ";
 
 impl fmt::Display for Rdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -115,6 +111,71 @@ impl Dn {
             parent: self.clone(),
         })))
     }
+
+    /// This DN's text form as [`fmt::Display`] writes it, in pieces,
+    /// without building the text.
+    fn text_pieces(&self) -> TextPieces<'_> {
+        TextPieces {
+            node: self.0.as_deref(),
+            next: 0,
+        }
+    }
+}
+
+/// The pieces of a DN's text: each RDN's attribute, `=` and value, with
+/// [`SEPARATOR`] between RDNs.
+struct TextPieces<'a> {
+    node: Option<&'a DnNode>,
+    /// Which piece of `node` comes next: 0 attribute, 1 `=`, 2 value,
+    /// 3 separator.
+    next: u8,
+}
+
+impl<'a> Iterator for TextPieces<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let node = self.node?;
+        let piece = match self.next {
+            0 => &node.rdn.attr,
+            1 => "=",
+            2 => &node.rdn.value,
+            _ => SEPARATOR,
+        };
+        self.next += 1;
+        let parent = node.parent.0.as_deref();
+        if self.next == 4 || (self.next == 3 && parent.is_none()) {
+            (self.node, self.next) = (parent, 0);
+        }
+        Some(piece.as_bytes())
+    }
+}
+
+/// Compare two texts given in pieces, a common run of bytes at a time.
+fn cmp_text<'a>(
+    mut a: impl Iterator<Item = &'a [u8]>,
+    mut b: impl Iterator<Item = &'a [u8]>,
+) -> Ordering {
+    let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+    loop {
+        while x.is_empty() {
+            let Some(piece) = a.next() else { break };
+            x = piece;
+        }
+        while y.is_empty() {
+            let Some(piece) = b.next() else { break };
+            y = piece;
+        }
+        if x.is_empty() || y.is_empty() {
+            // One text ended: it is the smaller unless both did.
+            return x.len().cmp(&y.len());
+        }
+        let n = x.len().min(y.len());
+        match x[..n].cmp(&y[..n]) {
+            Ordering::Equal => (x, y) = (&x[n..], &y[n..]),
+            unequal => return unequal,
+        }
+    }
 }
 
 impl PartialEq for Dn {
@@ -127,6 +188,24 @@ impl PartialEq for Dn {
 }
 
 impl Eq for Dn {}
+
+/// DNs sort as their text does; two distinct DNs with the same text (a
+/// value holding the separator) then sort RDN by RDN.
+impl Ord for Dn {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) if Rc::ptr_eq(a, b) => Ordering::Equal,
+            _ => cmp_text(self.text_pieces(), other.text_pieces())
+                .then_with(|| self.rdns().cmp(other.rdns())),
+        }
+    }
+}
+
+impl PartialOrd for Dn {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl fmt::Debug for Dn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -156,9 +235,6 @@ mod tests {
         assert_eq!(dn.rdns().count(), 3);
         assert_eq!(dn.rdns().next(), Some(&Rdn::new("hn", "vm.ucsd.edu")));
         assert_eq!(dn.to_string(), "hn=vm.ucsd.edu, ou=CSAG, o=Grid");
-        for rdn in dn.rdns() {
-            assert_eq!(rdn.text_len(), rdn.to_string().len());
-        }
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! GIS records: multi-valued attribute sets addressed by DN.
 
+use std::rc::Rc;
+
 use crate::dn::Dn;
 
 /// One directory entry.
 ///
-/// Attribute names are case-insensitive (normalized to lowercase);
-/// attributes are multi-valued, in insertion order.
+/// Attribute names are the schema's constants and match
+/// case-insensitively; attributes are multi-valued, in insertion order.
+/// A value is shared text: a [`crate::Directory`] lets records that
+/// repeat a value hold one copy of it.
 #[derive(Clone, Debug)]
 pub struct Record {
     /// Where this record lives in the directory tree.
     pub dn: Dn,
-    /// `(lowercase name, value)` pairs in insertion order: a record has a
-    /// handful of attributes, so a scan beats a map.
-    attrs: Vec<(Box<str>, Box<str>)>,
+    /// `(name, value)` pairs in insertion order: a record has a handful
+    /// of attributes, so a scan beats a map.
+    attrs: Vec<(&'static str, Rc<str>)>,
 }
 
 impl Record {
@@ -24,12 +28,17 @@ impl Record {
         }
     }
 
+    /// A record at `dn` holding exactly `attrs`, in order.
+    pub(crate) fn from_attrs<const N: usize>(dn: Dn, attrs: [(&'static str, Rc<str>); N]) -> Self {
+        Record {
+            dn,
+            attrs: attrs.into(),
+        }
+    }
+
     /// Add a value to an attribute (keeps existing values).
-    pub fn with(mut self, attr: impl AsRef<str>, value: impl Into<String>) -> Self {
-        self.attrs.push((
-            attr.as_ref().to_ascii_lowercase().into(),
-            value.into().into(),
-        ));
+    pub fn with(mut self, attr: &'static str, value: impl Into<Rc<str>>) -> Self {
+        self.attrs.push((attr, value.into()));
         self
     }
 
@@ -48,6 +57,19 @@ impl Record {
             .iter()
             .filter(move |(name, _)| name.eq_ignore_ascii_case(attr.as_ref()))
             .map(|(_, value)| &**value)
+    }
+
+    /// Replace every value with `share(name, value)`, an equal value the
+    /// caller already holds, and drop the spare room of the attribute
+    /// list: the record is stored from here on.
+    pub(crate) fn share_values(
+        &mut self,
+        mut share: impl FnMut(&'static str, &Rc<str>) -> Rc<str>,
+    ) {
+        for (name, value) in &mut self.attrs {
+            *value = share(name, value);
+        }
+        self.attrs.shrink_to_fit();
     }
 }
 

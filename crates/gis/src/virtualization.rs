@@ -39,14 +39,18 @@ pub fn virtual_host_record(
     cpu_speed_mops: f64,
     memory_bytes: u64,
 ) -> Record {
-    Record::new(base.child(Rdn::new("hn", hostname)))
-        .with("objectclass", "GridComputeResource")
-        .with("hn", hostname)
-        .with("CpuSpeed", format!("{cpu_speed_mops}"))
-        .with("MemorySize", format!("{memory_bytes}"))
-        .with(IS_VIRTUAL, "Yes")
-        .with(CONFIGURATION, configuration)
-        .with(MAPPED_PHYSICAL, mapped_physical)
+    Record::from_attrs(
+        base.child(Rdn::new("hn", hostname)),
+        [
+            ("objectclass", "GridComputeResource".into()),
+            ("hn", hostname.into()),
+            ("CpuSpeed", format!("{cpu_speed_mops}").into()),
+            ("MemorySize", format!("{memory_bytes}").into()),
+            (IS_VIRTUAL, "Yes".into()),
+            (CONFIGURATION, configuration.into()),
+            (MAPPED_PHYSICAL, mapped_physical.into()),
+        ],
+    )
 }
 
 /// Build a virtual network record under `base`, as in Fig 3.
@@ -59,13 +63,17 @@ pub fn virtual_network_record(
     nw_type: &str,
     speed: &str,
 ) -> Record {
-    Record::new(base.child(Rdn::new("nn", network_number)))
-        .with("objectclass", "GridNetwork")
-        .with("nn", network_number)
-        .with("nwType", nw_type)
-        .with("speed", speed)
-        .with(IS_VIRTUAL, "Yes")
-        .with(CONFIGURATION, configuration)
+    Record::from_attrs(
+        base.child(Rdn::new("nn", network_number)),
+        [
+            ("objectclass", "GridNetwork".into()),
+            ("nn", network_number.into()),
+            ("nwType", nw_type.into()),
+            ("speed", speed.into()),
+            (IS_VIRTUAL, "Yes".into()),
+            (CONFIGURATION, configuration.into()),
+        ],
+    )
 }
 
 /// Filter selecting virtual hosts of one configuration.

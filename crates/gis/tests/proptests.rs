@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use mgrid_gis::{Directory, Dn, Filter, Record};
+use mgrid_gis::{Directory, Dn, Filter, Rdn, Record};
 
 /// A tiny generator of random AND-of-equality filters over attributes
 /// a..d / values x..z.
@@ -13,11 +13,37 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
     })
 }
 
+/// Record attribute names are schema constants: `a`..`d`, in either case
+/// (names match case-insensitively).
+const NAMES: [&str; 8] = ["a", "b", "c", "d", "A", "B", "C", "D"];
+
 fn arb_record(idx: usize) -> impl Strategy<Value = Record> {
-    prop::collection::vec(("[a-d]", "[x-z]{1,2}"), 0..6).prop_map(move |attrs| {
+    prop::collection::vec((0..NAMES.len(), "[x-z]{1,2}"), 0..6).prop_map(move |attrs| {
         let r = Record::new(Dn::parse(&format!("cn=e{idx}, o=Grid")).unwrap());
-        attrs.into_iter().fold(r, |r, (k, v)| r.with(k, v))
+        attrs.into_iter().fold(r, |r, (k, v)| r.with(NAMES[k], v))
     })
+}
+
+/// A DN of up to three RDNs whose values may hold the separator, so
+/// distinct DNs can print alike and one text can prefix another.
+fn arb_dn() -> impl Strategy<Value = Dn> {
+    prop::collection::vec(("[a-b]", "[a ,=]{1,3}"), 0..4)
+        .prop_map(|rdns| Dn::from_rdns(rdns.into_iter().map(|(a, v)| Rdn::new(a, v)).collect()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// DNs sort as their text does, and compare equal exactly when equal.
+    #[test]
+    fn dn_order_is_text_order(a in arb_dn(), b in arb_dn()) {
+        let (ta, tb) = (a.to_string(), b.to_string());
+        if ta != tb {
+            prop_assert_eq!(a.cmp(&b), ta.cmp(&tb));
+        }
+        prop_assert_eq!(a.cmp(&b).is_eq(), a == b);
+        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+    }
 }
 
 proptest! {

@@ -33,7 +33,7 @@ use std::task::{Context, Poll, Waker};
 use mgrid_desim::channel::{oneshot, OneshotSender};
 use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
-use mgrid_desim::{now, sleep, spawn_daemon, FxHashMap};
+use mgrid_desim::{now, sleep, spawn_daemon};
 
 /// Identifier of an OS-level process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -79,6 +79,7 @@ struct Request {
 }
 
 struct Pcb {
+    pid: Pid,
     name: mgrid_desim::SpanStr,
     counter: f64,
     stopped: bool,
@@ -96,9 +97,9 @@ struct IntrSlot {
 
 struct KernelInner {
     params: OsParams,
-    // FxHashMap keeps lookups cheap; scheduling decisions never depend
-    // on iteration order (`pick` fully orders candidates).
-    procs: FxHashMap<Pid, Pcb>,
+    /// Live processes in pid order (pids only grow, so a spawn appends),
+    /// with no spare room: a host runs a handful of processes.
+    procs: Vec<Pcb>,
     next_pid: u64,
     run_seq: u64,
     current: Option<Pid>,
@@ -106,6 +107,21 @@ struct KernelInner {
     idle_notify: Notify,
     rng: RefCell<mgrid_desim::SimRng>,
     driver_started: bool,
+}
+
+impl KernelInner {
+    /// Index of `pid`'s entry in `procs`.
+    fn find(&self, pid: Pid) -> Option<usize> {
+        self.procs.binary_search_by_key(&pid, |p| p.pid).ok()
+    }
+
+    fn proc(&self, pid: Pid) -> Option<&Pcb> {
+        self.find(pid).map(|i| &self.procs[i])
+    }
+
+    fn proc_mut(&mut self, pid: Pid) -> Option<&mut Pcb> {
+        self.find(pid).map(|i| &mut self.procs[i])
+    }
 }
 
 /// A simulated single-CPU OS kernel.
@@ -126,7 +142,7 @@ impl OsKernel {
         OsKernel {
             inner: Rc::new(RefCell::new(KernelInner {
                 params,
-                procs: FxHashMap::default(),
+                procs: Vec::new(),
                 next_pid: 1,
                 run_seq: 0,
                 current: None,
@@ -144,17 +160,16 @@ impl OsKernel {
         let mut inner = self.inner.borrow_mut();
         let pid = Pid(inner.next_pid);
         inner.next_pid += 1;
-        inner.procs.insert(
+        inner.procs.reserve_exact(1);
+        inner.procs.push(Pcb {
             pid,
-            Pcb {
-                name: name.into().into(),
-                counter: BASE_TICKS,
-                stopped: false,
-                requests: std::collections::VecDeque::new(),
-                cpu_used: SimDuration::ZERO,
-                last_ran_seq: 0,
-            },
-        );
+            name: name.into().into(),
+            counter: BASE_TICKS,
+            stopped: false,
+            requests: std::collections::VecDeque::new(),
+            cpu_used: SimDuration::ZERO,
+            last_ran_seq: 0,
+        });
         ProcessHandle {
             kernel: self.clone(),
             pid,
@@ -174,7 +189,7 @@ impl OsKernel {
             .borrow()
             .procs
             .iter()
-            .filter(|(pid, p)| **pid != except && !p.stopped && !p.requests.is_empty())
+            .filter(|p| p.pid != except && !p.stopped && !p.requests.is_empty())
             .count()
     }
 
@@ -211,22 +226,18 @@ impl OsKernel {
     fn pick(&self) -> Option<Pid> {
         let mut inner = self.inner.borrow_mut();
         let runnable = |p: &Pcb| !p.stopped && !p.requests.is_empty();
-        let has_runnable = inner.procs.values().any(runnable);
+        let has_runnable = inner.procs.iter().any(runnable);
         if !has_runnable {
             return None;
         }
         let all_drained = inner
             .procs
-            .values()
+            .iter()
             .filter(|p| runnable(p))
             .all(|p| p.counter <= 0.0);
         if all_drained {
             // New epoch: everyone recharges; sleepers bank credit.
-            #[expect(
-                clippy::iter_over_hash_type,
-                reason = "per-entry update commutes — visit order is irrelevant"
-            )]
-            for p in inner.procs.values_mut() {
+            for p in &mut inner.procs {
                 p.counter = p.counter / 2.0 + BASE_TICKS;
             }
         }
@@ -236,16 +247,16 @@ impl OsKernel {
             // then pid), so the winner is unique and iteration order
             // cannot affect the pick.
             .iter()
-            .filter(|(_, p)| runnable(p) && p.counter > 0.0)
-            .max_by(|(pa, a), (pb, b)| {
+            .filter(|p| runnable(p) && p.counter > 0.0)
+            .max_by(|a, b| {
                 // Highest credit wins; ties go to the least recently run,
                 // then to the lower pid — a deterministic round-robin.
                 a.counter
                     .total_cmp(&b.counter)
                     .then(b.last_ran_seq.cmp(&a.last_ran_seq))
-                    .then(pb.cmp(pa))
+                    .then(b.pid.cmp(&a.pid))
             })
-            .map(|(pid, _)| *pid)
+            .map(|p| p.pid)
     }
 
     async fn driver(self) {
@@ -275,7 +286,7 @@ impl OsKernel {
                 } else {
                     1.0
                 };
-                let p = inner.procs.get_mut(&pid).expect("picked pid exists");
+                let p = inner.proc_mut(pid).expect("picked pid exists");
                 p.last_ran_seq = seq;
                 let credit = SimDuration::from_nanos((p.counter.max(0.05) * tick_ns) as u64);
                 let want = p.requests.front().expect("runnable has request").remaining;
@@ -324,7 +335,7 @@ impl OsKernel {
     fn charge(&self, pid: Pid, ran: SimDuration) {
         let mut inner = self.inner.borrow_mut();
         let tick_ns = TICK.as_nanos() as f64;
-        let Some(p) = inner.procs.get_mut(&pid) else {
+        let Some(p) = inner.proc_mut(pid) else {
             return;
         };
         p.counter -= ran.as_nanos() as f64 / tick_ns;
@@ -361,8 +372,7 @@ impl ProcessHandle {
         self.kernel
             .inner
             .borrow()
-            .procs
-            .get(&self.pid)
+            .proc(self.pid)
             .map(|p| p.name.to_string())
             .unwrap_or_default()
     }
@@ -374,8 +384,7 @@ impl ProcessHandle {
         self.kernel
             .inner
             .borrow()
-            .procs
-            .get(&self.pid)
+            .proc(self.pid)
             .map(|p| p.name.clone())
             .unwrap_or_else(|| "".into())
     }
@@ -396,7 +405,7 @@ impl ProcessHandle {
         let (tx, rx) = oneshot();
         let queued = {
             let mut inner = self.kernel.inner.borrow_mut();
-            match inner.procs.get_mut(&self.pid) {
+            match inner.proc_mut(self.pid) {
                 Some(p) => {
                     p.requests.push_back(Request {
                         remaining: cpu,
@@ -415,7 +424,7 @@ impl ProcessHandle {
         // A dropped reply means the process was killed mid-request; the
         // remaining work vanishes with it and the requester halts below.
         let _ = rx.recv().await;
-        if !self.kernel.inner.borrow().procs.contains_key(&self.pid) {
+        if self.kernel.inner.borrow().proc(self.pid).is_none() {
             halt_forever().await;
         }
     }
@@ -430,7 +439,7 @@ impl ProcessHandle {
     pub fn sigstop(&self) {
         {
             let mut inner = self.kernel.inner.borrow_mut();
-            if let Some(p) = inner.procs.get_mut(&self.pid) {
+            if let Some(p) = inner.proc_mut(self.pid) {
                 p.stopped = true;
             }
         }
@@ -441,7 +450,7 @@ impl ProcessHandle {
     pub fn sigcont(&self) {
         {
             let mut inner = self.kernel.inner.borrow_mut();
-            if let Some(p) = inner.procs.get_mut(&self.pid) {
+            if let Some(p) = inner.proc_mut(self.pid) {
                 p.stopped = false;
             }
         }
@@ -452,8 +461,7 @@ impl ProcessHandle {
     pub fn cpu_used(&self) -> SimDuration {
         let inner = self.kernel.inner.borrow();
         inner
-            .procs
-            .get(&self.pid)
+            .proc(self.pid)
             .map(|p| p.cpu_used)
             .unwrap_or(SimDuration::ZERO)
     }
@@ -463,7 +471,9 @@ impl ProcessHandle {
     pub fn exit(&self) {
         {
             let mut inner = self.kernel.inner.borrow_mut();
-            inner.procs.remove(&self.pid);
+            if let Some(i) = inner.find(self.pid) {
+                inner.procs.remove(i);
+            }
             if inner.current == Some(self.pid) {
                 inner.current = None;
             }

@@ -39,6 +39,7 @@ pub const PROCESS_OVERHEAD: u64 = 1024;
 
 #[derive(Debug, Default)]
 struct ProcUsage {
+    id: u64,
     used: u64,
     allocations: FxHashMap<u64, u64>,
     next_id: u64,
@@ -49,7 +50,9 @@ struct MemState {
     limit: u64,
     used: u64,
     peak: u64,
-    procs: FxHashMap<u64, ProcUsage>,
+    /// Registered processes in id order (ids only grow, so a
+    /// registration appends), with no spare room.
+    procs: Vec<ProcUsage>,
     next_proc: u64,
     /// Virtual-host label attached to emitted trace events (shared, so
     /// an event costs a reference bump).
@@ -57,6 +60,15 @@ struct MemState {
 }
 
 impl MemState {
+    fn proc_index(&self, id: u64) -> Option<usize> {
+        self.procs.binary_search_by_key(&id, |p| p.id).ok()
+    }
+
+    fn proc_mut(&mut self, id: u64) -> &mut ProcUsage {
+        let i = self.proc_index(id).expect("process registered");
+        &mut self.procs[i]
+    }
+
     fn note_alloc(&self, bytes: u64) {
         obs::count("mem.allocs", 1);
         obs::emit(|| Event::MemAlloc {
@@ -108,7 +120,7 @@ impl MemoryManager {
                 limit,
                 used: 0,
                 peak: 0,
-                procs: FxHashMap::default(),
+                procs: Vec::new(),
                 next_proc: 0,
                 label: label.into().into(),
             })),
@@ -133,13 +145,12 @@ impl MemoryManager {
         s.note_alloc(PROCESS_OVERHEAD);
         let id = s.next_proc;
         s.next_proc += 1;
-        s.procs.insert(
+        s.procs.reserve_exact(1);
+        s.procs.push(ProcUsage {
             id,
-            ProcUsage {
-                used: PROCESS_OVERHEAD,
-                ..ProcUsage::default()
-            },
-        );
+            used: PROCESS_OVERHEAD,
+            ..ProcUsage::default()
+        });
         Ok(MemoryHandle {
             state: self.state.clone(),
             proc_id: id,
@@ -176,7 +187,7 @@ impl MemoryHandle {
         s.used += bytes;
         s.peak = s.peak.max(s.used);
         s.note_alloc(bytes);
-        let p = s.procs.get_mut(&self.proc_id).expect("process registered");
+        let p = s.proc_mut(self.proc_id);
         p.used += bytes;
         let id = p.next_id;
         p.next_id += 1;
@@ -190,7 +201,7 @@ impl MemoryHandle {
     /// Panics on a double free or foreign id.
     pub fn free(&self, id: AllocId) {
         let mut s = self.state.borrow_mut();
-        let p = s.procs.get_mut(&self.proc_id).expect("process registered");
+        let p = s.proc_mut(self.proc_id);
         let bytes = p
             .allocations
             .remove(&id.0)
@@ -201,18 +212,15 @@ impl MemoryHandle {
 
     /// Bytes this process currently holds (including overhead).
     pub fn used(&self) -> u64 {
-        self.state
-            .borrow()
-            .procs
-            .get(&self.proc_id)
-            .map(|p| p.used)
-            .unwrap_or(0)
+        let s = self.state.borrow();
+        s.proc_index(self.proc_id).map_or(0, |i| s.procs[i].used)
     }
 
     /// Release the process: frees all of its allocations and its overhead.
     pub fn release(self) {
         let mut s = self.state.borrow_mut();
-        if let Some(p) = s.procs.remove(&self.proc_id) {
+        if let Some(i) = s.proc_index(self.proc_id) {
+            let p = s.procs.remove(i);
             s.used -= p.used;
         }
     }

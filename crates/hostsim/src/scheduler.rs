@@ -131,6 +131,8 @@ impl MGridScheduler {
         );
         proc.sigstop();
         let mut inner = self.inner.borrow_mut();
+        // A host runs few jobs and never drops one: no spare room.
+        inner.jobs.reserve_exact(1);
         inner.jobs.push(Job {
             proc,
             fraction,

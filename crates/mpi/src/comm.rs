@@ -8,7 +8,7 @@
 //! overhead and per-byte copy costs paid on the (possibly paced) virtual
 //! CPU, wire traffic through the simulated network.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::future::Future;
 use std::pin::{pin, Pin};
 use std::rc::Rc;
@@ -117,20 +117,27 @@ pub struct Comm {
     /// Every rank's host, resolved once at launch (rank `r` on `peers[r]`).
     peers: Rc<[HostEntry]>,
     sender: VSender,
-    engine: Rc<RefCell<Engine>>,
     /// [`MpiParams::recv_timeout`] of the job.
     recv_timeout: Option<SimDuration>,
-    next_send_id: Rc<Cell<u64>>,
-    seq_out: Rc<RefCell<FxHashMap<usize, u64>>>,
-    collective_epoch: Rc<Cell<u32>>,
+    /// What every clone of this rank's communicator and its receive loop
+    /// share, in one allocation.
+    state: Rc<RankState>,
+}
+
+/// The mutable half of one rank's communicator.
+struct RankState {
+    engine: RefCell<Engine>,
+    next_send_id: Cell<u64>,
+    seq_out: RefCell<FxHashMap<usize, u64>>,
+    collective_epoch: Cell<u32>,
     /// Eager sends still in flight in background tasks.
-    outstanding: Rc<Cell<usize>>,
+    outstanding: Cell<usize>,
     drained: Notify,
     /// Ranks this communicator has timed out waiting on (suspected dead).
-    failed: Rc<RefCell<FxHashSet<usize>>>,
+    failed: RefCell<FxHashSet<usize>>,
     /// Interned labels of this rank's collective spans and flows —
     /// allocated on the first traced collective.
-    coll_labels: Rc<std::cell::OnceCell<CollLabels>>,
+    coll_labels: OnceCell<CollLabels>,
 }
 
 /// What one rank's collective spans and `"coll"` flow half-points are
@@ -155,24 +162,33 @@ impl Comm {
         assert!(rank < peers.len(), "rank {rank} out of range");
         let sock = ctx.bind(BASE_PORT + rank as u16);
         let sender = sock.sender();
-        let engine = Rc::new(RefCell::new(Engine {
-            eager: Vec::new(),
-            rts: Vec::new(),
-            rdv_data: FxHashMap::default(),
-            cts_waiters: FxHashMap::default(),
-            expected_seq: FxHashMap::default(),
-            stash: FxHashMap::default(),
-            arrived: Notify::new(),
-        }));
+        let state = Rc::new(RankState {
+            engine: RefCell::new(Engine {
+                eager: Vec::new(),
+                rts: Vec::new(),
+                rdv_data: FxHashMap::default(),
+                cts_waiters: FxHashMap::default(),
+                expected_seq: FxHashMap::default(),
+                stash: FxHashMap::default(),
+                arrived: Notify::new(),
+            }),
+            next_send_id: Cell::new(0),
+            seq_out: RefCell::new(FxHashMap::default()),
+            collective_epoch: Cell::new(0),
+            outstanding: Cell::new(0),
+            drained: Notify::new(),
+            failed: RefCell::new(FxHashSet::default()),
+            coll_labels: OnceCell::new(),
+        });
         {
-            let engine = engine.clone();
+            let state = state.clone();
             mgrid_desim::spawn_daemon(async move {
                 loop {
                     let Ok(msg) = sock.recv().await else { break };
                     let Some(mpi) = msg.payload.downcast_ref::<MpiMsg>() else {
                         continue;
                     };
-                    let mut e = engine.borrow_mut();
+                    let mut e = state.engine.borrow_mut();
                     match mpi {
                         MpiMsg::Eager { src, seq, .. } | MpiMsg::Rts { src, seq, .. } => {
                             e.admit_in_order(*src, *seq, (*mpi).clone());
@@ -195,22 +211,15 @@ impl Comm {
             rank,
             peers,
             sender,
-            engine,
             recv_timeout: params.recv_timeout,
-            next_send_id: Rc::new(Cell::new(0)),
-            seq_out: Rc::new(RefCell::new(FxHashMap::default())),
-            collective_epoch: Rc::new(Cell::new(0)),
-            outstanding: Rc::new(Cell::new(0)),
-            drained: Notify::new(),
-            failed: Rc::new(RefCell::new(FxHashSet::default())),
-            coll_labels: Rc::new(std::cell::OnceCell::new()),
+            state,
         }
     }
 
     /// Ranks this communicator has timed out waiting on (sorted). Empty
     /// unless [`MpiParams::recv_timeout`] is set and a wait expired.
     pub fn failed_ranks(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.failed.borrow().iter().copied().collect();
+        let mut v: Vec<usize> = self.state.failed.borrow().iter().copied().collect();
         v.sort_unstable();
         v
     }
@@ -219,7 +228,7 @@ impl Comm {
     /// was a wildcard) and build the error the caller returns.
     fn rank_timeout(&self, suspect: i32, waited: SimDuration) -> SockError {
         if suspect >= 0 {
-            self.failed.borrow_mut().insert(suspect as usize);
+            self.state.failed.borrow_mut().insert(suspect as usize);
         }
         obs::count("mpi.rank_timeouts", 1);
         let waited_ns = waited.as_nanos();
@@ -257,8 +266,8 @@ impl Comm {
     /// Wait until every buffered (eager) send has fully left this rank —
     /// the flush `MPI_Finalize` performs before tearing the process down.
     pub async fn flush(&self) {
-        while self.outstanding.get() > 0 {
-            self.drained.notified().await;
+        while self.state.outstanding.get() > 0 {
+            self.state.drained.notified().await;
         }
     }
 
@@ -301,7 +310,7 @@ impl Comm {
     async fn protocol_send(&self, dst: usize, tag: Tag, data: MpiData) -> Result<(), SockError> {
         self.pay(SEND_OVERHEAD_MOPS, data.bytes).await;
         let seq = {
-            let mut seqs = self.seq_out.borrow_mut();
+            let mut seqs = self.state.seq_out.borrow_mut();
             let s = seqs.entry(dst).or_insert(0);
             let cur = *s;
             *s += 1;
@@ -315,9 +324,8 @@ impl Comm {
             let port = self.port_of(dst);
             let wire = bytes + CONTROL_BYTES;
             let src = self.rank;
-            self.outstanding.set(self.outstanding.get() + 1);
-            let outstanding = self.outstanding.clone();
-            let drained = self.drained.clone();
+            let state = self.state.clone();
+            state.outstanding.set(state.outstanding.get() + 1);
             spawn(async move {
                 let _ = sender
                     .send_to(
@@ -332,9 +340,9 @@ impl Comm {
                         }),
                     )
                     .await;
-                outstanding.set(outstanding.get() - 1);
-                if outstanding.get() == 0 {
-                    drained.notify_all();
+                state.outstanding.set(state.outstanding.get() - 1);
+                if state.outstanding.get() == 0 {
+                    state.drained.notify_all();
                 }
             });
             return Ok(());
@@ -353,10 +361,14 @@ impl Comm {
         data: MpiData,
     ) -> Result<(), SockError> {
         let bytes = data.bytes;
-        let send_id = self.next_send_id.get();
-        self.next_send_id.set(send_id + 1);
+        let send_id = self.state.next_send_id.get();
+        self.state.next_send_id.set(send_id + 1);
         let (tx, rx) = oneshot();
-        self.engine.borrow_mut().cts_waiters.insert(send_id, tx);
+        self.state
+            .engine
+            .borrow_mut()
+            .cts_waiters
+            .insert(send_id, tx);
         {
             let sender = self.sender.clone();
             let peers = self.peers.clone();
@@ -392,7 +404,7 @@ impl Comm {
                     None => {
                         // The receiver never granted CTS: stop waiting and
                         // surface the peer as suspect.
-                        self.engine.borrow_mut().cts_waiters.remove(&send_id);
+                        self.state.engine.borrow_mut().cts_waiters.remove(&send_id);
                         return Err(
                             self.rank_timeout(dst as i32, mgrid_desim::now().saturating_since(t0))
                         );
@@ -446,7 +458,7 @@ impl Comm {
                 Rts { src: usize, tag: Tag, send_id: u64 },
             }
             let hit = {
-                let mut e = self.engine.borrow_mut();
+                let mut e = self.state.engine.borrow_mut();
                 if let Some(i) = e.eager.iter().position(|(s, t, _)| pattern.accepts(*s, *t)) {
                     let (src, tag, data) = e.eager.remove(i);
                     Some(Hit::Eager(RecvMsg { src, tag, data }))
@@ -473,7 +485,7 @@ impl Comm {
                     return Ok(RecvMsg { src, tag, data });
                 }
                 None => {
-                    let n = self.engine.borrow().arrived.clone();
+                    let n = self.state.engine.borrow().arrived.clone();
                     self.wait_arrival(n, deadline, t0, pattern.src).await?;
                 }
             }
@@ -499,12 +511,12 @@ impl Comm {
             .await?;
         loop {
             {
-                let mut e = self.engine.borrow_mut();
+                let mut e = self.state.engine.borrow_mut();
                 if let Some(d) = e.rdv_data.remove(&(src, send_id)) {
                     return Ok(d);
                 }
             }
-            let n = self.engine.borrow().arrived.clone();
+            let n = self.state.engine.borrow().arrived.clone();
             self.wait_arrival(n, deadline, t0, src as i32).await?;
         }
     }
@@ -525,8 +537,8 @@ impl Comm {
     }
 
     fn next_collective_tag(&self) -> Tag {
-        let epoch = self.collective_epoch.get();
-        self.collective_epoch.set(epoch + 1);
+        let epoch = self.state.collective_epoch.get();
+        self.state.collective_epoch.set(epoch + 1);
         COLLECTIVE_TAG_BASE - epoch as Tag * 64
     }
 
@@ -552,7 +564,7 @@ impl Comm {
         obs::emit(|| Event::CollectiveStart { op, ranks });
         let rank = self.rank;
         let labels = || {
-            self.coll_labels.get_or_init(|| CollLabels {
+            self.state.coll_labels.get_or_init(|| CollLabels {
                 track: self.peers[rank].name.clone(),
                 lane: format!("rank{rank}").into(),
                 detail: format!("x{ranks}").into(),

@@ -20,17 +20,14 @@ fn main() {
         let grid = VirtualGrid::build(presets::alpha_cluster()).expect("valid config");
         println!(
             "virtual grid '{}' up: {} hosts, simulation rate {:.2}",
-            grid.config().name,
+            grid.name(),
             grid.host_names().len(),
             grid.rate()
         );
 
         // 2. Resource discovery through the GIS (Fig 3 records).
         let gis = grid.gis();
-        for rec in gis
-            .borrow()
-            .search_all(&virtual_hosts_filter(&grid.config().name))
-        {
+        for rec in gis.borrow().search_all(&virtual_hosts_filter(grid.name())) {
             println!(
                 "  GIS: {} -> mapped to {}, CpuSpeed={} Mops",
                 rec.get("hn").unwrap_or("?"),
