@@ -80,7 +80,7 @@ pub fn delivered_fraction(
 ) -> f64 {
     simulate(600 + (fraction * 100.0) as u64, async move {
         let kernel = OsKernel::new(OsParams::default(), SimRng::new(77));
-        let sched = MGridScheduler::start(&kernel, SchedulerParams { quantum });
+        let sched = MGridScheduler::start(&kernel, SchedulerParams { quantum }, "host");
         competition.spawn(&kernel, 78);
         let refproc = kernel.spawn_process("reference");
         sched.add_job(refproc.clone(), fraction);
@@ -135,7 +135,7 @@ pub fn quanta_distribution(competition: Competition, samples: usize) -> (f64, f6
         let kernel = OsKernel::new(OsParams::default(), SimRng::new(79));
         let params = SchedulerParams::default();
         let quantum = params.quantum;
-        let sched = MGridScheduler::start(&kernel, params);
+        let sched = MGridScheduler::start(&kernel, params, "host");
         competition.spawn(&kernel, 80);
         // "The process that actually runs on the MicroGrid during this
         // test is an inactive process that constantly sleeps."

@@ -57,8 +57,8 @@ fn delivered_cpu_fraction_lies_within_the_time_shared_model() {
     let horizon = SimDuration::from_secs(2);
     let mut rng = SimRng::new(9);
     for _ in 0..8 {
-        let f = rng.range(5, 101) as f64 / 100.0;
-        let q = SimDuration::from_micros(rng.range(2_500, 30_001));
+        let f = (5 + rng.below(96)) as f64 / 100.0;
+        let q = SimDuration::from_micros(2_500 + rng.below(27_501));
         let b = cpu_bounds(f, q, horizon);
         let alone = delivered_fraction(f, q, Competition::None, horizon);
         assert!(

@@ -97,6 +97,8 @@ pub struct GridConfig {
 /// Configuration validation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
+    /// No virtual host: there is nothing to run an application on.
+    NoVirtualHost,
     /// A virtual host maps to an unknown physical host.
     UnknownPhysicalHost(String),
     /// A link endpoint names no virtual host or router.
@@ -180,6 +182,7 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::NoVirtualHost => write!(f, "no virtual host to run on"),
             ConfigError::UnknownPhysicalHost(h) => write!(f, "unknown physical host {h:?}"),
             ConfigError::UnknownNode(n) => write!(f, "unknown network node {n:?}"),
             ConfigError::SelfLink(n) => {
@@ -256,8 +259,8 @@ fn positive_finite(x: f64) -> bool {
 }
 
 impl GridConfig {
-    /// Check referential integrity (names resolve, no duplicates, no link
-    /// from a node to itself), every
+    /// Check that there is a virtual host to run on, referential integrity
+    /// (names resolve, no duplicates, no link from a node to itself), every
     /// numeric precondition the layers below assert or hang on (speeds,
     /// link bandwidths, rate policy and quantum in their domains, the
     /// quantum short enough for the clock; a link
@@ -282,6 +285,9 @@ impl GridConfig {
         if self.quantum > MAX_STEP {
             let quantum = format!("quantum {} ns", self.quantum.as_nanos());
             return Err(ConfigError::ClockOverflow(quantum));
+        }
+        if self.virtual_hosts.is_empty() {
+            return Err(ConfigError::NoVirtualHost);
         }
         // Every name lives in exactly one of these two sets, so a name is
         // a duplicate when either already holds it.
@@ -416,6 +422,15 @@ mod tests {
     #[test]
     fn valid_config_passes() {
         assert_eq!(sample().validate(), Ok(()));
+    }
+
+    /// A run needs a virtual host for its first rank.
+    #[test]
+    fn a_grid_with_no_virtual_host_is_rejected() {
+        let mut c = sample();
+        c.virtual_hosts.clear();
+        c.network.links.clear();
+        assert_eq!(c.validate(), Err(ConfigError::NoVirtualHost));
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub struct VirtualGrid {
     table: HostTable,
     network: Network,
     gis: Rc<RefCell<Directory>>,
-    physical: FxHashMap<String, PhysicalHost>,
-    baseline: bool,
 }
 
 impl VirtualGrid {
@@ -111,7 +109,6 @@ impl VirtualGrid {
         // Physical hosts (emulated mode) and the mapping table.
         let table = HostTable::new();
         let mut hosts = Vec::with_capacity(config.virtual_hosts.len());
-        let mut physical = FxHashMap::default();
         if baseline {
             // The virtual hosts ARE the machines.
             for v in &config.virtual_hosts {
@@ -122,7 +119,6 @@ impl VirtualGrid {
                 );
                 let ph =
                     PhysicalHost::new(spec, OsParams::default(), sched_params.clone(), rng.fork());
-                physical.insert(v.spec.name.clone(), ph.clone());
                 let entry = table.register(
                     &v.spec.name,
                     node_of[v.spec.name.as_str()],
@@ -131,6 +127,8 @@ impl VirtualGrid {
                 hosts.push(entry.name);
             }
         } else {
+            // Only the mapping step looks physical hosts up by name.
+            let mut physical: FxHashMap<&str, PhysicalHost> = FxHashMap::default();
             for p in &config.physical_hosts {
                 let ph = PhysicalHost::new(
                     p.clone(),
@@ -138,10 +136,10 @@ impl VirtualGrid {
                     sched_params.clone(),
                     rng.fork(),
                 );
-                physical.insert(p.name.clone(), ph);
+                physical.insert(&p.name, ph);
             }
             for v in &config.virtual_hosts {
-                let ph = &physical[&v.mapped_to];
+                let ph = &physical[v.mapped_to.as_str()];
                 let vh = ph.map_virtual(v.spec.clone(), rate);
                 let entry = table.register(&v.spec.name, node_of[v.spec.name.as_str()], vh);
                 hosts.push(entry.name);
@@ -209,8 +207,6 @@ impl VirtualGrid {
             table,
             network,
             gis: Rc::new(RefCell::new(gis)),
-            physical,
-            baseline,
         })
     }
 
@@ -224,11 +220,6 @@ impl VirtualGrid {
         self.network.clock().rate()
     }
 
-    /// True if this grid is a direct "physical grid" baseline.
-    pub fn is_baseline(&self) -> bool {
-        self.baseline
-    }
-
     /// The virtualization mapping table.
     pub fn table(&self) -> &HostTable {
         &self.table
@@ -239,19 +230,9 @@ impl VirtualGrid {
         &self.network
     }
 
-    /// The global virtual clock (the network carries it).
-    pub fn clock(&self) -> &VirtualClock {
-        self.network.clock()
-    }
-
     /// The GIS directory holding this grid's records.
     pub fn gis(&self) -> Rc<RefCell<Directory>> {
         self.gis.clone()
-    }
-
-    /// A physical host model by name (virtual-host name for baselines).
-    pub fn physical_host(&self, name: &str) -> Option<&PhysicalHost> {
-        self.physical.get(name)
     }
 
     /// Virtual host names, in configuration order.

@@ -83,7 +83,6 @@ mod tests {
         let mut sim = Simulation::new(4);
         sim.block_on(async {
             let grid = VirtualGrid::build_baseline(presets::alpha_cluster()).unwrap();
-            assert!(grid.is_baseline());
             assert_eq!(grid.rate(), 1.0);
             let ctx = grid.spawn_process("alpha0", "probe").unwrap();
             let t0 = mgrid_desim::now();

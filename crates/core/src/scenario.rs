@@ -66,7 +66,7 @@ impl App {
             App::NpbSensors(bench, class, horizon) => {
                 let ap = Autopilot::new();
                 let counter = ap.sensor("counter");
-                ap.start_sampling(grid.clock(), SimDuration::from_secs(1), horizon);
+                ap.start_sampling(grid.network().clock(), SimDuration::from_secs(1), horizon);
                 let body = move |comm: Comm| {
                     let sensors = (comm.rank() == 0).then(|| NpbSensors {
                         counter: counter.clone(),

@@ -192,7 +192,7 @@ fn run_accepts_exactly_the_papers_five_benchmarks() {
 fn hostile_configs_are_typed_errors_not_panics() {
     use microgrid::{presets, GridConfig, RatePolicy};
     type Patch = fn(&mut GridConfig);
-    let cases: [(&str, Patch, &str); 11] = [
+    let cases: [(&str, Patch, &str); 12] = [
         (
             "safety",
             |c| c.rate = RatePolicy::Auto { safety: 2.0 },
@@ -258,6 +258,16 @@ fn hostile_configs_are_typed_errors_not_panics() {
             "self-link",
             |c| c.network.links[0].b = c.network.links[0].a.clone(),
             "link \"alpha0\"-\"alpha0\": both ends are the same node",
+        ),
+        // Nothing to run on: `validate` said `ok` and `run` panicked
+        // indexing the empty host list.
+        (
+            "no-hosts",
+            |c| {
+                c.virtual_hosts.clear();
+                c.network.links.clear();
+            },
+            "no virtual host to run on",
         ),
     ];
     for (name, patch, message) in cases {

@@ -111,11 +111,6 @@ impl<T> Sender<T> {
     pub async fn send(&self, value: T) -> Result<(), SendError<T>> {
         self.send_now(value)
     }
-
-    /// True if the receiving half has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.state.borrow().receiver_alive
-    }
 }
 
 /// Receiving half of a channel.
@@ -137,21 +132,6 @@ impl<T> Receiver<T> {
     /// channel is empty and every sender has been dropped.
     pub async fn recv(&self) -> Result<T, RecvError> {
         RecvFuture { state: &self.state }.await
-    }
-
-    /// Receive without waiting; `None` if the queue is empty.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -305,10 +285,16 @@ mod tests {
             for i in 0..10_000u32 {
                 tx.send(i).await.unwrap();
             }
-            rx.len()
+            drop(tx);
+            let mut queued = 0;
+            while rx.recv().await.is_ok() {
+                queued += 1;
+            }
+            queued
         });
         assert_eq!(queued, 10_000);
-        // One poll ran the sending task to completion: no send was Pending.
+        // One poll ran the task to completion: no send (and no receive of
+        // a queued message) was Pending.
         assert_eq!(sim.poll_count(), 1);
     }
 
@@ -332,7 +318,6 @@ mod tests {
             let (tx, rx) = channel::<u8>();
             drop(rx);
             assert!(tx.send(1).await.is_err());
-            assert!(tx.is_closed());
         });
         sim.run_to_completion();
     }
@@ -381,19 +366,6 @@ mod tests {
             let (tx, rx) = oneshot::<u8>();
             drop(tx);
             assert_eq!(rx.recv().await, Err(RecvError));
-        });
-        sim.run_to_completion();
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let mut sim = Simulation::new(0);
-        sim.spawn(async {
-            let (tx, rx) = channel();
-            assert_eq!(rx.try_recv(), None);
-            tx.send_now(9).unwrap();
-            assert_eq!(rx.try_recv(), Some(9));
-            assert_eq!(rx.try_recv(), None);
         });
         sim.run_to_completion();
     }

@@ -182,7 +182,8 @@ pub enum Event {
     /// An MPI receive or rendezvous wait exceeded its configured timeout,
     /// surfacing a suspected rank failure.
     RankTimeout {
-        /// The waiting rank.
+        /// The rank waited on (`u64::MAX` when the receive accepted any
+        /// source).
         rank: u64,
         /// Nanoseconds waited before giving up.
         waited_ns: u64,

@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, RawWakerVTable, Wake, Waker};
 
 use crate::obs::Obs;
-use crate::rng::{SharedRng, SimRng};
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a spawned task: a slab slot in the low 32 bits and the
@@ -297,7 +297,7 @@ pub(crate) struct SimInner {
     /// Heap entries whose timer was cancelled (generation-stale). Kept
     /// so the heap can be compacted once the dead weight dominates.
     stale_timers: Cell<usize>,
-    rng: SharedRng,
+    rng: RefCell<SimRng>,
     polls: Cell<u64>,
     obs: Obs,
 }
@@ -355,7 +355,7 @@ impl Simulation {
                 timer_slots: RefCell::new(Vec::new()),
                 timer_free: RefCell::new(Vec::new()),
                 stale_timers: Cell::new(0),
-                rng: SharedRng::new(seed),
+                rng: RefCell::new(SimRng::new(seed)),
                 polls: Cell::new(0),
                 obs: Obs::new(),
             }),
@@ -383,11 +383,6 @@ impl Simulation {
         F::Output: 'static,
     {
         self.inner.spawn_future(fut)
-    }
-
-    /// Shared deterministic RNG for this simulation.
-    pub fn rng(&self) -> SharedRng {
-        self.inner.rng.clone()
     }
 
     /// Total number of task polls performed (engine throughput metric).
@@ -865,12 +860,12 @@ where
 
 /// Run a closure with the simulation's shared RNG.
 pub fn with_rng<R>(f: impl FnOnce(&mut SimRng) -> R) -> R {
-    with_current(|s| s.rng.with(f))
+    with_current(|s| f(&mut s.rng.borrow_mut()))
 }
 
 /// Fork an independent RNG stream from the simulation's root RNG.
 pub fn fork_rng() -> SimRng {
-    with_current(|s| s.rng.fork())
+    with_current(|s| s.rng.borrow_mut().fork())
 }
 
 /// Sleep for a span of simulated physical time.
@@ -941,29 +936,6 @@ impl Drop for Sleep {
                     inner.cancel_timer(handle);
                 }
             });
-        }
-    }
-}
-
-/// Yield to other runnable tasks at the same instant.
-pub fn yield_now() -> YieldNow {
-    YieldNow { yielded: false }
-}
-
-/// Future returned by [`yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
         }
     }
 }
@@ -1075,28 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn yield_now_interleaves() {
-        let mut sim = Simulation::new(0);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for name in ["x", "y"] {
-            let log = log.clone();
-            sim.spawn(async move {
-                for i in 0..3 {
-                    log.borrow_mut().push((name, i));
-                    yield_now().await;
-                }
-            });
-        }
-        sim.run_to_completion();
-        let l = log.borrow();
-        // Alternating because both are re-queued after each yield.
-        assert_eq!(l[0], ("x", 0));
-        assert_eq!(l[1], ("y", 0));
-        assert_eq!(l[2], ("x", 1));
-        assert_eq!(l[3], ("y", 1));
-    }
-
-    #[test]
     fn deadlocked_task_is_reported() {
         let mut sim = Simulation::new(0);
         sim.spawn(async {
@@ -1114,7 +1064,7 @@ mod tests {
             for _ in 0..10 {
                 let log = log.clone();
                 sim.spawn(async move {
-                    let d = with_rng(|r| r.range(1, 1000));
+                    let d = with_rng(|r| 1 + r.below(999));
                     sleep(SimDuration::from_micros(d)).await;
                     log.borrow_mut().push(now().as_nanos());
                 });

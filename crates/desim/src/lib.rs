@@ -53,13 +53,13 @@ pub mod vclock;
 
 pub use event::{Category, Event};
 pub use executor::{
-    fork_rng, now, sleep, sleep_until, spawn, spawn_daemon, with_rng, yield_now, JoinHandle,
-    Simulation, TaskId,
+    fork_rng, now, sleep, sleep_until, spawn, spawn_daemon, with_rng, JoinHandle, Simulation,
+    TaskId,
 };
 pub use fasthash::{FxHashMap, FxHashSet};
 pub use metrics::{Counter, HistogramHandle, Metrics, MetricsSnapshot};
 pub use obs::Obs;
-pub use rng::{SharedRng, SimRng};
+pub use rng::SimRng;
 pub use span::{
     FlowEdge, SpanId, SpanKind, SpanRecord, SpanRow, SpanSnapshot, SpanStore, SpanStr, SpanTable,
 };

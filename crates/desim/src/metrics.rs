@@ -153,15 +153,7 @@ impl Metrics {
 
     /// Add `n` to the counter `name` (creating it at zero).
     pub fn count(&self, name: &str, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        match inner.counters.get(name) {
-            Some(c) => c.add(n),
-            None => {
-                let c = Counter::default();
-                c.add(n);
-                inner.counters.insert(name.to_string(), c);
-            }
-        }
+        self.counter_handle(name).add(n);
     }
 
     /// A shared handle to the counter `name` (creating it at zero). The
@@ -189,22 +181,6 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Record `value` into histogram `name`, creating it with `bounds` on
-    /// first use (later calls ignore `bounds`).
-    pub fn observe_with(&self, name: &str, value: u64, bounds: &[u64]) {
-        let mut inner = self.inner.borrow_mut();
-        match inner.histograms.get(name) {
-            Some(h) => h.borrow_mut().observe(value),
-            None => {
-                let mut h = Histogram::new(bounds);
-                h.observe(value);
-                inner
-                    .histograms
-                    .insert(name.to_string(), Rc::new(RefCell::new(h)));
-            }
-        }
-    }
-
     /// A shared handle to histogram `name`, creating it with `bounds` on
     /// first use (later calls ignore `bounds`). The handle records
     /// directly, skipping the per-call name lookup.
@@ -224,7 +200,7 @@ impl Metrics {
     /// Record a duration-like `value` (nanoseconds) into histogram `name`
     /// with the default decade bounds [`TIME_BOUNDS_NS`].
     pub fn observe(&self, name: &str, value: u64) {
-        self.observe_with(name, value, TIME_BOUNDS_NS);
+        self.histogram_handle(name, TIME_BOUNDS_NS).observe(value);
     }
 
     /// Freeze the registry into a serializable snapshot. Entries are
@@ -437,6 +413,35 @@ mod tests {
         assert_eq!(*h.buckets.last().unwrap(), 1); // overflow bucket
     }
 
+    /// `count`/`observe` and the handles are one registration path: a
+    /// name written through both is one counter, and a histogram keeps
+    /// the bounds it was first registered with.
+    #[test]
+    fn named_writes_and_handles_share_one_entry() {
+        let m = Metrics::new();
+        m.count("net.drops", 2);
+        m.counter_handle("net.drops").add(3);
+        m.count("net.drops", 4);
+        m.observe("net.queue_ns", 500);
+        m.histogram_handle("net.queue_ns", &[64, 256]).observe(100);
+        let snap = m.snapshot();
+        assert_eq!(snap.counters, vec![("net.drops".to_string(), 9)]);
+        assert_eq!(snap.histograms.len(), 1);
+        let h = &snap.histograms[0];
+        assert_eq!(h.bounds, TIME_BOUNDS_NS);
+        assert_eq!(h.count, 2);
+        assert_eq!((h.min, h.max, h.sum), (100, 500, 600));
+
+        // Registered first through a handle, the handle's bounds stick.
+        let m = Metrics::new();
+        let early = m.histogram_handle("h", &[100]);
+        m.observe("h", 1_000);
+        early.observe(10);
+        let snap = m.snapshot();
+        assert_eq!(snap.histograms[0].bounds, vec![100]);
+        assert_eq!(snap.histograms[0].buckets, vec![1, 1]);
+    }
+
     #[test]
     fn snapshot_ordering_is_deterministic() {
         let a = Metrics::new();
@@ -455,11 +460,11 @@ mod tests {
     fn merge_adds_counters_and_folds_histograms() {
         let a = Metrics::new();
         a.count("net.drops", 2);
-        a.observe_with("h", 10, &[100]);
+        a.histogram_handle("h", &[100]).observe(10);
         let b = Metrics::new();
         b.count("net.drops", 3);
         b.count("sched.quanta", 7);
-        b.observe_with("h", 1_000, &[100]);
+        b.histogram_handle("h", &[100]).observe(1_000);
 
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
@@ -475,7 +480,7 @@ mod tests {
     fn snapshot_serializes() {
         let m = Metrics::new();
         m.count("mem.denials", 1);
-        m.observe_with("net.queue", 42, &[64, 256]);
+        m.histogram_handle("net.queue", &[64, 256]).observe(42);
         let snap = m.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();

@@ -216,7 +216,9 @@ mod tests {
             count("net.drops", 1);
             observe("net.queue_ns", 123);
         });
-        assert_eq!(obs.tracer().events_in(Category::Net).len(), 1);
+        let events = obs.tracer().events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].category(), Category::Net);
         assert_eq!(obs.metrics().counter("net.drops"), 2);
         assert_eq!(obs.metrics().snapshot().histograms.len(), 1);
     }
@@ -267,6 +269,6 @@ mod tests {
         sim.block_on(async {
             emit(|| panic!("event closure must not run while tracing is disabled"));
         });
-        assert!(obs.tracer().is_empty());
+        assert!(obs.tracer().events().is_empty());
     }
 }

@@ -700,7 +700,7 @@ mod tests {
         st.set_enabled(true);
         let mut ids = Vec::new();
         let mut at = 0;
-        for _ in 0..rng.range(1, 13) {
+        for _ in 0..1 + rng.below(12) {
             at += rng.below(3);
             let parent = match rng.below(3) {
                 0 if !ids.is_empty() => Some(ids[rng.below(ids.len() as u64) as usize]),

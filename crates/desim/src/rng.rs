@@ -6,9 +6,6 @@
 //! entropy. All stochastic model components (OS jitter, interception
 //! overhead noise, packet timing perturbations) draw from one of these.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 /// xoshiro256++ PRNG with SplitMix64 seeding.
 ///
 /// Fast, high-quality, and deterministic across platforms. Not
@@ -92,15 +89,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        lo + self.below(hi - lo)
-    }
-
     /// Standard normal deviate (Box-Muller with caching).
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
@@ -116,35 +104,6 @@ impl SimRng {
         let theta = std::f64::consts::TAU * u2;
         self.spare_normal = Some(r * theta.sin());
         r * theta.cos()
-    }
-
-    /// Fisher-Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-}
-
-/// A cheaply cloneable shared handle to a [`SimRng`].
-#[derive(Clone, Debug)]
-pub struct SharedRng(Rc<RefCell<SimRng>>);
-
-impl SharedRng {
-    /// Wrap a generator in a shared handle.
-    pub fn new(seed: u64) -> Self {
-        SharedRng(Rc::new(RefCell::new(SimRng::new(seed))))
-    }
-
-    /// Run a closure with mutable access to the generator.
-    pub fn with<R>(&self, f: impl FnOnce(&mut SimRng) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-
-    /// Derive an independent child generator.
-    pub fn fork(&self) -> SimRng {
-        self.with(|r| r.fork())
     }
 }
 
@@ -205,16 +164,6 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(17);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -34,13 +34,9 @@
 //! `(cat, name, track, lane)` combinations — a few per process, tens per
 //! run — make up the table's *kinds*, the distinct detail strings its
 //! *details*, and a row holds an index into each. [`SpanStore::begin`]
-//! interns both by the address of the [`SpanStr`]s a site hands it (sites
-//! intern their strings once and pass clones), falling back to the text
-//! itself for an address it has not keyed, so equal text held by a fresh
-//! allocation still lands on the one entry. Only allocations the table
-//! stores are keyed by address, which keeps every keyed address alive
-//! and unique for the life of the store. A span's id is its row index
-//! plus one. Recording a span allocates nothing in the steady state.
+//! interns both by their text, so equal text held by a fresh allocation
+//! lands on the one entry. A span's id is its row index plus one.
+//! Recording a span allocates nothing in the steady state.
 //!
 //! The store holds its table in an [`Arc`] and writes through
 //! [`Arc::make_mut`]: [`SpanStore::snapshot`] hands out that same `Arc`,
@@ -58,6 +54,7 @@
 //! [`SpanStore::snapshot`] joins the two sides with array indexing.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -343,15 +340,10 @@ impl SpanSnapshot {
 }
 
 /// The interning indexes over a store's [`SpanTable`] (see the module
-/// docs, "Storage"). Address keys name only allocations the table holds.
+/// docs, "Storage"), keyed by text.
 #[derive(Default)]
 struct Interner {
-    /// `(name address, name length, track address, lane address, cat)`.
-    kind_by_addr: FxHashMap<(usize, usize, usize, usize, Category), u32>,
     kind_by_text: FxHashMap<(Category, &'static str, SpanStr, SpanStr), u32>,
-    /// `(address, length)`: two words, so the address's zero low bits
-    /// do not survive the multiply-fold hash as the bucket index.
-    detail_by_addr: FxHashMap<(usize, usize), u32>,
     detail_by_text: FxHashMap<SpanStr, u32>,
 }
 
@@ -365,46 +357,30 @@ impl Interner {
         track: SpanStr,
         lane: SpanStr,
     ) -> u32 {
-        let addrs = (
-            name.as_ptr().addr(),
-            name.len(),
-            track.as_ptr().addr(),
-            lane.as_ptr().addr(),
-            cat,
-        );
-        if let Some(&at) = self.kind_by_addr.get(&addrs) {
-            return at;
+        match self.kind_by_text.entry((cat, name, track, lane)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let (cat, name, track, lane) = e.key().clone();
+                kinds.push(SpanKind {
+                    cat,
+                    name,
+                    track,
+                    lane,
+                });
+                *e.insert(kinds.len() as u32 - 1)
+            }
         }
-        let next = kinds.len() as u32;
-        let at = *self
-            .kind_by_text
-            .entry((cat, name, track.clone(), lane.clone()))
-            .or_insert(next);
-        if at == next {
-            self.kind_by_addr.insert(addrs, at);
-            kinds.push(SpanKind {
-                cat,
-                name,
-                track,
-                lane,
-            });
-        }
-        at
     }
 
     /// Index in `details` of this text, appended on first sight.
     fn detail(&mut self, details: &mut Vec<SpanStr>, detail: SpanStr) -> u32 {
-        let addr = (detail.as_ptr().addr(), detail.len());
-        if let Some(&at) = self.detail_by_addr.get(&addr) {
-            return at;
+        match self.detail_by_text.entry(detail) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                details.push(e.key().clone());
+                *e.insert(details.len() as u32 - 1)
+            }
         }
-        let next = details.len() as u32;
-        let at = *self.detail_by_text.entry(detail.clone()).or_insert(next);
-        if at == next {
-            self.detail_by_addr.insert(addr, at);
-            details.push(detail);
-        }
-        at
     }
 }
 

@@ -87,7 +87,7 @@ mod tests {
             assert_eq!(r, None);
             // The receiver was dropped with the timed-out future.
             dsleep(SimDuration::from_millis(1)).await;
-            assert!(tx.is_closed());
+            assert!(tx.send_now(1).is_err());
         });
         sim.run_to_completion();
     }

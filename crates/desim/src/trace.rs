@@ -215,27 +215,6 @@ impl Tracer {
         self.state.borrow().events.iter().cloned().collect()
     }
 
-    /// Retained events of one category, oldest first.
-    pub fn events_in(&self, category: Category) -> Vec<TraceEvent> {
-        self.state
-            .borrow()
-            .events
-            .iter()
-            .filter(|e| e.category() == category)
-            .cloned()
-            .collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.state.borrow().events.len()
-    }
-
-    /// True if no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.state.borrow().events.is_empty()
-    }
-
     /// Number of events evicted because the buffer was full. A nonzero
     /// value means [`Tracer::events`] is a *suffix* of the true event
     /// stream, not the whole of it.
@@ -295,7 +274,7 @@ mod tests {
         assert_eq!(evs[0].event, ev(2)); // 0 and 1 were evicted
         assert_eq!(evs[2].event, ev(4));
         assert_eq!(t.dropped(), 2);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.events().len(), 3);
     }
 
     #[test]
@@ -304,7 +283,7 @@ mod tests {
         for i in 0..4u64 {
             t.record(SimTime::ZERO, ev(i));
         }
-        assert!(t.is_empty());
+        assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 4);
     }
 
@@ -323,7 +302,7 @@ mod tests {
             t.record(SimTime::ZERO, ev(i));
         }
         t.set_capacity(2);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 4);
         assert_eq!(t.events()[0].event, ev(4));
     }
@@ -340,9 +319,10 @@ mod tests {
             },
         );
         t.record(SimTime::ZERO, ev(2));
-        assert_eq!(t.events_in(Category::Net).len(), 2);
-        assert_eq!(t.events_in(Category::Sched).len(), 1);
-        assert_eq!(t.events_in(Category::Mpi).len(), 0);
+        let count = |c| t.events().iter().filter(|e| e.category() == c).count();
+        assert_eq!(count(Category::Net), 2);
+        assert_eq!(count(Category::Sched), 1);
+        assert_eq!(count(Category::Mpi), 0);
     }
 
     #[test]
@@ -362,7 +342,7 @@ mod tests {
             t.kind_counts(),
             vec![("packet_dequeue", 5), ("quantum_grant", 1)]
         );
-        assert_eq!(t.len(), 2); // the ring still evicted
+        assert_eq!(t.events().len(), 2); // the ring still evicted
     }
 
     #[test]
@@ -402,7 +382,7 @@ mod tests {
         assert_eq!(t.streamed(), 0);
         assert!(t.sink_error().unwrap().contains("disk full"));
         assert_eq!(attempts.get(), 1); // the sink is left alone after the error
-        assert_eq!(t.len(), 2); // the ring keeps recording
+        assert_eq!(t.events().len(), 2); // the ring keeps recording
         assert_eq!(t.kind_counts(), vec![("packet_dequeue", 2)]);
     }
 

@@ -15,7 +15,7 @@
 //! one instant, parents and flows that name open, unknown or sentinel
 //! spans, and the same track/lane text held sometimes by one shared
 //! allocation and sometimes by a fresh one per span — which is what
-//! proves the store's address-keyed interning falls back to the text.
+//! proves the store interns by text, whatever allocation holds it.
 
 use std::sync::Arc;
 

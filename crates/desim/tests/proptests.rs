@@ -69,17 +69,12 @@ proptest! {
         }
     }
 
-    /// RNG `below(n)` is always in range and `shuffle` permutes.
+    /// RNG `below(n)` is always in range.
     #[test]
     fn rng_contracts(seed in any::<u64>(), n in 1u64..10_000) {
         let mut rng = mgrid_desim::SimRng::new(seed);
         for _ in 0..100 {
             prop_assert!(rng.below(n) < n);
         }
-        let mut v: Vec<u64> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..50).collect::<Vec<u64>>());
     }
 }

@@ -71,7 +71,7 @@ impl PhysicalHost {
     pub fn scheduler(&self) -> MGridScheduler {
         let mut slot = self.inner.sched.borrow_mut();
         slot.get_or_insert_with(|| {
-            MGridScheduler::start_labeled(
+            MGridScheduler::start(
                 &self.inner.kernel,
                 self.inner.sched_params.clone(),
                 &self.inner.spec.name,
@@ -182,18 +182,13 @@ impl VirtualHost {
         &self.inner.phys
     }
 
-    /// Total physical CPU fraction of the virtual host.
-    pub fn cpu_fraction(&self) -> f64 {
-        self.inner.fraction
-    }
-
     /// The virtual host's memory manager (created lazily).
     pub fn memory(&self) -> MemoryManager {
         self.inner
             .memory
             .borrow_mut()
             .get_or_insert_with(|| {
-                MemoryManager::labeled(self.inner.spec.name.clone(), self.inner.spec.memory_bytes)
+                MemoryManager::new(self.inner.spec.name.clone(), self.inner.spec.memory_bytes)
             })
             .clone()
     }
@@ -404,7 +399,6 @@ mod tests {
             let ph = phys(500.0);
             // Virtual host half the speed, rate 1 -> fraction 0.5.
             let vh = ph.map_virtual(VirtualHostSpec::new("vm", 250.0, 1 << 28), 1.0);
-            assert!((vh.cpu_fraction() - 0.5).abs() < 1e-12);
             let p = vh.spawn_process("app").unwrap();
             let t0 = now();
             p.compute_mops(250.0).await; // 0.5s CPU; at fraction 0.5 ~1s wall

@@ -49,7 +49,6 @@ struct ProcUsage {
 struct MemState {
     limit: u64,
     used: u64,
-    peak: u64,
     /// Registered processes in id order (ids only grow, so a
     /// registration appends), with no spare room.
     procs: Vec<ProcUsage>,
@@ -107,19 +106,13 @@ pub struct MemoryHandle {
 pub struct AllocId(u64);
 
 impl MemoryManager {
-    /// Create a manager with the given capacity in bytes.
-    pub fn new(limit: u64) -> Self {
-        Self::labeled("vhost", limit)
-    }
-
-    /// Like [`MemoryManager::new`], but trace events emitted by this
-    /// manager carry `label` as their host name.
-    pub fn labeled(label: impl Into<String>, limit: u64) -> Self {
+    /// Create a manager with the given capacity in bytes; trace events
+    /// emitted by it carry `label` as their host name.
+    pub fn new(label: impl Into<String>, limit: u64) -> Self {
         MemoryManager {
             state: Rc::new(RefCell::new(MemState {
                 limit,
                 used: 0,
-                peak: 0,
                 procs: Vec::new(),
                 next_proc: 0,
                 label: label.into().into(),
@@ -141,7 +134,6 @@ impl MemoryManager {
             });
         }
         s.used += PROCESS_OVERHEAD;
-        s.peak = s.peak.max(s.used);
         s.note_alloc(PROCESS_OVERHEAD);
         let id = s.next_proc;
         s.next_proc += 1;
@@ -166,11 +158,6 @@ impl MemoryManager {
     pub fn used(&self) -> u64 {
         self.state.borrow().used
     }
-
-    /// High-water mark of [`MemoryManager::used`].
-    pub fn peak(&self) -> u64 {
-        self.state.borrow().peak
-    }
 }
 
 impl MemoryHandle {
@@ -185,7 +172,6 @@ impl MemoryHandle {
             });
         }
         s.used += bytes;
-        s.peak = s.peak.max(s.used);
         s.note_alloc(bytes);
         let p = s.proc_mut(self.proc_id);
         p.used += bytes;
@@ -229,7 +215,7 @@ impl MemoryHandle {
 /// Fig 5 probe: allocate `chunk`-byte blocks until out-of-memory; return
 /// the total successfully allocated (excluding bookkeeping overhead).
 pub fn probe_max_allocatable(limit: u64, chunk: u64) -> u64 {
-    let mm = MemoryManager::new(limit);
+    let mm = MemoryManager::new("vhost", limit);
     let Ok(h) = mm.register_process() else {
         return 0;
     };
@@ -246,7 +232,7 @@ mod tests {
 
     #[test]
     fn alloc_within_limit_succeeds() {
-        let mm = MemoryManager::new(10_000);
+        let mm = MemoryManager::new("vhost", 10_000);
         let h = mm.register_process().unwrap();
         let id = h.alloc(4_000).unwrap();
         assert_eq!(mm.used(), 4_000 + PROCESS_OVERHEAD);
@@ -256,7 +242,7 @@ mod tests {
 
     #[test]
     fn alloc_beyond_limit_fails() {
-        let mm = MemoryManager::new(2_048);
+        let mm = MemoryManager::new("vhost", 2_048);
         let h = mm.register_process().unwrap();
         let err = h.alloc(2_000).unwrap_err();
         assert_eq!(err.requested, 2_000);
@@ -275,7 +261,7 @@ mod tests {
 
     #[test]
     fn two_processes_share_the_cap() {
-        let mm = MemoryManager::new(10 * 1024);
+        let mm = MemoryManager::new("vhost", 10 * 1024);
         let a = mm.register_process().unwrap();
         let b = mm.register_process().unwrap();
         a.alloc(4 * 1024).unwrap();
@@ -286,7 +272,7 @@ mod tests {
 
     #[test]
     fn release_frees_everything() {
-        let mm = MemoryManager::new(8 * 1024);
+        let mm = MemoryManager::new("vhost", 8 * 1024);
         let h = mm.register_process().unwrap();
         h.alloc(1_000).unwrap();
         h.alloc(2_000).unwrap();
@@ -295,19 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracks_high_water() {
-        let mm = MemoryManager::new(8 * 1024);
-        let h = mm.register_process().unwrap();
-        let id = h.alloc(5_000).unwrap();
-        h.free(id);
-        h.alloc(100).unwrap();
-        assert_eq!(mm.peak(), 5_000 + PROCESS_OVERHEAD);
-    }
-
-    #[test]
     #[should_panic(expected = "free of unknown allocation")]
     fn double_free_panics() {
-        let mm = MemoryManager::new(8 * 1024);
+        let mm = MemoryManager::new("vhost", 8 * 1024);
         let h = mm.register_process().unwrap();
         let id = h.alloc(100).unwrap();
         h.free(id);
@@ -316,7 +292,7 @@ mod tests {
 
     #[test]
     fn registration_fails_when_full() {
-        let mm = MemoryManager::new(1_500);
+        let mm = MemoryManager::new("vhost", 1_500);
         let _a = mm.register_process().unwrap();
         assert!(mm.register_process().is_err());
     }

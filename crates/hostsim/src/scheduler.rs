@@ -94,14 +94,9 @@ pub struct MGridScheduler {
 }
 
 impl MGridScheduler {
-    /// Create the daemon on `kernel` and start its scheduling loop.
-    pub fn start(kernel: &OsKernel, params: SchedulerParams) -> Self {
-        Self::start_labeled(kernel, params, "host")
-    }
-
-    /// Like [`MGridScheduler::start`], but trace events emitted by this
-    /// daemon carry `label` as their host name.
-    pub fn start_labeled(kernel: &OsKernel, params: SchedulerParams, label: &str) -> Self {
+    /// Create the daemon on `kernel` and start its scheduling loop; trace
+    /// events emitted by the daemon carry `label` as their host name.
+    pub fn start(kernel: &OsKernel, params: SchedulerParams, label: &str) -> Self {
         let daemon = kernel.spawn_process("mgrid-schedd");
         let sched = MGridScheduler {
             inner: Rc::new(RefCell::new(SchedInner {
@@ -370,7 +365,7 @@ mod tests {
         let out2 = out.clone();
         sim.spawn(async move {
             let k = quiet_kernel();
-            let sched = MGridScheduler::start(&k, SchedulerParams::default());
+            let sched = MGridScheduler::start(&k, SchedulerParams::default(), "host");
             let p = k.spawn_process("ref");
             let _job = sched.add_job(p.clone(), fraction);
             {
@@ -405,7 +400,7 @@ mod tests {
         let mut sim = Simulation::new(4);
         sim.spawn(async {
             let k = quiet_kernel();
-            let sched = MGridScheduler::start(&k, SchedulerParams::default());
+            let sched = MGridScheduler::start(&k, SchedulerParams::default(), "host");
             let p = k.spawn_process("idle");
             let job = sched.add_job(p, 0.5);
             mgrid_desim::sleep(SimDuration::from_secs(2)).await;
@@ -421,7 +416,7 @@ mod tests {
         let mut sim = Simulation::new(5);
         sim.spawn(async {
             let k = quiet_kernel();
-            let sched = MGridScheduler::start(&k, SchedulerParams::default());
+            let sched = MGridScheduler::start(&k, SchedulerParams::default(), "host");
             let p = k.spawn_process("sleepy");
             let job = sched.add_job(p, 0.9);
             sched.record_grants(job, true);
@@ -440,7 +435,7 @@ mod tests {
         let mut sim = Simulation::new(6);
         sim.spawn(async {
             let k = quiet_kernel();
-            let sched = MGridScheduler::start(&k, SchedulerParams::default());
+            let sched = MGridScheduler::start(&k, SchedulerParams::default(), "host");
             let a = k.spawn_process("a");
             let b = k.spawn_process("b");
             sched.add_job(a.clone(), 0.6);
@@ -474,7 +469,7 @@ mod tests {
         let out2 = out.clone();
         sim.spawn(async move {
             let k = quiet_kernel();
-            let sched = MGridScheduler::start(&k, SchedulerParams::default());
+            let sched = MGridScheduler::start(&k, SchedulerParams::default(), "host");
             let p = k.spawn_process("churned");
             let job = sched.add_job(p.clone(), 0.05);
             // A busy competitor keeps the daemon rotating every quantum, so
@@ -511,7 +506,7 @@ mod tests {
         let mut sim = Simulation::new(7);
         sim.spawn(async {
             let k = quiet_kernel();
-            let sched = MGridScheduler::start(&k, SchedulerParams::default());
+            let sched = MGridScheduler::start(&k, SchedulerParams::default(), "host");
             let p = k.spawn_process("freed");
             let job = sched.add_job(p.clone(), 0.1);
             sched.remove_job(job);

@@ -17,7 +17,7 @@ use mgrid_desim::channel::{oneshot, OneshotSender};
 use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::timeout::with_timeout;
-use mgrid_desim::{obs, spawn, Category, Event, FxHashMap, FxHashSet, SpanStr};
+use mgrid_desim::{obs, spawn, Category, Event, FxHashMap, SpanStr};
 use mgrid_middleware::{HostEntry, ProcessCtx, SockError, VSender};
 use mgrid_netsim::Payload;
 
@@ -50,9 +50,9 @@ pub struct MpiParams {
     /// Deadline for blocking waits on a peer (posted receives and
     /// rendezvous CTS waits). `None` (the default) waits forever, real-MPI
     /// style; with a deadline, an expired wait fails the operation with
-    /// [`SockError::TimedOut`] and records the peer in
-    /// [`Comm::failed_ranks`] — how a fault-tolerant harness observes that
-    /// a rank's host crashed or its link went down.
+    /// [`SockError::TimedOut`], counts `mpi.rank_timeouts` and traces an
+    /// `Event::RankTimeout` naming the awaited rank — how a fault-tolerant
+    /// harness observes that a rank's host crashed or its link went down.
     pub recv_timeout: Option<SimDuration>,
 }
 
@@ -133,8 +133,6 @@ struct RankState {
     /// Eager sends still in flight in background tasks.
     outstanding: Cell<usize>,
     drained: Notify,
-    /// Ranks this communicator has timed out waiting on (suspected dead).
-    failed: RefCell<FxHashSet<usize>>,
     /// Interned labels of this rank's collective spans and flows —
     /// allocated on the first traced collective.
     coll_labels: OnceCell<CollLabels>,
@@ -177,7 +175,6 @@ impl Comm {
             collective_epoch: Cell::new(0),
             outstanding: Cell::new(0),
             drained: Notify::new(),
-            failed: RefCell::new(FxHashSet::default()),
             coll_labels: OnceCell::new(),
         });
         {
@@ -216,20 +213,9 @@ impl Comm {
         }
     }
 
-    /// Ranks this communicator has timed out waiting on (sorted). Empty
-    /// unless [`MpiParams::recv_timeout`] is set and a wait expired.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.state.failed.borrow().iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Record a timed-out wait on `suspect` (`ANY_SOURCE` when the receive
     /// was a wildcard) and build the error the caller returns.
     fn rank_timeout(&self, suspect: i32, waited: SimDuration) -> SockError {
-        if suspect >= 0 {
-            self.state.failed.borrow_mut().insert(suspect as usize);
-        }
         obs::count("mpi.rank_timeouts", 1);
         let waited_ns = waited.as_nanos();
         obs::emit(|| Event::RankTimeout {
@@ -447,8 +433,9 @@ impl Comm {
     /// Receive the next message satisfying `pattern`.
     ///
     /// With [`MpiParams::recv_timeout`] set, an unmatched wait past the
-    /// deadline fails with [`SockError::TimedOut`] and records the awaited
-    /// source (when specific) in [`Comm::failed_ranks`].
+    /// deadline fails with [`SockError::TimedOut`] and traces an
+    /// `Event::RankTimeout` naming the awaited source (`u64::MAX` for a
+    /// wildcard).
     pub async fn recv_matching(&self, pattern: Pattern) -> Result<RecvMsg, SockError> {
         let t0 = mgrid_desim::now();
         let deadline = self.recv_timeout.map(|d| t0 + d);

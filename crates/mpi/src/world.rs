@@ -395,14 +395,15 @@ mod tests {
     #[test]
     fn recv_timeout_surfaces_dead_rank() {
         let mut sim = Simulation::new(21);
-        let out = sim.block_on(async move {
+        sim.obs().enable_tracing(1 << 16);
+        sim.block_on(async move {
             let (table, net, hosts) = grid4();
             let params = MpiParams {
                 recv_timeout: Some(mgrid_desim::SimDuration::from_secs(2)),
             };
             let table2 = table.clone();
             // Rank 3's host dies before it ever sends, so rank 0's receive
-            // from it must time out and mark the rank suspect.
+            // from it must time out and name the rank suspect.
             mpirun(&table, &net, &hosts, params, move |comm| {
                 let table = table2.clone();
                 Box::pin(async move {
@@ -410,19 +411,20 @@ mod tests {
                         0 => {
                             let err = comm.recv(3, 1).await.unwrap_err();
                             assert_eq!(err, mgrid_middleware::SockError::TimedOut);
-                            comm.failed_ranks()
                         }
-                        3 => {
-                            table.lookup("node3.cluster").unwrap().vhost.crash();
-                            Vec::new()
-                        }
-                        _ => Vec::new(),
+                        3 => table.lookup("node3.cluster").unwrap().vhost.crash(),
+                        _ => {}
                     }
-                }) as std::pin::Pin<Box<dyn Future<Output = Vec<usize>>>>
+                }) as std::pin::Pin<Box<dyn Future<Output = ()>>>
             })
             .await
         });
-        assert_eq!(out[0], vec![3]);
+        let tracer = sim.obs().tracer();
+        assert_eq!(tracer.dropped(), 0);
+        assert!(tracer
+            .events()
+            .iter()
+            .any(|e| matches!(e.event, Event::RankTimeout { rank: 3, .. })));
         let m = sim.obs().metrics().snapshot();
         assert!(m.counter("mpi.rank_timeouts") >= 1);
     }

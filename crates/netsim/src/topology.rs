@@ -812,8 +812,10 @@ mod tests {
         });
         let loops = obs
             .tracer()
-            .events_in(mgrid_desim::event::Category::Net)
-            .len();
+            .events()
+            .iter()
+            .filter(|e| e.category() == mgrid_desim::event::Category::Net)
+            .count();
         assert_eq!(loops, 1, "exactly one RouteLoop event must be traced");
     }
 }

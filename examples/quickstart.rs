@@ -62,7 +62,7 @@ fn main() {
         let now = microgrid::desim::now();
         println!(
             "job done at virtual t={:.3}s (physical sim time {:.3}s)",
-            grid.clock().virtual_at(now).as_secs_f64(),
+            grid.network().clock().virtual_at(now).as_secs_f64(),
             now.as_secs_f64()
         );
 

@@ -60,13 +60,15 @@ fn gis_records_point_to_real_mappings() {
         let grid = VirtualGrid::build(config.clone()).expect("build");
         let gis = grid.gis();
         let gis = gis.borrow();
-        for rec in gis.search_all(&virtual_hosts_filter(&config.name)) {
-            // Every Mapped_Physical_Resource names an actual physical host.
+        let records = gis.search_all(&virtual_hosts_filter(&config.name));
+        assert_eq!(records.len(), config.virtual_hosts.len());
+        for rec in records {
+            // Every Mapped_Physical_Resource names the physical host that
+            // actually carries the record's virtual host.
+            let hn = rec.get("hn").expect("host name attribute");
             let phys = rec.get(MAPPED_PHYSICAL).expect("mapping attribute");
-            assert!(
-                grid.physical_host(phys).is_some(),
-                "GIS names unknown physical host {phys}"
-            );
+            let entry = grid.table().lookup(hn).expect("GIS host is in the table");
+            assert_eq!(phys, entry.vhost.physical().spec().name, "{hn}");
         }
     });
 }
