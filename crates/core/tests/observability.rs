@@ -4,7 +4,8 @@
 //! encode to valid JSON lines. The causal span layer gets the same
 //! treatment: spans and flows from every instrumented subsystem, plus
 //! byte-identical profiler and critical-path reports across same-seed
-//! runs.
+//! runs. One observed run is pinned whole in
+//! `tests/golden/observed_is_s_seed11.txt`.
 
 use microgrid::apps::npb::{NpbBenchmark, NpbClass};
 use microgrid::desim::{profile, Category, TraceEvent};
@@ -139,4 +140,69 @@ fn span_layer_records_flows_and_renders_deterministic_tables() {
     );
     assert!(prof.contains("vsock_send"), "{prof}");
     assert!(!cp.hops.is_empty(), "critical path should have hops");
+}
+
+/// A `Write` that keeps what it is given, shared with the test that reads
+/// it after the run.
+#[derive(Clone, Default)]
+struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The seed-11 run with spans and tracing on, pinned whole: the exact
+/// profile and critical-path tables, and the length and FNV-1a digest of
+/// its Perfetto document and of its JSON-lines trace. Regenerate with
+/// `MGRID_BLESS=1 cargo test -p microgrid --test observability` after an
+/// intended change to what a run records.
+#[test]
+fn observed_run_matches_the_golden_file() {
+    let trace = SharedBuf::default();
+    let outcome = run_small_grid(Observe {
+        trace: Some((65536, Box::new(trace.clone()))),
+        spans: true,
+    });
+    let capture = &outcome.capture;
+    let mut doc = Vec::new();
+    microgrid::desim::perfetto::export_to(&capture.spans, &capture.events, &mut doc)
+        .expect("writes to memory");
+    let trace = trace.0.lock().unwrap();
+    let got = format!(
+        "-- profile --\n{}-- critical path --\n{}-- perfetto --\n{} bytes, fnv1a64 {:016x}\n\
+         -- trace --\n{} bytes, fnv1a64 {:016x}\n",
+        profile::Profile::from_snapshot(&capture.spans).to_table(),
+        profile::critical_path(&capture.spans).to_table(),
+        doc.len(),
+        fnv1a64(&doc),
+        trace.len(),
+        fnv1a64(&trace),
+    );
+
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/observed_is_s_seed11.txt"
+    );
+    if std::env::var("MGRID_BLESS").as_deref() == Ok("1") {
+        std::fs::write(golden, &got).expect("write golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(golden).expect(
+        "golden file missing; regenerate with MGRID_BLESS=1 cargo test -p microgrid --test observability",
+    );
+    assert_eq!(got, want, "the observed run drifted from the golden file");
 }
