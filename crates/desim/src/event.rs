@@ -161,17 +161,6 @@ pub enum Event {
         /// Virtual-time nanoseconds the collective took.
         elapsed_ns: u64,
     },
-    /// A hop-by-hop route walk revisited more nodes than the topology
-    /// holds — a routing loop (should be impossible with consistent
-    /// first-hop tables; emitted instead of failing silently).
-    RouteLoop {
-        /// Source node index of the walk.
-        src: usize,
-        /// Destination node index of the walk.
-        dst: usize,
-        /// Node index the walk stood at when the loop was detected.
-        at: usize,
-    },
     /// The fault injector fired one scripted fault.
     FaultInjected {
         /// Stable fault-kind name (`"link_down"`, `"host_crash"`, …).
@@ -197,8 +186,7 @@ impl Event {
             Event::QuantumGrant { .. } | Event::QuantumPreempt { .. } => Category::Sched,
             Event::PacketEnqueue { .. }
             | Event::PacketDequeue { .. }
-            | Event::PacketDrop { .. }
-            | Event::RouteLoop { .. } => Category::Net,
+            | Event::PacketDrop { .. } => Category::Net,
             Event::VsockSend { .. } | Event::VsockRecv { .. } => Category::Vsock,
             Event::MemAlloc { .. } | Event::MemDeny { .. } => Category::Mem,
             Event::CollectiveStart { .. }
@@ -209,13 +197,12 @@ impl Event {
     }
 
     /// Every event kind name, indexed by [`Event::kind_index`].
-    pub(crate) const KINDS: [&'static str; 14] = [
+    pub(crate) const KINDS: [&'static str; 13] = [
         "quantum_grant",
         "quantum_preempt",
         "packet_enqueue",
         "packet_dequeue",
         "packet_drop",
-        "route_loop",
         "vsock_send",
         "vsock_recv",
         "mem_alloc",
@@ -234,15 +221,14 @@ impl Event {
             Event::PacketEnqueue { .. } => 2,
             Event::PacketDequeue { .. } => 3,
             Event::PacketDrop { .. } => 4,
-            Event::RouteLoop { .. } => 5,
-            Event::VsockSend { .. } => 6,
-            Event::VsockRecv { .. } => 7,
-            Event::MemAlloc { .. } => 8,
-            Event::MemDeny { .. } => 9,
-            Event::CollectiveStart { .. } => 10,
-            Event::CollectiveEnd { .. } => 11,
-            Event::FaultInjected { .. } => 12,
-            Event::RankTimeout { .. } => 13,
+            Event::VsockSend { .. } => 5,
+            Event::VsockRecv { .. } => 6,
+            Event::MemAlloc { .. } => 7,
+            Event::MemDeny { .. } => 8,
+            Event::CollectiveStart { .. } => 9,
+            Event::CollectiveEnd { .. } => 10,
+            Event::FaultInjected { .. } => 11,
+            Event::RankTimeout { .. } => 12,
         }
     }
 
@@ -352,11 +338,6 @@ impl Event {
                 field_str(out, "op", op);
                 field_num(out, "ranks", *ranks as u64);
                 field_num(out, "elapsed_ns", *elapsed_ns);
-            }
-            Event::RouteLoop { src, dst, at } => {
-                field_num(out, "src", *src as u64);
-                field_num(out, "dst", *dst as u64);
-                field_num(out, "at", *at as u64);
             }
             Event::FaultInjected { fault, target } => {
                 field_str(out, "fault", fault);

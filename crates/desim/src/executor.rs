@@ -801,11 +801,6 @@ impl<T> JoinHandle<T> {
     pub fn try_take(&self) -> Option<T> {
         self.state.borrow_mut().result.take()
     }
-
-    /// True if the task has completed (and the result not yet taken).
-    pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -1081,9 +1076,8 @@ mod tests {
     fn join_handle_try_take() {
         let mut sim = Simulation::new(0);
         let h = sim.spawn(async { "done" });
-        assert!(!h.is_finished());
+        assert_eq!(h.try_take(), None);
         sim.run();
-        assert!(h.is_finished());
         assert_eq!(h.try_take(), Some("done"));
         assert_eq!(h.try_take(), None);
     }
@@ -1247,7 +1241,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(second.try_take(), Some(SimTime::from_nanos(1_000_000)));
-        assert!(!first.is_finished());
+        assert!(first.try_take().is_none());
         // One poll of the first task, two of the second: the timer did not
         // wake the task that registered it.
         assert_eq!(sim.poll_count(), 3);

@@ -1,10 +1,12 @@
 //! Observability handle and in-simulation instrumentation functions.
 //!
 //! Every [`crate::Simulation`] owns an [`Obs`]: a typed-event [`Tracer`]
-//! (disabled by default) plus an always-on [`Metrics`] registry.
-//! Instrumented code anywhere in the workspace calls the free functions
-//! in this module — [`emit`], [`count`], [`observe`] — which resolve
-//! the current simulation through the executor's thread-local context.
+//! and a causal [`SpanStore`] (both disabled by default) plus an
+//! always-on [`Metrics`] registry. Instrumented code anywhere in the
+//! workspace calls the free functions in this module — [`emit`],
+//! [`count`], [`observe`], [`span_begin`] / [`span_end`] and the two flow
+//! halves [`flow_out`] / [`flow_in`] — which resolve the current
+//! simulation through the executor's thread-local context.
 //!
 //! Two properties make these safe on hot paths:
 //!
@@ -138,26 +140,13 @@ pub fn span_begin(
     name: &'static str,
     f: impl FnOnce() -> (SpanStr, SpanStr, SpanStr),
 ) -> SpanId {
-    span_child(SpanId::NONE, cat, name, f)
-}
-
-/// Open a causal span with an explicit parent link (see [`span_begin`]).
-/// Pass [`SpanId::NONE`] for a root span.
-pub fn span_child(
-    parent: SpanId,
-    cat: Category,
-    name: &'static str,
-    f: impl FnOnce() -> (SpanStr, SpanStr, SpanStr),
-) -> SpanId {
     try_with_current(|s| {
         let obs = s.obs();
         if !obs.spans.is_enabled() {
             return SpanId::NONE;
         }
         let (track, lane, detail) = f();
-        let parent = if parent.is_none() { None } else { Some(parent) };
-        obs.spans
-            .begin(s.now(), parent, cat, name, track, lane, detail)
+        obs.spans.begin(s.now(), cat, name, track, lane, detail)
     })
     .unwrap_or(SpanId::NONE)
 }

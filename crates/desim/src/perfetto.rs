@@ -1,7 +1,7 @@
 //! Chrome trace-event / Perfetto JSON export.
 //!
-//! Renders a [`SpanSnapshot`] (plus optional flat events and
-//! shard-epoch records) into the Chrome trace-event JSON format that
+//! Renders a [`SpanSnapshot`] (plus optional flat events) into the
+//! Chrome trace-event JSON format that
 //! <https://ui.perfetto.dev> and `chrome://tracing` load directly:
 //!
 //! - every span track (virtual host) becomes a Perfetto *process* row
@@ -10,10 +10,7 @@
 //! - resolved flow edges become `"s"`/`"f"` flow arrows from the
 //!   producing span to the consuming span;
 //! - flat [`TraceEvent`]s become `"i"` instant ticks on one lane per
-//!   [`Category`], under a dedicated `events` process;
-//! - [`EpochRecord`]s become run/idle slices on one lane per shard under
-//!   a `shard-engine` process (no producer is left in this workspace; see
-//!   [`export`]).
+//!   [`Category`], under a dedicated `events` process.
 //!
 //! The output is hand-rolled (no serde), mirroring
 //! [`crate::event::Event::to_json_line`]: identical inputs produce byte-identical
@@ -38,40 +35,27 @@ use crate::jsonw::{push_escaped, push_ts_us, push_u64};
 use crate::span::{SpanId, SpanSnapshot};
 use crate::trace::TraceEvent;
 
-/// One barrier round of a sharded run: per-shard horizons and whether
-/// each shard had events to execute before its horizon.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EpochRecord {
-    /// Per-shard exclusive horizon in nanoseconds (`u64::MAX` when a
-    /// shard was unbounded this round).
-    pub horizons: Vec<u64>,
-    /// Per-shard: true when the shard had activity before its horizon
-    /// (the window executed rather than idle-parked).
-    pub ran: Vec<bool>,
-}
-
 /// Build the complete Chrome trace-event JSON document.
 ///
 /// `events` adds instant ticks (pass `&[]` to skip). The result is a
 /// pure function of its inputs: same snapshot, same bytes.
 ///
-/// `epochs` (always `&[]` in this workspace) and its lane renderer are
-/// kept only because the third parameter is pinned by `benchmark/`,
-/// which this repo's PRs may not edit: `benchmark/src/scenario.rs` calls
-/// `export(snap, events, &[])`.
-pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]) -> String {
+/// The third parameter is uninhabited: `&[]` is the only value it takes.
+/// It stays because the benchmark crate (`benchmark/src/scenario.rs`)
+/// calls `export(snap, events, &[])`.
+pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], _none: &[Infallible]) -> String {
     // Typical records run 100-170 bytes; a short guess only costs a
     // regrowth.
     let buf = String::with_capacity(
         64 + 176 * snap.spans.len() + 224 * snap.flows.len() + 112 * events.len(),
     );
-    match encode(snap, events, epochs, buf, |_| Ok::<(), Infallible>(())) {
+    match encode(snap, events, buf, |_| Ok::<(), Infallible>(())) {
         Ok(out) => out,
         Err(never) => match never {},
     }
 }
 
-/// Write the document [`export`] builds (with no epochs) to `out`, the
+/// Write the document [`export`] builds to `out`, the
 /// same bytes, in chunks of about 64 KB. Stops at the first failed write
 /// and returns its error; `out` is not flushed.
 pub fn export_to(
@@ -81,7 +65,7 @@ pub fn export_to(
 ) -> io::Result<()> {
     const CHUNK: usize = 64 * 1024;
     let buf = String::with_capacity(CHUNK + 1024);
-    let rest = encode(snap, events, &[], buf, |buf| -> io::Result<()> {
+    let rest = encode(snap, events, buf, |buf| -> io::Result<()> {
         if buf.len() >= CHUNK {
             out.write_all(buf.as_bytes())?;
             buf.clear();
@@ -147,7 +131,6 @@ impl<E, F: FnMut(&mut String) -> Result<(), E>> Doc<F> {
 fn encode<E>(
     snap: &SpanSnapshot,
     events: &[TraceEvent],
-    epochs: &[EpochRecord],
     buf: String,
     flush: impl FnMut(&mut String) -> Result<(), E>,
 ) -> Result<String, E> {
@@ -167,7 +150,6 @@ fn encode<E>(
     }
     let tracks = pid_tid.last().map_or(0, |&(pid, _)| pid);
     let events_pid = tracks + 1;
-    let engine_pid = tracks + 2;
     // `(pid, tid)` per kind: what a row needs to find its lane.
     let kind_lane: Vec<(u64, u64)> = lanes.of_kind.iter().map(|&l| pid_tid[l as usize]).collect();
     let span_lane = |id: SpanId| {
@@ -194,13 +176,6 @@ fn encode<E>(
         doc.meta(events_pid, None, "events")?;
         for (t, cat) in Category::ALL.iter().enumerate() {
             doc.meta(events_pid, Some(t as u64 + 1), cat.name())?;
-        }
-    }
-    if !epochs.is_empty() {
-        doc.meta(engine_pid, None, "shard-engine")?;
-        for d in 0..epochs[0].horizons.len() {
-            let name = format!("shard{d}");
-            doc.meta(engine_pid, Some(d as u64 + 1), &name)?;
         }
     }
 
@@ -271,30 +246,6 @@ fn encode<E>(
         doc.buf.push('}');
     }
 
-    // Shard-epoch lanes: one run/idle slice per shard per round,
-    // spanning from the previous round's horizon to this one's.
-    if !epochs.is_empty() {
-        let shards = epochs[0].horizons.len();
-        let mut prev = vec![0u64; shards];
-        for (round, rec) in epochs.iter().enumerate() {
-            for (d, last) in prev.iter_mut().enumerate() {
-                let h = rec.horizons.get(d).copied().unwrap_or(u64::MAX);
-                if h == u64::MAX || h <= *last {
-                    continue;
-                }
-                let ran = rec.ran.get(d).copied().unwrap_or(false);
-                doc.open(if ran { "run" } else { "idle" })?;
-                doc.ts(",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":", *last);
-                doc.ts(",\"dur\":", h - *last);
-                doc.num(",\"pid\":", engine_pid);
-                doc.num(",\"tid\":", d as u64 + 1);
-                doc.num(",\"args\":{\"round\":", round as u64 + 1);
-                doc.buf.push_str("}}");
-                *last = h;
-            }
-        }
-    }
-
     doc.buf.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     Ok(doc.buf)
 }
@@ -314,7 +265,6 @@ mod tests {
         st.set_enabled(true);
         let a = st.begin(
             t(1_000),
-            None,
             Category::Sched,
             "quantum",
             "alpha0",
@@ -324,7 +274,6 @@ mod tests {
         st.end(t(11_500), a);
         let b = st.begin(
             t(2_000),
-            None,
             Category::Vsock,
             "vsock_recv",
             "beta0",
@@ -333,7 +282,6 @@ mod tests {
         );
         let c = st.begin(
             t(11_500),
-            Some(a),
             Category::Vsock,
             "vsock_send",
             "alpha0",
@@ -364,28 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_records_become_engine_lanes() {
-        let epochs = vec![
-            EpochRecord {
-                horizons: vec![5_000, 5_000],
-                ran: vec![true, false],
-            },
-            EpochRecord {
-                horizons: vec![9_000, u64::MAX],
-                ran: vec![true, true],
-            },
-        ];
-        let out = export(&SpanSnapshot::default(), &[], &epochs);
-        assert!(out.contains("\"name\":\"shard-engine\""));
-        assert!(out.contains(
-            "\"name\":\"run\",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":0.000,\"dur\":5.000"
-        ));
-        assert!(out.contains("\"name\":\"idle\",\"cat\":\"epoch\""));
-        // The unbounded (u64::MAX) horizon produced no slice.
-        assert_eq!(out.matches("\"cat\":\"epoch\"").count(), 3);
-    }
-
-    #[test]
     fn instant_events_land_on_category_lanes() {
         use crate::event::Event;
         let events = vec![TraceEvent {
@@ -406,7 +332,6 @@ mod tests {
         for i in 0..2_000u64 {
             let id = st.begin(
                 t(i * 10),
-                None,
                 Category::Net,
                 "net_send",
                 track.clone(),

@@ -14,8 +14,8 @@
 //!   style of an HPC profiler.
 //! - [`CriticalPath`] answers *which chain made the run late*: the
 //!   longest dependency chain through the span/flow DAG, where a span
-//!   depends on its lane predecessor (program order), on flow producers
-//!   (message send → receive, collective rendezvous), and on its parent.
+//!   depends on its lane predecessor (program order) and on flow
+//!   producers (message send → receive, collective rendezvous).
 
 use std::fmt::Write as _;
 
@@ -231,7 +231,7 @@ pub struct Hop {
     /// can contribute less than its own duration.
     pub contrib_ns: u64,
     /// How this hop depends on the previous one: `"start"` for the
-    /// first hop, then `"flow"`, `"lane"`, or `"parent"`.
+    /// first hop, then `"flow"` or `"lane"`.
     pub via: &'static str,
     /// Number of consecutive same-operation spans coalesced into this
     /// hop. A saturated lane (say, back-to-back scheduler quanta on the
@@ -259,7 +259,7 @@ pub struct CriticalPath {
 /// and would mask the application-level dependency chain (quanta still
 /// count in [`Profile`] and render in the Perfetto export). The
 /// analyzer builds a DAG over the remaining span *boundary points* —
-/// two nodes per span, its begin and its end — with four edge kinds:
+/// two nodes per span, its begin and its end — with three edge kinds:
 ///
 /// - **work** `begin(s) → end(s)`, weight `dur(s)`: the span's own
 ///   elapsed virtual time — except for spans that consume a resolved
@@ -271,7 +271,6 @@ pub struct CriticalPath {
 /// - **lane** `end(p) → begin(s)`, weight 0, where `p` is the latest
 ///   span on `s`'s `(track, lane)` ending at or before `s` begins
 ///   (program order; the idle gap between them is slack, not cost);
-/// - **parent** `begin(p) → begin(s)`, weight 0, for `s`'s parent link;
 /// - **flow** `begin(a) → end(s)`, weight `end(s) − begin(a)`, for a
 ///   resolved [`crate::span::FlowEdge`] `a → s`: the transfer occupies
 ///   the wall interval from the producer *starting* to the consumer
@@ -280,7 +279,7 @@ pub struct CriticalPath {
 ///
 /// The longest path to any end node is the critical path. All
 /// tie-breaks are deterministic: higher cost first, then edge kind
-/// (flow, work, lane, parent), then smaller span id.
+/// (flow, work, lane), then smaller span id.
 pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     const NONE: u32 = u32::MAX;
     // Edge kinds, in tie-break priority order; `START` marks a node
@@ -288,9 +287,8 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     const FLOW: u8 = 0;
     const WORK: u8 = 1;
     const LANE: u8 = 2;
-    const PARENT: u8 = 3;
-    const START: u8 = 4;
-    const VIA: [&str; 5] = ["flow", "work", "lane", "parent", "start"];
+    const START: u8 = 3;
+    const VIA: [&str; 4] = ["flow", "work", "lane", "start"];
 
     // The completed non-scheduler spans ("comp" spans), by row index.
     // A span's id is its row index + 1, so `at` is ascending: it orders
@@ -378,13 +376,6 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
         if v.is_multiple_of(2) {
             if lane_pred[c] != NONE {
                 offer(lane_pred[c] as usize * 2 + 1, LANE, 0);
-            }
-            if let Some(p) = row(c).parent_id().and_then(comp) {
-                // Defensive: a parent that does not precede its child
-                // in the topological order is ignored.
-                if (begin(p), at[p]) < (begin(c), at[c]) {
-                    offer(p * 2, PARENT, 0);
-                }
             }
         } else {
             // A flow consumer's end is caused by the message, not by
@@ -538,19 +529,10 @@ mod tests {
     fn two_host_snapshot() -> SpanSnapshot {
         let st = SpanStore::new();
         st.set_enabled(true);
-        let c0 = st.begin(
-            t(0),
-            None,
-            Category::Sched,
-            "quantum",
-            "h0",
-            "p0",
-            String::new(),
-        );
+        let c0 = st.begin(t(0), Category::Sched, "quantum", "h0", "p0", String::new());
         st.end(t(100), c0);
         let rx = st.begin(
             t(80),
-            None,
             Category::Vsock,
             "vsock_recv",
             "h1",
@@ -559,7 +541,6 @@ mod tests {
         );
         let tx = st.begin(
             t(100),
-            None,
             Category::Vsock,
             "vsock_send",
             "h0",
@@ -572,7 +553,6 @@ mod tests {
         st.end(t(120), rx);
         let c1 = st.begin(
             t(120),
-            None,
             Category::Sched,
             "quantum",
             "h1",
@@ -636,26 +616,10 @@ mod tests {
         // Lane A: 10 + 10 with an idle gap; lane B: one 25-ns span.
         // B wins — the gap is slack, not cost.
         for (b, e) in [(0u64, 10u64), (20, 30)] {
-            let id = st.begin(
-                t(b),
-                None,
-                Category::Vsock,
-                "vsock_send",
-                "a",
-                "p",
-                String::new(),
-            );
+            let id = st.begin(t(b), Category::Vsock, "vsock_send", "a", "p", String::new());
             st.end(t(e), id);
         }
-        let id = st.begin(
-            t(5),
-            None,
-            Category::Vsock,
-            "vsock_send",
-            "b",
-            "p",
-            String::new(),
-        );
+        let id = st.begin(t(5), Category::Vsock, "vsock_send", "b", "p", String::new());
         st.end(t(30), id);
         let cp = critical_path(&st.snapshot());
         assert_eq!(cp.total_ns, 25);
@@ -669,15 +633,7 @@ mod tests {
         let st = SpanStore::new();
         st.set_enabled(true);
         for (b, e) in [(0u64, 10u64), (10, 20), (20, 35)] {
-            let id = st.begin(
-                t(b),
-                None,
-                Category::Vsock,
-                "vsock_send",
-                "a",
-                "p",
-                String::new(),
-            );
+            let id = st.begin(t(b), Category::Vsock, "vsock_send", "a", "p", String::new());
             st.end(t(e), id);
         }
         let cp = critical_path(&st.snapshot());
@@ -690,7 +646,7 @@ mod tests {
 
     /// A random snapshot: up to a dozen spans on four lanes, begins in
     /// time order with same-instant ties, zero-length and open spans,
-    /// `Sched` spans, parent links, and flows whose ends may be open or
+    /// `Sched` spans, and flows whose ends may be open or
     /// `Sched` spans.
     fn random_snapshot(rng: &mut crate::rng::SimRng) -> SpanSnapshot {
         const CATS: [Category; 3] = [Category::Sched, Category::Vsock, Category::Mpi];
@@ -702,13 +658,8 @@ mod tests {
         let mut at = 0;
         for _ in 0..1 + rng.below(12) {
             at += rng.below(3);
-            let parent = match rng.below(3) {
-                0 if !ids.is_empty() => Some(ids[rng.below(ids.len() as u64) as usize]),
-                _ => None,
-            };
             let id = st.begin(
                 t(at),
-                parent,
                 CATS[rng.below(3) as usize],
                 NAMES[rng.below(2) as usize],
                 HOSTS[rng.below(2) as usize],
@@ -739,7 +690,6 @@ mod tests {
         const FLOW: u8 = 0;
         const WORK: u8 = 1;
         const LANE: u8 = 2;
-        const PARENT: u8 = 3;
         let spans: Vec<_> = snap
             .spans
             .records()
@@ -770,11 +720,6 @@ mod tests {
             if let Some(p) = lane_pred {
                 into[2 * c].push((2 * p + 1, LANE, 0));
             }
-            if let Some(p) = spans[c].parent.and_then(comp) {
-                if (begin(p), id(p)) < (begin(c), id(c)) {
-                    into[2 * c].push((2 * p, PARENT, 0));
-                }
-            }
             let producers: Vec<usize> = snap
                 .flows
                 .iter()
@@ -800,7 +745,7 @@ mod tests {
         let mut cost = vec![0u64; 2 * n];
         let mut pred: Vec<Option<(usize, u8)>> = vec![None; 2 * n];
         for &v in &order {
-            // Highest cost, then edge kind (flow, work, lane, parent),
+            // Highest cost, then edge kind (flow, work, lane),
             // then the smaller span id.
             let best = into[v].iter().copied().max_by(|x, y| {
                 (cost[x.0] + x.2)

@@ -4,10 +4,9 @@
 //! answer *what caused what* and *what dominated*. A span is a named
 //! interval of virtual time on a `(track, lane)` pair — track is a
 //! virtual host (a Perfetto "process" row), lane is a process or daemon
-//! within it (a Perfetto "thread" row). Spans may carry an explicit
-//! parent link, and **flow edges** connect a span on one track to a
-//! span on another (message send → receive, MPI collective rendezvous),
-//! turning the per-lane interval lists into a causal DAG.
+//! within it (a Perfetto "thread" row). **Flow edges** connect a span on
+//! one track to a span on another (message send → receive, MPI collective
+//! rendezvous), turning the per-lane interval lists into a causal DAG.
 //!
 //! ## Flow matching
 //!
@@ -29,7 +28,7 @@
 //! ## Storage
 //!
 //! A stored span is one 32-byte [`SpanRow`] of a [`SpanTable`]: begin and
-//! end nanoseconds, the parent's id and two small integers. Everything a
+//! end nanoseconds and two small integers. Everything a
 //! site repeats from span to span is stored once: the distinct
 //! `(cat, name, track, lane)` combinations — a few per process, tens per
 //! run — make up the table's *kinds*, the distinct detail strings its
@@ -100,8 +99,6 @@ impl SpanId {
 pub struct SpanRecord {
     /// This span's id (1-based, in begin order).
     pub id: SpanId,
-    /// Enclosing span, if the caller linked one.
-    pub parent: Option<SpanId>,
     /// Subsystem category (reused from the flat event stream).
     pub cat: Category,
     /// Stable operation name (`"quantum"`, `"vsock_send"`, …).
@@ -135,8 +132,6 @@ pub struct SpanRow {
     /// Virtual instant the span ended, nanoseconds; meaningful only
     /// when `closed` (any instant, `u64::MAX` included, is a valid end).
     pub end: u64,
-    /// Raw id of the enclosing span; 0 for none.
-    pub parent: u32,
     /// Index into [`SpanTable::kinds`].
     pub kind: u32,
     /// Index into [`SpanTable::details`].
@@ -149,11 +144,6 @@ pub struct SpanRow {
 const _: () = assert!(std::mem::size_of::<SpanRow>() == 32);
 
 impl SpanRow {
-    /// The enclosing span, if the caller linked one.
-    pub fn parent_id(&self) -> Option<SpanId> {
-        (self.parent != 0).then_some(SpanId(u64::from(self.parent)))
-    }
-
     /// Duration in nanoseconds (zero while the span is open).
     pub fn dur_ns(&self) -> u64 {
         if self.closed {
@@ -230,7 +220,6 @@ impl SpanTable {
         let kind = &self.kinds[row.kind as usize];
         SpanRecord {
             id: SpanId(i as u64 + 1),
-            parent: row.parent_id(),
             cat: kind.cat,
             name: kind.name,
             track: kind.track.clone(),
@@ -514,18 +503,12 @@ impl SpanStore {
     /// Open a span at `at`. Returns [`SpanId::NONE`] (recording nothing)
     /// while disabled or once the capacity backstop is hit.
     ///
-    /// A row keeps its parent's id in 32 bits, so the backstop never
+    /// The critical path indexes rows as `u32`, so the backstop never
     /// exceeds `u32::MAX` spans whatever [`SpanStore::set_capacity`] was
-    /// given, and a `parent` id above that — which no span of this store
-    /// can have — is stored as none.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "one flat call per span keeps the hot recording path free of a builder"
-    )]
+    /// given.
     pub fn begin(
         &self,
         at: SimTime,
-        parent: Option<SpanId>,
         cat: Category,
         name: &'static str,
         track: impl Into<SpanStr>,
@@ -549,7 +532,6 @@ impl SpanStore {
         table.rows.push(SpanRow {
             begin: at.as_nanos(),
             end: 0,
-            parent: parent.map_or(0, |p| u32::try_from(p.0).unwrap_or(0)),
             kind,
             detail,
             closed: false,
@@ -650,15 +632,7 @@ mod tests {
     #[test]
     fn disabled_store_returns_sentinel() {
         let s = SpanStore::new();
-        let id = s.begin(
-            t(1),
-            None,
-            Category::Sched,
-            "quantum",
-            "h0",
-            "job",
-            String::new(),
-        );
+        let id = s.begin(t(1), Category::Sched, "quantum", "h0", "job", String::new());
         assert!(id.is_none());
         s.end(t(2), id); // must not panic
         s.flow_out("msg", "a", "b", id);
@@ -668,23 +642,14 @@ mod tests {
     #[test]
     fn ids_are_sequential_and_ends_stick() {
         let s = store();
-        let a = s.begin(t(1), None, Category::Net, "send", "h0", "p", String::new());
-        let b = s.begin(
-            t(2),
-            Some(a),
-            Category::Net,
-            "xfer",
-            "h0",
-            "p",
-            String::new(),
-        );
+        let a = s.begin(t(1), Category::Net, "send", "h0", "p", String::new());
+        let b = s.begin(t(2), Category::Net, "xfer", "h0", "p", String::new());
         assert_eq!(a.get(), 1);
         assert_eq!(b.get(), 2);
         s.end(t(5), b);
         s.end(t(9), b); // second close ignored
         let snap = s.snapshot();
         assert_eq!(snap.span(b).unwrap().end, Some(t(5)));
-        assert_eq!(snap.span(b).unwrap().parent, Some(a));
         assert_eq!(snap.span(a).unwrap().end, None);
         assert_eq!(snap.span(b).unwrap().dur_ns(), 3);
     }
@@ -692,9 +657,8 @@ mod tests {
     #[test]
     fn flows_join_fifo_per_key() {
         let s = store();
-        let mk = |st: &SpanStore, n| {
-            st.begin(t(n), None, Category::Vsock, "send", "x", "p", String::new())
-        };
+        let mk =
+            |st: &SpanStore, n| st.begin(t(n), Category::Vsock, "send", "x", "p", String::new());
         let s1 = mk(&s, 1);
         let s2 = mk(&s, 2);
         let r1 = mk(&s, 3);
@@ -728,24 +692,8 @@ mod tests {
     fn capacity_backstop_counts_drops() {
         let s = store();
         s.set_capacity(1);
-        let a = s.begin(
-            t(1),
-            None,
-            Category::Mpi,
-            "barrier",
-            "h",
-            "r0",
-            String::new(),
-        );
-        let b = s.begin(
-            t(2),
-            None,
-            Category::Mpi,
-            "barrier",
-            "h",
-            "r1",
-            String::new(),
-        );
+        let a = s.begin(t(1), Category::Mpi, "barrier", "h", "r0", String::new());
+        let b = s.begin(t(2), Category::Mpi, "barrier", "h", "r1", String::new());
         assert!(!a.is_none());
         assert!(b.is_none());
         assert_eq!(s.dropped(), 1);
@@ -754,8 +702,8 @@ mod tests {
     #[test]
     fn a_snapshot_shares_the_table_until_someone_writes() {
         let s = store();
-        let a = s.begin(t(1), None, Category::Net, "send", "h0", "p", "d");
-        let b = s.begin(t(2), Some(a), Category::Net, "send", "h0", "p", "d");
+        let a = s.begin(t(1), Category::Net, "send", "h0", "p", "d");
+        let b = s.begin(t(2), Category::Net, "send", "h0", "p", "d");
         s.end(t(3), a);
         let snap = s.snapshot();
         let before: Vec<SpanRecord> = snap.spans.records().collect();
@@ -763,7 +711,7 @@ mod tests {
         // Recording after the snapshot copies the table: the snapshot
         // keeps what it saw, the store gets the new rows.
         s.end(t(9), b);
-        let c = s.begin(t(10), None, Category::Mpi, "barrier", "h1", "r0", "");
+        let c = s.begin(t(10), Category::Mpi, "barrier", "h1", "r0", "");
         assert_eq!(snap.spans.records().collect::<Vec<_>>(), before);
         assert_eq!(snap.span(b).unwrap().end, None);
         assert!(snap.span(c).is_none());
@@ -792,7 +740,6 @@ mod tests {
         for i in 0..1000 {
             let id = s.begin(
                 t(i),
-                None,
                 Category::Net,
                 "net_send",
                 track.clone(),
@@ -812,8 +759,7 @@ mod tests {
 
         /// The table is a lossless encoding: whatever goes in through the
         /// store comes out of `record(i)` as the `SpanRecord` the old
-        /// `Vec<SpanRecord>` storage would have held — except a parent id
-        /// above `u32::MAX`, stored as none (see [`SpanStore::begin`]).
+        /// `Vec<SpanRecord>` storage would have held.
         #[test]
         fn records_match_a_reference_built_beside_the_store(
             ops in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..60),
@@ -822,9 +768,6 @@ mod tests {
             const NAMES: [&str; 3] = ["quantum", "net_send", ""];
             let shared: Vec<SpanStr> = TEXTS.iter().map(|t| SpanStr::from(*t)).collect();
             let s = store();
-            // Ids another store handed out: here they are only numbers,
-            // naming whichever row has that index, or none.
-            let donor = store();
             let mut want: Vec<SpanRecord> = Vec::new();
             for &(a, b, c) in &ops {
                 if a % 4 == 0 && !want.is_empty() {
@@ -845,22 +788,11 @@ mod tests {
                 let name = NAMES[(a >> 8) as usize % NAMES.len()];
                 let cat = Category::ALL[(a >> 10) as usize % Category::ALL.len()];
                 let own = want.len() as u64;
-                let parent = match b % 6 {
-                    0 => None,
-                    1 => Some(SpanId::NONE),
-                    2 => Some(SpanId(c % (own + 1))),
-                    3 => Some(SpanId(own + 1 + c % 1_000)),
-                    4 => Some(donor.begin(t(0), None, Category::Net, "donor", "", "", "")),
-                    _ => Some(SpanId(u64::from(u32::MAX) + 1 + c % 1_000)),
-                };
                 let begin = t(c % 1_000);
-                let id = s.begin(
-                    begin, parent, cat, name, track.clone(), lane.clone(), detail.clone(),
-                );
+                let id = s.begin(begin, cat, name, track.clone(), lane.clone(), detail.clone());
                 prop_assert_eq!(id, SpanId(own + 1));
                 want.push(SpanRecord {
                     id,
-                    parent: parent.filter(|p| !p.is_none() && p.0 <= u64::from(u32::MAX)),
                     cat,
                     name,
                     track,

@@ -405,11 +405,6 @@ mod tests {
             },
             Event::PacketDequeue { link: 4, bytes: 5 },
             Event::PacketDrop { link: 6, bytes: 7 },
-            Event::RouteLoop {
-                src: 8,
-                dst: 9,
-                at: 10,
-            },
             Event::VsockSend {
                 src: "é漢字".into(),
                 dst: "ctl\u{1}".into(),

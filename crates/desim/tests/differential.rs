@@ -12,16 +12,16 @@
 //!
 //! The snapshots are nastier than any real run: names that need every
 //! JSON escape class, open spans, begin times out of id order, ties at
-//! one instant, parents and flows that name open, unknown or sentinel
-//! spans, and the same track/lane text held sometimes by one shared
-//! allocation and sometimes by a fresh one per span — which is what
-//! proves the store interns by text, whatever allocation holds it.
+//! one instant, flows that name open, unknown or sentinel spans, and the
+//! same track/lane text held sometimes by one shared allocation and
+//! sometimes by a fresh one per span — which is what proves the store
+//! interns by text, whatever allocation holds it.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mgrid_desim::perfetto::{self, EpochRecord};
+use mgrid_desim::perfetto;
 use mgrid_desim::profile::{self, Profile};
 use mgrid_desim::{
     Category, Event, FlowEdge, SimTime, SpanId, SpanSnapshot, SpanStore, SpanStr, TraceEvent,
@@ -49,10 +49,10 @@ const NAMES: [&str; 5] = [
     "π",
 ];
 
-/// One span to record: `(begin, duration or open, text picks, links)`.
+/// One span to record: `(begin, duration or open, text picks)`.
 /// `texts` packs the track, lane, detail, name and category picks and
-/// the shared-or-fresh allocation coin; `links` packs the parent pick.
-type SpanSpec = (u64, u64, u64, u64);
+/// the shared-or-fresh allocation coin.
+type SpanSpec = (u64, u64, u64);
 
 /// Build a snapshot from span and flow specs (see the module docs).
 fn snapshot(spans: &[SpanSpec], flows: &[(u64, u64, u64)]) -> SpanSnapshot {
@@ -72,10 +72,10 @@ fn snapshot(spans: &[SpanSpec], flows: &[(u64, u64, u64)]) -> SpanSnapshot {
     };
     let mut ids: Vec<SpanId> = vec![SpanId::NONE];
     for _ in 0..spans.len() + 3 {
-        let id = donor.begin(SimTime::ZERO, None, Category::Net, "donor", "", "", "");
+        let id = donor.begin(SimTime::ZERO, Category::Net, "donor", "", "", "");
         ids.push(id);
     }
-    for &(begin, dur, texts, links) in spans {
+    for &(begin, dur, texts) in spans {
         let fresh = texts % 2 == 1;
         // Tracks and lanes draw from the first four texts so lanes
         // collect several spans each.
@@ -84,20 +84,7 @@ fn snapshot(spans: &[SpanSpec], flows: &[(u64, u64, u64)]) -> SpanSnapshot {
         let detail = text(texts / 32, fresh);
         let name = NAMES[(texts / 256 % NAMES.len() as u64) as usize];
         let cat = Category::ALL[(texts / 2048 % Category::ALL.len() as u64) as usize];
-        // Any id up to three past the end, the sentinel included.
-        let parent = match links % (ids.len() as u64 + 1) {
-            0 => None,
-            pick => Some(ids[pick as usize - 1]),
-        };
-        let id = store.begin(
-            SimTime::from_nanos(begin),
-            parent,
-            cat,
-            name,
-            track,
-            lane,
-            detail,
-        );
+        let id = store.begin(SimTime::from_nanos(begin), cat, name, track, lane, detail);
         // One span in five stays open.
         if dur % 5 != 0 {
             store.end(SimTime::from_nanos(begin + dur / 5), id);
@@ -162,11 +149,6 @@ fn every_event() -> Vec<Event> {
             ranks: 4,
             elapsed_ns: 77,
         },
-        Event::RouteLoop {
-            src: 1,
-            dst: 2,
-            at: 3,
-        },
         Event::FaultInjected {
             fault: "link_down",
             target: t(3),
@@ -179,17 +161,12 @@ fn every_event() -> Vec<Event> {
 }
 
 /// The analyses and the export agree with their oracles on `snap`.
-fn assert_matches_reference(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]) {
-    assert_eq!(
-        perfetto::export(snap, events, epochs),
-        reference::export(snap, events, epochs)
-    );
+fn assert_matches_reference(snap: &SpanSnapshot, events: &[TraceEvent]) {
+    let want = reference::export(snap, events);
+    assert_eq!(perfetto::export(snap, events, &[]), want);
     let mut streamed = Vec::new();
     perfetto::export_to(snap, events, &mut streamed).expect("writes to memory");
-    assert_eq!(
-        String::from_utf8(streamed).expect("utf-8"),
-        reference::export(snap, events, &[])
-    );
+    assert_eq!(String::from_utf8(streamed).expect("utf-8"), want);
     let (new, old) = (Profile::from_snapshot(snap), reference::profile(snap));
     assert_eq!(new, old);
     assert_eq!(new.to_table(), old.to_table());
@@ -200,7 +177,7 @@ fn assert_matches_reference(snap: &SpanSnapshot, events: &[TraceEvent], epochs: 
 
 #[test]
 fn empty_snapshot_matches_the_reference() {
-    assert_matches_reference(&SpanSnapshot::default(), &[], &[]);
+    assert_matches_reference(&SpanSnapshot::default(), &[]);
 }
 
 proptest! {
@@ -210,10 +187,9 @@ proptest! {
     /// overlap and chain.
     #[test]
     fn random_snapshots_match_the_reference(
-        spans in prop::collection::vec((0u64..40, 0u64..60, any::<u64>(), any::<u64>()), 0..40),
+        spans in prop::collection::vec((0u64..40, 0u64..60, any::<u64>()), 0..40),
         flows in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..30),
-        ticks in prop::collection::vec((0u64..5_000, 0u64..14), 0..12),
-        horizons in prop::collection::vec((0u64..9_000, 0u64..9_000, 0u64..4), 0..4),
+        ticks in prop::collection::vec((0u64..5_000, 0u64..13), 0..12),
     ) {
         let snap = snapshot(&spans, &flows);
         let kinds = every_event();
@@ -224,14 +200,7 @@ proptest! {
                 event: kinds[kind as usize].clone(),
             })
             .collect();
-        let epochs: Vec<EpochRecord> = horizons
-            .iter()
-            .map(|&(a, b, ran)| EpochRecord {
-                horizons: vec![a, if ran == 3 { u64::MAX } else { b }],
-                ran: vec![ran % 2 == 0, ran / 2 == 0],
-            })
-            .collect();
-        assert_matches_reference(&snap, &events, &epochs);
+        assert_matches_reference(&snap, &events);
     }
 
     /// Long single-lane chains with flows between neighbours: the shape
@@ -257,7 +226,6 @@ proptest! {
             ][kind as usize];
             let id = store.begin(
                 SimTime::from_nanos(clock[h]),
-                None,
                 cat,
                 name,
                 hosts[h].clone(),
@@ -277,19 +245,19 @@ proptest! {
                 _ => {}
             }
         }
-        assert_matches_reference(&store.snapshot(), &[], &[]);
+        assert_matches_reference(&store.snapshot(), &[]);
     }
 }
 
 /// The implementations this repository shipped before the streamed
-/// export and the array-based analyses, kept verbatim as oracles: one
+/// export and the array-based analyses, kept as oracles (less the parent
+/// edges and shard-epoch lanes, which no run records): one
 /// heap `String` per record collected in a `Vec<String>`, name-keyed
 /// `BTreeMap`s per span, a `Vec` per DAG node.
 mod reference {
     use std::collections::BTreeMap;
     use std::fmt::Write as _;
 
-    use mgrid_desim::perfetto::EpochRecord;
     use mgrid_desim::profile::{CriticalPath, Hop, LaneRow, OpRow, Profile};
     use mgrid_desim::{Category, SpanId, SpanRecord, SpanSnapshot, TraceEvent};
 
@@ -315,7 +283,7 @@ mod reference {
         format!("{}.{:03}", ns / 1_000, ns % 1_000)
     }
 
-    pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]) -> String {
+    pub fn export(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
         // Deterministic pid/tid assignment: tracks sorted by name, lanes
         // sorted within each track, both 1-based.
         let spans: Vec<SpanRecord> = snap.spans.records().collect();
@@ -334,7 +302,6 @@ mod reference {
             }
         }
         let events_pid = tracks.len() + 1;
-        let engine_pid = tracks.len() + 2;
 
         let mut recs: Vec<String> = Vec::new();
 
@@ -364,19 +331,6 @@ mod reference {
                 ));
             }
         }
-        if !epochs.is_empty() {
-            let shards = epochs[0].horizons.len();
-            recs.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{engine_pid},\"args\":{{\"name\":\"shard-engine\"}}}}"
-            ));
-            for d in 0..shards {
-                recs.push(format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{engine_pid},\"tid\":{},\"args\":{{\"name\":\"shard{d}\"}}}}",
-                    d + 1
-                ));
-            }
-        }
-
         // Span slices, in record order.
         for s in &spans {
             let Some(end) = s.end else { continue };
@@ -440,34 +394,6 @@ mod reference {
                 e.category().name(),
                 ts_us(e.at.as_nanos()),
             ));
-        }
-
-        // Shard-epoch lanes: one run/idle slice per shard per round,
-        // spanning from the previous round's horizon to this one's.
-        if !epochs.is_empty() {
-            let shards = epochs[0].horizons.len();
-            let mut prev = vec![0u64; shards];
-            for (round, rec) in epochs.iter().enumerate() {
-                for (d, last) in prev.iter_mut().enumerate() {
-                    let h = rec.horizons.get(d).copied().unwrap_or(u64::MAX);
-                    if h == u64::MAX || h <= *last {
-                        continue;
-                    }
-                    let name = if rec.ran.get(d).copied().unwrap_or(false) {
-                        "run"
-                    } else {
-                        "idle"
-                    };
-                    recs.push(format!(
-                        "{{\"name\":\"{name}\",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{engine_pid},\"tid\":{},\"args\":{{\"round\":{}}}}}",
-                        ts_us(*last),
-                        ts_us(h - *last),
-                        d + 1,
-                        round + 1,
-                    ));
-                    *last = h;
-                }
-            }
         }
 
         let mut out = String::from("{\"traceEvents\":[\n");
@@ -605,7 +531,7 @@ mod reference {
         let mut cost: Vec<u64> = vec![0; 2 * n];
         let mut pred: Vec<Option<usize>> = vec![None; 2 * n];
         let mut via: Vec<&'static str> = vec!["start"; 2 * n];
-        const PRIO: [&str; 4] = ["flow", "work", "lane", "parent"];
+        const PRIO: [&str; 3] = ["flow", "work", "lane"];
         let prio = |k: &str| PRIO.iter().position(|p| *p == k).unwrap() as u8;
         for &v in &order {
             let c = v / 2;
@@ -614,11 +540,6 @@ mod reference {
             if v % 2 == 0 {
                 if let Some(p) = lane_pred[c] {
                     cands.push((p * 2 + 1, "lane", 0));
-                }
-                if let Some(pid) = spans[comp[c]].parent {
-                    if let Some(&p) = comp_of.get(&pid) {
-                        cands.push((p * 2, "parent", 0));
-                    }
                 }
             } else {
                 // A flow consumer's end is caused by the message, not by

@@ -11,7 +11,6 @@
 //! crate, and the exporter hand-rolls its output, so the test must not
 //! trust the code under test to validate itself.
 
-use mgrid_desim::perfetto::EpochRecord;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::{obs, perfetto, sleep, spawn, Category, Event, Simulation};
 
@@ -60,17 +59,7 @@ fn small_export() -> String {
     });
     let snap = sim.obs().spans().snapshot();
     let events = obs_handle.tracer().events();
-    let epochs = vec![
-        EpochRecord {
-            horizons: vec![100_000, 100_000],
-            ran: vec![true, false],
-        },
-        EpochRecord {
-            horizons: vec![200_000, 200_000],
-            ran: vec![true, true],
-        },
-    ];
-    perfetto::export(&snap, &events, &epochs)
+    perfetto::export(&snap, &events, &[])
 }
 
 #[test]

@@ -140,7 +140,8 @@ mod tests {
             mgrid_desim::sleep(SimDuration::from_millis(250)).await;
             hog.stop();
             mgrid_desim::sleep(SimDuration::from_millis(250)).await;
-            assert_eq!(k.process_count(), 0);
+            // Reaped: the kernel no longer knows the process's name.
+            assert_eq!(hog.process().name(), "");
         });
         sim.run_until(SimTime::from_secs_f64(1.0));
     }

@@ -176,11 +176,6 @@ impl OsKernel {
         }
     }
 
-    /// Number of registered processes.
-    pub fn process_count(&self) -> usize {
-        self.inner.borrow().procs.len()
-    }
-
     /// Number of processes currently runnable (not stopped, with pending
     /// CPU work), excluding `except`. Used by the scheduler daemon's
     /// wakeup-latency model.
@@ -599,7 +594,7 @@ mod tests {
                 })
             };
             sleep(SimDuration::from_millis(50)).await;
-            assert!(!h.is_finished(), "stopped process must not run");
+            assert!(h.try_take().is_none(), "stopped process must not run");
             p.sigcont();
             let t = h.await;
             // Resumes at 50ms, needs 10ms CPU.
@@ -667,9 +662,10 @@ mod tests {
         sim.spawn(async {
             let k = OsKernel::new(quiet_params(), SimRng::new(1));
             let p = k.spawn_process("gone");
-            assert_eq!(k.process_count(), 1);
+            assert_eq!(p.name(), "gone");
             p.exit();
-            assert_eq!(k.process_count(), 0);
+            // A reaped process has no entry left to name.
+            assert_eq!(p.name(), "");
         });
         sim.run_to_completion();
     }
@@ -709,7 +705,7 @@ mod tests {
             sleep(SimDuration::from_millis(10)).await;
             p.exit();
             sleep(SimDuration::from_millis(500)).await;
-            assert!(!h.is_finished(), "killed process's compute must halt");
+            assert!(h.try_take().is_none(), "killed process's compute must halt");
         });
         sim.run_until(SimTime::from_secs_f64(1.0));
     }

@@ -412,17 +412,6 @@ impl Comm {
             .await
     }
 
-    /// Non-blocking send: returns a handle to await completion.
-    pub fn isend(
-        &self,
-        dst: usize,
-        tag: Tag,
-        data: MpiData,
-    ) -> mgrid_desim::JoinHandle<Result<(), SockError>> {
-        let comm = self.clone();
-        spawn(async move { comm.send(dst, tag, data).await })
-    }
-
     /// Receive a message matching `(src, tag)` (like `MPI_Recv`).
     /// Use [`crate::proto::ANY_SOURCE`] / [`crate::proto::ANY_TAG`] as
     /// wildcards via [`Comm::recv_matching`].
@@ -517,7 +506,8 @@ impl Comm {
         src: usize,
         recv_tag: Tag,
     ) -> Result<RecvMsg, SockError> {
-        let send = self.isend(dst, send_tag, data);
+        let comm = self.clone();
+        let send = spawn(async move { comm.send(dst, send_tag, data).await });
         let msg = self.recv(src, recv_tag).await?;
         send.await?;
         Ok(msg)

@@ -276,10 +276,15 @@ mod tests {
             Box::pin(async move {
                 match comm.rank() {
                     0 => {
-                        // isend a large eager message, then a tiny one:
-                        // the tiny one would win the race without seqs.
-                        let h1 = comm.isend(1, 9, MpiData::typed(16_000, 10u32));
-                        let h2 = comm.isend(1, 9, MpiData::typed(8, 20u32));
+                        // Send a large eager message and a tiny one at
+                        // once: the tiny one would win the race without
+                        // seqs.
+                        let send = |data| {
+                            let comm = comm.clone();
+                            spawn(async move { comm.send(1, 9, data).await })
+                        };
+                        let h1 = send(MpiData::typed(16_000, 10u32));
+                        let h2 = send(MpiData::typed(8, 20u32));
                         h1.await.unwrap();
                         h2.await.unwrap();
                         0

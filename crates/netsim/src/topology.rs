@@ -34,7 +34,7 @@ use std::collections::BinaryHeap;
 use serde::{Deserialize, Serialize};
 
 use mgrid_desim::time::SimDuration;
-use mgrid_desim::{obs, Counter, Event, FxHashMap};
+use mgrid_desim::{obs, Counter, FxHashMap};
 
 /// Index of a node in the topology.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
@@ -194,7 +194,7 @@ struct Routes {
 /// An immutable topology with a demand-driven route cache.
 ///
 /// Construction is O(nodes + links): no routes are computed until the
-/// first [`Topology::next_hop`] / [`Topology::route`] query, and each
+/// first [`Topology::next_hop`] query, and each
 /// source's first-hop table is computed exactly once (one Dijkstra, or
 /// none for a source on one uplink whose head reaches every node) and
 /// memoized. See the module docs for the determinism guarantee.
@@ -529,44 +529,6 @@ impl Topology {
             .sum();
         routes.tables.len() * std::mem::size_of::<Option<SourceRoutes>>() + tables
     }
-
-    /// Full route (sequence of directed links) from `src` to `dst`,
-    /// walked hop-by-hop with [`Topology::next_hop`] — exactly the path a
-    /// packet forwarded per-hop takes.
-    ///
-    /// A valid route visits each node at most once, so it has at most
-    /// `N − 1` links; needing one more means the first-hop tables chain
-    /// into a cycle. That should be impossible (every hop strictly
-    /// decreases the remaining distance), so it is reported as an
-    /// [`Event::RouteLoop`] trace event rather than silently.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
-        let mut path = Vec::new();
-        let mut cur = src;
-        while cur != dst {
-            if path.len() + 1 >= self.nodes.len() {
-                obs::emit(|| Event::RouteLoop {
-                    src: src.0,
-                    dst: dst.0,
-                    at: cur.0,
-                });
-                return None;
-            }
-            let lid = self.next_hop(cur, dst)?;
-            path.push(lid);
-            cur = self.links[lid.0].to;
-        }
-        Some(path)
-    }
-
-    /// Sum of propagation delays along the route.
-    pub fn path_delay(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {
-        Some(
-            self.route(src, dst)?
-                .iter()
-                .map(|l| self.links[l.0].spec.delay)
-                .fold(SimDuration::ZERO, |a, b| a + b),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -577,6 +539,32 @@ mod tests {
         SimDuration::from_millis(n)
     }
 
+    /// The links a packet forwarded hop by hop through
+    /// [`Topology::next_hop`] crosses from `s` to `d`; `None` where a hop
+    /// is missing. Fails the test when the walk needs more than N − 1
+    /// links: the first-hop tables chain into a loop.
+    fn walk(t: &Topology, s: NodeId, d: NodeId) -> Option<Vec<LinkId>> {
+        let mut path = Vec::new();
+        let mut cur = s;
+        while cur != d {
+            assert!(
+                path.len() + 1 < t.node_count(),
+                "route loop {s:?} -> {d:?} at {cur:?}"
+            );
+            let lid = t.next_hop(cur, d)?;
+            path.push(lid);
+            cur = t.links[lid.0].to;
+        }
+        Some(path)
+    }
+
+    /// Sum of propagation delays along `route`.
+    fn delay(t: &Topology, route: &[LinkId]) -> SimDuration {
+        route
+            .iter()
+            .fold(SimDuration::ZERO, |sum, l| sum + t.links[l.0].spec.delay)
+    }
+
     #[test]
     fn two_hosts_direct_link() {
         let mut b = TopologyBuilder::new();
@@ -584,9 +572,10 @@ mod tests {
         let c = b.host("c");
         b.link(a, c, LinkSpec::new(1e6, ms(5)));
         let t = b.build();
-        assert_eq!(t.route(a, c).unwrap().len(), 1);
-        assert_eq!(t.path_delay(a, c).unwrap(), ms(5));
-        assert_eq!(t.path_delay(c, a).unwrap(), ms(5));
+        let route = walk(&t, a, c).unwrap();
+        assert_eq!(route.len(), 1);
+        assert_eq!(delay(&t, &route), ms(5));
+        assert_eq!(delay(&t, &walk(&t, c, a).unwrap()), ms(5));
     }
 
     #[test]
@@ -598,9 +587,9 @@ mod tests {
         b.link(h1, r, LinkSpec::new(1e6, ms(1)));
         b.link(r, h2, LinkSpec::new(1e6, ms(2)));
         let t = b.build();
-        let route = t.route(h1, h2).unwrap();
+        let route = walk(&t, h1, h2).unwrap();
         assert_eq!(route.len(), 2);
-        assert_eq!(t.path_delay(h1, h2).unwrap(), ms(3));
+        assert_eq!(delay(&t, &route), ms(3));
     }
 
     #[test]
@@ -615,8 +604,8 @@ mod tests {
         b.link(s, fast, LinkSpec::new(1e6, ms(1)));
         b.link(fast, d, LinkSpec::new(1e6, ms(1)));
         let t = b.build();
-        assert_eq!(t.path_delay(s, d).unwrap(), ms(2));
-        let route = t.route(s, d).unwrap();
+        let route = walk(&t, s, d).unwrap();
+        assert_eq!(delay(&t, &route), ms(2));
         assert_eq!(t.links[route[0].0].to, fast);
     }
 
@@ -627,8 +616,7 @@ mod tests {
         let c = b.host("island");
         let _ = a;
         let t = b.build();
-        assert!(t.route(a, c).is_none());
-        assert!(t.path_delay(a, c).is_none());
+        assert!(walk(&t, a, c).is_none());
     }
 
     #[test]
@@ -641,7 +629,7 @@ mod tests {
     #[test]
     fn route_is_consistent_hop_by_hop() {
         // A ring of 6 routers with hosts hanging off: next_hop chains must
-        // terminate and agree with route().
+        // terminate at the destination.
         let mut b = TopologyBuilder::new();
         let hosts: Vec<NodeId> = (0..6).map(|i| b.host(format!("h{i}"))).collect();
         let routers: Vec<NodeId> = (0..6).map(|i| b.router(format!("r{i}"))).collect();
@@ -655,7 +643,7 @@ mod tests {
                 if s == d {
                     continue;
                 }
-                let route = t.route(s, d).expect("connected");
+                let route = walk(&t, s, d).expect("connected");
                 assert_eq!(t.links[route.last().unwrap().0].to, d);
                 assert!(route.len() <= 6);
             }
@@ -674,8 +662,8 @@ mod tests {
         assert_eq!(t.routed_sources(), 0);
         assert!(t.next_hop(a, c).is_some());
         assert_eq!(t.routed_sources(), 1);
-        // route() walks a->r->c: warms r's table too, but not c's.
-        assert!(t.route(a, c).is_some());
+        // Forwarding a->r->c warms r's table too, but not c's.
+        assert!(walk(&t, a, c).is_some());
         assert_eq!(t.routed_sources(), 2);
     }
 
@@ -717,13 +705,13 @@ mod tests {
             (b.build(), s, d, x, y)
         };
         let (t1, s1, d1, ..) = build();
-        let fresh = t1.route(s1, d1).unwrap();
+        let fresh = walk(&t1, s1, d1).unwrap();
         let (t2, s2, d2, x2, y2) = build();
         // Warm unrelated sources first, in a different order.
         t2.warm_routes_from(y2);
         t2.warm_routes_from(d2);
         t2.warm_routes_from(x2);
-        assert_eq!(t2.route(s2, d2).unwrap(), fresh);
+        assert_eq!(walk(&t2, s2, d2).unwrap(), fresh);
         // The lexicographic (delay, hops, link-id) rule picks the path
         // through x — its links were added first.
         assert_eq!(t1.links[fresh[0].0].to, x2);
@@ -784,38 +772,5 @@ mod tests {
             obs.metrics().counter("net.route_src_computed"),
             HOSTS as u64 + 1
         );
-    }
-
-    #[test]
-    fn poisoned_cache_loop_is_detected_and_traced() {
-        // Hand-poison the cache with first-hop tables that chain a->r,
-        // r->a for destination c: the walk must stop after N-1 links and
-        // emit a RouteLoop event instead of spinning or silently failing.
-        let mut sim = mgrid_desim::Simulation::new(7);
-        sim.obs().enable_tracing(16);
-        let obs = sim.obs().clone();
-        sim.block_on(async {
-            let mut b = TopologyBuilder::new();
-            let a = b.host("a");
-            let r = b.router("r");
-            let c = b.host("c");
-            let (ar, ra) = b.link(a, r, LinkSpec::new(1e8, ms(1)));
-            b.link(r, c, LinkSpec::new(1e8, ms(1)));
-            let t = b.build();
-            {
-                let (ar, ra) = (ar.0 as u32, ra.0 as u32);
-                let mut routes = t.routes.borrow_mut();
-                routes.tables[a.0] = Some(SourceRoutes::pack(a, &[NO_ROUTE, ar, ar]));
-                routes.tables[r.0] = Some(SourceRoutes::pack(r, &[ra, NO_ROUTE, ra]));
-            }
-            assert_eq!(t.route(a, c), None);
-        });
-        let loops = obs
-            .tracer()
-            .events()
-            .iter()
-            .filter(|e| e.category() == mgrid_desim::event::Category::Net)
-            .count();
-        assert_eq!(loops, 1, "exactly one RouteLoop event must be traced");
     }
 }

@@ -3,7 +3,7 @@
 //! bounded working set of sources, as applications do.
 
 use mgrid_desim::time::SimDuration;
-use mgrid_netsim::{LinkSpec, NodeId, Topology, TopologyBuilder};
+use mgrid_netsim::{LinkId, LinkSpec, NodeId, Topology, TopologyBuilder};
 
 const ROUTERS: usize = 64;
 const HOSTS_PER_ROUTER: usize = 40;
@@ -11,11 +11,20 @@ const HOSTS_PER_ROUTER: usize = 40;
 const SOURCES: usize = 96;
 const QUERIES: usize = 4096;
 
-fn stress_topology() -> (Topology, Vec<NodeId>) {
+/// The topology, its hosts, and each directed link's head at the link's
+/// index.
+fn stress_topology() -> (Topology, Vec<NodeId>, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
+    let mut heads = Vec::new();
+    let mut link = |b: &mut TopologyBuilder, x: NodeId, y: NodeId, spec: LinkSpec| {
+        let (xy, yx) = b.link(x, y, spec);
+        assert_eq!((xy.0, yx.0), (heads.len(), heads.len() + 1));
+        heads.extend([y, x]);
+    };
     let routers: Vec<NodeId> = (0..ROUTERS).map(|i| b.router(format!("bb{i}"))).collect();
     for i in 0..ROUTERS {
-        b.link(
+        link(
+            &mut b,
             routers[i],
             routers[(i + 1) % ROUTERS],
             LinkSpec::new(1e9, SimDuration::from_millis(5)),
@@ -25,11 +34,30 @@ fn stress_topology() -> (Topology, Vec<NodeId>) {
     for (i, &r) in routers.iter().enumerate() {
         for j in 0..HOSTS_PER_ROUTER {
             let h = b.host(format!("h{i}x{j}"));
-            b.link(h, r, LinkSpec::fast_ethernet());
+            link(&mut b, h, r, LinkSpec::fast_ethernet());
             hosts.push(h);
         }
     }
-    (b.build(), hosts)
+    (b.build(), hosts, heads)
+}
+
+/// The links a packet forwarded hop by hop through `next_hop` crosses
+/// from `s` to `d`; `None` where a hop is missing. Fails the test when
+/// the walk needs more than N − 1 links: the first-hop tables chain into
+/// a loop.
+fn walk(topo: &Topology, heads: &[NodeId], s: NodeId, d: NodeId) -> Option<Vec<LinkId>> {
+    let mut path = Vec::new();
+    let mut cur = s;
+    while cur != d {
+        assert!(
+            path.len() + 1 < topo.node_count(),
+            "route loop {s:?} -> {d:?} at {cur:?}"
+        );
+        let lid = topo.next_hop(cur, d)?;
+        path.push(lid);
+        cur = heads[lid.0];
+    }
+    Some(path)
 }
 
 fn lcg(x: u64) -> u64 {
@@ -40,7 +68,7 @@ fn lcg(x: u64) -> u64 {
 /// Route `QUERIES` host pairs (sources from the first `SOURCES` hosts,
 /// destinations from all) and fold every chosen link and its delay into
 /// an FNV-1a digest.
-fn query_digest(topo: &Topology, hosts: &[NodeId], seed: u64) -> u64 {
+fn query_digest(topo: &Topology, hosts: &[NodeId], heads: &[NodeId], seed: u64) -> u64 {
     let mut x = seed | 1;
     let mut digest = 0xcbf29ce484222325u64;
     let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x100000001b3);
@@ -53,7 +81,7 @@ fn query_digest(topo: &Topology, hosts: &[NodeId], seed: u64) -> u64 {
             fold(u64::MAX);
             continue;
         }
-        let route = topo.route(s, d).expect("the ring connects every host");
+        let route = walk(topo, heads, s, d).expect("the ring connects every host");
         fold(route.len() as u64);
         for l in route {
             fold(l.0 as u64);
@@ -65,7 +93,7 @@ fn query_digest(topo: &Topology, hosts: &[NodeId], seed: u64) -> u64 {
 
 #[test]
 fn stress_grid_builds_without_routing_and_caches_only_the_working_set() {
-    let (ta, hosts_a) = stress_topology();
+    let (ta, hosts_a, heads_a) = stress_topology();
     assert_eq!(ta.node_count(), ROUTERS * HOSTS_PER_ROUTER + ROUTERS);
     // Building computes no routes at all — that is the point.
     assert_eq!(ta.routed_sources(), 0);
@@ -75,10 +103,10 @@ fn stress_grid_builds_without_routing_and_caches_only_the_working_set() {
     assert!(empty_bytes <= ta.node_count() * 32);
 
     let seed = 0x0005_eed1_a26e_621d;
-    let (tb, hosts_b) = stress_topology();
+    let (tb, hosts_b, heads_b) = stress_topology();
     assert_eq!(
-        query_digest(&ta, &hosts_a, seed),
-        query_digest(&tb, &hosts_b, seed),
+        query_digest(&ta, &hosts_a, &heads_a, seed),
+        query_digest(&tb, &hosts_b, &heads_b, seed),
         "same-seed workloads must digest identically"
     );
     // Only the source working set and the backbone get tables — far

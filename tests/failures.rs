@@ -30,7 +30,10 @@ fn black_hole_link_retransmits_forever_without_wedging() {
         let ep = net.endpoint(a);
         let h = spawn(async move { ep.send(z, 1, 1, 50_000, Payload::empty()).await });
         mgrid_desim::sleep(SimDuration::from_secs(30)).await;
-        assert!(!h.is_finished(), "send cannot succeed over a black hole");
+        assert!(
+            h.try_take().is_none(),
+            "send cannot succeed over a black hole"
+        );
         let stats = net.stats();
         assert!(stats.packet_drops > 10, "drops: {}", stats.packet_drops);
         assert!(
@@ -103,6 +106,9 @@ fn process_exit_mid_compute_is_clean() {
         // semantics: a dead process's CPU request never completes) —
         // parked, not completed, and not wedging the simulation.
         mgrid_desim::sleep(SimDuration::from_millis(1)).await;
-        assert!(!h.is_finished(), "dead process's compute must not return");
+        assert!(
+            h.try_take().is_none(),
+            "dead process's compute must not return"
+        );
     });
 }
