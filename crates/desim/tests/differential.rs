@@ -250,8 +250,7 @@ proptest! {
 }
 
 /// The implementations this repository shipped before the streamed
-/// export and the array-based analyses, kept as oracles (less the parent
-/// edges and shard-epoch lanes, which no run records): one
+/// export and the array-based analyses, kept as oracles: one
 /// heap `String` per record collected in a `Vec<String>`, name-keyed
 /// `BTreeMap`s per span, a `Vec` per DAG node.
 mod reference {
