@@ -151,32 +151,6 @@ pub fn rms_skew_percent(reference: &[(f64, f64)], other: &[(f64, f64)]) -> f64 {
     }
 }
 
-/// Linearly resample a trace at `n` evenly spaced times across its span
-/// (used to compare traces recorded at different effective rates).
-pub fn resample(trace: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
-    if trace.is_empty() || n == 0 {
-        return Vec::new();
-    }
-    let t0 = trace[0].0;
-    let t1 = trace[trace.len() - 1].0;
-    if trace.len() == 1 || t1 <= t0 {
-        return vec![trace[0]; n];
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut j = 0usize;
-    for i in 0..n {
-        let t = t0 + (t1 - t0) * i as f64 / (n - 1).max(1) as f64;
-        while j + 1 < trace.len() - 1 && trace[j + 1].0 < t {
-            j += 1;
-        }
-        let (ta, va) = trace[j];
-        let (tb, vb) = trace[j + 1];
-        let f = if tb > ta { (t - ta) / (tb - ta) } else { 0.0 };
-        out.push((t, va + f.clamp(0.0, 1.0) * (vb - va)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,18 +216,6 @@ mod tests {
         let a = vec![(1.0, 0.0), (2.0, 50.0)];
         let b = vec![(1.0, 42.0), (2.0, 55.0)];
         assert!((rms_skew_percent(&a, &b) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn resample_preserves_endpoints_and_monotonicity() {
-        let t: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, (i * i) as f64)).collect();
-        let r = resample(&t, 5);
-        assert_eq!(r.len(), 5);
-        assert!((r[0].1 - 0.0).abs() < 1e-9);
-        assert!((r[4].1 - 81.0).abs() < 1e-9);
-        for w in r.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
     }
 
     #[test]

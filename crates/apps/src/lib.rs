@@ -10,6 +10,7 @@
 //!   validation of Fig 17.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod autopilot;
 pub mod npb;

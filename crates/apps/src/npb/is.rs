@@ -117,9 +117,9 @@ pub async fn run(comm: Comm, class: NpbClass, sensors: Option<NpbSensors>) -> Np
             let conserved = total == (MINI_KEYS * p) as u64;
             // Boundary check with the next rank: my max <= its min.
             let my_max = keys.last().copied().unwrap_or(0);
-            let maxes = comm.gather(0, my_max, 4).await.expect("gather maxes");
+            let maxes = comm.gather(my_max, 4).await.expect("gather maxes");
             let mins = comm
-                .gather(0, keys.first().copied().unwrap_or(u32::MAX), 4)
+                .gather(keys.first().copied().unwrap_or(u32::MAX), 4)
                 .await
                 .expect("gather mins");
             let partitioned = if comm.rank() == 0 {

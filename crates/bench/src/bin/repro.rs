@@ -36,6 +36,8 @@
 //! claim's name. The two flags exclude each other, and `--json` combines
 //! with neither: given such a pair, `repro` exits 2.
 
+#![forbid(unsafe_code)]
+
 use mgrid_bench::claims;
 use mgrid_bench::runner::{figures, run_plans, settings, Finished};
 use microgrid::{outln, Report};

@@ -183,10 +183,15 @@ pub fn fig7_quanta(samples: usize) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_plans;
 
     #[test]
     fn fig5_is_linear_minus_overhead() {
-        let rep = fig5_memory().run_inline().report;
+        let mut reps = Vec::new();
+        run_plans(1, vec![("fig5", fig5_memory())], |done| {
+            reps.push(done.report)
+        });
+        let rep = &reps[0];
         let pts = &rep.series[0].points;
         // limit 64KB -> 63KB allocatable.
         let kb64 = pts.iter().find(|(l, _)| l == "64KB").unwrap();
@@ -219,7 +224,11 @@ mod tests {
 
     #[test]
     fn fig7_distribution_sane() {
-        let rep = fig7_quanta(300).run_inline().report;
+        let mut reps = Vec::new();
+        run_plans(1, vec![("fig7", fig7_quanta(300))], |done| {
+            reps.push(done.report)
+        });
+        let rep = &reps[0];
         let stats = |i: usize| (rep.series[i].points[0].1, rep.series[i].points[1].1);
         assert_eq!(rep.series[0].label, "No Competition");
         let (mean, dev) = stats(0);

@@ -199,6 +199,7 @@ pub fn fig15_emulation_rates() -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_plans;
 
     /// Rank 0's virtual seconds of `bench` class S on `config` as `mode`.
     fn secs(config: GridConfig, mode: Mode, bench: NpbBenchmark) -> f64 {
@@ -207,7 +208,11 @@ mod tests {
 
     #[test]
     fn fig9_lists_both_configs() {
-        let rep = fig9_configs().run_inline().report;
+        let mut reps = Vec::new();
+        run_plans(1, vec![("fig9", fig9_configs())], |done| {
+            reps.push(done.report)
+        });
+        let rep = &reps[0];
         assert_eq!(rep.notes.len(), 2);
         assert!(rep.notes[0].contains("Alpha_Cluster"));
         assert!(rep.notes[1].contains("HPVM"));

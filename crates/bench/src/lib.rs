@@ -10,6 +10,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod claims;
 pub mod experiments;

@@ -150,14 +150,6 @@ impl Plan {
             }),
         }
     }
-
-    /// Run the jobs one after another on this thread and fold them: what
-    /// [`run_plans`] delivers for this plan at any worker count.
-    pub fn run_inline(self) -> Finished {
-        let mut finished = None;
-        run_plans(1, vec![("inline", self)], |done| finished = Some(done));
-        finished.expect("one plan delivers one report")
-    }
 }
 
 /// One plan's outcome, as [`run_plans`] delivers it.
@@ -509,7 +501,11 @@ mod tests {
             ]
         }
 
-        let inline: Vec<Finished> = plans().into_iter().map(|(_, p)| p.run_inline()).collect();
+        // Each plan on its own, its jobs one after another on this thread.
+        let mut inline = Vec::new();
+        for plan in plans() {
+            run_plans(1, vec![plan], |done| inline.push(done));
+        }
         for (done, jobs) in inline.iter().zip([3, 0, 3]) {
             let report = &done.report;
             assert_eq!(done.metrics.is_empty(), jobs == 0, "{}", report.id);

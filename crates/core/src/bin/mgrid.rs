@@ -20,7 +20,7 @@
 //! network traffic, vsocket and MPI activity) after the result line.
 //! `--trace-out <path>` additionally enables the typed-event tracer and
 //! streams one JSON object per line to the file as events are recorded;
-//! `--trace-cap <n>` bounds the in-memory ring (default 65536, oldest
+//! the in-memory ring holds the last `TRACE_RING` (65536) events (oldest
 //! evicted first — evictions show up as the `trace.dropped` counter in
 //! the summary, but every event still reaches the stream).
 //!
@@ -28,6 +28,8 @@
 //! run, prints the virtual-time profiler attribution table and the
 //! critical-path report, then writes a Chrome trace-event JSON file
 //! loadable at <https://ui.perfetto.dev> (see `docs/OBSERVABILITY.md`).
+
+#![forbid(unsafe_code)]
 
 use std::fs::File;
 
@@ -37,6 +39,9 @@ use microgrid::desim::{perfetto, profile};
 use microgrid::{
     out, outln, plan_rate, presets, App, AppResult, GridConfig, Mode, Observe, Outcome, Scenario,
 };
+
+/// Capacity of the tracer's in-memory ring under `--trace-out`.
+const TRACE_RING: usize = 65536;
 
 fn load_config(path_or_preset: &str) -> GridConfig {
     if let Some(c) = presets::by_name(path_or_preset) {
@@ -61,7 +66,7 @@ fn usage() -> ! {
          \x20 rate <config.json|preset>\n\
          \x20 run <config.json|preset> <EP|BT|LU|MG|IS> <S|A> [--baseline]\n\
          \x20 run <config.json|preset> wavetoy <grid-edge> [--baseline]\n\
-         \x20 run options: --trace-out <path> [--trace-cap <n>] --profile-out <path>"
+         \x20 run options: --trace-out <path> --profile-out <path>"
     );
     std::process::exit(2);
 }
@@ -173,29 +178,24 @@ fn main() {
 
 fn run_cmd(args: &[String]) {
     let (mut baseline, mut positional) = (false, Vec::new());
-    let (mut trace_out, mut trace_cap, mut profile_out) = (None, None, None);
+    let (mut trace_out, mut profile_out) = (None, None);
     let mut args = args.iter().map(String::as_str);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg {
             "--baseline" => baseline = true,
             "--trace-out" => trace_out = Some(value()),
-            "--trace-cap" => trace_cap = Some(value().parse().unwrap_or_else(|_| usage())),
             "--profile-out" => profile_out = Some(value()),
             _ => positional.push(arg),
         }
     }
     // Exactly `<config> <app> <class|edge>`. A missing or unknown class, a
-    // missing, non-numeric or zero edge, an argument `run` does not know
-    // and a ring capacity with no trace are usage errors: not a silent
-    // class S, a 50^3 run, an empty grid that "verifies", a `--basline`
-    // that runs the MicroGrid or a `--trace-cap` that does nothing.
+    // missing, non-numeric or zero edge and an argument `run` does not
+    // know are usage errors: not a silent class S, a 50^3 run, an empty
+    // grid that "verifies" or a `--basline` that runs the MicroGrid.
     let &[config, app, size] = positional.as_slice() else {
         usage()
     };
-    if trace_cap.is_some() && trace_out.is_none() {
-        usage()
-    }
     let name = app.to_ascii_uppercase();
     let app = if name == "WAVETOY" {
         match size.parse() {
@@ -225,7 +225,7 @@ fn run_cmd(args: &[String]) {
     };
     let trace = trace_out.map(|path| {
         let sink = std::io::BufWriter::new(create(path, "trace file"));
-        (trace_cap.unwrap_or(65536), Box::new(sink) as Box<_>)
+        (TRACE_RING, Box::new(sink) as Box<_>)
     });
     let profile = profile_out.map(|path| (path, create(path, "profile file")));
     outln!("running {name} on '{}' ({side})", config.name);

@@ -28,6 +28,7 @@
 //! (workloads).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod coordinator;

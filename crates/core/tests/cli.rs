@@ -54,8 +54,8 @@ fn wavetoy_rejects_a_missing_non_numeric_or_zero_edge() {
 
 /// A class other than S or A, a missing class and an argument `run` does
 /// not know are usage errors too: not a silent class S, not a misspelt
-/// `--baseline` that runs the MicroGrid instead, and not a `--trace-cap`
-/// with no trace to bound. A profile path that cannot be created fails
+/// `--baseline` that runs the MicroGrid instead, and not a ring capacity
+/// `run` has no option for. A profile path that cannot be created fails
 /// before the run, not after it.
 #[test]
 fn run_rejects_an_unknown_class_and_unknown_arguments() {
@@ -65,7 +65,10 @@ fn run_rejects_an_unknown_class_and_unknown_arguments() {
         (&["IS", "S", "--basline"], "usage: mgrid"),
         (&["IS", "S", "A"], "usage: mgrid"),
         (&["wavetoy", "50", "--basline"], "usage: mgrid"),
-        (&["IS", "S", "--trace-cap", "5"], "usage: mgrid"),
+        (
+            &["IS", "S", "--trace-out", "t.jsonl", "--trace-cap", "5"],
+            "usage: mgrid",
+        ),
         (
             &["IS", "S", "--profile-out", "/nonexistent/p.json"],
             "cannot create profile file /nonexistent/p.json: ",

@@ -22,6 +22,7 @@
 //! `docs/FAULTS.md`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::{obs, spawn_daemon, Event};

@@ -10,6 +10,7 @@
 //! live in the same directory as physical records.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod directory;
 pub mod dn;

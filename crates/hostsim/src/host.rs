@@ -220,19 +220,13 @@ impl VirtualHost {
         obs::count("faults.procs_killed", killed);
     }
 
-    /// Whether the host has crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.inner.crashed.get()
-    }
-
     /// Start a process on this virtual host.
     ///
     /// In managed mode the process joins the scheduler daemon's rotation
     /// and the host fraction is re-divided across all live processes.
     ///
     /// # Panics
-    /// Panics if the host has crashed (callers gate on
-    /// [`VirtualHost::is_crashed`] when racing a fault scenario).
+    /// Panics if the host has crashed.
     pub fn spawn_process(&self, name: impl Into<String>) -> Result<GridProcess, OutOfMemory> {
         assert!(
             !self.inner.crashed.get(),
@@ -497,7 +491,10 @@ mod tests {
             }
             mgrid_desim::sleep(SimDuration::from_millis(100)).await;
             vh.crash();
-            assert!(vh.is_crashed());
+            let respawn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                vh.spawn_process("after-crash")
+            }));
+            assert!(respawn.is_err(), "a crash is final");
             assert_eq!(vh.memory().used(), 0, "crash releases memory");
             mgrid_desim::sleep(SimDuration::from_secs(3)).await;
         });

@@ -16,6 +16,7 @@
 //! * [`spec`] — serde-serializable host specifications.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod competitors;
 pub mod host;

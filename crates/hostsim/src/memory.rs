@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mgrid_desim::{obs, Event, FxHashMap};
+use mgrid_desim::{obs, Event};
 
 /// Error returned when an allocation would exceed the virtual host's cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,12 +37,12 @@ impl std::error::Error for OutOfMemory {}
 /// ~1 KB shortfall the paper measures in Fig 5.
 pub const PROCESS_OVERHEAD: u64 = 1024;
 
-#[derive(Debug, Default)]
+/// Bytes one registered process holds, overhead included: what its
+/// release gives back.
+#[derive(Debug)]
 struct ProcUsage {
     id: u64,
     used: u64,
-    allocations: FxHashMap<u64, u64>,
-    next_id: u64,
 }
 
 #[derive(Debug)]
@@ -101,10 +101,6 @@ pub struct MemoryHandle {
     proc_id: u64,
 }
 
-/// An allocation token; pass back to [`MemoryHandle::free`].
-#[derive(Debug, PartialEq, Eq, Hash, Clone, Copy)]
-pub struct AllocId(u64);
-
 impl MemoryManager {
     /// Create a manager with the given capacity in bytes; trace events
     /// emitted by it carry `label` as their host name.
@@ -141,17 +137,11 @@ impl MemoryManager {
         s.procs.push(ProcUsage {
             id,
             used: PROCESS_OVERHEAD,
-            ..ProcUsage::default()
         });
         Ok(MemoryHandle {
             state: self.state.clone(),
             proc_id: id,
         })
-    }
-
-    /// Configured capacity in bytes.
-    pub fn limit(&self) -> u64 {
-        self.state.borrow().limit
     }
 
     /// Currently allocated bytes (including process overheads).
@@ -162,7 +152,8 @@ impl MemoryManager {
 
 impl MemoryHandle {
     /// Allocate `bytes`; fails if the virtual host cap would be exceeded.
-    pub fn alloc(&self, bytes: u64) -> Result<AllocId, OutOfMemory> {
+    /// The bytes are held until the process is released.
+    pub fn alloc(&self, bytes: u64) -> Result<(), OutOfMemory> {
         let mut s = self.state.borrow_mut();
         if s.used + bytes > s.limit {
             s.note_deny(bytes);
@@ -173,33 +164,8 @@ impl MemoryHandle {
         }
         s.used += bytes;
         s.note_alloc(bytes);
-        let p = s.proc_mut(self.proc_id);
-        p.used += bytes;
-        let id = p.next_id;
-        p.next_id += 1;
-        p.allocations.insert(id, bytes);
-        Ok(AllocId(id))
-    }
-
-    /// Free a prior allocation.
-    ///
-    /// # Panics
-    /// Panics on a double free or foreign id.
-    pub fn free(&self, id: AllocId) {
-        let mut s = self.state.borrow_mut();
-        let p = s.proc_mut(self.proc_id);
-        let bytes = p
-            .allocations
-            .remove(&id.0)
-            .expect("free of unknown allocation");
-        p.used -= bytes;
-        s.used -= bytes;
-    }
-
-    /// Bytes this process currently holds (including overhead).
-    pub fn used(&self) -> u64 {
-        let s = self.state.borrow();
-        s.proc_index(self.proc_id).map_or(0, |i| s.procs[i].used)
+        s.proc_mut(self.proc_id).used += bytes;
+        Ok(())
     }
 
     /// Release the process: frees all of its allocations and its overhead.
@@ -234,10 +200,8 @@ mod tests {
     fn alloc_within_limit_succeeds() {
         let mm = MemoryManager::new("vhost", 10_000);
         let h = mm.register_process().unwrap();
-        let id = h.alloc(4_000).unwrap();
+        h.alloc(4_000).unwrap();
         assert_eq!(mm.used(), 4_000 + PROCESS_OVERHEAD);
-        h.free(id);
-        assert_eq!(mm.used(), PROCESS_OVERHEAD);
     }
 
     #[test]
@@ -278,16 +242,6 @@ mod tests {
         h.alloc(2_000).unwrap();
         h.release();
         assert_eq!(mm.used(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "free of unknown allocation")]
-    fn double_free_panics() {
-        let mm = MemoryManager::new("vhost", 8 * 1024);
-        let h = mm.register_process().unwrap();
-        let id = h.alloc(100).unwrap();
-        h.free(id);
-        h.free(id);
     }
 
     #[test]

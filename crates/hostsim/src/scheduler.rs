@@ -175,11 +175,6 @@ impl MGridScheduler {
         job.fraction = fraction;
     }
 
-    /// The configured quantum.
-    pub fn quantum(&self) -> SimDuration {
-        self.inner.borrow().quantum
-    }
-
     /// Enable recording of granted-quantum wall lengths for a job (Fig 7).
     pub fn record_grants(&self, id: JobId, on: bool) {
         let mut inner = self.inner.borrow_mut();

@@ -19,6 +19,8 @@
 //! Exits 0 when every link resolves, 1 on broken links, 2 on usage or
 //! I/O errors — the docs CI lane gates on it directly.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -24,6 +24,7 @@
 //! `mgrid_gis::Directory`, and callers search that.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod hosttable;
 pub mod process;

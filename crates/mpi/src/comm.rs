@@ -413,19 +413,17 @@ impl Comm {
     }
 
     /// Receive a message matching `(src, tag)` (like `MPI_Recv`).
-    /// Use [`crate::proto::ANY_SOURCE`] / [`crate::proto::ANY_TAG`] as
-    /// wildcards via [`Comm::recv_matching`].
+    ///
+    /// With [`MpiParams::recv_timeout`] set, an unmatched wait past the
+    /// deadline fails with [`SockError::TimedOut`] and traces an
+    /// `Event::RankTimeout` naming the awaited source.
     pub async fn recv(&self, src: usize, tag: Tag) -> Result<RecvMsg, SockError> {
         self.recv_matching(Pattern::of(src, tag)).await
     }
 
-    /// Receive the next message satisfying `pattern`.
-    ///
-    /// With [`MpiParams::recv_timeout`] set, an unmatched wait past the
-    /// deadline fails with [`SockError::TimedOut`] and traces an
-    /// `Event::RankTimeout` naming the awaited source (`u64::MAX` for a
-    /// wildcard).
-    pub async fn recv_matching(&self, pattern: Pattern) -> Result<RecvMsg, SockError> {
+    /// Receive the next message satisfying `pattern`; a timed-out
+    /// wildcard receive names source `u64::MAX`.
+    async fn recv_matching(&self, pattern: Pattern) -> Result<RecvMsg, SockError> {
         let t0 = mgrid_desim::now();
         let deadline = self.recv_timeout.map(|d| t0 + d);
         loop {
@@ -607,32 +605,26 @@ impl Comm {
         Ok(())
     }
 
-    /// Broadcast from `root` (binomial tree). Non-root ranks receive and
-    /// return the broadcast data; the root returns its own.
-    pub async fn bcast(&self, root: usize, data: Option<MpiData>) -> Result<MpiData, SockError> {
-        self.timed("bcast", pin!(self.bcast_impl(root, data))).await
-    }
-
-    async fn bcast_impl(&self, root: usize, data: Option<MpiData>) -> Result<MpiData, SockError> {
+    /// Broadcast from rank 0 down the binomial tree: rank 0 supplies
+    /// `data`, every other rank returns what its parent sent.
+    async fn bcast_impl(&self, data: Option<MpiData>) -> Result<MpiData, SockError> {
         let n = self.size();
         let tag = self.next_collective_tag();
-        let vrank = (self.rank + n - root) % n;
-        let data = if vrank == 0 {
-            data.expect("root must supply broadcast data")
+        let rank = self.rank;
+        let data = if rank == 0 {
+            data.expect("rank 0 must supply broadcast data")
         } else {
             // Receive from the parent in the binomial tree.
-            let parent_v = vrank & (vrank - 1); // clear lowest set bit
-            let parent = (parent_v + root) % n;
+            let parent = rank & (rank - 1); // clear lowest set bit
             self.recv(parent, tag).await?.data
         };
-        // Forward to children: children of v are v | (1<<j) for j above
-        // v's lowest set bit range.
+        // Forward to children: r | j for each power of two j below r's
+        // lowest set bit (every j for rank 0).
         let mut j = 1usize;
         while j < n {
-            if vrank & (j - 1) == 0 && vrank & j == 0 {
-                let child_v = vrank | j;
-                if child_v < n {
-                    let child = (child_v + root) % n;
+            if rank & (j - 1) == 0 && rank & j == 0 {
+                let child = rank | j;
+                if child < n {
                     self.protocol_send(child, tag, data.clone()).await?;
                 }
             }
@@ -641,30 +633,11 @@ impl Comm {
         Ok(data)
     }
 
-    /// Reduce typed values to `root` with `combine` (binomial tree).
-    /// `bytes` is the logical payload size used for costing. Returns
-    /// `Some(result)` on the root, `None` elsewhere.
-    pub async fn reduce<T, F>(
-        &self,
-        root: usize,
-        value: T,
-        bytes: u64,
-        combine: F,
-    ) -> Result<Option<T>, SockError>
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        self.timed(
-            "reduce",
-            pin!(self.reduce_impl(root, value, bytes, combine)),
-        )
-        .await
-    }
-
+    /// Reduce typed values to rank 0 up the binomial tree with
+    /// `combine`. `bytes` is the logical payload size used for costing.
+    /// Returns `Some(result)` on rank 0, `None` elsewhere.
     async fn reduce_impl<T, F>(
         &self,
-        root: usize,
         value: T,
         bytes: u64,
         combine: F,
@@ -675,15 +648,14 @@ impl Comm {
     {
         let n = self.size();
         let tag = self.next_collective_tag();
-        let vrank = (self.rank + n - root) % n;
+        let rank = self.rank;
         let mut acc = value;
         let mut j = 1usize;
         // Receive from children (in increasing j), combine.
         while j < n {
-            if vrank & (j - 1) == 0 && vrank & j == 0 {
-                let child_v = vrank | j;
-                if child_v < n {
-                    let child = (child_v + root) % n;
+            if rank & (j - 1) == 0 && rank & j == 0 {
+                let child = rank | j;
+                if child < n {
                     let msg = self.recv(child, tag).await?;
                     let other = msg.data.downcast::<T>().expect("type mismatch in reduce");
                     acc = combine(&acc, &other);
@@ -691,11 +663,10 @@ impl Comm {
             }
             j <<= 1;
         }
-        if vrank == 0 {
+        if rank == 0 {
             return Ok(Some(acc));
         }
-        let parent_v = vrank & (vrank - 1);
-        let parent = (parent_v + root) % n;
+        let parent = rank & (rank - 1);
         self.protocol_send(parent, tag, MpiData::typed(bytes, acc))
             .await?;
         Ok(None)
@@ -711,9 +682,9 @@ impl Comm {
         F: Fn(&T, &T) -> T,
     {
         let body = pin!(async {
-            let reduced = self.reduce_impl(0, value, bytes, combine).await?;
+            let reduced = self.reduce_impl(value, bytes, combine).await?;
             let data = self
-                .bcast_impl(0, reduced.map(|v| MpiData::typed(bytes, v)))
+                .bcast_impl(reduced.map(|v| MpiData::typed(bytes, v)))
                 .await?;
             Ok(data
                 .downcast::<T>()
@@ -724,29 +695,27 @@ impl Comm {
         self.timed("allreduce", body).await
     }
 
-    /// Gather one value per rank at `root`. Returns `Some(values)` (rank
-    /// order) on the root, `None` elsewhere.
+    /// Gather one value per rank at rank 0. Returns `Some(values)` (rank
+    /// order) on rank 0, `None` elsewhere.
     pub async fn gather<T: Clone + Send + Sync + 'static>(
         &self,
-        root: usize,
         value: T,
         bytes: u64,
     ) -> Result<Option<Vec<T>>, SockError> {
-        self.timed("gather", pin!(self.gather_impl(root, value, bytes)))
+        self.timed("gather", pin!(self.gather_impl(value, bytes)))
             .await
     }
 
     async fn gather_impl<T: Clone + Send + Sync + 'static>(
         &self,
-        root: usize,
         value: T,
         bytes: u64,
     ) -> Result<Option<Vec<T>>, SockError> {
         let n = self.size();
         let tag = self.next_collective_tag();
-        if self.rank == root {
+        if self.rank == 0 {
             let mut out: Vec<Option<T>> = vec![None; n];
-            out[root] = Some(value);
+            out[0] = Some(value);
             for _ in 0..n - 1 {
                 let msg = self
                     .recv_matching(Pattern {
@@ -763,7 +732,7 @@ impl Comm {
                     .collect(),
             ))
         } else {
-            self.protocol_send(root, tag, MpiData::typed(bytes, value))
+            self.protocol_send(0, tag, MpiData::typed(bytes, value))
                 .await?;
             Ok(None)
         }

@@ -7,18 +7,19 @@
 //!
 //! * eager/rendezvous point-to-point with tag matching and MPI's
 //!   non-overtaking delivery order,
-//! * collectives (barrier, bcast, reduce, allreduce, gather, alltoall)
-//!   built from binomial trees and dissemination rounds,
+//! * collectives (barrier, allreduce, gather, alltoall) built from
+//!   binomial trees rooted at rank 0 and dissemination rounds,
 //! * a LAM/MPICH-like cost model: per-message software overhead and
 //!   per-byte copy cost paid on the (paced) virtual CPU,
 //! * [`world::mpirun`] to launch one rank per virtual host.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod comm;
 pub mod proto;
 pub mod world;
 
 pub use comm::{Comm, MpiParams};
-pub use proto::{MpiData, Pattern, RecvMsg, Tag, ANY_SOURCE, ANY_TAG};
+pub use proto::{MpiData, RecvMsg, Tag};
 pub use world::{mpirun, mpirun_resilient};

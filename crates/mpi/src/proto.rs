@@ -8,9 +8,7 @@ use mgrid_netsim::Payload;
 pub type Tag = i32;
 
 /// Matches any source rank (like `MPI_ANY_SOURCE`).
-pub const ANY_SOURCE: i32 = -1;
-/// Matches any tag (like `MPI_ANY_TAG`).
-pub const ANY_TAG: Tag = -2;
+pub(crate) const ANY_SOURCE: i32 = -1;
 
 /// Data carried by an MPI message. Typed payloads ride along unchanged;
 /// the byte count drives the network and copy cost models.
@@ -103,16 +101,16 @@ pub struct RecvMsg {
 
 /// A receive pattern: which (source, tag) pairs a posted receive accepts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Pattern {
+pub(crate) struct Pattern {
     /// Source rank, or [`ANY_SOURCE`].
-    pub src: i32,
-    /// Tag, or [`ANY_TAG`].
-    pub tag: Tag,
+    pub(crate) src: i32,
+    /// Tag.
+    pub(crate) tag: Tag,
 }
 
 impl Pattern {
     /// Match a specific source and tag.
-    pub fn of(src: usize, tag: Tag) -> Self {
+    pub(crate) fn of(src: usize, tag: Tag) -> Self {
         Pattern {
             src: src as i32,
             tag,
@@ -120,9 +118,8 @@ impl Pattern {
     }
 
     /// True if an envelope from `src` with `tag` satisfies this pattern.
-    pub fn accepts(&self, src: usize, tag: Tag) -> bool {
-        (self.src == ANY_SOURCE || self.src == src as i32)
-            && (self.tag == ANY_TAG || self.tag == tag)
+    pub(crate) fn accepts(&self, src: usize, tag: Tag) -> bool {
+        (self.src == ANY_SOURCE || self.src == src as i32) && self.tag == tag
     }
 }
 
@@ -136,12 +133,6 @@ mod tests {
         assert!(p.accepts(2, 7));
         assert!(!p.accepts(1, 7));
         assert!(!p.accepts(2, 8));
-        let any = Pattern {
-            src: ANY_SOURCE,
-            tag: ANY_TAG,
-        };
-        assert!(any.accepts(0, 0));
-        assert!(any.accepts(9, -100));
         let any_src = Pattern {
             src: ANY_SOURCE,
             tag: 7,

@@ -177,12 +177,13 @@ mod tests {
     use mgrid_hostsim::{OsParams, PhysicalHost, PhysicalHostSpec, SchedulerParams};
     use mgrid_netsim::{LinkId, LinkSpec, NetParams, NodeId, TopologyBuilder};
 
-    /// A 4-host switched-Ethernet virtual grid on 4 direct physical hosts.
-    fn grid4() -> (HostTable, Network, Vec<String>) {
+    /// An `n`-host switched-Ethernet virtual grid on `n` direct physical
+    /// hosts.
+    fn grid(n: usize) -> (HostTable, Network, Vec<String>) {
         let mut b = TopologyBuilder::new();
         let sw = b.router("switch");
         let mut nodes: Vec<(String, NodeId)> = Vec::new();
-        for i in 0..4 {
+        for i in 0..n {
             let name = format!("node{i}.cluster");
             let n = b.host(&name);
             b.link(n, sw, LinkSpec::fast_ethernet());
@@ -203,13 +204,15 @@ mod tests {
         (table, net, names)
     }
 
+    /// Run `body` on every rank of an `n`-rank world, one rank per host.
     fn run_world<T: 'static>(
+        n: usize,
         seed: u64,
         body: impl Fn(Comm) -> std::pin::Pin<Box<dyn Future<Output = T>>> + 'static,
     ) -> Vec<T> {
         let mut sim = Simulation::new(seed);
         let out = sim.block_on(async move {
-            let (table, net, hosts) = grid4();
+            let (table, net, hosts) = grid(n);
             mpirun(&table, &net, &hosts, MpiParams::default(), body).await
         });
         out
@@ -217,7 +220,7 @@ mod tests {
 
     #[test]
     fn ranks_and_size() {
-        let out = run_world(1, |comm| {
+        let out = run_world(4, 1, |comm| {
             Box::pin(async move { (comm.rank(), comm.size()) })
         });
         assert_eq!(out, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
@@ -225,7 +228,7 @@ mod tests {
 
     #[test]
     fn ring_send_recv() {
-        let out = run_world(2, |comm| {
+        let out = run_world(4, 2, |comm| {
             Box::pin(async move {
                 let n = comm.size();
                 let next = (comm.rank() + 1) % n;
@@ -242,7 +245,7 @@ mod tests {
 
     #[test]
     fn nonovertaking_same_tag() {
-        let out = run_world(3, |comm| {
+        let out = run_world(4, 3, |comm| {
             Box::pin(async move {
                 match comm.rank() {
                     0 => {
@@ -272,7 +275,7 @@ mod tests {
 
     #[test]
     fn eager_overlapping_sends_preserve_order() {
-        let out = run_world(4, |comm| {
+        let out = run_world(4, 4, |comm| {
             Box::pin(async move {
                 match comm.rank() {
                     0 => {
@@ -302,7 +305,7 @@ mod tests {
 
     #[test]
     fn barrier_aligns_ranks() {
-        let out = run_world(5, |comm| {
+        let out = run_world(4, 5, |comm| {
             Box::pin(async move {
                 // Stagger arrival; everyone leaves at (or after) the
                 // slowest arrival.
@@ -322,66 +325,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bcast_from_each_root() {
-        for root in 0..4usize {
-            let out = run_world(6 + root as u64, move |comm| {
-                Box::pin(async move {
-                    let data = if comm.rank() == root {
-                        Some(MpiData::typed(64, format!("from-{root}")))
-                    } else {
-                        None
-                    };
-                    let got = comm.bcast(root, data).await.unwrap();
-                    got.downcast::<String>().unwrap().as_ref().clone()
-                })
-            });
-            assert!(out.iter().all(|s| s == &format!("from-{root}")));
-        }
-    }
+    /// World sizes that give the rank-0 binomial tree a lone root, full
+    /// subtrees and ragged ones.
+    const WORLD_SIZES: [usize; 5] = [1, 3, 4, 5, 8];
 
     #[test]
     fn allreduce_sums_vectors() {
-        let out = run_world(10, |comm| {
-            Box::pin(async move {
-                let v = vec![comm.rank() as f64, 1.0];
-                comm.allreduce(v, 16, |a, b| {
-                    a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<f64>>()
-                })
-                .await
-                .unwrap()
-            })
-        });
-        for v in out {
-            assert_eq!(v, vec![6.0, 4.0]); // 0+1+2+3, 1*4
-        }
-    }
-
-    #[test]
-    fn reduce_max_at_root() {
-        let out = run_world(11, |comm| {
-            Box::pin(async move {
-                comm.reduce(2, (comm.rank() as u64 * 7) % 5, 8, |a, b| *a.max(b))
+        for n in WORLD_SIZES {
+            let out = run_world(n, 10, |comm| {
+                Box::pin(async move {
+                    let v = vec![comm.rank() as f64, 1.0];
+                    comm.allreduce(v, 16, |a, b| {
+                        a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<f64>>()
+                    })
                     .await
                     .unwrap()
-            })
-        });
-        assert_eq!(out[2], Some(4)); // values 0,2,4,1
-        assert_eq!(out[0], None);
+                })
+            });
+            // 0 + 1 + ... + (n - 1), and 1 per rank.
+            let sum = vec![(n * (n - 1) / 2) as f64, n as f64];
+            assert_eq!(out, vec![sum; n], "{n} ranks");
+        }
     }
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let out = run_world(12, |comm| {
-            Box::pin(async move { comm.gather(0, comm.rank() as u32 * 100, 4).await.unwrap() })
-        });
-        assert_eq!(out[0], Some(vec![0, 100, 200, 300]));
-        assert_eq!(out[1], None);
+        for n in WORLD_SIZES {
+            let out = run_world(n, 12, |comm| {
+                Box::pin(async move { comm.gather(comm.rank() as u32 * 100, 4).await.unwrap() })
+            });
+            let at_root: Vec<u32> = (0..n as u32).map(|r| r * 100).collect();
+            assert_eq!(out[0], Some(at_root), "{n} ranks");
+            assert!(out[1..].iter().all(Option::is_none), "{n} ranks");
+        }
     }
 
     #[test]
     fn alltoall_exchanges_chunks() {
-        let out = run_world(13, |comm| {
+        let out = run_world(4, 13, |comm| {
             Box::pin(async move {
                 let chunks: Vec<(u32, u64)> = (0..comm.size())
                     .map(|d| ((comm.rank() * 10 + d) as u32, 4))
@@ -402,7 +383,7 @@ mod tests {
         let mut sim = Simulation::new(21);
         sim.obs().enable_tracing(1 << 16);
         sim.block_on(async move {
-            let (table, net, hosts) = grid4();
+            let (table, net, hosts) = grid(4);
             let params = MpiParams {
                 recv_timeout: Some(mgrid_desim::SimDuration::from_secs(2)),
             };
@@ -438,7 +419,7 @@ mod tests {
     fn resilient_run_drops_crashed_rank() {
         let mut sim = Simulation::new(22);
         let out = sim.block_on(async move {
-            let (table, net, hosts) = grid4();
+            let (table, net, hosts) = grid(4);
             let params = MpiParams {
                 recv_timeout: Some(mgrid_desim::SimDuration::from_secs(1)),
             };
@@ -475,7 +456,7 @@ mod tests {
         // traffic takes the loopback path and never touches a link.
         let mut sim = Simulation::new(15);
         let (out, link_packets) = sim.block_on(async move {
-            let (table, net, hosts) = grid4();
+            let (table, net, hosts) = grid(4);
             let body = |comm: Comm| async move {
                 assert_eq!(comm.ctx().gethostname(), "node1.cluster");
                 let peer = 1 - comm.rank();
@@ -499,7 +480,7 @@ mod tests {
 
     #[test]
     fn ping_pong_latency_sane() {
-        let out = run_world(14, |comm| {
+        let out = run_world(4, 14, |comm| {
             Box::pin(async move {
                 if comm.rank() == 0 {
                     let t0 = mgrid_desim::now();

@@ -17,6 +17,7 @@
 //! rate-scaled MicroGrid runs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod packet;

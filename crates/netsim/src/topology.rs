@@ -81,11 +81,6 @@ impl LinkSpec {
         LinkSpec::new(100e6, SimDuration::from_micros(50))
     }
 
-    /// 1.2 Gb/s Myrinet (the paper's HPVM cluster interconnect).
-    pub fn myrinet() -> Self {
-        LinkSpec::new(1.2e9, SimDuration::from_micros(10))
-    }
-
     /// Serialization time of `bytes` on this link (virtual time).
     #[expect(
         clippy::disallowed_methods,

@@ -18,4 +18,7 @@
 //! });
 //! assert!(t.as_secs_f64() >= 1.0);
 //! ```
+
+#![forbid(unsafe_code)]
+
 pub use microgrid;
