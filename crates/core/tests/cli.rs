@@ -134,7 +134,7 @@ fn profile_out_reports_the_span_table_and_a_failed_write() {
         .and_then(|(_, tail)| tail.strip_suffix(" bytes/span)"))
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no bytes/span in {line:?}"));
-    assert!((32..=40).contains(&per_span), "{line}");
+    assert!((24..=28).contains(&per_span), "{line}");
 
     // /dev/full opens, then fails every write with ENOSPC.
     if cfg!(target_os = "linux") {

@@ -120,7 +120,8 @@ fn span_layer_records_flows_and_renders_deterministic_tables() {
 
     // Both cross-process flow classes resolve: vsock message edges and
     // collective rendezvous edges into rank 0.
-    let classes: std::collections::BTreeSet<&str> = snap.flows.iter().map(|f| f.class).collect();
+    let classes: std::collections::BTreeSet<&str> =
+        snap.flows.iter().map(|f| f.class.name()).collect();
     assert!(classes.contains("msg"), "no vsock flows: {classes:?}");
     assert!(classes.contains("coll"), "no collective flows: {classes:?}");
 
@@ -140,6 +141,29 @@ fn span_layer_records_flows_and_renders_deterministic_tables() {
     );
     assert!(prof.contains("vsock_send"), "{prof}");
     assert!(!cp.hops.is_empty(), "critical path should have hops");
+}
+
+/// What an observed run holds per span: a 24-byte row, flows at 12
+/// bytes once resolved, and at most 28 bytes per span for the whole
+/// span table (rows, kinds, details and their text).
+#[test]
+fn an_observed_run_holds_at_most_28_bytes_per_span() {
+    use microgrid::desim::{FlowEdge, SpanRow};
+    assert_eq!(std::mem::size_of::<SpanRow>(), 24);
+    assert!(std::mem::size_of::<FlowEdge>() <= 12);
+    let snap = run_small_grid(Observe {
+        trace: None,
+        spans: true,
+    })
+    .capture
+    .spans;
+    let (spans, bytes) = (snap.spans.len(), snap.spans.heap_bytes());
+    assert!(spans > 0 && !snap.flows.is_empty());
+    assert!(
+        bytes <= 28 * spans,
+        "{bytes} bytes for {spans} spans: {} bytes per span",
+        bytes.div_ceil(spans)
+    );
 }
 
 /// A `Write` that keeps what it is given, shared with the test that reads

@@ -4,20 +4,39 @@
 //! microsecond timestamps and escaped strings, each appended to a
 //! caller-owned `String`.
 
+/// `"00"`, `"01"`, …, `"99"`: the digit pairs the number writers
+/// append, two digits per `push_str` and no UTF-8 check.
+const PAIRS: &str = "0001020304050607080910111213141516171819\
+                     2021222324252627282930313233343536373839\
+                     4041424344454647484950515253545556575859\
+                     6061626364656667686970717273747576777879\
+                     8081828384858687888990919293949596979899";
+
+/// The two digits of `n < 100`.
+fn pair(n: u64) -> &'static str {
+    let at = 2 * n as usize;
+    &PAIRS[at..at + 2]
+}
+
 /// Append `v` in decimal (what `format!("{v}")` produces).
 pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    // Digit pairs below the leading one, least significant first;
     // u64::MAX has 20 digits.
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    let mut low = [0u8; 9];
+    let mut n = 0;
+    while v >= 100 {
+        low[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+    if v < 10 {
+        out.push(char::from(b'0' + v as u8));
+    } else {
+        out.push_str(pair(v));
+    }
+    for &p in low[..n].iter().rev() {
+        out.push_str(pair(u64::from(p)));
+    }
 }
 
 /// Append nanoseconds as trace-event microseconds with exactly three
@@ -25,14 +44,10 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
 /// produces) — no floats.
 pub(crate) fn push_ts_us(out: &mut String, ns: u64) {
     push_u64(out, ns / 1_000);
-    let frac = (ns % 1_000) as u32;
-    let digits = [
-        b'.',
-        b'0' + (frac / 100) as u8,
-        b'0' + (frac / 10 % 10) as u8,
-        b'0' + (frac % 10) as u8,
-    ];
-    out.push_str(std::str::from_utf8(&digits).expect("ascii digits"));
+    let frac = ns % 1_000;
+    out.push('.');
+    out.push(char::from(b'0' + (frac / 100) as u8));
+    out.push_str(pair(frac % 100));
 }
 
 /// Append `s` escaped for a JSON string value position (without the
@@ -75,7 +90,23 @@ mod tests {
 
     #[test]
     fn decimal_writer_matches_format_at_its_edges() {
-        for v in [0, 9, 10, 999, 1_000, 1_001, u32::MAX as u64, u64::MAX] {
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        for v in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            999,
+            1_000,
+            1_001,
+            u32::MAX as u64,
+            u64::MAX,
+        ]
+        .into_iter()
+        .chain(powers.clone())
+        .chain(powers.map(|p| p - 1))
+        {
             assert_eq!(with(|o| push_u64(o, v)), format!("x{v}"));
         }
     }

@@ -61,7 +61,8 @@ pub use metrics::{Counter, HistogramHandle, Metrics, MetricsSnapshot};
 pub use obs::Obs;
 pub use rng::SimRng;
 pub use span::{
-    FlowEdge, SpanId, SpanKind, SpanRecord, SpanRow, SpanSnapshot, SpanStore, SpanStr, SpanTable,
+    FlowClass, FlowEdge, SpanId, SpanKind, SpanRecord, SpanRow, SpanSnapshot, SpanStore, SpanStr,
+    SpanTable,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, Tracer};

@@ -21,7 +21,7 @@
 use crate::event::{Category, Event};
 use crate::executor::try_with_current;
 use crate::metrics::{Counter, HistogramHandle, Metrics};
-use crate::span::{SpanId, SpanStore, SpanStr};
+use crate::span::{FlowClass, SpanId, SpanStore, SpanStr};
 use crate::trace::Tracer;
 
 /// The observability surface of one simulation: a shared typed-event
@@ -163,7 +163,7 @@ pub fn span_end(id: SpanId) {
 /// Record the producing half of a cross-track flow, anchored to `span`
 /// (see [`crate::span::SpanStore::flow_out`]). No-op for
 /// [`SpanId::NONE`].
-pub fn flow_out(class: &'static str, src: &str, dst: &str, span: SpanId) {
+pub fn flow_out(class: FlowClass, src: &str, dst: &str, span: SpanId) {
     if span.is_none() {
         return;
     }
@@ -173,7 +173,7 @@ pub fn flow_out(class: &'static str, src: &str, dst: &str, span: SpanId) {
 /// Record the consuming half of a cross-track flow, anchored to `span`
 /// (see [`crate::span::SpanStore::flow_in`]). No-op for
 /// [`SpanId::NONE`].
-pub fn flow_in(class: &'static str, src: &str, dst: &str, span: SpanId) {
+pub fn flow_in(class: FlowClass, src: &str, dst: &str, span: SpanId) {
     if span.is_none() {
         return;
     }
@@ -245,8 +245,8 @@ mod tests {
             });
             assert!(id.is_none());
             span_end(id);
-            flow_out("msg", "a", "b", id);
-            flow_in("msg", "a", "b", id);
+            flow_out(FlowClass::Msg, "a", "b", id);
+            flow_in(FlowClass::Msg, "a", "b", id);
         });
         assert!(obs.spans().is_empty());
     }

@@ -154,7 +154,7 @@ fn encode<E>(
     let kind_lane: Vec<(u64, u64)> = lanes.of_kind.iter().map(|&l| pid_tid[l as usize]).collect();
     let span_lane = |id: SpanId| {
         let row = &table.rows()[table.index_of(id)?];
-        Some((row, kind_lane[row.kind as usize]))
+        Some((row, kind_lane[row.kind()]))
     };
 
     let mut doc = Doc {
@@ -181,20 +181,20 @@ fn encode<E>(
 
     // Span slices, in record order.
     for (i, row) in table.rows().iter().enumerate() {
-        if !row.closed {
+        if !row.is_closed() {
             continue;
         }
-        let kind = &table.kinds()[row.kind as usize];
-        let (pid, tid) = kind_lane[row.kind as usize];
+        let kind = &table.kinds()[row.kind()];
+        let (pid, tid) = kind_lane[row.kind()];
         doc.open(kind.name)?;
         doc.buf.push_str(",\"cat\":\"");
         doc.buf.push_str(kind.cat.name());
-        doc.ts("\",\"ph\":\"X\",\"ts\":", row.begin);
+        doc.ts("\",\"ph\":\"X\",\"ts\":", row.begin());
         doc.ts(",\"dur\":", row.dur_ns());
         doc.num(",\"pid\":", pid);
         doc.num(",\"tid\":", tid);
         doc.num(",\"args\":{\"span\":", i as u64 + 1);
-        let detail = &table.details()[row.detail as usize];
+        let detail = &table.details()[row.detail()];
         if !detail.is_empty() {
             doc.buf.push_str(",\"detail\":\"");
             push_escaped(&mut doc.buf, detail);
@@ -210,16 +210,16 @@ fn encode<E>(
         else {
             continue;
         };
-        if !from.closed || !to.closed {
+        let (Some(_), Some(to_end)) = (from.end(), to.end()) else {
             continue;
-        }
+        };
         let id = i as u64 + 1;
         let halves = [
-            ("s\"", from.begin, from_lane),
-            ("f\",\"bp\":\"e\"", to.end, to_lane),
+            ("s\"", from.begin(), from_lane),
+            ("f\",\"bp\":\"e\"", to_end, to_lane),
         ];
         for (ph, at, (pid, tid)) in halves {
-            doc.open(f.class)?;
+            doc.open(f.class.name())?;
             doc.buf.push_str(",\"cat\":\"flow\",\"ph\":\"");
             doc.buf.push_str(ph);
             doc.num(",\"id\":", id);
@@ -253,7 +253,7 @@ fn encode<E>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanStore;
+    use crate::span::{FlowClass, SpanStore};
     use crate::time::SimTime;
 
     fn t(ns: u64) -> SimTime {
@@ -288,8 +288,8 @@ mod tests {
             "mg.A",
             "beta0:19",
         );
-        st.flow_out("msg", "alpha0", "beta0:19", c);
-        st.flow_in("msg", "alpha0", "beta0:19", b);
+        st.flow_out(FlowClass::Msg, "alpha0", "beta0:19", c);
+        st.flow_in(FlowClass::Msg, "alpha0", "beta0:19", b);
         st.end(t(14_000), b);
         st.end(t(15_000), c);
         st.snapshot()

@@ -17,6 +17,8 @@
 //!   depends on its lane predecessor (program order) and on flow
 //!   producers (message send → receive, collective rendezvous).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 
 use crate::event::Category;
@@ -86,8 +88,8 @@ impl Profile {
         // lane, the bucket and the operation, so the pass over the rows
         // only adds.
         let mut done: Vec<(u64, u64)> = vec![(0, 0); table.kinds().len()];
-        for row in table.rows().iter().filter(|r| r.closed) {
-            let (count, ns) = &mut done[row.kind as usize];
+        for row in table.rows().iter().filter(|r| r.is_closed()) {
+            let (count, ns) = &mut done[row.kind()];
             *count += 1;
             *ns += row.dur_ns();
         }
@@ -190,26 +192,6 @@ impl Profile {
     }
 }
 
-/// Bucket `(group, value)` items by group, keeping input order within a
-/// group: returns `(start, values)` with group `g`'s values at
-/// `values[start[g]..start[g + 1]]`.
-fn bucket(groups: usize, items: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<u32>) {
-    let mut start: Vec<u32> = vec![0; groups + 1];
-    for (g, _) in items.clone() {
-        start[g as usize + 1] += 1;
-    }
-    for g in 0..groups {
-        start[g + 1] += start[g];
-    }
-    let mut values: Vec<u32> = vec![0; start[groups] as usize];
-    let mut fill = start.clone();
-    for (g, v) in items {
-        values[fill[g as usize] as usize] = v;
-        fill[g as usize] += 1;
-    }
-    (start, values)
-}
-
 /// One hop on the critical path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hop {
@@ -295,11 +277,12 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     // comp spans as their ids do, and a binary search in it finds a
     // span's comp index. Times and lanes are read from the rows, and
     // each scratch array is sized once: the scratch stays small beside
-    // the snapshot it reads.
+    // the snapshot it reads (16 bytes per comp span, 8 per flow and 8
+    // per node on the path).
     let table = &*snap.spans;
     let (rows, kinds) = (table.rows(), table.kinds());
     let index = table.lanes();
-    let is_comp = |row: &SpanRow| row.closed && kinds[row.kind as usize].cat != Category::Sched;
+    let is_comp = |row: &SpanRow| row.is_closed() && kinds[row.kind()].cat != Category::Sched;
     let n = rows.iter().filter(|row| is_comp(row)).count();
     if n == 0 {
         return CriticalPath::default();
@@ -307,45 +290,66 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     let mut at: Vec<u32> = Vec::with_capacity(n);
     at.extend((0..rows.len() as u32).filter(|&i| is_comp(&rows[i as usize])));
     let row = |c: usize| &rows[at[c] as usize];
-    let begin = |c: usize| row(c).begin;
-    let end = |c: usize| row(c).end;
-    let lane = |c: usize| index.of_kind[row(c).kind as usize];
+    let begin = |c: usize| row(c).begin();
+    // Every comp span is closed.
+    let end = |c: usize| row(c).end().unwrap_or_default();
+    let lane = |c: usize| index.of_kind[row(c).kind()];
     let comp = |sid: SpanId| -> Option<usize> {
         let i = u32::try_from(table.index_of(sid)?).ok()?;
         at.binary_search(&i).ok()
     };
 
-    // Flow producers per consumer comp index:
-    // `flow_from[flow_start[c]..flow_start[c + 1]]`, in flow order.
-    let (flow_start, flow_from) = bucket(
-        n,
+    // The flow edges as `(consumer, producer)` comp indexes, sorted: a
+    // consumer's producers are one run of it, found by binary search.
+    // Their order within the run does not matter, as the best in-edge
+    // is the maximum of a total order.
+    let resolved = || {
         snap.flows.iter().filter_map(|f| {
             let (a, b) = (comp(f.from)?, comp(f.to)?);
             (begin(a) < end(b) || (begin(a) == end(b) && at[a] < at[b]))
                 .then_some((b as u32, a as u32))
-        }),
-    );
+        })
+    };
+    let mut fed: Vec<(u32, u32)> = Vec::with_capacity(resolved().count());
+    fed.extend(resolved());
+    fed.sort_unstable();
+    let producers = |c: usize| {
+        let c = c as u32;
+        let from = fed.partition_point(|&(b, _)| b < c);
+        let to = from + fed[from..].partition_point(|&(b, _)| b == c);
+        fed[from..to].iter().map(|&(_, a)| a as usize)
+    };
 
     // Node c*2 is span c's begin, c*2+1 its end. Topological order:
     // (time, span id, begin-before-end); every edge above respects it.
-    // Begins and ends are sorted apart, then merged: a recorded
-    // snapshot's begins are already in time order, so sorting them is
-    // one pass.
-    let sorted_by = |time: fn(&SpanRow) -> u64| {
-        let mut spans: Vec<u32> = (0..n as u32).collect();
-        spans.sort_unstable_by_key(|&c| (time(row(c as usize)), at[c as usize]));
-        spans
-    };
-    let (begins, ends) = (sorted_by(|r| r.begin), sorted_by(|r| r.end));
-    let (mut b, mut e) = (begins.iter().peekable(), ends.iter().peekable());
-    let order = std::iter::from_fn(|| match (b.peek(), e.peek()) {
-        (Some(&&p), Some(&&q))
-            if (end(q as usize), at[q as usize]) < (begin(p as usize), at[p as usize]) =>
-        {
-            e.next().map(|&q| 2 * q + 1)
+    // A recorded snapshot's begins already rise with the span id
+    // (virtual time only moves forward); a hand-built one's need not,
+    // and only then are they sorted. Each end waits in a heap of the spans
+    // begun and not yet ended until no begin comes before it: a span
+    // ends at or after it begins (a recorded one does), so an end that
+    // sorts before the next begin is already in the heap.
+    let mut sorted: Vec<u32> = Vec::new();
+    if !(1..n).all(|c| begin(c - 1) <= begin(c)) {
+        sorted.extend(0..n as u32);
+        sorted.sort_unstable_by_key(|&c| (begin(c as usize), c));
+    }
+    let mut begins = (0..n as u32)
+        .map(|k| sorted.get(k as usize).copied().unwrap_or(k))
+        .peekable();
+    let mut open: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    let order = std::iter::from_fn(|| {
+        if let Some(&Reverse((t, q))) = open.peek() {
+            if begins
+                .peek()
+                .is_none_or(|&p| (t, q) < (begin(p as usize), p))
+            {
+                open.pop();
+                return Some(2 * q as usize + 1);
+            }
         }
-        (Some(_), _) => b.next().map(|&p| 2 * p),
-        (None, _) => e.next().map(|&q| 2 * q + 1),
+        let p = begins.next()?;
+        open.push(Reverse((end(p as usize), p)));
+        Some(2 * p as usize)
     });
 
     // Lane predecessor per comp index: latest span on the same
@@ -358,17 +362,28 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
     let mut lane_pred: Vec<u32> = vec![NONE; n];
     let mut last_end: Vec<u32> = vec![NONE; index.pairs.len()];
 
+    // The longest-path DP keeps a cost per *end* node only: a begin
+    // node's one in-edge is the lane edge from its lane predecessor's
+    // end at weight 0, so its cost is that end's, or 0 without one.
+    let node_cost = |end_cost: &[u64], lane_pred: &[u32], v: usize| -> u64 {
+        let c = v / 2;
+        match lane_pred[c] {
+            _ if !v.is_multiple_of(2) => end_cost[c],
+            NONE => 0,
+            p => end_cost[p as usize],
+        }
+    };
     // The best in-edge of node `v` given its predecessors' costs:
     // `(cost through it, edge kind, predecessor node)`. Max cost, then
-    // edge-kind priority, then smaller span id. The longest-path DP
-    // keeps only each node's cost; the walk back asks again for the
-    // edge, which its predecessors' final costs determine.
-    let best_in = |cost: &[u64], lane_pred: &[u32], v: usize| -> Option<(u64, u8, usize)> {
+    // edge-kind priority, then smaller span id. The DP keeps only the
+    // costs; the walk back asks again for the edge, which its
+    // predecessors' final costs determine.
+    let best_in = |end_cost: &[u64], lane_pred: &[u32], v: usize| -> Option<(u64, u8, usize)> {
         let c = v / 2;
         let mut best: Option<(u64, u8, usize)> = None;
         let mut offer = |u: usize, kind: u8, w: u64| {
-            let cand = (cost[u] + w, kind, u);
-            let key = |x: (u64, u8, usize)| (x.0, std::cmp::Reverse((x.1, at[x.2 / 2])));
+            let cand = (node_cost(end_cost, lane_pred, u) + w, kind, u);
+            let key = |x: (u64, u8, usize)| (x.0, Reverse((x.1, at[x.2 / 2])));
             if best.is_none_or(|cur| key(cand) > key(cur)) {
                 best = Some(cand);
             }
@@ -380,70 +395,74 @@ pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
         } else {
             // A flow consumer's end is caused by the message, not by
             // local elapsed time: zero-weight work edge (see above).
-            let producers = &flow_from[flow_start[c] as usize..flow_start[c + 1] as usize];
-            let work_w = if producers.is_empty() {
+            let work_w = if producers(c).len() == 0 {
                 end(c) - begin(c)
             } else {
                 0
             };
             offer(v - 1, WORK, work_w);
-            for &a in producers {
-                offer(a as usize * 2, FLOW, end(c) - begin(a as usize));
+            for a in producers(c) {
+                offer(a * 2, FLOW, end(c) - begin(a));
             }
         }
         best
     };
-    let mut cost: Vec<u64> = vec![0; 2 * n];
+    let mut end_cost: Vec<u64> = vec![0; n];
     for v in order {
-        let (v, c) = (v as usize, v as usize / 2);
+        let c = v / 2;
         let last = &mut last_end[lane(c) as usize];
         if v.is_multiple_of(2) {
             lane_pred[c] = *last;
         } else {
             *last = c as u32;
-        }
-        if let Some((best_cost, _, _)) = best_in(&cost, &lane_pred, v) {
-            cost[v] = best_cost;
+            let (cost, _, _) = best_in(&end_cost, &lane_pred, v).expect("an end has a work edge");
+            end_cost[c] = cost;
         }
     }
-    drop((begins, ends));
+    let cost = |v: usize| node_cost(&end_cost, &lane_pred, v);
 
     // Terminus: the costliest end node, ties to the smaller span id.
-    let mut term = 1usize;
-    for c in 0..n {
-        let v = c * 2 + 1;
-        if cost[v] > cost[term] || (cost[v] == cost[term] && at[c] < at[term / 2]) {
-            term = v;
+    let mut term = 0usize;
+    for c in 1..n {
+        if end_cost[c] > end_cost[term] {
+            term = c;
         }
     }
-    let total = cost[term];
+    let term = 2 * term + 1;
+    let total = cost(term);
 
     // Walk back, then group consecutive nodes of one span into a hop.
-    // Each node comes with its in-edge: `(node, edge kind, predecessor)`.
-    let mut nodes = Vec::new();
+    // Each node comes with the kind of its in-edge, whose predecessor is
+    // the node before it: `(node, edge kind)`.
+    let mut nodes: Vec<(u32, u8)> = Vec::new();
     let mut cur = Some(term);
     while let Some(v) = cur {
-        let edge = best_in(&cost, &lane_pred, v);
-        nodes.push((v, edge.map_or(START, |e| e.1), edge.map(|e| e.2)));
+        let edge = best_in(&end_cost, &lane_pred, v);
+        nodes.push((v as u32, edge.map_or(START, |e| e.1)));
         cur = edge.map(|e| e.2);
     }
     nodes.reverse();
+    let span_of = |k: usize| nodes[k].0 as usize / 2;
     let mut hops: Vec<Hop> = Vec::new();
     let mut hop_lane = NONE;
     let mut entry_cost = 0u64;
     let mut entry_via = START;
-    for (k, &(v, via, pred)) in nodes.iter().enumerate() {
-        let c = v / 2;
-        let first_of_span = k == 0 || nodes[k - 1].0 / 2 != c;
+    for (k, &(v, via)) in nodes.iter().enumerate() {
+        let (v, c) = (v as usize, span_of(k));
+        let first_of_span = k == 0 || span_of(k - 1) != c;
         if first_of_span {
             entry_via = via;
-            entry_cost = pred.map_or(0, |u| cost[u]);
+            entry_cost = if k == 0 {
+                0
+            } else {
+                cost(nodes[k - 1].0 as usize)
+            };
         }
-        let last_of_span = k + 1 == nodes.len() || nodes[k + 1].0 / 2 != c;
+        let last_of_span = k + 1 == nodes.len() || span_of(k + 1) != c;
         if last_of_span {
             let s = table.record(at[c] as usize);
             let via = if hops.is_empty() { START } else { entry_via };
-            let contrib = cost[v] - entry_cost;
+            let contrib = cost(v) - entry_cost;
             // Coalesce a lane-chained run of the same operation into one
             // hop with a repeat count.
             match hops.last_mut() {
@@ -517,7 +536,7 @@ impl CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanStore;
+    use crate::span::{FlowClass, SpanStore};
     use crate::time::SimTime;
 
     fn t(ns: u64) -> SimTime {
@@ -548,8 +567,8 @@ mod tests {
             String::new(),
         );
         st.end(t(120), tx);
-        st.flow_out("msg", "h0", "h1", tx);
-        st.flow_in("msg", "h0", "h1", rx);
+        st.flow_out(FlowClass::Msg, "h0", "h1", tx);
+        st.flow_in(FlowClass::Msg, "h0", "h1", rx);
         st.end(t(120), rx);
         let c1 = st.begin(
             t(120),
@@ -675,9 +694,9 @@ mod tests {
             let (src, dst) = (HOSTS[rng.below(2) as usize], HOSTS[rng.below(2) as usize]);
             let span = ids[rng.below(ids.len() as u64) as usize];
             if rng.below(2) == 0 {
-                st.flow_out("msg", src, dst, span);
+                st.flow_out(FlowClass::Msg, src, dst, span);
             } else {
-                st.flow_in("msg", src, dst, span);
+                st.flow_in(FlowClass::Msg, src, dst, span);
             }
         }
         st.snapshot()

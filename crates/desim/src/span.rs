@@ -27,8 +27,9 @@
 //!
 //! ## Storage
 //!
-//! A stored span is one 32-byte [`SpanRow`] of a [`SpanTable`]: begin and
-//! end nanoseconds and two small integers. Everything a
+//! A stored span is one 24-byte [`SpanRow`] of a [`SpanTable`]: begin and
+//! end nanoseconds and two small integers, the first of which also
+//! carries whether the span was closed. Everything a
 //! site repeats from span to span is stored once: the distinct
 //! `(cat, name, track, lane)` combinations — a few per process, tens per
 //! run — make up the table's *kinds*, the distinct detail strings its
@@ -50,7 +51,10 @@
 //! The strings of a flow key are interned into small integers the first
 //! time they are seen, each distinct key gets a dense *stream* number,
 //! and a half-point is that number plus a span id —
-//! [`SpanStore::snapshot`] joins the two sides with array indexing.
+//! [`SpanStore::snapshot`] joins the two sides with array indexing. A
+//! span id is four bytes, so a flow costs 28: a 4-byte out-point, a
+//! 12-byte in-point `(stream, sequence number, span)` and a 12-byte
+//! [`FlowEdge`] once resolved.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -75,7 +79,7 @@ pub type SpanStr = Arc<str>;
 /// is disabled (or no simulation is running) so call sites can thread
 /// ids through unconditionally; every operation on it is a no-op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SpanId(u64);
+pub struct SpanId(u32);
 
 impl SpanId {
     /// The null span: recording was disabled when the span began.
@@ -88,7 +92,7 @@ impl SpanId {
 
     /// Raw id value (1-based; 0 is the sentinel).
     pub fn get(self) -> u64 {
-        self.0
+        u64::from(self.0)
     }
 }
 
@@ -128,29 +132,53 @@ impl SpanRecord {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRow {
     /// Virtual instant the span began, nanoseconds.
-    pub begin: u64,
+    begin: u64,
     /// Virtual instant the span ended, nanoseconds; meaningful only
-    /// when `closed` (any instant, `u64::MAX` included, is a valid end).
-    pub end: u64,
-    /// Index into [`SpanTable::kinds`].
-    pub kind: u32,
+    /// when closed (any instant, `u64::MAX` included, is a valid end).
+    end: u64,
+    /// Index into [`SpanTable::kinds`], with [`SpanRow::CLOSED`] set
+    /// once the span is closed.
+    kind: u32,
     /// Index into [`SpanTable::details`].
-    pub detail: u32,
-    /// Whether the span was closed.
-    pub closed: bool,
+    detail: u32,
 }
 
 // What a recorded span costs; a wider row shows in `peak_rss_mb`.
-const _: () = assert!(std::mem::size_of::<SpanRow>() == 32);
+const _: () = assert!(std::mem::size_of::<SpanRow>() == 24);
 
 impl SpanRow {
+    /// The bit of `kind` that marks a closed span. The store's backstop
+    /// keeps the kind index below it.
+    const CLOSED: u32 = 1 << 31;
+
+    /// Virtual instant the span began, nanoseconds.
+    pub fn begin(&self) -> u64 {
+        self.begin
+    }
+
+    /// Virtual instant the span ended, nanoseconds; `None` while open.
+    pub fn end(&self) -> Option<u64> {
+        self.is_closed().then_some(self.end)
+    }
+
+    /// Whether the span was closed.
+    pub fn is_closed(&self) -> bool {
+        self.kind & Self::CLOSED != 0
+    }
+
+    /// Index into [`SpanTable::kinds`].
+    pub fn kind(&self) -> usize {
+        (self.kind & !Self::CLOSED) as usize
+    }
+
+    /// Index into [`SpanTable::details`].
+    pub fn detail(&self) -> usize {
+        self.detail as usize
+    }
+
     /// Duration in nanoseconds (zero while the span is open).
     pub fn dur_ns(&self) -> u64 {
-        if self.closed {
-            self.end.saturating_sub(self.begin)
-        } else {
-            0
-        }
+        self.end().map_or(0, |end| end.saturating_sub(self.begin))
     }
 }
 
@@ -207,7 +235,7 @@ impl SpanTable {
     /// Row index of span `id`: `None` for the sentinel and for an id this
     /// table has no row for (a dropped span, another store's span).
     pub fn index_of(&self, id: SpanId) -> Option<usize> {
-        let i = usize::try_from(id.0.checked_sub(1)?).ok()?;
+        let i = (id.0 as usize).checked_sub(1)?;
         (i < self.rows.len()).then_some(i)
     }
 
@@ -217,16 +245,16 @@ impl SpanTable {
     /// Panics if `i >= self.len()`.
     pub fn record(&self, i: usize) -> SpanRecord {
         let row = &self.rows[i];
-        let kind = &self.kinds[row.kind as usize];
+        let kind = &self.kinds[row.kind()];
         SpanRecord {
-            id: SpanId(i as u64 + 1),
+            id: SpanId(i as u32 + 1),
             cat: kind.cat,
             name: kind.name,
             track: kind.track.clone(),
             lane: kind.lane.clone(),
-            detail: self.details[row.detail as usize].clone(),
+            detail: self.details[row.detail()].clone(),
             begin: SimTime::from_nanos(row.begin),
-            end: row.closed.then_some(SimTime::from_nanos(row.end)),
+            end: row.end().map(SimTime::from_nanos),
         }
     }
 
@@ -285,18 +313,40 @@ pub(crate) struct Lanes<'a> {
     pub of_kind: Vec<u32>,
 }
 
+/// What a flow carries: the class half of a flow key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum FlowClass {
+    /// A vsock message, send → receive.
+    Msg,
+    /// An MPI collective rendezvous, rank → root.
+    Coll,
+}
+
+impl FlowClass {
+    /// Stable name (`"msg"`, `"coll"`): a flow arrow's name in the
+    /// Perfetto export.
+    pub fn name(self) -> &'static str {
+        match self {
+            FlowClass::Msg => "msg",
+            FlowClass::Coll => "coll",
+        }
+    }
+}
+
 /// A resolved causal edge between two spans on (usually) different
 /// tracks, produced by joining `flow_out`/`flow_in` half-points.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowEdge {
-    /// Flow class (`"msg"` for vsock messages, `"coll"` for MPI
-    /// collectives).
-    pub class: &'static str,
     /// Producing span.
     pub from: SpanId,
     /// Consuming span.
     pub to: SpanId,
+    /// Flow class.
+    pub class: FlowClass,
 }
+
+// What a resolved flow costs beside its two half-points.
+const _: () = assert!(std::mem::size_of::<FlowEdge>() == 12);
 
 /// A [`SpanStore`]'s contents with flows resolved.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -376,13 +426,13 @@ impl Interner {
 /// One flow half-point stream: everything recorded on one
 /// `(class, src, dst)` key.
 struct FlowStream {
-    class: &'static str,
+    class: FlowClass,
     /// Send-side half-points in emit order (the vector index is the
     /// FIFO sequence number).
     outs: Vec<SpanId>,
     /// Receive-side half-points recorded so far (the next one's FIFO
     /// sequence number).
-    ins: u64,
+    ins: u32,
 }
 
 struct SpanInner {
@@ -392,14 +442,14 @@ struct SpanInner {
     /// Shared with every snapshot taken since the last write.
     table: Arc<SpanTable>,
     interner: Interner,
-    /// Interned flow-key strings (class, src and dst alike).
+    /// Interned flow-key strings (src and dst alike).
     names: FxHashMap<Box<str>, u32>,
-    /// Interned `(class, src, dst)` → index into `streams`.
-    stream_of: FxHashMap<(u32, u32, u32), u32>,
+    /// `(class, interned src, interned dst)` → index into `streams`.
+    stream_of: FxHashMap<(FlowClass, u32, u32), u32>,
     streams: Vec<FlowStream>,
     /// Receive-side half-points in record order: stream, FIFO sequence
     /// number within it, consuming span.
-    in_points: Vec<(u32, u64, SpanId)>,
+    in_points: Vec<(u32, u32, SpanId)>,
 }
 
 impl SpanInner {
@@ -414,8 +464,8 @@ impl SpanInner {
 
     /// Index into `streams` of key `(class, src, dst)`, created on first
     /// use.
-    fn stream(&mut self, class: &'static str, src: &str, dst: &str) -> u32 {
-        let key = (self.intern(class), self.intern(src), self.intern(dst));
+    fn stream(&mut self, class: FlowClass, src: &str, dst: &str) -> u32 {
+        let key = (class, self.intern(src), self.intern(dst));
         let next = self.streams.len() as u32;
         let at = *self.stream_of.entry(key).or_insert(next);
         if at == next {
@@ -451,6 +501,9 @@ impl Default for SpanStore {
 impl SpanStore {
     /// Default backstop on retained spans.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
+
+    /// The most spans a store ever retains (see [`SpanStore::begin`]).
+    const MAX_SPANS: usize = (SpanRow::CLOSED - 1) as usize;
 
     /// A fresh, disabled store with the default capacity.
     pub fn new() -> Self {
@@ -503,9 +556,9 @@ impl SpanStore {
     /// Open a span at `at`. Returns [`SpanId::NONE`] (recording nothing)
     /// while disabled or once the capacity backstop is hit.
     ///
-    /// The critical path indexes rows as `u32`, so the backstop never
-    /// exceeds `u32::MAX` spans whatever [`SpanStore::set_capacity`] was
-    /// given.
+    /// A kind index is a 31-bit number (the top bit of a row's kind
+    /// marks it closed), so the backstop never exceeds 2³¹ − 1 spans
+    /// whatever [`SpanStore::set_capacity`] was given.
     pub fn begin(
         &self,
         at: SimTime,
@@ -519,7 +572,7 @@ impl SpanStore {
         if !s.enabled {
             return SpanId::NONE;
         }
-        if s.table.len() >= s.capacity.min(u32::MAX as usize) {
+        if s.table.len() >= s.capacity.min(Self::MAX_SPANS) {
             s.dropped += 1;
             return SpanId::NONE;
         }
@@ -534,9 +587,8 @@ impl SpanStore {
             end: 0,
             kind,
             detail,
-            closed: false,
         });
-        SpanId(table.rows.len() as u64)
+        SpanId(table.rows.len() as u32)
     }
 
     /// Close a span at `at`. No-op for the sentinel or an already-closed
@@ -546,10 +598,10 @@ impl SpanStore {
         // Look before writing: a repeated close must not be what copies
         // a table some snapshot shares.
         match s.table.index_of(id) {
-            Some(i) if !s.table.rows[i].closed => {
+            Some(i) if !s.table.rows[i].is_closed() => {
                 let row = &mut Arc::make_mut(&mut s.table).rows[i];
                 row.end = at.as_nanos();
-                row.closed = true;
+                row.kind |= SpanRow::CLOSED;
             }
             _ => {}
         }
@@ -557,7 +609,7 @@ impl SpanStore {
 
     /// Record the producing half of a flow on key `(class, src, dst)`,
     /// anchored to `span`. No-op for the sentinel span.
-    pub fn flow_out(&self, class: &'static str, src: &str, dst: &str, span: SpanId) {
+    pub fn flow_out(&self, class: FlowClass, src: &str, dst: &str, span: SpanId) {
         if span.is_none() {
             return;
         }
@@ -571,7 +623,7 @@ impl SpanStore {
 
     /// Record the consuming half of a flow on key `(class, src, dst)`,
     /// anchored to `span`. No-op for the sentinel span.
-    pub fn flow_in(&self, class: &'static str, src: &str, dst: &str, span: SpanId) {
+    pub fn flow_in(&self, class: FlowClass, src: &str, dst: &str, span: SpanId) {
         if span.is_none() {
             return;
         }
@@ -599,9 +651,9 @@ impl SpanStore {
             let stream = &s.streams[at as usize];
             if let Some(&from) = stream.outs.get(seq as usize) {
                 flows.push(FlowEdge {
-                    class: stream.class,
                     from,
                     to,
+                    class: stream.class,
                 });
             }
         }
@@ -635,7 +687,7 @@ mod tests {
         let id = s.begin(t(1), Category::Sched, "quantum", "h0", "job", String::new());
         assert!(id.is_none());
         s.end(t(2), id); // must not panic
-        s.flow_out("msg", "a", "b", id);
+        s.flow_out(FlowClass::Msg, "a", "b", id);
         assert!(s.snapshot().is_empty());
     }
 
@@ -664,25 +716,25 @@ mod tests {
         let r1 = mk(&s, 3);
         let r2 = mk(&s, 4);
         // Two sends then two receives on the same key: 1st↔1st, 2nd↔2nd.
-        s.flow_out("msg", "a", "b", s1);
-        s.flow_out("msg", "a", "b", s2);
-        s.flow_in("msg", "a", "b", r1);
-        s.flow_in("msg", "a", "b", r2);
+        s.flow_out(FlowClass::Msg, "a", "b", s1);
+        s.flow_out(FlowClass::Msg, "a", "b", s2);
+        s.flow_in(FlowClass::Msg, "a", "b", r1);
+        s.flow_in(FlowClass::Msg, "a", "b", r2);
         // A receive with no matching send on another key is skipped.
-        s.flow_in("msg", "ghost", "b", r1);
+        s.flow_in(FlowClass::Msg, "ghost", "b", r1);
         let snap = s.snapshot();
         assert_eq!(
             snap.flows,
             vec![
                 FlowEdge {
-                    class: "msg",
                     from: s1,
-                    to: r1
+                    to: r1,
+                    class: FlowClass::Msg
                 },
                 FlowEdge {
-                    class: "msg",
                     from: s2,
-                    to: r2
+                    to: r2,
+                    class: FlowClass::Msg
                 },
             ]
         );
@@ -787,7 +839,7 @@ mod tests {
                 let (track, lane, detail) = (text(a >> 2), text(a >> 4), text(a >> 6));
                 let name = NAMES[(a >> 8) as usize % NAMES.len()];
                 let cat = Category::ALL[(a >> 10) as usize % Category::ALL.len()];
-                let own = want.len() as u64;
+                let own = want.len() as u32;
                 let begin = t(c % 1_000);
                 let id = s.begin(begin, cat, name, track.clone(), lane.clone(), detail.clone());
                 prop_assert_eq!(id, SpanId(own + 1));

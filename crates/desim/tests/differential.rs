@@ -2,7 +2,7 @@
 //!
 //! [`perfetto::export`] (and [`perfetto::export_to`], the same encoder
 //! behind a writer), [`profile::critical_path`] and
-//! [`Profile::from_snapshot`] stream, index and read the 32-byte rows of
+//! [`Profile::from_snapshot`] stream, index and read the 24-byte rows of
 //! a `SpanTable` where they used to build a `String` per record and walk
 //! name-keyed maps over a `Vec<SpanRecord>`. Their output is a contract
 //! (the golden Perfetto file, the profiler tables, byte-stable
@@ -24,7 +24,8 @@ use proptest::prelude::*;
 use mgrid_desim::perfetto;
 use mgrid_desim::profile::{self, Profile};
 use mgrid_desim::{
-    Category, Event, FlowEdge, SimTime, SpanId, SpanSnapshot, SpanStore, SpanStr, TraceEvent,
+    Category, Event, FlowClass, FlowEdge, SimTime, SpanId, SpanSnapshot, SpanStore, SpanStr,
+    TraceEvent,
 };
 
 /// Track, lane and detail texts: plain, empty, and one per escape class
@@ -93,9 +94,9 @@ fn snapshot(spans: &[SpanSpec], flows: &[(u64, u64, u64)]) -> SpanSnapshot {
     let mut snap = store.snapshot();
     snap.flows
         .extend(flows.iter().map(|&(class, from, to)| FlowEdge {
-            class: ["msg", "coll"][(class % 2) as usize],
             from: ids[(from % ids.len() as u64) as usize],
             to: ids[(to % ids.len() as u64) as usize],
+            class: [FlowClass::Msg, FlowClass::Coll][(class % 2) as usize],
         }));
     snap
 }
@@ -237,8 +238,8 @@ proptest! {
             // A receive consumes the previous step's send, if any.
             match (kind, last) {
                 (2, Some((from, tx))) if from != h => {
-                    store.flow_out("msg", "a", "b", tx);
-                    store.flow_in("msg", "a", "b", id);
+                    store.flow_out(FlowClass::Msg, "a", "b", tx);
+                    store.flow_in(FlowClass::Msg, "a", "b", id);
                     last = None;
                 }
                 (1, _) => last = Some((h, id)),
@@ -366,14 +367,14 @@ mod reference {
             let id = i + 1;
             recs.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{id},\"ts\":{},\"pid\":{},\"tid\":{}}}",
-                f.class,
+                f.class.name(),
                 ts_us(from.begin.as_nanos()),
                 pid_of[from.track.as_ref()],
                 tracks[from.track.as_ref()][from.lane.as_ref()],
             ));
             recs.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":{},\"pid\":{},\"tid\":{}}}",
-                f.class,
+                f.class.name(),
                 ts_us(to_end.as_nanos()),
                 pid_of[to.track.as_ref()],
                 tracks[to.track.as_ref()][to.lane.as_ref()],

@@ -12,7 +12,7 @@
 //! trust the code under test to validate itself.
 
 use mgrid_desim::time::SimDuration;
-use mgrid_desim::{obs, perfetto, sleep, spawn, Category, Event, Simulation};
+use mgrid_desim::{obs, perfetto, sleep, spawn, Category, Event, FlowClass, Simulation};
 
 /// Drive a small deterministic scenario: two "hosts" exchange one
 /// message and run one collective-style rendezvous, with a few typed
@@ -33,7 +33,7 @@ fn small_export() -> String {
             let tx = obs::span_begin(Category::Vsock, "vsock_send", || {
                 ("h0".into(), "p0".into(), "h1:7".into())
             });
-            obs::flow_out("msg", "h0", "h1:7", tx);
+            obs::flow_out(FlowClass::Msg, "h0", "h1:7", tx);
             obs::emit(|| Event::QuantumGrant {
                 host: "h0".into(),
                 job: "p0".into(),
@@ -47,7 +47,7 @@ fn small_export() -> String {
                 ("h1".into(), "p1".into(), ":7".into())
             });
             sleep(SimDuration::from_micros(120)).await;
-            obs::flow_in("msg", "h0", "h1:7", rx);
+            obs::flow_in(FlowClass::Msg, "h0", "h1:7", rx);
             obs::span_end(rx);
             let c = obs::span_begin(Category::Sched, "quantum", || {
                 ("h1".into(), "p1".into(), "".into())

@@ -6,6 +6,7 @@
 //! pairs) ordered leaf-first; the directory tree hangs records under their
 //! parent DN.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::rc::Rc;
@@ -13,17 +14,25 @@ use std::rc::Rc;
 /// One `attr=value` component of a distinguished name.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Rdn {
-    /// Attribute name (normalized to lowercase).
-    pub attr: String,
-    /// Attribute value (as written).
-    pub value: String,
+    /// Attribute name (normalized to lowercase): the schema's constant,
+    /// or the text a parsed DN gave.
+    pub attr: Cow<'static, str>,
+    /// Attribute value (as written), shared with a record attribute
+    /// that repeats it.
+    pub value: Rc<str>,
 }
 
 impl Rdn {
-    /// Create an RDN; the attribute name is lowercased.
-    pub fn new(attr: impl AsRef<str>, value: impl Into<String>) -> Self {
+    /// Create an RDN with a schema attribute name; the name is
+    /// lowercased.
+    pub fn new(attr: &'static str, value: impl Into<Rc<str>>) -> Self {
+        let attr = if attr.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(attr.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(attr)
+        };
         Rdn {
-            attr: attr.as_ref().to_ascii_lowercase(),
+            attr,
             value: value.into(),
         }
     }
@@ -88,7 +97,10 @@ impl Dn {
             if attr.is_empty() || value.is_empty() {
                 return Err(DnParseError(format!("empty attr or value in {part:?}")));
             }
-            rdns.push(Rdn::new(attr, value));
+            rdns.push(Rdn {
+                attr: Cow::Owned(attr.to_ascii_lowercase()),
+                value: value.into(),
+            });
         }
         Ok(Dn::from_rdns(rdns))
     }
@@ -137,9 +149,9 @@ impl<'a> Iterator for TextPieces<'a> {
     fn next(&mut self) -> Option<&'a [u8]> {
         let node = self.node?;
         let piece = match self.next {
-            0 => &node.rdn.attr,
+            0 => &*node.rdn.attr,
             1 => "=",
-            2 => &node.rdn.value,
+            2 => &*node.rdn.value,
             _ => SEPARATOR,
         };
         self.next += 1;

@@ -16,6 +16,8 @@
 //! The added fields support identification and grouping of the entries of
 //! one virtual Grid among many stored in the same GIS server.
 
+use std::rc::Rc;
+
 use crate::dn::{Dn, Rdn};
 use crate::filter::Filter;
 use crate::record::Record;
@@ -39,11 +41,13 @@ pub fn virtual_host_record(
     cpu_speed_mops: f64,
     memory_bytes: u64,
 ) -> Record {
+    // The leaf RDN and the `hn` attribute hold one copy of the name.
+    let hostname: Rc<str> = hostname.into();
     Record::from_attrs(
-        base.child(Rdn::new("hn", hostname)),
+        base.child(Rdn::new("hn", hostname.clone())),
         [
             ("objectclass", "GridComputeResource".into()),
-            ("hn", hostname.into()),
+            ("hn", hostname),
             ("CpuSpeed", format!("{cpu_speed_mops}").into()),
             ("MemorySize", format!("{memory_bytes}").into()),
             (IS_VIRTUAL, "Yes".into()),
@@ -63,11 +67,12 @@ pub fn virtual_network_record(
     nw_type: &str,
     speed: &str,
 ) -> Record {
+    let network_number: Rc<str> = network_number.into();
     Record::from_attrs(
-        base.child(Rdn::new("nn", network_number)),
+        base.child(Rdn::new("nn", network_number.clone())),
         [
             ("objectclass", "GridNetwork".into()),
-            ("nn", network_number.into()),
+            ("nn", network_number),
             ("nwType", nw_type.into()),
             ("speed", speed.into()),
             (IS_VIRTUAL, "Yes".into()),
@@ -113,6 +118,33 @@ mod tests {
         assert_eq!(r.get(MAPPED_PHYSICAL), Some("csag-226-67.ucsd.edu"));
         assert_eq!(r.get("CpuSpeed"), Some("10"));
         assert_eq!(r.get("MemorySize"), Some("100000000"));
+    }
+
+    #[test]
+    fn a_record_holds_its_name_once() {
+        let mut d = Directory::new();
+        d.upsert(virtual_host_record(
+            &base(),
+            "vm.ucsd.edu",
+            "C",
+            "p",
+            10.0,
+            1,
+        ));
+        d.upsert(virtual_network_record(
+            &base(),
+            "1.11.11.0",
+            "C",
+            "LAN",
+            "1Mbps",
+        ));
+        for (attr, name) in [("hn", "vm.ucsd.edu"), ("nn", "1.11.11.0")] {
+            let hits = d.search_all(&Filter::eq(attr, name));
+            let leaf = hits[0].dn.rdns().next().expect("a leaf RDN");
+            assert_eq!((&*leaf.attr, &*leaf.value), (attr, name));
+            let held = hits[0].get(attr).expect("the name attribute");
+            assert!(std::ptr::eq(held, &*leaf.value), "{attr} is held twice");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (possibly paced) virtual CPU, resolves names through the mapping table,
 //! and moves data only across the simulated virtual network.
 
-use mgrid_desim::{obs, Category, Event};
+use mgrid_desim::{obs, Category, Event, FlowClass};
 use mgrid_netsim::{NetError, Payload};
 
 use crate::hosttable::HostEntry;
@@ -55,7 +55,7 @@ async fn send_impl(
     });
     if !span.is_none() {
         let label = ctx.table().endpoint_label(dst, port);
-        obs::flow_out("msg", ctx.gethostname(), &label, span);
+        obs::flow_out(FlowClass::Msg, ctx.gethostname(), &label, span);
     }
     ctx.process().intercept_overhead().await;
     note_send(ctx, dst, size_bytes);
@@ -229,7 +229,7 @@ impl VSocket {
             .lookup_node(msg.src)
             .expect("message from unmapped node");
         if !span.is_none() {
-            obs::flow_in("msg", &src.name, &self.span_labels().1, span);
+            obs::flow_in(FlowClass::Msg, &src.name, &self.span_labels().1, span);
         }
         obs::span_end(span);
         Ok(VMessage {

@@ -17,7 +17,7 @@ use mgrid_desim::channel::{oneshot, OneshotSender};
 use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::timeout::with_timeout;
-use mgrid_desim::{obs, spawn, Category, Event, FxHashMap, SpanStr};
+use mgrid_desim::{obs, spawn, Category, Event, FlowClass, FxHashMap, SpanStr};
 use mgrid_middleware::{HostEntry, ProcessCtx, SockError, VSender};
 use mgrid_netsim::Payload;
 
@@ -555,14 +555,14 @@ impl Comm {
             (l.track.clone(), l.lane.clone(), l.detail.clone())
         });
         if !span.is_none() && rank != 0 {
-            obs::flow_out("coll", &labels().lane, "rank0", span);
+            obs::flow_out(FlowClass::Coll, &labels().lane, "rank0", span);
         }
         let t0 = mgrid_desim::now();
         let out = body.await;
         let elapsed_ns = (mgrid_desim::now() - t0).as_nanos();
         if !span.is_none() {
             for peer in &labels().peers {
-                obs::flow_in("coll", peer, "rank0", span);
+                obs::flow_in(FlowClass::Coll, peer, "rank0", span);
             }
         }
         obs::span_end(span);
