@@ -20,9 +20,9 @@
 //! network traffic, vsocket and MPI activity) after the result line.
 //! `--trace-out <path>` additionally enables the typed-event tracer and
 //! streams one JSON object per line to the file as events are recorded;
-//! the in-memory ring holds the last `TRACE_RING` (65536) events (oldest
-//! evicted first — evictions show up as the `trace.dropped` counter in
-//! the summary, but every event still reaches the stream).
+//! the in-memory ring holds the last 65536 events (oldest evicted first —
+//! evictions show up as the `trace.dropped` counter in the summary, but
+//! every event still reaches the stream).
 //!
 //! `--profile-out <path>` enables causal span recording and, after the
 //! run, prints the virtual-time profiler attribution table and the
@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 use std::fs::File;
+use std::io::BufWriter;
 
 use microgrid::apps::npb::{NpbBenchmark, NpbClass};
 use microgrid::apps::WaveToyConfig;
@@ -39,9 +40,6 @@ use microgrid::desim::{perfetto, profile};
 use microgrid::{
     out, outln, plan_rate, presets, App, AppResult, GridConfig, Mode, Observe, Outcome, Scenario,
 };
-
-/// Capacity of the tracer's in-memory ring under `--trace-out`.
-const TRACE_RING: usize = 65536;
 
 fn load_config(path_or_preset: &str) -> GridConfig {
     if let Some(c) = presets::by_name(path_or_preset) {
@@ -223,10 +221,8 @@ fn run_cmd(args: &[String]) {
     } else {
         (Mode::MicroGrid, "MicroGrid")
     };
-    let trace = trace_out.map(|path| {
-        let sink = std::io::BufWriter::new(create(path, "trace file"));
-        (TRACE_RING, Box::new(sink) as Box<_>)
-    });
+    let trace =
+        trace_out.map(|path| Box::new(BufWriter::new(create(path, "trace file"))) as Box<_>);
     let profile = profile_out.map(|path| (path, create(path, "profile file")));
     outln!("running {name} on '{}' ({side})", config.name);
 

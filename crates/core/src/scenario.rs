@@ -117,9 +117,9 @@ impl AppResult {
 /// What a run records beyond its always-on metrics.
 #[derive(Default)]
 pub struct Observe {
-    /// Typed-event tracing: the in-memory ring's capacity, and the sink
-    /// every event streams to as one JSON object per line.
-    pub trace: Option<(usize, Box<dyn Write + Send>)>,
+    /// Typed-event tracing: the sink every event streams to as one JSON
+    /// object per line. The in-memory ring keeps the last 65,536 events.
+    pub trace: Option<Box<dyn Write + Send>>,
     /// Causal span recording, for the profile, the critical path and the
     /// Perfetto export.
     pub spans: bool,
@@ -130,7 +130,7 @@ pub struct Observe {
 pub struct Capture {
     /// The causal spans (empty unless [`Observe::spans`]).
     pub spans: SpanSnapshot,
-    /// The events left in the trace ring.
+    /// The events left in the trace ring (at most 65,536), moved out of it.
     pub events: Vec<TraceEvent>,
     /// Events written to the trace sink.
     pub streamed: u64,
@@ -215,8 +215,8 @@ impl Scenario {
         let mut sim = Simulation::new(self.seed);
         let obs = sim.obs().clone();
         let (traced, spans) = (self.observe.trace.is_some(), self.observe.spans);
-        if let Some((capacity, sink)) = self.observe.trace {
-            obs.enable_tracing(capacity);
+        if let Some(sink) = self.observe.trace {
+            obs.enable_tracing(TRACE_RING);
             obs.tracer().set_sink(sink);
         }
         if spans {
@@ -240,6 +240,9 @@ impl Scenario {
         })
     }
 }
+
+/// Capacity of the trace ring of a traced run ([`Observe::trace`]).
+const TRACE_RING: usize = 65536;
 
 /// Seal the observability layer and snapshot it. Called as the root
 /// workload's final act, while still inside the simulation: sealing first
@@ -265,7 +268,7 @@ fn capture(obs: &Obs, traced: bool, spans: bool) -> (MetricsSnapshot, Capture) {
         }
     }
     let capture = Capture {
-        events: tracer.events(),
+        events: tracer.take_events(),
         streamed: tracer.streamed(),
         dropped,
         sink_error: tracer.sink_error(),

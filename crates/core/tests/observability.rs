@@ -54,7 +54,7 @@ fn small_grid_run_populates_metrics() {
 fn small_grid_run_traces_all_layers_as_valid_json_lines() {
     let events = || -> Vec<TraceEvent> {
         let observe = Observe {
-            trace: Some((1 << 20, Box::new(std::io::sink()))),
+            trace: Some(Box::new(std::io::sink())),
             spans: false,
         };
         run_small_grid(observe).capture.events
@@ -198,7 +198,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 fn observed_run_matches_the_golden_file() {
     let trace = SharedBuf::default();
     let outcome = run_small_grid(Observe {
-        trace: Some((65536, Box::new(trace.clone()))),
+        trace: Some(Box::new(trace.clone())),
         spans: true,
     });
     let capture = &outcome.capture;

@@ -38,14 +38,14 @@
 //!   [`Waker::will_wake`] to skip redundant clones.
 //! * What still clones a waker per wait: [`crate::sync::Notify`], the
 //!   channels and [`JoinHandle`], which park wakers outside the executor.
-//! * The **ready queue** is a plain `VecDeque` behind an owner-thread
-//!   assertion instead of a `Mutex`: wakers are nominally `Send + Sync`,
-//!   but every task of a `!Send` simulation runs on the thread that owns
-//!   it, so the queue is never actually shared. The assertion turns any
-//!   future violation of that invariant into a panic rather than a race.
+//! * The **ready queue** is a plain `RefCell<VecDeque>` of the
+//!   simulation. A task waker holds its [`TaskId`] and its simulation's
+//!   key (owner thread and a per-thread count), and `wake` queues the
+//!   task only on the running simulation with that key: other wakes are
+//!   dropped, and one off the owner thread panics.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
@@ -123,78 +123,38 @@ struct Task {
     join: Option<Rc<dyn Any>>,
 }
 
-/// The executor's run queue, shared with every task waker.
-///
-/// Wakers must be `Send + Sync` by contract, but a simulation is `!Send`
-/// and all of its tasks run on the owning thread, so the queue is never
-/// actually accessed concurrently. Instead of paying an uncontended
-/// `Mutex` lock/unlock on every wake and every poll, accesses assert the
-/// owner thread and then use the queue directly; a waker smuggled to
-/// another thread panics instead of racing.
-struct ReadyQueue {
-    owner: std::thread::ThreadId,
-    queue: UnsafeCell<VecDeque<TaskId>>,
-}
-
-// SAFETY: all accesses go through `with`, which panics unless running on
-// the thread that created the queue, so the UnsafeCell contents are only
-// ever touched single-threaded even if the owning Arc moves threads.
-unsafe impl Send for ReadyQueue {}
-// SAFETY: same invariant as Send — shared references only reach the
-// queue through `with`'s owner-thread assertion, so there is never a
-// concurrent access for Sync to make unsound.
-unsafe impl Sync for ReadyQueue {}
-
-thread_local! {
-    /// This thread's id, read once per thread: `std::thread::current()`
-    /// clones and drops the thread handle's `Arc` on every call, and the
-    /// queue asks on every push and pop.
-    static THIS_THREAD: std::thread::ThreadId = std::thread::current().id();
-}
-
-impl ReadyQueue {
-    fn new() -> Arc<Self> {
-        Arc::new(ReadyQueue {
-            owner: THIS_THREAD.with(|id| *id),
-            queue: UnsafeCell::new(VecDeque::with_capacity(64)),
-        })
-    }
-
-    #[inline]
-    fn with<R>(&self, f: impl FnOnce(&mut VecDeque<TaskId>) -> R) -> R {
-        assert_eq!(
-            THIS_THREAD.with(|id| *id),
-            self.owner,
-            "simulation waker used off the simulation's own thread"
-        );
-        // SAFETY: single-threaded by the assertion above; the executor
-        // never re-enters `with` from inside `f` (pushes and pops are
-        // leaf operations).
-        f(unsafe { &mut *self.queue.get() })
-    }
-
-    #[inline]
-    fn push(&self, id: TaskId) {
-        self.with(|q| q.push_back(id));
-    }
-
-    #[inline]
-    fn pop(&self) -> Option<TaskId> {
-        self.with(|q| q.pop_front())
-    }
-}
+/// Which simulation a task waker belongs to: the thread that created it
+/// and how many simulations that thread had created before it.
+type SimKey = (std::thread::ThreadId, u64);
 
 struct TaskWaker {
     id: TaskId,
-    ready: Arc<ReadyQueue>,
+    sim: SimKey,
 }
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
+        self.wake_by_ref();
     }
+
+    /// Queue the task on its simulation if that is the one running on
+    /// this thread; otherwise the wake is dropped, and a wake off the
+    /// owner thread panics.
     fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+        let queued = CURRENT.with(|c| match c.borrow().as_deref() {
+            Some(s) if s.key == self.sim => {
+                s.ready.borrow_mut().push_back(self.id);
+                true
+            }
+            _ => false,
+        });
+        if !queued {
+            assert_eq!(
+                std::thread::current().id(),
+                self.sim.0,
+                "simulation waker used off the simulation's own thread"
+            );
+        }
     }
 }
 
@@ -290,7 +250,10 @@ pub(crate) struct SimInner {
     live_count: Cell<usize>,
     /// The task `poll_task` is in the middle of polling, if any.
     polled: Cell<Option<PolledTask>>,
-    ready: Arc<ReadyQueue>,
+    /// What its task wakers carry to find this simulation.
+    key: SimKey,
+    /// Tasks to poll, in wake order.
+    ready: RefCell<VecDeque<TaskId>>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     timer_slots: RefCell<Vec<TimerSlot>>,
     timer_free: RefCell<Vec<u32>>,
@@ -304,16 +267,13 @@ pub(crate) struct SimInner {
 
 thread_local! {
     static CURRENT: RefCell<Option<Rc<SimInner>>> = const { RefCell::new(None) };
+    /// Simulations this thread has created: the count in the next one's key.
+    static SIMS_CREATED: Cell<u64> = const { Cell::new(0) };
 }
 
 fn with_current<R>(f: impl FnOnce(&Rc<SimInner>) -> R) -> R {
-    CURRENT.with(|c| {
-        let borrow = c.borrow();
-        let inner = borrow
-            .as_ref()
-            .expect("not inside a Simulation context (call via Simulation::run or block_on)");
-        f(inner)
-    })
+    try_with_current(f)
+        .expect("not inside a Simulation context (call via Simulation::run or block_on)")
 }
 
 /// Like [`with_current`], but a no-op returning `None` outside a
@@ -350,7 +310,11 @@ impl Simulation {
                 task_free: RefCell::new(Vec::new()),
                 live_count: Cell::new(0),
                 polled: Cell::new(None),
-                ready: ReadyQueue::new(),
+                key: (
+                    std::thread::current().id(),
+                    SIMS_CREATED.with(|n| n.replace(n.get() + 1)),
+                ),
+                ready: RefCell::new(VecDeque::with_capacity(64)),
                 timers: RefCell::new(BinaryHeap::with_capacity(64)),
                 timer_slots: RefCell::new(Vec::new()),
                 timer_free: RefCell::new(Vec::new()),
@@ -409,6 +373,11 @@ impl Simulation {
     /// Run until the event queue is exhausted or the next event would occur
     /// after `deadline`. The clock is left at `min(deadline, final time)`.
     ///
+    /// A task waker queues its task only while its simulation is running:
+    /// a wake before the first run, between two runs or while the
+    /// simulation is dropped is lost. Timers registered in one run still
+    /// fire in the next.
+    ///
     /// # Examples
     /// ```
     /// use mgrid_desim::time::{SimDuration, SimTime};
@@ -435,7 +404,7 @@ impl Simulation {
         let _guard = ContextGuard::enter(self.inner.clone());
         loop {
             // Phase 1: poll every ready task until quiescent.
-            while let Some(id) = self.inner.ready.pop() {
+            while let Some(id) = self.inner.pop_ready() {
                 self.inner.poll_task(id);
             }
             if stop() {
@@ -544,7 +513,13 @@ impl SimInner {
         if !daemon {
             self.live_count.set(self.live_count.get() + 1);
         }
-        self.ready.push(id);
+        self.ready.borrow_mut().push_back(id);
+    }
+
+    /// The next task to poll. The queue's borrow ends here, before the
+    /// poll that may wake tasks onto it.
+    fn pop_ready(&self) -> Option<TaskId> {
+        self.ready.borrow_mut().pop_front()
     }
 
     fn poll_task(self: &Rc<Self>, id: TaskId) {
@@ -561,12 +536,10 @@ impl SimInner {
             let Some(task) = slot.task.take() else {
                 return; // completed (or mid-poll); spurious wake
             };
-            let waker = slot.waker.take().unwrap_or_else(|| {
-                Waker::from(Arc::new(TaskWaker {
-                    id,
-                    ready: self.ready.clone(),
-                }))
-            });
+            let waker = slot
+                .waker
+                .take()
+                .unwrap_or_else(|| Waker::from(Arc::new(TaskWaker { id, sim: self.key })));
             (task, waker)
         };
         let mut cx = Context::from_waker(&waker);
@@ -672,7 +645,7 @@ impl SimInner {
                 w
             };
             match wake {
-                Some(TimerWake::Task(id)) => self.ready.push(id),
+                Some(TimerWake::Task(id)) => self.ready.borrow_mut().push_back(id),
                 Some(TimerWake::Waker(w)) => w.wake(),
                 None => {}
             }
@@ -926,11 +899,7 @@ impl Drop for Sleep {
         if let Some(handle) = self.timer.take() {
             // Best-effort: outside a context (sim already dropped) there is
             // nothing to cancel.
-            CURRENT.with(|c| {
-                if let Some(inner) = c.borrow().as_ref() {
-                    inner.cancel_timer(handle);
-                }
-            });
+            try_with_current(|s| s.cancel_timer(handle));
         }
     }
 }
@@ -1141,14 +1110,14 @@ mod tests {
         });
         sim.run();
         let polls_before = sim.poll_count();
-        // Recycle the slot with a long-lived task, then fire the stale waker.
+        // Recycle the slot with a task that fires the stale waker as it runs.
         let done = Rc::new(Cell::new(false));
         let d2 = done.clone();
         sim.spawn(async move {
+            stale.borrow().as_ref().unwrap().wake_by_ref();
             sleep(SimDuration::from_millis(1)).await;
             d2.set(true);
         });
-        stale.borrow().as_ref().unwrap().wake_by_ref();
         sim.run();
         assert!(done.get());
         // The stale wake costs no task poll (generation mismatch): only
@@ -1331,6 +1300,31 @@ mod tests {
         );
         // The queue was never touched: the simulation is still usable.
         assert_eq!(sim.run(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn wakes_reach_only_their_own_running_simulation() {
+        let parked = Rc::new(Cell::new(None));
+        let (mut a, p2) = (Simulation::new(0), parked.clone());
+        a.spawn(std::future::poll_fn(move |cx| {
+            p2.set(Some(cx.waker().clone()));
+            Poll::<()>::Pending
+        }));
+        a.run();
+        let waker: Waker = parked.take().expect("A's task ran");
+        // B's task has A's task's id (slot 0, generation 0): a wake of
+        // A's queued on B would poll it a third time.
+        let (mut b, w2) = (Simulation::new(0), waker.clone());
+        b.spawn(async move {
+            w2.wake();
+            sleep(SimDuration::from_millis(1)).await;
+        });
+        b.run_to_completion();
+        assert_eq!(b.poll_count(), 2);
+        // Neither that wake nor one between A's runs reaches A.
+        waker.wake();
+        a.run();
+        assert_eq!((a.poll_count(), a.live_tasks()), (1, 1));
     }
 
     #[test]

@@ -87,11 +87,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A counter attached to no registry (writes go nowhere observable).
-    pub fn detached() -> Self {
-        Counter::default()
-    }
-
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {

@@ -215,6 +215,11 @@ impl Tracer {
         self.state.borrow().events.iter().cloned().collect()
     }
 
+    /// [`Tracer::events`] without the copy: the ring is left empty.
+    pub fn take_events(&self) -> Vec<TraceEvent> {
+        Vec::from(std::mem::take(&mut self.state.borrow_mut().events))
+    }
+
     /// Number of events evicted because the buffer was full. A nonzero
     /// value means [`Tracer::events`] is a *suffix* of the true event
     /// stream, not the whole of it.
@@ -275,6 +280,8 @@ mod tests {
         assert_eq!(evs[2].event, ev(4));
         assert_eq!(t.dropped(), 2);
         assert_eq!(t.events().len(), 3);
+        assert_eq!(t.take_events(), evs);
+        assert!(t.events().is_empty());
     }
 
     #[test]
