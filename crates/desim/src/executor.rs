@@ -3,8 +3,8 @@
 //! Tasks are ordinary Rust futures. Time only advances when every runnable
 //! task has been polled to a blocked state; the executor then pops the
 //! earliest timer from the event queue and jumps the clock to it. Events at
-//! equal instants are ordered by registration sequence number, so a given
-//! program + seed always produces the same trace.
+//! equal instants fire in registration order, so a given program + seed
+//! always produces the same trace.
 //!
 //! The executor is deliberately `!Send`: a simulation lives on one thread
 //! and uses `Rc`/`RefCell` internally. Parallelism across *simulations*
@@ -27,9 +27,16 @@
 //!   A poll *takes* the waker out of the slot and puts it back on
 //!   `Pending`, exactly as it does with the future, so polling touches no
 //!   reference count.
-//! * **Timers** keep their tie-break-by-registration-sequence contract in
-//!   the binary heap; what to wake lives in a generation-tagged slab
-//!   addressed by a private `TimerHandle`. A timer registered with the
+//! * **Timers** wait in one `Vec` sorted latest-first, so the next to
+//!   fire is the last entry: peek and pop are O(1). A push walks back
+//!   from that due end past every entry due at or before it (most sleeps
+//!   are short and stop within a few steps) and bisects the rest after
+//!   eight steps; landing before the entries due at the same instant
+//!   keeps the tie-break by registration order without a sequence number.
+//!   A cancelled timer's entry stays until it reaches the due end or a
+//!   purge. What to wake lives in a generation-tagged slab addressed by a
+//!   private `TimerHandle`, which carries its simulation's key: only that
+//!   simulation re-arms or cancels it. A timer registered with the
 //!   waker the executor handed to the task being polled (the common case:
 //!   a `Sleep` awaited by its own task) stores that task's [`TaskId`], and
 //!   firing it is a plain push on the ready queue, in the same order as
@@ -46,8 +53,7 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -172,33 +178,21 @@ struct TaskSlot {
     live: bool,
 }
 
-#[derive(PartialEq, Eq)]
+/// One pending timer in [`SimInner::timers`]: when it is due and the
+/// slab slot (with its generation) of what it wakes.
 struct TimerEntry {
     at: SimTime,
-    /// Global registration sequence: the determinism tie-break for timers
-    /// at the same instant.
-    seq: u64,
     slot: u32,
     gen: u32,
 }
 
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Opaque handle to a registered timer, used to re-arm or cancel it.
+/// Opaque handle to a registered timer, used to re-arm or cancel it on
+/// the simulation that issued it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TimerHandle {
     slot: u32,
     gen: u32,
+    sim: SimKey,
 }
 
 /// What a pending timer wakes when it fires.
@@ -243,7 +237,6 @@ impl Drop for PolledGuard<'_> {
 
 pub(crate) struct SimInner {
     now: Cell<SimTime>,
-    next_timer_seq: Cell<u64>,
     tasks: RefCell<Vec<TaskSlot>>,
     task_free: RefCell<Vec<u32>>,
     /// Non-daemon tasks spawned and not yet completed.
@@ -254,11 +247,14 @@ pub(crate) struct SimInner {
     key: SimKey,
     /// Tasks to poll, in wake order.
     ready: RefCell<VecDeque<TaskId>>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
+    /// Pending timers sorted latest-first: by `at` descending, and among
+    /// entries due at the same instant the later-registered first. The
+    /// next to fire is the last.
+    timers: RefCell<Vec<TimerEntry>>,
     timer_slots: RefCell<Vec<TimerSlot>>,
     timer_free: RefCell<Vec<u32>>,
-    /// Heap entries whose timer was cancelled (generation-stale). Kept
-    /// so the heap can be compacted once the dead weight dominates.
+    /// Entries of `timers` whose timer was cancelled (generation-stale).
+    /// Kept so the queue can be compacted once the dead weight dominates.
     stale_timers: Cell<usize>,
     rng: RefCell<SimRng>,
     polls: Cell<u64>,
@@ -305,7 +301,6 @@ impl Simulation {
         Simulation {
             inner: Rc::new(SimInner {
                 now: Cell::new(SimTime::ZERO),
-                next_timer_seq: Cell::new(0),
                 tasks: RefCell::new(Vec::new()),
                 task_free: RefCell::new(Vec::new()),
                 live_count: Cell::new(0),
@@ -315,7 +310,7 @@ impl Simulation {
                     SIMS_CREATED.with(|n| n.replace(n.get() + 1)),
                 ),
                 ready: RefCell::new(VecDeque::with_capacity(64)),
-                timers: RefCell::new(BinaryHeap::with_capacity(64)),
+                timers: RefCell::new(Vec::with_capacity(64)),
                 timer_slots: RefCell::new(Vec::new()),
                 timer_free: RefCell::new(Vec::new()),
                 stale_timers: Cell::new(0),
@@ -599,11 +594,11 @@ impl SimInner {
     }
 
     fn peek_timer(&self) -> Option<SimTime> {
-        // Pop cancelled entries off the top so the reported time is a
+        // Pop cancelled entries off the due end so the reported time is a
         // *live* deadline.
         let mut timers = self.timers.borrow_mut();
         let slots = self.timer_slots.borrow();
-        while let Some(Reverse(e)) = timers.peek() {
+        while let Some(e) = timers.last() {
             if slots[e.slot as usize].gen == e.gen {
                 return Some(e.at);
             }
@@ -620,21 +615,16 @@ impl SimInner {
         debug_assert!(at >= self.now.get(), "time went backwards");
         self.now.set(at);
         loop {
-            let (slot, gen) = {
-                let mut timers = self.timers.borrow_mut();
-                match timers.peek() {
-                    Some(Reverse(e)) if e.at == at => {
-                        let Reverse(e) = timers.pop().unwrap();
-                        (e.slot, e.gen)
-                    }
-                    _ => break,
-                }
+            let Some(TimerEntry { slot, gen, .. }) =
+                self.timers.borrow_mut().pop_if(|e| e.at == at)
+            else {
+                break;
             };
             let wake = {
                 let mut slots = self.timer_slots.borrow_mut();
                 let s = &mut slots[slot as usize];
                 if s.gen != gen {
-                    // Cancelled timer: the heap entry is a no-op.
+                    // Cancelled timer: its entry is a no-op.
                     self.stale_timers
                         .set(self.stale_timers.get().saturating_sub(1));
                     continue;
@@ -653,8 +643,10 @@ impl SimInner {
     }
 
     pub(crate) fn register_timer(&self, at: SimTime, waker: &Waker) -> TimerHandle {
-        let seq = self.next_timer_seq.get();
-        self.next_timer_seq.set(seq + 1);
+        /// Entries a push compares one by one from the due end before it
+        /// bisects the rest: a walk as long as the queue would cost a
+        /// 768-host run's 10 ms quantum sleeps a scan of most of it.
+        const TIMER_WALK: usize = 8;
         let wake = Some(self.timer_wake(waker));
         let (slot, gen) = {
             let mut slots = self.timer_slots.borrow_mut();
@@ -672,13 +664,31 @@ impl SimInner {
                 }
             }
         };
-        self.timers
-            .borrow_mut()
-            .push(Reverse(TimerEntry { at, seq, slot, gen }));
-        TimerHandle { slot, gen }
+        // Go before every entry due at or before `at`: the new timer is
+        // the latest registered, so it fires after those due at `at` too.
+        let mut timers = self.timers.borrow_mut();
+        let walked = timers
+            .iter()
+            .rev()
+            .take(TIMER_WALK)
+            .take_while(|e| e.at <= at)
+            .count();
+        let mut i = timers.len() - walked;
+        if walked == TIMER_WALK {
+            i = timers[..i].partition_point(|e| e.at > at);
+        }
+        timers.insert(i, TimerEntry { at, slot, gen });
+        TimerHandle {
+            slot,
+            gen,
+            sim: self.key,
+        }
     }
 
+    /// Re-arm `handle`'s timer, still pending, with `waker`. The handle is
+    /// this simulation's.
     pub(crate) fn update_timer_waker(&self, handle: TimerHandle, waker: &Waker) {
+        debug_assert!(handle.sim == self.key);
         let mut slots = self.timer_slots.borrow_mut();
         let s = &mut slots[handle.slot as usize];
         if s.gen == handle.gen {
@@ -689,9 +699,16 @@ impl SimInner {
         }
     }
 
+    /// Cancel `handle`'s timer if this simulation issued it and it is
+    /// still pending. Another simulation's handle may name a live slot
+    /// here, or one past the slab's end: it is left alone.
     pub(crate) fn cancel_timer(&self, handle: TimerHandle) {
-        // The heap entry stays and is skipped on pop (generation mismatch);
-        // clearing the slot and bumping the generation neutralizes it.
+        if handle.sim != self.key {
+            return;
+        }
+        // The queue entry stays and is skipped on pop (generation
+        // mismatch); clearing the slot and bumping the generation
+        // neutralizes it.
         {
             let mut slots = self.timer_slots.borrow_mut();
             let s = &mut slots[handle.slot as usize];
@@ -706,28 +723,26 @@ impl SimInner {
         self.maybe_purge_timers();
     }
 
-    /// Lazily compact the timer heap. Long chaos runs arm and cancel
+    /// Lazily compact the timer queue. Long chaos runs arm and cancel
     /// huge numbers of retry timeouts, and every cancelled entry lingers
-    /// in the heap until its deadline floats to the top; once more than
-    /// half the entries are generation-stale, rebuild the heap keeping
-    /// only live ones. The O(len) rebuild amortizes against the
-    /// cancellations that created the dead weight; `desim.timers_purged`
-    /// counts the entries dropped.
+    /// in the queue until it reaches the due end; once more than half
+    /// the entries are generation-stale, drop them all in one pass that
+    /// keeps the live ones in order. The O(len) pass amortizes against
+    /// the cancellations that created the dead weight;
+    /// `desim.timers_purged` counts the entries dropped.
     fn maybe_purge_timers(&self) {
         /// Below this size the dead weight cannot cost enough to be
-        /// worth a rebuild.
-        const MIN_HEAP_FOR_PURGE: usize = 64;
+        /// worth a pass.
+        const MIN_QUEUE_FOR_PURGE: usize = 64;
         let stale = self.stale_timers.get();
         let mut timers = self.timers.borrow_mut();
-        if timers.len() < MIN_HEAP_FOR_PURGE || stale * 2 <= timers.len() {
+        if timers.len() < MIN_QUEUE_FOR_PURGE || stale * 2 <= timers.len() {
             return;
         }
         let slots = self.timer_slots.borrow();
         let before = timers.len();
-        let mut live = std::mem::take(&mut *timers).into_vec();
-        live.retain(|Reverse(e)| slots[e.slot as usize].gen == e.gen);
-        let purged = before - live.len();
-        *timers = BinaryHeap::from(live);
+        timers.retain(|e| slots[e.slot as usize].gen == e.gen);
+        let purged = before - timers.len();
         drop(slots);
         drop(timers);
         self.stale_timers.set(0);
@@ -840,8 +855,7 @@ pub fn fork_rng() -> SimRng {
 #[inline]
 pub fn sleep(d: SimDuration) -> Sleep {
     Sleep {
-        at: None,
-        duration: d,
+        deadline: Deadline::After(d),
         timer: None,
     }
 }
@@ -850,16 +864,21 @@ pub fn sleep(d: SimDuration) -> Sleep {
 #[inline]
 pub fn sleep_until(at: SimTime) -> Sleep {
     Sleep {
-        at: Some(at),
-        duration: SimDuration::ZERO,
+        deadline: Deadline::At(at),
         timer: None,
     }
 }
 
+/// When a [`Sleep`] ends: a span from its first poll, fixed to an instant
+/// by that poll.
+enum Deadline {
+    After(SimDuration),
+    At(SimTime),
+}
+
 /// Future returned by [`sleep`] / [`sleep_until`].
 pub struct Sleep {
-    at: Option<SimTime>,
-    duration: SimDuration,
+    deadline: Deadline,
     timer: Option<TimerHandle>,
 }
 
@@ -869,11 +888,11 @@ impl Future for Sleep {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
         with_current(|s| {
-            let at = match this.at {
-                Some(at) => at,
-                None => {
-                    let at = s.now.get() + this.duration;
-                    this.at = Some(at);
+            let at = match this.deadline {
+                Deadline::At(at) => at,
+                Deadline::After(d) => {
+                    let at = s.now.get() + d;
+                    this.deadline = Deadline::At(at);
                     at
                 }
             };
@@ -884,8 +903,10 @@ impl Future for Sleep {
                 Poll::Ready(())
             } else {
                 match this.timer {
-                    Some(handle) => s.update_timer_waker(handle, cx.waker()),
-                    None => this.timer = Some(s.register_timer(at, cx.waker())),
+                    Some(handle) if handle.sim == s.key => s.update_timer_waker(handle, cx.waker()),
+                    // Not armed yet, or armed on another simulation that
+                    // cannot wake this one's task: arm it here.
+                    _ => this.timer = Some(s.register_timer(at, cx.waker())),
                 }
                 Poll::Pending
             }
@@ -898,7 +919,8 @@ impl Drop for Sleep {
     fn drop(&mut self) {
         if let Some(handle) = self.timer.take() {
             // Best-effort: outside a context (sim already dropped) there is
-            // nothing to cancel.
+            // nothing to cancel, and `cancel_timer` leaves another
+            // simulation's timers alone.
             try_with_current(|s| s.cancel_timer(handle));
         }
     }
@@ -1328,7 +1350,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_timer_heap_is_purged_in_bulk() {
+    fn stale_timer_entries_are_purged_in_bulk() {
         let mut sim = Simulation::new(2);
         sim.spawn(async {
             // Arm 256 far-future timers, then cancel them all by drop.
@@ -1345,9 +1367,283 @@ mod tests {
             .await;
         });
         sim.run();
-        // The lazy purge must have compacted the heap well below the 256
+        // The lazy purge must have compacted the queue well below the 256
         // armed entries and recorded what it dropped.
         assert!(sim.inner.timers.borrow().len() < 64);
         assert!(sim.obs().metrics().counter("desim.timers_purged") >= 128);
+    }
+
+    /// The tag that keeps a timer on its own simulation costs `Sleep` no
+    /// bytes: every host future holds several.
+    #[test]
+    fn a_sleep_stays_40_bytes() {
+        assert_eq!(std::mem::size_of::<Sleep>(), 40);
+    }
+
+    #[test]
+    fn dropping_a_sleep_of_another_simulation_leaves_this_ones_timers() {
+        // A's task holds pending sleeps in timer slots 0 and 1, both at
+        // generation 0.
+        let mut a = Simulation::new(0);
+        a.spawn(async {
+            let mut first = sleep(SimDuration::from_millis(5));
+            assert!(poll_once(&mut first, None).await.is_pending());
+            sleep(SimDuration::from_millis(5)).await;
+        });
+        a.run_until(SimTime::ZERO);
+        assert_eq!(a.inner.timer_slots.borrow().len(), 2);
+        // B's task arms its 1 ms sleep in slot 0, generation 0, then drops
+        // A: A's sleeps drop inside B's run. Their handles name B's live
+        // timer and a slot past B's slab.
+        let mut b = Simulation::new(0);
+        let woken_at = b.spawn(async move {
+            let mut timer = sleep(SimDuration::from_millis(1));
+            assert!(poll_once(&mut timer, None).await.is_pending());
+            drop(a);
+            timer.await;
+            now()
+        });
+        b.run();
+        assert_eq!(woken_at.try_take(), Some(SimTime::from_nanos(1_000_000)));
+    }
+
+    #[test]
+    fn a_sleep_moved_to_another_simulation_arms_a_timer_there() {
+        // A registers the 3 ms sleep in slot 0, generation 0, and lends it.
+        let parked: Rc<RefCell<Option<Sleep>>> = Rc::new(RefCell::new(None));
+        let p2 = parked.clone();
+        let mut a = Simulation::new(0);
+        a.spawn(async move {
+            let mut timer = sleep(SimDuration::from_millis(3));
+            assert!(poll_once(&mut timer, None).await.is_pending());
+            *p2.borrow_mut() = Some(timer);
+        });
+        a.run_until(SimTime::ZERO);
+        // B's own 1 ms timer holds the same slot and generation. Polling
+        // the lent sleep in B must neither re-arm that timer for the
+        // borrowing task nor skip arming one of its own.
+        let mut b = Simulation::new(0);
+        let own = b.spawn(async {
+            sleep(SimDuration::from_millis(1)).await;
+            now()
+        });
+        let lent = b.spawn(async move {
+            let timer = parked.borrow_mut().take().expect("A's task ran");
+            timer.await;
+            now()
+        });
+        b.run();
+        assert_eq!(own.try_take(), Some(SimTime::from_nanos(1_000_000)));
+        assert_eq!(lent.try_take(), Some(SimTime::from_nanos(3_000_000)));
+        // A's timer was left alone: it still fires in A.
+        assert_eq!(a.inner.peek_timer(), Some(SimTime::from_nanos(3_000_000)));
+    }
+
+    thread_local! {
+        /// Ids of the model test's timers in the order they fired.
+        static FIRED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Logs its timer's id to [`FIRED`] when woken.
+    struct LogWaker(usize);
+
+    impl Wake for LogWaker {
+        fn wake(self: Arc<Self>) {
+            FIRED.with(|f| f.borrow_mut().push(self.0));
+        }
+    }
+
+    /// The binary heap the timer queue replaced, lazy deletion and purge
+    /// rule included: what the queue must match step for step.
+    #[derive(Default)]
+    struct HeapModel {
+        heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
+        /// Per timer id: still pending and not cancelled.
+        live: Vec<bool>,
+        stale: usize,
+        purged: u64,
+        now: SimTime,
+        fired: Vec<usize>,
+    }
+
+    impl HeapModel {
+        fn register(&mut self, at: SimTime) {
+            self.heap.push(std::cmp::Reverse((at, self.live.len())));
+            self.live.push(true);
+        }
+
+        fn cancel(&mut self, id: usize) {
+            if !std::mem::replace(&mut self.live[id], false) {
+                return;
+            }
+            self.stale += 1;
+            if self.heap.len() >= 64 && self.stale * 2 > self.heap.len() {
+                let before = self.heap.len();
+                let live = &self.live;
+                self.heap.retain(|std::cmp::Reverse((_, id))| live[*id]);
+                self.purged += (before - self.heap.len()) as u64;
+                self.stale = 0;
+            }
+        }
+
+        fn run_until(&mut self, deadline: SimTime) {
+            loop {
+                while let Some(&std::cmp::Reverse((_, id))) = self.heap.peek() {
+                    if self.live[id] {
+                        break;
+                    }
+                    self.heap.pop();
+                    self.stale = self.stale.saturating_sub(1);
+                }
+                let Some(&std::cmp::Reverse((at, _))) = self.heap.peek() else {
+                    return;
+                };
+                if at > deadline {
+                    self.now = deadline;
+                    return;
+                }
+                self.now = at;
+                while let Some(&std::cmp::Reverse((due, id))) = self.heap.peek() {
+                    if due != at {
+                        break;
+                    }
+                    self.heap.pop();
+                    if std::mem::replace(&mut self.live[id], false) {
+                        self.fired.push(id);
+                    } else {
+                        self.stale = self.stale.saturating_sub(1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One step of the model test, drawn as `(kind, a, b)`.
+    type Op = (u64, u64, u64);
+
+    /// Run `ops` on a simulation and on [`HeapModel`], comparing the
+    /// firing order, `desim.timers_purged`, the pending length and the
+    /// clock after every step. Returns the entries purged.
+    fn check_against_heap_model(ops: &[Op]) -> u64 {
+        FIRED.with(|f| f.borrow_mut().clear());
+        let mut sim = Simulation::new(0);
+        let mut model = HeapModel::default();
+        // Per timer id: its sleep, until cancelled or dropped.
+        let mut sleeps: Vec<Option<Pin<Box<Sleep>>>> = Vec::new();
+        let register = |sim: &Simulation, model: &mut HeapModel, at: SimTime| {
+            let _ctx = ContextGuard::enter(sim.inner.clone());
+            let mut s = Box::pin(sleep_until(at));
+            let waker = Waker::from(Arc::new(LogWaker(model.live.len())));
+            let mut cx = Context::from_waker(&waker);
+            assert!(s.as_mut().poll(&mut cx).is_pending());
+            // A second poll re-arms the same timer.
+            assert!(s.as_mut().poll(&mut cx).is_pending());
+            model.register(at);
+            Some(s)
+        };
+        for &(kind, a, b) in ops {
+            let now = sim.now();
+            match kind {
+                // Near: many timers due at the same few instants.
+                0..=2 => {
+                    let at = now + SimDuration::from_nanos(1 + (a % 8) * 1000);
+                    sleeps.push(register(&sim, &mut model, at));
+                }
+                // Short sleeps of any length below 1 ms.
+                3 => {
+                    let at = now + SimDuration::from_nanos(1 + a % 1_000_000);
+                    sleeps.push(register(&sim, &mut model, at));
+                }
+                // Far deadlines, some tied with each other.
+                4 => {
+                    let at = now + SimDuration::from_secs(1 + a % 4);
+                    sleeps.push(register(&sim, &mut model, at));
+                }
+                // A burst of far timers: the queue grows past the purge floor.
+                5 => {
+                    for i in 0..24 {
+                        let d = SimDuration::from_millis(10 + (a % 5_000 + i * (b % 997)) % 5_000);
+                        sleeps.push(register(&sim, &mut model, now + d));
+                    }
+                }
+                // Cancel or drop one timer, pending, fired or gone.
+                6 | 7 if model.live.is_empty() => {}
+                6 | 7 => {
+                    let id = (a % model.live.len() as u64) as usize;
+                    if let Some(mut s) = sleeps[id].take() {
+                        let _ctx = ContextGuard::enter(sim.inner.clone());
+                        if kind == 6 {
+                            if let Some(h) = s.timer.take() {
+                                sim.inner.cancel_timer(h);
+                            }
+                        }
+                        drop(s);
+                        model.cancel(id);
+                    }
+                }
+                // Drop most of what is pending: the purge fires.
+                8 => {
+                    let _ctx = ContextGuard::enter(sim.inner.clone());
+                    for (id, s) in sleeps.iter_mut().enumerate() {
+                        if !(id as u64 + a).is_multiple_of(4) && s.take().is_some() {
+                            model.cancel(id);
+                        }
+                    }
+                }
+                // Run a little, or far.
+                9 | 10 => {
+                    let d = SimDuration::from_nanos(b % 3_000_000);
+                    sim.run_until(now + d);
+                    model.run_until(now + d);
+                }
+                _ => {
+                    let d = SimDuration::from_millis(b % 8_000);
+                    sim.run_until(now + d);
+                    model.run_until(now + d);
+                }
+            }
+            FIRED.with(|f| assert_eq!(*f.borrow(), model.fired));
+            assert_eq!(
+                sim.obs().metrics().counter("desim.timers_purged"),
+                model.purged
+            );
+            assert_eq!(sim.inner.timers.borrow().len(), model.heap.len());
+            assert_eq!(sim.now(), model.now);
+        }
+        sim.run();
+        model.run_until(SimTime::MAX);
+        FIRED.with(|f| assert_eq!(*f.borrow(), model.fired));
+        assert!(sim.inner.timers.borrow().is_empty());
+        model.purged
+    }
+
+    #[test]
+    fn timer_queue_matches_the_heap_model_through_purges() {
+        let mut ops: Vec<Op> = (0..6).map(|i| (5, i, 7 + i)).collect();
+        ops.extend((0..40).map(|i| (i % 4, i * 37, 0)));
+        ops.extend([
+            (8, 1, 0),
+            (9, 0, 2_000_000),
+            (5, 3, 11),
+            (8, 2, 0),
+            (11, 0, 7_999),
+        ]);
+        assert!(check_against_heap_model(&ops) >= 64);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random register, cancel, drop and run sequences fire, purge
+        /// and keep pending exactly what the binary heap did.
+        #[test]
+        fn timer_queue_matches_the_heap_model(
+            ops in proptest::collection::vec(
+                (0u64..12, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                1..160,
+            ),
+        ) {
+            check_against_heap_model(&ops);
+        }
     }
 }
